@@ -25,9 +25,9 @@ def main():
     repeats = int(sys.argv[1]) if len(sys.argv) > 1 else 50
     from pwlienard import _kernel_py
     try:
-        from pwlienard import _kernel_cy
+        from pwlienard import _kernel_c
     except ImportError:
-        _kernel_cy = None
+        _kernel_c = None
 
     sys_ = load_preset("example1")
     fc = sys_.float_coeffs()
@@ -42,11 +42,11 @@ def main():
     for name, args in workloads.items():
         t_py, r_py = bench(_kernel_py, args, repeats)
         line = f"{name}: python {t_py * 1e3:8.3f} ms"
-        if _kernel_cy is not None:
-            t_cy, r_cy = bench(_kernel_cy, args, repeats)
-            agree = abs(r_py[1] - r_cy[1]) + abs(r_py[2] - r_cy[2])
-            line += (f" | compiled {t_cy * 1e3:8.3f} ms"
-                     f" | speedup {t_py / t_cy:6.1f}x | |dxy| = {agree:.2e}")
+        if _kernel_c is not None:
+            t_c, r_c = bench(_kernel_c, args, repeats)
+            agree = abs(r_py[1] - r_c[1]) + abs(r_py[2] - r_c[2])
+            line += (f" | compiled {t_c * 1e3:8.3f} ms"
+                     f" | speedup {t_py / t_c:6.1f}x | |dxy| = {agree:.2e}")
         else:
             line += " | compiled kernel not built"
         print(line)

@@ -1,19 +1,9 @@
 """Builds the compiled trajectory kernel; the package works without it
-(the pure-Python twin is selected at import time), so extension build
-failures are non-fatal.
+(the pure-Python twin is selected at import time), so ``optional=True``
+makes an extension build failure non-fatal.  Needs only a C compiler.
 """
 
 from setuptools import Extension, setup
 
-ext_modules = []
-try:
-    from Cython.Build import cythonize
-
-    ext_modules = cythonize(
-        [Extension("pwlienard._kernel_cy", ["src/pwlienard/_kernel_cy.pyx"])],
-        compiler_directives={"language_level": "3"},
-    )
-except Exception as exc:  # pragma: no cover - environment dependent
-    print(f"cython unavailable, building without the compiled kernel: {exc}")
-
-setup(ext_modules=ext_modules)
+setup(ext_modules=[Extension("pwlienard._kernel_c",
+                             ["src/pwlienard/_kernel_c.c"], optional=True)])

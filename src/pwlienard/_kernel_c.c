@@ -1,0 +1,258 @@
+/* Compiled trajectory kernel: adaptive RK45 with switching-line events.
+ *
+ * C twin of ``_kernel_py``; both expose the same ``integrate_return`` entry
+ * point and must stay behaviorally identical (the test suite compares them).
+ * See ``_kernel_py`` for the field mode and status code conventions.
+ *
+ * Build: python3 setup.py build_ext --inplace   (needs only a C compiler)
+ */
+
+#define PY_SSIZE_T_CLEAN
+#include <Python.h>
+#include <math.h>
+
+#define MAXC 64
+
+static const double TRANSVERSAL_GUARD = 1e-8;
+static const double MIN_RETURN_TIME = 0.5;
+
+/* Dormand-Prince 5(4) tableau */
+static const double A5[7][6] = {
+    {0, 0, 0, 0, 0, 0},
+    {1.0 / 5, 0, 0, 0, 0, 0},
+    {3.0 / 40, 9.0 / 40, 0, 0, 0, 0},
+    {44.0 / 45, -56.0 / 15, 32.0 / 9, 0, 0, 0},
+    {19372.0 / 6561, -25360.0 / 2187, 64448.0 / 6561, -212.0 / 729, 0, 0},
+    {9017.0 / 3168, -355.0 / 33, 46732.0 / 5247, 49.0 / 176, -5103.0 / 18656, 0},
+    {35.0 / 384, 0.0, 500.0 / 1113, 125.0 / 192, -2187.0 / 6784, 11.0 / 84},
+};
+static const double B5[7] = {35.0 / 384, 0.0, 500.0 / 1113, 125.0 / 192,
+                             -2187.0 / 6784, 11.0 / 84, 0.0};
+static const double B4[7] = {5179.0 / 57600, 0.0, 7571.0 / 16695, 393.0 / 640,
+                             -92097.0 / 339200, 187.0 / 2100, 1.0 / 40};
+
+/* the five coefficient vectors, in the argument order a0, a1, b0, b1, c */
+typedef struct {
+    double v[5][MAXC];
+    Py_ssize_t n[5];
+} Coeffs;
+
+static double polyval(const double *co, Py_ssize_t n, double x)
+{
+    double acc = 0.0;
+    for (Py_ssize_t i = n - 1; i >= 0; i--)
+        acc = acc * x + co[i];
+    return acc;
+}
+
+static void field(int mode, const Coeffs *co, double lam, double eps,
+                  double x, double y, double side, double *dx, double *dy)
+{
+    double v = mode == 2 ? y : x;
+    double f0 = polyval(co->v[0], co->n[0], v);
+    double f1 = polyval(co->v[1], co->n[1], v);
+    double g0 = polyval(co->v[2], co->n[2], v);
+    double g1 = polyval(co->v[3], co->n[3], v);
+    double g = polyval(co->v[4], co->n[4], v);
+    if (mode == 2) {
+        /* swapped coordinates: polynomials are functions of y */
+        *dx = y + lam * side * g + eps * (x * (f0 + lam * f1) + side * (g0 + lam * g1));
+        *dy = -x;
+    } else {
+        *dx = y;
+        *dy = -x - lam * side * g - eps * (y * (f0 + lam * f1) + side * (g0 + lam * g1));
+    }
+}
+
+/* One Dormand-Prince step; stores (x5, y5) and returns the error norm. */
+static double rk_step(int mode, const Coeffs *co, double lam, double eps,
+                      double x, double y, double side, double h,
+                      double *xo, double *yo)
+{
+    double kx[7], ky[7];
+    field(mode, co, lam, eps, x, y, side, &kx[0], &ky[0]);
+    for (int i = 1; i < 7; i++) {
+        double xs = x, ys = y;
+        for (int j = 0; j < i; j++) {
+            xs += h * A5[i][j] * kx[j];
+            ys += h * A5[i][j] * ky[j];
+        }
+        field(mode, co, lam, eps, xs, ys, side, &kx[i], &ky[i]);
+    }
+    double x5 = x, y5 = y, ex = 0.0, ey = 0.0;
+    for (int i = 0; i < 7; i++) {
+        x5 += h * B5[i] * kx[i];
+        y5 += h * B5[i] * ky[i];
+        ex += h * (B5[i] - B4[i]) * kx[i];
+        ey += h * (B5[i] - B4[i]) * ky[i];
+    }
+    *xo = x5;
+    *yo = y5;
+    return hypot(ex, ey);
+}
+
+/* Copy one coefficient sequence into dst; returns its length, -1 on error. */
+static Py_ssize_t fill(double *dst, PyObject *src)
+{
+    PyObject *seq = PySequence_Fast(src, "coefficients must be a sequence");
+    if (seq == NULL)
+        return -1;
+    Py_ssize_t n = PySequence_Fast_GET_SIZE(seq);
+    if (n > MAXC) {
+        PyErr_SetString(PyExc_ValueError,
+                        "coefficient vector too long for compiled kernel");
+        n = -1;
+    }
+    for (Py_ssize_t i = 0; i < n; i++) {
+        dst[i] = PyFloat_AsDouble(PySequence_Fast_GET_ITEM(seq, i));
+        if (dst[i] == -1.0 && PyErr_Occurred()) {
+            n = -1;
+            break;
+        }
+    }
+    Py_DECREF(seq);
+    return n;
+}
+
+static PyObject *finish(int status, double x, double y, double t,
+                        PyObject *crossings)
+{
+    return Py_BuildValue("(idddN)", status, x, y, t, crossings);
+}
+
+static PyObject *integrate_return(PyObject *self, PyObject *args,
+                                  PyObject *kwargs)
+{
+    static char *kwlist[] = {"mode", "fa0", "fa1", "fb0", "fb1", "fc", "lam",
+                             "eps", "x0", "y0", "rk_tol", "event_tol",
+                             "max_steps", "r_min", "r_max", NULL};
+    int mode;
+    PyObject *src[5];
+    double lam, eps, x, y, rk_tol, event_tol, r_min, r_max;
+    long max_steps;
+    Coeffs co;
+    (void)self;
+
+    if (!PyArg_ParseTupleAndKeywords(
+            args, kwargs, "iOOOOOddddddldd", kwlist, &mode, &src[0], &src[1],
+            &src[2], &src[3], &src[4], &lam, &eps, &x, &y, &rk_tol,
+            &event_tol, &max_steps, &r_min, &r_max))
+        return NULL;
+    for (int k = 0; k < 5; k++) {
+        co.n[k] = fill(co.v[k], src[k]);
+        if (co.n[k] < 0)
+            return NULL;
+    }
+    PyObject *crossings = PyList_New(0);
+    if (crossings == NULL)
+        return NULL;
+
+    double t = 0.0, h = 0.01, dxv, dyv;
+    /* side-independent switch-variable velocity at the start */
+    field(mode, &co, lam, eps, x, y, 0.0, &dxv, &dyv);
+    double w0 = mode == 0 ? dyv : dxv;
+    if (fabs(w0) < TRANSVERSAL_GUARD)
+        return finish(3, x, y, t, crossings);
+    double side = w0 > 0 ? 1.0 : -1.0;
+
+    for (long steps = 0; steps < max_steps; steps++) {
+        double x5, y5;
+        double err = rk_step(mode, &co, lam, eps, x, y, side, h, &x5, &y5);
+        double tol = rk_tol * (1.0 + hypot(x, y));
+        if (err > tol) {
+            h *= fmax(0.2, 0.9 * pow(tol / err, 0.2));
+            continue;
+        }
+        double w_old = mode == 0 ? y : x;
+        double w_new = mode == 0 ? y5 : x5;
+        /* w_old == 0 means we are leaving the line after an event (or the
+           start point): not a crossing */
+        if (w_old != 0.0 && ((w_old > 0.0) != (w_new > 0.0) || w_new == 0.0)) {
+            /* locate the crossing by bisection on the substep length */
+            double lo = 0.0, hi = h, xe = x5, ye = y5;
+            for (int it = 0; it < 80; it++) {
+                double mid = 0.5 * (lo + hi), xm, ym;
+                rk_step(mode, &co, lam, eps, x, y, side, mid, &xm, &ym);
+                double wm = mode == 0 ? ym : xm;
+                if (fabs(wm) <= event_tol) {
+                    lo = hi = mid;
+                    xe = xm;
+                    ye = ym;
+                    break;
+                }
+                if ((wm > 0.0) == (w_old > 0.0)) {
+                    lo = mid;
+                } else {
+                    hi = mid;
+                    xe = xm;
+                    ye = ym;
+                }
+                if (hi - lo <= 1e-16 * fmax(1.0, h))
+                    break;
+            }
+            t += 0.5 * (lo + hi);
+            /* land exactly on the line */
+            if (mode == 0) {
+                x = xe;
+                y = 0.0;
+            } else {
+                x = 0.0;
+                y = ye;
+            }
+            field(mode, &co, lam, eps, x, y, 0.0, &dxv, &dyv);
+            double vel = mode == 0 ? dyv : dxv;
+            if (fabs(vel) < TRANSVERSAL_GUARD)
+                return finish(3, x, y, t, crossings);
+            side = vel > 0 ? 1.0 : -1.0;
+            PyObject *event = Py_BuildValue("(dddd)", t, x, y, side);
+            if (event == NULL || PyList_Append(crossings, event) < 0) {
+                Py_XDECREF(event);
+                Py_DECREF(crossings);
+                return NULL;
+            }
+            Py_DECREF(event);
+            double r = hypot(x, y);
+            if (r < r_min || r > r_max)
+                return finish(1, x, y, t, crossings);
+            if (t > MIN_RETURN_TIME && (mode == 0 ? x > 0.0 : y > 0.0))
+                return finish(0, x, y, t, crossings);
+            h = 0.01;
+            continue;
+        }
+        x = x5;
+        y = y5;
+        t += h;
+        double r = hypot(x, y);
+        if (r < r_min || r > r_max)
+            return finish(1, x, y, t, crossings);
+        if (err > 0.0)
+            h *= fmin(5.0, 0.9 * pow(tol / err, 0.2));
+        else
+            h *= 5.0;
+    }
+    return finish(2, x, y, t, crossings);
+}
+
+static PyMethodDef methods[] = {
+    {"integrate_return", (PyCFunction)(void (*)(void))integrate_return,
+     METH_VARARGS | METH_KEYWORDS,
+     "integrate_return(mode, fa0, fa1, fb0, fb1, fc, lam, eps, x0, y0, rk_tol,"
+     " event_tol, max_steps, r_min, r_max)\n--\n\n"
+     "Integrate from a section point to its first full return.\n\n"
+     "Returns (status, x, y, t, crossings); see the Python twin for details."},
+    {NULL, NULL, 0, NULL},
+};
+
+static struct PyModuleDef module = {
+    PyModuleDef_HEAD_INIT, "pwlienard._kernel_c",
+    "Compiled trajectory kernel: adaptive RK45 with switching-line events.",
+    -1, methods, NULL, NULL, NULL, NULL,
+};
+
+PyMODINIT_FUNC PyInit__kernel_c(void)
+{
+    PyObject *m = PyModule_Create(&module);
+    if (m != NULL && PyModule_AddStringConstant(m, "BACKEND_NAME", "compiled") < 0)
+        Py_CLEAR(m);
+    return m;
+}

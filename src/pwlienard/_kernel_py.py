@@ -1,8 +1,8 @@
 """Pure-Python trajectory kernel: adaptive RK45 with switching-line events.
 
-This is the fallback twin of the compiled kernel in ``_kernel_cy``; both
+This is the reference twin of the compiled kernel in ``_kernel_c.c``; both
 expose the same ``integrate_return`` entry point and must stay behaviorally
-identical (the test suite compares them when the extension is available).
+identical (the test suite compares them whenever a C compiler is present).
 
 Field modes
 -----------
@@ -18,10 +18,11 @@ from __future__ import annotations
 
 import math
 
+from .algebra import polyval
+
 BACKEND_NAME = "python"
 
 # Dormand-Prince 5(4) tableau
-_C = (0.0, 1.0 / 5, 3.0 / 10, 4.0 / 5, 8.0 / 9, 1.0, 1.0)
 _A = (
     (),
     (1.0 / 5,),
@@ -39,42 +40,33 @@ _TRANSVERSAL_GUARD = 1e-8
 _MIN_RETURN_TIME = 0.5
 
 
-def _polyval(coeffs, x):
-    acc = 0.0
-    for i in range(len(coeffs) - 1, -1, -1):
-        acc = acc * x + coeffs[i]
-    return acc
-
-
-def _field(mode, fa0, fa1, fb0, fb1, fc, lam, eps, direction, x, y, side):
+def _field(mode, fa0, fa1, fb0, fb1, fc, lam, eps, x, y, side):
     if mode == 2:
         # swapped coordinates: polynomials are functions of y
-        f0 = _polyval(fa0, y)
-        f1 = _polyval(fa1, y)
-        g0 = _polyval(fb0, y)
-        g1 = _polyval(fb1, y)
-        g = _polyval(fc, y)
+        f0 = polyval(fa0, y)
+        f1 = polyval(fa1, y)
+        g0 = polyval(fb0, y)
+        g1 = polyval(fb1, y)
+        g = polyval(fc, y)
         dx = y + lam * side * g + eps * (x * (f0 + lam * f1) + side * (g0 + lam * g1))
         dy = -x
     else:
-        f0 = _polyval(fa0, x)
-        f1 = _polyval(fa1, x)
-        g0 = _polyval(fb0, x)
-        g1 = _polyval(fb1, x)
-        g = _polyval(fc, x)
+        f0 = polyval(fa0, x)
+        f1 = polyval(fa1, x)
+        g0 = polyval(fb0, x)
+        g1 = polyval(fb1, x)
+        g = polyval(fc, x)
         dx = y
         dy = -x - lam * side * g \
             - eps * (y * (f0 + lam * f1) + side * (g0 + lam * g1))
-    return direction * dx, direction * dy
+    return dx, dy
 
 
-def _rk_step(mode, fa0, fa1, fb0, fb1, fc, lam, eps, direction,
-             x, y, side, h):
+def _rk_step(mode, fa0, fa1, fb0, fb1, fc, lam, eps, x, y, side, h):
     """One Dormand-Prince step; returns (x5, y5, err_norm)."""
     kx = [0.0] * 7
     ky = [0.0] * 7
-    kx[0], ky[0] = _field(mode, fa0, fa1, fb0, fb1, fc, lam, eps, direction,
-                          x, y, side)
+    kx[0], ky[0] = _field(mode, fa0, fa1, fb0, fb1, fc, lam, eps, x, y, side)
     for i in range(1, 7):
         ai = _A[i]
         xs = x
@@ -83,7 +75,7 @@ def _rk_step(mode, fa0, fa1, fb0, fb1, fc, lam, eps, direction,
             xs += h * ai[j] * kx[j]
             ys += h * ai[j] * ky[j]
         kx[i], ky[i] = _field(mode, fa0, fa1, fb0, fb1, fc, lam, eps,
-                              direction, xs, ys, side)
+                              xs, ys, side)
     x5 = x
     y5 = y
     ex = 0.0
@@ -98,7 +90,7 @@ def _rk_step(mode, fa0, fa1, fb0, fb1, fc, lam, eps, direction,
 
 def integrate_return(mode, fa0, fa1, fb0, fb1, fc, lam, eps,
                      x0, y0, rk_tol, event_tol, max_steps,
-                     r_min, r_max, direction=1.0, record=False):
+                     r_min, r_max):
     """Integrate from a section point to its first full return.
 
     Returns (status, x, y, t, crossings) with crossings a list of
@@ -114,8 +106,7 @@ def integrate_return(mode, fa0, fa1, fb0, fb1, fc, lam, eps,
 
     def dwdt(px, py):
         # side-independent estimate of the switch-variable velocity
-        dx, dy = _field(mode, fa0, fa1, fb0, fb1, fc, lam, eps, direction,
-                        px, py, 0.0)
+        dx, dy = _field(mode, fa0, fa1, fb0, fb1, fc, lam, eps, px, py, 0.0)
         return dy if mode == 0 else dx
 
     w0 = dwdt(x, y)
@@ -128,7 +119,7 @@ def integrate_return(mode, fa0, fa1, fb0, fb1, fc, lam, eps,
     while steps < max_steps:
         steps += 1
         x5, y5, err = _rk_step(mode, fa0, fa1, fb0, fb1, fc, lam, eps,
-                               direction, x, y, side, h)
+                               x, y, side, h)
         tol = rk_tol * (1.0 + math.hypot(x, y))
         if err > tol:
             h *= max(0.2, 0.9 * (tol / err) ** 0.2)
@@ -144,7 +135,7 @@ def integrate_return(mode, fa0, fa1, fb0, fb1, fc, lam, eps,
             for _ in range(80):
                 mid = 0.5 * (lo + hi)
                 xm, ym, _e = _rk_step(mode, fa0, fa1, fb0, fb1, fc, lam,
-                                      eps, direction, x, y, side, mid)
+                                      eps, x, y, side, mid)
                 if abs(switch_var(xm, ym)) <= event_tol:
                     lo = hi = mid
                     xe, ye = xm, ym

@@ -198,19 +198,6 @@ PI = RingElem.term(1, p=1)
 INV_PI = RingElem.term(1, p=-1)
 
 
-def ring_normalize(x: RingElem) -> RingElem:
-    """Re-canonicalize an element.  Idempotent; value unchanged."""
-    return RingElem(dict(x.terms))
-
-
-def ring_add(x: RingElem, y: RingElem) -> RingElem:
-    return x + y
-
-
-def ring_mul(x: RingElem, y: RingElem) -> RingElem:
-    return x * y
-
-
 class HalfPowerPoly:
     """Finite sum sum_k c_k h^(k/2) with exact RingElem coefficients.
 
@@ -304,9 +291,17 @@ class HalfPowerPoly:
         return "HalfPowerPoly(" + " + ".join(parts) + ")"
 
 
-def hp_eval(poly: HalfPowerPoly, h: float) -> float:
-    return poly.eval(h)
+# -- dense float polynomials ---------------------------------------------------
 
 
-def hp_to_s_poly(poly: HalfPowerPoly):
-    return poly.to_s_poly()
+def polyval(coeffs, x: float) -> float:
+    """Horner evaluation of sum_k coeffs[k] * x^k (coefficients ascending)."""
+    acc = 0.0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def poly_antideriv(coeffs):
+    """Coefficients of the antiderivative with zero constant term."""
+    return [0.0] + [c / (k + 1) for k, c in enumerate(coeffs)]

@@ -8,9 +8,7 @@ Default comparison tolerance can be overridden with PWLIENARD_REL_TOL.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
-import math
 import os
 import sys
 
@@ -223,7 +221,7 @@ def cmd_verify(args) -> int:
         add(f"M1@h={h}", exp.m1.eval(h), oracle.oracle_m1(sys_, h), tol)
         n_terms = 5 if sys_.case is Case.SWITCH_Y else 4
         for i in range(n_terms):
-            closed = _closed_term(sys_, exp, i, h)
+            closed = melnikov.closed_term(sys_, i, h)
             add(f"I{i}@h={h}", closed, oracle.quad_I(sys_, h, i), tol)
     if args.with_sim:
         lam = args.lam or 0.02
@@ -245,24 +243,6 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
-def _closed_term(sys_, exp, i, h):
-    if sys_.case is Case.SWITCH_Y:
-        if i == 0:
-            return melnikov.case_y_i_poly(sys_, 0).eval(h)
-        if i == 1:
-            return melnikov.case_y_i_poly(sys_.odd_projection(), 1).eval(h)
-        if i == 3:
-            return melnikov.case_y_i3(sys_.odd_projection()).eval(h)
-        return 0.0  # I2, I4 vanish under the oddness hypothesis
-    if i == 0:
-        return melnikov.case_x_i_poly(sys_, 0).eval(h)
-    if i == 1:
-        return melnikov.case_x_i_poly(sys_.odd_projection(), 1).eval(h)
-    if i == 2:
-        return melnikov.case_x_i2(sys_.odd_projection()).eval(h)
-    return melnikov.case_x_i3(sys_.odd_projection()).eval(h)
-
-
 # -- parser --------------------------------------------------------------------
 
 
@@ -274,8 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="output directory (default: stdout)")
     p.add_argument("--precision", type=int, default=17,
                    help="significant digits in numeric output")
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed for randomized sweeps")
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp):

@@ -18,10 +18,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import HalfPowerPoly, RingElem
+from .algebra import RingElem
 from .errors import InfeasibleShape, NoConvergence, TooManyTargets
-from .melnikov import (_a_tilde_factor, _b_tilde_factor, case_x_m1, case_y_m1,
-                       wallis_odd, zero_bound)
+from .melnikov import (_a_hat_factor, _a_tilde_factor, _b_tilde_factor,
+                       _time_weight_factor, case_x_m1, case_y_m1, zero_bound)
 from .systems import Case, LienardSystem
 
 NEWTON_TOL = 1e-9
@@ -80,13 +80,14 @@ def design_case_y(targets, m: int, n: int) -> LienardSystem:
             l = (k - 1) // 2  # h^(l+1/2) channel
             if l <= half_n:
                 b1[2 * l] = _b_tilde_factor(l).invert_monomial() * coeff
-            elif l <= 2 * half_n:
+            else:
                 # convolution channel: b~_l = b*_{l - [n/2]} * c*_{[n/2]}
                 i = l - half_n
+                if 2 * i + 1 > n:
+                    raise InfeasibleShape(
+                        f"monomial s^{k} needs g0 coefficient b0_{2 * i + 1}"
+                        f" beyond n = {n}")
                 b0[2 * i + 1] = RingElem.rational(-q / (2 ** (i + 1)))
-            else:
-                raise InfeasibleShape(
-                    f"monomial s^{k} needs convolution index {l} beyond 2[n/2]")
     return LienardSystem.build(Case.SWITCH_Y, m, n, a1=a1, b0=b0, b1=b1, c=c)
 
 
@@ -119,29 +120,26 @@ def _null_space_poly(s_roots, exponents):
     return dict(zip(exponents, vec))
 
 
-def _odd_block_residual(u, m, n, odd_targets):
-    """Residual of the odd-power (h^(l+3/2)) block for unknown vector u."""
+def _odd_block_residual(u, m, n, odd_targets, time_w, a_hat):
+    """Residual of the odd-power (h^(l+3/2)) block for unknown vector u.
+
+    ``time_w[l]`` and ``a_hat[l]`` are the float values of
+    ``melnikov._time_weight_factor(l)`` and ``melnikov._a_hat_factor(l)``."""
     hm_odd = (m - 1) // 2
     n_t = (n - 1) // 2
     a_odd = u[:hm_odd + 1]
     c_odd = np.concatenate(([1.0], u[hm_odd + 1:]))  # c_1 fixed to 1
     res = []
     for l, target in enumerate(odd_targets):
-        total = 0.0
         # a*_l
-        sfac = 0.0
-        for k in range(l + 2):
-            sfac += math.comb(l + 1, k) * (-1) ** k / (2 * k + 1)
-        sfac *= 2.0 ** (l + 1.5)
         conv = 0.0
         for i in range(max(0, l - n_t), min(l, hm_odd) + 1):
             j = l - i
             conv += 2.0 * a_odd[i] * c_odd[j] / (j + 1)
-        total += sfac * conv
+        total = time_w[l] * conv
         # a^_l
         if l <= hm_odd:
-            total += -(2.0 ** (l + 2.5) / (2 * l + 3)) \
-                * wallis_odd(l).to_float() * a_odd[l]
+            total += a_hat[l] * a_odd[l]
         res.append(total - target)
     return np.array(res)
 
@@ -212,18 +210,18 @@ def design_case_x(targets, m: int, n: int) -> LienardSystem:
     if n == 0:
         # no time-weighted block: a^_l alone, exact linear inversion
         for l, target in enumerate(odd_targets):
-            factor = RingElem({(2 * l + 5, 0): Fraction(-1, 2 * l + 3)}) \
-                * wallis_odd(l)
-            a0[2 * l + 1] = factor.invert_monomial() \
+            a0[2 * l + 1] = _a_hat_factor(l).invert_monomial() \
                 * RingElem.from_float(float(target))
         return LienardSystem.build(Case.SWITCH_X, m, n, a0=a0, a1=a1, c=c)
 
     n_t = (n - 1) // 2
-    fun = lambda u: _odd_block_residual(u, m, n, odd_targets)
+    time_w = [_time_weight_factor(l).to_float() for l in range(top_l + 1)]
+    a_hat = [_a_hat_factor(l).to_float() for l in range(hm_odd + 1)]
+    fun = lambda u: _odd_block_residual(u, m, n, odd_targets, time_w, a_hat)
     best_err = np.inf
     solution = None
     for attempt in range(8):
-        u0 = _initial_guess(m, n, odd_targets, attempt)
+        u0 = _initial_guess(m, n, odd_targets, time_w, attempt)
         u, err = _newton_solve(fun, u0, scale)
         if u is not None:
             solution = u
@@ -241,17 +239,15 @@ def design_case_x(targets, m: int, n: int) -> LienardSystem:
     return LienardSystem.build(Case.SWITCH_X, m, n, a0=a0, a1=a1, c=c)
 
 
-def _initial_guess(m, n, odd_targets, attempt):
+def _initial_guess(m, n, odd_targets, time_w, attempt):
     hm_odd = (m - 1) // 2
     n_t = (n - 1) // 2
     rng = np.random.default_rng(attempt)
     a_init = np.zeros(hm_odd + 1)
     for l in range(hm_odd + 1):
-        sfac = sum(math.comb(l + 1, k) * (-1) ** k / (2 * k + 1)
-                   for k in range(l + 2)) * 2.0 ** (l + 1.5)
         target = odd_targets[l] if l < len(odd_targets) else 0.0
         # decoupled approximation: only the c_1 = 1, j = 0 convolution term
-        a_init[l] = target / (2.0 * sfac)
+        a_init[l] = target / (2.0 * time_w[l])
     c_init = np.full(n_t, 0.1)
     u0 = np.concatenate((a_init, c_init))
     if attempt > 0:

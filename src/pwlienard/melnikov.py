@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .algebra import PI, HalfPowerPoly, RingElem
+from .algebra import HalfPowerPoly, RingElem
 from .errors import OddnessViolated, WrongCase, ZeroLambda
 from .systems import Case, LienardSystem
 
@@ -163,6 +163,11 @@ def case_x_i2(sys: LienardSystem) -> HalfPowerPoly:
     return HalfPowerPoly(out)
 
 
+def _a_hat_factor(i: int) -> RingElem:
+    """-(2^(i+5/2)/(2i+3)) * W(i), the a_{2i+1} -> h^(i+3/2) half-arc factor."""
+    return RingElem({(2 * i + 5, 0): Fraction(-1, 2 * i + 3)}) * wallis_odd(i)
+
+
 def case_x_i3(sys: LienardSystem) -> HalfPowerPoly:
     """Half-arc contribution sum_i a^_i h^(i+3/2)."""
     half_m = sys.m // 2
@@ -170,8 +175,7 @@ def case_x_i3(sys: LienardSystem) -> HalfPowerPoly:
     for i in range(half_m + 1):
         c = _coef(sys.a0, 2 * i + 1)
         if not c.is_zero():
-            factor = RingElem({(2 * i + 5, 0): Fraction(-1, 2 * i + 3)}) * wallis_odd(i)
-            out[2 * i + 3] = factor * c
+            out[2 * i + 3] = _a_hat_factor(i) * c
     return HalfPowerPoly(out)
 
 
@@ -204,6 +208,26 @@ def expand(sys: LienardSystem, project_odd: bool = False) -> MelnikovExpansion:
                                  case_y_m0(sys), case_y_m1(sys, project_odd))
     return MelnikovExpansion(sys.case, sys.m, sys.n,
                              case_x_m0(sys), case_x_m1(sys, project_odd))
+
+
+def closed_term(sys: LienardSystem, i: int, h: float) -> float:
+    """Closed form of the single integral I_i at h, the counterpart of
+    ``oracle.quad_I(sys, h, i)``; M1 terms use the odd projection."""
+    if sys.case is Case.SWITCH_Y:
+        if i == 0:
+            return case_y_i_poly(sys, 0).eval(h)
+        if i == 1:
+            return case_y_i_poly(sys.odd_projection(), 1).eval(h)
+        if i == 3:
+            return case_y_i3(sys.odd_projection()).eval(h)
+        return 0.0  # I2, I4 vanish under the oddness hypothesis
+    if i == 0:
+        return case_x_i_poly(sys, 0).eval(h)
+    if i == 1:
+        return case_x_i_poly(sys.odd_projection(), 1).eval(h)
+    if i == 2:
+        return case_x_i2(sys.odd_projection()).eval(h)
+    return case_x_i3(sys.odd_projection()).eval(h)
 
 
 def zero_bound(case: Case, m: int, n: int, which: str) -> int:

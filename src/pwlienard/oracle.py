@@ -14,27 +14,15 @@ unperturbed rigid rotation d(theta)/dt = -1, so dt = -d(theta).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from scipy.integrate import quad
 
-from .errors import QuadratureFailure, WrongCase
+from .algebra import poly_antideriv, polyval
+from .errors import QuadratureFailure
 from .systems import Case, LienardSystem
 
 QUAD_ABS_TARGET = 1e-10
 _QUAD_LIMIT = 2000
-
-
-def _polyval(coeffs, x: float) -> float:
-    acc = 0.0
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
-def _poly_antideriv(coeffs):
-    """Coefficients of the antiderivative with zero constant term."""
-    return [0.0] + [c / (k + 1) for k, c in enumerate(coeffs)]
 
 
 def _quad(fn, lo: float, hi: float) -> float:
@@ -54,9 +42,9 @@ def endpoint_derivatives(g_coeffs, h: float):
     if h <= 0:
         raise ValueError("h must be positive")
     r = math.sqrt(2.0 * h)
-    big_g = _poly_antideriv(list(g_coeffs))
-    da = -_polyval(big_g, r) / r
-    db = _polyval(big_g, -r) / r
+    big_g = poly_antideriv(list(g_coeffs))
+    da = -polyval(big_g, r) / r
+    db = polyval(big_g, -r) / r
     return da, db
 
 
@@ -65,13 +53,7 @@ def i4_factor(g_coeffs, h: float) -> float:
     if h <= 0:
         raise ValueError("h must be positive")
     r = math.sqrt(2.0 * h)
-    return 2.0 * _polyval(list(g_coeffs), r) / r
-
-
-@dataclass(frozen=True)
-class EndpointDerivatives:
-    da_dlambda: float
-    db_dlambda: float
+    return 2.0 * polyval(list(g_coeffs), r) / r
 
 
 def quad_I(sys: LienardSystem, h: float, index: int) -> float:
@@ -94,21 +76,21 @@ def _quad_i_case_y(fc, r: float, h: float, index: int) -> float:
 
         def ab(theta):
             x, y = r * math.cos(theta), r * math.sin(theta)
-            return -(x * _polyval(f, y) + _polyval(g, y)) * r * math.cos(theta)
+            return -(x * polyval(f, y) + polyval(g, y)) * r * math.cos(theta)
 
         def ba(theta):
             x, y = r * math.cos(theta), r * math.sin(theta)
-            return -(x * _polyval(f, y) - _polyval(g, y)) * r * math.cos(theta)
+            return -(x * polyval(f, y) - polyval(g, y)) * r * math.cos(theta)
 
         # dy = r*cos(theta) d(theta); AB: pi/2 -> -pi/2, BA: -pi/2 -> -3pi/2
         return _quad(ab, math.pi / 2, -math.pi / 2) \
             + _quad(ba, -math.pi / 2, -3 * math.pi / 2)
     if index == 2:
-        big_g = _poly_antideriv(fc["c"])
+        big_g = poly_antideriv(fc["c"])
 
         def weight(theta):
             y = r * math.sin(theta)
-            return _polyval(big_g, y) * _polyval(fc["a0"], y)
+            return polyval(big_g, y) * polyval(fc["a0"], y)
 
         # dt = -d(theta): -int_AB(...)dt = -int_{-pi/2}^{pi/2},
         # +int_BA(...)dt = +int_{-3pi/2}^{-pi/2}
@@ -116,14 +98,14 @@ def _quad_i_case_y(fc, r: float, h: float, index: int) -> float:
             + _quad(weight, -3 * math.pi / 2, -math.pi / 2)
     if index == 3:
         da, db = endpoint_derivatives(fc["c"], h)
-        g0_a = _polyval(fc["b0"], r)
-        g0_b = _polyval(fc["b0"], -r)
+        g0_a = polyval(fc["b0"], r)
+        g0_b = polyval(fc["b0"], -r)
         # L(x f0 + g0) - L(x f0 - g0) = 2*[g0(a)*da - g0(b)*db]; x = 0 at A, B
         return 2.0 * (g0_a * da - g0_b * db)
     if index == 4:
         def ab(theta):
             x, y = r * math.cos(theta), r * math.sin(theta)
-            return -(x * _polyval(fc["a0"], y) - _polyval(fc["b0"], y)) \
+            return -(x * polyval(fc["a0"], y) - polyval(fc["b0"], y)) \
                 * r * math.cos(theta)
 
         return i4_factor(fc["c"], h) * _quad(ab, math.pi / 2, -math.pi / 2)
@@ -137,21 +119,21 @@ def _quad_i_case_x(fc, r: float, h: float, index: int) -> float:
 
         def ab(theta):
             x, y = r * math.cos(theta), r * math.sin(theta)
-            return -(y * _polyval(f, x) + _polyval(g, x)) * (-r * math.sin(theta))
+            return -(y * polyval(f, x) + polyval(g, x)) * (-r * math.sin(theta))
 
         def ba(theta):
             x, y = r * math.cos(theta), r * math.sin(theta)
-            return -(y * _polyval(f, x) - _polyval(g, x)) * (-r * math.sin(theta))
+            return -(y * polyval(f, x) - polyval(g, x)) * (-r * math.sin(theta))
 
         # dx = -r*sin(theta) d(theta)
         return _quad(ab, math.pi / 2, -math.pi / 2) \
             + _quad(ba, -math.pi / 2, -3 * math.pi / 2)
     if index == 2:
-        big_g = _poly_antideriv(fc["c"])
+        big_g = poly_antideriv(fc["c"])
 
         def weight(theta):
             x = r * math.cos(theta)
-            return _polyval(big_g, x) * _polyval(fc["a0"], x)
+            return polyval(big_g, x) * polyval(fc["a0"], x)
 
         # dt = -d(theta): +int_AB -> +int_{-pi/2}^{pi/2},
         # -int_BA -> -int_{-3pi/2}^{-pi/2}
@@ -160,7 +142,7 @@ def _quad_i_case_x(fc, r: float, h: float, index: int) -> float:
     if index == 3:
         def ab(theta):
             x, y = r * math.cos(theta), r * math.sin(theta)
-            return -(y * _polyval(fc["a0"], x) - _polyval(fc["b0"], x)) \
+            return -(y * polyval(fc["a0"], x) - polyval(fc["b0"], x)) \
                 * (-r * math.sin(theta))
 
         return _quad(ab, math.pi / 2, -math.pi / 2)

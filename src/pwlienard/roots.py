@@ -13,22 +13,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .algebra import HalfPowerPoly
+from .algebra import HalfPowerPoly, polyval
 from .errors import PrecisionLoss, ZeroPolynomial
 from .melnikov import zero_bound
 from .systems import Case
 
 REFINE_WIDTH = 1e-12
+# fallback split ratio when the midpoint is an exact zero; being irrational,
+# it keeps the new split off the dyadic points where exact zeros occur
+_OFF_CENTRE = math.sqrt(2.0) - 1.0
 
 CERT_SIMPLE = "SimpleSignChange"
 CERT_SUSPECT_EVEN = "SuspectedEvenMultiplicity"
-
-
-def _polyval(coeffs, x: float) -> float:
-    acc = 0.0
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
 
 
 def _deriv(coeffs):
@@ -94,15 +90,15 @@ class RootReport:
 
 
 def _bisect_root(coeffs, lo: float, hi: float):
-    flo = _polyval(coeffs, lo)
-    fhi = _polyval(coeffs, hi)
+    flo = polyval(coeffs, lo)
+    fhi = polyval(coeffs, hi)
     if flo == 0.0:
         lo_adj = max(lo * (1 - 1e-9) - 1e-300, 0.0)
-        flo = _polyval(coeffs, lo_adj)
+        flo = polyval(coeffs, lo_adj)
         lo = lo_adj
     if fhi == 0.0:
         hi *= 1 + 1e-9
-        fhi = _polyval(coeffs, hi)
+        fhi = polyval(coeffs, hi)
     if flo * fhi > 0:
         return None
     # tight target: both the s-interval and the induced h-interval stay <= 1e-12
@@ -110,7 +106,7 @@ def _bisect_root(coeffs, lo: float, hi: float):
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break  # float resolution reached
-        fm = _polyval(coeffs, mid)
+        fm = polyval(coeffs, mid)
         if fm == 0.0:
             lo = hi = mid
             break
@@ -127,8 +123,8 @@ def _isolate(coeffs, lo: float, hi: float, out: list, depth: int = 0):
     count = _descartes_count_01(mapped)
     if count == 0:
         return
-    flo = _polyval(coeffs, lo)
-    fhi = _polyval(coeffs, hi)
+    flo = polyval(coeffs, lo)
+    fhi = polyval(coeffs, hi)
     if count == 1 and flo * fhi < 0:
         out.append((lo, hi))
         return
@@ -139,6 +135,10 @@ def _isolate(coeffs, lo: float, hi: float, out: list, depth: int = 0):
             out.append((lo, hi))
         return
     mid = 0.5 * (lo + hi)
+    if polyval(coeffs, mid) == 0.0:
+        # a root on the split point would be an endpoint of both halves,
+        # where neither Descartes nor a sign change can see it
+        mid = lo + _OFF_CENTRE * (hi - lo)
     _isolate(coeffs, lo, mid, out, depth + 1)
     _isolate(coeffs, mid, hi, out, depth + 1)
 
@@ -179,7 +179,7 @@ def isolate_positive_roots(poly: HalfPowerPoly, case: Case | None = None,
             mid = 0.5 * (rlo + rhi)
             if mid <= 0:
                 continue
-            dval = _polyval(deriv, mid) if deriv else 0.0
+            dval = polyval(deriv, mid) if deriv else 0.0
             cert = CERT_SIMPLE if dval != 0.0 else CERT_SUSPECT_EVEN
             report.s_roots.append(IsolatedRoot(rlo, rhi, mid, cert))
         # flag possible even-multiplicity roots: minima of |P| at zeros of P'
@@ -207,7 +207,7 @@ def _suspect_even_roots(coeffs, deriv, bound, certified, scale):
             continue
         if any(r.lo - 1e-9 <= mid <= r.hi + 1e-9 for r in certified):
             continue
-        if abs(_polyval(coeffs, mid)) <= 1e-8 * scale * max(1.0, mid) ** len(coeffs):
+        if abs(polyval(coeffs, mid)) <= 1e-8 * scale * max(1.0, mid) ** len(coeffs):
             out.append(IsolatedRoot(refined[0], refined[1], mid,
                                     CERT_SUSPECT_EVEN))
     return out

@@ -2,10 +2,10 @@
 limit-cycle location and the finite-difference bifurcation increment.
 
 The hot stepping loop lives in a kernel module with two interchangeable
-implementations: a Cython extension (``pwlienard._kernel_cy``) and a pure
-Python twin (``pwlienard._kernel_py``).  The compiled one is used when it
-imported successfully; set ``PWLIENARD_BACKEND=python`` to force the
-fallback.
+implementations: a C extension (``pwlienard._kernel_c``, built from one C99
+file with any C compiler) and a pure Python twin (``pwlienard._kernel_py``).
+The compiled one is used when it imported successfully; set
+``PWLIENARD_BACKEND=python`` to force the fallback.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import math
 import os
 from dataclasses import dataclass, field
 
+from .algebra import poly_antideriv, polyval
 from .errors import (EscapeAnnulus, MaxStepsExceeded, NonTransversalCrossing,
                      PwLienardError)
 from .systems import Case, LienardSystem
@@ -23,7 +24,7 @@ if _FORCED == "python":
     from . import _kernel_py as _kernel
 else:
     try:
-        from . import _kernel_cy as _kernel  # type: ignore[attr-defined]
+        from . import _kernel_c as _kernel  # type: ignore[attr-defined]
     except ImportError:
         if _FORCED == "compiled":
             raise
@@ -89,7 +90,7 @@ def _kernel_field(mode, fc, lam, eps, x, y, side):
     from ._kernel_py import _field  # reference formula, cheap for single calls
 
     return _field(mode, fc["a0"], fc["a1"], fc["b0"], fc["b1"], fc["c"],
-                  lam, eps, 1.0, x, y, side)
+                  lam, eps, x, y, side)
 
 
 def _mode_of(sys: LienardSystem) -> int:
@@ -97,14 +98,14 @@ def _mode_of(sys: LienardSystem) -> int:
 
 
 def _run(sys: LienardSystem, mode: int, x0: float, y0: float,
-         config: SimConfig, direction: float = 1.0):
+         config: SimConfig):
     fc = sys.float_coeffs()
     lam = config.lam if (config.lam or config.eps) else sys.lam
     eps = config.eps if (config.lam or config.eps) else sys.eps
     status, x, y, t, crossings = _kernel.integrate_return(
         mode, fc["a0"], fc["a1"], fc["b0"], fc["b1"], fc["c"],
         lam, eps, x0, y0, config.rk_tol, config.event_tol,
-        config.max_steps, config.r_min, config.r_max, direction)
+        config.max_steps, config.r_min, config.r_max)
     if status == 1:
         raise EscapeAnnulus(
             f"trajectory left [{config.r_min}, {config.r_max}] at t = {t:.4f}")
@@ -118,8 +119,7 @@ def _run(sys: LienardSystem, mode: int, x0: float, y0: float,
     return x, y, t, crossings
 
 
-def advance_to_section(sys: LienardSystem, start: float, config: SimConfig,
-                       direction: float = 1.0):
+def advance_to_section(sys: LienardSystem, start: float, config: SimConfig):
     """One full return from the section; returns (coord, time, crossings).
 
     The section is {y = 0, x > 0} for switch-on-y systems and
@@ -130,9 +130,9 @@ def advance_to_section(sys: LienardSystem, start: float, config: SimConfig,
         raise EscapeAnnulus(f"start {start} outside the annulus")
     mode = _mode_of(sys)
     if mode == 0:
-        x, y, t, crossings = _run(sys, mode, start, 0.0, config, direction)
+        x, y, t, crossings = _run(sys, mode, start, 0.0, config)
         return x, t, crossings
-    x, y, t, crossings = _run(sys, mode, 0.0, start, config, direction)
+    x, y, t, crossings = _run(sys, mode, 0.0, start, config)
     return y, t, crossings
 
 
@@ -214,27 +214,20 @@ def bifurcation_increment(sys: LienardSystem, h: float, lam: float,
     and H+ = y^2/2 + lam * G(y); switch-on-x systems integrate directly.
     """
     fc = sys.float_coeffs()
-    big_g = [0.0] + [c / (k + 1) for k, c in enumerate(fc["c"])]
-
-    def poly(coeffs, v):
-        acc = 0.0
-        for cc in reversed(coeffs):
-            acc = acc * v + cc
-        return acc
-
+    big_g = poly_antideriv(fc["c"])
     config = SimConfig(lam=lam, eps=eps, rk_tol=rk_tol)
     if sys.case is Case.SWITCH_Y:
         # start ordinate a solves a^2/2 + lam*G(a) = h (Newton from sqrt(2h))
         a = math.sqrt(2.0 * h)
         for _ in range(60):
-            f_val = 0.5 * a * a + lam * poly(big_g, a) - h
-            f_der = a + lam * poly(fc["c"], a)
+            f_val = 0.5 * a * a + lam * polyval(big_g, a) - h
+            f_der = a + lam * polyval(fc["c"], a)
             step = f_val / f_der
             a -= step
             if abs(step) <= 1e-15 * max(1.0, a):
                 break
         x, y, _t, _c = _run(sys, 2, 0.0, a, config)
-        return (0.5 * y * y + lam * poly(big_g, y)) - h
+        return (0.5 * y * y + lam * polyval(big_g, y)) - h
     a = math.sqrt(2.0 * h)
     x, y, _t, _c = _run(sys, 1, 0.0, a, config)
     return 0.5 * y * y - h

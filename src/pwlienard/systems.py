@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 
 from .algebra import RingElem

@@ -21,8 +21,8 @@ from pwlienard import (Case, HalfPowerPoly, LienardSystem, PI, RingElem,
                        design_case_y, expand, find_cycles,
                        isolate_positive_roots, load_preset, oracle_m0,
                        oracle_m1, quad_I, verify_design, zero_bound)
-from pwlienard.cli import _closed_term
 from pwlienard.errors import SimulationError
+from pwlienard.melnikov import closed_term
 from pwlienard.roots import CERT_SIMPLE
 from pwlienard.simulator import bifurcation_increment
 
@@ -98,7 +98,7 @@ def test_criterion_3_closed_form_oracle_equivalence(capsys):
                 parts = []
                 for i in range(n_terms):
                     quad = quad_I(sys_, h, i)
-                    closed = _closed_term(sys_, exp, i, h)
+                    closed = closed_term(sys_, i, h)
                     worst = max(worst, rel_err(closed, quad))
                     parts.append(quad)
                 worst = max(worst, rel_err(exp.m0.eval(h), parts[0]))

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pwlienard import INV_PI, PI, SQRT2, HalfPowerPoly, RingElem
-from pwlienard.algebra import hp_eval, hp_to_s_poly
 
 rationals = st.fractions(
     min_value=-50, max_value=50, max_denominator=16)
@@ -88,10 +87,10 @@ class TestHalfPowerPoly:
                               3: RingElem.rational(35),
                               4: RingElem.rational(-10),
                               5: RingElem.one()})
-        s_coeffs = hp_to_s_poly(poly)
+        s_coeffs = poly.to_s_poly()
         for h in (0.25, 0.5, 1.0, 2.0, 9.0, 16.0):
             s = math.sqrt(h)
-            direct = hp_eval(poly, h)
+            direct = poly.eval(h)
             horner = 0.0
             for c in reversed(s_coeffs):
                 horner = horner * s + c

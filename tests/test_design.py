@@ -75,6 +75,10 @@ class TestCaseX:
         bound_targets = [0.5, 1.0, 1.5, 2.0, 2.5]
         with pytest.raises((InfeasibleShape, TooManyTargets)):
             design_case_x(bound_targets, 4, 1)
+        # likewise for switch-on-y: even n has no g0 coefficient b0_{n+1}
+        # for the top convolution channel
+        with pytest.raises(InfeasibleShape):
+            design_case_y([0.5, 1.0, 2.0, 3.0], 4, 2)
 
     def test_too_many_targets(self):
         with pytest.raises(TooManyTargets):

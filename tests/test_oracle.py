@@ -7,8 +7,7 @@ import pytest
 
 from pwlienard import (Case, LienardSystem, load_preset, oracle_m0, oracle_m1,
                        quad_I)
-from pwlienard.cli import _closed_term
-from pwlienard.melnikov import expand
+from pwlienard.melnikov import closed_term, expand
 from pwlienard.oracle import endpoint_derivatives, i4_factor
 
 from conftest import random_sweep_system
@@ -40,7 +39,7 @@ def test_random_sweep_each_term(rng):
                 parts = []
                 for i in range(n_terms):
                     quad = quad_I(sys_, h, i)
-                    closed = _closed_term(sys_, exp, i, h)
+                    closed = closed_term(sys_, i, h)
                     assert rel_err(closed, quad) <= 1e-8, (case, i, h)
                     parts.append(quad)
                 assert rel_err(exp.m0.eval(h), parts[0]) <= 1e-8

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from pwlienard import (Case, HalfPowerPoly, RingElem, ZeroPolynomial,
-                       check_against_bound, expand, isolate_positive_roots,
-                       load_preset)
+                       check_against_bound, design_case_y, expand,
+                       isolate_positive_roots, load_preset)
 from pwlienard.roots import CERT_SIMPLE, CERT_SUSPECT_EVEN
 
 
@@ -28,6 +28,17 @@ def test_example1_root_certification():
     assert not report.suspected
     check = check_against_bound(report, Case.SWITCH_Y, 3, 3, "M1")
     assert check.ok and check.slack == 0
+
+
+def test_root_on_bisection_point_kept():
+    """s = 1.5 lands exactly on a subdivision point of the Cauchy interval;
+    it must be reported like any other root."""
+    sys_ = design_case_y([0.25, 2.25], 4, 2)
+    report = isolate_positive_roots(expand(sys_).m1, Case.SWITCH_Y, 4, 2)
+    assert report.certified_count() == 2
+    mids = [r.mid for r in report.h_roots]
+    assert mids == pytest.approx([0.25, 2.25], abs=1e-9)
+    assert all(r.certificate == CERT_SIMPLE for r in report.h_roots)
 
 
 def test_zero_polynomial_rejected():

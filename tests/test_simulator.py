@@ -15,11 +15,6 @@ from pwlienard.simulator import BACKEND, bifurcation_increment, \
     theorem_form_equivalent
 from pwlienard import _kernel_py
 
-try:
-    from pwlienard import _kernel_cy
-except ImportError:
-    _kernel_cy = None
-
 INV_PI = RingElem.term(1, p=-1)
 
 
@@ -55,21 +50,37 @@ class TestUnperturbed:
 
 
 class TestKernelParity:
-    @pytest.mark.skipif(_kernel_cy is None, reason="compiled kernel not built")
-    @pytest.mark.parametrize("mode,x0,y0", [(0, 2.0, 0.0), (1, 0.0, 1.5),
-                                            (2, 0.0, 2.0)])
-    def test_backends_agree(self, mode, x0, y0):
+    @pytest.mark.parametrize("mode,x0,y0,max_steps,r_min,status", [
+        (0, 2.0, 0.0, 2_000_000, 1e-3, 0),
+        (1, 0.0, 1.5, 2_000_000, 1e-3, 0),
+        (2, 0.0, 2.0, 2_000_000, 1e-3, 0),
+        # the lam-drift spirals inward below r_min before the return
+        (0, 2.0, 0.0, 2_000_000, 1.99, 1),
+        (1, 0.0, 1.5, 40, 1e-3, 2),
+        # the start point is (numerically) the origin: no transversal flow
+        (0, 1e-10, 0.0, 2_000_000, 1e-12, 3),
+    ])
+    def test_backends_agree(self, kernel_c, mode, x0, y0, max_steps, r_min,
+                            status):
         sys_ = load_preset("example1")
         fc = sys_.float_coeffs()
         args = (mode, fc["a0"], fc["a1"], fc["b0"], fc["b1"], fc["c"],
-                0.02, 4e-4, x0, y0, 1e-10, 1e-12, 2_000_000, 1e-3, 50.0)
+                0.02, 4e-4, x0, y0, 1e-10, 1e-12, max_steps, r_min, 50.0)
         s_py, x_py, y_py, t_py, c_py = _kernel_py.integrate_return(*args)
-        s_cy, x_cy, y_cy, t_cy, c_cy = _kernel_cy.integrate_return(*args)
-        assert s_py == s_cy == 0
-        assert abs(x_py - x_cy) + abs(y_py - y_cy) <= 1e-13
-        assert abs(t_py - t_cy) <= 5e-12
-        assert len(c_py) == len(c_cy)
-        assert [c[3] for c in c_py] == [c[3] for c in c_cy]
+        s_c, x_c, y_c, t_c, c_c = kernel_c.integrate_return(*args)
+        assert s_py == s_c == status
+        assert abs(x_py - x_c) + abs(y_py - y_c) <= 1e-13
+        assert abs(t_py - t_c) <= 5e-12
+        assert len(c_py) == len(c_c)
+        assert [c[3] for c in c_py] == [c[3] for c in c_c]
+
+    def test_compiled_contract(self, kernel_c):
+        assert kernel_c.BACKEND_NAME == "compiled"
+        long_vec = [0.0] * 65
+        with pytest.raises(ValueError, match="too long"):
+            kernel_c.integrate_return(0, long_vec, [0.0], [0.0], [0.0], [0.0],
+                                      0.0, 0.0, 1.0, 0.0, 1e-10, 1e-12, 100,
+                                      1e-3, 50.0)
 
     def test_backend_name_known(self):
         assert BACKEND in ("compiled", "python")
