@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 
 from . import melnikov, oracle, roots, simulator
 from .design import design_case_x, design_case_y, verify_design
@@ -31,15 +32,15 @@ def _rel_tol() -> float:
 
 def _load_system(args) -> LienardSystem:
     if getattr(args, "preset", None):
-        return load_preset(args.preset, lam=args.lam or 0.0, eps=args.eps or 0.0)
-    if getattr(args, "system", None):
+        sys_ = load_preset(args.preset)
+    elif getattr(args, "system", None):
         with open(args.system) as fh:
-            doc = json.load(fh)
-        sys_ = LienardSystem.from_json(doc)
-        if args.lam or args.eps:
-            sys_ = sys_.with_params(args.lam or 0.0, args.eps or 0.0)
-        return sys_
-    raise SystemExit2("one of --preset/--system is required")
+            sys_ = LienardSystem.from_json(json.load(fh))
+    else:
+        raise SystemExit2("one of --preset/--system is required")
+    if args.lam or args.eps:
+        sys_ = sys_.with_params(args.lam or 0.0, args.eps or 0.0)
+    return sys_
 
 
 class SystemExit2(Exception):
@@ -106,15 +107,8 @@ def cmd_roots(args) -> int:
         "descartes_bound": report.descartes_bound,
         "theorem_bound": report.theorem_bound,
         "certified_count": report.certified_count(),
-        "h_roots": [
-            {"lo": r.lo, "hi": r.hi, "mid": r.mid, "certificate": r.certificate}
-            for r in report.h_roots
-        ],
-        "suspected": [
-            {"lo": r.lo ** 2, "hi": r.hi ** 2, "mid": r.mid ** 2,
-             "certificate": r.certificate}
-            for r in report.suspected
-        ],
+        "h_roots": [asdict(r) for r in report.h_roots],
+        "suspected": [asdict(r) for r in report.suspected],
     }
     _emit(args, "roots.json", json.dumps(doc, indent=2) + "\n")
     return EXIT_OK
@@ -219,8 +213,7 @@ def cmd_verify(args) -> int:
     for h in _float_list(args.h_grid):
         add(f"M0@h={h}", exp.m0.eval(h), oracle.oracle_m0(sys_, h), tol)
         add(f"M1@h={h}", exp.m1.eval(h), oracle.oracle_m1(sys_, h), tol)
-        n_terms = 5 if sys_.case is Case.SWITCH_Y else 4
-        for i in range(n_terms):
+        for i in range(sys_.case.n_integrals):
             closed = melnikov.closed_term(sys_, i, h)
             add(f"I{i}@h={h}", closed, oracle.quad_I(sys_, h, i), tol)
     if args.with_sim:
@@ -312,7 +305,8 @@ def _all_actions(parser):
 
 
 def _apply_config(parser, argv):
-    """Config file supplies values for flags left at their parser default."""
+    """Config file supplies values for flags left at their parser default;
+    a null value leaves the default."""
     args = parser.parse_args(argv)
     if args.config:
         with open(args.config) as fh:
@@ -322,9 +316,26 @@ def _apply_config(parser, argv):
         if bad:
             raise SystemExit2(f"unknown config keys: {sorted(bad)}")
         for key, val in defaults.items():
-            if hasattr(args, key) and getattr(args, key) == actions[key].default:
-                setattr(args, key, val)
+            if val is not None and hasattr(args, key) \
+                    and getattr(args, key) == actions[key].default:
+                setattr(args, key, _config_value(actions[key], val))
     return args
+
+
+def _config_value(action, val):
+    """A config value converted and checked as argparse treats the same text
+    after the flag; a flag that takes no text needs a JSON boolean."""
+    if action.nargs == 0:
+        if not isinstance(val, bool):
+            raise SystemExit2(f"config key {action.dest}: expected true or false")
+        return val
+    try:
+        value = (action.type or str)(str(val))
+    except (TypeError, ValueError):
+        raise SystemExit2(f"config key {action.dest}: invalid value {val!r}") from None
+    if action.choices is not None and value not in action.choices:
+        raise SystemExit2(f"config key {action.dest}: invalid choice {value!r}")
+    return value
 
 
 def main(argv=None) -> int:

@@ -213,21 +213,17 @@ def expand(sys: LienardSystem, project_odd: bool = False) -> MelnikovExpansion:
 def closed_term(sys: LienardSystem, i: int, h: float) -> float:
     """Closed form of the single integral I_i at h, the counterpart of
     ``oracle.quad_I(sys, h, i)``; M1 terms use the odd projection."""
-    if sys.case is Case.SWITCH_Y:
-        if i == 0:
-            return case_y_i_poly(sys, 0).eval(h)
-        if i == 1:
-            return case_y_i_poly(sys.odd_projection(), 1).eval(h)
-        if i == 3:
-            return case_y_i3(sys.odd_projection()).eval(h)
-        return 0.0  # I2, I4 vanish under the oddness hypothesis
-    if i == 0:
-        return case_x_i_poly(sys, 0).eval(h)
-    if i == 1:
-        return case_x_i_poly(sys.odd_projection(), 1).eval(h)
-    if i == 2:
-        return case_x_i2(sys.odd_projection()).eval(h)
-    return case_x_i3(sys.odd_projection()).eval(h)
+    if not 0 <= i < sys.case.n_integrals:
+        raise ValueError(f"index {i} not valid for {sys.case}")
+    on_y = sys.case is Case.SWITCH_Y
+    if i <= 1:
+        i_poly = case_y_i_poly if on_y else case_x_i_poly
+        return i_poly(sys if i == 0 else sys.odd_projection(), i).eval(h)
+    odd = sys.odd_projection()
+    if on_y:
+        # I2 and I4 vanish under the oddness hypothesis
+        return case_y_i3(odd).eval(h) if i == 3 else 0.0
+    return (case_x_i2 if i == 2 else case_x_i3)(odd).eval(h)
 
 
 def zero_bound(case: Case, m: int, n: int, which: str) -> int:

@@ -5,10 +5,19 @@ Everything here is deliberately independent of the closed-form assembly in
 adaptive Gauss-Kronrod quadrature (QUADPACK), so agreement between the two
 routes validates both.
 
-Angle convention: x = r*cos(theta), y = r*sin(theta) with r = sqrt(2h).  The
-clockwise arc from A = (0, r) to B = (0, -r) through x > 0 is theta running
-from pi/2 down to -pi/2; the return arc BA continues to -3*pi/2.  Along the
-unperturbed rigid rotation d(theta)/dt = -1, so dt = -d(theta).
+Both switching cases share one parametrization of the circle, r = sqrt(2h):
+u is the coordinate the polynomials act on and v is the other one,
+
+    switch-on-y  (u, v, du/dtheta) = (r sin(theta), r cos(theta),  r cos(theta))
+    switch-on-x  (u, v, du/dtheta) = (r cos(theta), r sin(theta), -r sin(theta))
+
+which puts switch-on-y integrals in the swapped coordinates of the
+transformed system.  The arc AB runs from theta = pi/2 down to -pi/2 and
+the return arc BA on to -3*pi/2; along the unperturbed rotation
+dt = -d(theta).  I_0, I_1, the switch-on-x I_3 and the arc of the
+switch-on-y I_4 are line integrals of -(v*f(u) + sign*g(u)) du, I_2 is the
+time integral of G(u)*f_0(u) over AB minus BA with a sign per case, and the
+switch-on-y I_3 is an endpoint term that needs no quadrature.
 """
 
 from __future__ import annotations
@@ -23,6 +32,14 @@ from .systems import Case, LienardSystem
 
 QUAD_ABS_TARGET = 1e-10
 _QUAD_LIMIT = 2000
+_HALF_PI = math.pi / 2
+
+# per case: u/r and v/r as functions of theta, du/dtheta divided by v, and
+# the sign of the time-weight integral I_2
+_ARC = {
+    Case.SWITCH_Y: (math.sin, math.cos, 1.0, -1.0),
+    Case.SWITCH_X: (math.cos, math.sin, -1.0, 1.0),
+}
 
 
 def _quad(fn, lo: float, hi: float) -> float:
@@ -57,96 +74,44 @@ def i4_factor(g_coeffs, h: float) -> float:
 
 
 def quad_I(sys: LienardSystem, h: float, index: int) -> float:
-    """One arc/time integral by quadrature; index 0..4 (Y) or 0..3 (X)."""
+    """One arc/time integral by quadrature; index 0..sys.case.n_integrals-1."""
     if h <= 0:
         raise ValueError("h must be positive")
+    if not 0 <= index < sys.case.n_integrals:
+        raise ValueError(f"index {index} not valid for {sys.case}")
     fc = sys.float_coeffs()
     r = math.sqrt(2.0 * h)
-    if sys.case is Case.SWITCH_Y:
-        return _quad_i_case_y(fc, r, h, index)
-    return _quad_i_case_x(fc, r, h, index)
+    unit_u, unit_v, du_per_v, i2_sign = _ARC[sys.case]
 
+    def line(f, g, sign, lo, hi):
+        def integrand(theta):
+            u, v = r * unit_u(theta), r * unit_v(theta)
+            return -(v * polyval(f, u) + sign * polyval(g, u)) * (du_per_v * v)
 
-def _quad_i_case_y(fc, r: float, h: float, index: int) -> float:
-    # switch-on-y integrals are written in the swapped coordinates of the
-    # transformed system, where f_i, g_i, g are functions of y
-    if index in (0, 1):
-        f = fc["a0"] if index == 0 else fc["a1"]
-        g = fc["b0"] if index == 0 else fc["b1"]
+        return _quad(integrand, lo, hi)
 
-        def ab(theta):
-            x, y = r * math.cos(theta), r * math.sin(theta)
-            return -(x * polyval(f, y) + polyval(g, y)) * r * math.cos(theta)
-
-        def ba(theta):
-            x, y = r * math.cos(theta), r * math.sin(theta)
-            return -(x * polyval(f, y) - polyval(g, y)) * r * math.cos(theta)
-
-        # dy = r*cos(theta) d(theta); AB: pi/2 -> -pi/2, BA: -pi/2 -> -3pi/2
-        return _quad(ab, math.pi / 2, -math.pi / 2) \
-            + _quad(ba, -math.pi / 2, -3 * math.pi / 2)
+    if index <= 1:
+        f, g = (fc["a0"], fc["b0"]) if index == 0 else (fc["a1"], fc["b1"])
+        return line(f, g, 1.0, _HALF_PI, -_HALF_PI) \
+            + line(f, g, -1.0, -_HALF_PI, -3 * _HALF_PI)
     if index == 2:
         big_g = poly_antideriv(fc["c"])
 
         def weight(theta):
-            y = r * math.sin(theta)
-            return polyval(big_g, y) * polyval(fc["a0"], y)
+            u = r * unit_u(theta)
+            return polyval(big_g, u) * polyval(fc["a0"], u)
 
-        # dt = -d(theta): -int_AB(...)dt = -int_{-pi/2}^{pi/2},
-        # +int_BA(...)dt = +int_{-3pi/2}^{-pi/2}
-        return -_quad(weight, -math.pi / 2, math.pi / 2) \
-            + _quad(weight, -3 * math.pi / 2, -math.pi / 2)
-    if index == 3:
+        # int_AB dt and int_BA dt with dt = -d(theta)
+        ab = _quad(weight, -_HALF_PI, _HALF_PI)
+        ba = _quad(weight, -3 * _HALF_PI, -_HALF_PI)
+        return i2_sign * ab - i2_sign * ba
+    on_y = sys.case is Case.SWITCH_Y
+    if on_y and index == 3:
         da, db = endpoint_derivatives(fc["c"], h)
-        g0_a = polyval(fc["b0"], r)
-        g0_b = polyval(fc["b0"], -r)
         # L(x f0 + g0) - L(x f0 - g0) = 2*[g0(a)*da - g0(b)*db]; x = 0 at A, B
-        return 2.0 * (g0_a * da - g0_b * db)
-    if index == 4:
-        def ab(theta):
-            x, y = r * math.cos(theta), r * math.sin(theta)
-            return -(x * polyval(fc["a0"], y) - polyval(fc["b0"], y)) \
-                * r * math.cos(theta)
-
-        return i4_factor(fc["c"], h) * _quad(ab, math.pi / 2, -math.pi / 2)
-    raise ValueError(f"index {index} not valid for the switch-on-y case")
-
-
-def _quad_i_case_x(fc, r: float, h: float, index: int) -> float:
-    if index in (0, 1):
-        f = fc["a0"] if index == 0 else fc["a1"]
-        g = fc["b0"] if index == 0 else fc["b1"]
-
-        def ab(theta):
-            x, y = r * math.cos(theta), r * math.sin(theta)
-            return -(y * polyval(f, x) + polyval(g, x)) * (-r * math.sin(theta))
-
-        def ba(theta):
-            x, y = r * math.cos(theta), r * math.sin(theta)
-            return -(y * polyval(f, x) - polyval(g, x)) * (-r * math.sin(theta))
-
-        # dx = -r*sin(theta) d(theta)
-        return _quad(ab, math.pi / 2, -math.pi / 2) \
-            + _quad(ba, -math.pi / 2, -3 * math.pi / 2)
-    if index == 2:
-        big_g = poly_antideriv(fc["c"])
-
-        def weight(theta):
-            x = r * math.cos(theta)
-            return polyval(big_g, x) * polyval(fc["a0"], x)
-
-        # dt = -d(theta): +int_AB -> +int_{-pi/2}^{pi/2},
-        # -int_BA -> -int_{-3pi/2}^{-pi/2}
-        return _quad(weight, -math.pi / 2, math.pi / 2) \
-            - _quad(weight, -3 * math.pi / 2, -math.pi / 2)
-    if index == 3:
-        def ab(theta):
-            x, y = r * math.cos(theta), r * math.sin(theta)
-            return -(y * polyval(fc["a0"], x) - polyval(fc["b0"], x)) \
-                * (-r * math.sin(theta))
-
-        return _quad(ab, math.pi / 2, -math.pi / 2)
-    raise ValueError(f"index {index} not valid for the switch-on-x case")
+        return 2.0 * (polyval(fc["b0"], r) * da - polyval(fc["b0"], -r) * db)
+    arc = line(fc["a0"], fc["b0"], -1.0, _HALF_PI, -_HALF_PI)
+    return i4_factor(fc["c"], h) * arc if on_y else arc
 
 
 def oracle_m0(sys: LienardSystem, h: float) -> float:
@@ -154,9 +119,7 @@ def oracle_m0(sys: LienardSystem, h: float) -> float:
 
 
 def oracle_m1(sys: LienardSystem, h: float) -> float:
-    if sys.case is Case.SWITCH_Y:
-        return sum(quad_I(sys, h, i) for i in (1, 2, 3, 4))
-    return sum(quad_I(sys, h, i) for i in (1, 2, 3))
+    return sum(quad_I(sys, h, i) for i in range(1, sys.case.n_integrals))
 
 
 def fd_bifurcation_estimate(sys: LienardSystem, h: float, lam: float,

@@ -36,20 +36,10 @@ def sign_variations(coeffs) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a * b < 0)
 
 
-def _shift_by_one(coeffs):
-    """Taylor shift: coefficients of P(x + 1) (synthetic division by (x-1))."""
-    out = list(coeffs)
-    n = len(out)
-    for i in range(n - 1):
-        for j in range(n - 2, i - 1, -1):
-            out[j] += out[j + 1]
-    return out
-
-
 def _descartes_count_01(coeffs) -> int:
     """Sign variations of (1+x)^n P(1/(1+x)): root-count bound of P on (0, 1)."""
     rev = list(reversed(coeffs))
-    return sign_variations(_shift_by_one(rev))
+    return sign_variations(_scale_to_unit(rev, 1.0, 2.0))  # rev(x + 1)
 
 
 def _scale_to_unit(coeffs, lo: float, hi: float):
@@ -79,6 +69,9 @@ class IsolatedRoot:
 
 @dataclass
 class RootReport:
+    """``s_roots`` are in s = sqrt(h); ``h_roots`` (the same roots) and
+    ``suspected`` are in h."""
+
     s_roots: list = field(default_factory=list)
     h_roots: list = field(default_factory=list)
     suspected: list = field(default_factory=list)
@@ -195,6 +188,7 @@ def isolate_positive_roots(poly: HalfPowerPoly, case: Case | None = None,
 
 
 def _suspect_even_roots(coeffs, deriv, bound, certified, scale):
+    """Even-multiplicity candidates as h-intervals; the search runs in s."""
     out = []
     intervals: list = []
     _isolate(deriv, 0.0, bound, intervals)
@@ -208,8 +202,8 @@ def _suspect_even_roots(coeffs, deriv, bound, certified, scale):
         if any(r.lo - 1e-9 <= mid <= r.hi + 1e-9 for r in certified):
             continue
         if abs(polyval(coeffs, mid)) <= 1e-8 * scale * max(1.0, mid) ** len(coeffs):
-            out.append(IsolatedRoot(refined[0], refined[1], mid,
-                                    CERT_SUSPECT_EVEN))
+            out.append(IsolatedRoot(refined[0] ** 2, refined[1] ** 2,
+                                    mid ** 2, CERT_SUSPECT_EVEN))
     return out
 
 

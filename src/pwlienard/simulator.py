@@ -14,6 +14,7 @@ import math
 import os
 from dataclasses import dataclass, field
 
+from . import _kernel_py
 from .algebra import poly_antideriv, polyval
 from .errors import (EscapeAnnulus, MaxStepsExceeded, NonTransversalCrossing,
                      PwLienardError)
@@ -21,14 +22,14 @@ from .systems import Case, LienardSystem
 
 _FORCED = os.environ.get("PWLIENARD_BACKEND", "")
 if _FORCED == "python":
-    from . import _kernel_py as _kernel
+    _kernel = _kernel_py
 else:
     try:
         from . import _kernel_c as _kernel  # type: ignore[attr-defined]
     except ImportError:
         if _FORCED == "compiled":
             raise
-        from . import _kernel_py as _kernel
+        _kernel = _kernel_py
 
 BACKEND = _kernel.BACKEND_NAME
 
@@ -82,15 +83,8 @@ def vector_field(sys: LienardSystem, state, side: float):
     """Right-hand side with sgn replaced by the supplied side value."""
     x, y = state
     fc = sys.float_coeffs()
-    mode = 0 if sys.case is Case.SWITCH_Y else 1
-    return _kernel_field(mode, fc, sys.lam, sys.eps, x, y, side)
-
-
-def _kernel_field(mode, fc, lam, eps, x, y, side):
-    from ._kernel_py import _field  # reference formula, cheap for single calls
-
-    return _field(mode, fc["a0"], fc["a1"], fc["b0"], fc["b1"], fc["c"],
-                  lam, eps, x, y, side)
+    return _kernel_py._field(_mode_of(sys), fc["a0"], fc["a1"], fc["b0"],
+                             fc["b1"], fc["c"], sys.lam, sys.eps, x, y, side)
 
 
 def _mode_of(sys: LienardSystem) -> int:
@@ -145,6 +139,8 @@ def displacement(sys: LienardSystem, r: float, config: SimConfig) -> float:
 def find_cycles(sys: LienardSystem, r_range, grid_n: int,
                 config: SimConfig) -> CycleScan:
     """Grid scan for sign changes of the displacement, bisection refinement."""
+    if grid_n < 2:
+        raise ValueError(f"grid_n must be at least 2, got {grid_n}")
     lo, hi = r_range
     scan = CycleScan()
     rs = [lo + (hi - lo) * i / (grid_n - 1) for i in range(grid_n)]

@@ -164,6 +164,29 @@ def test_config_unknown_key(tmp_path):
     assert rc == EXIT_VALIDATION
 
 
+@pytest.mark.parametrize("config, argv, expected, grid", [
+    ({"grid": "abc"}, ["simulate", "--preset", "example1"], EXIT_VALIDATION,
+     None),
+    ({"h_grid": 5}, ["melnikov", "--preset", "example1"], EXIT_OK, [5.0]),
+    ({"which": "M7"}, ["roots", "--preset", "example1"], EXIT_VALIDATION,
+     None),
+    ({"h_grid": None}, ["melnikov", "--preset", "example1"], EXIT_OK,
+     [0.5, 1.0, 2.0, 3.0]),
+], ids=["grid-type", "h_grid-text", "which-choices", "null-keeps-default"])
+def test_config_values_parsed_like_flags(tmp_path, outdir, capsys, config,
+                                         argv, expected, grid):
+    """Config values get the flag's type and choices, as on the command line."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    rc = main(["--config", str(cfg), "--out", str(outdir)] + argv)
+    assert rc == expected
+    if expected == EXIT_VALIDATION:
+        assert capsys.readouterr().err.startswith("error:")
+    else:
+        doc = read_json(outdir / "melnikov.json")
+        assert [row["h"] for row in doc["grid"]] == grid
+
+
 def test_missing_system_is_validation_error():
     assert main(["melnikov"]) == EXIT_VALIDATION
 

@@ -54,6 +54,13 @@ def test_quad_rejects_bad_input():
         quad_I(sys_, 1.0, 5)
     with pytest.raises(ValueError):
         quad_I(load_preset("example2"), 1.0, 4)
+    # the closed forms reject exactly the indices the quadrature rejects
+    sys_x = LienardSystem.build(Case.SWITCH_X, 1, 1, a0=[0, 1], c=[0, 1])
+    for system, index in ((sys_x, 4), (sys_x, -1), (sys_, 5)):
+        with pytest.raises(ValueError):
+            quad_I(system, 1.0, index)
+        with pytest.raises(ValueError):
+            closed_term(system, index, 1.0)
 
 
 def test_endpoint_derivatives_match_finite_difference():

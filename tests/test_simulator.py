@@ -148,6 +148,12 @@ class TestGuards:
             advance_to_section(sys_, 0.6,
                                SimConfig(eps=0.5, r_min=0.5, r_max=5.0))
 
+    @pytest.mark.parametrize("grid_n", [1, 0])
+    def test_scan_needs_two_grid_points(self, grid_n):
+        with pytest.raises(ValueError):
+            find_cycles(load_preset("example1"), (1.0, 2.0), grid_n,
+                        SimConfig())
+
     def test_non_transversal_start(self):
         status, *_ = _kernel_py.integrate_return(
             0, [0.0], [0.0], [0.0], [0.0], [0.0], 0.0, 0.0,

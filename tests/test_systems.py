@@ -78,6 +78,8 @@ def test_load_preset_with_params():
     sys_ = load_preset("example1", lam=0.04, eps=1e-3)
     assert sys_.lam == 0.04
     assert sys_.eps == 1e-3
+    with pytest.raises(ValueError):
+        load_preset("example1", lam=-1.0)
 
 
 def test_float_coeffs_shape():
