@@ -91,6 +91,10 @@ class RingElem:
     def is_zero(self) -> bool:
         return not self.terms
 
+    def __bool__(self) -> bool:
+        # false exactly for zero, as for float, so shared formulas skip zeros
+        return bool(self.terms)
+
     def is_rational(self) -> bool:
         return all(key == (0, 0) for key in self.terms)
 

@@ -15,8 +15,9 @@ from dataclasses import asdict
 
 from . import melnikov, oracle, roots, simulator
 from .design import design_case_x, design_case_y, verify_design
-from .errors import (NoConvergence, PwLienardError, QuadratureFailure,
-                     SimulationError, TooManyTargets)
+from .errors import (NegativeEnergy, NoConvergence, PwLienardError,
+                     QuadratureFailure, SimulationError, TooManyTargets,
+                     ZeroPolynomial)
 from .systems import PRESET_NAMES, Case, LienardSystem, load_preset
 
 EXIT_OK = 0
@@ -38,8 +39,10 @@ def _load_system(args) -> LienardSystem:
             sys_ = LienardSystem.from_json(json.load(fh))
     else:
         raise SystemExit2("one of --preset/--system is required")
-    if args.lam or args.eps:
-        sys_ = sys_.with_params(args.lam or 0.0, args.eps or 0.0)
+    if args.lam is not None or args.eps is not None:
+        # a flag left unset keeps the preset's or the file's value
+        sys_ = sys_.with_params(sys_.lam if args.lam is None else args.lam,
+                                sys_.eps if args.eps is None else args.eps)
     return sys_
 
 
@@ -98,8 +101,11 @@ def cmd_melnikov(args) -> int:
 
 def cmd_roots(args) -> int:
     sys_ = _load_system(args)
-    exp = melnikov.expand(sys_, project_odd=args.project_odd)
-    poly = exp.m1 if args.which == "M1" else exp.m0
+    # build only the reported polynomial: M1 needs odd f0 and g0, M0 does not
+    on_y = sys_.case is Case.SWITCH_Y
+    m0, m1 = ((melnikov.case_y_m0, melnikov.case_y_m1) if on_y
+              else (melnikov.case_x_m0, melnikov.case_x_m1))
+    poly = m0(sys_) if args.which == "M0" else m1(sys_, args.project_odd)
     report = roots.isolate_positive_roots(poly, sys_.case, sys_.m, sys_.n,
                                           which=args.which)
     doc = {
@@ -139,14 +145,14 @@ def cmd_oracle(args) -> int:
 
 def cmd_simulate(args) -> int:
     sys_ = _load_system(args)
-    config = simulator.SimConfig(lam=args.lam or 0.0, eps=args.eps or 0.0,
-                                 rk_tol=args.rk_tol)
+    # the system carries lambda and eps
+    config = simulator.SimConfig(rk_tol=args.rk_tol)
     lo, hi = (float(v) for v in args.r_range.split(":"))
     scan = simulator.find_cycles(sys_, (lo, hi), args.grid, config)
     doc = {
         "backend": simulator.BACKEND,
         "non_isolated": scan.non_isolated,
-        "cycles": [c.to_json() for c in scan.cycles],
+        "cycles": [asdict(c) for c in scan.cycles],
     }
     _emit(args, "cycles.json", json.dumps(doc, indent=2) + "\n")
     disp = "r,displacement\n" + "\n".join(
@@ -347,7 +353,8 @@ def main(argv=None) -> int:
         return EXIT_VALIDATION
     try:
         return args.func(args)
-    except (SystemExit2, TooManyTargets, ValueError, KeyError, OSError) as exc:
+    except (SystemExit2, TooManyTargets, ZeroPolynomial, NegativeEnergy,
+            ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (QuadratureFailure, NoConvergence, SimulationError,

@@ -1,5 +1,8 @@
 """Inverse design: place the positive zeros of M1 at requested energies.
 
+Every exact coefficient is the inverse of a :mod:`pwlienard.melnikov`
+factor times a target coefficient; the designer re-derives no closed form.
+
 Switch-on-y systems are designed exactly and triangularly, using the single
 nonzero ``c`` monomial trick: only ``c_{2*[n/2]}`` is nonzero, chosen so its
 ``c*`` image is exactly 1, which makes the high-index convolution targets
@@ -7,8 +10,9 @@ directly assignable through the odd ``b``-coefficients of g0.
 
 Switch-on-x systems couple the unknowns (odd f0 and odd g coefficients)
 through a*_l + a^_l, so the odd-power block is solved numerically with a
-damped Newton iteration on a finite-difference Jacobian; the even-power
-block stays exact.
+damped Newton iteration on a finite-difference Jacobian; its residual is
+melnikov's own odd-block formula evaluated in floats.  The even-power block
+stays exact.
 """
 
 from __future__ import annotations
@@ -20,8 +24,10 @@ import numpy as np
 
 from .algebra import RingElem
 from .errors import InfeasibleShape, NoConvergence, TooManyTargets
-from .melnikov import (_a_hat_factor, _a_tilde_factor, _b_tilde_factor,
-                       _time_weight_factor, case_x_m1, case_y_m1, zero_bound)
+from .melnikov import (_a_hat_factor, _a_tilde_factor, _b_star_factor,
+                       _b_tilde_factor, _c_star_factor, _c_weight_factor,
+                       _time_weight_factor, _x_odd_block, case_x_m1, case_y_m1,
+                       zero_bound)
 from .systems import Case, LienardSystem
 
 NEWTON_TOL = 1e-9
@@ -30,8 +36,8 @@ NEWTON_MAX_ITER = 200
 
 def _check_targets(targets, case: Case, m: int, n: int):
     targets = sorted(float(t) for t in targets)
-    if any(t <= 0 for t in targets):
-        raise ValueError("targets must be positive energies")
+    if not all(0 < t < math.inf for t in targets):
+        raise ValueError("targets must be finite positive energies")
     if len(set(targets)) != len(targets):
         raise ValueError("targets must be distinct")
     bound = zero_bound(case, m, n, "M1")
@@ -65,7 +71,7 @@ def design_case_y(targets, m: int, n: int) -> LienardSystem:
     if not targets:
         return LienardSystem.build(Case.SWITCH_Y, m, n, a1=a1, b0=b0, b1=b1, c=c)
     # pick c_{2*[n/2]} so that c*_{[n/2]} = 1 exactly
-    c[2 * half_n] = RingElem({(-(2 * half_n + 3), 0): Fraction(2 * half_n + 1)})
+    c[2 * half_n] = _c_star_factor(half_n).invert_monomial()
 
     q_poly = _product_s_poly([math.sqrt(t) for t in targets], 1)
     for k, q in q_poly.items():
@@ -87,7 +93,7 @@ def design_case_y(targets, m: int, n: int) -> LienardSystem:
                     raise InfeasibleShape(
                         f"monomial s^{k} needs g0 coefficient b0_{2 * i + 1}"
                         f" beyond n = {n}")
-                b0[2 * i + 1] = RingElem.rational(-q / (2 ** (i + 1)))
+                b0[2 * i + 1] = _b_star_factor(i).invert_monomial() * coeff
     return LienardSystem.build(Case.SWITCH_Y, m, n, a1=a1, b0=b0, b1=b1, c=c)
 
 
@@ -118,30 +124,6 @@ def _null_space_poly(s_roots, exponents):
     if vec[np.argmax(np.abs(vec))] < 0:
         vec = -vec
     return dict(zip(exponents, vec))
-
-
-def _odd_block_residual(u, m, n, odd_targets, time_w, a_hat):
-    """Residual of the odd-power (h^(l+3/2)) block for unknown vector u.
-
-    ``time_w[l]`` and ``a_hat[l]`` are the float values of
-    ``melnikov._time_weight_factor(l)`` and ``melnikov._a_hat_factor(l)``."""
-    hm_odd = (m - 1) // 2
-    n_t = (n - 1) // 2
-    a_odd = u[:hm_odd + 1]
-    c_odd = np.concatenate(([1.0], u[hm_odd + 1:]))  # c_1 fixed to 1
-    res = []
-    for l, target in enumerate(odd_targets):
-        # a*_l
-        conv = 0.0
-        for i in range(max(0, l - n_t), min(l, hm_odd) + 1):
-            j = l - i
-            conv += 2.0 * a_odd[i] * c_odd[j] / (j + 1)
-        total = time_w[l] * conv
-        # a^_l
-        if l <= hm_odd:
-            total += a_hat[l] * a_odd[l]
-        res.append(total - target)
-    return np.array(res)
 
 
 def _newton_solve(fun, u0, scale, max_iter=NEWTON_MAX_ITER):
@@ -180,7 +162,6 @@ def _newton_solve(fun, u0, scale, max_iter=NEWTON_MAX_ITER):
 def design_case_x(targets, m: int, n: int) -> LienardSystem:
     """System whose M1 vanishes at each target; odd block solved numerically."""
     targets = _check_targets(targets, Case.SWITCH_X, m, n)
-    half_m = m // 2
     hm_odd = (m - 1) // 2
     a0 = [RingElem.zero()] * (m + 1)
     a1 = [RingElem.zero()] * (m + 1)
@@ -202,9 +183,8 @@ def design_case_x(targets, m: int, n: int) -> LienardSystem:
             a1[2 * i] = _a_tilde_factor(i, -1).invert_monomial() \
                 * RingElem.from_float(float(v))
 
-    odd_exponents = [e for e in exponents if e % 2]
-    top_l = (max(odd_exponents) - 3) // 2 if odd_exponents else -1
-    odd_targets = [coeff_by_exp.get(2 * l + 3, 0.0) for l in range(top_l + 1)]
+    # the odd exponents are 2l+3 for l = 0, 1, ..., in order
+    odd_targets = [v for e, v in coeff_by_exp.items() if e % 2]
     scale = max(abs(v) for v in coeff_by_exp.values())
 
     if n == 0:
@@ -215,9 +195,20 @@ def design_case_x(targets, m: int, n: int) -> LienardSystem:
         return LienardSystem.build(Case.SWITCH_X, m, n, a0=a0, a1=a1, c=c)
 
     n_t = (n - 1) // 2
-    time_w = [_time_weight_factor(l).to_float() for l in range(top_l + 1)]
+    c_weight = [_c_weight_factor(j).to_float() for j in range(n_t + 1)]
+    time_w = [_time_weight_factor(l).to_float()
+              for l in range(len(odd_targets))]
     a_hat = [_a_hat_factor(l).to_float() for l in range(hm_odd + 1)]
-    fun = lambda u: _odd_block_residual(u, m, n, odd_targets, time_w, a_hat)
+
+    def fun(u):
+        # residual of the odd block; u holds the odd a0, then c_3, c_5, ...
+        # (c_1 is fixed to 1)
+        u = u.tolist()
+        block = _x_odd_block(u[:hm_odd + 1], [1.0] + u[hm_odd + 1:],
+                             c_weight, time_w, a_hat)
+        return np.array([block.get(l, 0.0) - t
+                         for l, t in enumerate(odd_targets)])
+
     best_err = np.inf
     solution = None
     for attempt in range(8):
@@ -231,11 +222,9 @@ def design_case_x(targets, m: int, n: int) -> LienardSystem:
         raise NoConvergence(
             f"odd-block Newton failed after {NEWTON_MAX_ITER} iterations x 8 starts",
             best_residual=best_err)
-    for i in range(hm_odd + 1):
-        a0[2 * i + 1] = RingElem.from_float(float(solution[i]))
-    c[1] = RingElem.one()
-    for j in range(1, n_t + 1):
-        c[2 * j + 1] = RingElem.from_float(float(solution[hm_odd + 1 + j - 1]))
+    exact = [RingElem.from_float(v) for v in solution.tolist()]
+    a0[1::2] = exact[:hm_odd + 1]
+    c[1::2] = [RingElem.one()] + exact[hm_odd + 1:]
     return LienardSystem.build(Case.SWITCH_X, m, n, a0=a0, a1=a1, c=c)
 
 

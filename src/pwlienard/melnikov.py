@@ -20,10 +20,6 @@ def _require_case(sys: LienardSystem, case: Case):
         raise WrongCase(f"operation needs {case}, system is {sys.case}")
 
 
-def _coef(vec, idx: int) -> RingElem:
-    return vec[idx] if idx < len(vec) else RingElem.zero()
-
-
 def _require_odd_f0(sys: LienardSystem, project_odd: bool) -> LienardSystem:
     if sys.f0_is_odd():
         return sys
@@ -63,51 +59,51 @@ def _b_tilde_factor(j: int) -> RingElem:
     return RingElem({(2 * j + 5, 0): Fraction(1, 2 * j + 1)})
 
 
-def _even_part_poly(coeffs, deg: int, sign: int) -> HalfPowerPoly:
-    """sum_j a~_j h^(j+1) built from the even-index entries of a coefficient vector."""
-    out: dict[int, RingElem] = {}
-    for j in range(deg // 2 + 1):
-        c = coeffs[2 * j]
-        if not c.is_zero():
-            out[2 * (j + 1)] = _a_tilde_factor(j, sign) * c
-    return HalfPowerPoly(out)
+def _b_star_factor(i: int) -> RingElem:
+    """-2^(i+1), the b0_{2i+1} -> b*_i factor of I3 (switch-on-y case)."""
+    return RingElem.rational(-(2 ** (i + 1)))
 
 
-def _half_part_poly(coeffs, deg: int) -> HalfPowerPoly:
-    """sum_j b~_j h^(j+1/2) from the even-index entries (switch-on-y case)."""
-    out: dict[int, RingElem] = {}
-    for j in range(deg // 2 + 1):
-        c = coeffs[2 * j]
-        if not c.is_zero():
-            out[2 * j + 1] = _b_tilde_factor(j) * c
-    return HalfPowerPoly(out)
+def _c_star_factor(i: int) -> RingElem:
+    """2^(i+3/2)/(2i+1), the c_{2i} -> c*_i factor of I3 (switch-on-y case)."""
+    return RingElem({(2 * i + 3, 0): Fraction(1, 2 * i + 1)})
+
+
+def _channel(coeffs, factor, shift: int) -> HalfPowerPoly:
+    """sum_j factor(j) * coeffs[j] * h^(j + shift/2) over a coefficient slice."""
+    return HalfPowerPoly({2 * j + shift: factor(j) * x
+                          for j, x in enumerate(coeffs) if x})
+
+
+def _cauchy(u, v) -> dict:
+    """(sum_i u_i x^i) * (sum_j v_j x^j) as {power: coefficient}, for RingElem
+    or float entries; entries that test false are zero and skipped."""
+    out: dict = {}
+    for i, x in enumerate(u):
+        if x:
+            for j, y in enumerate(v):
+                if y:
+                    out[i + j] = out[i + j] + x * y if i + j in out else x * y
+    return out
 
 
 # -- switch-on-y (sgn(y)) case -------------------------------------------------
 
 
 def case_y_i_poly(sys: LienardSystem, i: int) -> HalfPowerPoly:
-    """Closed form of the arc integral I_i (i = 0 or 1), switch-on-y case."""
+    """Closed form of the arc integral I_i (i = 0 or 1), switch-on-y case:
+    sum_j a~_j h^(j+1) + b~_j h^(j+1/2) over the even-index coefficients."""
     a = sys.a0 if i == 0 else sys.a1
     b = sys.b0 if i == 0 else sys.b1
-    return _even_part_poly(a, sys.m, +1) + _half_part_poly(b, sys.n)
+    return _channel(a[0::2], lambda j: _a_tilde_factor(j, +1), 2) \
+        + _channel(b[0::2], _b_tilde_factor, 1)
 
 
 def case_y_i3(sys: LienardSystem) -> HalfPowerPoly:
     """Endpoint (L-operator) contribution: the b*/c* convolution in h^(l+1/2)."""
-    half_n = sys.n // 2
-    b_star = [RingElem.term(Fraction(-(2 ** (i + 1)))) * _coef(sys.b0, 2 * i + 1)
-              for i in range(half_n + 1)]
-    c_star = [RingElem({(2 * i + 3, 0): Fraction(1, 2 * i + 1)}) * _coef(sys.c, 2 * i)
-              for i in range(half_n + 1)]
-    out: dict[int, RingElem] = {}
-    for l in range(2 * half_n + 1):
-        acc = RingElem.zero()
-        for i in range(max(0, l - half_n), min(l, half_n) + 1):
-            acc = acc + b_star[i] * c_star[l - i]
-        if not acc.is_zero():
-            out[2 * l + 1] = acc
-    return HalfPowerPoly(out)
+    b_star = [_b_star_factor(i) * x for i, x in enumerate(sys.b0[1::2])]
+    c_star = [_c_star_factor(i) * x for i, x in enumerate(sys.c[0::2])]
+    return HalfPowerPoly({2 * l + 1: v for l, v in _cauchy(b_star, c_star).items()})
 
 
 def case_y_m0(sys: LienardSystem) -> HalfPowerPoly:
@@ -132,7 +128,12 @@ def case_y_m1(sys: LienardSystem, project_odd: bool = False) -> HalfPowerPoly:
 def case_x_i_poly(sys: LienardSystem, i: int) -> HalfPowerPoly:
     """Closed form of I_i (i = 0 or 1), switch-on-x case; g_i does not enter."""
     a = sys.a0 if i == 0 else sys.a1
-    return _even_part_poly(a, sys.m, -1)
+    return _channel(a[0::2], lambda j: _a_tilde_factor(j, -1), 2)
+
+
+def _c_weight_factor(j: int) -> RingElem:
+    """2/(j+1), the weight of c_{2j+1} in the a*_l convolution."""
+    return RingElem.rational(Fraction(2, j + 1))
 
 
 def _time_weight_factor(l: int) -> RingElem:
@@ -143,40 +144,43 @@ def _time_weight_factor(l: int) -> RingElem:
     return RingElem({(2 * l + 3, 0): q})
 
 
-def case_x_i2(sys: LienardSystem) -> HalfPowerPoly:
-    """Time-weighted contribution sum_l a*_l h^(l+3/2); zero when n = 0."""
-    if sys.n == 0:
-        return HalfPowerPoly.zero()
-    half_m = sys.m // 2
-    n_t = (sys.n + 1) // 2 - 1
-    out: dict[int, RingElem] = {}
-    for l in range(half_m + n_t + 1):
-        acc = RingElem.zero()
-        for i in range(max(0, l - n_t), min(l, half_m) + 1):
-            j = l - i
-            acc = acc + RingElem.rational(Fraction(2, j + 1)) \
-                * _coef(sys.a0, 2 * i + 1) * _coef(sys.c, 2 * j + 1)
-        if not acc.is_zero():
-            term = _time_weight_factor(l) * acc
-            if not term.is_zero():
-                out[2 * l + 3] = term
-    return HalfPowerPoly(out)
-
-
 def _a_hat_factor(i: int) -> RingElem:
     """-(2^(i+5/2)/(2i+3)) * W(i), the a_{2i+1} -> h^(i+3/2) half-arc factor."""
     return RingElem({(2 * i + 5, 0): Fraction(-1, 2 * i + 3)}) * wallis_odd(i)
 
 
+def _x_odd_block(a_odd, c_odd, c_weight, time_w, a_hat) -> dict:
+    """Switch-on-x odd block I2 + I3 as {l: coefficient of h^(l+3/2)}.
+
+    ``a_odd = a0[1::2]``, ``c_odd = c[1::2]``; the factor lists hold
+    ``_c_weight_factor``, ``_time_weight_factor`` and ``_a_hat_factor``, as
+    RingElem for the closed form or floats for the designer's Newton solve.
+    I2: a*_l = time_w[l] * sum_{i+j=l} a_odd[i] * c_weight[j] * c_odd[j];
+    I3: a^_l = a_hat[l] * a_odd[l].
+    """
+    block = {l: f * a for l, (f, a) in enumerate(zip(a_hat, a_odd)) if a}
+    for l, v in _cauchy(a_odd, [w * c for w, c in zip(c_weight, c_odd)]).items():
+        v = time_w[l] * v
+        block[l] = block[l] + v if l in block else v
+    return block
+
+
+def case_x_i2(sys: LienardSystem) -> HalfPowerPoly:
+    """Time-weighted contribution sum_l a*_l h^(l+3/2); zero when n = 0."""
+    a_odd, c_odd = sys.a0[1::2], sys.c[1::2]
+    block = _x_odd_block(
+        a_odd, c_odd, [_c_weight_factor(j) for j in range(len(c_odd))],
+        [_time_weight_factor(l) for l in range(len(a_odd) + len(c_odd) - 1)],
+        ())
+    return HalfPowerPoly({2 * l + 3: v for l, v in block.items()})
+
+
 def case_x_i3(sys: LienardSystem) -> HalfPowerPoly:
     """Half-arc contribution sum_i a^_i h^(i+3/2)."""
-    half_m = sys.m // 2
-    out: dict[int, RingElem] = {}
-    for i in range(half_m + 1):
-        c = _coef(sys.a0, 2 * i + 1)
-        if not c.is_zero():
-            out[2 * i + 3] = _a_hat_factor(i) * c
-    return HalfPowerPoly(out)
+    a_odd = sys.a0[1::2]
+    block = _x_odd_block(a_odd, (), (), (),
+                         [_a_hat_factor(i) for i in range(len(a_odd))])
+    return HalfPowerPoly({2 * l + 3: v for l, v in block.items()})
 
 
 def case_x_m0(sys: LienardSystem) -> HalfPowerPoly:

@@ -49,6 +49,8 @@ class SimConfig:
             raise ValueError("r_min must be below r_max")
         if self.lam < 0 or self.eps < 0:
             raise ValueError("lambda and eps must be non-negative")
+        if not (self.rk_tol > 0 and self.event_tol > 0 and self.max_steps >= 1):
+            raise ValueError("rk_tol and event_tol must be positive, max_steps >= 1")
 
 
 @dataclass(frozen=True)
@@ -59,16 +61,6 @@ class CycleReport:
     residual: float
     stability_slope: float
     side_sequence: tuple
-
-    def to_json(self) -> dict:
-        return {
-            "section_coord": self.section_coord,
-            "h_star": self.h_star,
-            "radius": self.radius,
-            "residual": self.residual,
-            "stability_slope": self.stability_slope,
-            "side_sequence": list(self.side_sequence),
-        }
 
 
 @dataclass

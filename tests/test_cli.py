@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from pwlienard import Case, LienardSystem, RingElem
+from pwlienard import Case, LienardSystem, RingElem, load_preset
 from pwlienard.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, main
 
 
@@ -119,6 +119,25 @@ def test_simulate_finds_cycles(tmp_path, outdir):
     assert len(disp) == 16
 
 
+@pytest.mark.parametrize("partial, full", [
+    (["--lam", "0.05"], ["--lam", "0.05", "--eps", "4e-4"]),
+    (["--eps", "1e-3"], ["--lam", "0.02", "--eps", "1e-3"]),
+], ids=["lam-only", "eps-only"])
+def test_partial_param_override_keeps_file_value(tmp_path, partial, full):
+    """A --lam or --eps flag on its own keeps the other value of the file."""
+    doc_path = tmp_path / "sys.json"
+    doc_path.write_text(json.dumps(
+        load_preset("example1", lam=0.02, eps=4e-4).to_json()))
+    texts = []
+    for flags in (partial, full):
+        out = tmp_path / "-".join(flags)
+        rc = main(["--out", str(out), "simulate", "--system", str(doc_path),
+                   "--r-range", "1.5:2.5", "--grid", "2"] + flags)
+        assert rc == EXIT_OK
+        texts.append((out / "displacement.csv").read_text())
+    assert texts[0] == texts[1]
+
+
 def test_simulate_trajectory_dump(outdir):
     rc = main(["--out", str(outdir), "simulate", "--preset", "example1",
                "--r-range", "1.5:2.5", "--grid", "3",
@@ -185,6 +204,30 @@ def test_config_values_parsed_like_flags(tmp_path, outdir, capsys, config,
     else:
         doc = read_json(outdir / "melnikov.json")
         assert [row["h"] for row in doc["grid"]] == grid
+
+
+@pytest.mark.parametrize("preset", ["remark-smooth-cubic", "remark-eqMM"])
+def test_roots_m0_needs_no_oddness(outdir, preset):
+    """M0 has no oddness hypothesis: an even f0 or g0 must not stop it."""
+    rc = main(["--out", str(outdir), "roots", "--preset", preset,
+               "--which", "M0"])
+    assert rc == EXIT_OK
+    doc = read_json(outdir / "roots.json")
+    assert doc["which"] == "M0"
+    assert doc["certified_count"] <= doc["theorem_bound"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["roots", "--preset", "example1", "--which", "M0"],
+    ["roots", "--preset", "remark-pw-cubic", "--which", "M1", "--project-odd"],
+    ["melnikov", "--preset", "example1", "--h-grid=-1"],
+    ["design", "--case", "Y", "--m", "3", "--n", "3", "--targets", "inf,1"],
+], ids=["zero-M0", "zero-M1", "negative-h", "infinite-target"])
+def test_input_errors_are_validation_errors(outdir, capsys, argv):
+    """Errors in the input exit 2 with an error line, not as numerical
+    failures."""
+    assert main(["--out", str(outdir)] + argv) == EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_missing_system_is_validation_error():

@@ -1,5 +1,7 @@
 """Inverse design: placing the positive zeros of M1 at requested energies."""
 
+import math
+
 import pytest
 
 from pwlienard import (Case, InfeasibleShape, TooManyTargets, design_case_x,
@@ -46,6 +48,9 @@ class TestCaseY:
             design_case_y([-1.0], 3, 3)
         with pytest.raises(ValueError):
             design_case_y([1.0, 1.0], 3, 3)
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError):
+                design_case_y([bad, 1.0], 3, 3)
 
 
 class TestCaseX:

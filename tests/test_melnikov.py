@@ -10,7 +10,9 @@ from pwlienard import (Case, HalfPowerPoly, LienardSystem, OddnessViolated,
                        PI, RingElem, SQRT2, WrongCase, ZeroLambda, expand,
                        fold_to_theorem_form, load_preset, theorem_form_system,
                        zero_bound)
-from pwlienard.melnikov import (case_x_m0, case_y_m0, case_y_m1,
+from pwlienard.melnikov import (_a_hat_factor, _c_weight_factor,
+                                _time_weight_factor, _x_odd_block, case_x_i2,
+                                case_x_i3, case_x_m0, case_y_m0, case_y_m1,
                                 expansion_exponents, wallis_even, wallis_odd)
 
 from conftest import random_sweep_system
@@ -65,6 +67,26 @@ class TestExactValues:
         assert wallis_even(4) == PI * rational(Fraction(3, 4))
         with pytest.raises(ValueError):
             wallis_even(3)
+
+
+def test_odd_block_on_floats_matches_closed_form(rng):
+    """The designer's Newton residual evaluates the switch-on-x odd block
+    through the same function as I2 + I3, on floats; both must agree."""
+    for _ in range(60):
+        sys_ = random_sweep_system(rng, Case.SWITCH_X)
+        fc = sys_.float_coeffs()
+        a_odd, c_odd = fc["a0"][1::2], fc["c"][1::2]
+        top = len(a_odd) + len(c_odd) - 1
+        block = _x_odd_block(
+            a_odd, c_odd,
+            [_c_weight_factor(j).to_float() for j in range(len(c_odd))],
+            [_time_weight_factor(l).to_float() for l in range(top)],
+            [_a_hat_factor(l).to_float() for l in range(len(a_odd))])
+        exact = case_x_i2(sys_) + case_x_i3(sys_)
+        assert {2 * l + 3 for l in block} >= set(exact.coeffs)
+        for l, value in block.items():
+            ref = exact.coeffs.get(2 * l + 3, RingElem.zero()).to_float()
+            assert abs(value - ref) <= 1e-13 * (1 + abs(ref)), (sys_, l)
 
 
 class TestVanishing:
