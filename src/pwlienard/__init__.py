@@ -15,9 +15,8 @@ from .errors import (EscapeAnnulus, InfeasibleShape, MaxStepsExceeded,
                      WrongCase, ZeroLambda, ZeroPolynomial)
 from .melnikov import (MelnikovExpansion, TheoremForm, expand,
                        fold_to_theorem_form, theorem_form_system, zero_bound)
-from .oracle import fd_bifurcation_estimate, oracle_m0, oracle_m1, quad_I
-from .roots import (BoundCheck, IsolatedRoot, RootReport, check_against_bound,
-                    isolate_positive_roots)
+from .oracle import oracle_m0, oracle_m1, quad_I
+from .roots import IsolatedRoot, RootReport, isolate_positive_roots
 from .simulator import (BACKEND, CycleReport, CycleScan, SimConfig,
                         advance_to_section, bifurcation_increment,
                         displacement, find_cycles, vector_field)
@@ -26,7 +25,7 @@ from .systems import PRESET_NAMES, Case, LienardSystem, load_preset
 __version__ = "0.1.0"
 
 __all__ = [
-    "BACKEND", "BoundCheck", "Case", "CycleReport", "CycleScan",
+    "BACKEND", "Case", "CycleReport", "CycleScan",
     "EscapeAnnulus", "HalfPowerPoly", "INV_PI", "InfeasibleShape",
     "IsolatedRoot", "LienardSystem", "MaxStepsExceeded", "MelnikovExpansion",
     "NegativeEnergy", "NoConvergence", "NonTransversalCrossing",
@@ -34,9 +33,8 @@ __all__ = [
     "PwLienardError", "QuadratureFailure", "RingElem", "RootReport",
     "SQRT2", "SimConfig", "SimulationError", "TheoremForm", "TooManyTargets",
     "WrongCase", "ZeroLambda", "ZeroPolynomial", "advance_to_section",
-    "bifurcation_increment", "check_against_bound", "design_case_x",
-    "design_case_y", "displacement", "expand", "fd_bifurcation_estimate",
-    "find_cycles", "fold_to_theorem_form", "isolate_positive_roots",
+    "bifurcation_increment", "design_case_x", "design_case_y",
+    "displacement", "expand", "find_cycles", "fold_to_theorem_form", "isolate_positive_roots",
     "load_preset", "oracle_m0", "oracle_m1", "quad_I", "theorem_form_system",
     "vector_field", "verify_design", "zero_bound",
 ]

@@ -4,6 +4,12 @@
  * point and must stay behaviorally identical (the test suite compares them).
  * See ``_kernel_py`` for the field mode and status code conventions.
  *
+ * The entry folds the five coefficient vectors, lam and eps once into the
+ * two field polynomials p = eps*(f0 + lam*f1) and
+ * q = lam*g + eps*(g0 + lam*g1), in the operation order of
+ * ``_kernel_py.fold`` (the fold of ``melnikov.fold_to_theorem_form``, with
+ * p = lam*fbar and q = lam*gbar); the field evaluates only p and q.
+ *
  * Build: python3 setup.py build_ext --inplace   (needs only a C compiler)
  */
 
@@ -31,10 +37,10 @@ static const double B5[7] = {35.0 / 384, 0.0, 500.0 / 1113, 125.0 / 192,
 static const double B4[7] = {5179.0 / 57600, 0.0, 7571.0 / 16695, 393.0 / 640,
                              -92097.0 / 339200, 187.0 / 2100, 1.0 / 40};
 
-/* the five coefficient vectors, in the argument order a0, a1, b0, b1, c */
+/* the folded field polynomials p and q */
 typedef struct {
-    double v[5][MAXC];
-    Py_ssize_t n[5];
+    double p[MAXC], q[MAXC];
+    Py_ssize_t np, nq;
 } Coeffs;
 
 static double polyval(const double *co, Py_ssize_t n, double x)
@@ -45,39 +51,32 @@ static double polyval(const double *co, Py_ssize_t n, double x)
     return acc;
 }
 
-static void field(int mode, const Coeffs *co, double lam, double eps,
-                  double x, double y, double side, double *dx, double *dy)
+static void field(int mode, const Coeffs *co, double x, double y,
+                  double side, double *dx, double *dy)
 {
-    double v = mode == 2 ? y : x;
-    double f0 = polyval(co->v[0], co->n[0], v);
-    double f1 = polyval(co->v[1], co->n[1], v);
-    double g0 = polyval(co->v[2], co->n[2], v);
-    double g1 = polyval(co->v[3], co->n[3], v);
-    double g = polyval(co->v[4], co->n[4], v);
     if (mode == 2) {
         /* swapped coordinates: polynomials are functions of y */
-        *dx = y + lam * side * g + eps * (x * (f0 + lam * f1) + side * (g0 + lam * g1));
+        *dx = y + x * polyval(co->p, co->np, y) + side * polyval(co->q, co->nq, y);
         *dy = -x;
     } else {
         *dx = y;
-        *dy = -x - lam * side * g - eps * (y * (f0 + lam * f1) + side * (g0 + lam * g1));
+        *dy = -x - y * polyval(co->p, co->np, x) - side * polyval(co->q, co->nq, x);
     }
 }
 
 /* One Dormand-Prince step; stores (x5, y5) and returns the error norm. */
-static double rk_step(int mode, const Coeffs *co, double lam, double eps,
-                      double x, double y, double side, double h,
-                      double *xo, double *yo)
+static double rk_step(int mode, const Coeffs *co, double x, double y,
+                      double side, double h, double *xo, double *yo)
 {
     double kx[7], ky[7];
-    field(mode, co, lam, eps, x, y, side, &kx[0], &ky[0]);
+    field(mode, co, x, y, side, &kx[0], &ky[0]);
     for (int i = 1; i < 7; i++) {
         double xs = x, ys = y;
         for (int j = 0; j < i; j++) {
             xs += h * A5[i][j] * kx[j];
             ys += h * A5[i][j] * ky[j];
         }
-        field(mode, co, lam, eps, xs, ys, side, &kx[i], &ky[i]);
+        field(mode, co, xs, ys, side, &kx[i], &ky[i]);
     }
     double x5 = x, y5 = y, ex = 0.0, ey = 0.0;
     for (int i = 0; i < 7; i++) {
@@ -130,6 +129,9 @@ static PyObject *integrate_return(PyObject *self, PyObject *args,
     PyObject *src[5];
     double lam, eps, x, y, rk_tol, event_tol, r_min, r_max;
     long max_steps;
+    /* f0, f1, g0, g1, g; zero past their lengths */
+    double v[5][MAXC] = {{0.0}};
+    Py_ssize_t n[5];
     Coeffs co;
     (void)self;
 
@@ -139,17 +141,25 @@ static PyObject *integrate_return(PyObject *self, PyObject *args,
             &event_tol, &max_steps, &r_min, &r_max))
         return NULL;
     for (int k = 0; k < 5; k++) {
-        co.n[k] = fill(co.v[k], src[k]);
-        if (co.n[k] < 0)
+        n[k] = fill(v[k], src[k]);
+        if (n[k] < 0)
             return NULL;
     }
+    /* the fold, in the operation order of _kernel_py.fold */
+    co.np = n[0] > n[1] ? n[0] : n[1];
+    co.nq = n[2] > n[3] ? n[2] : n[3];
+    co.nq = n[4] > co.nq ? n[4] : co.nq;
+    for (Py_ssize_t i = 0; i < co.np; i++)
+        co.p[i] = eps * (v[0][i] + lam * v[1][i]);
+    for (Py_ssize_t i = 0; i < co.nq; i++)
+        co.q[i] = lam * v[4][i] + eps * (v[2][i] + lam * v[3][i]);
     PyObject *crossings = PyList_New(0);
     if (crossings == NULL)
         return NULL;
 
     double t = 0.0, h = 0.01, dxv, dyv;
     /* side-independent switch-variable velocity at the start */
-    field(mode, &co, lam, eps, x, y, 0.0, &dxv, &dyv);
+    field(mode, &co, x, y, 0.0, &dxv, &dyv);
     double w0 = mode == 0 ? dyv : dxv;
     if (fabs(w0) < TRANSVERSAL_GUARD)
         return finish(3, x, y, t, crossings);
@@ -157,7 +167,7 @@ static PyObject *integrate_return(PyObject *self, PyObject *args,
 
     for (long steps = 0; steps < max_steps; steps++) {
         double x5, y5;
-        double err = rk_step(mode, &co, lam, eps, x, y, side, h, &x5, &y5);
+        double err = rk_step(mode, &co, x, y, side, h, &x5, &y5);
         double tol = rk_tol * (1.0 + hypot(x, y));
         if (err > tol) {
             h *= fmax(0.2, 0.9 * pow(tol / err, 0.2));
@@ -172,7 +182,7 @@ static PyObject *integrate_return(PyObject *self, PyObject *args,
             double lo = 0.0, hi = h, xe = x5, ye = y5;
             for (int it = 0; it < 80; it++) {
                 double mid = 0.5 * (lo + hi), xm, ym;
-                rk_step(mode, &co, lam, eps, x, y, side, mid, &xm, &ym);
+                rk_step(mode, &co, x, y, side, mid, &xm, &ym);
                 double wm = mode == 0 ? ym : xm;
                 if (fabs(wm) <= event_tol) {
                     lo = hi = mid;
@@ -199,7 +209,7 @@ static PyObject *integrate_return(PyObject *self, PyObject *args,
                 x = 0.0;
                 y = ye;
             }
-            field(mode, &co, lam, eps, x, y, 0.0, &dxv, &dyv);
+            field(mode, &co, x, y, 0.0, &dxv, &dyv);
             double vel = mode == 0 ? dyv : dxv;
             if (fabs(vel) < TRANSVERSAL_GUARD)
                 return finish(3, x, y, t, crossings);

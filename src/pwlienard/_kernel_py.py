@@ -4,12 +4,22 @@ This is the reference twin of the compiled kernel in ``_kernel_c.c``; both
 expose the same ``integrate_return`` entry point and must stay behaviorally
 identical (the test suite compares them whenever a C compiler is present).
 
+Folded field
+------------
+The entry point takes the five coefficient vectors (f0, f1, g0, g1, g) with
+lam and eps, and ``fold`` combines them once per return into two
+polynomials, p = eps*(f0 + lam*f1) and q = lam*g + eps*(g0 + lam*g1).  The
+field is then x' = y, y' = -x - y*p(x) - sgn*q(x): with p = lam*fbar and
+q = lam*gbar this is the single-small-parameter form of
+``melnikov.fold_to_theorem_form``, which calls ``fold`` too.
+
 Field modes
 -----------
 0: switch-on-y system in original coordinates (section {y = 0, x > 0})
 1: switch-on-x system in original coordinates (section {x = 0, y > 0})
 2: switch-on-y system in Melnikov (swapped) coordinates, where the switch
-   and the section are both on the y-axis (section {x = 0, y > 0})
+   and the section are both on the y-axis (section {x = 0, y > 0}):
+   x' = y + x*p(y) + sgn*q(y), y' = -x
 
 Status codes: 0 ok, 1 escaped annulus, 2 max steps, 3 non-transversal.
 """
@@ -17,6 +27,7 @@ Status codes: 0 ok, 1 escaped annulus, 2 max steps, 3 non-transversal.
 from __future__ import annotations
 
 import math
+from itertools import zip_longest
 
 from .algebra import polyval
 
@@ -40,33 +51,28 @@ _TRANSVERSAL_GUARD = 1e-8
 _MIN_RETURN_TIME = 0.5
 
 
-def _field(mode, fa0, fa1, fb0, fb1, fc, lam, eps, x, y, side):
+def fold(fa0, fa1, fb0, fb1, fc, lam, eps):
+    """Coefficient lists of the field polynomials p and q (see the module
+    docstring); the shorter vectors count as padded with zeros."""
+    p = [eps * (f0 + lam * f1)
+         for f0, f1 in zip_longest(fa0, fa1, fillvalue=0.0)]
+    q = [lam * g + eps * (g0 + lam * g1)
+         for g0, g1, g in zip_longest(fb0, fb1, fc, fillvalue=0.0)]
+    return p, q
+
+
+def _field(mode, p, q, x, y, side):
     if mode == 2:
         # swapped coordinates: polynomials are functions of y
-        f0 = polyval(fa0, y)
-        f1 = polyval(fa1, y)
-        g0 = polyval(fb0, y)
-        g1 = polyval(fb1, y)
-        g = polyval(fc, y)
-        dx = y + lam * side * g + eps * (x * (f0 + lam * f1) + side * (g0 + lam * g1))
-        dy = -x
-    else:
-        f0 = polyval(fa0, x)
-        f1 = polyval(fa1, x)
-        g0 = polyval(fb0, x)
-        g1 = polyval(fb1, x)
-        g = polyval(fc, x)
-        dx = y
-        dy = -x - lam * side * g \
-            - eps * (y * (f0 + lam * f1) + side * (g0 + lam * g1))
-    return dx, dy
+        return y + x * polyval(p, y) + side * polyval(q, y), -x
+    return y, -x - y * polyval(p, x) - side * polyval(q, x)
 
 
-def _rk_step(mode, fa0, fa1, fb0, fb1, fc, lam, eps, x, y, side, h):
+def _rk_step(mode, p, q, x, y, side, h):
     """One Dormand-Prince step; returns (x5, y5, err_norm)."""
     kx = [0.0] * 7
     ky = [0.0] * 7
-    kx[0], ky[0] = _field(mode, fa0, fa1, fb0, fb1, fc, lam, eps, x, y, side)
+    kx[0], ky[0] = _field(mode, p, q, x, y, side)
     for i in range(1, 7):
         ai = _A[i]
         xs = x
@@ -74,8 +80,7 @@ def _rk_step(mode, fa0, fa1, fb0, fb1, fc, lam, eps, x, y, side, h):
         for j in range(len(ai)):
             xs += h * ai[j] * kx[j]
             ys += h * ai[j] * ky[j]
-        kx[i], ky[i] = _field(mode, fa0, fa1, fb0, fb1, fc, lam, eps,
-                              xs, ys, side)
+        kx[i], ky[i] = _field(mode, p, q, xs, ys, side)
     x5 = x
     y5 = y
     ex = 0.0
@@ -97,6 +102,7 @@ def integrate_return(mode, fa0, fa1, fb0, fb1, fc, lam, eps,
     (t, x, y, side_after) switching-line events (the terminal section hit
     included).
     """
+    p, q = fold(fa0, fa1, fb0, fb1, fc, lam, eps)
     x, y = float(x0), float(y0)
     t = 0.0
     crossings = []
@@ -106,7 +112,7 @@ def integrate_return(mode, fa0, fa1, fb0, fb1, fc, lam, eps,
 
     def dwdt(px, py):
         # side-independent estimate of the switch-variable velocity
-        dx, dy = _field(mode, fa0, fa1, fb0, fb1, fc, lam, eps, px, py, 0.0)
+        dx, dy = _field(mode, p, q, px, py, 0.0)
         return dy if mode == 0 else dx
 
     w0 = dwdt(x, y)
@@ -118,8 +124,7 @@ def integrate_return(mode, fa0, fa1, fb0, fb1, fc, lam, eps,
     steps = 0
     while steps < max_steps:
         steps += 1
-        x5, y5, err = _rk_step(mode, fa0, fa1, fb0, fb1, fc, lam, eps,
-                               x, y, side, h)
+        x5, y5, err = _rk_step(mode, p, q, x, y, side, h)
         tol = rk_tol * (1.0 + math.hypot(x, y))
         if err > tol:
             h *= max(0.2, 0.9 * (tol / err) ** 0.2)
@@ -134,8 +139,7 @@ def integrate_return(mode, fa0, fa1, fb0, fb1, fc, lam, eps,
             xe, ye = x5, y5
             for _ in range(80):
                 mid = 0.5 * (lo + hi)
-                xm, ym, _e = _rk_step(mode, fa0, fa1, fb0, fb1, fc, lam,
-                                      eps, x, y, side, mid)
+                xm, ym, _e = _rk_step(mode, p, q, x, y, side, mid)
                 if abs(switch_var(xm, ym)) <= event_tol:
                     lo = hi = mid
                     xe, ye = xm, ym

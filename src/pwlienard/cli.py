@@ -15,9 +15,9 @@ from dataclasses import asdict
 
 from . import melnikov, oracle, roots, simulator
 from .design import design_case_x, design_case_y, verify_design
-from .errors import (NegativeEnergy, NoConvergence, PwLienardError,
-                     QuadratureFailure, SimulationError, TooManyTargets,
-                     ZeroPolynomial)
+from .errors import (NegativeEnergy, NoConvergence, OddnessViolated,
+                     PwLienardError, QuadratureFailure, SimulationError,
+                     TooManyTargets, ZeroPolynomial)
 from .systems import PRESET_NAMES, Case, LienardSystem, load_preset
 
 EXIT_OK = 0
@@ -223,10 +223,12 @@ def cmd_verify(args) -> int:
             closed = melnikov.closed_term(sys_, i, h)
             add(f"I{i}@h={h}", closed, oracle.quad_I(sys_, h, i), tol)
     if args.with_sim:
-        lam = args.lam or 0.02
-        eps = args.eps or 1e-4
+        # _load_system has applied --lam/--eps to the system
+        lam = sys_.lam or 0.02
+        eps = sys_.eps or 1e-4
         for h in (0.5, 2.0):
-            est = oracle.fd_bifurcation_estimate(sys_, h, lam, eps)
+            # one-return finite difference of M0 + lam*M1 + O(lam^2)
+            est = simulator.bifurcation_increment(sys_, h, lam, eps) / eps
             pred = exp.m0.eval(h) + lam * exp.m1.eval(h)
             # first-order estimate: allow O(eps) + O(lam^2) slack
             add(f"F@h={h}", est, pred, max(tol, 50 * (eps + lam * lam)))
@@ -354,7 +356,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (SystemExit2, TooManyTargets, ZeroPolynomial, NegativeEnergy,
-            ValueError, KeyError, OSError) as exc:
+            OddnessViolated, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (QuadratureFailure, NoConvergence, SimulationError,

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
+from ._kernel_py import fold
 from .algebra import HalfPowerPoly, RingElem
 from .errors import OddnessViolated, WrongCase, ZeroLambda
 from .systems import Case, LienardSystem
@@ -264,13 +265,13 @@ class TheoremForm:
 def fold_to_theorem_form(sys: LienardSystem) -> TheoremForm:
     if sys.lam <= 0:
         raise ZeroLambda("folding requires lambda > 0")
-    delta = sys.eps / sys.lam
+    # the kernel's field polynomials are p = lam*fbar and q = lam*gbar
     fc = sys.float_coeffs()
-    fbar = tuple(delta * (fc["a0"][j] + sys.lam * fc["a1"][j])
-                 for j in range(sys.m + 1))
-    gbar = tuple(fc["c"][j] + delta * (fc["b0"][j] + sys.lam * fc["b1"][j])
-                 for j in range(sys.n + 1))
-    return TheoremForm(sys.case, fbar, gbar, delta, sys.lam)
+    p, q = fold(fc["a0"], fc["a1"], fc["b0"], fc["b1"], fc["c"],
+                sys.lam, sys.eps)
+    return TheoremForm(sys.case, tuple(v / sys.lam for v in p),
+                       tuple(v / sys.lam for v in q), sys.eps / sys.lam,
+                       sys.lam)
 
 
 def theorem_form_system(form: TheoremForm) -> LienardSystem:

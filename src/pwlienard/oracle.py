@@ -120,16 +120,3 @@ def oracle_m0(sys: LienardSystem, h: float) -> float:
 
 def oracle_m1(sys: LienardSystem, h: float) -> float:
     return sum(quad_I(sys, h, i) for i in range(1, sys.case.n_integrals))
-
-
-def fd_bifurcation_estimate(sys: LienardSystem, h: float, lam: float,
-                            eps: float, rk_tol: float = 1e-12) -> float:
-    """One-return finite-difference estimate of M(h, lam) = M0 + lam*M1 + O(lam^2).
-
-    Runs the simulator for a single full return starting on the positive
-    y-axis of the Melnikov-side coordinates and divides the energy increment
-    of H+ by eps.
-    """
-    from . import simulator  # local import; simulator depends on kernels only
-
-    return simulator.bifurcation_increment(sys, h, lam, eps, rk_tol=rk_tol) / eps

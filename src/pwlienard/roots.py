@@ -69,17 +69,15 @@ class IsolatedRoot:
 
 @dataclass
 class RootReport:
-    """``s_roots`` are in s = sqrt(h); ``h_roots`` (the same roots) and
-    ``suspected`` are in h."""
+    """``h_roots`` and ``suspected`` are intervals in h."""
 
-    s_roots: list = field(default_factory=list)
     h_roots: list = field(default_factory=list)
     suspected: list = field(default_factory=list)
     descartes_bound: int = 0
     theorem_bound: int | None = None
 
     def certified_count(self) -> int:
-        return len(self.s_roots)
+        return len(self.h_roots)
 
 
 def _bisect_root(coeffs, lo: float, hi: float):
@@ -164,6 +162,7 @@ def isolate_positive_roots(poly: HalfPowerPoly, case: Case | None = None,
         _isolate(coeffs, 0.0, bound, intervals)
         report = RootReport(descartes_bound=sign_variations(coeffs))
         deriv = _deriv(coeffs)
+        s_roots = []
         for lo, hi in intervals:
             refined = _bisect_root(coeffs, max(lo, 1e-300), hi)
             if refined is None:
@@ -174,14 +173,14 @@ def isolate_positive_roots(poly: HalfPowerPoly, case: Case | None = None,
                 continue
             dval = polyval(deriv, mid) if deriv else 0.0
             cert = CERT_SIMPLE if dval != 0.0 else CERT_SUSPECT_EVEN
-            report.s_roots.append(IsolatedRoot(rlo, rhi, mid, cert))
+            s_roots.append(IsolatedRoot(rlo, rhi, mid, cert))
         # flag possible even-multiplicity roots: minima of |P| at zeros of P'
         if deriv and len(deriv) > 1:
             report.suspected = _suspect_even_roots(coeffs, deriv, bound,
-                                                  report.s_roots, scale)
-    report.s_roots.sort(key=lambda r: r.mid)
-    report.h_roots = [IsolatedRoot(r.lo ** 2, r.hi ** 2, r.mid ** 2,
-                                   r.certificate) for r in report.s_roots]
+                                                  s_roots, scale)
+        s_roots.sort(key=lambda r: r.mid)
+        report.h_roots = [IsolatedRoot(r.lo ** 2, r.hi ** 2, r.mid ** 2,
+                                       r.certificate) for r in s_roots]
     if case is not None and m is not None and n is not None:
         report.theorem_bound = zero_bound(case, m, n, which)
     return report
@@ -205,19 +204,3 @@ def _suspect_even_roots(coeffs, deriv, bound, certified, scale):
             out.append(IsolatedRoot(refined[0] ** 2, refined[1] ** 2,
                                     mid ** 2, CERT_SUSPECT_EVEN))
     return out
-
-
-@dataclass(frozen=True)
-class BoundCheck:
-    ok: bool
-    certified: int
-    bound: int
-    slack: int
-
-
-def check_against_bound(report: RootReport, case: Case, m: int, n: int,
-                        which: str = "M1") -> BoundCheck:
-    bound = zero_bound(case, m, n, which)
-    count = report.certified_count()
-    return BoundCheck(ok=count <= bound, certified=count, bound=bound,
-                      slack=bound - count)

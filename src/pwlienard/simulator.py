@@ -75,8 +75,9 @@ def vector_field(sys: LienardSystem, state, side: float):
     """Right-hand side with sgn replaced by the supplied side value."""
     x, y = state
     fc = sys.float_coeffs()
-    return _kernel_py._field(_mode_of(sys), fc["a0"], fc["a1"], fc["b0"],
-                             fc["b1"], fc["c"], sys.lam, sys.eps, x, y, side)
+    p, q = _kernel_py.fold(fc["a0"], fc["a1"], fc["b0"], fc["b1"], fc["c"],
+                           sys.lam, sys.eps)
+    return _kernel_py._field(_mode_of(sys), p, q, x, y, side)
 
 
 def _mode_of(sys: LienardSystem) -> int:

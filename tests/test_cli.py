@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from pwlienard import Case, LienardSystem, RingElem, load_preset
+from pwlienard import Case, LienardSystem, RingElem, expand, load_preset
 from pwlienard.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, main
 
 
@@ -157,6 +157,26 @@ def test_verify_pass(outdir):
     assert all(line.endswith("pass") for line in lines[1:])
 
 
+def test_verify_with_sim_uses_system_params(tmp_path):
+    """--with-sim simulates at the lambda and eps of the loaded system: the
+    file alone and the file with the same values as flags give the same
+    finite-difference rows, predicted at the file's lambda."""
+    sys_ = load_preset("example1", lam=0.05, eps=1e-3)
+    doc_path = tmp_path / "sys.json"
+    doc_path.write_text(json.dumps(sys_.to_json()))
+    rows = []
+    for flags in ([], ["--lam", "0.05", "--eps", "1e-3"]):
+        out = tmp_path / f"out{len(flags)}"
+        main(["--out", str(out), "verify", "--system", str(doc_path),
+              "--h-grid", "0.5", "--with-sim"] + flags)
+        lines = (out / "verify.csv").read_text().splitlines()
+        rows.append([line for line in lines if line.startswith("F@")])
+    assert len(rows[0]) == 2
+    assert rows[0] == rows[1]
+    m1 = expand(sys_).m1.eval(0.5)
+    assert float(rows[0][0].split(",")[2]) == pytest.approx(0.05 * m1)
+
+
 def test_config_file_defaults(tmp_path, outdir):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"h_grid": "1,4", "preset": "example1"}))
@@ -222,7 +242,10 @@ def test_roots_m0_needs_no_oddness(outdir, preset):
     ["roots", "--preset", "remark-pw-cubic", "--which", "M1", "--project-odd"],
     ["melnikov", "--preset", "example1", "--h-grid=-1"],
     ["design", "--case", "Y", "--m", "3", "--n", "3", "--targets", "inf,1"],
-], ids=["zero-M0", "zero-M1", "negative-h", "infinite-target"])
+    ["melnikov", "--preset", "remark-eqMM"],
+    ["roots", "--preset", "remark-pw-cubic", "--which", "M1"],
+], ids=["zero-M0", "zero-M1", "negative-h", "infinite-target",
+        "even-f0-melnikov", "even-f0-roots"])
 def test_input_errors_are_validation_errors(outdir, capsys, argv):
     """Errors in the input exit 2 with an error line, not as numerical
     failures."""

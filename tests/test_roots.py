@@ -1,13 +1,14 @@
 """Certified positive-root isolation of half-power polynomials."""
 
+import math
 import random
 
 import numpy as np
 import pytest
 
 from pwlienard import (Case, HalfPowerPoly, RingElem, ZeroPolynomial,
-                       check_against_bound, design_case_y, expand,
-                       isolate_positive_roots, load_preset)
+                       design_case_y, expand, isolate_positive_roots,
+                       load_preset)
 from pwlienard.roots import CERT_SIMPLE, CERT_SUSPECT_EVEN
 
 
@@ -26,8 +27,6 @@ def test_example1_root_certification():
         assert r.certificate == CERT_SIMPLE
         assert r.hi - r.lo <= 1e-12
     assert not report.suspected
-    check = check_against_bound(report, Case.SWITCH_Y, 3, 3, "M1")
-    assert check.ok and check.slack == 0
 
 
 def test_root_on_bisection_point_kept():
@@ -59,7 +58,7 @@ def test_even_multiplicity_flagged_not_certified():
     poly = int_poly({0: -2, 1: 5, 2: -4, 3: 1})
     report = isolate_positive_roots(poly)
     assert report.certified_count() == 1
-    assert report.s_roots[0].mid == pytest.approx(2.0, abs=1e-9)
+    assert math.sqrt(report.h_roots[0].mid) == pytest.approx(2.0, abs=1e-9)
     assert any(abs(r.mid - 1.0) < 1e-4 for r in report.suspected)
     assert all(r.certificate == CERT_SUSPECT_EVEN for r in report.suspected)
 
@@ -93,7 +92,7 @@ def test_cross_check_against_numpy(rng):
         if any(b - a < 1e-5 for a, b in zip(separated, separated[1:])):
             continue
         report = isolate_positive_roots(poly)
-        certified = [r.mid for r in report.s_roots
+        certified = [math.sqrt(r.mid) for r in report.h_roots
                      if r.certificate == CERT_SIMPLE]
         for s in certified:
             assert min(abs(s - t) for t in separated) < 1e-6
@@ -121,8 +120,5 @@ def test_interval_width_contract(rng):
 def test_bound_check_reports_slack():
     exp = expand(load_preset("example2"), project_odd=True)
     report = isolate_positive_roots(exp.m1, Case.SWITCH_X, 3, 3)
-    check = check_against_bound(report, Case.SWITCH_X, 3, 3, "M1")
-    assert check.ok
-    assert check.bound == 4
-    assert check.certified == report.certified_count()
-    assert check.slack == check.bound - check.certified
+    assert report.theorem_bound == 4
+    assert report.certified_count() == len(report.h_roots) == 2

@@ -49,6 +49,17 @@ class TestUnperturbed:
         assert not scan.cycles
 
 
+def assert_twins_agree(kernel_c, args, status):
+    """Both kernels end with ``status`` at the same point, time and sides."""
+    s_py, x_py, y_py, t_py, c_py = _kernel_py.integrate_return(*args)
+    s_c, x_c, y_c, t_c, c_c = kernel_c.integrate_return(*args)
+    assert s_py == s_c == status
+    assert abs(x_py - x_c) + abs(y_py - y_c) <= 1e-13
+    assert abs(t_py - t_c) <= 5e-12
+    assert len(c_py) == len(c_c)
+    assert [c[3] for c in c_py] == [c[3] for c in c_c]
+
+
 class TestKernelParity:
     @pytest.mark.parametrize("mode,x0,y0,max_steps,r_min,status", [
         (0, 2.0, 0.0, 2_000_000, 1e-3, 0),
@@ -66,13 +77,17 @@ class TestKernelParity:
         fc = sys_.float_coeffs()
         args = (mode, fc["a0"], fc["a1"], fc["b0"], fc["b1"], fc["c"],
                 0.02, 4e-4, x0, y0, 1e-10, 1e-12, max_steps, r_min, 50.0)
-        s_py, x_py, y_py, t_py, c_py = _kernel_py.integrate_return(*args)
-        s_c, x_c, y_c, t_c, c_c = kernel_c.integrate_return(*args)
-        assert s_py == s_c == status
-        assert abs(x_py - x_c) + abs(y_py - y_c) <= 1e-13
-        assert abs(t_py - t_c) <= 5e-12
-        assert len(c_py) == len(c_c)
-        assert [c[3] for c in c_py] == [c[3] for c in c_c]
+        assert_twins_agree(kernel_c, args, status)
+
+    @pytest.mark.parametrize("mode", [0, 1, 2])
+    def test_backends_agree_five_vectors(self, kernel_c, mode):
+        """Five nonzero vectors of unequal lengths, p of degree 3 and q of
+        degree 2: the twins pad the shorter vectors and fold them alike."""
+        x0, y0 = (1.5, 0.0) if mode == 0 else (0.0, 1.5)
+        args = (mode, [0.0, 1.5, -0.4, 0.3], [0.7, -1.0], [0.9, 0.6],
+                [-0.3, 1.1, 0.4], [0.0, 0.8],
+                0.02, 4e-4, x0, y0, 1e-10, 1e-12, 2_000_000, 1e-3, 50.0)
+        assert_twins_agree(kernel_c, args, 0)
 
     def test_compiled_contract(self, kernel_c):
         assert kernel_c.BACKEND_NAME == "compiled"
@@ -87,6 +102,23 @@ class TestKernelParity:
 
 
 class TestVectorField:
+    def test_swapped_coordinates_formula(self):
+        """Mode 2, the switch-on-y path of bifurcation_increment: the
+        polynomials act on y and the perturbation sits in x'."""
+        a0, a1, b0 = [0.3, -1.2], [0.5, 0.7], [1.1, 0.4, -0.2]
+        b1, c = [-0.6, 0.9, 0.8], [0.25, 1.5, -0.35]
+        lam, eps, x, y, side = 0.1, 0.01, 0.7, -0.4, -1.0
+        dx, dy = _kernel_py._field(
+            2, *_kernel_py.fold(a0, a1, b0, b1, c, lam, eps), x, y, side)
+
+        def at_y(coeffs):
+            return sum(k * y ** i for i, k in enumerate(coeffs))
+
+        expected = y + lam * side * at_y(c) + eps * (
+            x * (at_y(a0) + lam * at_y(a1)) + side * (at_y(b0) + lam * at_y(b1)))
+        assert dx == pytest.approx(expected, rel=1e-13)
+        assert dy == -x
+
     def test_switch_on_y_formula(self):
         sys_ = LienardSystem.build(Case.SWITCH_Y, 1, 1, a0=[0, 2], b0=[0, 3],
                                    c=[1, 0], lam=0.1, eps=0.01)
