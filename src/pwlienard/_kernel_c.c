@@ -9,6 +9,8 @@
  * q = lam*g + eps*(g0 + lam*g1), in the operation order of
  * ``_kernel_py.fold`` (the fold of ``melnikov.fold_to_theorem_form``, with
  * p = lam*fbar and q = lam*gbar); the field evaluates only p and q.
+ * Norms are sqrt(x*x + y*y) as in the Python twin; hypot is not bitwise
+ * portable.
  *
  * Build: python3 setup.py build_ext --inplace   (needs only a C compiler)
  */
@@ -87,7 +89,7 @@ static double rk_step(int mode, const Coeffs *co, double x, double y,
     }
     *xo = x5;
     *yo = y5;
-    return hypot(ex, ey);
+    return sqrt(ex * ex + ey * ey);
 }
 
 /* Copy one coefficient sequence into dst; returns its length, -1 on error. */
@@ -168,7 +170,7 @@ static PyObject *integrate_return(PyObject *self, PyObject *args,
     for (long steps = 0; steps < max_steps; steps++) {
         double x5, y5;
         double err = rk_step(mode, &co, x, y, side, h, &x5, &y5);
-        double tol = rk_tol * (1.0 + hypot(x, y));
+        double tol = rk_tol * (1.0 + sqrt(x * x + y * y));
         if (err > tol) {
             h *= fmax(0.2, 0.9 * pow(tol / err, 0.2));
             continue;
@@ -221,7 +223,7 @@ static PyObject *integrate_return(PyObject *self, PyObject *args,
                 return NULL;
             }
             Py_DECREF(event);
-            double r = hypot(x, y);
+            double r = sqrt(x * x + y * y);
             if (r < r_min || r > r_max)
                 return finish(1, x, y, t, crossings);
             if (t > MIN_RETURN_TIME && (mode == 0 ? x > 0.0 : y > 0.0))
@@ -232,7 +234,7 @@ static PyObject *integrate_return(PyObject *self, PyObject *args,
         x = x5;
         y = y5;
         t += h;
-        double r = hypot(x, y);
+        double r = sqrt(x * x + y * y);
         if (r < r_min || r > r_max)
             return finish(1, x, y, t, crossings);
         if (err > 0.0)

@@ -22,6 +22,9 @@ Field modes
    x' = y + x*p(y) + sgn*q(y), y' = -x
 
 Status codes: 0 ok, 1 escaped annulus, 2 max steps, 3 non-transversal.
+
+Both twins take norms as sqrt(x*x + y*y), never hypot, whose last bit differs
+between CPython and libm; so the twins agree bitwise.
 """
 
 from __future__ import annotations
@@ -90,7 +93,7 @@ def _rk_step(mode, p, q, x, y, side, h):
         y5 += h * _B5[i] * ky[i]
         ex += h * (_B5[i] - _B4[i]) * kx[i]
         ey += h * (_B5[i] - _B4[i]) * ky[i]
-    return x5, y5, math.hypot(ex, ey)
+    return x5, y5, math.sqrt(ex * ex + ey * ey)
 
 
 def integrate_return(mode, fa0, fa1, fb0, fb1, fc, lam, eps,
@@ -125,7 +128,7 @@ def integrate_return(mode, fa0, fa1, fb0, fb1, fc, lam, eps,
     while steps < max_steps:
         steps += 1
         x5, y5, err = _rk_step(mode, p, q, x, y, side, h)
-        tol = rk_tol * (1.0 + math.hypot(x, y))
+        tol = rk_tol * (1.0 + math.sqrt(x * x + y * y))
         if err > tol:
             h *= max(0.2, 0.9 * (tol / err) ** 0.2)
             continue
@@ -162,7 +165,7 @@ def integrate_return(mode, fa0, fa1, fb0, fb1, fc, lam, eps,
                 return 3, x, y, t, crossings
             side = 1.0 if vel > 0 else -1.0
             crossings.append((t, x, y, side))
-            r = math.hypot(x, y)
+            r = math.sqrt(x * x + y * y)
             if r < r_min or r > r_max:
                 return 1, x, y, t, crossings
             if t > _MIN_RETURN_TIME:
@@ -174,7 +177,7 @@ def integrate_return(mode, fa0, fa1, fb0, fb1, fc, lam, eps,
             continue
         x, y = x5, y5
         t += h
-        r = math.hypot(x, y)
+        r = math.sqrt(x * x + y * y)
         if r < r_min or r > r_max:
             return 1, x, y, t, crossings
         if err > 0.0:

@@ -10,17 +10,17 @@ directly assignable through the odd ``b``-coefficients of g0.
 
 Switch-on-x systems couple the unknowns (odd f0 and odd g coefficients)
 through a*_l + a^_l, so the odd-power block is solved numerically with a
-damped Newton iteration on a finite-difference Jacobian; its residual is
-melnikov's own odd-block formula evaluated in floats.  The even-power block
-stays exact.
+damped Newton iteration.  Its residual is melnikov's own odd-block formula
+evaluated in floats, and its exact Jacobian is that formula at unit vectors.
+The even-power block stays exact.  The null vector of the target polynomial
+and the Newton step share one small Gaussian elimination.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
-
-import numpy as np
 
 from .algebra import RingElem
 from .errors import InfeasibleShape, NoConvergence, TooManyTargets
@@ -111,52 +111,65 @@ def _allowed_exponents_x(m: int, n: int):
     return sorted(even + odd)
 
 
-def _null_space_poly(s_roots, exponents):
+def _solve(a, b):
+    """x with a x = b by Gauss-Jordan elimination with partial pivoting, or
+    None when a pivot is zero."""
+    size = len(b)
+    rows = [list(row) + [v] for row, v in zip(a, b)]
+    for k in range(size):
+        p = max(range(k, size), key=lambda i: abs(rows[i][k]))
+        if rows[p][k] == 0.0:
+            return None
+        rows[k], rows[p] = rows[p], rows[k]
+        for row in rows[:k] + rows[k + 1:]:
+            f = row[k] / rows[k][k]
+            row[k:] = [x - f * y for x, y in zip(row[k:], rows[k][k:])]
+    return [row[size] / row[k] for k, row in enumerate(rows)]
+
+
+def _null_space_poly(s_roots, exponents, near: int):
     """Coefficients (by exponent) of a poly on the allowed monomials vanishing
-    at every target s; least-singular-vector of the Vandermonde-like system."""
-    mat = np.array([[s ** e for e in exponents] for s in s_roots], dtype=float)
+    at every target s: on the column-scaled Vandermonde-like matrix A, the
+    null vector w - A^T (A A^T)^-1 A w nearest the unit vector w of s^near."""
+    mat = [[s ** e for e in exponents] for s in s_roots]
     # column scaling for conditioning
-    col = np.max(np.abs(mat), axis=0)
-    col[col == 0] = 1.0
-    _, _, vt = np.linalg.svd(mat / col)
-    vec = vt[-1] / col
-    vec /= np.max(np.abs(vec))
-    if vec[np.argmax(np.abs(vec))] < 0:
-        vec = -vec
-    return dict(zip(exponents, vec))
+    col = [max(column) or 1.0 for column in zip(*mat)]
+    mat = [[x / c for x, c in zip(row, col)] for row in mat]
+    j = exponents.index(near)
+    gram = [[math.fsum(x * y for x, y in zip(r1, r2)) for r2 in mat]
+            for r1 in mat]
+    y = _solve(gram, [row[j] for row in mat])
+    if y is None:
+        raise NoConvergence("targets too close in sqrt(h) to separate")
+    vec = [(float(i == j) - math.fsum(yi * row[i] for yi, row in zip(y, mat)))
+           / c for i, c in enumerate(col)]
+    top = max(vec, key=abs)
+    return {e: v / top for e, v in zip(exponents, vec)}
 
 
-def _newton_solve(fun, u0, scale, max_iter=NEWTON_MAX_ITER):
-    u = np.array(u0, dtype=float)
-    best = (np.inf, u.copy())
-    for _ in range(max_iter):
+def _newton_solve(fun, jac, u, scale):
+    """Damped Newton from u: (root, residual), or (None, best residual)
+    when it does not converge or meets a singular Jacobian."""
+    best = math.inf
+    for _ in range(NEWTON_MAX_ITER):
         r = fun(u)
-        err = np.max(np.abs(r))
-        if err < best[0]:
-            best = (err, u.copy())
+        err = max(map(abs, r))
+        best = min(best, err)
         if err <= NEWTON_TOL * scale:
             return u, err
-        # finite-difference Jacobian
-        jac = np.zeros((len(r), len(u)))
-        for j in range(len(u)):
-            step = 1e-7 * max(1.0, abs(u[j]))
-            up = u.copy()
-            up[j] += step
-            jac[:, j] = (fun(up) - r) / step
-        try:
-            delta = np.linalg.solve(jac, r)
-        except np.linalg.LinAlgError:
-            delta, *_ = np.linalg.lstsq(jac, r, rcond=None)
+        delta = _solve(jac(u), r)
+        if delta is None:
+            break
         # damped update
         t = 1.0
-        base = np.linalg.norm(r)
+        base = math.hypot(*r)
         while t > 1e-6:
-            trial = u - t * delta
-            if np.linalg.norm(fun(trial)) < base:
+            trial = [x - t * d for x, d in zip(u, delta)]
+            if math.hypot(*fun(trial)) < base:
                 break
             t *= 0.5
-        u = u - t * delta
-    return None, best[0]
+        u = [x - t * d for x, d in zip(u, delta)]
+    return None, best
 
 
 def design_case_x(targets, m: int, n: int) -> LienardSystem:
@@ -174,14 +187,17 @@ def design_case_x(targets, m: int, n: int) -> LienardSystem:
         raise InfeasibleShape(
             f"{len(targets)} targets need more monomials than the (m, n) = "
             f"({m}, {n}) shape provides ({len(exponents)})")
-    s_roots = [math.sqrt(t) for t in targets]
-    coeff_by_exp = _null_space_poly(s_roots, exponents)
+    # The odd block is a^ * a + time_w * A C, A = sum a_odd[i] x^i and
+    # C = sum c_weight[j] c_odd[j] x^j, C(0) fixed: odd targets led by x^hm_odd
+    # split as A ~ x^hm_odd, C ~ C(0) (the initial guess), so lead with it.
+    coeff_by_exp = _null_space_poly([math.sqrt(t) for t in targets],
+                                    exponents, 2 * hm_odd + 3)
     # even exponents: exact linear inversion through a^(1)
     for e, v in coeff_by_exp.items():
         if e % 2 == 0:
             i = e // 2 - 1
             a1[2 * i] = _a_tilde_factor(i, -1).invert_monomial() \
-                * RingElem.from_float(float(v))
+                * RingElem.from_float(v)
 
     # the odd exponents are 2l+3 for l = 0, 1, ..., in order
     odd_targets = [v for e, v in coeff_by_exp.items() if e % 2]
@@ -191,7 +207,7 @@ def design_case_x(targets, m: int, n: int) -> LienardSystem:
         # no time-weighted block: a^_l alone, exact linear inversion
         for l, target in enumerate(odd_targets):
             a0[2 * l + 1] = _a_hat_factor(l).invert_monomial() \
-                * RingElem.from_float(float(target))
+                * RingElem.from_float(target)
         return LienardSystem.build(Case.SWITCH_X, m, n, a0=a0, a1=a1, c=c)
 
     n_t = (n - 1) // 2
@@ -200,49 +216,51 @@ def design_case_x(targets, m: int, n: int) -> LienardSystem:
               for l in range(len(odd_targets))]
     a_hat = [_a_hat_factor(l).to_float() for l in range(hm_odd + 1)]
 
-    def fun(u):
-        # residual of the odd block; u holds the odd a0, then c_3, c_5, ...
-        # (c_1 is fixed to 1)
-        u = u.tolist()
-        block = _x_odd_block(u[:hm_odd + 1], [1.0] + u[hm_odd + 1:],
-                             c_weight, time_w, a_hat)
-        return np.array([block.get(l, 0.0) - t
-                         for l, t in enumerate(odd_targets)])
+    def split(u):
+        # u holds the odd a0, then c_3, c_5, ... (c_1 is fixed to 1)
+        return u[:hm_odd + 1], [1.0] + u[hm_odd + 1:]
 
-    best_err = np.inf
-    solution = None
+    def fun(u):
+        block = _x_odd_block(*split(u), c_weight, time_w, a_hat)
+        return [block.get(l, 0.0) - t for l, t in enumerate(odd_targets)]
+
+    # decoupled approximation: only the c_1 = 1, j = 0 convolution term
+    guess = [t / (2.0 * w) for t, w in zip(odd_targets[:hm_odd + 1], time_w)] \
+        + [0.1] * n_t
+    best_err = math.inf
     for attempt in range(8):
-        u0 = _initial_guess(m, n, odd_targets, time_w, attempt)
-        u, err = _newton_solve(fun, u0, scale)
-        if u is not None:
-            solution = u
+        rng = random.Random(attempt)
+        u0 = [u * rng.uniform(0.25, 2.0) * rng.choice((-1.0, 1.0))
+              for u in guess] if attempt else guess
+        solution, err = _newton_solve(
+            fun, lambda u: _odd_jacobian(*split(u), c_weight, time_w, a_hat),
+            u0, scale)
+        if solution is not None:
             break
         best_err = min(best_err, err)
-    if solution is None:
+    else:
         raise NoConvergence(
             f"odd-block Newton failed after {NEWTON_MAX_ITER} iterations x 8 starts",
             best_residual=best_err)
-    exact = [RingElem.from_float(v) for v in solution.tolist()]
+    exact = [RingElem.from_float(v) for v in solution]
     a0[1::2] = exact[:hm_odd + 1]
     c[1::2] = [RingElem.one()] + exact[hm_odd + 1:]
     return LienardSystem.build(Case.SWITCH_X, m, n, a0=a0, a1=a1, c=c)
 
 
-def _initial_guess(m, n, odd_targets, time_w, attempt):
-    hm_odd = (m - 1) // 2
-    n_t = (n - 1) // 2
-    rng = np.random.default_rng(attempt)
-    a_init = np.zeros(hm_odd + 1)
-    for l in range(hm_odd + 1):
-        target = odd_targets[l] if l < len(odd_targets) else 0.0
-        # decoupled approximation: only the c_1 = 1, j = 0 convolution term
-        a_init[l] = target / (2.0 * time_w[l])
-    c_init = np.full(n_t, 0.1)
-    u0 = np.concatenate((a_init, c_init))
-    if attempt > 0:
-        u0 = u0 * rng.uniform(0.25, 2.0, size=u0.shape) \
-            * rng.choice([-1.0, 1.0], size=u0.shape)
-    return u0
+def _odd_jacobian(a_odd, c_odd, c_weight, time_w, a_hat):
+    """Rows d(block_l)/d(a_odd, c_odd[1:]) of ``_x_odd_block`` (c_1 is fixed).
+
+    The block is a^ * a plus a term bilinear in (a, c), so the column of a_i
+    is the block at a = e_i, and the column of c_j the block at c = e_j
+    without the a^ term."""
+    eye = [[float(i == j) for i in range(len(time_w))]
+           for j in range(len(time_w))]
+    cols = [_x_odd_block(e[:len(a_odd)], c_odd, c_weight, time_w, a_hat)
+            for e in eye[:len(a_odd)]]
+    cols += [_x_odd_block(a_odd, e[:len(c_odd)], c_weight, time_w, ())
+             for e in eye[1:len(c_odd)]]
+    return [[col.get(l, 0.0) for col in cols] for l in range(len(time_w))]
 
 
 def verify_design(sys: LienardSystem, targets, rel_tol: float = NEWTON_TOL):

@@ -24,8 +24,6 @@ from __future__ import annotations
 
 import math
 
-from scipy.integrate import quad
-
 from .algebra import poly_antideriv, polyval
 from .errors import QuadratureFailure
 from .systems import Case, LienardSystem
@@ -40,15 +38,6 @@ _ARC = {
     Case.SWITCH_Y: (math.sin, math.cos, 1.0, -1.0),
     Case.SWITCH_X: (math.cos, math.sin, -1.0, 1.0),
 }
-
-
-def _quad(fn, lo: float, hi: float) -> float:
-    val, err = quad(fn, lo, hi, epsabs=QUAD_ABS_TARGET, epsrel=1e-12,
-                    limit=_QUAD_LIMIT)
-    if err > max(QUAD_ABS_TARGET * 50, 1e-11 * abs(val)):
-        raise QuadratureFailure(
-            f"error estimate {err:.3e} exceeds target for value {val:.6e}")
-    return val
 
 
 def endpoint_derivatives(g_coeffs, h: float):
@@ -79,16 +68,27 @@ def quad_I(sys: LienardSystem, h: float, index: int) -> float:
         raise ValueError("h must be positive")
     if not 0 <= index < sys.case.n_integrals:
         raise ValueError(f"index {index} not valid for {sys.case}")
+    # scipy loads on the first quadrature, not with the package
+    from scipy.integrate import quad
+
     fc = sys.float_coeffs()
     r = math.sqrt(2.0 * h)
     unit_u, unit_v, du_per_v, i2_sign = _ARC[sys.case]
+
+    def integrate(fn, lo, hi):
+        val, err = quad(fn, lo, hi, epsabs=QUAD_ABS_TARGET, epsrel=1e-12,
+                        limit=_QUAD_LIMIT)
+        if err > max(QUAD_ABS_TARGET * 50, 1e-11 * abs(val)):
+            raise QuadratureFailure(
+                f"error estimate {err:.3e} exceeds target for value {val:.6e}")
+        return val
 
     def line(f, g, sign, lo, hi):
         def integrand(theta):
             u, v = r * unit_u(theta), r * unit_v(theta)
             return -(v * polyval(f, u) + sign * polyval(g, u)) * (du_per_v * v)
 
-        return _quad(integrand, lo, hi)
+        return integrate(integrand, lo, hi)
 
     if index <= 1:
         f, g = (fc["a0"], fc["b0"]) if index == 0 else (fc["a1"], fc["b1"])
@@ -102,8 +102,8 @@ def quad_I(sys: LienardSystem, h: float, index: int) -> float:
             return polyval(big_g, u) * polyval(fc["a0"], u)
 
         # int_AB dt and int_BA dt with dt = -d(theta)
-        ab = _quad(weight, -_HALF_PI, _HALF_PI)
-        ba = _quad(weight, -3 * _HALF_PI, -_HALF_PI)
+        ab = integrate(weight, -_HALF_PI, _HALF_PI)
+        ba = integrate(weight, -3 * _HALF_PI, -_HALF_PI)
         return i2_sign * ab - i2_sign * ba
     on_y = sys.case is Case.SWITCH_Y
     if on_y and index == 3:

@@ -221,13 +221,3 @@ def bifurcation_increment(sys: LienardSystem, h: float, lam: float,
     x, y, _t, _c = _run(sys, 1, 0.0, a, config)
     return 0.5 * y * y - h
 
-
-def theorem_form_equivalent(sys: LienardSystem, folded: LienardSystem,
-                            r_values, config: SimConfig, tol: float = 1e-7):
-    """Check that the multi-parameter and folded systems return identically."""
-    worst = 0.0
-    for r in r_values:
-        c1, _t1, _x1 = advance_to_section(sys, r, config)
-        c2, _t2, _x2 = advance_to_section(folded, r, config)
-        worst = max(worst, abs(c1 - c2))
-    return worst <= tol, worst

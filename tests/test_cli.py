@@ -2,6 +2,9 @@
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +20,19 @@ def read_json(path):
 @pytest.fixture
 def outdir(tmp_path):
     return tmp_path / "out"
+
+
+def test_import_loads_neither_numpy_nor_scipy():
+    """The exact core is standard library only; scipy loads on the first
+    quadrature.  A fresh interpreter, since this one may have both."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, pwlienard.cli; "
+         "print(sorted({'numpy', 'scipy'} & set(sys.modules)))"],
+        capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 def test_melnikov_report(outdir):

@@ -1,12 +1,16 @@
 """Inverse design: placing the positive zeros of M1 at requested energies."""
 
 import math
+import random
 
 import pytest
 
-from pwlienard import (Case, InfeasibleShape, TooManyTargets, design_case_x,
-                       design_case_y, expand, isolate_positive_roots,
-                       load_preset, verify_design)
+from pwlienard import (Case, InfeasibleShape, NoConvergence, TooManyTargets,
+                       design_case_x, design_case_y, expand,
+                       isolate_positive_roots, load_preset, verify_design)
+from pwlienard.design import _odd_jacobian
+from pwlienard.melnikov import (_a_hat_factor, _c_weight_factor,
+                                _time_weight_factor, _x_odd_block)
 from pwlienard.roots import CERT_SIMPLE
 
 
@@ -64,6 +68,26 @@ class TestCaseX:
         for r, t in zip(report.h_roots, sorted(targets)):
             assert r.mid == pytest.approx(t, rel=1e-6)
 
+    @pytest.mark.parametrize("m,n,targets", [
+        (5, 3, [0.75, 1.75, 3.25, 5.5]),
+        (6, 5, [0.5, 1.5, 2.5, 3.5]),
+        (7, 7, [0.5, 1.0, 2.0, 4.0]),
+    ])
+    def test_targets_placed_n_at_least_3(self, m, n, targets):
+        sys_ = design_case_x(targets, m, n)
+        ok, residuals, m1 = verify_design(sys_, targets)
+        assert ok, residuals
+        report = isolate_positive_roots(m1, Case.SWITCH_X, m, n)
+        for t in targets:
+            assert any(r.certificate == CERT_SIMPLE
+                       and r.mid == pytest.approx(t, rel=1e-6)
+                       for r in report.h_roots), t
+
+    def test_targets_too_close_in_sqrt_h(self):
+        # two float targets with one square root cannot be two simple zeros
+        with pytest.raises(NoConvergence):
+            design_case_x([2.0, math.nextafter(2.0, 3.0)], 3, 3)
+
     def test_exact_when_no_time_weight_block(self):
         # n = 0 keeps the odd block linear, so residuals are at rounding level
         targets = [1.0, 3.0]
@@ -92,6 +116,36 @@ class TestCaseX:
     def test_empty_targets(self):
         sys_ = design_case_x([], 3, 3)
         assert expand(sys_).m1.is_zero()
+
+
+@pytest.mark.parametrize("m,n", [(1, 1), (3, 3), (4, 5), (7, 7), (7, 3),
+                                 (2, 7)])
+def test_odd_jacobian_matches_central_difference(m, n):
+    hm_odd, n_t = (m - 1) // 2, (n - 1) // 2
+    c_weight = [_c_weight_factor(j).to_float() for j in range(n_t + 1)]
+    time_w = [_time_weight_factor(l).to_float()
+              for l in range(hm_odd + n_t + 1)]
+    a_hat = [_a_hat_factor(l).to_float() for l in range(hm_odd + 1)]
+
+    def block(u):
+        out = _x_odd_block(u[:hm_odd + 1], [1.0] + u[hm_odd + 1:],
+                           c_weight, time_w, a_hat)
+        return [out.get(l, 0.0) for l in range(len(time_w))]
+
+    rng = random.Random(m * 8 + n)
+    for _ in range(10):
+        u = [rng.uniform(-2.0, 2.0) for _ in range(hm_odd + 1 + n_t)]
+        jac = _odd_jacobian(u[:hm_odd + 1], [1.0] + u[hm_odd + 1:],
+                            c_weight, time_w, a_hat)
+        size = max(abs(v) for row in jac for v in row)
+        for k in range(len(u)):
+            step = 1e-5 * max(1.0, abs(u[k]))
+            up, down = list(u), list(u)
+            up[k] += step
+            down[k] -= step
+            for l, (hi, lo) in enumerate(zip(block(up), block(down))):
+                assert jac[l][k] == pytest.approx(
+                    (hi - lo) / (2 * step), rel=1e-6, abs=1e-6 * size)
 
 
 def test_verify_design_flags_misses():

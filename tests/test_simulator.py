@@ -11,8 +11,7 @@ from pwlienard import (Case, EscapeAnnulus, LienardSystem, RingElem, SimConfig,
                        load_preset, vector_field)
 from pwlienard import fold_to_theorem_form, theorem_form_system
 from pwlienard.melnikov import case_x_i2, case_x_i3, case_x_i_poly
-from pwlienard.simulator import BACKEND, bifurcation_increment, \
-    theorem_form_equivalent
+from pwlienard.simulator import BACKEND, bifurcation_increment
 from pwlienard import _kernel_py
 
 INV_PI = RingElem.term(1, p=-1)
@@ -60,34 +59,55 @@ def assert_twins_agree(kernel_c, args, status):
     assert [c[3] for c in c_py] == [c[3] for c in c_c]
 
 
+PARITY_INPUTS = [
+    (0, 2.0, 0.0, 2_000_000, 1e-3, 0),
+    (1, 0.0, 1.5, 2_000_000, 1e-3, 0),
+    (2, 0.0, 2.0, 2_000_000, 1e-3, 0),
+    # the lam-drift spirals inward below r_min before the return
+    (0, 2.0, 0.0, 2_000_000, 1.99, 1),
+    (1, 0.0, 1.5, 40, 1e-3, 2),
+    # the start point is (numerically) the origin: no transversal flow
+    (0, 1e-10, 0.0, 2_000_000, 1e-12, 3),
+]
+
+
+def example1_args(mode, x0, y0, max_steps, r_min):
+    fc = load_preset("example1").float_coeffs()
+    return (mode, fc["a0"], fc["a1"], fc["b0"], fc["b1"], fc["c"],
+            0.02, 4e-4, x0, y0, 1e-10, 1e-12, max_steps, r_min, 50.0)
+
+
+def five_vector_args(mode):
+    """Five nonzero vectors of unequal lengths, p of degree 3 and q of
+    degree 2: the twins pad the shorter vectors and fold them alike."""
+    x0, y0 = (1.5, 0.0) if mode == 0 else (0.0, 1.5)
+    return (mode, [0.0, 1.5, -0.4, 0.3], [0.7, -1.0], [0.9, 0.6],
+            [-0.3, 1.1, 0.4], [0.0, 0.8],
+            0.02, 4e-4, x0, y0, 1e-10, 1e-12, 2_000_000, 1e-3, 50.0)
+
+
 class TestKernelParity:
-    @pytest.mark.parametrize("mode,x0,y0,max_steps,r_min,status", [
-        (0, 2.0, 0.0, 2_000_000, 1e-3, 0),
-        (1, 0.0, 1.5, 2_000_000, 1e-3, 0),
-        (2, 0.0, 2.0, 2_000_000, 1e-3, 0),
-        # the lam-drift spirals inward below r_min before the return
-        (0, 2.0, 0.0, 2_000_000, 1.99, 1),
-        (1, 0.0, 1.5, 40, 1e-3, 2),
-        # the start point is (numerically) the origin: no transversal flow
-        (0, 1e-10, 0.0, 2_000_000, 1e-12, 3),
-    ])
+    @pytest.mark.parametrize("mode,x0,y0,max_steps,r_min,status",
+                             PARITY_INPUTS)
     def test_backends_agree(self, kernel_c, mode, x0, y0, max_steps, r_min,
                             status):
-        sys_ = load_preset("example1")
-        fc = sys_.float_coeffs()
-        args = (mode, fc["a0"], fc["a1"], fc["b0"], fc["b1"], fc["c"],
-                0.02, 4e-4, x0, y0, 1e-10, 1e-12, max_steps, r_min, 50.0)
-        assert_twins_agree(kernel_c, args, status)
+        assert_twins_agree(
+            kernel_c, example1_args(mode, x0, y0, max_steps, r_min), status)
 
     @pytest.mark.parametrize("mode", [0, 1, 2])
     def test_backends_agree_five_vectors(self, kernel_c, mode):
-        """Five nonzero vectors of unequal lengths, p of degree 3 and q of
-        degree 2: the twins pad the shorter vectors and fold them alike."""
-        x0, y0 = (1.5, 0.0) if mode == 0 else (0.0, 1.5)
-        args = (mode, [0.0, 1.5, -0.4, 0.3], [0.7, -1.0], [0.9, 0.6],
-                [-0.3, 1.1, 0.4], [0.0, 0.8],
-                0.02, 4e-4, x0, y0, 1e-10, 1e-12, 2_000_000, 1e-3, 50.0)
-        assert_twins_agree(kernel_c, args, 0)
+        assert_twins_agree(kernel_c, five_vector_args(mode), 0)
+
+    def test_backends_bitwise_equal(self, kernel_c):
+        """Both twins take every norm as sqrt(x*x + y*y), so on every parity
+        input they end at the same bits, not only within the bounds."""
+        inputs = [example1_args(*row[:5]) for row in PARITY_INPUTS] \
+            + [five_vector_args(mode) for mode in (0, 1, 2)]
+        for args in inputs:
+            s_py, x_py, y_py, t_py, _c = _kernel_py.integrate_return(*args)
+            s_c, x_c, y_c, t_c, _c = kernel_c.integrate_return(*args)
+            assert (s_py, x_py.hex(), y_py.hex(), t_py.hex()) \
+                == (s_c, x_c.hex(), y_c.hex(), t_c.hex()), args[0]
 
     def test_compiled_contract(self, kernel_c):
         assert kernel_c.BACKEND_NAME == "compiled"
@@ -200,6 +220,16 @@ class TestGuards:
             0, [0.0], [0.0], [0.0], [0.0], [0.0], 0.0, 0.0,
             1e-10, 0.0, 1e-10, 1e-12, 1000, 1e-12, 50.0)
         assert status == 3
+
+
+def theorem_form_equivalent(sys_, folded, r_values, config, tol=1e-7):
+    """Check that the multi-parameter and folded systems return identically."""
+    worst = 0.0
+    for r in r_values:
+        c1, _t1, _x1 = advance_to_section(sys_, r, config)
+        c2, _t2, _x2 = advance_to_section(folded, r, config)
+        worst = max(worst, abs(c1 - c2))
+    return worst <= tol, worst
 
 
 class TestFoldedEquivalence:
