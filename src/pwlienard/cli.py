@@ -15,9 +15,9 @@ from dataclasses import asdict
 
 from . import melnikov, oracle, roots, simulator
 from .design import design_case_x, design_case_y, verify_design
-from .errors import (NegativeEnergy, NoConvergence, OddnessViolated,
-                     PwLienardError, QuadratureFailure, SimulationError,
-                     TooManyTargets, ZeroPolynomial)
+from .errors import (InfeasibleShape, NegativeEnergy, NoConvergence,
+                     OddnessViolated, PwLienardError, QuadratureFailure,
+                     SimulationError, TooManyTargets, ZeroPolynomial)
 from .systems import PRESET_NAMES, Case, LienardSystem, load_preset
 
 EXIT_OK = 0
@@ -355,8 +355,9 @@ def main(argv=None) -> int:
         return EXIT_VALIDATION
     try:
         return args.func(args)
-    except (SystemExit2, TooManyTargets, ZeroPolynomial, NegativeEnergy,
-            OddnessViolated, ValueError, KeyError, OSError) as exc:
+    except (SystemExit2, TooManyTargets, InfeasibleShape, ZeroPolynomial,
+            NegativeEnergy, OddnessViolated, ValueError, KeyError,
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (QuadratureFailure, NoConvergence, SimulationError,

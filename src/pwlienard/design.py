@@ -1,7 +1,8 @@
 """Inverse design: place the positive zeros of M1 at requested energies.
 
 Every exact coefficient is the inverse of a :mod:`pwlienard.melnikov`
-factor times a target coefficient; the designer re-derives no closed form.
+factor times a target coefficient, and which monomials a shape can carry is
+read from ``melnikov.support``; the designer re-derives no closed form.
 
 Switch-on-y systems are designed exactly and triangularly, using the single
 nonzero ``c`` monomial trick: only ``c_{2*[n/2]}`` is nonzero, chosen so its
@@ -27,7 +28,7 @@ from .errors import InfeasibleShape, NoConvergence, TooManyTargets
 from .melnikov import (_a_hat_factor, _a_tilde_factor, _b_star_factor,
                        _b_tilde_factor, _c_star_factor, _c_weight_factor,
                        _time_weight_factor, _x_odd_block, case_x_m1, case_y_m1,
-                       zero_bound)
+                       support, zero_bound)
 from .systems import Case, LienardSystem
 
 NEWTON_TOL = 1e-9
@@ -63,7 +64,7 @@ def _product_s_poly(s_roots, lowest_power: int):
 def design_case_y(targets, m: int, n: int) -> LienardSystem:
     """Exact system whose M1 vanishes (simply) at each target energy."""
     targets = _check_targets(targets, Case.SWITCH_Y, m, n)
-    half_m, half_n = m // 2, n // 2
+    half_n = n // 2
     a1 = [RingElem.zero()] * (m + 1)
     b0 = [RingElem.zero()] * (n + 1)
     b1 = [RingElem.zero()] * (n + 1)
@@ -74,13 +75,15 @@ def design_case_y(targets, m: int, n: int) -> LienardSystem:
     c[2 * half_n] = _c_star_factor(half_n).invert_monomial()
 
     q_poly = _product_s_poly([math.sqrt(t) for t in targets], 1)
+    outside = sorted(set(q_poly) - support(Case.SWITCH_Y, m, n, "M1"))
+    if outside:
+        raise InfeasibleShape(
+            f"monomial s^{outside[0]} is outside the M1 support of the"
+            f" (m, n) = ({m}, {n}) shape")
     for k, q in q_poly.items():
         coeff = RingElem.rational(q)
         if k % 2 == 0:
             i = k // 2 - 1  # h^(i+1) channel via a^(1)_{2i}
-            if i < 0 or i > half_m:
-                raise InfeasibleShape(
-                    f"monomial s^{k} needs a^(1) index {i} beyond [m/2] = {half_m}")
             a1[2 * i] = _a_tilde_factor(i, +1).invert_monomial() * coeff
         else:
             l = (k - 1) // 2  # h^(l+1/2) channel
@@ -89,26 +92,11 @@ def design_case_y(targets, m: int, n: int) -> LienardSystem:
             else:
                 # convolution channel: b~_l = b*_{l - [n/2]} * c*_{[n/2]}
                 i = l - half_n
-                if 2 * i + 1 > n:
-                    raise InfeasibleShape(
-                        f"monomial s^{k} needs g0 coefficient b0_{2 * i + 1}"
-                        f" beyond n = {n}")
                 b0[2 * i + 1] = _b_star_factor(i).invert_monomial() * coeff
     return LienardSystem.build(Case.SWITCH_Y, m, n, a1=a1, b0=b0, b1=b1, c=c)
 
 
 # -- switch-on-x ---------------------------------------------------------------
-
-
-def _allowed_exponents_x(m: int, n: int):
-    # odd-power channels draw on a0 indices 2i+1 <= m and c indices 2j+1 <= n,
-    # so for even m the top slot implied by the theorem bound does not exist
-    half_m = m // 2
-    hm_odd = (m - 1) // 2
-    n_t = (n - 1) // 2 if n >= 1 else 0
-    even = [2 * (l + 1) for l in range(half_m + 1)]
-    odd = [2 * l + 3 for l in range(hm_odd + n_t + 1)] if m >= 1 else []
-    return sorted(even + odd)
 
 
 def _solve(a, b):
@@ -149,26 +137,33 @@ def _null_space_poly(s_roots, exponents, near: int):
 
 def _newton_solve(fun, jac, u, scale):
     """Damped Newton from u: (root, residual), or (None, best residual)
-    when it does not converge or meets a singular Jacobian."""
-    best = math.inf
+    when it does not converge or meets a singular Jacobian.
+
+    Within tolerance it steps on while the residual still falls: the
+    tolerance bounds the odd-block residual, not |M1| at the targets."""
+    best, best_u = math.inf, None
     for _ in range(NEWTON_MAX_ITER):
         r = fun(u)
         err = max(map(abs, r))
-        best = min(best, err)
-        if err <= NEWTON_TOL * scale:
-            return u, err
+        if err < best:
+            best, best_u = err, u
+        elif best <= NEWTON_TOL * scale:
+            break
         delta = _solve(jac(u), r)
         if delta is None:
             break
-        # damped update
+        # damped update; within tolerance a full step, which the next
+        # residual accepts or rejects
         t = 1.0
         base = math.hypot(*r)
-        while t > 1e-6:
+        while t > 1e-6 and best > NEWTON_TOL * scale:
             trial = [x - t * d for x, d in zip(u, delta)]
             if math.hypot(*fun(trial)) < base:
                 break
             t *= 0.5
         u = [x - t * d for x, d in zip(u, delta)]
+    if best <= NEWTON_TOL * scale:
+        return best_u, best
     return None, best
 
 
@@ -182,7 +177,7 @@ def design_case_x(targets, m: int, n: int) -> LienardSystem:
     if not targets:
         return LienardSystem.build(Case.SWITCH_X, m, n, a0=a0, a1=a1, c=c)
 
-    exponents = _allowed_exponents_x(m, n)
+    exponents = sorted(support(Case.SWITCH_X, m, n, "M1"))
     if len(targets) >= len(exponents):
         raise InfeasibleShape(
             f"{len(targets)} targets need more monomials than the (m, n) = "
@@ -190,8 +185,16 @@ def design_case_x(targets, m: int, n: int) -> LienardSystem:
     # The odd block is a^ * a + time_w * A C, A = sum a_odd[i] x^i and
     # C = sum c_weight[j] c_odd[j] x^j, C(0) fixed: odd targets led by x^hm_odd
     # split as A ~ x^hm_odd, C ~ C(0) (the initial guess), so lead with it.
-    coeff_by_exp = _null_space_poly([math.sqrt(t) for t in targets],
-                                    exponents, 2 * hm_odd + 3)
+    # For one target that lead is a double zero when its exponent is the
+    # mean exponent; then lead with the nearest monomial that gives simple
+    # zeros.
+    s_roots = [math.sqrt(t) for t in targets]
+    for near in sorted(exponents, key=lambda e: abs(e - 2 * hm_odd - 3)):
+        coeff_by_exp = _null_space_poly(s_roots, exponents, near)
+        slopes = [[e * v * s ** e for e, v in coeff_by_exp.items()]
+                  for s in s_roots]
+        if all(abs(math.fsum(d)) > 1e-12 * sum(map(abs, d)) for d in slopes):
+            break
     # even exponents: exact linear inversion through a^(1)
     for e, v in coeff_by_exp.items():
         if e % 2 == 0:
@@ -263,11 +266,11 @@ def _odd_jacobian(a_odd, c_odd, c_weight, time_w, a_hat):
     return [[col.get(l, 0.0) for col in cols] for l in range(len(time_w))]
 
 
-def verify_design(sys: LienardSystem, targets, rel_tol: float = NEWTON_TOL):
+def verify_design(sys: LienardSystem, targets):
     """Residuals |M1(t)| at each target, against the polynomial scale."""
     m1 = case_y_m1(sys) if sys.case is Case.SWITCH_Y else case_x_m1(sys)
     scale = max((abs(c.to_float()) for c in m1.coeffs.values()), default=1.0)
     residuals = [abs(m1.eval(t)) for t in targets]
-    ok = all(r <= rel_tol * scale * max(1.0, t) ** (
+    ok = all(r <= NEWTON_TOL * scale * max(1.0, t) ** (
         (m1.degree_key() or 0) / 2) for r, t in zip(residuals, targets))
     return ok, residuals, m1

@@ -37,16 +37,6 @@ def wallis_odd(i: int) -> RingElem:
     return RingElem.rational(q)
 
 
-def wallis_even(j: int) -> RingElem:
-    """Integral of sin^j over [0, 2*pi] for even j: 2*pi * prod (2l-1)/(2l)."""
-    if j % 2:
-        raise ValueError("wallis_even needs even j; odd powers integrate to 0")
-    q = Fraction(2)
-    for l in range(1, j // 2 + 1):
-        q *= Fraction(2 * l - 1, 2 * l)
-    return RingElem.term(q, p=1)
-
-
 def _a_tilde_factor(j: int, sign: int) -> RingElem:
     """sign * (2*pi/(j+1)) * prod_{l=1..j} (2l-1)/l, the a_{2j} -> h^{j+1} factor."""
     q = Fraction(2 * sign, j + 1)
@@ -231,12 +221,16 @@ def closed_term(sys: LienardSystem, i: int, h: float) -> float:
     return (case_x_i2 if i == 2 else case_x_i3)(odd).eval(h)
 
 
-def zero_bound(case: Case, m: int, n: int, which: str) -> int:
-    """Maximum number of positive zeros of M0 or M1 for the given shape."""
+def _check_shape(m: int, n: int, which: str):
     if m < 0 or n < 0:
         raise ValueError("degrees must be non-negative")
     if which not in ("M0", "M1"):
         raise ValueError("which must be 'M0' or 'M1'")
+
+
+def zero_bound(case: Case, m: int, n: int, which: str) -> int:
+    """Maximum number of positive zeros of M0 or M1 for the given shape."""
+    _check_shape(m, n, which)
     if case is Case.SWITCH_Y:
         if which == "M0":
             return m // 2 + n // 2 + 1
@@ -246,6 +240,30 @@ def zero_bound(case: Case, m: int, n: int, which: str) -> int:
     if n >= 1:
         return 2 * (m // 2) + (n + 1) // 2
     return 2 * (m // 2) + 1
+
+
+def support(case: Case, m: int, n: int, which: str) -> frozenset:
+    """Doubled exponents k of the monomials h^(k/2) that the closed form of
+    M0 or M1 can carry for the given shape.
+
+    A polynomial in s = sqrt(h) with this many monomials has at most
+    ``len(support(...)) - 1`` positive zeros (Descartes' rule of signs);
+    ``zero_bound`` is the paper's number and can exceed it.
+    """
+    _check_shape(m, n, which)
+    # a~ channel: a_{2j} -> h^(j+1), j <= [m/2] (a0 in M0, a1 in M1)
+    out = {2 * j + 2 for j in range(m // 2 + 1)}
+    if case is Case.SWITCH_Y:
+        # b~ channel: b_{2j} -> h^(j+1/2), j <= [n/2]; in M1 the b*/c*
+        # convolution of b0_{2i+1} and c_{2j} adds l = i + j <= n - 1
+        top = n // 2 if which == "M0" else max(n // 2, n - 1)
+        return frozenset(out | {2 * l + 1 for l in range(top + 1)})
+    if which == "M1" and m >= 1:
+        # odd block h^(l+3/2): a^_l for a0_{2l+1}, l <= [(m-1)/2], and
+        # a*_l = sum_{i+j=l} a0_{2i+1} c_{2j+1}, l <= [(m-1)/2] + [(n-1)/2]
+        top = (m - 1) // 2 + max(0, (n - 1) // 2)
+        out |= {2 * l + 3 for l in range(top + 1)}
+    return frozenset(out)
 
 
 # -- folding to the single-small-parameter form --------------------------------
@@ -288,19 +306,3 @@ def theorem_form_system(form: TheoremForm) -> LienardSystem:
         c=[RingElem.from_float(v) for v in form.gbar],
         lam=form.lam, eps=form.lam,
     )
-
-
-def expansion_exponents(exp: MelnikovExpansion) -> dict:
-    """Allowed doubled exponents for each polynomial, per the closed forms."""
-    m, n = exp.m, exp.n
-    if exp.case is Case.SWITCH_Y:
-        m0 = {2 * (j + 1) for j in range(m // 2 + 1)} \
-            | {2 * j + 1 for j in range(n // 2 + 1)}
-        m1 = {2 * (i + 1) for i in range(m // 2 + 1)} \
-            | {2 * l + 1 for l in range(2 * (n // 2) + 1)}
-    else:
-        m0 = {2 * (j + 1) for j in range(m // 2 + 1)}
-        top = m // 2 + ((n + 1) // 2 - 1 if n >= 1 else 0)
-        m1 = {2 * (l + 1) for l in range(m // 2 + 1)} \
-            | {2 * l + 3 for l in range(top + 1)}
-    return {"M0": m0, "M1": m1}

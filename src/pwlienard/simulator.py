@@ -4,14 +4,12 @@ limit-cycle location and the finite-difference bifurcation increment.
 The hot stepping loop lives in a kernel module with two interchangeable
 implementations: a C extension (``pwlienard._kernel_c``, built from one C99
 file with any C compiler) and a pure Python twin (``pwlienard._kernel_py``).
-The compiled one is used when it imported successfully; set
-``PWLIENARD_BACKEND=python`` to force the fallback.
+The compiled one is used when it imports; otherwise the Python twin.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 
 from . import _kernel_py
@@ -20,18 +18,15 @@ from .errors import (EscapeAnnulus, MaxStepsExceeded, NonTransversalCrossing,
                      PwLienardError)
 from .systems import Case, LienardSystem
 
-_FORCED = os.environ.get("PWLIENARD_BACKEND", "")
-if _FORCED == "python":
+try:
+    from . import _kernel_c as _kernel  # type: ignore[attr-defined]
+except ImportError:
     _kernel = _kernel_py
-else:
-    try:
-        from . import _kernel_c as _kernel  # type: ignore[attr-defined]
-    except ImportError:
-        if _FORCED == "compiled":
-            raise
-        _kernel = _kernel_py
 
 BACKEND = _kernel.BACKEND_NAME
+
+EVENT_TOL = 1e-12  # |switching variable| that ends event location
+MAX_STEPS = 2_000_000  # RK steps allowed for one return
 
 
 @dataclass(frozen=True)
@@ -39,8 +34,6 @@ class SimConfig:
     lam: float = 0.0
     eps: float = 0.0
     rk_tol: float = 1e-10
-    event_tol: float = 1e-12
-    max_steps: int = 2_000_000
     r_min: float = 1e-3
     r_max: float = 50.0
 
@@ -49,8 +42,8 @@ class SimConfig:
             raise ValueError("r_min must be below r_max")
         if self.lam < 0 or self.eps < 0:
             raise ValueError("lambda and eps must be non-negative")
-        if not (self.rk_tol > 0 and self.event_tol > 0 and self.max_steps >= 1):
-            raise ValueError("rk_tol and event_tol must be positive, max_steps >= 1")
+        if not self.rk_tol > 0:
+            raise ValueError("rk_tol must be positive")
 
 
 @dataclass(frozen=True)
@@ -91,13 +84,13 @@ def _run(sys: LienardSystem, mode: int, x0: float, y0: float,
     eps = config.eps if (config.lam or config.eps) else sys.eps
     status, x, y, t, crossings = _kernel.integrate_return(
         mode, fc["a0"], fc["a1"], fc["b0"], fc["b1"], fc["c"],
-        lam, eps, x0, y0, config.rk_tol, config.event_tol,
-        config.max_steps, config.r_min, config.r_max)
+        lam, eps, x0, y0, config.rk_tol, EVENT_TOL, MAX_STEPS,
+        config.r_min, config.r_max)
     if status == 1:
         raise EscapeAnnulus(
             f"trajectory left [{config.r_min}, {config.r_max}] at t = {t:.4f}")
     if status == 2:
-        raise MaxStepsExceeded(f"no return after {config.max_steps} steps")
+        raise MaxStepsExceeded(f"no return after {MAX_STEPS} steps")
     if status == 3:
         raise NonTransversalCrossing(
             f"switching-line crossing with normal velocity below guard at t = {t:.4f}")

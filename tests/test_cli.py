@@ -260,8 +260,11 @@ def test_roots_m0_needs_no_oddness(outdir, preset):
     ["design", "--case", "Y", "--m", "3", "--n", "3", "--targets", "inf,1"],
     ["melnikov", "--preset", "remark-eqMM"],
     ["roots", "--preset", "remark-pw-cubic", "--which", "M1"],
+    ["design", "--case", "X", "--m", "0", "--n", "3", "--targets", "1"],
+    ["design", "--case", "Y", "--m", "0", "--n", "3", "--targets", "1,2,3"],
 ], ids=["zero-M0", "zero-M1", "negative-h", "infinite-target",
-        "even-f0-melnikov", "even-f0-roots"])
+        "even-f0-melnikov", "even-f0-roots", "infeasible-shape-X",
+        "infeasible-shape-Y"])
 def test_input_errors_are_validation_errors(outdir, capsys, argv):
     """Errors in the input exit 2 with an error line, not as numerical
     failures."""

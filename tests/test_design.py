@@ -72,6 +72,10 @@ class TestCaseX:
         (5, 3, [0.75, 1.75, 3.25, 5.5]),
         (6, 5, [0.5, 1.5, 2.5, 3.5]),
         (7, 7, [0.5, 1.0, 2.0, 4.0]),
+        # Newton within tolerance but with |M1| at a target above
+        # verify_design's bound, or a root 5.7e-4 off its target
+        (7, 5, [1.75, 3.75]),
+        (6, 5, [0.75, 4.25, 4.75, 5.75]),
     ])
     def test_targets_placed_n_at_least_3(self, m, n, targets):
         sys_ = design_case_x(targets, m, n)
@@ -82,6 +86,17 @@ class TestCaseX:
             assert any(r.certificate == CERT_SIMPLE
                        and r.mid == pytest.approx(t, rel=1e-6)
                        for r in report.h_roots), t
+
+    @pytest.mark.parametrize("m,n", [(2, 1), (3, 6)])
+    def test_single_target_is_a_simple_zero(self, m, n):
+        # leading the null vector with s^(2[(m-1)/2]+3), the mean exponent
+        # of these shapes, would make the one target a double zero
+        sys_ = design_case_x([4.75], m, n)
+        report = isolate_positive_roots(expand(sys_).m1, Case.SWITCH_X, m, n)
+        assert not report.suspected
+        assert any(r.certificate == CERT_SIMPLE
+                   and r.mid == pytest.approx(4.75, rel=1e-9)
+                   for r in report.h_roots)
 
     def test_targets_too_close_in_sqrt_h(self):
         # two float targets with one square root cannot be two simple zeros

@@ -13,9 +13,12 @@ from pwlienard import (Case, HalfPowerPoly, LienardSystem, OddnessViolated,
 from pwlienard.melnikov import (_a_hat_factor, _c_weight_factor,
                                 _time_weight_factor, _x_odd_block, case_x_i2,
                                 case_x_i3, case_x_m0, case_y_m0, case_y_m1,
-                                expansion_exponents, wallis_even, wallis_odd)
+                                support, wallis_odd)
 
 from conftest import random_sweep_system
+
+
+SHAPES = [(case, m, n) for case in Case for m in range(8) for n in range(8)]
 
 
 def rational(q):
@@ -62,11 +65,6 @@ class TestExactValues:
         assert wallis_odd(0) == RingElem.one()
         assert wallis_odd(1) == rational(Fraction(2, 3))
         assert wallis_odd(2) == rational(Fraction(8, 15))
-        assert wallis_even(0) == PI * rational(2)
-        assert wallis_even(2) == PI
-        assert wallis_even(4) == PI * rational(Fraction(3, 4))
-        with pytest.raises(ValueError):
-            wallis_even(3)
 
 
 def test_odd_block_on_floats_matches_closed_form(rng):
@@ -111,13 +109,19 @@ class TestVanishing:
 
 class TestShapeInvariants:
     def test_support_within_allowed_exponents(self, rng):
-        for _ in range(40):
-            case = rng.choice([Case.SWITCH_Y, Case.SWITCH_X])
-            sys_ = random_sweep_system(rng, case, enforce_odd=False)
-            exp = expand(sys_, project_odd=True)
-            allowed = expansion_exponents(exp)
-            assert set(exp.m0.coeffs) <= allowed["M0"]
-            assert set(exp.m1.coeffs) <= allowed["M1"]
+        """Over random systems of each shape, the closed forms carry exactly
+        the monomials of the support table, no more and no fewer."""
+        for case, m, n in SHAPES:
+            seen = {"M0": set(), "M1": set()}
+            for _ in range(8):
+                sys_ = random_sweep_system(rng, case, enforce_odd=False,
+                                           m=m, n=n)
+                exp = expand(sys_, project_odd=True)
+                seen["M0"] |= set(exp.m0.coeffs)
+                seen["M1"] |= set(exp.m1.coeffs)
+            for which in ("M0", "M1"):
+                assert seen[which] == support(case, m, n, which), \
+                    (case, m, n, which)
 
     def test_zero_bound_table(self):
         assert zero_bound(Case.SWITCH_Y, 3, 3, "M0") == 3
@@ -129,19 +133,32 @@ class TestShapeInvariants:
         assert zero_bound(Case.SWITCH_Y, 0, 0, "M1") == 1
 
     def test_zero_bound_validation(self):
-        with pytest.raises(ValueError):
-            zero_bound(Case.SWITCH_Y, -1, 0, "M1")
-        with pytest.raises(ValueError):
-            zero_bound(Case.SWITCH_Y, 1, 1, "M2")
+        for table in (zero_bound, support):
+            with pytest.raises(ValueError):
+                table(Case.SWITCH_Y, -1, 0, "M1")
+            with pytest.raises(ValueError):
+                table(Case.SWITCH_Y, 1, 1, "M2")
 
-    def test_bound_equals_monomial_capacity(self, rng):
-        """The M1 bound is exactly (number of allowed monomials) - 1."""
-        for _ in range(30):
-            case = rng.choice([Case.SWITCH_Y, Case.SWITCH_X])
-            sys_ = random_sweep_system(rng, case)
-            exp = expand(sys_)
-            allowed = expansion_exponents(exp)["M1"]
-            assert len(allowed) - 1 == zero_bound(case, sys_.m, sys_.n, "M1")
+    def test_bound_equals_monomial_capacity(self):
+        """Descartes' bound from the support, (monomials) - 1, equals the
+        paper's zero bound except in the 56 shapes whose top channel slot
+        the closed forms cannot fill."""
+        below = 0
+        for case, m, n in SHAPES:
+            bound = zero_bound(case, m, n, "M1")
+            if case is Case.SWITCH_Y and n >= 2 and n % 2 == 0:
+                expected = bound - 1
+            elif case is Case.SWITCH_X and m == 0:
+                expected = 0
+            elif case is Case.SWITCH_X and m % 2 == 0:
+                expected = bound - 1
+            else:
+                expected = bound
+            below += expected < bound
+            assert len(support(case, m, n, "M1")) - 1 == expected, (case, m, n)
+            assert len(support(case, m, n, "M0")) - 1 \
+                == zero_bound(case, m, n, "M0")
+        assert below == 56
 
 
 class TestFolding:

@@ -206,11 +206,8 @@ class TestGuards:
             find_cycles(load_preset("example1"), (1.0, 2.0), grid_n,
                         SimConfig())
 
-    @pytest.mark.parametrize("kwargs", [
-        {"rk_tol": -1.0}, {"rk_tol": 0.0}, {"event_tol": -1e-12},
-        {"event_tol": 0.0}, {"max_steps": 0}, {"max_steps": -5},
-    ], ids=["rk_tol-negative", "rk_tol-zero", "event_tol-negative",
-            "event_tol-zero", "max_steps-zero", "max_steps-negative"])
+    @pytest.mark.parametrize("kwargs", [{"rk_tol": -1.0}, {"rk_tol": 0.0}],
+                             ids=["rk_tol-negative", "rk_tol-zero"])
     def test_config_rejects_bad_tolerances(self, kwargs):
         with pytest.raises(ValueError):
             SimConfig(**kwargs)
