@@ -12,6 +12,14 @@
  * Norms are sqrt(x*x + y*y) as in the Python twin; hypot is not bitwise
  * portable.
  *
+ * Stepping and event location follow the Python twin, operation for
+ * operation: FSAL (stage 7 of an accepted step is the next step's stage 1,
+ * and a rejected step reuses stage 1); a crossing's first estimate is the
+ * root of the switch coordinate on the DOPRI5 continuous extension (weights
+ * d1..d7); Newton substeps on the substep length, each with its own stage 7
+ * as dw/dt and kept inside a sign bracket, land on the line; the step size
+ * carries across a crossing.
+ *
  * Build: python3 setup.py build_ext --inplace   (needs only a C compiler)
  */
 
@@ -23,8 +31,11 @@
 
 static const double TRANSVERSAL_GUARD = 1e-8;
 static const double MIN_RETURN_TIME = 0.5;
+static const int ROOT_ITER = 50;  /* bracketed Newton on the dense output */
+static const int LAND_ITER = 60;  /* landing substeps; bisection needs 54 */
 
-/* Dormand-Prince 5(4) tableau */
+/* Dormand-Prince 5(4) tableau.  Row 6 of A5 is the 5th-order weights, so
+   stage 7 is the field at the step's end point: the next step's stage 1. */
 static const double A5[7][6] = {
     {0, 0, 0, 0, 0, 0},
     {1.0 / 5, 0, 0, 0, 0, 0},
@@ -34,10 +45,15 @@ static const double A5[7][6] = {
     {9017.0 / 3168, -355.0 / 33, 46732.0 / 5247, 49.0 / 176, -5103.0 / 18656, 0},
     {35.0 / 384, 0.0, 500.0 / 1113, 125.0 / 192, -2187.0 / 6784, 11.0 / 84},
 };
-static const double B5[7] = {35.0 / 384, 0.0, 500.0 / 1113, 125.0 / 192,
-                             -2187.0 / 6784, 11.0 / 84, 0.0};
 static const double B4[7] = {5179.0 / 57600, 0.0, 7571.0 / 16695, 393.0 / 640,
                              -92097.0 / 339200, 187.0 / 2100, 1.0 / 40};
+/* dense-output weights d1..d7 of the continuous extension */
+static const double D[7] = {-12715105075.0 / 11282082432, 0.0,
+                            87487479700.0 / 32700410799,
+                            -10690763975.0 / 1880347072,
+                            701980252875.0 / 199316789632,
+                            -1453857185.0 / 822651844,
+                            69997945.0 / 29380423};
 
 /* the folded field polynomials p and q */
 typedef struct {
@@ -66,30 +82,68 @@ static void field(int mode, const Coeffs *co, double x, double y,
     }
 }
 
-/* One Dormand-Prince step; stores (x5, y5) and returns the error norm. */
+/* One Dormand-Prince step from stage 1 (kx[0], ky[0]); fills the other six
+   stages, kx[6], ky[6] being the field at the stored (x5, y5), and returns
+   the error norm. */
 static double rk_step(int mode, const Coeffs *co, double x, double y,
-                      double side, double h, double *xo, double *yo)
+                      double side, double h, double kx[7], double ky[7],
+                      double *xo, double *yo)
 {
-    double kx[7], ky[7];
-    field(mode, co, x, y, side, &kx[0], &ky[0]);
+    double xs = x, ys = y;
     for (int i = 1; i < 7; i++) {
-        double xs = x, ys = y;
+        xs = x;
+        ys = y;
         for (int j = 0; j < i; j++) {
-            xs += h * A5[i][j] * kx[j];
-            ys += h * A5[i][j] * ky[j];
+            double ha = h * A5[i][j];
+            xs += ha * kx[j];
+            ys += ha * ky[j];
         }
         field(mode, co, xs, ys, side, &kx[i], &ky[i]);
     }
-    double x5 = x, y5 = y, ex = 0.0, ey = 0.0;
+    double ex = 0.0, ey = 0.0;
     for (int i = 0; i < 7; i++) {
-        x5 += h * B5[i] * kx[i];
-        y5 += h * B5[i] * ky[i];
-        ex += h * (B5[i] - B4[i]) * kx[i];
-        ey += h * (B5[i] - B4[i]) * ky[i];
+        /* b5 - b4, with b5 row 6 of A5 and a zero for stage 7 */
+        double he = h * ((i < 6 ? A5[6][i] : 0.0) - B4[i]);
+        ex += he * kx[i];
+        ey += he * ky[i];
     }
-    *xo = x5;
-    *yo = y5;
+    *xo = xs;
+    *yo = ys;
     return sqrt(ex * ex + ey * ey);
+}
+
+/* The theta in (0, 1] where the continuous extension of one coordinate
+   vanishes, over a step of length h from w0 to w1 (of opposite signs, or
+   w1 == 0) with stages k; see _kernel_py._dense_root. */
+static double dense_root(double w0, double w1, const double k[7], double h)
+{
+    double dw = w1 - w0;
+    double c2 = h * k[0] - dw;
+    double c3 = dw - h * k[6] - c2;
+    double c4 = 0.0;
+    for (int j = 0; j < 7; j++)
+        c4 += D[j] * k[j];
+    c4 *= h;
+    double e1 = dw + c2, e2 = c3 + c4 - c2, e3 = -c3 - 2.0 * c4;
+    double lo = 0.0, hi = 1.0, th = w0 / (w0 - w1);
+    for (int it = 0; it < ROOT_ITER; it++) {
+        double v = (((c4 * th + e3) * th + e2) * th + e1) * th + w0;
+        if (v == 0.0)
+            break;
+        if ((v > 0.0) == (w0 > 0.0))
+            lo = th;
+        else
+            hi = th;
+        double dv = ((4.0 * c4 * th + 3.0 * e3) * th + 2.0 * e2) * th + e1;
+        double nxt = dv != 0.0 ? th - v / dv : lo;
+        if (!(lo < nxt && nxt < hi))
+            nxt = 0.5 * (lo + hi);
+        int done = fabs(nxt - th) <= 1e-14;
+        th = nxt;
+        if (done)
+            break;
+    }
+    return th;
 }
 
 /* Copy one coefficient sequence into dst; returns its length, -1 on error. */
@@ -159,17 +213,18 @@ static PyObject *integrate_return(PyObject *self, PyObject *args,
     if (crossings == NULL)
         return NULL;
 
-    double t = 0.0, h = 0.01, dxv, dyv;
+    double t = 0.0, h = 0.01, dxv, dyv, kx[7], ky[7];
     /* side-independent switch-variable velocity at the start */
     field(mode, &co, x, y, 0.0, &dxv, &dyv);
     double w0 = mode == 0 ? dyv : dxv;
     if (fabs(w0) < TRANSVERSAL_GUARD)
         return finish(3, x, y, t, crossings);
     double side = w0 > 0 ? 1.0 : -1.0;
+    field(mode, &co, x, y, side, &kx[0], &ky[0]);
 
     for (long steps = 0; steps < max_steps; steps++) {
         double x5, y5;
-        double err = rk_step(mode, &co, x, y, side, h, &x5, &y5);
+        double err = rk_step(mode, &co, x, y, side, h, kx, ky, &x5, &y5);
         double tol = rk_tol * (1.0 + sqrt(x * x + y * y));
         if (err > tol) {
             h *= fmax(0.2, 0.9 * pow(tol / err, 0.2));
@@ -180,29 +235,36 @@ static PyObject *integrate_return(PyObject *self, PyObject *args,
         /* w_old == 0 means we are leaving the line after an event (or the
            start point): not a crossing */
         if (w_old != 0.0 && ((w_old > 0.0) != (w_new > 0.0) || w_new == 0.0)) {
-            /* locate the crossing by bisection on the substep length */
-            double lo = 0.0, hi = h, xe = x5, ye = y5;
-            for (int it = 0; it < 80; it++) {
-                double mid = 0.5 * (lo + hi), xm, ym;
-                rk_step(mode, &co, x, y, side, mid, &xm, &ym);
-                double wm = mode == 0 ? ym : xm;
-                if (fabs(wm) <= event_tol) {
-                    lo = hi = mid;
-                    xe = xm;
-                    ye = ym;
+            /* start from the root of the dense output, then Newton substeps
+               on the substep length, whose dw/dt is each substep's stage 7 */
+            double s = h * dense_root(w_old, w_new, mode == 0 ? ky : kx, h);
+            double lo = 0.0, hi = h, xe = x5, ye = y5, kxs[7], kys[7];
+            kxs[0] = kx[0];
+            kys[0] = ky[0];
+            for (int it = 0; it < LAND_ITER; it++) {
+                double xs, ys;
+                rk_step(mode, &co, x, y, side, s, kxs, kys, &xs, &ys);
+                double ws = mode == 0 ? ys : xs;
+                double vel = mode == 0 ? kys[6] : kxs[6];
+                if (fabs(ws) <= event_tol) {
+                    hi = s;
+                    xe = xs;
+                    ye = ys;
                     break;
                 }
-                if ((wm > 0.0) == (w_old > 0.0)) {
-                    lo = mid;
+                if ((ws > 0.0) == (w_old > 0.0)) {
+                    lo = s;
                 } else {
-                    hi = mid;
-                    xe = xm;
-                    ye = ym;
+                    hi = s;
+                    xe = xs;
+                    ye = ys;
                 }
                 if (hi - lo <= 1e-16 * fmax(1.0, h))
                     break;
+                double nxt = vel != 0.0 ? s - ws / vel : lo;
+                s = lo < nxt && nxt < hi ? nxt : 0.5 * (lo + hi);
             }
-            t += 0.5 * (lo + hi);
+            t += hi;
             /* land exactly on the line */
             if (mode == 0) {
                 x = xe;
@@ -228,11 +290,14 @@ static PyObject *integrate_return(PyObject *self, PyObject *args,
                 return finish(1, x, y, t, crossings);
             if (t > MIN_RETURN_TIME && (mode == 0 ? x > 0.0 : y > 0.0))
                 return finish(0, x, y, t, crossings);
-            h = 0.01;
+            /* the next step starts on the new side with the same h */
+            field(mode, &co, x, y, side, &kx[0], &ky[0]);
             continue;
         }
         x = x5;
         y = y5;
+        kx[0] = kx[6];
+        ky[0] = ky[6];
         t += h;
         double r = sqrt(x * x + y * y);
         if (r < r_min || r > r_max)

@@ -21,6 +21,19 @@ Field modes
    and the section are both on the y-axis (section {x = 0, y > 0}):
    x' = y + x*p(y) + sgn*q(y), y' = -x
 
+Stepping and event location
+---------------------------
+Dormand-Prince 5(4) with FSAL: stage 7 of an accepted step is the field at
+its end point and becomes stage 1 of the next step; a rejected step reuses
+stage 1, since the point has not moved.  A step whose switch coordinate w
+(y in mode 0, x otherwise) changes sign holds a crossing.  Its first
+estimate is the root in theta of w on the step's continuous extension,
+built from the seven stages with the dense-output weights d1..d7 (Hairer,
+Norsett & Wanner, Solving ODEs I, II.6).  Newton substeps on the substep
+length then land on the line, each taking its own stage 7 as dw/dt; a sign
+bracket on the substep length bounds them and falls back to bisection.
+The step size carries across a crossing.
+
 Status codes: 0 ok, 1 escaped annulus, 2 max steps, 3 non-transversal.
 
 Both twins take norms as sqrt(x*x + y*y), never hypot, whose last bit differs
@@ -36,7 +49,8 @@ from .algebra import polyval
 
 BACKEND_NAME = "python"
 
-# Dormand-Prince 5(4) tableau
+# Dormand-Prince 5(4) tableau.  Row 6 of _A is the 5th-order weights, so
+# stage 7 is the field at the step's end point: the next step's stage 1.
 _A = (
     (),
     (1.0 / 5,),
@@ -46,12 +60,19 @@ _A = (
     (9017.0 / 3168, -355.0 / 33, 46732.0 / 5247, 49.0 / 176, -5103.0 / 18656),
     (35.0 / 384, 0.0, 500.0 / 1113, 125.0 / 192, -2187.0 / 6784, 11.0 / 84),
 )
-_B5 = (35.0 / 384, 0.0, 500.0 / 1113, 125.0 / 192, -2187.0 / 6784, 11.0 / 84, 0.0)
 _B4 = (5179.0 / 57600, 0.0, 7571.0 / 16695, 393.0 / 640, -92097.0 / 339200,
        187.0 / 2100, 1.0 / 40)
+# error weights b5 - b4 (b5 is row 6 of _A with a zero for stage 7)
+_E = tuple(b5 - b4 for b5, b4 in zip(_A[6] + (0.0,), _B4))
+# dense-output weights d1..d7 of the continuous extension
+_D = (-12715105075.0 / 11282082432, 0.0, 87487479700.0 / 32700410799,
+      -10690763975.0 / 1880347072, 701980252875.0 / 199316789632,
+      -1453857185.0 / 822651844, 69997945.0 / 29380423)
 
 _TRANSVERSAL_GUARD = 1e-8
 _MIN_RETURN_TIME = 0.5
+_ROOT_ITER = 50  # bracketed Newton iterations on the dense output
+_LAND_ITER = 60  # landing substeps; bisection alone needs 54 to 1e-16
 
 
 def fold(fa0, fa1, fb0, fb1, fc, lam, eps):
@@ -71,29 +92,66 @@ def _field(mode, p, q, x, y, side):
     return y, -x - y * polyval(p, x) - side * polyval(q, x)
 
 
-def _rk_step(mode, p, q, x, y, side, h):
-    """One Dormand-Prince step; returns (x5, y5, err_norm)."""
-    kx = [0.0] * 7
-    ky = [0.0] * 7
-    kx[0], ky[0] = _field(mode, p, q, x, y, side)
-    for i in range(1, 7):
-        ai = _A[i]
+def _rk_step(mode, p, q, x, y, side, h, k1x, k1y):
+    """One Dormand-Prince step from stage 1 (k1x, k1y); returns
+    (x5, y5, err_norm, kx, ky) with the seven stages, kx[6], ky[6] being
+    the field at (x5, y5)."""
+    kx = [k1x]
+    ky = [k1y]
+    for ai in _A[1:]:
         xs = x
         ys = y
-        for j in range(len(ai)):
-            xs += h * ai[j] * kx[j]
-            ys += h * ai[j] * ky[j]
-        kx[i], ky[i] = _field(mode, p, q, xs, ys, side)
-    x5 = x
-    y5 = y
+        for a, kxj, kyj in zip(ai, kx, ky):
+            ha = h * a
+            xs += ha * kxj
+            ys += ha * kyj
+        dx, dy = _field(mode, p, q, xs, ys, side)
+        kx.append(dx)
+        ky.append(dy)
     ex = 0.0
     ey = 0.0
-    for i in range(7):
-        x5 += h * _B5[i] * kx[i]
-        y5 += h * _B5[i] * ky[i]
-        ex += h * (_B5[i] - _B4[i]) * kx[i]
-        ey += h * (_B5[i] - _B4[i]) * ky[i]
-    return x5, y5, math.sqrt(ex * ex + ey * ey)
+    for e, kxj, kyj in zip(_E, kx, ky):
+        he = h * e
+        ex += he * kxj
+        ey += he * kyj
+    return xs, ys, math.sqrt(ex * ex + ey * ey), kx, ky
+
+
+def _dense_root(w0, w1, k, h):
+    """The theta in (0, 1] where the continuous extension of one coordinate
+    vanishes, over a step of length h from w0 to w1 (of opposite signs, or
+    w1 == 0) with stages k.  The extension is Hairer's
+    w0 + th*(dw + (1-th)*(c2 + th*(c3 + (1-th)*c4))), here in powers of th;
+    its root is found by Newton steps kept inside a sign bracket."""
+    dw = w1 - w0
+    c2 = h * k[0] - dw
+    c3 = dw - h * k[6] - c2
+    c4 = 0.0
+    for d, kj in zip(_D, k):
+        c4 += d * kj
+    c4 *= h
+    e1 = dw + c2
+    e2 = c3 + c4 - c2
+    e3 = -c3 - 2.0 * c4
+    lo, hi = 0.0, 1.0
+    th = w0 / (w0 - w1)
+    for _ in range(_ROOT_ITER):
+        v = (((c4 * th + e3) * th + e2) * th + e1) * th + w0
+        if v == 0.0:
+            break
+        if (v > 0.0) == (w0 > 0.0):
+            lo = th
+        else:
+            hi = th
+        dv = ((4.0 * c4 * th + 3.0 * e3) * th + 2.0 * e2) * th + e1
+        nxt = th - v / dv if dv != 0.0 else lo
+        if not lo < nxt < hi:
+            nxt = 0.5 * (lo + hi)
+        done = abs(nxt - th) <= 1e-14
+        th = nxt
+        if done:
+            break
+    return th
 
 
 def integrate_return(mode, fa0, fa1, fb0, fb1, fc, lam, eps,
@@ -110,9 +168,6 @@ def integrate_return(mode, fa0, fa1, fb0, fb1, fc, lam, eps,
     t = 0.0
     crossings = []
 
-    def switch_var(px, py):
-        return py if mode == 0 else px
-
     def dwdt(px, py):
         # side-independent estimate of the switch-variable velocity
         dx, dy = _field(mode, p, q, px, py, 0.0)
@@ -122,39 +177,41 @@ def integrate_return(mode, fa0, fa1, fb0, fb1, fc, lam, eps,
     if abs(w0) < _TRANSVERSAL_GUARD:
         return 3, x, y, t, crossings
     side = 1.0 if w0 > 0 else -1.0
+    k1x, k1y = _field(mode, p, q, x, y, side)
 
     h = 0.01
     steps = 0
     while steps < max_steps:
         steps += 1
-        x5, y5, err = _rk_step(mode, p, q, x, y, side, h)
+        x5, y5, err, kx, ky = _rk_step(mode, p, q, x, y, side, h, k1x, k1y)
         tol = rk_tol * (1.0 + math.sqrt(x * x + y * y))
         if err > tol:
             h *= max(0.2, 0.9 * (tol / err) ** 0.2)
             continue
-        w_old = switch_var(x, y)
-        w_new = switch_var(x5, y5)
+        w_old, w_new = (y, y5) if mode == 0 else (x, x5)
         # w_old == 0 means we are leaving the line after an event (or the
         # start point): not a crossing
         if w_old != 0.0 and ((w_old > 0.0) != (w_new > 0.0) or w_new == 0.0):
-            # locate the crossing by bisection on the substep length
-            lo, hi = 0.0, h
-            xe, ye = x5, y5
-            for _ in range(80):
-                mid = 0.5 * (lo + hi)
-                xm, ym, _e = _rk_step(mode, p, q, x, y, side, mid)
-                if abs(switch_var(xm, ym)) <= event_tol:
-                    lo = hi = mid
-                    xe, ye = xm, ym
+            # start from the root of the dense output, then Newton substeps
+            # on the substep length, whose dw/dt is each substep's stage 7
+            s = h * _dense_root(w_old, w_new, ky if mode == 0 else kx, h)
+            lo, hi, xe, ye = 0.0, h, x5, y5
+            for _ in range(_LAND_ITER):
+                xs, ys, _e, kxs, kys = _rk_step(mode, p, q, x, y, side, s,
+                                                k1x, k1y)
+                ws, vel = (ys, kys[6]) if mode == 0 else (xs, kxs[6])
+                if abs(ws) <= event_tol:
+                    hi, xe, ye = s, xs, ys
                     break
-                if (switch_var(xm, ym) > 0.0) == (w_old > 0.0):
-                    lo = mid
+                if (ws > 0.0) == (w_old > 0.0):
+                    lo = s
                 else:
-                    hi = mid
-                    xe, ye = xm, ym
+                    hi, xe, ye = s, xs, ys
                 if hi - lo <= 1e-16 * max(1.0, h):
                     break
-            t += 0.5 * (lo + hi)
+                nxt = s - ws / vel if vel != 0.0 else lo
+                s = nxt if lo < nxt < hi else 0.5 * (lo + hi)
+            t += hi
             # land exactly on the line
             if mode == 0:
                 x, y = xe, 0.0
@@ -173,9 +230,11 @@ def integrate_return(mode, fa0, fa1, fb0, fb1, fc, lam, eps,
                     return 0, x, y, t, crossings
                 if mode != 0 and y > 0.0:
                     return 0, x, y, t, crossings
-            h = 0.01
+            # the next step starts on the new side with the same h
+            k1x, k1y = _field(mode, p, q, x, y, side)
             continue
         x, y = x5, y5
+        k1x, k1y = kx[6], ky[6]
         t += h
         r = math.sqrt(x * x + y * y)
         if r < r_min or r > r_max:

@@ -77,9 +77,10 @@ def _mode_of(sys: LienardSystem) -> int:
     return 0 if sys.case is Case.SWITCH_Y else 1
 
 
-def _run(sys: LienardSystem, mode: int, x0: float, y0: float,
+def _run(sys: LienardSystem, fc: dict, mode: int, x0: float, y0: float,
          config: SimConfig):
-    fc = sys.float_coeffs()
+    """One kernel return from (x0, y0); ``fc`` is ``sys.float_coeffs()``,
+    converted once by the caller for all its returns."""
     lam = config.lam if (config.lam or config.eps) else sys.lam
     eps = config.eps if (config.lam or config.eps) else sys.eps
     status, x, y, t, crossings = _kernel.integrate_return(
@@ -106,20 +107,23 @@ def advance_to_section(sys: LienardSystem, start: float, config: SimConfig):
     {x = 0, y > 0} for switch-on-x systems; ``start`` is the positive
     section coordinate (x resp. y).
     """
+    return _advance(sys, sys.float_coeffs(), start, config)
+
+
+def _advance(sys, fc, start, config):
     if start <= config.r_min or start >= config.r_max:
         raise EscapeAnnulus(f"start {start} outside the annulus")
     mode = _mode_of(sys)
     if mode == 0:
-        x, y, t, crossings = _run(sys, mode, start, 0.0, config)
+        x, y, t, crossings = _run(sys, fc, mode, start, 0.0, config)
         return x, t, crossings
-    x, y, t, crossings = _run(sys, mode, 0.0, start, config)
+    x, y, t, crossings = _run(sys, fc, mode, 0.0, start, config)
     return y, t, crossings
 
 
 def displacement(sys: LienardSystem, r: float, config: SimConfig) -> float:
     """d(r) = return coordinate minus r; zeros correspond to periodic orbits."""
-    coord, _t, _c = advance_to_section(sys, r, config)
-    return coord - r
+    return _advance(sys, sys.float_coeffs(), r, config)[0] - r
 
 
 def find_cycles(sys: LienardSystem, r_range, grid_n: int,
@@ -128,12 +132,13 @@ def find_cycles(sys: LienardSystem, r_range, grid_n: int,
     if grid_n < 2:
         raise ValueError(f"grid_n must be at least 2, got {grid_n}")
     lo, hi = r_range
+    fc = sys.float_coeffs()
     scan = CycleScan()
     rs = [lo + (hi - lo) * i / (grid_n - 1) for i in range(grid_n)]
     ds = []
     for r in rs:
         try:
-            ds.append(displacement(sys, r, config))
+            ds.append(_advance(sys, fc, r, config)[0] - r)
         except PwLienardError:
             ds.append(math.nan)
     scan.grid = rs
@@ -146,9 +151,10 @@ def find_cycles(sys: LienardSystem, r_range, grid_n: int,
         d0, d1 = ds[i], ds[i + 1]
         if math.isnan(d0) or math.isnan(d1) or d0 == 0.0 or d0 * d1 >= 0:
             continue
-        r_star, d_star, sides = _refine_cycle(sys, rs[i], rs[i + 1], d0, d1,
-                                              config)
-        slope = _secant_slope(sys, r_star, config, 1e-4 * max(1.0, r_star))
+        r_star, d_star, sides = _refine_cycle(sys, fc, rs[i], rs[i + 1],
+                                              d0, d1, config)
+        slope = _secant_slope(sys, fc, r_star, config,
+                              1e-4 * max(1.0, r_star))
         scan.cycles.append(CycleReport(
             section_coord=r_star,
             h_star=0.5 * r_star * r_star,
@@ -160,13 +166,13 @@ def find_cycles(sys: LienardSystem, r_range, grid_n: int,
     return scan
 
 
-def _refine_cycle(sys, r_lo, r_hi, d_lo, d_hi, config):
+def _refine_cycle(sys, fc, r_lo, r_hi, d_lo, d_hi, config):
     sides = ()
     d_mid = d_lo
     r_mid = r_lo
     for _ in range(200):
         r_mid = 0.5 * (r_lo + r_hi)
-        coord, _t, crossings = advance_to_section(sys, r_mid, config)
+        coord, _t, crossings = _advance(sys, fc, r_mid, config)
         d_mid = coord - r_mid
         sides = tuple(c[3] for c in crossings)
         if abs(d_mid) <= 1e-9 * max(1.0, r_mid) or r_hi - r_lo < 1e-13:
@@ -178,10 +184,10 @@ def _refine_cycle(sys, r_lo, r_hi, d_lo, d_hi, config):
     return r_mid, d_mid, sides
 
 
-def _secant_slope(sys, r_star, config, delta):
+def _secant_slope(sys, fc, r_star, config, delta):
     try:
-        d_plus = displacement(sys, r_star + delta, config)
-        d_minus = displacement(sys, r_star - delta, config)
+        d_plus, d_minus = (_advance(sys, fc, r, config)[0] - r
+                           for r in (r_star + delta, r_star - delta))
     except PwLienardError:
         return math.nan
     return (d_plus - d_minus) / (2.0 * delta)
@@ -208,9 +214,9 @@ def bifurcation_increment(sys: LienardSystem, h: float, lam: float,
             a -= step
             if abs(step) <= 1e-15 * max(1.0, a):
                 break
-        x, y, _t, _c = _run(sys, 2, 0.0, a, config)
+        x, y, _t, _c = _run(sys, fc, 2, 0.0, a, config)
         return (0.5 * y * y + lam * polyval(big_g, y)) - h
     a = math.sqrt(2.0 * h)
-    x, y, _t, _c = _run(sys, 1, 0.0, a, config)
+    x, y, _t, _c = _run(sys, fc, 1, 0.0, a, config)
     return 0.5 * y * y - h
 

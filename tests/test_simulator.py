@@ -71,19 +71,19 @@ PARITY_INPUTS = [
 ]
 
 
-def example1_args(mode, x0, y0, max_steps, r_min):
+def example1_args(mode, x0, y0, max_steps, r_min, rk_tol=1e-10):
     fc = load_preset("example1").float_coeffs()
     return (mode, fc["a0"], fc["a1"], fc["b0"], fc["b1"], fc["c"],
-            0.02, 4e-4, x0, y0, 1e-10, 1e-12, max_steps, r_min, 50.0)
+            0.02, 4e-4, x0, y0, rk_tol, 1e-12, max_steps, r_min, 50.0)
 
 
-def five_vector_args(mode):
+def five_vector_args(mode, rk_tol=1e-10):
     """Five nonzero vectors of unequal lengths, p of degree 3 and q of
     degree 2: the twins pad the shorter vectors and fold them alike."""
     x0, y0 = (1.5, 0.0) if mode == 0 else (0.0, 1.5)
     return (mode, [0.0, 1.5, -0.4, 0.3], [0.7, -1.0], [0.9, 0.6],
             [-0.3, 1.1, 0.4], [0.0, 0.8],
-            0.02, 4e-4, x0, y0, 1e-10, 1e-12, 2_000_000, 1e-3, 50.0)
+            0.02, 4e-4, x0, y0, rk_tol, 1e-12, 2_000_000, 1e-3, 50.0)
 
 
 class TestKernelParity:
@@ -100,9 +100,15 @@ class TestKernelParity:
 
     def test_backends_bitwise_equal(self, kernel_c):
         """Both twins take every norm as sqrt(x*x + y*y), so on every parity
-        input they end at the same bits, not only within the bounds."""
+        input they end at the same bits, not only within the bounds.  At
+        rk_tol 1e-10 most crossings take one Newton landing step after the
+        dense-output root; at 1e-12, the increments' tolerance, the root's
+        own substep already lands within event_tol."""
         inputs = [example1_args(*row[:5]) for row in PARITY_INPUTS] \
-            + [five_vector_args(mode) for mode in (0, 1, 2)]
+            + [five_vector_args(mode) for mode in (0, 1, 2)] \
+            + [example1_args(*row[:5], rk_tol=1e-12)
+               for row in PARITY_INPUTS if row[5] == 0] \
+            + [five_vector_args(mode, rk_tol=1e-12) for mode in (0, 1, 2)]
         for args in inputs:
             s_py, x_py, y_py, t_py, _c = _kernel_py.integrate_return(*args)
             s_c, x_c, y_c, t_c, _c = kernel_c.integrate_return(*args)
@@ -119,6 +125,66 @@ class TestKernelParity:
 
     def test_backend_name_known(self):
         assert BACKEND in ("compiled", "python")
+
+
+def centre_args(mode, r, rk_tol):
+    """lam = eps = 0: the linear centre x' = y, y' = -x in every mode, whose
+    orbit through the section point r crosses the line at t = pi and
+    returns at t = 2 pi."""
+    x0, y0 = (r, 0.0) if mode == 0 else (0.0, r)
+    return (mode, [1.0], [1.0], [1.0], [1.0], [1.0], 0.0, 0.0, x0, y0,
+            rk_tol, 1e-12, 2_000_000, 1e-3, 50.0)
+
+
+class TestEventLocation:
+    @pytest.mark.parametrize("twin", ["python", "compiled"])
+    @pytest.mark.parametrize("mode", [0, 1, 2])
+    @pytest.mark.parametrize("r", [0.5, 2.0, 6.0])
+    @pytest.mark.parametrize("rk_tol", [1e-10, 1e-12])
+    def test_centre_crossings_at_half_periods(self, request, twin, mode, r,
+                                              rk_tol):
+        """Each crossing lands at t = pi, k pi on the exact +-r section
+        coordinate; what is left is the integration's global error."""
+        kernel = _kernel_py if twin == "python" \
+            else request.getfixturevalue("kernel_c")
+        status, x, y, t, crossings = kernel.integrate_return(
+            *centre_args(mode, r, rk_tol))
+        assert status == 0
+        assert len(crossings) == 2
+        for k, (tk, xk, yk, _side) in enumerate(crossings, start=1):
+            # mode 0 runs x = r cos t, y = -r sin t; modes 1 and 2 run
+            # x = r sin t, y = r cos t
+            coord, other = (xk, yk) if mode == 0 else (yk, xk)
+            assert other == 0.0
+            assert abs(tk - k * math.pi) <= 1e-8
+            assert abs(coord - (-1) ** k * r) <= 1e-8
+        assert (t, x, y) == crossings[-1][:3]
+
+
+class TestKernelWork:
+    @pytest.mark.parametrize("r,rk_tol,bound", [
+        (2.0, 1e-10, 1016),
+        (6.0, 1e-12, 2668),
+    ])
+    def test_field_evaluations_per_return(self, monkeypatch, r, rk_tol,
+                                          bound):
+        """The two example1 returns of perfbench's kernel_fixed op: FSAL,
+        dense-output location and the carried step size keep their field
+        evaluations at least 35 % (r = 2) and 20 % (r = 6) below the
+        1564 and 3335 of bisection location.  The count depends on the
+        arithmetic only, not on the machine."""
+        calls = [0]
+        field = _kernel_py._field
+
+        def counted(*args):
+            calls[0] += 1
+            return field(*args)
+
+        monkeypatch.setattr(_kernel_py, "_field", counted)
+        status, *_ = _kernel_py.integrate_return(
+            *example1_args(0, r, 0.0, 2_000_000, 1e-3, rk_tol=rk_tol))
+        assert status == 0
+        assert calls[0] <= bound
 
 
 class TestVectorField:
