@@ -37,7 +37,11 @@ The step size carries across a crossing.
 Status codes: 0 ok, 1 escaped annulus, 2 max steps, 3 non-transversal.
 
 Both twins take norms as sqrt(x*x + y*y), never hypot, whose last bit differs
-between CPython and libm; so the twins agree bitwise.
+between CPython and libm; so the twins agree bitwise.  For the same reason
+``_rk_step`` is written out stage by stage (the interpreter spends half a
+return walking tableau loops otherwise) but sums each stage and the error
+estimate in the tableau's left-to-right order, zero weights included,
+exactly as the C twin's loops do.
 """
 
 from __future__ import annotations
@@ -64,6 +68,11 @@ _B4 = (5179.0 / 57600, 0.0, 7571.0 / 16695, 393.0 / 640, -92097.0 / 339200,
        187.0 / 2100, 1.0 / 40)
 # error weights b5 - b4 (b5 is row 6 of _A with a zero for stage 7)
 _E = tuple(b5 - b4 for b5, b4 in zip(_A[6] + (0.0,), _B4))
+# the same weights by name, for the written-out step
+(_A21,), (_A31, _A32), (_A41, _A42, _A43), (_A51, _A52, _A53, _A54), \
+    (_A61, _A62, _A63, _A64, _A65), (_A71, _A72, _A73, _A74, _A75, _A76) \
+    = _A[1:]
+_E1, _E2, _E3, _E4, _E5, _E6, _E7 = _E
 # dense-output weights d1..d7 of the continuous extension
 _D = (-12715105075.0 / 11282082432, 0.0, 87487479700.0 / 32700410799,
       -10690763975.0 / 1880347072, 701980252875.0 / 199316789632,
@@ -95,26 +104,58 @@ def _field(mode, p, q, x, y, side):
 def _rk_step(mode, p, q, x, y, side, h, k1x, k1y):
     """One Dormand-Prince step from stage 1 (k1x, k1y); returns
     (x5, y5, err_norm, kx, ky) with the seven stages, kx[6], ky[6] being
-    the field at (x5, y5)."""
-    kx = [k1x]
-    ky = [k1y]
-    for ai in _A[1:]:
-        xs = x
-        ys = y
-        for a, kxj, kyj in zip(ai, kx, ky):
-            ha = h * a
-            xs += ha * kxj
-            ys += ha * kyj
-        dx, dy = _field(mode, p, q, xs, ys, side)
-        kx.append(dx)
-        ky.append(dy)
-    ex = 0.0
-    ey = 0.0
-    for e, kxj, kyj in zip(_E, kx, ky):
-        he = h * e
-        ex += he * kxj
-        ey += he * kyj
-    return xs, ys, math.sqrt(ex * ex + ey * ey), kx, ky
+    the field at (x5, y5).  Each stage is x + (h*a_i1)*k1 + (h*a_i2)*k2 + ...
+    summed left to right, zero weights included, and the error sum starts
+    from 0.0: the C twin's loops, term for term."""
+    h1 = h * _A21
+    k2x, k2y = _field(mode, p, q, x + h1 * k1x, y + h1 * k1y, side)
+    h1 = h * _A31
+    h2 = h * _A32
+    k3x, k3y = _field(mode, p, q, x + h1 * k1x + h2 * k2x,
+                      y + h1 * k1y + h2 * k2y, side)
+    h1 = h * _A41
+    h2 = h * _A42
+    h3 = h * _A43
+    k4x, k4y = _field(mode, p, q, x + h1 * k1x + h2 * k2x + h3 * k3x,
+                      y + h1 * k1y + h2 * k2y + h3 * k3y, side)
+    h1 = h * _A51
+    h2 = h * _A52
+    h3 = h * _A53
+    h4 = h * _A54
+    k5x, k5y = _field(
+        mode, p, q, x + h1 * k1x + h2 * k2x + h3 * k3x + h4 * k4x,
+        y + h1 * k1y + h2 * k2y + h3 * k3y + h4 * k4y, side)
+    h1 = h * _A61
+    h2 = h * _A62
+    h3 = h * _A63
+    h4 = h * _A64
+    h5 = h * _A65
+    k6x, k6y = _field(
+        mode, p, q, x + h1 * k1x + h2 * k2x + h3 * k3x + h4 * k4x + h5 * k5x,
+        y + h1 * k1y + h2 * k2y + h3 * k3y + h4 * k4y + h5 * k5y, side)
+    h1 = h * _A71
+    h2 = h * _A72
+    h3 = h * _A73
+    h4 = h * _A74
+    h5 = h * _A75
+    h6 = h * _A76
+    x5 = x + h1 * k1x + h2 * k2x + h3 * k3x + h4 * k4x + h5 * k5x + h6 * k6x
+    y5 = y + h1 * k1y + h2 * k2y + h3 * k3y + h4 * k4y + h5 * k5y + h6 * k6y
+    k7x, k7y = _field(mode, p, q, x5, y5, side)
+    h1 = h * _E1
+    h2 = h * _E2
+    h3 = h * _E3
+    h4 = h * _E4
+    h5 = h * _E5
+    h6 = h * _E6
+    h7 = h * _E7
+    ex = (0.0 + h1 * k1x + h2 * k2x + h3 * k3x + h4 * k4x + h5 * k5x
+          + h6 * k6x + h7 * k7x)
+    ey = (0.0 + h1 * k1y + h2 * k2y + h3 * k3y + h4 * k4y + h5 * k5y
+          + h6 * k6y + h7 * k7y)
+    return (x5, y5, math.sqrt(ex * ex + ey * ey),
+            (k1x, k2x, k3x, k4x, k5x, k6x, k7x),
+            (k1y, k2y, k3y, k4y, k5y, k6y, k7y))
 
 
 def _dense_root(w0, w1, k, h):

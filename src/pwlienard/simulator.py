@@ -128,7 +128,9 @@ def displacement(sys: LienardSystem, r: float, config: SimConfig) -> float:
 
 def find_cycles(sys: LienardSystem, r_range, grid_n: int,
                 config: SimConfig) -> CycleScan:
-    """Grid scan for sign changes of the displacement, bisection refinement."""
+    """Grid scan for sign changes of the displacement, each refined by
+    Illinois false position on its bracket; a grid point whose
+    displacement is exactly 0 is a cycle as it stands."""
     if grid_n < 2:
         raise ValueError(f"grid_n must be at least 2, got {grid_n}")
     lo, hi = r_range
@@ -136,52 +138,75 @@ def find_cycles(sys: LienardSystem, r_range, grid_n: int,
     scan = CycleScan()
     rs = [lo + (hi - lo) * i / (grid_n - 1) for i in range(grid_n)]
     ds = []
+    scan_crossings = []
     for r in rs:
         try:
-            ds.append(_advance(sys, fc, r, config)[0] - r)
+            coord, _t, crossings = _advance(sys, fc, r, config)
         except PwLienardError:
-            ds.append(math.nan)
+            coord, crossings = math.nan, []
+        ds.append(coord - r)
+        scan_crossings.append(crossings)
     scan.grid = rs
     scan.displacements = ds
     finite = [abs(d) for d in ds if not math.isnan(d)]
     if finite and max(finite) <= 1e-8 * max(1.0, hi):
         scan.non_isolated = True
         return scan
-    for i in range(grid_n - 1):
-        d0, d1 = ds[i], ds[i + 1]
-        if math.isnan(d0) or math.isnan(d1) or d0 == 0.0 or d0 * d1 >= 0:
-            continue
-        r_star, d_star, sides = _refine_cycle(sys, fc, rs[i], rs[i + 1],
-                                              d0, d1, config)
-        slope = _secant_slope(sys, fc, r_star, config,
-                              1e-4 * max(1.0, r_star))
-        scan.cycles.append(CycleReport(
-            section_coord=r_star,
-            h_star=0.5 * r_star * r_star,
-            radius=r_star,
-            residual=abs(d_star),
-            stability_slope=slope,
-            side_sequence=sides,
-        ))
+    for i, d0 in enumerate(ds):
+        if d0 == 0.0:
+            scan.cycles.append(_cycle_report(
+                sys, fc, rs[i], 0.0, _sides(scan_crossings[i]), config))
+        # a NaN on either side makes the product NaN, which is not < 0
+        elif i + 1 < grid_n and d0 * ds[i + 1] < 0:
+            r_star, d_star, sides = _refine_cycle(
+                sys, fc, rs[i], rs[i + 1], d0, ds[i + 1], config)
+            scan.cycles.append(_cycle_report(sys, fc, r_star, d_star, sides,
+                                             config))
     return scan
 
 
+def _sides(crossings):
+    return tuple(c[3] for c in crossings)
+
+
+def _cycle_report(sys, fc, r_star, d_star, sides, config):
+    return CycleReport(
+        section_coord=r_star,
+        h_star=0.5 * r_star * r_star,
+        radius=r_star,
+        residual=abs(d_star),
+        stability_slope=_secant_slope(sys, fc, r_star, config,
+                                      1e-4 * max(1.0, r_star)),
+        side_sequence=sides,
+    )
+
+
 def _refine_cycle(sys, fc, r_lo, r_hi, d_lo, d_hi, config):
-    sides = ()
-    d_mid = d_lo
-    r_mid = r_lo
+    """Illinois false position on the bracket (r_lo, r_hi), whose
+    displacements d_lo and d_hi have opposite signs: when the same end is
+    kept twice running, its displacement is halved, so neither end sticks.
+    A point outside the open bracket falls back to the midpoint.  Returns
+    the last point evaluated, its displacement and its switching sides."""
+    kept = 0  # -1: r_lo was kept last time, +1: r_hi, 0: neither yet
     for _ in range(200):
-        r_mid = 0.5 * (r_lo + r_hi)
-        coord, _t, crossings = _advance(sys, fc, r_mid, config)
-        d_mid = coord - r_mid
-        sides = tuple(c[3] for c in crossings)
-        if abs(d_mid) <= 1e-9 * max(1.0, r_mid) or r_hi - r_lo < 1e-13:
+        r = r_hi - d_hi * (r_hi - r_lo) / (d_hi - d_lo)
+        if not r_lo < r < r_hi:
+            r = 0.5 * (r_lo + r_hi)
+        coord, _t, crossings = _advance(sys, fc, r, config)
+        d = coord - r
+        if abs(d) <= 1e-9 * max(1.0, r) or r_hi - r_lo < 1e-13:
             break
-        if (d_lo > 0) != (d_mid > 0):
-            r_hi, d_hi = r_mid, d_mid
+        if (d_lo > 0) != (d > 0):
+            r_hi, d_hi = r, d
+            if kept < 0:
+                d_lo *= 0.5
+            kept = -1
         else:
-            r_lo, d_lo = r_mid, d_mid
-    return r_mid, d_mid, sides
+            r_lo, d_lo = r, d
+            if kept > 0:
+                d_hi *= 0.5
+            kept = 1
+    return r, d, _sides(crossings)
 
 
 def _secant_slope(sys, fc, r_star, config, delta):

@@ -11,8 +11,8 @@ from pwlienard import (Case, EscapeAnnulus, LienardSystem, RingElem, SimConfig,
                        load_preset, vector_field)
 from pwlienard import fold_to_theorem_form, theorem_form_system
 from pwlienard.melnikov import case_x_i2, case_x_i3, case_x_i_poly
+from pwlienard import _kernel_py, simulator
 from pwlienard.simulator import BACKEND, bifurcation_increment
-from pwlienard import _kernel_py
 
 INV_PI = RingElem.term(1, p=-1)
 
@@ -162,17 +162,18 @@ class TestEventLocation:
 
 
 class TestKernelWork:
-    @pytest.mark.parametrize("r,rk_tol,bound", [
-        (2.0, 1e-10, 1016),
-        (6.0, 1e-12, 2668),
+    @pytest.mark.parametrize("r,rk_tol,count", [
+        (2.0, 1e-10, 971),
+        (6.0, 1e-12, 2477),
     ])
     def test_field_evaluations_per_return(self, monkeypatch, r, rk_tol,
-                                          bound):
-        """The two example1 returns of perfbench's kernel_fixed op: FSAL,
-        dense-output location and the carried step size keep their field
-        evaluations at least 35 % (r = 2) and 20 % (r = 6) below the
-        1564 and 3335 of bisection location.  The count depends on the
-        arithmetic only, not on the machine."""
+                                          count):
+        """The two example1 returns of perfbench's kernel_fixed op take
+        exactly this many field evaluations, 38 % (r = 2) and 26 % (r = 6)
+        below the 1564 and 3335 of bisection location; FSAL, dense-output
+        location and the carried step size make the difference.  An exact
+        count also fails a step that stops calling the module-level field.
+        The count depends on the arithmetic only, not on the machine."""
         calls = [0]
         field = _kernel_py._field
 
@@ -184,7 +185,45 @@ class TestKernelWork:
         status, *_ = _kernel_py.integrate_return(
             *example1_args(0, r, 0.0, 2_000_000, 1e-3, rk_tol=rk_tol))
         assert status == 0
-        assert calls[0] <= bound
+        assert calls[0] == count
+
+
+def tableau_step(mode, p, q, x, y, side, h, k1x, k1y):
+    """The Dormand-Prince step as loops over _A and _E: the summation
+    order the C twin uses."""
+    kx, ky = [k1x], [k1y]
+    for row in _kernel_py._A[1:]:
+        xs, ys = x, y
+        for a, kxj, kyj in zip(row, kx, ky):
+            xs += (h * a) * kxj
+            ys += (h * a) * kyj
+        dx, dy = _kernel_py._field(mode, p, q, xs, ys, side)
+        kx.append(dx)
+        ky.append(dy)
+    ex = ey = 0.0
+    for e, kxj, kyj in zip(_kernel_py._E, kx, ky):
+        ex += (h * e) * kxj
+        ey += (h * e) * kyj
+    return xs, ys, math.sqrt(ex * ex + ey * ey), kx, ky
+
+
+class TestWrittenOutStep:
+    @pytest.mark.parametrize("mode", [0, 1, 2])
+    def test_step_matches_tableau_loops_bitwise(self, rng, mode):
+        """_rk_step is written out stage by stage; it must sum in the
+        tableau's order, or the twins drift apart in the last bit.  This
+        holds it to that order where no C compiler is present."""
+        p, q = _kernel_py.fold(*five_vector_args(mode)[1:8])
+        for _ in range(300):
+            x, y = rng.uniform(-6.0, 6.0), rng.uniform(-6.0, 6.0)
+            side = rng.choice((-1.0, 1.0))
+            h = 10.0 ** rng.uniform(-8.0, 0.0)
+            k1x, k1y = _kernel_py._field(mode, p, q, x, y, side)
+            got = _kernel_py._rk_step(mode, p, q, x, y, side, h, k1x, k1y)
+            want = tableau_step(mode, p, q, x, y, side, h, k1x, k1y)
+            assert [v.hex() for v in got[:3]] == [v.hex() for v in want[:3]]
+            assert [v.hex() for v in got[3] + got[4]] \
+                == [v.hex() for v in want[3] + want[4]]
 
 
 class TestVectorField:
@@ -251,6 +290,65 @@ class TestCycleDetection:
                                SimConfig(lam=lam, eps=lam * lam))
             assert len(scan.cycles) == 1
             assert abs(scan.cycles[0].h_star - 1.0) <= 1e-4
+
+
+    def test_refinement_work(self, monkeypatch):
+        """60 scan returns, then two cycles of at most 3 Illinois and
+        exactly 2 slope returns each; bisection took 8 + 2 per cycle."""
+        calls = [0]
+        integrate = simulator._kernel.integrate_return
+
+        def counted(*args):
+            calls[0] += 1
+            return integrate(*args)
+
+        monkeypatch.setattr(simulator._kernel, "integrate_return", counted)
+        scan = find_cycles(two_cycle_system(), (1.0, 3.4), 60,
+                           SimConfig(lam=0.02, eps=4e-4))
+        assert len(scan.cycles) == 2
+        assert calls[0] <= 70
+
+
+def synthetic_map(monkeypatch, d):
+    """Replace the return map by r -> r + d(r), one crossing per return;
+    returns the list of the start points it is asked for."""
+    asked = []
+
+    def advance(sys_, fc, start, config):
+        asked.append(start)
+        return start + d(start), 2 * math.pi, [(math.pi, -start, 0.0, -1.0)]
+
+    monkeypatch.setattr(simulator, "_advance", advance)
+    return asked
+
+
+class TestSyntheticReturnMap:
+    def test_zero_on_grid_point_reported_once(self, monkeypatch):
+        """d(1.5) is exactly 0 on the grid 1.0, 1.5, 2.0: that grid point is
+        the cycle, with no refinement and the usual two slope returns."""
+        asked = synthetic_map(monkeypatch, lambda r: (r - 1.5) * (1.0 + r))
+        scan = find_cycles(two_cycle_system(), (1.0, 2.0), 3, SimConfig())
+        assert scan.displacements[1] == 0.0
+        assert len(scan.cycles) == 1
+        cycle = scan.cycles[0]
+        assert (cycle.radius, cycle.residual) == (1.5, 0.0)
+        assert cycle.h_star == 1.125
+        assert cycle.side_sequence == (-1.0,)
+        assert cycle.stability_slope == pytest.approx(2.5, rel=1e-9)
+        assert len(asked) == 3 + 2
+
+    def test_illinois_beats_stalled_false_position(self, monkeypatch):
+        """On the strongly convex d(r) = r^8 - 1 over [0.5, 3] plain regula
+        falsi keeps the end r = 3 and is still at r = 0.57 after 200 steps;
+        halving the kept end's value meets the stop rule in 19."""
+        asked = synthetic_map(monkeypatch, lambda r: r ** 8 - 1.0)
+        scan = find_cycles(two_cycle_system(), (0.5, 3.0), 2, SimConfig())
+        assert len(scan.cycles) == 1
+        cycle = scan.cycles[0]
+        assert cycle.residual <= 1e-9
+        assert cycle.radius == pytest.approx(1.0, abs=1e-9)
+        refinement = len(asked) - 2 - 2
+        assert refinement <= 25
 
 
 class TestGuards:
