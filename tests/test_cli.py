@@ -23,16 +23,20 @@ def outdir(tmp_path):
 
 
 def test_import_loads_neither_numpy_nor_scipy():
-    """The exact core is standard library only; scipy loads on the first
-    quadrature.  A fresh interpreter, since this one may have both."""
+    """The package is standard library only, the quadrature oracle and the
+    ``verify`` subcommand included.  A fresh interpreter, since this one may
+    have both."""
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(src), os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-c", "import sys, pwlienard.cli; "
-         "print(sorted({'numpy', 'scipy'} & set(sys.modules)))"],
+         "from pwlienard import load_preset, oracle_m1; "
+         "oracle_m1(load_preset('example1'), 1.0); "
+         "rc = pwlienard.cli.main(['verify', '--preset', 'example1']); "
+         "print(rc, sorted({'numpy', 'scipy'} & set(sys.modules)))"],
         capture_output=True, text=True, env=env, check=True)
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.strip().splitlines()[-1] == f"{EXIT_OK} []"
 
 
 def test_melnikov_report(outdir):

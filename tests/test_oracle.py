@@ -5,8 +5,8 @@ import random
 
 import pytest
 
-from pwlienard import (Case, LienardSystem, load_preset, oracle_m0, oracle_m1,
-                       quad_I)
+from pwlienard import (Case, LienardSystem, QuadratureFailure, load_preset,
+                       oracle, oracle_m0, oracle_m1, quad_I)
 from pwlienard.melnikov import closed_term, expand
 from pwlienard.oracle import endpoint_derivatives, i4_factor
 
@@ -112,3 +112,106 @@ def test_oracle_m1_splits_by_case(rng):
     sys_x = random_sweep_system(rng, Case.SWITCH_X)
     total = sum(quad_I(sys_x, 1.5, i) for i in (1, 2, 3))
     assert oracle_m1(sys_x, 1.5) == pytest.approx(total, abs=1e-12)
+
+
+# -- the qk21/qage rule itself -------------------------------------------------
+
+
+@pytest.fixture
+def rule_count(monkeypatch):
+    """Counts applications of the 21-point rule."""
+    count = [0]
+    rule = oracle._gk21
+
+    def counted(*args):
+        count[0] += 1
+        return rule(*args)
+
+    monkeypatch.setattr(oracle, "_gk21", counted)
+    return count
+
+
+def batch(fn):
+    return lambda xs: [fn(x) for x in xs]
+
+
+@pytest.mark.parametrize("k", range(32))
+def test_one_application_exact_to_degree_31(k):
+    value = oracle._gk21(batch(lambda x: x ** k), -1.0, 1.0)[0]
+    exact = 0.0 if k % 2 else 2.0 / (k + 1)
+    assert abs(value - exact) <= 4 * oracle._EPMACH
+
+
+def test_reversed_limits_negate():
+    fn = batch(lambda x: math.exp(x) * math.cos(7 * x) / (1 + x * x))
+    forward, err_f = oracle._qage(fn, -0.3, 2.9)
+    backward, err_b = oracle._qage(fn, 2.9, -0.3)
+    assert backward == pytest.approx(-forward, rel=1e-15)
+    assert err_b == pytest.approx(err_f, rel=1e-15)
+
+
+def test_runge_function_subdivides(rule_count):
+    value, err = oracle._qage(batch(lambda x: 1.0 / (1.0 + 400.0 * x * x)),
+                              -1.0, 1.0)
+    assert rule_count[0] > 1
+    assert value == pytest.approx(math.atan(20.0) / 10.0, rel=0, abs=1e-12)
+    assert err <= oracle.QUAD_ABS_TARGET
+
+
+def test_parity_with_quadpack(rule_count, capsys):
+    """Same values as scipy's QUADPACK on random trig polynomials, and the
+    same number of subintervals."""
+    integrate = pytest.importorskip("scipy.integrate")
+    rng = random.Random(2718)
+    n_cases, same_count = 60, 0
+    for _ in range(n_cases):
+        deg = rng.randint(1, 12)
+        coeffs = [(rng.uniform(-1, 1), rng.uniform(-1, 1))
+                  for _ in range(deg + 1)]
+        omega = rng.uniform(0.5, 3.0)
+        lo = rng.uniform(-4.0, 0.0)
+        hi = lo + rng.uniform(0.5, 6.0)
+
+        def fn(t):
+            return sum(a * math.cos(k * omega * t) + b * math.sin(k * omega * t)
+                       for k, (a, b) in enumerate(coeffs))
+
+        ref, _, info = integrate.quad(
+            fn, lo, hi, epsabs=oracle.QUAD_ABS_TARGET,
+            epsrel=oracle._QUAD_REL_TARGET, limit=oracle._QUAD_LIMIT,
+            full_output=1)[:3]
+        rule_count[0] = 0
+        value, _ = oracle._qage(batch(fn), lo, hi)
+        assert abs(value - ref) <= 1e-12 * (1.0 + abs(ref))
+        # each bisection adds one interval and two rule applications
+        same_count += info["last"] == (rule_count[0] + 1) // 2
+    with capsys.disabled():
+        print(f"\nqk21/qage vs scipy quad: {n_cases} values within 1e-12, "
+              f"{same_count}/{n_cases} subinterval counts equal")
+    assert same_count == n_cases
+
+
+def test_roundoff_stop_ends_loop(rule_count):
+    """The 50*eps*resabs floor stops the rule long before the interval limit;
+    the error estimate is then too large and the oracle says so.  The
+    integrand of I_2 on AB is odd: the first application gives 0 with its
+    error at the floor, 7.83e-9, and stops there, as QUADPACK does."""
+    sys_ = LienardSystem.build(Case.SWITCH_Y, 7, 3,
+                               a0=[0, -1, 0, -8, 0, 6, 0, 4],
+                               c=[0, -3, 0, -8], b0=[0, -4, 0, 0])
+    with pytest.raises(QuadratureFailure):
+        quad_I(sys_, 4.0, 2)
+    assert rule_count[0] == 1
+
+
+def test_roundoff_counters_stop_subdivision(rule_count):
+    """1e6*sin(30x + 0.001) integrates to about -65.9 on [-1, 1], but the
+    error floor 50*eps*resabs stays near 1.4e-8 however fine the intervals
+    get.  One application does not resolve the ten periods, so it is the
+    iroff counters that end the bisection, not the interval limit."""
+    value, err = oracle._qage(
+        batch(lambda x: 1e6 * math.sin(30.0 * x + 0.001)), -1.0, 1.0)
+    assert 3 <= rule_count[0] <= 100
+    assert err > oracle.QUAD_ABS_TARGET
+    exact = 2e6 * math.sin(30.0) * math.sin(0.001) / 30.0
+    assert value == pytest.approx(exact, rel=0, abs=1e-8)
