@@ -1,24 +1,22 @@
-/* Compiled trajectory kernel: adaptive RK45 with switching-line events.
+/* Compiled trajectory kernel: adaptive RK45 in the polar angle.
  *
  * C twin of ``_kernel_py``; both expose the same ``integrate_return`` entry
  * point and must stay behaviorally identical (the test suite compares them).
- * See ``_kernel_py`` for the field mode and status code conventions.
+ * See ``_kernel_py`` for the field modes, the arc form and the status codes.
  *
  * The entry folds the five coefficient vectors, lam and eps once into the
  * two field polynomials p = eps*(f0 + lam*f1) and
  * q = lam*g + eps*(g0 + lam*g1), in the operation order of
  * ``_kernel_py.fold`` (the fold of ``melnikov.fold_to_theorem_form``, with
  * p = lam*fbar and q = lam*gbar); the field evaluates only p and q.
- * Norms are sqrt(x*x + y*y) as in the Python twin; hypot is not bitwise
- * portable.
  *
- * Stepping and event location follow the Python twin, operation for
- * operation: FSAL (stage 7 of an accepted step is the next step's stage 1,
- * and a rejected step reuses stage 1); a crossing's first estimate is the
- * root of the switch coordinate on the DOPRI5 continuous extension (weights
- * d1..d7); Newton substeps on the substep length, each with its own stage 7
- * as dw/dt and kept inside a sign bracket, land on the line; the step size
- * carries across a crossing.
+ * Stepping follows the Python twin, operation for operation: phi is the
+ * independent variable, and (r, t) the state; x = r cos(phi),
+ * y = -r sin(phi), with cos and sin from libm as in CPython's math.  A
+ * return is two arcs of length pi, each with a fixed side and its last step
+ * clipped to the arc's end; FSAL (stage 7 of an accepted step is the next
+ * step's stage 1, and a rejected step reuses stage 1); the error estimate is
+ * on r alone; the step size carries across the switch.
  *
  * Build: python3 setup.py build_ext --inplace   (needs only a C compiler)
  */
@@ -30,9 +28,7 @@
 #define MAXC 64
 
 static const double TRANSVERSAL_GUARD = 1e-8;
-static const double MIN_RETURN_TIME = 0.5;
-static const int ROOT_ITER = 50;  /* bracketed Newton on the dense output */
-static const int LAND_ITER = 60;  /* landing substeps; bisection needs 54 */
+static const double PI = 3.141592653589793;  /* math.pi */
 
 /* Dormand-Prince 5(4) tableau.  Row 6 of A5 is the 5th-order weights, so
    stage 7 is the field at the step's end point: the next step's stage 1. */
@@ -45,15 +41,10 @@ static const double A5[7][6] = {
     {9017.0 / 3168, -355.0 / 33, 46732.0 / 5247, 49.0 / 176, -5103.0 / 18656, 0},
     {35.0 / 384, 0.0, 500.0 / 1113, 125.0 / 192, -2187.0 / 6784, 11.0 / 84},
 };
+/* stage nodes c1..c7 */
+static const double C7[7] = {0.0, 1.0 / 5, 3.0 / 10, 4.0 / 5, 8.0 / 9, 1.0, 1.0};
 static const double B4[7] = {5179.0 / 57600, 0.0, 7571.0 / 16695, 393.0 / 640,
                              -92097.0 / 339200, 187.0 / 2100, 1.0 / 40};
-/* dense-output weights d1..d7 of the continuous extension */
-static const double D[7] = {-12715105075.0 / 11282082432, 0.0,
-                            87487479700.0 / 32700410799,
-                            -10690763975.0 / 1880347072,
-                            701980252875.0 / 199316789632,
-                            -1453857185.0 / 822651844,
-                            69997945.0 / 29380423};
 
 /* the folded field polynomials p and q */
 typedef struct {
@@ -69,81 +60,51 @@ static double polyval(const double *co, Py_ssize_t n, double x)
     return acc;
 }
 
-static void field(int mode, const Coeffs *co, double x, double y,
-                  double side, double *dx, double *dy)
+/* (dr/dphi, dt/dphi) at polar point (r, phi) with switch side ``side``;
+   returns 0, or 1 where the angular speed is below the guard. */
+static int field(const Coeffs *co, double r, double phi, double side,
+                 double *dr, double *dt)
 {
-    if (mode == 2) {
-        /* swapped coordinates: polynomials are functions of y */
-        *dx = y + x * polyval(co->p, co->np, y) + side * polyval(co->q, co->nq, y);
-        *dy = -x;
-    } else {
-        *dx = y;
-        *dy = -x - y * polyval(co->p, co->np, x) - side * polyval(co->q, co->nq, x);
-    }
+    double c = cos(phi);
+    double s = sin(phi);
+    double x = r * c;
+    double a = -r * s * polyval(co->p, co->np, x) + side * polyval(co->q, co->nq, x);
+    double w = r + c * a;
+    if (!(r > 0.0 && w > TRANSVERSAL_GUARD * r))
+        return 1;
+    *dt = r / w;
+    *dr = s * a * *dt;
+    return 0;
 }
 
-/* One Dormand-Prince step from stage 1 (kx[0], ky[0]); fills the other six
-   stages, kx[6], ky[6] being the field at the stored (x5, y5), and returns
-   the error norm. */
-static double rk_step(int mode, const Coeffs *co, double x, double y,
-                      double side, double h, double kx[7], double ky[7],
-                      double *xo, double *yo)
+/* One Dormand-Prince step of length h in phi from stage 1 (kr[0], kt[0]);
+   fills the other six stages, kr[6], kt[6] being the field at the stored
+   (r5, phi + h), and returns the error estimate on r, or -1 where the
+   angular speed fell below the guard. */
+static double rk_step(const Coeffs *co, double r, double t, double phi,
+                      double side, double h, double kr[7], double kt[7],
+                      double *ro, double *to)
 {
-    double xs = x, ys = y;
+    double rs = r, ts = t;
     for (int i = 1; i < 7; i++) {
-        xs = x;
-        ys = y;
-        for (int j = 0; j < i; j++) {
-            double ha = h * A5[i][j];
-            xs += ha * kx[j];
-            ys += ha * ky[j];
-        }
-        field(mode, co, xs, ys, side, &kx[i], &ky[i]);
+        rs = r;
+        for (int j = 0; j < i; j++)
+            rs += (h * A5[i][j]) * kr[j];
+        if (field(co, rs, phi + C7[i] * h, side, &kr[i], &kt[i]))
+            return -1.0;
     }
-    double ex = 0.0, ey = 0.0;
+    /* t enters no stage: only its 5th-order sum is needed */
+    for (int j = 0; j < 6; j++)
+        ts += (h * A5[6][j]) * kt[j];
+    double er = 0.0;
     for (int i = 0; i < 7; i++) {
         /* b5 - b4, with b5 row 6 of A5 and a zero for stage 7 */
         double he = h * ((i < 6 ? A5[6][i] : 0.0) - B4[i]);
-        ex += he * kx[i];
-        ey += he * ky[i];
+        er += he * kr[i];
     }
-    *xo = xs;
-    *yo = ys;
-    return sqrt(ex * ex + ey * ey);
-}
-
-/* The theta in (0, 1] where the continuous extension of one coordinate
-   vanishes, over a step of length h from w0 to w1 (of opposite signs, or
-   w1 == 0) with stages k; see _kernel_py._dense_root. */
-static double dense_root(double w0, double w1, const double k[7], double h)
-{
-    double dw = w1 - w0;
-    double c2 = h * k[0] - dw;
-    double c3 = dw - h * k[6] - c2;
-    double c4 = 0.0;
-    for (int j = 0; j < 7; j++)
-        c4 += D[j] * k[j];
-    c4 *= h;
-    double e1 = dw + c2, e2 = c3 + c4 - c2, e3 = -c3 - 2.0 * c4;
-    double lo = 0.0, hi = 1.0, th = w0 / (w0 - w1);
-    for (int it = 0; it < ROOT_ITER; it++) {
-        double v = (((c4 * th + e3) * th + e2) * th + e1) * th + w0;
-        if (v == 0.0)
-            break;
-        if ((v > 0.0) == (w0 > 0.0))
-            lo = th;
-        else
-            hi = th;
-        double dv = ((4.0 * c4 * th + 3.0 * e3) * th + 2.0 * e2) * th + e1;
-        double nxt = dv != 0.0 ? th - v / dv : lo;
-        if (!(lo < nxt && nxt < hi))
-            nxt = 0.5 * (lo + hi);
-        int done = fabs(nxt - th) <= 1e-14;
-        th = nxt;
-        if (done)
-            break;
-    }
-    return th;
+    *ro = rs;
+    *to = ts;
+    return fabs(er);
 }
 
 /* Copy one coefficient sequence into dst; returns its length, -1 on error. */
@@ -175,6 +136,13 @@ static PyObject *finish(int status, double x, double y, double t,
     return Py_BuildValue("(idddN)", status, x, y, t, crossings);
 }
 
+/* finish at the polar point (r, phi), given as (x, y) */
+static PyObject *point(int status, double r, double phi, double t,
+                       PyObject *crossings)
+{
+    return finish(status, r * cos(phi), -r * sin(phi), t, crossings);
+}
+
 static PyObject *integrate_return(PyObject *self, PyObject *args,
                                   PyObject *kwargs)
 {
@@ -183,7 +151,7 @@ static PyObject *integrate_return(PyObject *self, PyObject *args,
                              "max_steps", "r_min", "r_max", NULL};
     int mode;
     PyObject *src[5];
-    double lam, eps, x, y, rk_tol, event_tol, r_min, r_max;
+    double lam, eps, x0, y0, rk_tol, event_tol, r_min, r_max;
     long max_steps;
     /* f0, f1, g0, g1, g; zero past their lengths */
     double v[5][MAXC] = {{0.0}};
@@ -193,9 +161,13 @@ static PyObject *integrate_return(PyObject *self, PyObject *args,
 
     if (!PyArg_ParseTupleAndKeywords(
             args, kwargs, "iOOOOOddddddldd", kwlist, &mode, &src[0], &src[1],
-            &src[2], &src[3], &src[4], &lam, &eps, &x, &y, &rk_tol,
+            &src[2], &src[3], &src[4], &lam, &eps, &x0, &y0, &rk_tol,
             &event_tol, &max_steps, &r_min, &r_max))
         return NULL;
+    if (mode != 0 && mode != 1) {
+        PyErr_Format(PyExc_ValueError, "unknown field mode %d", mode);
+        return NULL;
+    }
     for (int k = 0; k < 5; k++) {
         n[k] = fill(v[k], src[k]);
         if (n[k] < 0)
@@ -213,101 +185,56 @@ static PyObject *integrate_return(PyObject *self, PyObject *args,
     if (crossings == NULL)
         return NULL;
 
-    double t = 0.0, h = 0.01, dxv, dyv, kx[7], ky[7];
-    /* side-independent switch-variable velocity at the start */
-    field(mode, &co, x, y, 0.0, &dxv, &dyv);
-    double w0 = mode == 0 ? dyv : dxv;
-    if (fabs(w0) < TRANSVERSAL_GUARD)
-        return finish(3, x, y, t, crossings);
-    double side = w0 > 0 ? 1.0 : -1.0;
-    field(mode, &co, x, y, side, &kx[0], &ky[0]);
-
-    for (long steps = 0; steps < max_steps; steps++) {
-        double x5, y5;
-        double err = rk_step(mode, &co, x, y, side, h, kx, ky, &x5, &y5);
-        double tol = rk_tol * (1.0 + sqrt(x * x + y * y));
-        if (err > tol) {
-            h *= fmax(0.2, 0.9 * pow(tol / err, 0.2));
-            continue;
-        }
-        double w_old = mode == 0 ? y : x;
-        double w_new = mode == 0 ? y5 : x5;
-        /* w_old == 0 means we are leaving the line after an event (or the
-           start point): not a crossing */
-        if (w_old != 0.0 && ((w_old > 0.0) != (w_new > 0.0) || w_new == 0.0)) {
-            /* start from the root of the dense output, then Newton substeps
-               on the substep length, whose dw/dt is each substep's stage 7 */
-            double s = h * dense_root(w_old, w_new, mode == 0 ? ky : kx, h);
-            double lo = 0.0, hi = h, xe = x5, ye = y5, kxs[7], kys[7];
-            kxs[0] = kx[0];
-            kys[0] = ky[0];
-            for (int it = 0; it < LAND_ITER; it++) {
-                double xs, ys;
-                rk_step(mode, &co, x, y, side, s, kxs, kys, &xs, &ys);
-                double ws = mode == 0 ? ys : xs;
-                double vel = mode == 0 ? kys[6] : kxs[6];
-                if (fabs(ws) <= event_tol) {
-                    hi = s;
-                    xe = xs;
-                    ye = ys;
-                    break;
-                }
-                if ((ws > 0.0) == (w_old > 0.0)) {
-                    lo = s;
-                } else {
-                    hi = s;
-                    xe = xs;
-                    ye = ys;
-                }
-                if (hi - lo <= 1e-16 * fmax(1.0, h))
-                    break;
-                double nxt = vel != 0.0 ? s - ws / vel : lo;
-                s = lo < nxt && nxt < hi ? nxt : 0.5 * (lo + hi);
+    double r = mode == 0 ? x0 : y0;
+    double phi = mode == 0 ? 0.0 : -0.5 * PI;
+    double side = mode == 0 ? -1.0 : 1.0;
+    double t = 0.0, h = 0.01, x = 0.0, y = 0.0, kr[7], kt[7];
+    long steps = 0;
+    for (int arc = 0; arc < 2; arc++) {
+        double sign = arc == 0 ? -1.0 : 1.0;
+        double end = phi + PI;
+        if (field(&co, r, phi, side, &kr[0], &kt[0]))
+            return point(3, r, phi, t, crossings);
+        while (phi < end) {
+            if (steps >= max_steps)
+                return point(2, r, phi, t, crossings);
+            steps++;
+            int last = phi + h >= end;
+            double hs = last ? end - phi : h, r5, t5;
+            double err = rk_step(&co, r, t, phi, side, hs, kr, kt, &r5, &t5);
+            if (err < 0.0)
+                return point(3, r, phi, t, crossings);
+            double tol = rk_tol * (1.0 + fabs(r));
+            if (err > tol) {
+                h = hs * fmax(0.2, 0.9 * pow(tol / err, 0.2));
+                continue;
             }
-            t += hi;
-            /* land exactly on the line */
-            if (mode == 0) {
-                x = xe;
-                y = 0.0;
-            } else {
-                x = 0.0;
-                y = ye;
-            }
-            field(mode, &co, x, y, 0.0, &dxv, &dyv);
-            double vel = mode == 0 ? dyv : dxv;
-            if (fabs(vel) < TRANSVERSAL_GUARD)
-                return finish(3, x, y, t, crossings);
-            side = vel > 0 ? 1.0 : -1.0;
-            PyObject *event = Py_BuildValue("(dddd)", t, x, y, side);
-            if (event == NULL || PyList_Append(crossings, event) < 0) {
-                Py_XDECREF(event);
-                Py_DECREF(crossings);
-                return NULL;
-            }
-            Py_DECREF(event);
-            double r = sqrt(x * x + y * y);
+            r = r5;
+            t = t5;
+            phi = last ? end : phi + hs;
+            kr[0] = kr[6];
+            kt[0] = kt[6];
             if (r < r_min || r > r_max)
-                return finish(1, x, y, t, crossings);
-            if (t > MIN_RETURN_TIME && (mode == 0 ? x > 0.0 : y > 0.0))
-                return finish(0, x, y, t, crossings);
-            /* the next step starts on the new side with the same h */
-            field(mode, &co, x, y, side, &kx[0], &ky[0]);
-            continue;
+                return point(1, r, phi, t, crossings);
+            /* a clipped step keeps h: the arc's end, not the error, set
+               its length */
+            if (!last)
+                h = hs * (err > 0.0 ? fmin(5.0, 0.9 * pow(tol / err, 0.2))
+                                    : 5.0);
         }
-        x = x5;
-        y = y5;
-        kx[0] = kx[6];
-        ky[0] = ky[6];
-        t += h;
-        double r = sqrt(x * x + y * y);
-        if (r < r_min || r > r_max)
-            return finish(1, x, y, t, crossings);
-        if (err > 0.0)
-            h *= fmin(5.0, 0.9 * pow(tol / err, 0.2));
-        else
-            h *= 5.0;
+        /* land exactly on the line; the next arc has the other side */
+        side = -side;
+        x = mode == 0 ? sign * r : 0.0;
+        y = mode == 0 ? 0.0 : sign * r;
+        PyObject *event = Py_BuildValue("(dddd)", t, x, y, side);
+        if (event == NULL || PyList_Append(crossings, event) < 0) {
+            Py_XDECREF(event);
+            Py_DECREF(crossings);
+            return NULL;
+        }
+        Py_DECREF(event);
     }
-    return finish(2, x, y, t, crossings);
+    return finish(0, x, y, t, crossings);
 }
 
 static PyMethodDef methods[] = {
@@ -322,7 +249,7 @@ static PyMethodDef methods[] = {
 
 static struct PyModuleDef module = {
     PyModuleDef_HEAD_INIT, "pwlienard._kernel_c",
-    "Compiled trajectory kernel: adaptive RK45 with switching-line events.",
+    "Compiled trajectory kernel: adaptive RK45 in the polar angle.",
     -1, methods, NULL, NULL, NULL, NULL,
 };
 

@@ -62,4 +62,5 @@ class MaxStepsExceeded(SimulationError):
 
 
 class NonTransversalCrossing(SimulationError):
-    """Normal velocity at a switching-line crossing is below the guard threshold."""
+    """The angular speed about the origin fell below the guard threshold,
+    as where the flow slides along a switching line."""

@@ -5,6 +5,8 @@ The hot stepping loop lives in a kernel module with two interchangeable
 implementations: a C extension (``pwlienard._kernel_c``, built from one C99
 file with any C compiler) and a pure Python twin (``pwlienard._kernel_py``).
 The compiled one is used when it imports; otherwise the Python twin.
+Both integrate a return as two fixed arcs in the polar angle about the
+centre, one per side of the switching line, with no event location.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ except ImportError:
 
 BACKEND = _kernel.BACKEND_NAME
 
-EVENT_TOL = 1e-12  # |switching variable| that ends event location
 MAX_STEPS = 2_000_000  # RK steps allowed for one return
 
 
@@ -70,7 +71,7 @@ def vector_field(sys: LienardSystem, state, side: float):
     fc = sys.float_coeffs()
     p, q = _kernel_py.fold(fc["a0"], fc["a1"], fc["b0"], fc["b1"], fc["c"],
                            sys.lam, sys.eps)
-    return _kernel_py._field(_mode_of(sys), p, q, x, y, side)
+    return y, -x - y * polyval(p, x) - side * polyval(q, x)
 
 
 def _mode_of(sys: LienardSystem) -> int:
@@ -83,9 +84,10 @@ def _run(sys: LienardSystem, fc: dict, mode: int, x0: float, y0: float,
     converted once by the caller for all its returns."""
     lam = config.lam if (config.lam or config.eps) else sys.lam
     eps = config.eps if (config.lam or config.eps) else sys.eps
+    # the 0.0 fills the kernel's unused event_tol slot
     status, x, y, t, crossings = _kernel.integrate_return(
         mode, fc["a0"], fc["a1"], fc["b0"], fc["b1"], fc["c"],
-        lam, eps, x0, y0, config.rk_tol, EVENT_TOL, MAX_STEPS,
+        lam, eps, x0, y0, config.rk_tol, 0.0, MAX_STEPS,
         config.r_min, config.r_max)
     if status == 1:
         raise EscapeAnnulus(
@@ -94,7 +96,7 @@ def _run(sys: LienardSystem, fc: dict, mode: int, x0: float, y0: float,
         raise MaxStepsExceeded(f"no return after {MAX_STEPS} steps")
     if status == 3:
         raise NonTransversalCrossing(
-            f"switching-line crossing with normal velocity below guard at t = {t:.4f}")
+            f"angular speed below guard at t = {t:.4f}")
     if status != 0:
         raise PwLienardError(f"kernel returned unknown status {status}")
     return x, y, t, crossings
@@ -222,9 +224,15 @@ def bifurcation_increment(sys: LienardSystem, h: float, lam: float,
                           eps: float, rk_tol: float = 1e-12) -> float:
     """H+(return) - H+(start) over one full return in Melnikov coordinates.
 
-    Switch-on-y systems are integrated in the swapped coordinates (kernel
-    mode 2), where both the switching line and the section are the y-axis
-    and H+ = y^2/2 + lam * G(y); switch-on-x systems integrate directly.
+    In the swapped coordinates of a switch-on-y system, where both the
+    switching line and the section are the y-axis and H+ = y^2/2 + lam*G(y),
+    the flow x' = y + x*p(y) + sgn(x)*q(y), y' = -x becomes, with
+    (u, v) = (y, -x), the mode-0 flow with p and q negated.  ``fold`` is
+    linear, so the return runs mode 0 on the five vectors negated, from
+    (a, 0), and its x is the swapped y.  Negation is exact, so this is the
+    swapped-coordinate return bit for bit.  Switch-on-x systems integrate
+    directly.  Each return is two fixed arcs in the polar angle (see
+    ``_kernel_py``).
     """
     fc = sys.float_coeffs()
     big_g = poly_antideriv(fc["c"])
@@ -239,9 +247,9 @@ def bifurcation_increment(sys: LienardSystem, h: float, lam: float,
             a -= step
             if abs(step) <= 1e-15 * max(1.0, a):
                 break
-        x, y, _t, _c = _run(sys, fc, 2, 0.0, a, config)
-        return (0.5 * y * y + lam * polyval(big_g, y)) - h
+        negated = {k: [-c for c in v] for k, v in fc.items()}
+        u, _v, _t, _c = _run(sys, negated, 0, a, 0.0, config)
+        return (0.5 * u * u + lam * polyval(big_g, u)) - h
     a = math.sqrt(2.0 * h)
     x, y, _t, _c = _run(sys, fc, 1, 0.0, a, config)
     return 0.5 * y * y - h
-

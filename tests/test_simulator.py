@@ -12,6 +12,7 @@ from pwlienard import (Case, EscapeAnnulus, LienardSystem, RingElem, SimConfig,
 from pwlienard import fold_to_theorem_form, theorem_form_system
 from pwlienard.melnikov import case_x_i2, case_x_i3, case_x_i_poly
 from pwlienard import _kernel_py, simulator
+from pwlienard.algebra import poly_antideriv, polyval
 from pwlienard.simulator import BACKEND, bifurcation_increment
 
 INV_PI = RingElem.term(1, p=-1)
@@ -48,6 +49,17 @@ class TestUnperturbed:
         assert not scan.cycles
 
 
+def route_args(mode, vectors, lam, eps, x0, y0, rk_tol, max_steps, r_min):
+    """Kernel arguments for one return.  Modes 0 and 1 are the kernel's; 2
+    is the switch-on-y system in Melnikov (swapped) coordinates, which
+    ``bifurcation_increment`` runs as mode 0 on the five vectors negated,
+    from (y0, -x0)."""
+    if mode == 2:
+        mode, vectors, x0, y0 = 0, [[-c for c in v] for v in vectors], y0, -x0
+    return (mode, *vectors, lam, eps, x0, y0, rk_tol, 0.0, max_steps, r_min,
+            50.0)
+
+
 def assert_twins_agree(kernel_c, args, status):
     """Both kernels end with ``status`` at the same point, time and sides."""
     s_py, x_py, y_py, t_py, c_py = _kernel_py.integrate_return(*args)
@@ -73,17 +85,28 @@ PARITY_INPUTS = [
 
 def example1_args(mode, x0, y0, max_steps, r_min, rk_tol=1e-10):
     fc = load_preset("example1").float_coeffs()
-    return (mode, fc["a0"], fc["a1"], fc["b0"], fc["b1"], fc["c"],
-            0.02, 4e-4, x0, y0, rk_tol, 1e-12, max_steps, r_min, 50.0)
+    return route_args(mode, [fc[k] for k in ("a0", "a1", "b0", "b1", "c")],
+                      0.02, 4e-4, x0, y0, rk_tol, max_steps, r_min)
+
+
+FIVE_VECTORS = ([0.0, 1.5, -0.4, 0.3], [0.7, -1.0], [0.9, 0.6],
+                [-0.3, 1.1, 0.4], [0.0, 0.8])
 
 
 def five_vector_args(mode, rk_tol=1e-10):
     """Five nonzero vectors of unequal lengths, p of degree 3 and q of
     degree 2: the twins pad the shorter vectors and fold them alike."""
     x0, y0 = (1.5, 0.0) if mode == 0 else (0.0, 1.5)
-    return (mode, [0.0, 1.5, -0.4, 0.3], [0.7, -1.0], [0.9, 0.6],
-            [-0.3, 1.1, 0.4], [0.0, 0.8],
-            0.02, 4e-4, x0, y0, rk_tol, 1e-12, 2_000_000, 1e-3, 50.0)
+    return route_args(mode, FIVE_VECTORS, 0.02, 4e-4, x0, y0, rk_tol,
+                      2_000_000, 1e-3)
+
+
+# the guard's two sides: a sliding start (status 3) and the linear centre's
+# orbit through r = 1e-10 (status 0); see TestGuards
+SLIDING_ARGS = (0, [0.0], [0.0], [0.0], [0.0], [2.0], 1.0, 0.0,
+                1.0, 0.0, 1e-10, 0.0, 1000, 1e-12, 50.0)
+TINY_CENTRE_ARGS = (0, [0.0], [0.0], [0.0], [0.0], [0.0], 0.0, 0.0,
+                    1e-10, 0.0, 1e-10, 0.0, 1000, 1e-12, 50.0)
 
 
 class TestKernelParity:
@@ -99,21 +122,23 @@ class TestKernelParity:
         assert_twins_agree(kernel_c, five_vector_args(mode), 0)
 
     def test_backends_bitwise_equal(self, kernel_c):
-        """Both twins take every norm as sqrt(x*x + y*y), so on every parity
-        input they end at the same bits, not only within the bounds.  At
-        rk_tol 1e-10 most crossings take one Newton landing step after the
-        dense-output root; at 1e-12, the increments' tolerance, the root's
-        own substep already lands within event_tol."""
+        """Both twins call libm's cos and sin and sum every stage in the
+        tableau's order, so on every parity input they end at the same
+        bits, crossings included, not only within the bounds; at rk_tol
+        1e-10, the scan's tolerance, and 1e-12, the increments'."""
         inputs = [example1_args(*row[:5]) for row in PARITY_INPUTS] \
             + [five_vector_args(mode) for mode in (0, 1, 2)] \
             + [example1_args(*row[:5], rk_tol=1e-12)
                for row in PARITY_INPUTS if row[5] == 0] \
-            + [five_vector_args(mode, rk_tol=1e-12) for mode in (0, 1, 2)]
+            + [five_vector_args(mode, rk_tol=1e-12) for mode in (0, 1, 2)] \
+            + [SLIDING_ARGS, TINY_CENTRE_ARGS]
         for args in inputs:
-            s_py, x_py, y_py, t_py, _c = _kernel_py.integrate_return(*args)
-            s_c, x_c, y_c, t_c, _c = kernel_c.integrate_return(*args)
-            assert (s_py, x_py.hex(), y_py.hex(), t_py.hex()) \
-                == (s_c, x_c.hex(), y_c.hex(), t_c.hex()), args[0]
+            got = [kernel.integrate_return(*args)
+                   for kernel in (_kernel_py, kernel_c)]
+            s_py, s_c = ((s, x.hex(), y.hex(), t.hex(),
+                          [tuple(v.hex() for v in c) for c in crossings])
+                         for s, x, y, t, crossings in got)
+            assert s_py == s_c, args[0]
 
     def test_compiled_contract(self, kernel_c):
         assert kernel_c.BACKEND_NAME == "compiled"
@@ -126,85 +151,137 @@ class TestKernelParity:
     def test_backend_name_known(self):
         assert BACKEND in ("compiled", "python")
 
+    @pytest.mark.parametrize("twin", ["python", "compiled"])
+    def test_unknown_mode_rejected(self, request, twin):
+        """Modes 0 and 1 are the only ones; the swapped coordinates are mode
+        0 on negated vectors, so a stray 2 must not run as mode 1."""
+        kernel = _kernel_py if twin == "python" \
+            else request.getfixturevalue("kernel_c")
+        with pytest.raises(ValueError, match="mode"):
+            kernel.integrate_return(2, [0.0], [0.0], [0.0], [0.0], [0.0],
+                                    0.0, 0.0, 0.0, 1.0, 1e-10, 0.0, 100,
+                                    1e-3, 50.0)
+
+    @pytest.mark.parametrize("twin", ["python", "compiled"])
+    @pytest.mark.parametrize("r,rk_tol", [(2.0, 1e-10), (6.0, 1e-12)])
+    def test_perfbench_calling_contract(self, request, twin, r, rk_tol):
+        """perfbench/worker.py ``kernel_rows`` calls the entry with these 15
+        arguments by position, event_tol slot included, and reads a 5-tuple
+        whose status is 0; perfbench/tracing.py counts ``result[4]`` as the
+        crossings.  A kernel refactor must keep all of it."""
+        kernel = _kernel_py if twin == "python" \
+            else request.getfixturevalue("kernel_c")
+        fc = load_preset("example1").float_coeffs()
+        result = kernel.integrate_return(
+            0, fc["a0"], fc["a1"], fc["b0"], fc["b1"], fc["c"], 0.02, 4e-4,
+            r, 0.0, rk_tol, 1e-12, 2_000_000, 1e-3, 50.0)
+        assert isinstance(result, tuple) and len(result) == 5
+        assert result[0] == 0
+        assert len(result[4]) == 2
+
+
+CENTRE_DAMPING = 0.05
+
 
 def centre_args(mode, r, rk_tol):
-    """lam = eps = 0: the linear centre x' = y, y' = -x in every mode, whose
-    orbit through the section point r crosses the line at t = pi and
-    returns at t = 2 pi."""
+    """The linear centre damped by a constant p = mu (eps = 1, lam = 0):
+    x'' + mu x' + x = 0 in modes 0 and 1.  Mode 2, the swapped
+    coordinates, negates p, so there the orbit grows."""
     x0, y0 = (r, 0.0) if mode == 0 else (0.0, r)
-    return (mode, [1.0], [1.0], [1.0], [1.0], [1.0], 0.0, 0.0, x0, y0,
-            rk_tol, 1e-12, 2_000_000, 1e-3, 50.0)
+    return route_args(mode, [[CENTRE_DAMPING], [0.0], [0.0], [0.0], [0.0]],
+                      0.0, 1.0, x0, y0, rk_tol, 2_000_000, 1e-3)
 
 
 class TestEventLocation:
+    """No event location is left: each arc's last step is clipped to the
+    arc's end angle, so every crossing lies on its line by construction."""
+
     @pytest.mark.parametrize("twin", ["python", "compiled"])
     @pytest.mark.parametrize("mode", [0, 1, 2])
     @pytest.mark.parametrize("r", [0.5, 2.0, 6.0])
     @pytest.mark.parametrize("rk_tol", [1e-10, 1e-12])
     def test_centre_crossings_at_half_periods(self, request, twin, mode, r,
                                               rk_tol):
-        """Each crossing lands at t = pi, k pi on the exact +-r section
-        coordinate; what is left is the integration's global error."""
+        """Crossing k lands at t = k pi/omega, omega = sqrt(1 - mu^2/4),
+        exactly on its line, at the section coordinate
+        (-1)^k r exp(-k mu pi/(2 omega)), with mu negated in mode 2; what
+        is left is the integration's global error."""
         kernel = _kernel_py if twin == "python" \
             else request.getfixturevalue("kernel_c")
         status, x, y, t, crossings = kernel.integrate_return(
             *centre_args(mode, r, rk_tol))
         assert status == 0
         assert len(crossings) == 2
+        mu = -CENTRE_DAMPING if mode == 2 else CENTRE_DAMPING
+        omega = math.sqrt(1.0 - 0.25 * mu * mu)
         for k, (tk, xk, yk, _side) in enumerate(crossings, start=1):
-            # mode 0 runs x = r cos t, y = -r sin t; modes 1 and 2 run
-            # x = r sin t, y = r cos t
-            coord, other = (xk, yk) if mode == 0 else (yk, xk)
+            # mode 0 and the swapped mode 2 cross y = 0, mode 1 crosses x = 0
+            coord, other = (yk, xk) if mode == 1 else (xk, yk)
             assert other == 0.0
-            assert abs(tk - k * math.pi) <= 1e-8
-            assert abs(coord - (-1) ** k * r) <= 1e-8
+            assert abs(tk - k * math.pi / omega) <= 1e-8
+            decay = math.exp(-k * mu * math.pi / (2.0 * omega))
+            assert abs(coord - (-1) ** k * r * decay) <= 1e-8 * r
         assert (t, x, y) == crossings[-1][:3]
+
+
+def count_field_evaluations(monkeypatch, args):
+    calls = [0]
+    field = _kernel_py._field
+
+    def counted(*fargs):
+        calls[0] += 1
+        return field(*fargs)
+
+    monkeypatch.setattr(_kernel_py, "_field", counted)
+    status, *_ = _kernel_py.integrate_return(*args)
+    assert status == 0
+    return calls[0]
 
 
 class TestKernelWork:
     @pytest.mark.parametrize("r,rk_tol,count", [
-        (2.0, 1e-10, 971),
-        (6.0, 1e-12, 2477),
+        (2.0, 1e-10, 362),
+        (6.0, 1e-12, 1292),
     ])
     def test_field_evaluations_per_return(self, monkeypatch, r, rk_tol,
                                           count):
         """The two example1 returns of perfbench's kernel_fixed op take
-        exactly this many field evaluations, 38 % (r = 2) and 26 % (r = 6)
-        below the 1564 and 3335 of bisection location; FSAL, dense-output
-        location and the carried step size make the difference.  An exact
-        count also fails a step that stops calling the module-level field.
-        The count depends on the arithmetic only, not on the machine."""
-        calls = [0]
-        field = _kernel_py._field
+        exactly this many field evaluations: one for stage 1, six per step
+        and one at the switch.  Time-stepped with event location they took
+        971 and 2477.  An exact count also fails a step that stops calling
+        the module-level field.  The count depends on the arithmetic only,
+        not on the machine."""
+        assert count_field_evaluations(monkeypatch, example1_args(
+            0, r, 0.0, 2_000_000, 1e-3, rk_tol=rk_tol)) == count
 
-        def counted(*args):
-            calls[0] += 1
-            return field(*args)
+    def test_field_evaluations_designed_cycle_return(self, monkeypatch):
+        """One scan return of two_cycle_system at its designed cycle
+        r = sqrt(2), lam = 0.02, eps = 4e-4, rk_tol 1e-10: 146 evaluations,
+        against 947 time-stepped with event location.  The perturbation is
+        small against the rotation, so the angle form gains most here."""
+        fc = two_cycle_system().float_coeffs()
+        args = route_args(0, [fc[k] for k in ("a0", "a1", "b0", "b1", "c")],
+                          0.02, 4e-4, math.sqrt(2.0), 0.0, 1e-10, 2_000_000,
+                          1e-3)
+        assert count_field_evaluations(monkeypatch, args) == 146
 
-        monkeypatch.setattr(_kernel_py, "_field", counted)
-        status, *_ = _kernel_py.integrate_return(
-            *example1_args(0, r, 0.0, 2_000_000, 1e-3, rk_tol=rk_tol))
-        assert status == 0
-        assert calls[0] == count
 
-
-def tableau_step(mode, p, q, x, y, side, h, k1x, k1y):
-    """The Dormand-Prince step as loops over _A and _E: the summation
-    order the C twin uses."""
-    kx, ky = [k1x], [k1y]
-    for row in _kernel_py._A[1:]:
-        xs, ys = x, y
-        for a, kxj, kyj in zip(row, kx, ky):
-            xs += (h * a) * kxj
-            ys += (h * a) * kyj
-        dx, dy = _kernel_py._field(mode, p, q, xs, ys, side)
-        kx.append(dx)
-        ky.append(dy)
-    ex = ey = 0.0
-    for e, kxj, kyj in zip(_kernel_py._E, kx, ky):
-        ex += (h * e) * kxj
-        ey += (h * e) * kyj
-    return xs, ys, math.sqrt(ex * ex + ey * ey), kx, ky
+def tableau_step(p, q, r, t, phi, side, h, k1r, k1t):
+    """The Dormand-Prince step as loops over _A, the nodes and _E: the
+    summation order the C twin uses."""
+    kr, kt = [k1r], [k1t]
+    for row, c in zip(_kernel_py._A[1:], _kernel_py._C + (1.0,)):
+        rs, ts = r, t
+        for a, krj, ktj in zip(row, kr, kt):
+            rs += (h * a) * krj
+            ts += (h * a) * ktj
+        dr, dt = _kernel_py._field(p, q, rs, phi + c * h, side)
+        kr.append(dr)
+        kt.append(dt)
+    er = 0.0
+    for e, krj in zip(_kernel_py._E, kr):
+        er += (h * e) * krj
+    return rs, ts, abs(er), kr[6], kt[6]
 
 
 class TestWrittenOutStep:
@@ -212,37 +289,60 @@ class TestWrittenOutStep:
     def test_step_matches_tableau_loops_bitwise(self, rng, mode):
         """_rk_step is written out stage by stage; it must sum in the
         tableau's order, or the twins drift apart in the last bit.  This
-        holds it to that order where no C compiler is present."""
-        p, q = _kernel_py.fold(*five_vector_args(mode)[1:8])
+        holds it to that order where no C compiler is present, on the
+        folded vectors and the angles of each mode's return."""
+        args = five_vector_args(mode)
+        p, q = _kernel_py.fold(*args[1:8])
+        phi0 = -0.5 * math.pi if args[0] == 1 else 0.0
         for _ in range(300):
-            x, y = rng.uniform(-6.0, 6.0), rng.uniform(-6.0, 6.0)
+            r, t = rng.uniform(0.5, 6.0), rng.uniform(0.0, 7.0)
+            phi = phi0 + rng.uniform(0.0, 2.0 * math.pi)
             side = rng.choice((-1.0, 1.0))
             h = 10.0 ** rng.uniform(-8.0, 0.0)
-            k1x, k1y = _kernel_py._field(mode, p, q, x, y, side)
-            got = _kernel_py._rk_step(mode, p, q, x, y, side, h, k1x, k1y)
-            want = tableau_step(mode, p, q, x, y, side, h, k1x, k1y)
-            assert [v.hex() for v in got[:3]] == [v.hex() for v in want[:3]]
-            assert [v.hex() for v in got[3] + got[4]] \
-                == [v.hex() for v in want[3] + want[4]]
+            k1r, k1t = _kernel_py._field(p, q, r, phi, side)
+            got = _kernel_py._rk_step(p, q, r, t, phi, side, h, k1r, k1t)
+            want = tableau_step(p, q, r, t, phi, side, h, k1r, k1t)
+            assert [v.hex() for v in got] == [v.hex() for v in want]
 
 
 class TestVectorField:
     def test_swapped_coordinates_formula(self):
-        """Mode 2, the switch-on-y path of bifurcation_increment: the
-        polynomials act on y and the perturbation sits in x'."""
-        a0, a1, b0 = [0.3, -1.2], [0.5, 0.7], [1.1, 0.4, -0.2]
-        b1, c = [-0.6, 0.9, 0.8], [0.25, 1.5, -0.35]
-        lam, eps, x, y, side = 0.1, 0.01, 0.7, -0.4, -1.0
-        dx, dy = _kernel_py._field(
-            2, *_kernel_py.fold(a0, a1, b0, b1, c, lam, eps), x, y, side)
+        """The switch-on-y system in Melnikov (swapped) coordinates,
+        x' = y + x*p(y) + sgn(x)*q(y), y' = -x, is with (u, v) = (y, -x)
+        the switch-on-y system in original coordinates on the five vectors
+        negated, and bifurcation_increment runs it that way.  The field maps
+        over, and the increment is the direct mode-0 return on the negated
+        vectors, bit for bit.  G(2) = 0 here, so the start ordinate of h = 2
+        is exactly 2."""
+        vectors = {"a0": [Fraction(3, 10), Fraction(-6, 5)],
+                   "a1": [Fraction(1, 2), Fraction(7, 10)],
+                   "b0": [Fraction(11, 10), Fraction(2, 5), Fraction(-1, 5)],
+                   "b1": [Fraction(-3, 5), Fraction(9, 10), Fraction(4, 5)],
+                   "c": [Fraction(-4), Fraction(0), Fraction(3)]}
+        lam, eps = 0.1, 0.01
+        sys_, negated = (
+            LienardSystem.build(Case.SWITCH_Y, 1, 2, lam=lam, eps=eps,
+                                **{k: [sign * c for c in v]
+                                   for k, v in vectors.items()})
+            for sign in (1, -1))
+        fc = sys_.float_coeffs()
+        p, q = _kernel_py.fold(fc["a0"], fc["a1"], fc["b0"], fc["b1"],
+                               fc["c"], lam, eps)
+        for x, y in ((0.7, -0.4), (-1.3, 0.9)):
+            sgn = 1.0 if x > 0 else -1.0
+            du, dv = vector_field(negated, (y, -x), side=-sgn)
+            swapped = (y + x * polyval(p, y) + sgn * polyval(q, y), -x)
+            assert (-dv, du) == pytest.approx(swapped, rel=1e-14)
 
-        def at_y(coeffs):
-            return sum(k * y ** i for i, k in enumerate(coeffs))
-
-        expected = y + lam * side * at_y(c) + eps * (
-            x * (at_y(a0) + lam * at_y(a1)) + side * (at_y(b0) + lam * at_y(b1)))
-        assert dx == pytest.approx(expected, rel=1e-13)
-        assert dy == -x
+        fn = negated.float_coeffs()
+        status, u, _v, _t, _c = simulator._kernel.integrate_return(
+            0, fn["a0"], fn["a1"], fn["b0"], fn["b1"], fn["c"], lam, eps,
+            2.0, 0.0, 1e-12, 0.0, simulator.MAX_STEPS, 1e-3, 50.0)
+        assert status == 0
+        big_g = poly_antideriv(fc["c"])
+        assert polyval(big_g, 2.0) == 0.0
+        assert bifurcation_increment(sys_, 2.0, lam, eps) \
+            == 0.5 * u * u + lam * polyval(big_g, u) - 2.0
 
     def test_switch_on_y_formula(self):
         sys_ = LienardSystem.build(Case.SWITCH_Y, 1, 1, a0=[0, 2], b0=[0, 3],
@@ -265,15 +365,17 @@ class TestVectorField:
 
 class TestCycleDetection:
     def test_finds_designed_cycles(self):
-        """Zeros of M1 at h = 1 and 4 must appear as limit cycles."""
+        """Zeros of M1 at h = 1 and 4 must appear as limit cycles.  The
+        references 1.000000018 and 3.999999986 are the cycles at rk_tol
+        1e-13 with the Illinois iteration run down to bracket width."""
         lam = 0.02
         sys_ = two_cycle_system()
         scan = find_cycles(sys_, (1.0, 3.4), 60,
                            SimConfig(lam=lam, eps=lam * lam))
         assert len(scan.cycles) == 2
         h_stars = sorted(c.h_star for c in scan.cycles)
-        assert h_stars[0] == pytest.approx(1.0, abs=5e-3)
-        assert h_stars[1] == pytest.approx(4.0, abs=2e-2)
+        assert h_stars[0] == pytest.approx(1.000000018, abs=5e-5)
+        assert h_stars[1] == pytest.approx(3.999999986, abs=5e-5)
         for c in scan.cycles:
             assert c.residual <= 1e-8 * max(1.0, c.radius)
             assert not math.isnan(c.stability_slope)
@@ -377,10 +479,20 @@ class TestGuards:
             SimConfig(**kwargs)
 
     def test_non_transversal_start(self):
-        status, *_ = _kernel_py.integrate_return(
-            0, [0.0], [0.0], [0.0], [0.0], [0.0], 0.0, 0.0,
-            1e-10, 0.0, 1e-10, 1e-12, 1000, 1e-12, 50.0)
-        assert status == 3
+        """A sliding start: q = 2 (lam = 1, g = 2) at (1, 0) on the side
+        -1 arc, where the angular speed (r + cos(phi) A)/r is
+        (1 - 2)/1 = -1; the flow points back at the line from both sides."""
+        status, x, y, t, crossings = _kernel_py.integrate_return(*SLIDING_ARGS)
+        assert (status, x, y, t, crossings) == (3, 1.0, -0.0, 0.0, [])
+
+    def test_tiny_centre_orbit_returns(self):
+        """r = 1e-10 in the zero field is a periodic orbit of the linear
+        centre, not a stationary point: it returns to itself at 2 pi."""
+        status, x, y, t, crossings = _kernel_py.integrate_return(
+            *TINY_CENTRE_ARGS)
+        assert (status, x, y) == (0, 1e-10, 0.0)
+        assert t == pytest.approx(2.0 * math.pi, abs=1e-12)
+        assert len(crossings) == 2
 
 
 def theorem_form_equivalent(sys_, folded, r_values, config, tol=1e-7):
