@@ -16,7 +16,15 @@
  * return is two arcs of length pi, each with a fixed side and its last step
  * clipped to the arc's end; FSAL (stage 7 of an accepted step is the next
  * step's stage 1, and a rejected step reuses stage 1); the error estimate is
- * on r alone; the step size carries across the switch.
+ * on r alone.  The first step is pi/16; the step after a rejection may not
+ * grow h; where the rest of an arc lies between h and 2h, half of it is
+ * stepped; the step size carries across the switch.  A trial stage below
+ * the guard rejects its step, retried at a fifth of its length; status 3
+ * comes only from stage 1 below the guard or from h falling below H_FLOOR.
+ *
+ * The field evaluates p, and q multiplied by the arc's side (qs, set once
+ * per arc), by Horner from the top degree down, as the Python twin's
+ * descending tuples do.
  *
  * Build: python3 setup.py build_ext --inplace   (needs only a C compiler)
  */
@@ -29,6 +37,10 @@
 
 static const double TRANSVERSAL_GUARD = 1e-8;
 static const double PI = 3.141592653589793;  /* math.pi */
+/* the first step of a return, and the step length below which a step that
+   keeps meeting the guard ends the return with status 3 */
+static const double H_START = 3.141592653589793 / 16;
+static const double H_FLOOR = 1e-12;
 
 /* Dormand-Prince 5(4) tableau.  Row 6 of A5 is the 5th-order weights, so
    stage 7 is the field at the step's end point: the next step's stage 1. */
@@ -46,9 +58,10 @@ static const double C7[7] = {0.0, 1.0 / 5, 3.0 / 10, 4.0 / 5, 8.0 / 9, 1.0, 1.0}
 static const double B4[7] = {5179.0 / 57600, 0.0, 7571.0 / 16695, 393.0 / 640,
                              -92097.0 / 339200, 187.0 / 2100, 1.0 / 40};
 
-/* the folded field polynomials p and q */
+/* the folded field polynomials p and q, ascending, and q multiplied by
+   the current arc's side */
 typedef struct {
-    double p[MAXC], q[MAXC];
+    double p[MAXC], q[MAXC], qs[MAXC];
     Py_ssize_t np, nq;
 } Coeffs;
 
@@ -60,15 +73,15 @@ static double polyval(const double *co, Py_ssize_t n, double x)
     return acc;
 }
 
-/* (dr/dphi, dt/dphi) at polar point (r, phi) with switch side ``side``;
-   returns 0, or 1 where the angular speed is below the guard. */
-static int field(const Coeffs *co, double r, double phi, double side,
-                 double *dr, double *dt)
+/* (dr/dphi, dt/dphi) at polar point (r, phi) on the current arc; returns
+   0, or 1 where the angular speed is below the guard. */
+static int field(const Coeffs *co, double r, double phi, double *dr,
+                 double *dt)
 {
     double c = cos(phi);
     double s = sin(phi);
     double x = r * c;
-    double a = -r * s * polyval(co->p, co->np, x) + side * polyval(co->q, co->nq, x);
+    double a = -r * s * polyval(co->p, co->np, x) + polyval(co->qs, co->nq, x);
     double w = r + c * a;
     if (!(r > 0.0 && w > TRANSVERSAL_GUARD * r))
         return 1;
@@ -82,15 +95,15 @@ static int field(const Coeffs *co, double r, double phi, double side,
    (r5, phi + h), and returns the error estimate on r, or -1 where the
    angular speed fell below the guard. */
 static double rk_step(const Coeffs *co, double r, double t, double phi,
-                      double side, double h, double kr[7], double kt[7],
-                      double *ro, double *to)
+                      double h, double kr[7], double kt[7], double *ro,
+                      double *to)
 {
     double rs = r, ts = t;
     for (int i = 1; i < 7; i++) {
         rs = r;
         for (int j = 0; j < i; j++)
             rs += (h * A5[i][j]) * kr[j];
-        if (field(co, rs, phi + C7[i] * h, side, &kr[i], &kt[i]))
+        if (field(co, rs, phi + C7[i] * h, &kr[i], &kt[i]))
             return -1.0;
     }
     /* t enters no stage: only its 5th-order sum is needed */
@@ -188,25 +201,43 @@ static PyObject *integrate_return(PyObject *self, PyObject *args,
     double r = mode == 0 ? x0 : y0;
     double phi = mode == 0 ? 0.0 : -0.5 * PI;
     double side = mode == 0 ? -1.0 : 1.0;
-    double t = 0.0, h = 0.01, x = 0.0, y = 0.0, kr[7], kt[7];
+    double t = 0.0, h = H_START, x = 0.0, y = 0.0, kr[7], kt[7];
     long steps = 0;
+    int rejected = 0;
     for (int arc = 0; arc < 2; arc++) {
         double sign = arc == 0 ? -1.0 : 1.0;
         double end = phi + PI;
-        if (field(&co, r, phi, side, &kr[0], &kt[0]))
+        for (Py_ssize_t i = 0; i < co.nq; i++)
+            co.qs[i] = side * co.q[i];
+        /* stage 1 is at an accepted point: below the guard there, the
+           return ends */
+        if (field(&co, r, phi, &kr[0], &kt[0]))
             return point(3, r, phi, t, crossings);
         while (phi < end) {
             if (steps >= max_steps)
                 return point(2, r, phi, t, crossings);
             steps++;
             int last = phi + h >= end;
-            double hs = last ? end - phi : h, r5, t5;
-            double err = rk_step(&co, r, t, phi, side, hs, kr, kt, &r5, &t5);
-            if (err < 0.0)
-                return point(3, r, phi, t, crossings);
+            double hs, r5, t5;
+            if (last)
+                hs = end - phi;
+            else if (phi + 2.0 * h > end)
+                hs = 0.5 * (end - phi);  /* two halves, not a step and a sliver */
+            else
+                hs = h;
+            double err = rk_step(&co, r, t, phi, hs, kr, kt, &r5, &t5);
+            if (err < 0.0) {
+                /* a trial stage below the guard rejects the step only */
+                h = 0.2 * hs;
+                if (h < H_FLOOR)
+                    return point(3, r, phi, t, crossings);
+                rejected = 1;
+                continue;
+            }
             double tol = rk_tol * (1.0 + fabs(r));
             if (err > tol) {
                 h = hs * fmax(0.2, 0.9 * pow(tol / err, 0.2));
+                rejected = 1;
                 continue;
             }
             r = r5;
@@ -217,10 +248,13 @@ static PyObject *integrate_return(PyObject *self, PyObject *args,
             if (r < r_min || r > r_max)
                 return point(1, r, phi, t, crossings);
             /* a clipped step keeps h: the arc's end, not the error, set
-               its length */
-            if (!last)
-                h = hs * (err > 0.0 ? fmin(5.0, 0.9 * pow(tol / err, 0.2))
-                                    : 5.0);
+               its length; right after a rejection h may not grow */
+            if (!last) {
+                double fac = err > 0.0 ? fmin(5.0, 0.9 * pow(tol / err, 0.2))
+                                       : 5.0;
+                h = hs * (rejected ? fmin(1.0, fac) : fac);
+            }
+            rejected = 0;
         }
         /* land exactly on the line; the next arc has the other side */
         side = -side;

@@ -42,13 +42,26 @@ Stepping
 Dormand-Prince 5(4) with FSAL on the pair (r, t): stage 7 of an accepted
 step is the field at its end point and becomes stage 1 of the next step; a
 rejected step reuses stage 1.  The stage nodes c2..c7 enter phi.  The error
-estimate is on r alone, against rk_tol*(1 + |r|).  The step size carries
-across the switch, where only stage 1 is recomputed, since the side
-changes.
+estimate is on r alone, against rk_tol*(1 + |r|).  Each return starts at
+h = pi/16 (``_H_START``).  The step that follows a rejection may not grow h
+(Hairer, Norsett & Wanner, Solving ODEs I, II.4).  Where the rest of an
+arc lies between h and 2h, the kernel steps half of it, so that an arc does
+not end on a sliver.  The step size carries across the switch, where only
+stage 1 is recomputed, since the side changes.
 
-Status codes: 0 ok, 1 escaped annulus, 2 max steps, 3 non-transversal: the
-angular speed (r + cos(phi) A)/r fell below ``_TRANSVERSAL_GUARD`` at an
-evaluated point, where phi stops being a valid independent variable.
+The field takes p and q in the form ``_descending`` makes once per return
+(p) and once per arc (q): tuples from the top degree down, q multiplied by
+the arc's side.  ``_field`` runs both Horner loops inline.  Horner from the
+top is ``algebra.polyval``, and a product with +-1 is exact, so this form
+changes no bit of a return: only the sign of an exactly zero value of q can
+differ, and a step adds that zero to nonzero sums only.
+
+Status codes: 0 ok, 1 escaped annulus, 2 max steps, 3 non-transversal,
+where phi stops being a valid independent variable: the angular speed
+(r + cos(phi) A)/r is below ``_TRANSVERSAL_GUARD`` at an accepted point
+(stage 1), or a step kept meeting the guard at a trial stage until h fell
+below ``_H_FLOOR``.  A trial stage below the guard rejects only its step,
+which is retried at a fifth of its length.
 
 Both twins call libm's cos and sin, as CPython's math does, so they agree
 bitwise.  For the same reason ``_rk_step`` is written out stage by stage
@@ -61,8 +74,6 @@ from __future__ import annotations
 
 import math
 from itertools import zip_longest
-
-from .algebra import polyval
 
 BACKEND_NAME = "python"
 
@@ -91,6 +102,10 @@ _C2, _C3, _C4, _C5, _C6 = _C
 _E1, _E2, _E3, _E4, _E5, _E6, _E7 = _E
 
 _TRANSVERSAL_GUARD = 1e-8
+# the first step of a return, and the step length below which a step that
+# keeps meeting the guard ends the return with status 3
+_H_START = math.pi / 16
+_H_FLOOR = 1e-12
 
 
 class _NonTransversal(Exception):
@@ -107,13 +122,31 @@ def fold(fa0, fa1, fb0, fb1, fc, lam, eps):
     return p, q
 
 
-def _field(p, q, r, phi, side):
-    """(dr/dphi, dt/dphi) at polar point (r, phi) with switch side ``side``;
-    raises _NonTransversal where the angular speed is below the guard."""
-    c = math.cos(phi)
-    s = math.sin(phi)
+def _descending(coeffs, scale=1.0):
+    """The coefficient form ``_field`` takes: a tuple from the top degree
+    down, each coefficient times ``scale`` (+-1, so exactly).  Built from a
+    list: tuple() of a generator starts with 10 slots and shrinks, which
+    drifts CPython's per-size tuple free lists and grew the resident memory
+    of a cycles run by about 0.5 MB."""
+    return tuple([scale * c for c in reversed(coeffs)])
+
+
+def _field(p, q, r, phi, cos=math.cos, sin=math.sin):
+    """(dr/dphi, dt/dphi) at polar point (r, phi); p and q are coefficient
+    tuples from the top degree down, q already multiplied by the arc's side
+    (see ``integrate_return``).  Raises _NonTransversal where the angular
+    speed is below the guard.  cos and sin are bound as defaults, so that
+    they are local names."""
+    c = cos(phi)
+    s = sin(phi)
     x = r * c
-    a = -r * s * polyval(p, x) + side * polyval(q, x)
+    pa = 0.0
+    for k in p:
+        pa = pa * x + k
+    qa = 0.0
+    for k in q:
+        qa = qa * x + k
+    a = -r * s * pa + qa
     w = r + c * a
     if not (r > 0.0 and w > _TRANSVERSAL_GUARD * r):
         raise _NonTransversal
@@ -121,28 +154,28 @@ def _field(p, q, r, phi, side):
     return s * a * dt, dt
 
 
-def _rk_step(p, q, r, t, phi, side, h, k1r, k1t):
+def _rk_step(p, q, r, t, phi, h, k1r, k1t):
     """One Dormand-Prince step of length h in phi from stage 1 (k1r, k1t);
     returns (r5, t5, err, k7r, k7t), stage 7 being the field at
     (r5, phi + h).  Each stage is r + (h*a_i1)*k1 + (h*a_i2)*k2 + ...
     summed left to right, zero weights included, and the error sum starts
     from 0.0: the C twin's loops, term for term."""
     h1 = h * _A21
-    k2r, k2t = _field(p, q, r + h1 * k1r, phi + _C2 * h, side)
+    k2r, k2t = _field(p, q, r + h1 * k1r, phi + _C2 * h)
     h1 = h * _A31
     h2 = h * _A32
-    k3r, k3t = _field(p, q, r + h1 * k1r + h2 * k2r, phi + _C3 * h, side)
+    k3r, k3t = _field(p, q, r + h1 * k1r + h2 * k2r, phi + _C3 * h)
     h1 = h * _A41
     h2 = h * _A42
     h3 = h * _A43
     k4r, k4t = _field(p, q, r + h1 * k1r + h2 * k2r + h3 * k3r,
-                      phi + _C4 * h, side)
+                      phi + _C4 * h)
     h1 = h * _A51
     h2 = h * _A52
     h3 = h * _A53
     h4 = h * _A54
     k5r, k5t = _field(p, q, r + h1 * k1r + h2 * k2r + h3 * k3r + h4 * k4r,
-                      phi + _C5 * h, side)
+                      phi + _C5 * h)
     h1 = h * _A61
     h2 = h * _A62
     h3 = h * _A63
@@ -150,7 +183,7 @@ def _rk_step(p, q, r, t, phi, side, h, k1r, k1t):
     h5 = h * _A65
     k6r, k6t = _field(
         p, q, r + h1 * k1r + h2 * k2r + h3 * k3r + h4 * k4r + h5 * k5r,
-        phi + _C6 * h, side)
+        phi + _C6 * h)
     h1 = h * _A71
     h2 = h * _A72
     h3 = h * _A73
@@ -159,7 +192,7 @@ def _rk_step(p, q, r, t, phi, side, h, k1r, k1t):
     h6 = h * _A76
     r5 = r + h1 * k1r + h2 * k2r + h3 * k3r + h4 * k4r + h5 * k5r + h6 * k6r
     t5 = t + h1 * k1t + h2 * k2t + h3 * k3t + h4 * k4t + h5 * k5t + h6 * k6t
-    k7r, k7t = _field(p, q, r5, phi + h, side)
+    k7r, k7t = _field(p, q, r5, phi + h)
     h1 = h * _E1
     h2 = h * _E2
     h3 = h * _E3
@@ -193,29 +226,49 @@ def integrate_return(mode, fa0, fa1, fb0, fb1, fc, lam, eps,
     if mode not in (0, 1):
         raise ValueError(f"unknown field mode {mode}")
     p, q = fold(fa0, fa1, fb0, fb1, fc, lam, eps)
+    p = _descending(p)
     if mode == 0:
         r, phi, side = float(x0), 0.0, -1.0
     else:
         r, phi, side = float(y0), -0.5 * math.pi, 1.0
     t = 0.0
     crossings = []
-    h = 0.01
+    h = _H_START
     steps = 0
+    rejected = False
     try:
         for sign in (-1.0, 1.0):
             end = phi + math.pi
-            k1r, k1t = _field(p, q, r, phi, side)
+            qs = _descending(q, side)
+            # stage 1 is at an accepted point: below the guard there, the
+            # return ends
+            k1r, k1t = _field(p, qs, r, phi)
             while phi < end:
                 if steps >= max_steps:
                     return (2, *_point(r, phi), t, crossings)
                 steps += 1
                 last = phi + h >= end
-                hs = end - phi if last else h
-                r5, t5, err, k7r, k7t = _rk_step(p, q, r, t, phi, side, hs,
-                                                 k1r, k1t)
+                if last:
+                    hs = end - phi
+                elif phi + 2.0 * h > end:
+                    # two halves, not a step and a sliver
+                    hs = 0.5 * (end - phi)
+                else:
+                    hs = h
+                try:
+                    r5, t5, err, k7r, k7t = _rk_step(p, qs, r, t, phi, hs,
+                                                     k1r, k1t)
+                except _NonTransversal:
+                    # a trial stage below the guard rejects the step only
+                    h = 0.2 * hs
+                    if h < _H_FLOOR:
+                        return (3, *_point(r, phi), t, crossings)
+                    rejected = True
+                    continue
                 tol = rk_tol * (1.0 + abs(r))
                 if err > tol:
                     h = hs * max(0.2, 0.9 * (tol / err) ** 0.2)
+                    rejected = True
                     continue
                 r, t = r5, t5
                 phi = end if last else phi + hs
@@ -223,10 +276,12 @@ def integrate_return(mode, fa0, fa1, fb0, fb1, fc, lam, eps,
                 if r < r_min or r > r_max:
                     return (1, *_point(r, phi), t, crossings)
                 # a clipped step keeps h: the arc's end, not the error,
-                # set its length
+                # set its length; right after a rejection h may not grow
                 if not last:
-                    h = hs * (min(5.0, 0.9 * (tol / err) ** 0.2)
-                              if err > 0.0 else 5.0)
+                    fac = (min(5.0, 0.9 * (tol / err) ** 0.2)
+                           if err > 0.0 else 5.0)
+                    h = hs * (min(1.0, fac) if rejected else fac)
+                rejected = False
             # land exactly on the line; the next arc has the other side
             side = -side
             x, y = (sign * r, 0.0) if mode == 0 else (0.0, sign * r)

@@ -83,10 +83,11 @@ PARITY_INPUTS = [
 ]
 
 
-def example1_args(mode, x0, y0, max_steps, r_min, rk_tol=1e-10):
+def example1_args(mode, x0, y0, max_steps, r_min, rk_tol=1e-10, lam=0.02,
+                  eps=4e-4):
     fc = load_preset("example1").float_coeffs()
     return route_args(mode, [fc[k] for k in ("a0", "a1", "b0", "b1", "c")],
-                      0.02, 4e-4, x0, y0, rk_tol, max_steps, r_min)
+                      lam, eps, x0, y0, rk_tol, max_steps, r_min)
 
 
 FIVE_VECTORS = ([0.0, 1.5, -0.4, 0.3], [0.7, -1.0], [0.9, 0.6],
@@ -108,6 +109,37 @@ SLIDING_ARGS = (0, [0.0], [0.0], [0.0], [0.0], [2.0], 1.0, 0.0,
 TINY_CENTRE_ARGS = (0, [0.0], [0.0], [0.0], [0.0], [0.0], 0.0, 0.0,
                     1e-10, 0.0, 1e-10, 0.0, 1000, 1e-12, 50.0)
 
+# the step controller's cases; see TestStepControl
+TRIAL_STAGE_VECTORS = ([-0.344, -0.23, 0.761, -1.327], [-0.662, -1.797, 0.244],
+                       [0.418, -1.644, -0.186, -0.767], [1.945, 0.375, 0.444],
+                       [0.437, 1.186])
+# x'' + 2.5 x' + x = 0: an overdamped node, whose angle never reaches pi
+OVERDAMPED_ARGS = (0, [2.5], [0.0], [0.0], [0.0], [0.0], 0.0, 1.0,
+                   1.0, 0.0, 1e-10, 0.0, 1000, 1e-12, 50.0)
+
+
+def first_step_rejected_args():
+    """example1 at lam = 0.3, eps = 0.09 from r = 2: its first pi/16 step
+    is rejected."""
+    return example1_args(0, 2.0, 0.0, 2_000_000, 1e-3, lam=0.3, eps=0.09)
+
+
+def designed_cycle_args():
+    """One scan return of two_cycle_system at its designed cycle
+    r = sqrt(2), lam = 0.02, eps = 4e-4, rk_tol 1e-10: it halves the rest
+    of both arcs."""
+    fc = two_cycle_system().float_coeffs()
+    return route_args(0, [fc[k] for k in ("a0", "a1", "b0", "b1", "c")],
+                      0.02, 4e-4, math.sqrt(2.0), 0.0, 1e-10, 2_000_000, 1e-3)
+
+
+def trial_stage_args(rk_tol):
+    """A switch-on-y return (mode 0, lam 0.3, eps 0.09, r = 4.259) whose
+    first step after the switch puts a trial stage below the guard, while
+    every accepted point stays transversal."""
+    return route_args(0, TRIAL_STAGE_VECTORS, 0.3, 0.09, 4.259, 0.0, rk_tol,
+                      2_000_000, 1e-3)
+
 
 class TestKernelParity:
     @pytest.mark.parametrize("mode,x0,y0,max_steps,r_min,status",
@@ -125,13 +157,18 @@ class TestKernelParity:
         """Both twins call libm's cos and sin and sum every stage in the
         tableau's order, so on every parity input they end at the same
         bits, crossings included, not only within the bounds; at rk_tol
-        1e-10, the scan's tolerance, and 1e-12, the increments'."""
+        1e-10, the scan's tolerance, and 1e-12, the increments'.  The last
+        four inputs take each branch of the step controller: a rejected
+        first step, the half-split, a trial stage below the guard and the
+        h floor."""
         inputs = [example1_args(*row[:5]) for row in PARITY_INPUTS] \
             + [five_vector_args(mode) for mode in (0, 1, 2)] \
             + [example1_args(*row[:5], rk_tol=1e-12)
                for row in PARITY_INPUTS if row[5] == 0] \
             + [five_vector_args(mode, rk_tol=1e-12) for mode in (0, 1, 2)] \
-            + [SLIDING_ARGS, TINY_CENTRE_ARGS]
+            + [SLIDING_ARGS, TINY_CENTRE_ARGS, first_step_rejected_args(),
+               designed_cycle_args(), trial_stage_args(1e-10),
+               OVERDAMPED_ARGS]
         for args in inputs:
             got = [kernel.integrate_return(*args)
                    for kernel in (_kernel_py, kernel_c)]
@@ -240,33 +277,33 @@ def count_field_evaluations(monkeypatch, args):
 
 class TestKernelWork:
     @pytest.mark.parametrize("r,rk_tol,count", [
-        (2.0, 1e-10, 362),
-        (6.0, 1e-12, 1292),
+        (2.0, 1e-10, 350),
+        (6.0, 1e-12, 1286),
     ])
     def test_field_evaluations_per_return(self, monkeypatch, r, rk_tol,
                                           count):
         """The two example1 returns of perfbench's kernel_fixed op take
         exactly this many field evaluations: one for stage 1, six per step
         and one at the switch.  Time-stepped with event location they took
-        971 and 2477.  An exact count also fails a step that stops calling
-        the module-level field.  The count depends on the arithmetic only,
-        not on the machine."""
+        971 and 2477; in the angle form from a first step of 0.01, with no
+        half-split and regrowth after a rejection, 362 and 1292.  An exact
+        count also fails a step that stops calling the module-level field.
+        The count depends on the arithmetic only, not on the machine."""
         assert count_field_evaluations(monkeypatch, example1_args(
             0, r, 0.0, 2_000_000, 1e-3, rk_tol=rk_tol)) == count
 
     def test_field_evaluations_designed_cycle_return(self, monkeypatch):
         """One scan return of two_cycle_system at its designed cycle
-        r = sqrt(2), lam = 0.02, eps = 4e-4, rk_tol 1e-10: 146 evaluations,
-        against 947 time-stepped with event location.  The perturbation is
-        small against the rotation, so the angle form gains most here."""
-        fc = two_cycle_system().float_coeffs()
-        args = route_args(0, [fc[k] for k in ("a0", "a1", "b0", "b1", "c")],
-                          0.02, 4e-4, math.sqrt(2.0), 0.0, 1e-10, 2_000_000,
-                          1e-3)
-        assert count_field_evaluations(monkeypatch, args) == 146
+        r = sqrt(2), lam = 0.02, eps = 4e-4, rk_tol 1e-10: 128 evaluations,
+        against 947 time-stepped with event location and 146 in the angle
+        form from a first step of 0.01.  The perturbation is small against
+        the rotation, so the angle form gains most here, and the first
+        step's warm-up was a large share of the return."""
+        assert count_field_evaluations(monkeypatch,
+                                       designed_cycle_args()) == 128
 
 
-def tableau_step(p, q, r, t, phi, side, h, k1r, k1t):
+def tableau_step(p, q, r, t, phi, h, k1r, k1t):
     """The Dormand-Prince step as loops over _A, the nodes and _E: the
     summation order the C twin uses."""
     kr, kt = [k1r], [k1t]
@@ -275,7 +312,7 @@ def tableau_step(p, q, r, t, phi, side, h, k1r, k1t):
         for a, krj, ktj in zip(row, kr, kt):
             rs += (h * a) * krj
             ts += (h * a) * ktj
-        dr, dt = _kernel_py._field(p, q, rs, phi + c * h, side)
+        dr, dt = _kernel_py._field(p, q, rs, phi + c * h)
         kr.append(dr)
         kt.append(dt)
     er = 0.0
@@ -290,19 +327,174 @@ class TestWrittenOutStep:
         """_rk_step is written out stage by stage; it must sum in the
         tableau's order, or the twins drift apart in the last bit.  This
         holds it to that order where no C compiler is present, on the
-        folded vectors and the angles of each mode's return."""
+        folded vectors in the kernel's coefficient form and the angles of
+        each mode's return."""
         args = five_vector_args(mode)
         p, q = _kernel_py.fold(*args[1:8])
+        p = _kernel_py._descending(p)
         phi0 = -0.5 * math.pi if args[0] == 1 else 0.0
         for _ in range(300):
             r, t = rng.uniform(0.5, 6.0), rng.uniform(0.0, 7.0)
             phi = phi0 + rng.uniform(0.0, 2.0 * math.pi)
-            side = rng.choice((-1.0, 1.0))
+            qs = _kernel_py._descending(q, rng.choice((-1.0, 1.0)))
             h = 10.0 ** rng.uniform(-8.0, 0.0)
-            k1r, k1t = _kernel_py._field(p, q, r, phi, side)
-            got = _kernel_py._rk_step(p, q, r, t, phi, side, h, k1r, k1t)
-            want = tableau_step(p, q, r, t, phi, side, h, k1r, k1t)
+            k1r, k1t = _kernel_py._field(p, qs, r, phi)
+            got = _kernel_py._rk_step(p, qs, r, t, phi, h, k1r, k1t)
+            want = tableau_step(p, qs, r, t, phi, h, k1r, k1t)
             assert [v.hex() for v in got] == [v.hex() for v in want]
+
+
+def polyval_field(p, q, r, phi, side):
+    """The field on fold's ascending lists, through algebra.polyval and
+    with the side applied to q's value: the form before the kernel's
+    coefficient tuples."""
+    c = math.cos(phi)
+    s = math.sin(phi)
+    x = r * c
+    a = -r * s * polyval(p, x) + side * polyval(q, x)
+    w = r + c * a
+    if not (r > 0.0 and w > _kernel_py._TRANSVERSAL_GUARD * r):
+        return None
+    dt = r / w
+    return s * a * dt, dt
+
+
+def has_negative_zero(coeffs):
+    return any(c == 0.0 and math.copysign(1.0, c) < 0.0 for c in coeffs)
+
+
+class TestFieldCoefficientForm:
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["vectors", "negated"])
+    @pytest.mark.parametrize("lam,eps", [(0.02, 4e-4), (0.3, 0.09),
+                                         (0.0, 0.5)])
+    def test_field_matches_polyval_bitwise(self, rng, sign, lam, eps):
+        """_field on the descending tuples, q times the side, equals the
+        polyval formula bit for bit: Horner from the top is polyval, and a
+        product with +-1 is exact.  The negated vectors are what
+        bifurcation_increment passes; with lam = 0 their zeros fold to
+        -0.0 coefficients."""
+        vectors = [[sign * c for c in v] for v in FIVE_VECTORS]
+        p, q = _kernel_py.fold(*vectors, lam, eps)
+        if sign < 0.0 and lam == 0.0:
+            assert has_negative_zero(p)
+        self.check(rng, p, q)
+
+    def test_designed_cycle_increment_coefficients(self, rng):
+        """The designed-cycle systems carry zeros in every odd slot of a1
+        and in b0, b1 and c; negated for bifurcation_increment, they fold
+        to -0.0 coefficients of p and to q = [-0.0]."""
+        fc = two_cycle_system().float_coeffs()
+        vectors = [[-c for c in fc[k]] for k in ("a0", "a1", "b0", "b1", "c")]
+        p, q = _kernel_py.fold(*vectors, 0.02, 4e-4)
+        assert has_negative_zero(p) and has_negative_zero(q)
+        self.check(rng, p, q)
+
+    @staticmethod
+    def check(rng, p, q):
+        top_p = _kernel_py._descending(p)
+        for _ in range(400):
+            r = rng.uniform(0.2, 6.0)
+            phi = rng.uniform(-0.5 * math.pi, 2.5 * math.pi)
+            side = rng.choice((-1.0, 1.0))
+            want = polyval_field(p, q, r, phi, side)
+            try:
+                got = _kernel_py._field(top_p, _kernel_py._descending(q, side),
+                                        r, phi)
+            except _kernel_py._NonTransversal:
+                got = None
+            assert got is None and want is None \
+                or [v.hex() for v in got] == [v.hex() for v in want]
+
+
+def record_steps(monkeypatch, args):
+    """Run the Python twin on ``args``, recording the (phi, h) of every step
+    it tries.  Returns the result, the steps and for each step whether it
+    was accepted: a rejected step is retried from the same phi."""
+    steps = []
+    rk_step = _kernel_py._rk_step
+
+    def recorded(*step_args):
+        steps.append((step_args[4], step_args[5]))
+        return rk_step(*step_args)
+
+    monkeypatch.setattr(_kernel_py, "_rk_step", recorded)
+    result = _kernel_py.integrate_return(*args)
+    accepted = [steps[i + 1][0] != phi if i + 1 < len(steps)
+                else result[0] == 0 for i, (phi, _h) in enumerate(steps)]
+    return result, steps, accepted
+
+
+class TestStepControl:
+    def test_first_step_is_pi_over_16(self, monkeypatch):
+        _result, steps, _accepted = record_steps(
+            monkeypatch, example1_args(0, 2.0, 0.0, 2_000_000, 1e-3))
+        assert steps[0] == (0.0, math.pi / 16)
+
+    def test_no_growth_right_after_rejection(self, monkeypatch):
+        """At lam = 0.3 the first pi/16 step is rejected; after every
+        rejection, the step that follows the next accepted one is no longer
+        than it."""
+        (status, *_), steps, accepted = record_steps(
+            monkeypatch, first_step_rejected_args())
+        assert status == 0
+        assert not accepted[0]
+        checked = 0
+        for i in range(len(steps) - 2):
+            if not accepted[i] and accepted[i + 1]:
+                assert steps[i + 2][1] <= steps[i + 1][1]
+                checked += 1
+        assert checked >= 5
+
+    def test_arc_ends_on_two_halves(self, monkeypatch):
+        """The designed-cycle return ends both arcs on two accepted steps of
+        equal length, the rest of the arc halved, with no sliver after a
+        full step."""
+        (status, *_), steps, accepted = record_steps(
+            monkeypatch, designed_cycle_args())
+        assert status == 0
+        done = [step for step, ok in zip(steps, accepted) if ok]
+        for end in (math.pi, 2.0 * math.pi):
+            k = max(i for i, (phi, _h) in enumerate(done) if phi < end)
+            (_phi, h1), (phi2, h2) = done[k - 1], done[k]
+            assert phi2 + h2 == end
+            assert h2 == pytest.approx(h1, rel=1e-12)
+
+    def test_trial_stage_below_guard_rejects_the_step(self, monkeypatch):
+        """A trial stage below the guard after the switch rejects its step,
+        not the return: the return ends with status 0, not 3 at the switch,
+        and agrees with a 1e-13 return."""
+        raised = [0]
+        field = _kernel_py._field
+
+        def guarded(*fargs):
+            try:
+                return field(*fargs)
+            except _kernel_py._NonTransversal:
+                raised[0] += 1
+                raise
+
+        monkeypatch.setattr(_kernel_py, "_field", guarded)
+        status, x, y, t, crossings = _kernel_py.integrate_return(
+            *trial_stage_args(1e-10))
+        assert raised[0] >= 1
+        ref = _kernel_py.integrate_return(*trial_stage_args(1e-13))
+        assert status == ref[0] == 0
+        assert len(crossings) == 2
+        assert (x, y) == pytest.approx(ref[1:3], abs=1e-8)
+        assert t == pytest.approx(ref[3], abs=1e-8)
+
+    def test_overdamped_node_stops_at_the_floor(self, monkeypatch):
+        """x'' + 2.5 x' + x = 0 from (1, 0) turns onto its slow eigenvector
+        y = -x/2, at angle atan(1/2), and never reaches the line.  Trial
+        stages past it keep meeting the guard until h falls below the floor;
+        the return ends with status 3 at the last accepted point, short of
+        that angle."""
+        (status, x, y, _t, crossings), steps, _accepted = record_steps(
+            monkeypatch, OVERDAMPED_ARGS)
+        assert (status, crossings) == (3, [])
+        phi = math.atan2(-y, x)
+        assert 0.0 < math.atan(0.5) - phi <= 1e-8
+        assert 0.2 * steps[-1][1] < _kernel_py._H_FLOOR <= steps[-1][1]
 
 
 class TestVectorField:
