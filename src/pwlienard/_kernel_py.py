@@ -1,8 +1,6 @@
-"""Pure-Python trajectory kernel: adaptive RK45 in the polar angle.
+"""The trajectory kernel: adaptive RK45 in the polar angle, pure Python.
 
-This is the reference twin of the compiled kernel in ``_kernel_c.c``; both
-expose the same ``integrate_return`` entry point and must stay behaviorally
-identical (the test suite compares them whenever a C compiler is present).
+``simulator`` runs every return through ``integrate_return``.
 
 Folded field
 ------------
@@ -63,11 +61,13 @@ where phi stops being a valid independent variable: the angular speed
 below ``_H_FLOOR``.  A trial stage below the guard rejects only its step,
 which is retried at a fifth of its length.
 
-Both twins call libm's cos and sin, as CPython's math does, so they agree
-bitwise.  For the same reason ``_rk_step`` is written out stage by stage
-(the interpreter spends half a return walking tableau loops otherwise) but
-sums each stage and the error estimate in the tableau's left-to-right order,
-zero weights included, exactly as the C twin's loops do.
+``_rk_step`` is written out stage by stage: the interpreter spends half a
+return walking tableau loops otherwise.  It sums each stage and the error
+estimate in the tableau's left-to-right order and skips the zero weights
+(a7,2 and e2), which changes no bit: a product with a zero weight is a
+signed zero, which can change only the sign of a sum that is exactly zero,
+and r5 and t5 are positive while the error estimate is taken in absolute
+value.
 """
 
 from __future__ import annotations
@@ -96,10 +96,10 @@ _B4 = (5179.0 / 57600, 0.0, 7571.0 / 16695, 393.0 / 640, -92097.0 / 339200,
 _E = tuple(b5 - b4 for b5, b4 in zip(_A[6] + (0.0,), _B4))
 # the same weights by name, for the written-out step
 (_A21,), (_A31, _A32), (_A41, _A42, _A43), (_A51, _A52, _A53, _A54), \
-    (_A61, _A62, _A63, _A64, _A65), (_A71, _A72, _A73, _A74, _A75, _A76) \
+    (_A61, _A62, _A63, _A64, _A65), (_A71, _, _A73, _A74, _A75, _A76) \
     = _A[1:]
 _C2, _C3, _C4, _C5, _C6 = _C
-_E1, _E2, _E3, _E4, _E5, _E6, _E7 = _E
+_E1, _, _E3, _E4, _E5, _E6, _E7 = _E
 
 _TRANSVERSAL_GUARD = 1e-8
 # the first step of a return, and the step length below which a step that
@@ -158,8 +158,7 @@ def _rk_step(p, q, r, t, phi, h, k1r, k1t):
     """One Dormand-Prince step of length h in phi from stage 1 (k1r, k1t);
     returns (r5, t5, err, k7r, k7t), stage 7 being the field at
     (r5, phi + h).  Each stage is r + (h*a_i1)*k1 + (h*a_i2)*k2 + ...
-    summed left to right, zero weights included, and the error sum starts
-    from 0.0: the C twin's loops, term for term."""
+    summed left to right, the zero weights left out."""
     h1 = h * _A21
     k2r, k2t = _field(p, q, r + h1 * k1r, phi + _C2 * h)
     h1 = h * _A31
@@ -185,23 +184,20 @@ def _rk_step(p, q, r, t, phi, h, k1r, k1t):
         p, q, r + h1 * k1r + h2 * k2r + h3 * k3r + h4 * k4r + h5 * k5r,
         phi + _C6 * h)
     h1 = h * _A71
-    h2 = h * _A72
     h3 = h * _A73
     h4 = h * _A74
     h5 = h * _A75
     h6 = h * _A76
-    r5 = r + h1 * k1r + h2 * k2r + h3 * k3r + h4 * k4r + h5 * k5r + h6 * k6r
-    t5 = t + h1 * k1t + h2 * k2t + h3 * k3t + h4 * k4t + h5 * k5t + h6 * k6t
+    r5 = r + h1 * k1r + h3 * k3r + h4 * k4r + h5 * k5r + h6 * k6r
+    t5 = t + h1 * k1t + h3 * k3t + h4 * k4t + h5 * k5t + h6 * k6t
     k7r, k7t = _field(p, q, r5, phi + h)
     h1 = h * _E1
-    h2 = h * _E2
     h3 = h * _E3
     h4 = h * _E4
     h5 = h * _E5
     h6 = h * _E6
     h7 = h * _E7
-    er = (0.0 + h1 * k1r + h2 * k2r + h3 * k3r + h4 * k4r + h5 * k5r
-          + h6 * k6r + h7 * k7r)
+    er = h1 * k1r + h3 * k3r + h4 * k4r + h5 * k5r + h6 * k6r + h7 * k7r
     return r5, t5, abs(er), k7r, k7t
 
 

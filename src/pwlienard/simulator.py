@@ -1,12 +1,9 @@
 """Direct integration of the piecewise systems: return maps, displacement,
 limit-cycle location and the finite-difference bifurcation increment.
 
-The hot stepping loop lives in a kernel module with two interchangeable
-implementations: a C extension (``pwlienard._kernel_c``, built from one C99
-file with any C compiler) and a pure Python twin (``pwlienard._kernel_py``).
-The compiled one is used when it imports; otherwise the Python twin.
-Both integrate a return as two fixed arcs in the polar angle about the
-centre, one per side of the switching line, with no event location.
+The stepping loop lives in ``pwlienard._kernel_py``, which integrates a
+return as two fixed arcs in the polar angle about the centre, one per side
+of the switching line, with no event location.
 """
 
 from __future__ import annotations
@@ -20,10 +17,9 @@ from .errors import (EscapeAnnulus, MaxStepsExceeded, NonTransversalCrossing,
                      PwLienardError)
 from .systems import Case, LienardSystem
 
-try:
-    from . import _kernel_c as _kernel  # type: ignore[attr-defined]
-except ImportError:
-    _kernel = _kernel_py
+# every return calls _kernel.integrate_return through this module attribute
+# at call time, so that a tracer can swap in a wrapper
+_kernel = _kernel_py
 
 BACKEND = _kernel.BACKEND_NAME
 
@@ -113,7 +109,7 @@ def advance_to_section(sys: LienardSystem, start: float, config: SimConfig):
 
 
 def _advance(sys, fc, start, config):
-    if start <= config.r_min or start >= config.r_max:
+    if not config.r_min < start < config.r_max:
         raise EscapeAnnulus(f"start {start} outside the annulus")
     mode = _mode_of(sys)
     if mode == 0:
@@ -136,6 +132,8 @@ def find_cycles(sys: LienardSystem, r_range, grid_n: int,
     if grid_n < 2:
         raise ValueError(f"grid_n must be at least 2, got {grid_n}")
     lo, hi = r_range
+    if not lo < hi:
+        raise ValueError(f"r_range needs lo < hi, got ({lo}, {hi})")
     fc = sys.float_coeffs()
     scan = CycleScan()
     rs = [lo + (hi - lo) * i / (grid_n - 1) for i in range(grid_n)]
@@ -234,6 +232,8 @@ def bifurcation_increment(sys: LienardSystem, h: float, lam: float,
     directly.  Each return is two fixed arcs in the polar angle (see
     ``_kernel_py``).
     """
+    if not 0.0 < h < math.inf:
+        raise ValueError("h must be positive")
     fc = sys.float_coeffs()
     big_g = poly_antideriv(fc["c"])
     config = SimConfig(lam=lam, eps=eps, rk_tol=rk_tol)

@@ -1,13 +1,7 @@
 """Shared fixtures and random-system generators for the test suite."""
 
-import importlib.machinery
-import importlib.util
 import random
-import shutil
-import subprocess
-import sysconfig
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
@@ -81,28 +75,3 @@ def valid_domain_system(rng, case, m=None, n=None):
 def rng():
     return random.Random(20260823)
 
-
-KERNEL_C_SOURCE = (Path(__file__).resolve().parent.parent
-                   / "src" / "pwlienard" / "_kernel_c.c")
-
-
-@pytest.fixture(scope="session")
-def kernel_c(tmp_path_factory):
-    """The C kernel compiled from source into a temp dir and loaded from
-    there, whatever backend the package picked; skips only without ``cc``."""
-    cc = shutil.which("cc")
-    if cc is None:
-        pytest.skip("no C compiler (cc) on PATH")
-    out = tmp_path_factory.mktemp("kernel_c") / (
-        "_kernel_c" + importlib.machinery.EXTENSION_SUFFIXES[0])
-    proc = subprocess.run(
-        [cc, "-O2", "-std=c99", "-Wall", "-Wextra", "-Werror", "-shared",
-         "-fPIC", "-I" + sysconfig.get_paths()["include"],
-         str(KERNEL_C_SOURCE), "-o", str(out)],
-        capture_output=True, text=True)
-    if proc.returncode != 0:
-        pytest.fail(f"compiling {KERNEL_C_SOURCE.name} failed:\n{proc.stderr}")
-    spec = importlib.util.spec_from_file_location("pwlienard._kernel_c", out)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module

@@ -1,8 +1,9 @@
-"""Direct integration: return maps, cycle location, kernel parity and the
-dynamical cross-checks of the closed-form expansion."""
+"""Direct integration: return maps, cycle location, the kernel's entry
+point and the dynamical cross-checks of the closed-form expansion."""
 
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -18,11 +19,12 @@ from pwlienard.simulator import BACKEND, bifurcation_increment
 INV_PI = RingElem.term(1, p=-1)
 
 
-def two_cycle_system(lam=0.0, eps=0.0):
+def two_cycle_system(lam=0.0, eps=0.0, case=Case.SWITCH_Y):
     """Switch-on-y system with M0 = 0 and M1 = h(h-1)(h-4): limit cycles
-    near r = sqrt(2) and r = sqrt(8) for small parameters."""
+    near r = sqrt(2) and r = sqrt(8) for small parameters.  As a
+    switch-on-x system M1 changes sign, and the cycles stay."""
     return LienardSystem.build(
-        Case.SWITCH_Y, 4, 0,
+        case, 4, 0,
         a1=[INV_PI * RingElem.rational(2), 0, INV_PI * RingElem.rational(-5),
             0, INV_PI],
         lam=lam, eps=eps)
@@ -60,18 +62,7 @@ def route_args(mode, vectors, lam, eps, x0, y0, rk_tol, max_steps, r_min):
             50.0)
 
 
-def assert_twins_agree(kernel_c, args, status):
-    """Both kernels end with ``status`` at the same point, time and sides."""
-    s_py, x_py, y_py, t_py, c_py = _kernel_py.integrate_return(*args)
-    s_c, x_c, y_c, t_c, c_c = kernel_c.integrate_return(*args)
-    assert s_py == s_c == status
-    assert abs(x_py - x_c) + abs(y_py - y_c) <= 1e-13
-    assert abs(t_py - t_c) <= 5e-12
-    assert len(c_py) == len(c_c)
-    assert [c[3] for c in c_py] == [c[3] for c in c_c]
-
-
-PARITY_INPUTS = [
+STATUS_INPUTS = [
     (0, 2.0, 0.0, 2_000_000, 1e-3, 0),
     (1, 0.0, 1.5, 2_000_000, 1e-3, 0),
     (2, 0.0, 2.0, 2_000_000, 1e-3, 0),
@@ -96,7 +87,7 @@ FIVE_VECTORS = ([0.0, 1.5, -0.4, 0.3], [0.7, -1.0], [0.9, 0.6],
 
 def five_vector_args(mode, rk_tol=1e-10):
     """Five nonzero vectors of unequal lengths, p of degree 3 and q of
-    degree 2: the twins pad the shorter vectors and fold them alike."""
+    degree 2: the kernel pads the shorter vectors before it folds them."""
     x0, y0 = (1.5, 0.0) if mode == 0 else (0.0, 1.5)
     return route_args(mode, FIVE_VECTORS, 0.02, 4e-4, x0, y0, rk_tol,
                       2_000_000, 1e-3)
@@ -141,80 +132,120 @@ def trial_stage_args(rk_tol):
                       2_000_000, 1e-3)
 
 
+def counting_kernel(monkeypatch):
+    """Swap ``simulator._kernel`` for a namespace that counts its returns,
+    as perfbench/tracing.py does, and make the kernel module's own entry
+    fail, so that a return that does not go through the attribute fails."""
+    calls = [0]
+    integrate = _kernel_py.integrate_return
+
+    def counted(*args):
+        calls[0] += 1
+        return integrate(*args)
+
+    def bypassed(*args):
+        raise AssertionError("a return bypassed simulator._kernel")
+
+    monkeypatch.setattr(simulator, "_kernel", SimpleNamespace(
+        BACKEND_NAME=_kernel_py.BACKEND_NAME, integrate_return=counted))
+    monkeypatch.setattr(_kernel_py, "integrate_return", bypassed)
+    return calls
+
+
+# the kernel backends the package ships, by BACKEND_NAME; the kernel
+# contract below holds for each, and their returns agree bit for bit
+BACKENDS = {_kernel_py.BACKEND_NAME: _kernel_py}
+
+
+def assert_backends_agree(args, status):
+    """Each backend ends ``args`` with ``status``, two crossings when it
+    returns, and every backend at the same bits, crossings included."""
+    results = set()
+    for kernel in BACKENDS.values():
+        s, x, y, t, crossings = kernel.integrate_return(*args)
+        assert s == status
+        if status == 0:
+            assert len(crossings) == 2
+        results.add((s, x.hex(), y.hex(), t.hex(),
+                     tuple(tuple(v.hex() for v in c) for c in crossings)))
+    assert len(results) == 1
+
+
 class TestKernelParity:
     @pytest.mark.parametrize("mode,x0,y0,max_steps,r_min,status",
-                             PARITY_INPUTS)
-    def test_backends_agree(self, kernel_c, mode, x0, y0, max_steps, r_min,
-                            status):
-        assert_twins_agree(
-            kernel_c, example1_args(mode, x0, y0, max_steps, r_min), status)
+                             STATUS_INPUTS)
+    def test_backends_agree(self, mode, x0, y0, max_steps, r_min, status):
+        assert_backends_agree(
+            example1_args(mode, x0, y0, max_steps, r_min), status)
 
     @pytest.mark.parametrize("mode", [0, 1, 2])
-    def test_backends_agree_five_vectors(self, kernel_c, mode):
-        assert_twins_agree(kernel_c, five_vector_args(mode), 0)
-
-    def test_backends_bitwise_equal(self, kernel_c):
-        """Both twins call libm's cos and sin and sum every stage in the
-        tableau's order, so on every parity input they end at the same
-        bits, crossings included, not only within the bounds; at rk_tol
-        1e-10, the scan's tolerance, and 1e-12, the increments'.  The last
-        four inputs take each branch of the step controller: a rejected
-        first step, the half-split, a trial stage below the guard and the
-        h floor."""
-        inputs = [example1_args(*row[:5]) for row in PARITY_INPUTS] \
-            + [five_vector_args(mode) for mode in (0, 1, 2)] \
-            + [example1_args(*row[:5], rk_tol=1e-12)
-               for row in PARITY_INPUTS if row[5] == 0] \
-            + [five_vector_args(mode, rk_tol=1e-12) for mode in (0, 1, 2)] \
-            + [SLIDING_ARGS, TINY_CENTRE_ARGS, first_step_rejected_args(),
-               designed_cycle_args(), trial_stage_args(1e-10),
-               OVERDAMPED_ARGS]
-        for args in inputs:
-            got = [kernel.integrate_return(*args)
-                   for kernel in (_kernel_py, kernel_c)]
-            s_py, s_c = ((s, x.hex(), y.hex(), t.hex(),
-                          [tuple(v.hex() for v in c) for c in crossings])
-                         for s, x, y, t, crossings in got)
-            assert s_py == s_c, args[0]
-
-    def test_compiled_contract(self, kernel_c):
-        assert kernel_c.BACKEND_NAME == "compiled"
-        long_vec = [0.0] * 65
-        with pytest.raises(ValueError, match="too long"):
-            kernel_c.integrate_return(0, long_vec, [0.0], [0.0], [0.0], [0.0],
-                                      0.0, 0.0, 1.0, 0.0, 1e-10, 1e-12, 100,
-                                      1e-3, 50.0)
+    def test_backends_agree_five_vectors(self, mode):
+        assert_backends_agree(five_vector_args(mode), 0)
 
     def test_backend_name_known(self):
-        assert BACKEND in ("compiled", "python")
+        assert BACKEND == "python"
+        assert simulator._kernel is BACKENDS[BACKEND]
 
-    @pytest.mark.parametrize("twin", ["python", "compiled"])
-    def test_unknown_mode_rejected(self, request, twin):
+    @pytest.mark.parametrize("backend", list(BACKENDS))
+    def test_unknown_mode_rejected(self, backend):
         """Modes 0 and 1 are the only ones; the swapped coordinates are mode
         0 on negated vectors, so a stray 2 must not run as mode 1."""
-        kernel = _kernel_py if twin == "python" \
-            else request.getfixturevalue("kernel_c")
         with pytest.raises(ValueError, match="mode"):
-            kernel.integrate_return(2, [0.0], [0.0], [0.0], [0.0], [0.0],
-                                    0.0, 0.0, 0.0, 1.0, 1e-10, 0.0, 100,
-                                    1e-3, 50.0)
+            BACKENDS[backend].integrate_return(
+                2, [0.0], [0.0], [0.0], [0.0], [0.0], 0.0, 0.0, 0.0, 1.0,
+                1e-10, 0.0, 100, 1e-3, 50.0)
 
-    @pytest.mark.parametrize("twin", ["python", "compiled"])
+    @pytest.mark.parametrize("backend", list(BACKENDS))
     @pytest.mark.parametrize("r,rk_tol", [(2.0, 1e-10), (6.0, 1e-12)])
-    def test_perfbench_calling_contract(self, request, twin, r, rk_tol):
+    def test_perfbench_calling_contract(self, backend, r, rk_tol):
         """perfbench/worker.py ``kernel_rows`` calls the entry with these 15
         arguments by position, event_tol slot included, and reads a 5-tuple
         whose status is 0; perfbench/tracing.py counts ``result[4]`` as the
         crossings.  A kernel refactor must keep all of it."""
-        kernel = _kernel_py if twin == "python" \
-            else request.getfixturevalue("kernel_c")
         fc = load_preset("example1").float_coeffs()
-        result = kernel.integrate_return(
+        result = BACKENDS[backend].integrate_return(
             0, fc["a0"], fc["a1"], fc["b0"], fc["b1"], fc["c"], 0.02, 4e-4,
             r, 0.0, rk_tol, 1e-12, 2_000_000, 1e-3, 50.0)
         assert isinstance(result, tuple) and len(result) == 5
         assert result[0] == 0
         assert len(result[4]) == 2
+
+
+class TestKernelEntry:
+    def test_degree_70_returns(self):
+        """The coefficient vectors have no length limit: f1 of degree 70,
+        71 coefficients, returns.  From r = 0.9 the top term stays small,
+        so the orbit comes back close to its start."""
+        sys_ = LienardSystem.build(Case.SWITCH_X, 70, 0, a1=[0] * 70 + [1])
+        coord, _t, crossings = advance_to_section(
+            sys_, 0.9, SimConfig(lam=0.02, eps=4e-4))
+        assert len(crossings) == 2
+        assert coord == pytest.approx(0.9, abs=1e-6)
+
+    @pytest.mark.parametrize("case", [Case.SWITCH_Y, Case.SWITCH_X])
+    def test_every_return_through_the_module_attribute(self, monkeypatch,
+                                                       case):
+        """perfbench/tracing.py counts returns by swapping
+        ``simulator._kernel``: a return map, a scan with its refinements and
+        slopes, and an increment each make every return through it."""
+        sys_ = two_cycle_system(case=case)
+        config = SimConfig(lam=0.02, eps=4e-4)
+        calls = counting_kernel(monkeypatch)
+        advances = [0]
+        advance = simulator._advance
+
+        def counted_advance(*args):
+            advances[0] += 1
+            return advance(*args)
+
+        monkeypatch.setattr(simulator, "_advance", counted_advance)
+        advance_to_section(sys_, 2.0, config)
+        assert calls[0] == advances[0] == 1
+        scan = find_cycles(sys_, (1.0, 3.4), 60, config)
+        assert len(scan.cycles) == 2
+        assert calls[0] == advances[0] > 1 + 60 + 2 * 2
+        bifurcation_increment(sys_, 2.5, 0.02, 4e-4)
+        assert calls[0] == advances[0] + 1
 
 
 CENTRE_DAMPING = 0.05
@@ -233,19 +264,17 @@ class TestEventLocation:
     """No event location is left: each arc's last step is clipped to the
     arc's end angle, so every crossing lies on its line by construction."""
 
-    @pytest.mark.parametrize("twin", ["python", "compiled"])
+    @pytest.mark.parametrize("backend", list(BACKENDS))
     @pytest.mark.parametrize("mode", [0, 1, 2])
     @pytest.mark.parametrize("r", [0.5, 2.0, 6.0])
     @pytest.mark.parametrize("rk_tol", [1e-10, 1e-12])
-    def test_centre_crossings_at_half_periods(self, request, twin, mode, r,
+    def test_centre_crossings_at_half_periods(self, backend, mode, r,
                                               rk_tol):
         """Crossing k lands at t = k pi/omega, omega = sqrt(1 - mu^2/4),
         exactly on its line, at the section coordinate
         (-1)^k r exp(-k mu pi/(2 omega)), with mu negated in mode 2; what
         is left is the integration's global error."""
-        kernel = _kernel_py if twin == "python" \
-            else request.getfixturevalue("kernel_c")
-        status, x, y, t, crossings = kernel.integrate_return(
+        status, x, y, t, crossings = BACKENDS[backend].integrate_return(
             *centre_args(mode, r, rk_tol))
         assert status == 0
         assert len(crossings) == 2
@@ -304,8 +333,8 @@ class TestKernelWork:
 
 
 def tableau_step(p, q, r, t, phi, h, k1r, k1t):
-    """The Dormand-Prince step as loops over _A, the nodes and _E: the
-    summation order the C twin uses."""
+    """The Dormand-Prince step as loops over _A, the nodes and _E, every
+    weight summed in the tableau's order, the zero weights included."""
     kr, kt = [k1r], [k1t]
     for row, c in zip(_kernel_py._A[1:], _kernel_py._C + (1.0,)):
         rs, ts = r, t
@@ -324,11 +353,10 @@ def tableau_step(p, q, r, t, phi, h, k1r, k1t):
 class TestWrittenOutStep:
     @pytest.mark.parametrize("mode", [0, 1, 2])
     def test_step_matches_tableau_loops_bitwise(self, rng, mode):
-        """_rk_step is written out stage by stage; it must sum in the
-        tableau's order, or the twins drift apart in the last bit.  This
-        holds it to that order where no C compiler is present, on the
-        folded vectors in the kernel's coefficient form and the angles of
-        each mode's return."""
+        """_rk_step is written out stage by stage and skips the zero
+        weights; it still ends at the tableau loops' bits, on the folded
+        vectors in the kernel's coefficient form and the angles of each
+        mode's return."""
         args = five_vector_args(mode)
         p, q = _kernel_py.fold(*args[1:8])
         p = _kernel_py._descending(p)
@@ -407,7 +435,7 @@ class TestFieldCoefficientForm:
 
 
 def record_steps(monkeypatch, args):
-    """Run the Python twin on ``args``, recording the (phi, h) of every step
+    """Run the kernel on ``args``, recording the (phi, h) of every step
     it tries.  Returns the result, the steps and for each step whether it
     was accepted: a rejected step is retried from the same phi."""
     steps = []
@@ -663,6 +691,27 @@ class TestGuards:
         with pytest.raises(ValueError):
             find_cycles(load_preset("example1"), (1.0, 2.0), grid_n,
                         SimConfig())
+
+    @pytest.mark.parametrize("r_range", [(3.4, 1.0), (2.0, 2.0)])
+    def test_scan_needs_rising_range(self, r_range):
+        """A reversed range makes every bracket reversed, and the
+        refinement's width stop would hold at once."""
+        with pytest.raises(ValueError, match="lo < hi"):
+            find_cycles(two_cycle_system(), r_range, 60,
+                        SimConfig(lam=0.02, eps=4e-4))
+
+    @pytest.mark.parametrize("preset", ["example1", "example2"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+    def test_energy_and_start_out_of_range(self, monkeypatch, preset, value):
+        """An increment needs a finite positive h, and a return a start
+        strictly inside the annulus; neither reaches the kernel."""
+        sys_ = load_preset(preset)
+        calls = counting_kernel(monkeypatch)
+        with pytest.raises(ValueError, match="h must be positive"):
+            bifurcation_increment(sys_, value, 0.02, 4e-4)
+        with pytest.raises(EscapeAnnulus):
+            advance_to_section(sys_, value, SimConfig())
+        assert calls[0] == 0
 
     @pytest.mark.parametrize("kwargs", [{"rk_tol": -1.0}, {"rk_tol": 0.0}],
                              ids=["rk_tol-negative", "rk_tol-zero"])
