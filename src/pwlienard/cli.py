@@ -125,7 +125,6 @@ def cmd_oracle(args) -> int:
     exp = melnikov.expand(sys_, project_odd=True)
     tol = _rel_tol()
     rows = []
-    worst = 0.0
     for h in _float_list(args.h_grid):
         pairs = [
             ("M0", exp.m0.eval(h), oracle.oracle_m0(sys_, h)),
@@ -133,14 +132,13 @@ def cmd_oracle(args) -> int:
         ]
         for name, closed, quad in pairs:
             err = abs(closed - quad) / (1.0 + abs(quad))
-            worst = max(worst, err)
             rows.append([_fmt(args, h), name, _fmt(args, closed),
                          _fmt(args, quad), f"{err:.3e}",
                          "pass" if err <= tol else "FAIL"])
     text = "h,term,closed,oracle,rel_err,status\n" + "\n".join(
         ",".join(r) for r in rows) + "\n"
     _emit(args, "oracle.csv", text)
-    return EXIT_OK if worst <= tol else EXIT_NUMERICAL
+    return EXIT_NUMERICAL if any(r[-1] == "FAIL" for r in rows) else EXIT_OK
 
 
 def cmd_simulate(args) -> int:

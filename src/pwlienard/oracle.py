@@ -84,7 +84,7 @@ _ARC = {
 
 
 def _radius(h: float) -> float:
-    if h <= 0:
+    if not 0.0 < h < math.inf:
         raise ValueError("h must be positive")
     return math.sqrt(2.0 * h)
 
@@ -202,8 +202,12 @@ def _horner_pairs(p, q):
     return pairs[0], pairs[1:]
 
 
-def _quad_I(case: Case, fc: dict, h: float, index: int) -> float:
-    """quad_I on float coefficients ``fc``; the index is already valid."""
+def quad_I(sys: LienardSystem, h: float, index: int) -> float:
+    """One arc/time integral by quadrature; index 0..sys.case.n_integrals-1."""
+    case = sys.case
+    if not 0 <= index < case.n_integrals:
+        raise ValueError(f"index {index} not valid for {case}")
+    fc = sys.float_coeffs()
     r = _radius(h)
     unit_u, unit_v, du_per_v, i2_sign = _ARC[case]
 
@@ -255,18 +259,9 @@ def _quad_I(case: Case, fc: dict, h: float, index: int) -> float:
     return i4_factor(fc["c"], h) * arc if on_y else arc
 
 
-def quad_I(sys: LienardSystem, h: float, index: int) -> float:
-    """One arc/time integral by quadrature; index 0..sys.case.n_integrals-1."""
-    if not 0 <= index < sys.case.n_integrals:
-        raise ValueError(f"index {index} not valid for {sys.case}")
-    return _quad_I(sys.case, sys.float_coeffs(), h, index)
-
-
 def oracle_m0(sys: LienardSystem, h: float) -> float:
-    return _quad_I(sys.case, sys.float_coeffs(), h, 0)
+    return quad_I(sys, h, 0)
 
 
 def oracle_m1(sys: LienardSystem, h: float) -> float:
-    fc = sys.float_coeffs()
-    return sum(_quad_I(sys.case, fc, h, i)
-               for i in range(1, sys.case.n_integrals))
+    return sum(quad_I(sys, h, i) for i in range(1, sys.case.n_integrals))

@@ -15,7 +15,7 @@ from . import _kernel_py
 from .algebra import poly_antideriv, polyval
 from .errors import (EscapeAnnulus, MaxStepsExceeded, NonTransversalCrossing,
                      PwLienardError)
-from .systems import Case, LienardSystem
+from .systems import Case, LienardSystem, check_params
 
 # every return calls _kernel.integrate_return through this module attribute
 # at call time, so that a tracer can swap in a wrapper
@@ -35,12 +35,12 @@ class SimConfig:
     r_max: float = 50.0
 
     def __post_init__(self):
-        if self.r_min >= self.r_max:
-            raise ValueError("r_min must be below r_max")
-        if self.lam < 0 or self.eps < 0:
-            raise ValueError("lambda and eps must be non-negative")
-        if not self.rk_tol > 0:
-            raise ValueError("rk_tol must be positive")
+        # written so that NaN fails every check
+        if not 0 <= self.r_min < self.r_max < math.inf:
+            raise ValueError("need 0 <= r_min < r_max < inf")
+        check_params(self.lam, self.eps)
+        if not 0 < self.rk_tol < math.inf:
+            raise ValueError("rk_tol must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -70,16 +70,16 @@ def vector_field(sys: LienardSystem, state, side: float):
     return y, -x - y * polyval(p, x) - side * polyval(q, x)
 
 
-def _mode_of(sys: LienardSystem) -> int:
-    return 0 if sys.case is Case.SWITCH_Y else 1
-
-
-def _run(sys: LienardSystem, fc: dict, mode: int, x0: float, y0: float,
-         config: SimConfig):
-    """One kernel return from (x0, y0); ``fc`` is ``sys.float_coeffs()``,
-    converted once by the caller for all its returns."""
+def _return(sys: LienardSystem, fc: dict, mode: int, start: float,
+            config: SimConfig):
+    """One kernel return on the float vectors ``fc`` from the section point
+    at ``start`` on the x-axis (mode 0) or the y-axis (mode 1); returns
+    (coord, time, crossings) with coord the end point's x resp. y."""
+    if not config.r_min < start < config.r_max:
+        raise EscapeAnnulus(f"start {start} outside the annulus")
     lam = config.lam if (config.lam or config.eps) else sys.lam
     eps = config.eps if (config.lam or config.eps) else sys.eps
+    x0, y0 = (start, 0.0) if mode == 0 else (0.0, start)
     # the 0.0 fills the kernel's unused event_tol slot
     status, x, y, t, crossings = _kernel.integrate_return(
         mode, fc["a0"], fc["a1"], fc["b0"], fc["b1"], fc["c"],
@@ -95,7 +95,7 @@ def _run(sys: LienardSystem, fc: dict, mode: int, x0: float, y0: float,
             f"angular speed below guard at t = {t:.4f}")
     if status != 0:
         raise PwLienardError(f"kernel returned unknown status {status}")
-    return x, y, t, crossings
+    return (x if mode == 0 else y), t, crossings
 
 
 def advance_to_section(sys: LienardSystem, start: float, config: SimConfig):
@@ -103,25 +103,16 @@ def advance_to_section(sys: LienardSystem, start: float, config: SimConfig):
 
     The section is {y = 0, x > 0} for switch-on-y systems and
     {x = 0, y > 0} for switch-on-x systems; ``start`` is the positive
-    section coordinate (x resp. y).
+    section coordinate (x resp. y).  Every return of a scan goes through
+    this module attribute.
     """
-    return _advance(sys, sys.float_coeffs(), start, config)
-
-
-def _advance(sys, fc, start, config):
-    if not config.r_min < start < config.r_max:
-        raise EscapeAnnulus(f"start {start} outside the annulus")
-    mode = _mode_of(sys)
-    if mode == 0:
-        x, y, t, crossings = _run(sys, fc, mode, start, 0.0, config)
-        return x, t, crossings
-    x, y, t, crossings = _run(sys, fc, mode, 0.0, start, config)
-    return y, t, crossings
+    mode = 0 if sys.case is Case.SWITCH_Y else 1
+    return _return(sys, sys.float_coeffs(), mode, start, config)
 
 
 def displacement(sys: LienardSystem, r: float, config: SimConfig) -> float:
     """d(r) = return coordinate minus r; zeros correspond to periodic orbits."""
-    return _advance(sys, sys.float_coeffs(), r, config)[0] - r
+    return advance_to_section(sys, r, config)[0] - r
 
 
 def find_cycles(sys: LienardSystem, r_range, grid_n: int,
@@ -134,18 +125,14 @@ def find_cycles(sys: LienardSystem, r_range, grid_n: int,
     lo, hi = r_range
     if not lo < hi:
         raise ValueError(f"r_range needs lo < hi, got ({lo}, {hi})")
-    fc = sys.float_coeffs()
     scan = CycleScan()
     rs = [lo + (hi - lo) * i / (grid_n - 1) for i in range(grid_n)]
     ds = []
-    scan_crossings = []
     for r in rs:
         try:
-            coord, _t, crossings = _advance(sys, fc, r, config)
+            ds.append(displacement(sys, r, config))
         except PwLienardError:
-            coord, crossings = math.nan, []
-        ds.append(coord - r)
-        scan_crossings.append(crossings)
+            ds.append(math.nan)
     scan.grid = rs
     scan.displacements = ds
     finite = [abs(d) for d in ds if not math.isnan(d)]
@@ -154,46 +141,41 @@ def find_cycles(sys: LienardSystem, r_range, grid_n: int,
         return scan
     for i, d0 in enumerate(ds):
         if d0 == 0.0:
-            scan.cycles.append(_cycle_report(
-                sys, fc, rs[i], 0.0, _sides(scan_crossings[i]), config))
+            scan.cycles.append(_cycle_report(sys, rs[i], 0.0, config))
         # a NaN on either side makes the product NaN, which is not < 0
         elif i + 1 < grid_n and d0 * ds[i + 1] < 0:
-            r_star, d_star, sides = _refine_cycle(
-                sys, fc, rs[i], rs[i + 1], d0, ds[i + 1], config)
-            scan.cycles.append(_cycle_report(sys, fc, r_star, d_star, sides,
-                                             config))
+            r_star, d_star = _refine_cycle(sys, rs[i], rs[i + 1], d0,
+                                           ds[i + 1], config)
+            scan.cycles.append(_cycle_report(sys, r_star, d_star, config))
     return scan
 
 
-def _sides(crossings):
-    return tuple(c[3] for c in crossings)
-
-
-def _cycle_report(sys, fc, r_star, d_star, sides, config):
+def _cycle_report(sys, r_star, d_star, config):
     return CycleReport(
         section_coord=r_star,
         h_star=0.5 * r_star * r_star,
         radius=r_star,
         residual=abs(d_star),
-        stability_slope=_secant_slope(sys, fc, r_star, config,
+        stability_slope=_secant_slope(sys, r_star, config,
                                       1e-4 * max(1.0, r_star)),
-        side_sequence=sides,
+        # the switching sides after each crossing of a completed return
+        side_sequence=(1.0, -1.0) if sys.case is Case.SWITCH_Y
+        else (-1.0, 1.0),
     )
 
 
-def _refine_cycle(sys, fc, r_lo, r_hi, d_lo, d_hi, config):
+def _refine_cycle(sys, r_lo, r_hi, d_lo, d_hi, config):
     """Illinois false position on the bracket (r_lo, r_hi), whose
     displacements d_lo and d_hi have opposite signs: when the same end is
     kept twice running, its displacement is halved, so neither end sticks.
     A point outside the open bracket falls back to the midpoint.  Returns
-    the last point evaluated, its displacement and its switching sides."""
+    the last point evaluated and its displacement."""
     kept = 0  # -1: r_lo was kept last time, +1: r_hi, 0: neither yet
     for _ in range(200):
         r = r_hi - d_hi * (r_hi - r_lo) / (d_hi - d_lo)
         if not r_lo < r < r_hi:
             r = 0.5 * (r_lo + r_hi)
-        coord, _t, crossings = _advance(sys, fc, r, config)
-        d = coord - r
+        d = displacement(sys, r, config)
         if abs(d) <= 1e-9 * max(1.0, r) or r_hi - r_lo < 1e-13:
             break
         if (d_lo > 0) != (d > 0):
@@ -206,12 +188,12 @@ def _refine_cycle(sys, fc, r_lo, r_hi, d_lo, d_hi, config):
             if kept > 0:
                 d_hi *= 0.5
             kept = 1
-    return r, d, _sides(crossings)
+    return r, d
 
 
-def _secant_slope(sys, fc, r_star, config, delta):
+def _secant_slope(sys, r_star, config, delta):
     try:
-        d_plus, d_minus = (_advance(sys, fc, r, config)[0] - r
+        d_plus, d_minus = (displacement(sys, r, config)
                            for r in (r_star + delta, r_star - delta))
     except PwLienardError:
         return math.nan
@@ -248,8 +230,7 @@ def bifurcation_increment(sys: LienardSystem, h: float, lam: float,
             if abs(step) <= 1e-15 * max(1.0, a):
                 break
         negated = {k: [-c for c in v] for k, v in fc.items()}
-        u, _v, _t, _c = _run(sys, negated, 0, a, 0.0, config)
+        u = _return(sys, negated, 0, a, config)[0]
         return (0.5 * u * u + lam * polyval(big_g, u)) - h
-    a = math.sqrt(2.0 * h)
-    x, y, _t, _c = _run(sys, fc, 1, 0.0, a, config)
+    y = _return(sys, fc, 1, math.sqrt(2.0 * h), config)[0]
     return 0.5 * y * y - h

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import enum
 import json
+import math
 from dataclasses import dataclass, replace
 from importlib import resources
 
@@ -25,6 +26,12 @@ class Case(enum.Enum):
 
 # the coefficient vectors of f0, f1, g0, g1 and g, in field order
 _VECTORS = ("a0", "a1", "b0", "b1", "c")
+
+
+def check_params(lam, eps):
+    """Reject a lambda or eps that is negative, infinite or NaN."""
+    if not (0 <= lam < math.inf and 0 <= eps < math.inf):
+        raise ValueError("lambda and eps must be finite and non-negative")
 
 
 def _coerce_vec(values, length: int) -> list[RingElem]:
@@ -62,8 +69,7 @@ class LienardSystem:
             case = Case(case)
         if m < 0 or n < 0:
             raise ValueError("degrees must be non-negative")
-        if lam < 0 or eps < 0:
-            raise ValueError("lambda and eps must be non-negative")
+        check_params(lam, eps)
         return cls(
             case=case, m=m, n=n,
             a0=tuple(_coerce_vec(a0, m + 1)),
@@ -75,20 +81,22 @@ class LienardSystem:
         )
 
     def with_params(self, lam: float, eps: float) -> "LienardSystem":
-        if lam < 0 or eps < 0:
-            raise ValueError("lambda and eps must be non-negative")
+        check_params(lam, eps)
         return replace(self, lam=float(lam), eps=float(eps))
 
     # -- float views used by the oracle and simulator ----------------------
 
     def float_coeffs(self) -> dict:
-        return {
-            "a0": [x.to_float() for x in self.a0],
-            "a1": [x.to_float() for x in self.a1],
-            "b0": [x.to_float() for x in self.b0],
-            "b1": [x.to_float() for x in self.b1],
-            "c": [x.to_float() for x in self.c],
-        }
+        """The five vectors as tuples of floats, keyed by name.  Converted
+        on the first call and kept on the instance, so every later call
+        returns the same dict: callers must not mutate it.  A copy made by
+        ``replace`` converts its own."""
+        fc = self.__dict__.get("_float_coeffs")
+        if fc is None:
+            fc = {k: tuple([x.to_float() for x in getattr(self, k)])
+                  for k in _VECTORS}
+            object.__setattr__(self, "_float_coeffs", fc)
+        return fc
 
     def f0_is_odd(self) -> bool:
         return all(self.a0[j].is_zero() for j in range(0, self.m + 1, 2))

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, exit codes, config handling."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from pwlienard import Case, LienardSystem, RingElem, expand, load_preset
+from pwlienard import (Case, LienardSystem, RingElem, expand, load_preset,
+                       oracle)
 from pwlienard.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, main
 
 
@@ -88,6 +90,16 @@ def test_oracle_detects_oddness_mismatch(tmp_path, outdir):
     assert rc == EXIT_NUMERICAL
     text = (outdir / "oracle.csv").read_text()
     assert "FAIL" in text
+
+
+def test_oracle_nan_row_fails(outdir, monkeypatch):
+    """A NaN error is no pass: its row says FAIL and the exit code is 3."""
+    monkeypatch.setattr(oracle, "oracle_m1", lambda sys_, h: math.nan)
+    rc = main(["--out", str(outdir), "oracle", "--preset", "example1",
+               "--h-grid", "0.5,2"])
+    assert rc == EXIT_NUMERICAL
+    rows = (outdir / "oracle.csv").read_text().strip().splitlines()[1:]
+    assert [r.split(",")[-1] for r in rows] == ["pass", "FAIL"] * 2
 
 
 def test_rel_tol_env_override(tmp_path, outdir, monkeypatch):
@@ -267,9 +279,11 @@ def test_roots_m0_needs_no_oddness(outdir, preset):
     ["design", "--case", "X", "--m", "0", "--n", "3", "--targets", "1"],
     ["design", "--case", "Y", "--m", "0", "--n", "3", "--targets", "1,2,3"],
     ["simulate", "--preset", "example1", "--r-range", "3.4:1"],
+    ["simulate", "--preset", "example1", "--lam", "nan"],
+    ["oracle", "--preset", "example1", "--h-grid", "nan"],
 ], ids=["zero-M0", "zero-M1", "negative-h", "infinite-target",
         "even-f0-melnikov", "even-f0-roots", "infeasible-shape-X",
-        "infeasible-shape-Y", "reversed-r-range"])
+        "infeasible-shape-Y", "reversed-r-range", "nan-lam", "nan-h"])
 def test_input_errors_are_validation_errors(outdir, capsys, argv):
     """Errors in the input exit 2 with an error line, not as numerical
     failures."""

@@ -63,6 +63,37 @@ def test_quad_rejects_bad_input():
             closed_term(system, index, 1.0)
 
 
+@pytest.mark.parametrize("h", [math.nan, math.inf])
+@pytest.mark.parametrize("name", ["example1", "example2"])
+def test_energy_must_be_finite(name, h):
+    sys_ = load_preset(name)
+    for fn in (oracle_m0, oracle_m1, lambda s, e: quad_I(s, e, 1)):
+        with pytest.raises(ValueError, match="h must be positive"):
+            fn(sys_, h)
+
+
+@pytest.mark.parametrize("name", ["example1", "example2"])
+def test_every_integral_through_quad_I(monkeypatch, name):
+    """perfbench/tracing.py counts integrals by swapping the module
+    attribute ``oracle.quad_I``: M0 is one integral, M1 the remaining
+    n_integrals - 1, each through it."""
+    sys_ = load_preset(name)
+    asked = []
+    quad = oracle.quad_I
+
+    def counted(system, h, index):
+        asked.append(index)
+        return quad(system, h, index)
+
+    monkeypatch.setattr(oracle, "quad_I", counted)
+    m0, m1 = oracle_m0(sys_, 1.0), oracle_m1(sys_, 1.0)
+    assert asked == list(range(sys_.case.n_integrals))
+    monkeypatch.undo()
+    assert m0 == quad_I(sys_, 1.0, 0)
+    assert m1 == sum(quad_I(sys_, 1.0, i)
+                     for i in range(1, sys_.case.n_integrals))
+
+
 def test_endpoint_derivatives_match_finite_difference():
     g = [0.0, 0.25, 0.0, -0.5]  # antiderivative G(y) = y^2/8 - y^4/8
     h = 1.3

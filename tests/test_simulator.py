@@ -152,58 +152,49 @@ def counting_kernel(monkeypatch):
     return calls
 
 
-# the kernel backends the package ships, by BACKEND_NAME; the kernel
-# contract below holds for each, and their returns agree bit for bit
-BACKENDS = {_kernel_py.BACKEND_NAME: _kernel_py}
-
-
-def assert_backends_agree(args, status):
-    """Each backend ends ``args`` with ``status``, two crossings when it
-    returns, and every backend at the same bits, crossings included."""
-    results = set()
-    for kernel in BACKENDS.values():
-        s, x, y, t, crossings = kernel.integrate_return(*args)
-        assert s == status
-        if status == 0:
-            assert len(crossings) == 2
-        results.add((s, x.hex(), y.hex(), t.hex(),
-                     tuple(tuple(v.hex() for v in c) for c in crossings)))
-    assert len(results) == 1
+def assert_status(args, status):
+    """The kernel ends ``args`` with ``status``, and with two crossings
+    when it returns."""
+    s, _x, _y, _t, crossings = _kernel_py.integrate_return(*args)
+    assert s == status
+    if status == 0:
+        assert len(crossings) == 2
 
 
 class TestKernelParity:
+    """The kernel's statuses and calling contract.  There is one kernel, so
+    nothing is compared across kernels; the test names are older than
+    that."""
+
     @pytest.mark.parametrize("mode,x0,y0,max_steps,r_min,status",
                              STATUS_INPUTS)
     def test_backends_agree(self, mode, x0, y0, max_steps, r_min, status):
-        assert_backends_agree(
-            example1_args(mode, x0, y0, max_steps, r_min), status)
+        assert_status(example1_args(mode, x0, y0, max_steps, r_min), status)
 
     @pytest.mark.parametrize("mode", [0, 1, 2])
     def test_backends_agree_five_vectors(self, mode):
-        assert_backends_agree(five_vector_args(mode), 0)
+        assert_status(five_vector_args(mode), 0)
 
     def test_backend_name_known(self):
         assert BACKEND == "python"
-        assert simulator._kernel is BACKENDS[BACKEND]
+        assert simulator._kernel is _kernel_py
 
-    @pytest.mark.parametrize("backend", list(BACKENDS))
-    def test_unknown_mode_rejected(self, backend):
+    def test_unknown_mode_rejected(self):
         """Modes 0 and 1 are the only ones; the swapped coordinates are mode
         0 on negated vectors, so a stray 2 must not run as mode 1."""
         with pytest.raises(ValueError, match="mode"):
-            BACKENDS[backend].integrate_return(
+            _kernel_py.integrate_return(
                 2, [0.0], [0.0], [0.0], [0.0], [0.0], 0.0, 0.0, 0.0, 1.0,
                 1e-10, 0.0, 100, 1e-3, 50.0)
 
-    @pytest.mark.parametrize("backend", list(BACKENDS))
     @pytest.mark.parametrize("r,rk_tol", [(2.0, 1e-10), (6.0, 1e-12)])
-    def test_perfbench_calling_contract(self, backend, r, rk_tol):
+    def test_perfbench_calling_contract(self, r, rk_tol):
         """perfbench/worker.py ``kernel_rows`` calls the entry with these 15
         arguments by position, event_tol slot included, and reads a 5-tuple
         whose status is 0; perfbench/tracing.py counts ``result[4]`` as the
         crossings.  A kernel refactor must keep all of it."""
         fc = load_preset("example1").float_coeffs()
-        result = BACKENDS[backend].integrate_return(
+        result = _kernel_py.integrate_return(
             0, fc["a0"], fc["a1"], fc["b0"], fc["b1"], fc["c"], 0.02, 4e-4,
             r, 0.0, rk_tol, 1e-12, 2_000_000, 1e-3, 50.0)
         assert isinstance(result, tuple) and len(result) == 5
@@ -225,25 +216,27 @@ class TestKernelEntry:
     @pytest.mark.parametrize("case", [Case.SWITCH_Y, Case.SWITCH_X])
     def test_every_return_through_the_module_attribute(self, monkeypatch,
                                                        case):
-        """perfbench/tracing.py counts returns by swapping
-        ``simulator._kernel``: a return map, a scan with its refinements and
-        slopes, and an increment each make every return through it."""
+        """perfbench/tracing.py counts returns by swapping the module
+        attributes ``simulator._kernel`` and ``simulator.advance_to_section``:
+        a scan with its refinements and slopes, and a displacement, make
+        every return through both, and an increment makes exactly one
+        kernel call."""
         sys_ = two_cycle_system(case=case)
         config = SimConfig(lam=0.02, eps=4e-4)
         calls = counting_kernel(monkeypatch)
         advances = [0]
-        advance = simulator._advance
+        advance = simulator.advance_to_section
 
         def counted_advance(*args):
             advances[0] += 1
             return advance(*args)
 
-        monkeypatch.setattr(simulator, "_advance", counted_advance)
-        advance_to_section(sys_, 2.0, config)
-        assert calls[0] == advances[0] == 1
+        monkeypatch.setattr(simulator, "advance_to_section", counted_advance)
         scan = find_cycles(sys_, (1.0, 3.4), 60, config)
         assert len(scan.cycles) == 2
-        assert calls[0] == advances[0] > 1 + 60 + 2 * 2
+        assert calls[0] == advances[0] > 60 + 2 * 2
+        displacement(sys_, 2.0, config)
+        assert calls == advances
         bifurcation_increment(sys_, 2.5, 0.02, 4e-4)
         assert calls[0] == advances[0] + 1
 
@@ -264,17 +257,18 @@ class TestEventLocation:
     """No event location is left: each arc's last step is clipped to the
     arc's end angle, so every crossing lies on its line by construction."""
 
-    @pytest.mark.parametrize("backend", list(BACKENDS))
+    # one kernel; its name stays in these cases' ids
+    @pytest.mark.parametrize("kernel", [_kernel_py], ids=["python"])
     @pytest.mark.parametrize("mode", [0, 1, 2])
     @pytest.mark.parametrize("r", [0.5, 2.0, 6.0])
     @pytest.mark.parametrize("rk_tol", [1e-10, 1e-12])
-    def test_centre_crossings_at_half_periods(self, backend, mode, r,
+    def test_centre_crossings_at_half_periods(self, kernel, mode, r,
                                               rk_tol):
         """Crossing k lands at t = k pi/omega, omega = sqrt(1 - mu^2/4),
         exactly on its line, at the section coordinate
         (-1)^k r exp(-k mu pi/(2 omega)), with mu negated in mode 2; what
         is left is the integration's global error."""
-        status, x, y, t, crossings = BACKENDS[backend].integrate_return(
+        status, x, y, t, crossings = kernel.integrate_return(
             *centre_args(mode, r, rk_tol))
         assert status == 0
         assert len(crossings) == 2
@@ -604,6 +598,20 @@ class TestCycleDetection:
                   sorted(scan.cycles, key=lambda c: c.radius)]
         assert slopes[0] * slopes[1] < 0
 
+    @pytest.mark.parametrize("case", [Case.SWITCH_Y, Case.SWITCH_X])
+    def test_side_sequence_of_the_cycle_return(self, case):
+        """A completed return switches sides twice, in an order fixed by
+        the case; each located cycle reports the sides of its own return."""
+        sys_ = two_cycle_system(case=case)
+        config = SimConfig(lam=0.02, eps=4e-4)
+        scan = find_cycles(sys_, (1.0, 3.4), 60, config)
+        assert len(scan.cycles) == 2
+        for c in scan.cycles:
+            _coord, _t, crossings = advance_to_section(sys_, c.radius, config)
+            assert c.side_sequence == tuple(cr[3] for cr in crossings)
+            assert c.side_sequence == ((1.0, -1.0) if case is Case.SWITCH_Y
+                                       else (-1.0, 1.0))
+
     def test_cycle_location_stable_in_lambda(self):
         """The bifurcating cycle stays pinned to the M1 zero as the small
         parameters vary over two orders of magnitude."""
@@ -636,11 +644,11 @@ def synthetic_map(monkeypatch, d):
     returns the list of the start points it is asked for."""
     asked = []
 
-    def advance(sys_, fc, start, config):
+    def advance(sys_, start, config):
         asked.append(start)
         return start + d(start), 2 * math.pi, [(math.pi, -start, 0.0, -1.0)]
 
-    monkeypatch.setattr(simulator, "_advance", advance)
+    monkeypatch.setattr(simulator, "advance_to_section", advance)
     return asked
 
 
@@ -655,7 +663,8 @@ class TestSyntheticReturnMap:
         cycle = scan.cycles[0]
         assert (cycle.radius, cycle.residual) == (1.5, 0.0)
         assert cycle.h_star == 1.125
-        assert cycle.side_sequence == (-1.0,)
+        # fixed by the case, not read from the return's crossings
+        assert cycle.side_sequence == (1.0, -1.0)
         assert cycle.stability_slope == pytest.approx(2.5, rel=1e-9)
         assert len(asked) == 3 + 2
 
@@ -718,6 +727,15 @@ class TestGuards:
     def test_config_rejects_bad_tolerances(self, kwargs):
         with pytest.raises(ValueError):
             SimConfig(**kwargs)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("name", ["lam", "eps", "rk_tol", "r_min",
+                                      "r_max"])
+    def test_config_rejects_non_finite(self, name, value):
+        """NaN fails every comparison, so each check is written to fail
+        for it; inf is rejected too, r_max included."""
+        with pytest.raises(ValueError, match="finite|inf"):
+            SimConfig(**{name: value})
 
     def test_non_transversal_start(self):
         """A sliding start: q = 2 (lam = 1, g = 2) at (1, 0) on the side

@@ -1,6 +1,8 @@
 """System construction, serialization and the named presets."""
 
+import dataclasses
 import json
+import math
 
 import pytest
 
@@ -26,6 +28,17 @@ def test_build_rejects_negative_params():
         LienardSystem.build(Case.SWITCH_Y, -1, 0)
     with pytest.raises(ValueError):
         LienardSystem.build(Case.SWITCH_Y, 1, 1, lam=-0.5)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("name", ["lam", "eps"])
+def test_params_must_be_finite(name, value):
+    """NaN fails every comparison, so it is rejected as inf is."""
+    with pytest.raises(ValueError, match="finite"):
+        LienardSystem.build(Case.SWITCH_Y, 1, 1, **{name: value})
+    params = {"lam": 0.02, "eps": 4e-4, name: value}
+    with pytest.raises(ValueError, match="finite"):
+        load_preset("example1").with_params(params["lam"], params["eps"])
 
 
 def test_case_from_string():
@@ -88,3 +101,13 @@ def test_float_coeffs_shape():
     assert set(fc) == {"a0", "a1", "b0", "b1", "c"}
     assert len(fc["a0"]) == sys_.m + 1
     assert all(isinstance(v, float) for v in fc["c"])
+    assert all(type(v) is tuple for v in fc.values())
+    # converted once per system: a second call returns the same dict
+    assert sys_.float_coeffs() is fc
+    # a copy converts its own, and equality and hash ignore the cache
+    fresh = load_preset("example2")
+    assert fresh == sys_ and hash(fresh) == hash(sys_)
+    for copy in (sys_.with_params(0.02, 4e-4), sys_.odd_projection(),
+                 dataclasses.replace(sys_)):
+        assert copy.float_coeffs() is not fc
+        assert copy.float_coeffs() is copy.float_coeffs()
