@@ -8,11 +8,11 @@ exact ring Q[sqrt(2), pi, 1/pi]; floats appear only at evaluation time.
 
 from .algebra import INV_PI, PI, SQRT2, HalfPowerPoly, RingElem
 from .design import design_case_x, design_case_y, verify_design
-from .errors import (EscapeAnnulus, InfeasibleShape, MaxStepsExceeded,
-                     NegativeEnergy, NoConvergence, NonTransversalCrossing,
-                     OddnessViolated, PrecisionLoss, PwLienardError,
-                     QuadratureFailure, SimulationError, TooManyTargets,
-                     WrongCase, ZeroLambda, ZeroPolynomial)
+from .errors import (EscapeAnnulus, InfeasibleShape, InvalidInput,
+                     MaxStepsExceeded, NegativeEnergy, NoConvergence,
+                     NonTransversalCrossing, OddnessViolated, PrecisionLoss,
+                     PwLienardError, QuadratureFailure, SimulationError,
+                     TooManyTargets, WrongCase, ZeroLambda, ZeroPolynomial)
 from .melnikov import (MelnikovExpansion, TheoremForm, expand,
                        fold_to_theorem_form, theorem_form_system, zero_bound)
 from .oracle import oracle_m0, oracle_m1, quad_I
@@ -27,9 +27,10 @@ __version__ = "0.1.0"
 __all__ = [
     "BACKEND", "Case", "CycleReport", "CycleScan",
     "EscapeAnnulus", "HalfPowerPoly", "INV_PI", "InfeasibleShape",
-    "IsolatedRoot", "LienardSystem", "MaxStepsExceeded", "MelnikovExpansion",
-    "NegativeEnergy", "NoConvergence", "NonTransversalCrossing",
-    "OddnessViolated", "PI", "PRESET_NAMES", "PrecisionLoss",
+    "InvalidInput", "IsolatedRoot", "LienardSystem", "MaxStepsExceeded",
+    "MelnikovExpansion", "NegativeEnergy", "NoConvergence",
+    "NonTransversalCrossing", "OddnessViolated", "PI", "PRESET_NAMES",
+    "PrecisionLoss",
     "PwLienardError", "QuadratureFailure", "RingElem", "RootReport",
     "SQRT2", "SimConfig", "SimulationError", "TheoremForm", "TooManyTargets",
     "WrongCase", "ZeroLambda", "ZeroPolynomial", "advance_to_section",

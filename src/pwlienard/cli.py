@@ -1,7 +1,8 @@
 """Command-line harness: expansions, roots, oracle checks, simulation,
 inverse design and end-to-end verification.
 
-Exit codes: 0 success, 2 validation error, 3 numerical failure.
+Exit codes: 0 success, 2 input error (a ValueError, errors.InvalidInput
+included, a KeyError or an OSError), 3 numerical failure.
 Default comparison tolerance can be overridden with PWLIENARD_REL_TOL.
 """
 
@@ -15,9 +16,7 @@ from dataclasses import asdict
 
 from . import melnikov, oracle, roots, simulator
 from .design import design_case_x, design_case_y, verify_design
-from .errors import (InfeasibleShape, NegativeEnergy, NoConvergence,
-                     OddnessViolated, PwLienardError, QuadratureFailure,
-                     SimulationError, TooManyTargets, ZeroPolynomial)
+from .errors import PwLienardError
 from .systems import PRESET_NAMES, Case, LienardSystem, load_preset
 
 EXIT_OK = 0
@@ -38,16 +37,12 @@ def _load_system(args) -> LienardSystem:
         with open(args.system) as fh:
             sys_ = LienardSystem.from_json(json.load(fh))
     else:
-        raise SystemExit2("one of --preset/--system is required")
+        raise ValueError("one of --preset/--system is required")
     if args.lam is not None or args.eps is not None:
         # a flag left unset keeps the preset's or the file's value
         sys_ = sys_.with_params(sys_.lam if args.lam is None else args.lam,
                                 sys_.eps if args.eps is None else args.eps)
     return sys_
-
-
-class SystemExit2(Exception):
-    """Validation failure carrying a message for exit code 2."""
 
 
 def _float_list(text: str):
@@ -101,11 +96,10 @@ def cmd_melnikov(args) -> int:
 
 def cmd_roots(args) -> int:
     sys_ = _load_system(args)
-    # build only the reported polynomial: M1 needs odd f0 and g0, M0 does not
-    on_y = sys_.case is Case.SWITCH_Y
-    m0, m1 = ((melnikov.case_y_m0, melnikov.case_y_m1) if on_y
-              else (melnikov.case_x_m0, melnikov.case_x_m1))
-    poly = m0(sys_) if args.which == "M0" else m1(sys_, args.project_odd)
+    # M0 has no oddness hypothesis, so reporting it waives the M1 check
+    exp = melnikov.expand(sys_,
+                          project_odd=args.project_odd or args.which == "M0")
+    poly = exp.m0 if args.which == "M0" else exp.m1
     report = roots.isolate_positive_roots(poly, sys_.case, sys_.m, sys_.n,
                                           which=args.which)
     doc = {
@@ -320,7 +314,7 @@ def _apply_config(parser, argv):
         actions = _all_actions(parser)
         bad = set(defaults) - set(actions)
         if bad:
-            raise SystemExit2(f"unknown config keys: {sorted(bad)}")
+            raise ValueError(f"unknown config keys: {sorted(bad)}")
         for key, val in defaults.items():
             if val is not None and hasattr(args, key) \
                     and getattr(args, key) == actions[key].default:
@@ -333,14 +327,14 @@ def _config_value(action, val):
     after the flag; a flag that takes no text needs a JSON boolean."""
     if action.nargs == 0:
         if not isinstance(val, bool):
-            raise SystemExit2(f"config key {action.dest}: expected true or false")
+            raise ValueError(f"config key {action.dest}: expected true or false")
         return val
     try:
         value = (action.type or str)(str(val))
     except (TypeError, ValueError):
-        raise SystemExit2(f"config key {action.dest}: invalid value {val!r}") from None
+        raise ValueError(f"config key {action.dest}: invalid value {val!r}") from None
     if action.choices is not None and value not in action.choices:
-        raise SystemExit2(f"config key {action.dest}: invalid choice {value!r}")
+        raise ValueError(f"config key {action.dest}: invalid choice {value!r}")
     return value
 
 
@@ -348,18 +342,17 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = _apply_config(parser, sys.argv[1:] if argv is None else argv)
-    except (SystemExit2, OSError, json.JSONDecodeError) as exc:
+    # json.JSONDecodeError is a ValueError
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     try:
         return args.func(args)
-    except (SystemExit2, TooManyTargets, InfeasibleShape, ZeroPolynomial,
-            NegativeEnergy, OddnessViolated, ValueError, KeyError,
-            OSError) as exc:
+    # errors.InvalidInput is a ValueError: every input error exits 2
+    except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (QuadratureFailure, NoConvergence, SimulationError,
-            PwLienardError, ArithmeticError) as exc:
+    except (PwLienardError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -27,8 +27,8 @@ from .algebra import RingElem
 from .errors import InfeasibleShape, NoConvergence, TooManyTargets
 from .melnikov import (_a_hat_factor, _a_tilde_factor, _b_star_factor,
                        _b_tilde_factor, _c_star_factor, _c_weight_factor,
-                       _time_weight_factor, _x_odd_block, case_x_m1, case_y_m1,
-                       support, zero_bound)
+                       _time_weight_factor, _x_odd_block, expand, support,
+                       zero_bound)
 from .systems import Case, LienardSystem
 
 NEWTON_TOL = 1e-9
@@ -268,7 +268,7 @@ def _odd_jacobian(a_odd, c_odd, c_weight, time_w, a_hat):
 
 def verify_design(sys: LienardSystem, targets):
     """Residuals |M1(t)| at each target, against the polynomial scale."""
-    m1 = case_y_m1(sys) if sys.case is Case.SWITCH_Y else case_x_m1(sys)
+    m1 = expand(sys).m1
     scale = max((abs(c.to_float()) for c in m1.coeffs.values()), default=1.0)
     residuals = [abs(m1.eval(t)) for t in targets]
     ok = all(r <= NEWTON_TOL * scale * max(1.0, t) ** (

@@ -5,7 +5,11 @@ class PwLienardError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class NegativeEnergy(PwLienardError):
+class InvalidInput(PwLienardError, ValueError):
+    """The input breaks a stated rule; the CLI exits 2, as on every ValueError."""
+
+
+class NegativeEnergy(InvalidInput):
     """Half-power polynomial evaluated at h < 0."""
 
 
@@ -13,7 +17,7 @@ class WrongCase(PwLienardError):
     """Operation applied to a system with the wrong switching case."""
 
 
-class OddnessViolated(PwLienardError):
+class OddnessViolated(InvalidInput):
     """A closed form that requires odd f0/g0 was given even-index coefficients."""
 
 
@@ -21,11 +25,11 @@ class ZeroLambda(PwLienardError):
     """Folding to theorem form requires lambda > 0."""
 
 
-class TooManyTargets(PwLienardError):
+class TooManyTargets(InvalidInput):
     """More target zeros requested than the theorem bound allows."""
 
 
-class InfeasibleShape(PwLienardError):
+class InfeasibleShape(InvalidInput):
     """The requested zero placement needs s-powers the (m, n) shape cannot produce."""
 
 
@@ -41,7 +45,7 @@ class QuadratureFailure(PwLienardError):
     """Adaptive quadrature could not meet the error target."""
 
 
-class ZeroPolynomial(PwLienardError):
+class ZeroPolynomial(InvalidInput):
     """Root isolation requested for the identically-zero polynomial."""
 
 

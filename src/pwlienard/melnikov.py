@@ -21,12 +21,15 @@ def _require_case(sys: LienardSystem, case: Case):
         raise WrongCase(f"operation needs {case}, system is {sys.case}")
 
 
-def _require_odd_f0(sys: LienardSystem, project_odd: bool) -> LienardSystem:
-    if sys.f0_is_odd():
-        return sys
+def _require_odd(sys: LienardSystem, project_odd: bool, g0: bool):
+    """M1 is derived for odd f0 (and odd g0 with ``g0``) but reads no
+    even-index coefficient of either, so ``project_odd`` may waive the check."""
     if project_odd:
-        return sys.odd_projection()
-    raise OddnessViolated("f0 has a nonzero even-index coefficient")
+        return
+    if not sys.f0_is_odd():
+        raise OddnessViolated("f0 has a nonzero even-index coefficient")
+    if g0 and not sys.g0_is_odd():
+        raise OddnessViolated("g0 has a nonzero even-index coefficient")
 
 
 def wallis_odd(i: int) -> RingElem:
@@ -104,11 +107,7 @@ def case_y_m0(sys: LienardSystem) -> HalfPowerPoly:
 
 def case_y_m1(sys: LienardSystem, project_odd: bool = False) -> HalfPowerPoly:
     _require_case(sys, Case.SWITCH_Y)
-    sys = _require_odd_f0(sys, project_odd)
-    if not sys.g0_is_odd():
-        if not project_odd:
-            raise OddnessViolated("g0 has a nonzero even-index coefficient")
-        sys = sys.odd_projection()
+    _require_odd(sys, project_odd, g0=True)
     # I2 and I4 vanish under the oddness hypothesis
     return case_y_i_poly(sys, 1) + case_y_i3(sys)
 
@@ -181,7 +180,7 @@ def case_x_m0(sys: LienardSystem) -> HalfPowerPoly:
 
 def case_x_m1(sys: LienardSystem, project_odd: bool = False) -> HalfPowerPoly:
     _require_case(sys, Case.SWITCH_X)
-    sys = _require_odd_f0(sys, project_odd)
+    _require_odd(sys, project_odd, g0=False)
     return case_x_i_poly(sys, 1) + case_x_i2(sys) + case_x_i3(sys)
 
 
@@ -207,18 +206,17 @@ def expand(sys: LienardSystem, project_odd: bool = False) -> MelnikovExpansion:
 
 def closed_term(sys: LienardSystem, i: int, h: float) -> float:
     """Closed form of the single integral I_i at h, the counterpart of
-    ``oracle.quad_I(sys, h, i)``; M1 terms use the odd projection."""
+    ``oracle.quad_I(sys, h, i)``; the M1 terms (i >= 1) read no even-index
+    f0 or g0 coefficient, so they are those of the odd projection."""
     if not 0 <= i < sys.case.n_integrals:
         raise ValueError(f"index {i} not valid for {sys.case}")
     on_y = sys.case is Case.SWITCH_Y
     if i <= 1:
-        i_poly = case_y_i_poly if on_y else case_x_i_poly
-        return i_poly(sys if i == 0 else sys.odd_projection(), i).eval(h)
-    odd = sys.odd_projection()
+        return (case_y_i_poly if on_y else case_x_i_poly)(sys, i).eval(h)
     if on_y:
         # I2 and I4 vanish under the oddness hypothesis
-        return case_y_i3(odd).eval(h) if i == 3 else 0.0
-    return (case_x_i2 if i == 2 else case_x_i3)(odd).eval(h)
+        return case_y_i3(sys).eval(h) if i == 3 else 0.0
+    return (case_x_i2 if i == 2 else case_x_i3)(sys).eval(h)
 
 
 def _check_shape(m: int, n: int, which: str):

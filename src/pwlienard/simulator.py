@@ -70,15 +70,14 @@ def vector_field(sys: LienardSystem, state, side: float):
     return y, -x - y * polyval(p, x) - side * polyval(q, x)
 
 
-def _return(sys: LienardSystem, fc: dict, mode: int, start: float,
+def _return(fc: dict, lam: float, eps: float, mode: int, start: float,
             config: SimConfig):
-    """One kernel return on the float vectors ``fc`` from the section point
-    at ``start`` on the x-axis (mode 0) or the y-axis (mode 1); returns
-    (coord, time, crossings) with coord the end point's x resp. y."""
+    """One kernel return on the float vectors ``fc`` at parameters lam and
+    eps from the section point at ``start`` on the x-axis (mode 0) or the
+    y-axis (mode 1); returns (coord, time, crossings) with coord the end
+    point's x resp. y.  ``config`` supplies the tolerance and annulus."""
     if not config.r_min < start < config.r_max:
         raise EscapeAnnulus(f"start {start} outside the annulus")
-    lam = config.lam if (config.lam or config.eps) else sys.lam
-    eps = config.eps if (config.lam or config.eps) else sys.eps
     x0, y0 = (start, 0.0) if mode == 0 else (0.0, start)
     # the 0.0 fills the kernel's unused event_tol slot
     status, x, y, t, crossings = _kernel.integrate_return(
@@ -104,10 +103,13 @@ def advance_to_section(sys: LienardSystem, start: float, config: SimConfig):
     The section is {y = 0, x > 0} for switch-on-y systems and
     {x = 0, y > 0} for switch-on-x systems; ``start`` is the positive
     section coordinate (x resp. y).  Every return of a scan goes through
-    this module attribute.
+    this module attribute.  The config's lam and eps apply unless both are
+    0, when the system's do.
     """
     mode = 0 if sys.case is Case.SWITCH_Y else 1
-    return _return(sys, sys.float_coeffs(), mode, start, config)
+    lam, eps = ((config.lam, config.eps) if config.lam or config.eps
+                else (sys.lam, sys.eps))
+    return _return(sys.float_coeffs(), lam, eps, mode, start, config)
 
 
 def displacement(sys: LienardSystem, r: float, config: SimConfig) -> float:
@@ -230,7 +232,7 @@ def bifurcation_increment(sys: LienardSystem, h: float, lam: float,
             if abs(step) <= 1e-15 * max(1.0, a):
                 break
         negated = {k: [-c for c in v] for k, v in fc.items()}
-        u = _return(sys, negated, 0, a, config)[0]
+        u = _return(negated, lam, eps, 0, a, config)[0]
         return (0.5 * u * u + lam * polyval(big_g, u)) - h
-    y = _return(sys, fc, 1, math.sqrt(2.0 * h), config)[0]
+    y = _return(fc, lam, eps, 1, math.sqrt(2.0 * h), config)[0]
     return 0.5 * y * y - h

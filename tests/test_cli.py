@@ -11,6 +11,7 @@ import pytest
 
 from pwlienard import (Case, LienardSystem, RingElem, expand, load_preset,
                        oracle)
+from pwlienard import cli, errors
 from pwlienard.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, main
 
 
@@ -289,6 +290,34 @@ def test_input_errors_are_validation_errors(outdir, capsys, argv):
     failures."""
     assert main(["--out", str(outdir)] + argv) == EXIT_VALIDATION
     assert capsys.readouterr().err.startswith("error:")
+
+
+INPUT_ERRORS = (errors.NegativeEnergy, errors.OddnessViolated,
+                errors.TooManyTargets, errors.InfeasibleShape,
+                errors.ZeroPolynomial)
+PACKAGE_ERRORS = [cls for cls in vars(errors).values()
+                  if isinstance(cls, type) and issubclass(cls, Exception)]
+
+
+@pytest.mark.parametrize(
+    "exc", PACKAGE_ERRORS + [ValueError, KeyError, OSError, ArithmeticError],
+    ids=lambda cls: cls.__name__)
+def test_exit_code_of_each_error_class(monkeypatch, capsys, exc):
+    """The error class alone sets the exit code: 2 for the input errors
+    (every ValueError, errors.InvalidInput included, KeyError and OSError),
+    3 for every other package error and for ArithmeticError."""
+    def fail(args):
+        raise exc("boom")
+
+    monkeypatch.setattr(cli, "cmd_melnikov", fail)
+    rc = main(["melnikov", "--preset", "example1"])
+    if exc in INPUT_ERRORS + (errors.InvalidInput, ValueError, KeyError,
+                              OSError):
+        assert rc == EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith("error:")
+    else:
+        assert rc == EXIT_NUMERICAL
+        assert capsys.readouterr().err.startswith("numerical failure:")
 
 
 def test_missing_system_is_validation_error():

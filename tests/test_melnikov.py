@@ -13,7 +13,7 @@ from pwlienard import (Case, HalfPowerPoly, LienardSystem, OddnessViolated,
 from pwlienard.melnikov import (_a_hat_factor, _c_weight_factor,
                                 _time_weight_factor, _x_odd_block, case_x_i2,
                                 case_x_i3, case_x_m0, case_y_m0, case_y_m1,
-                                support, wallis_odd)
+                                closed_term, support, wallis_odd)
 
 from conftest import random_sweep_system
 
@@ -105,6 +105,18 @@ class TestVanishing:
     def test_wrong_case_rejected(self):
         with pytest.raises(WrongCase):
             case_y_m0(load_preset("example2"))
+
+    def test_m1_reads_no_even_f0_or_g0_coefficient(self, rng):
+        """project_odd only waives the oddness check: M1 and every M1 term
+        of a system equal those of its odd projection, on every shape."""
+        for case, m, n in SHAPES:
+            sys_ = random_sweep_system(rng, case, enforce_odd=False, m=m, n=n)
+            odd = sys_.odd_projection()
+            m1 = expand(sys_, project_odd=True).m1
+            assert m1.to_json() == expand(odd).m1.to_json(), (case, m, n)
+            for i in range(1, case.n_integrals):
+                for h in (0.5, 2.0):
+                    assert closed_term(sys_, i, h) == closed_term(odd, i, h)
 
 
 class TestShapeInvariants:

@@ -793,6 +793,14 @@ class TestBifurcationFunction:
             richardson = 2 * e2 - e1  # removes the O(eps) part
             assert richardson == pytest.approx(pred, abs=2e-3 * (1 + abs(pred)))
 
+    @pytest.mark.parametrize("sys_", [
+        load_preset("example1").with_params(0.02, 4e-4),
+        two_cycle_system(0.02, 4e-4, case=Case.SWITCH_X)], ids=["Y", "X"])
+    def test_zero_parameters_are_not_the_systems(self, sys_):
+        """lam = eps = 0 is the unperturbed centre whatever lam and eps the
+        system carries: the increment is exactly 0."""
+        assert bifurcation_increment(sys_, 2.0, 0.0, 0.0) == 0.0
+
 
 class TestClosedFormFlaws:
     """Dynamical measurements that quantify where the contracted closed
