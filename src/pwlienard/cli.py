@@ -311,6 +311,8 @@ def _apply_config(parser, argv):
     if args.config:
         with open(args.config) as fh:
             defaults = json.load(fh)
+        if not isinstance(defaults, dict):
+            raise ValueError("config file must hold a JSON object")
         actions = _all_actions(parser)
         bad = set(defaults) - set(actions)
         if bad:

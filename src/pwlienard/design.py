@@ -4,10 +4,12 @@ Every exact coefficient is the inverse of a :mod:`pwlienard.melnikov`
 factor times a target coefficient, and which monomials a shape can carry is
 read from ``melnikov.support``; the designer re-derives no closed form.
 
-Switch-on-y systems are designed exactly and triangularly, using the single
-nonzero ``c`` monomial trick: only ``c_{2*[n/2]}`` is nonzero, chosen so its
-``c*`` image is exactly 1, which makes the high-index convolution targets
-directly assignable through the odd ``b``-coefficients of g0.
+Switch-on-y systems are designed exactly and triangularly.  Only a target
+monomial beyond the ``b1`` channel needs ``c``, through the convolution
+channel; then only ``c_{2*[n/2]}`` is nonzero, chosen so its ``c*`` image is
+exactly 1, which makes those targets directly assignable through the odd
+``b``-coefficients of g0.  Otherwise ``c`` stays zero, so g keeps no even
+part that M1 does not use.
 
 Switch-on-x systems couple the unknowns (odd f0 and odd g coefficients)
 through a*_l + a^_l, so the odd-power block is solved numerically with a
@@ -71,9 +73,6 @@ def design_case_y(targets, m: int, n: int) -> LienardSystem:
     c = [RingElem.zero()] * (n + 1)
     if not targets:
         return LienardSystem.build(Case.SWITCH_Y, m, n, a1=a1, b0=b0, b1=b1, c=c)
-    # pick c_{2*[n/2]} so that c*_{[n/2]} = 1 exactly
-    c[2 * half_n] = _c_star_factor(half_n).invert_monomial()
-
     q_poly = _product_s_poly([math.sqrt(t) for t in targets], 1)
     outside = sorted(set(q_poly) - support(Case.SWITCH_Y, m, n, "M1"))
     if outside:
@@ -90,7 +89,9 @@ def design_case_y(targets, m: int, n: int) -> LienardSystem:
             if l <= half_n:
                 b1[2 * l] = _b_tilde_factor(l).invert_monomial() * coeff
             else:
-                # convolution channel: b~_l = b*_{l - [n/2]} * c*_{[n/2]}
+                # convolution channel: b~_l = b*_{l - [n/2]} * c*_{[n/2]},
+                # with c_{2*[n/2]} picked so that c*_{[n/2]} = 1 exactly
+                c[2 * half_n] = _c_star_factor(half_n).invert_monomial()
                 i = l - half_n
                 b0[2 * i + 1] = _b_star_factor(i).invert_monomial() * coeff
     return LienardSystem.build(Case.SWITCH_Y, m, n, a1=a1, b0=b0, b1=b1, c=c)

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 
 from ._kernel_py import fold
 from .algebra import HalfPowerPoly, RingElem
@@ -32,12 +31,17 @@ def _require_odd(sys: LienardSystem, project_odd: bool, g0: bool):
         raise OddnessViolated("g0 has a nonzero even-index coefficient")
 
 
-def wallis_odd(i: int) -> RingElem:
+def _wallis(i: int) -> Fraction:
     """W(i) = integral of cos^(2i+1) over [0, pi/2] = prod_{l=1..i} 2l/(2l+1)."""
     q = Fraction(1)
     for l in range(1, i + 1):
         q *= Fraction(2 * l, 2 * l + 1)
-    return RingElem.rational(q)
+    return q
+
+
+def wallis_odd(i: int) -> RingElem:
+    """W(i) as a ring element."""
+    return RingElem.rational(_wallis(i))
 
 
 def _a_tilde_factor(j: int, sign: int) -> RingElem:
@@ -127,16 +131,14 @@ def _c_weight_factor(j: int) -> RingElem:
 
 
 def _time_weight_factor(l: int) -> RingElem:
-    """2^(l+3/2) * sum_k C(l+1,k)(-1)^k/(2k+1): the x^(2l+3)/sqrt(2h-x^2) moment."""
-    q = Fraction(0)
-    for k in range(l + 2):
-        q += Fraction(comb(l + 1, k) * (-1) ** k, 2 * k + 1)
-    return RingElem({(2 * l + 3, 0): q})
+    """2^(l+3/2) * W(l+1), the x^(2l+3)/sqrt(2h-x^2) moment: W(l+1) is both
+    sum_k C(l+1,k)(-1)^k/(2k+1) and the integral of (1-u^2)^(l+1) on [0, 1]."""
+    return RingElem({(2 * l + 3, 0): _wallis(l + 1)})
 
 
 def _a_hat_factor(i: int) -> RingElem:
     """-(2^(i+5/2)/(2i+3)) * W(i), the a_{2i+1} -> h^(i+3/2) half-arc factor."""
-    return RingElem({(2 * i + 5, 0): Fraction(-1, 2 * i + 3)}) * wallis_odd(i)
+    return RingElem({(2 * i + 5, 0): Fraction(-1, 2 * i + 3) * _wallis(i)})
 
 
 def _x_odd_block(a_odd, c_odd, c_weight, time_w, a_hat) -> dict:

@@ -81,17 +81,8 @@ class RootReport:
 
 
 def _bisect_root(coeffs, lo: float, hi: float):
+    """Bisect (lo, hi), on which P changes sign as ``_isolate`` records it."""
     flo = polyval(coeffs, lo)
-    fhi = polyval(coeffs, hi)
-    if flo == 0.0:
-        lo_adj = max(lo * (1 - 1e-9) - 1e-300, 0.0)
-        flo = polyval(coeffs, lo_adj)
-        lo = lo_adj
-    if fhi == 0.0:
-        hi *= 1 + 1e-9
-        fhi = polyval(coeffs, hi)
-    if flo * fhi > 0:
-        return None
     # tight target: both the s-interval and the induced h-interval stay <= 1e-12
     while (hi - lo) * max(1.0, hi + lo) > REFINE_WIDTH:
         mid = 0.5 * (lo + hi)
@@ -102,7 +93,7 @@ def _bisect_root(coeffs, lo: float, hi: float):
             lo = hi = mid
             break
         if flo * fm < 0:
-            hi, fhi = mid, fm
+            hi = mid
         else:
             lo, flo = mid, fm
     return lo, hi
@@ -134,6 +125,20 @@ def _isolate(coeffs, lo: float, hi: float, out: list, depth: int = 0):
     _isolate(coeffs, mid, hi, out, depth + 1)
 
 
+def _refined_roots(coeffs, bound: float):
+    """(lo, hi, mid) s-intervals of P's sign changes on (0, bound], bisected.
+
+    ``_isolate`` records (lo, hi) only where P(lo) * P(hi) < 0, so P(lo) is
+    nonzero even at lo = 0, and mid > 0."""
+    intervals: list = []
+    _isolate(coeffs, 0.0, bound, intervals)
+    out = []
+    for lo, hi in intervals:
+        lo, hi = _bisect_root(coeffs, lo, hi)
+        out.append((lo, hi, 0.5 * (lo + hi)))
+    return out
+
+
 def _strip_low_power(coeffs):
     k = 0
     while k < len(coeffs) and coeffs[k] == 0.0:
@@ -147,40 +152,28 @@ def isolate_positive_roots(poly: HalfPowerPoly, case: Case | None = None,
     """Isolate and certify the positive zeros of P(h) via Q(s), s = sqrt(h)."""
     if poly.is_zero():
         raise ZeroPolynomial("cannot isolate roots of the zero polynomial")
+    # stripped, coeffs[0] is nonzero: a constant has no sign change and no root
     coeffs = _strip_low_power(poly.to_s_poly())
-    if not coeffs or all(c == 0.0 for c in coeffs):
+    if not coeffs:
         raise PrecisionLoss("all coefficients vanished in float conversion")
     scale = max(abs(c) for c in coeffs)
-    if not math.isfinite(scale) or scale == 0.0:
+    if not math.isfinite(scale):
         raise PrecisionLoss("coefficient conversion lost all significant digits")
-    if len(coeffs) == 1:
-        report = RootReport(descartes_bound=0)
-    else:
-        lead = coeffs[-1]
-        bound = 1.0 + max(abs(c) for c in coeffs[:-1]) / abs(lead)
-        intervals: list = []
-        _isolate(coeffs, 0.0, bound, intervals)
-        report = RootReport(descartes_bound=sign_variations(coeffs))
-        deriv = _deriv(coeffs)
-        s_roots = []
-        for lo, hi in intervals:
-            refined = _bisect_root(coeffs, max(lo, 1e-300), hi)
-            if refined is None:
-                continue
-            rlo, rhi = refined
-            mid = 0.5 * (rlo + rhi)
-            if mid <= 0:
-                continue
-            dval = polyval(deriv, mid) if deriv else 0.0
-            cert = CERT_SIMPLE if dval != 0.0 else CERT_SUSPECT_EVEN
-            s_roots.append(IsolatedRoot(rlo, rhi, mid, cert))
-        # flag possible even-multiplicity roots: minima of |P| at zeros of P'
-        if deriv and len(deriv) > 1:
-            report.suspected = _suspect_even_roots(coeffs, deriv, bound,
-                                                  s_roots, scale)
-        s_roots.sort(key=lambda r: r.mid)
-        report.h_roots = [IsolatedRoot(r.lo ** 2, r.hi ** 2, r.mid ** 2,
-                                       r.certificate) for r in s_roots]
+    bound = 1.0 + max((abs(c) for c in coeffs[:-1]),
+                      default=0.0) / abs(coeffs[-1])
+    report = RootReport(descartes_bound=sign_variations(coeffs))
+    deriv = _deriv(coeffs)
+    s_roots = []
+    for lo, hi, mid in _refined_roots(coeffs, bound):
+        cert = CERT_SIMPLE if polyval(deriv, mid) != 0.0 else CERT_SUSPECT_EVEN
+        s_roots.append(IsolatedRoot(lo, hi, mid, cert))
+    # flag possible even-multiplicity roots: minima of |P| at zeros of P'
+    if len(deriv) > 1:
+        report.suspected = _suspect_even_roots(coeffs, deriv, bound,
+                                              s_roots, scale)
+    s_roots.sort(key=lambda r: r.mid)
+    report.h_roots = [IsolatedRoot(r.lo ** 2, r.hi ** 2, r.mid ** 2,
+                                   r.certificate) for r in s_roots]
     if case is not None and m is not None and n is not None:
         report.theorem_bound = zero_bound(case, m, n, which)
     return report
@@ -189,18 +182,10 @@ def isolate_positive_roots(poly: HalfPowerPoly, case: Case | None = None,
 def _suspect_even_roots(coeffs, deriv, bound, certified, scale):
     """Even-multiplicity candidates as h-intervals; the search runs in s."""
     out = []
-    intervals: list = []
-    _isolate(deriv, 0.0, bound, intervals)
-    for lo, hi in intervals:
-        refined = _bisect_root(deriv, max(lo, 1e-300), hi)
-        if refined is None:
-            continue
-        mid = 0.5 * (refined[0] + refined[1])
-        if mid <= 0:
-            continue
+    for lo, hi, mid in _refined_roots(deriv, bound):
         if any(r.lo - 1e-9 <= mid <= r.hi + 1e-9 for r in certified):
             continue
         if abs(polyval(coeffs, mid)) <= 1e-8 * scale * max(1.0, mid) ** len(coeffs):
-            out.append(IsolatedRoot(refined[0] ** 2, refined[1] ** 2,
-                                    mid ** 2, CERT_SUSPECT_EVEN))
+            out.append(IsolatedRoot(lo ** 2, hi ** 2, mid ** 2,
+                                    CERT_SUSPECT_EVEN))
     return out

@@ -236,6 +236,16 @@ def test_config_unknown_key(tmp_path):
     assert rc == EXIT_VALIDATION
 
 
+@pytest.mark.parametrize("text", ['["precision"]', "3"],
+                         ids=["list", "number"])
+def test_config_not_an_object(tmp_path, capsys, text):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    rc = main(["--config", str(cfg), "melnikov", "--preset", "example1"])
+    assert rc == EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith("error:")
+
+
 @pytest.mark.parametrize("config, argv, expected, grid", [
     ({"grid": "abc"}, ["simulate", "--preset", "example1"], EXIT_VALIDATION,
      None),

@@ -5,9 +5,10 @@ import random
 
 import pytest
 
-from pwlienard import (Case, InfeasibleShape, NoConvergence, TooManyTargets,
-                       design_case_x, design_case_y, expand,
-                       isolate_positive_roots, load_preset, verify_design)
+from pwlienard import (Case, InfeasibleShape, NoConvergence, SimConfig,
+                       TooManyTargets, design_case_x, design_case_y, expand,
+                       find_cycles, isolate_positive_roots, load_preset,
+                       verify_design)
 from pwlienard.design import _odd_jacobian
 from pwlienard.melnikov import (_a_hat_factor, _c_weight_factor,
                                 _time_weight_factor, _x_odd_block)
@@ -38,6 +39,18 @@ class TestCaseY:
         for r, t in zip(report.h_roots, sorted(targets)):
             assert r.mid == pytest.approx(t, rel=1e-8)
             assert r.certificate == CERT_SIMPLE
+
+    def test_c_only_for_the_convolution_channel(self):
+        """a1 and b1 carry every monomial of these targets, so c stays zero:
+        g has no even part, the period annulus survives and the simulator
+        finds the designed cycles."""
+        sys_ = design_case_y([1, 4], 3, 3)
+        assert all(v.is_zero() for v in sys_.b0)
+        assert all(v.is_zero() for v in sys_.c)
+        scan = find_cycles(sys_, (1.0, 3.4), 60,
+                           SimConfig(lam=0.02, eps=4e-4))
+        assert [c.h_star for c in scan.cycles] == pytest.approx([1.0, 4.0],
+                                                                abs=1e-3)
 
     def test_empty_targets(self):
         sys_ = design_case_y([], 2, 2)

@@ -66,6 +66,13 @@ class TestExactValues:
         assert wallis_odd(1) == rational(Fraction(2, 3))
         assert wallis_odd(2) == rational(Fraction(8, 15))
 
+    def test_time_weight_is_a_wallis_number(self):
+        """The time weight against its binomial sum, written out here."""
+        for l in range(13):
+            q = sum(Fraction(math.comb(l + 1, k) * (-1) ** k, 2 * k + 1)
+                    for k in range(l + 2))
+            assert _time_weight_factor(l) == RingElem({(2 * l + 3, 0): q})
+
 
 def test_odd_block_on_floats_matches_closed_form(rng):
     """The designer's Newton residual evaluates the switch-on-x odd block

@@ -1,0 +1,20 @@
+"""The README's library quickstart runs as written."""
+
+import re
+from pathlib import Path
+
+import pytest
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_library_quickstart_runs():
+    text = README.read_text()
+    block = re.search(r"^## Library quickstart\n.*?^```python\n(.*?)^```",
+                      text, re.S | re.M).group(1)
+    scope: dict = {}
+    exec(compile(block, "README.md", "exec"), scope)
+    mids = [r.mid for r in scope["report"].h_roots]
+    assert mids == pytest.approx([1.0, 4.0, 9.0, 16.0], abs=1e-9)
+    h_stars = [c.h_star for c in scope["scan"].cycles]
+    assert h_stars == pytest.approx([1.0, 4.0], abs=1e-3)

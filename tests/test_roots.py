@@ -2,6 +2,7 @@
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -122,3 +123,19 @@ def test_bound_check_reports_slack():
     report = isolate_positive_roots(exp.m1, Case.SWITCH_X, 3, 3)
     assert report.theorem_bound == 4
     assert report.certified_count() == len(report.h_roots) == 2
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 4: float Descartes counts and bisection drop the triple "
+    "root at s = 3/2 and place the one at s = 1 on lo == hi = 1.000008"))
+@pytest.mark.parametrize("s_root", [Fraction(3, 2), Fraction(1)],
+                         ids=["dropped", "mislocated"])
+def test_triple_root_in_a_certified_interval(s_root):
+    """Q(s) = s (s - a)^3 changes sign at a, so h = a^2 must lie in a
+    certified interval."""
+    a = s_root
+    report = isolate_positive_roots(
+        int_poly({1: -a ** 3, 2: 3 * a ** 2, 3: -3 * a, 4: 1}))
+    h = float(a ** 2)
+    assert any(r.lo <= h <= r.hi and r.certificate == CERT_SIMPLE
+               for r in report.h_roots)
