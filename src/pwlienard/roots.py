@@ -153,14 +153,18 @@ def isolate_positive_roots(poly: HalfPowerPoly, case: Case | None = None,
     if poly.is_zero():
         raise ZeroPolynomial("cannot isolate roots of the zero polynomial")
     # stripped, coeffs[0] is nonzero: a constant has no sign change and no root
-    coeffs = _strip_low_power(poly.to_s_poly())
-    if not coeffs:
-        raise PrecisionLoss("all coefficients vanished in float conversion")
+    try:
+        coeffs = _strip_low_power(poly.to_s_poly())
+    except OverflowError:
+        raise PrecisionLoss("a coefficient overflows a float") from None
+    # the exact top coefficient is nonzero, so a zero there underflowed
+    if not coeffs or coeffs[-1] == 0.0:
+        raise PrecisionLoss("the top coefficient vanished in float conversion")
     scale = max(abs(c) for c in coeffs)
-    if not math.isfinite(scale):
-        raise PrecisionLoss("coefficient conversion lost all significant digits")
     bound = 1.0 + max((abs(c) for c in coeffs[:-1]),
                       default=0.0) / abs(coeffs[-1])
+    if not (math.isfinite(scale) and math.isfinite(bound)):
+        raise PrecisionLoss("coefficient conversion lost all significant digits")
     report = RootReport(descartes_bound=sign_variations(coeffs))
     deriv = _deriv(coeffs)
     s_roots = []

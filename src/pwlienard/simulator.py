@@ -4,17 +4,26 @@ limit-cycle location and the finite-difference bifurcation increment.
 The stepping loop lives in ``pwlienard._kernel_py``, which integrates a
 return as two fixed arcs in the polar angle about the centre, one per side
 of the switching line, with no event location.
+
+Cycles are the roots of a Chebyshev proxy of the displacement d(r): d is
+a low-degree polynomial plus integration noise, so a few Chebyshev-Lobatto
+nodes capture it (Trefethen, Approximation Theory and Approximation
+Practice, 2013; Boyd, Solving Transcendental Equations, 2014).  The roots
+come from ``roots``' Descartes isolator with no further return, and each
+costs one polish return.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import groupby
 
 from . import _kernel_py
 from .algebra import poly_antideriv, polyval
 from .errors import (EscapeAnnulus, MaxStepsExceeded, NonTransversalCrossing,
                      PwLienardError)
+from .roots import _deriv, _refined_roots, _scale_to_unit
 from .systems import Case, LienardSystem, check_params
 
 # every return calls _kernel.integrate_return through this module attribute
@@ -119,87 +128,166 @@ def displacement(sys: LienardSystem, r: float, config: SimConfig) -> float:
 
 def find_cycles(sys: LienardSystem, r_range, grid_n: int,
                 config: SimConfig) -> CycleScan:
-    """Grid scan for sign changes of the displacement, each refined by
-    Illinois false position on its bracket; a grid point whose
-    displacement is exactly 0 is a cycle as it stands."""
+    """Cycles on ``r_range`` from a Chebyshev proxy of the displacement.
+
+    d is sampled at Chebyshev-Lobatto radii, 9 first; the node count
+    doubles, reusing every node, while one of the last three coefficients
+    lies above the noise floor ``10 * rk_tol * (1 + hi)`` and the new nodes
+    fit in ``grid_n``, the scan's return budget.  The roots of the proxy,
+    chopped at the floor, are its cycles; each costs one more return at the
+    root, the residual, and one Newton step with the proxy's slope.  A
+    failed return keeps NaN at its node, and the proxy is fitted again on
+    each run of finite nodes on either side of it, within what is left of
+    the budget.  A proxy with every coefficient at the floor is
+    non-isolated: a period annulus.
+    """
     if grid_n < 2:
         raise ValueError(f"grid_n must be at least 2, got {grid_n}")
     lo, hi = r_range
     if not lo < hi:
         raise ValueError(f"r_range needs lo < hi, got ({lo}, {hi})")
+    # the coefficient plateau of integration noise in d, about 1e-10 to
+    # 6e-10 at rk_tol 1e-10 on r <= 3.4, lies below this floor
+    floor = 10.0 * config.rk_tol * (1.0 + hi)
+    values = {}  # node radius -> displacement, NaN where the return failed
+
+    def fits(a, b, n):  # the new nodes of level n within the budget
+        new = sum(r not in values for r in _nodes(a, b, n))
+        return new <= grid_n - len(values)
+
+    pieces, proxies = [(lo, hi)], []
+    while pieces:
+        a, b = pieces.pop()
+        n = 8
+        while n > 1 and not fits(a, b, n):
+            n //= 2
+        while True:
+            rs = _nodes(a, b, n)
+            for r in rs:
+                if r not in values:
+                    try:
+                        values[r] = displacement(sys, r, config)
+                    except PwLienardError:
+                        values[r] = math.nan
+            ds = [values[r] for r in rs]
+            if any(math.isnan(d) for d in ds):
+                # each run of two or more finite nodes becomes a piece
+                runs = [[r for r, _d in run] for failed, run in
+                        groupby(zip(rs, ds), key=lambda p: math.isnan(p[1]))
+                        if not failed]
+                pieces += [(run[-1], run[0]) for run in runs if len(run) > 1]
+                break
+            coeffs = _chebyshev_coeffs(ds)
+            if (max(abs(c) for c in coeffs[-3:]) <= floor
+                    or not fits(a, b, 2 * n)):
+                proxies.append((a, b, _chop(coeffs, floor)))
+                break
+            n *= 2
     scan = CycleScan()
-    rs = [lo + (hi - lo) * i / (grid_n - 1) for i in range(grid_n)]
-    ds = []
-    for r in rs:
-        try:
-            ds.append(displacement(sys, r, config))
-        except PwLienardError:
-            ds.append(math.nan)
-    scan.grid = rs
-    scan.displacements = ds
-    finite = [abs(d) for d in ds if not math.isnan(d)]
-    if finite and max(finite) <= 1e-8 * max(1.0, hi):
-        scan.non_isolated = True
-        return scan
-    for i, d0 in enumerate(ds):
-        if d0 == 0.0:
-            scan.cycles.append(_cycle_report(sys, rs[i], 0.0, config))
-        # a NaN on either side makes the product NaN, which is not < 0
-        elif i + 1 < grid_n and d0 * ds[i + 1] < 0:
-            r_star, d_star = _refine_cycle(sys, rs[i], rs[i + 1], d0,
-                                           ds[i + 1], config)
-            scan.cycles.append(_cycle_report(sys, r_star, d_star, config))
+    scan.grid = sorted(values)
+    scan.displacements = [values[r] for r in scan.grid]
+    scan.non_isolated = bool(proxies) and not any(c for _a, _b, c in proxies)
+    for a, b, coeffs in proxies:
+        for r_star, slope in _proxy_roots(coeffs, a, b, floor):
+            scan.cycles.append(_cycle_report(sys, r_star, slope, config))
+    scan.cycles.sort(key=lambda c: c.radius)
     return scan
 
 
-def _cycle_report(sys, r_star, d_star, config):
+def _nodes(a, b, n):
+    """The n + 1 Chebyshev-Lobatto radii of [a, b], from b down to a; those
+    of n are every other one of 2n, bit for bit."""
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    return [b] + [mid + half * math.cos(math.pi * k / n)
+                  for k in range(1, n)] + [a]
+
+
+def _chebyshev_coeffs(ds):
+    """Coefficients c_j of sum c_j T_j(x) through the values at the
+    Lobatto points x_k = cos(pi k / n), by the type-I cosine transform."""
+    n = len(ds) - 1
+    w = [0.5 * ds[0]] + ds[1:-1] + [0.5 * ds[-1]]
+    cos = [math.cos(math.pi * m / n) for m in range(2 * n)]
+    coeffs = [2.0 / n * sum(wk * cos[j * k % (2 * n)]
+                            for k, wk in enumerate(w))
+              for j in range(n + 1)]
+    coeffs[0] *= 0.5
+    coeffs[-1] *= 0.5
+    return coeffs
+
+
+def _chop(coeffs, floor):
+    """The coefficients up to the last one above the floor."""
+    while coeffs and abs(coeffs[-1]) <= floor:
+        coeffs = coeffs[:-1]
+    return coeffs
+
+
+def _clenshaw(coeffs, x):
+    """sum c_j T_j(x) by Clenshaw's recurrence."""
+    b1 = b2 = 0.0
+    for c in reversed(coeffs[1:]):
+        b1, b2 = 2.0 * x * b1 - b2 + c, b1
+    return x * b1 - b2 + coeffs[0]
+
+
+def _proxy_roots(coeffs, a, b, floor):
+    """(r, slope) at each sign change of sum c_j T_j on [a, b].
+
+    The roots come from ``roots._refined_roots`` on monomials in u, where
+    r = a + (b - a) u maps [0, 1] onto [a, b].  Converting T_j to them
+    amplifies rounding by up to T_j(3), so while that error could pass the
+    floor, the proxy is re-expanded on each half of [a, b], where its
+    coefficients fall faster."""
+    if len(coeffs) > 2 and math.ulp(1.0) * (
+            _clenshaw([abs(c) for c in coeffs], 3.0) - abs(coeffs[0])) > floor:
+        out, mid, n = [], 0.5 * (a + b), len(coeffs) - 1
+        for a2, b2 in ((a, mid), (mid, b)):
+            local = [_clenshaw(coeffs, (2.0 * r - a - b) / (b - a))
+                     for r in _nodes(a2, b2, n)]
+            out += _proxy_roots(_chop(_chebyshev_coeffs(local), floor),
+                                a2, b2, floor)
+        return out
+    mono = _scale_to_unit(_monomial_coeffs(coeffs), -1.0, 1.0)
+    slope = _deriv(mono)
+    return [(a + (b - a) * u, polyval(slope, u) / (b - a))
+            for _lo, _hi, u in _refined_roots(mono, 1.0)]
+
+
+def _monomial_coeffs(coeffs):
+    """sum c_j T_j(x) as ascending coefficients in x, from
+    T_{j+1} = 2 x T_j - T_{j-1} with T_{-1} = T_1 = x."""
+    out = [0.0] * len(coeffs)
+    prev, cur = [0.0, 1.0], [1.0]
+    for c in coeffs:
+        for i, v in enumerate(cur):
+            out[i] += c * v
+        nxt = [0.0] + [2.0 * v for v in cur]
+        for i, v in enumerate(prev):
+            nxt[i] -= v
+        prev, cur = cur, nxt
+    return out
+
+
+def _cycle_report(sys, r_star, slope, config):
+    """One polish return at the proxy root r_star and one Newton step with
+    the proxy's slope there."""
+    try:
+        d_star = displacement(sys, r_star, config)
+    except PwLienardError:
+        d_star = math.nan
+    radius = (r_star - d_star / slope if slope and not math.isnan(d_star)
+              else r_star)
     return CycleReport(
-        section_coord=r_star,
-        h_star=0.5 * r_star * r_star,
-        radius=r_star,
+        section_coord=radius,
+        h_star=0.5 * radius * radius,
+        radius=radius,
         residual=abs(d_star),
-        stability_slope=_secant_slope(sys, r_star, config,
-                                      1e-4 * max(1.0, r_star)),
+        stability_slope=slope,
         # the switching sides after each crossing of a completed return
         side_sequence=(1.0, -1.0) if sys.case is Case.SWITCH_Y
         else (-1.0, 1.0),
     )
-
-
-def _refine_cycle(sys, r_lo, r_hi, d_lo, d_hi, config):
-    """Illinois false position on the bracket (r_lo, r_hi), whose
-    displacements d_lo and d_hi have opposite signs: when the same end is
-    kept twice running, its displacement is halved, so neither end sticks.
-    A point outside the open bracket falls back to the midpoint.  Returns
-    the last point evaluated and its displacement."""
-    kept = 0  # -1: r_lo was kept last time, +1: r_hi, 0: neither yet
-    for _ in range(200):
-        r = r_hi - d_hi * (r_hi - r_lo) / (d_hi - d_lo)
-        if not r_lo < r < r_hi:
-            r = 0.5 * (r_lo + r_hi)
-        d = displacement(sys, r, config)
-        if abs(d) <= 1e-9 * max(1.0, r) or r_hi - r_lo < 1e-13:
-            break
-        if (d_lo > 0) != (d > 0):
-            r_hi, d_hi = r, d
-            if kept < 0:
-                d_lo *= 0.5
-            kept = -1
-        else:
-            r_lo, d_lo = r, d
-            if kept > 0:
-                d_hi *= 0.5
-            kept = 1
-    return r, d
-
-
-def _secant_slope(sys, r_star, config, delta):
-    try:
-        d_plus, d_minus = (displacement(sys, r, config)
-                           for r in (r_star + delta, r_star - delta))
-    except PwLienardError:
-        return math.nan
-    return (d_plus - d_minus) / (2.0 * delta)
 
 
 def bifurcation_increment(sys: LienardSystem, h: float, lam: float,

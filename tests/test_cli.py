@@ -149,7 +149,8 @@ def test_simulate_finds_cycles(tmp_path, outdir):
     assert doc["cycles"][0]["h_star"] == pytest.approx(1.0, abs=1e-3)
     disp = (outdir / "displacement.csv").read_text().strip().splitlines()
     assert disp[0] == "r,displacement"
-    assert len(disp) == 16
+    # the proxy nodes: 9 fit the budget of 15 and reach the noise floor
+    assert len(disp) == 1 + 9
 
 
 @pytest.mark.parametrize("partial, full", [

@@ -6,9 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from pwlienard import (Case, HalfPowerPoly, RingElem, ZeroPolynomial,
-                       design_case_y, expand, isolate_positive_roots,
-                       load_preset)
+from pwlienard import (Case, HalfPowerPoly, PrecisionLoss, RingElem,
+                       ZeroPolynomial, design_case_y, expand,
+                       isolate_positive_roots, load_preset)
 from pwlienard.roots import CERT_SIMPLE, CERT_SUSPECT_EVEN
 
 
@@ -43,6 +43,16 @@ def test_root_on_bisection_point_kept():
 def test_zero_polynomial_rejected():
     with pytest.raises(ZeroPolynomial):
         isolate_positive_roots(HalfPowerPoly.zero())
+
+
+@pytest.mark.parametrize("top", [Fraction(10) ** -400, Fraction(10) ** 400],
+                         ids=["underflow", "overflow"])
+def test_top_coefficient_out_of_float_range(top):
+    """-1 + 10^(+-400) h has its root at h = 10^(-+400), which no float
+    holds: the top coefficient converts to 0.0 or overflows, and either is
+    a loss of precision, not a division by zero or an overflow."""
+    with pytest.raises(PrecisionLoss):
+        isolate_positive_roots(int_poly({0: -1, 2: top}))
 
 
 def test_origin_root_not_reported():

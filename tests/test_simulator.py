@@ -19,14 +19,16 @@ from pwlienard.simulator import BACKEND, bifurcation_increment
 INV_PI = RingElem.term(1, p=-1)
 
 
-def two_cycle_system(lam=0.0, eps=0.0, case=Case.SWITCH_Y):
-    """Switch-on-y system with M0 = 0 and M1 = h(h-1)(h-4): limit cycles
-    near r = sqrt(2) and r = sqrt(8) for small parameters.  As a
-    switch-on-x system M1 changes sign, and the cycles stay."""
+def two_cycle_system(lam=0.0, eps=0.0, case=Case.SWITCH_Y, targets=(1, 4)):
+    """Switch-on-y system with M0 = 0 and M1 = h(h - t1)(h - t2): limit
+    cycles near r = sqrt(2 t1) and sqrt(2 t2) for small parameters, by
+    default sqrt(2) and sqrt(8).  As a switch-on-x system M1 changes sign,
+    and the cycles stay."""
+    t1, t2 = (Fraction(t) for t in targets)
     return LienardSystem.build(
         case, 4, 0,
-        a1=[INV_PI * RingElem.rational(2), 0, INV_PI * RingElem.rational(-5),
-            0, INV_PI],
+        a1=[INV_PI * RingElem.rational(t1 * t2 / 2), 0,
+            INV_PI * RingElem.rational(-(t1 + t2)), 0, INV_PI],
         lam=lam, eps=eps)
 
 
@@ -218,7 +220,7 @@ class TestKernelEntry:
                                                        case):
         """perfbench/tracing.py counts returns by swapping the module
         attributes ``simulator._kernel`` and ``simulator.advance_to_section``:
-        a scan with its refinements and slopes, and a displacement, make
+        a scan with its nodes and polish returns, and a displacement, make
         every return through both, and an increment makes exactly one
         kernel call."""
         sys_ = two_cycle_system(case=case)
@@ -234,7 +236,7 @@ class TestKernelEntry:
         monkeypatch.setattr(simulator, "advance_to_section", counted_advance)
         scan = find_cycles(sys_, (1.0, 3.4), 60, config)
         assert len(scan.cycles) == 2
-        assert calls[0] == advances[0] > 60 + 2 * 2
+        assert calls[0] == advances[0] == len(scan.grid) + 2
         displacement(sys_, 2.0, config)
         assert calls == advances
         bifurcation_increment(sys_, 2.5, 0.02, 4e-4)
@@ -622,9 +624,20 @@ class TestCycleDetection:
             assert abs(scan.cycles[0].h_star - 1.0) <= 1e-4
 
 
+    @pytest.mark.parametrize("targets", [("2.0", "2.1"), ("1.0", "1.1")])
+    @pytest.mark.parametrize("case", [Case.SWITCH_Y, Case.SWITCH_X])
+    def test_close_pairs_found(self, case, targets):
+        """Cycles 0.049 and 0.069 apart in r, closer than one step of a
+        25-point grid on [1, 3.4], whose sign changes miss three of these
+        four pairs.  The proxy from the same budget finds every cycle."""
+        scan = find_cycles(two_cycle_system(case=case, targets=targets),
+                           (1.0, 3.4), 25, SimConfig(lam=0.02, eps=4e-4))
+        assert [c.h_star for c in scan.cycles] == pytest.approx(
+            [float(t) for t in targets], abs=1e-3)
+
     def test_refinement_work(self, monkeypatch):
-        """60 scan returns, then two cycles of at most 3 Illinois and
-        exactly 2 slope returns each; bisection took 8 + 2 per cycle."""
+        """9 proxy nodes meet the noise floor, well inside the budget of 60,
+        then one polish return per cycle: 11 returns."""
         calls = [0]
         integrate = simulator._kernel.integrate_return
 
@@ -636,7 +649,8 @@ class TestCycleDetection:
         scan = find_cycles(two_cycle_system(), (1.0, 3.4), 60,
                            SimConfig(lam=0.02, eps=4e-4))
         assert len(scan.cycles) == 2
-        assert calls[0] <= 70
+        assert len(scan.grid) == 9
+        assert calls[0] == 9 + 2
 
 
 def synthetic_map(monkeypatch, d):
@@ -654,32 +668,76 @@ def synthetic_map(monkeypatch, d):
 
 class TestSyntheticReturnMap:
     def test_zero_on_grid_point_reported_once(self, monkeypatch):
-        """d(1.5) is exactly 0 on the grid 1.0, 1.5, 2.0: that grid point is
-        the cycle, with no refinement and the usual two slope returns."""
+        """d(1.5) is exactly 0 on the nodes 2.0, 1.5, 1.0 of a budget of 3:
+        the quadratic proxy through them has that node as its one root in
+        range, reported once, after one polish return."""
         asked = synthetic_map(monkeypatch, lambda r: (r - 1.5) * (1.0 + r))
         scan = find_cycles(two_cycle_system(), (1.0, 2.0), 3, SimConfig())
+        assert scan.grid == [1.0, 1.5, 2.0]
         assert scan.displacements[1] == 0.0
         assert len(scan.cycles) == 1
         cycle = scan.cycles[0]
-        assert (cycle.radius, cycle.residual) == (1.5, 0.0)
-        assert cycle.h_star == 1.125
+        assert cycle.radius == pytest.approx(1.5, abs=1e-12)
+        assert cycle.residual <= 1e-11
+        assert cycle.h_star == pytest.approx(1.125, abs=1e-11)
         # fixed by the case, not read from the return's crossings
         assert cycle.side_sequence == (1.0, -1.0)
         assert cycle.stability_slope == pytest.approx(2.5, rel=1e-9)
-        assert len(asked) == 3 + 2
+        assert len(asked) == 3 + 1
 
-    def test_illinois_beats_stalled_false_position(self, monkeypatch):
-        """On the strongly convex d(r) = r^8 - 1 over [0.5, 3] plain regula
-        falsi keeps the end r = 3 and is still at r = 0.57 after 200 steps;
-        halving the kept end's value meets the stop rule in 19."""
+    def test_budget_caps_the_nodes(self, monkeypatch):
+        """d(r) = r^8 - 1 on [0.5, 3]: the node set is the largest 2^j + 1
+        within the budget, and 17 nodes put the tail at the noise floor.
+        From 9 nodes on, the proxy is d itself, so its root is r = 1; then
+        one polish return."""
         asked = synthetic_map(monkeypatch, lambda r: r ** 8 - 1.0)
-        scan = find_cycles(two_cycle_system(), (0.5, 3.0), 2, SimConfig())
-        assert len(scan.cycles) == 1
-        cycle = scan.cycles[0]
-        assert cycle.residual <= 1e-9
-        assert cycle.radius == pytest.approx(1.0, abs=1e-9)
-        refinement = len(asked) - 2 - 2
-        assert refinement <= 25
+        for budget, nodes in [(2, 2), (8, 5), (16, 9), (17, 17), (400, 17)]:
+            asked.clear()
+            scan = find_cycles(two_cycle_system(), (0.5, 3.0), budget,
+                               SimConfig())
+            assert len(scan.grid) == nodes
+            assert len(scan.cycles) == 1
+            assert len(asked) == nodes + 1
+            if nodes >= 9:
+                cycle = scan.cycles[0]
+                assert cycle.radius == pytest.approx(1.0, abs=1e-12)
+                assert cycle.stability_slope == pytest.approx(8.0, rel=1e-9)
+
+    def test_high_degree_proxy(self, monkeypatch):
+        """d(r) = sin(16 r) on [1, 3.4] needs 65 nodes.  Its proxy's
+        monomials would lose up to T_j(3) ~ 5.8^j to rounding, which
+        missed 2 of the 12 zeros k pi / 16, so the proxy is re-expanded on
+        halves until the conversion error is below the noise floor."""
+        synthetic_map(monkeypatch, lambda r: math.sin(16.0 * r))
+        scan = find_cycles(two_cycle_system(), (1.0, 3.4), 400, SimConfig())
+        assert len(scan.grid) == 65
+        zeros = [k * math.pi / 16 for k in range(6, 18)]
+        assert [c.radius for c in scan.cycles] == pytest.approx(zeros,
+                                                                abs=1e-12)
+        assert [c.stability_slope for c in scan.cycles] == pytest.approx(
+            [16.0 * math.cos(16.0 * r) for r in zeros], rel=1e-6)
+
+    def test_failed_return_splits_the_range(self, monkeypatch):
+        """Above r = 2.5 every return fails.  The three nodes there keep NaN,
+        and the proxy is fitted again on [1, 2.383], the run of finite nodes
+        below them, from 7 new nodes.  d's zero at 2.6 lies across the
+        failure and is not reported; the one at 1.5 is."""
+        def d(r):
+            if r > 2.5:
+                raise EscapeAnnulus("synthetic failure")
+            return (r - 1.5) * (r - 2.6)
+
+        asked = synthetic_map(monkeypatch, d)
+        scan = find_cycles(two_cycle_system(), (1.0, 3.0), 25, SimConfig())
+        assert scan.grid == sorted(scan.grid)
+        failed = [r for r, dr in zip(scan.grid, scan.displacements)
+                  if math.isnan(dr)]
+        assert len(failed) == 3 and min(failed) > 2.5
+        assert len(scan.grid) == 9 + 7
+        assert [c.radius for c in scan.cycles] == pytest.approx([1.5],
+                                                                abs=1e-12)
+        assert len(asked) == len(scan.grid) + 1
+        assert not scan.non_isolated
 
 
 class TestGuards:
@@ -703,8 +761,8 @@ class TestGuards:
 
     @pytest.mark.parametrize("r_range", [(3.4, 1.0), (2.0, 2.0)])
     def test_scan_needs_rising_range(self, r_range):
-        """A reversed range makes every bracket reversed, and the
-        refinement's width stop would hold at once."""
+        """A reversed or empty range has no Chebyshev nodes to map onto
+        [-1, 1]."""
         with pytest.raises(ValueError, match="lo < hi"):
             find_cycles(two_cycle_system(), r_range, 60,
                         SimConfig(lam=0.02, eps=4e-4))
