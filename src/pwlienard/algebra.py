@@ -30,32 +30,51 @@ def _as_fraction(q) -> Fraction:
     raise TypeError(f"cannot interpret {q!r} as a rational")
 
 
+def _merge(canon: dict, key, q: Fraction):
+    """Add the nonzero q at ``key``, dropping the key if the sum is zero."""
+    if key in canon:
+        q += canon[key]
+        if not q:
+            del canon[key]
+            return
+    canon[key] = q
+
+
 class RingElem:
     """Exact element of the ring Q[sqrt(2), pi, pi^-1].
 
     Stored as a dict mapping ``(e, p)`` to a nonzero Fraction, with
-    ``e in {0, 1}``.  Instances are immutable; all operators return new
-    elements in canonical form.
+    ``e in {0, 1}``.  Instances are immutable, so callers must not mutate
+    ``terms``: all operators return new elements in canonical form, built
+    without a second canonicalising pass, and the float value is computed
+    once and kept.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "_float")
 
     def __init__(self, terms=None):
         canon: dict[tuple[int, int], Fraction] = {}
         if terms:
             for (e, p), q in terms.items():
                 q = _as_fraction(q)
-                if q == 0:
+                if not q:
                     continue
-                # fold even powers of sqrt(2) into the rational factor
-                q *= Fraction(2) ** (e // 2)
-                key = (e % 2, p)
-                q = canon.get(key, Fraction(0)) + q
-                if q == 0:
-                    canon.pop(key, None)
-                else:
-                    canon[key] = q
+                if e not in (0, 1):
+                    # fold even powers of sqrt(2) into the rational factor
+                    q *= Fraction(2) ** (e // 2)
+                    e %= 2
+                _merge(canon, (e, p), q)
         self.terms = canon
+        self._float = None
+
+    @classmethod
+    def _canonical(cls, terms: dict) -> "RingElem":
+        """Wrap a dict that is already canonical: keys with e in {0, 1},
+        nonzero Fraction values.  The dict is taken, not copied."""
+        elem = object.__new__(cls)
+        elem.terms = terms
+        elem._float = None
+        return elem
 
     # -- constructors ------------------------------------------------------
 
@@ -65,15 +84,16 @@ class RingElem:
 
     @classmethod
     def rational(cls, q) -> "RingElem":
-        return cls({(0, 0): _as_fraction(q)})
+        q = _as_fraction(q)
+        return cls._canonical({(0, 0): q} if q else {})
 
     @classmethod
     def zero(cls) -> "RingElem":
-        return cls()
+        return cls._canonical({})
 
     @classmethod
     def one(cls) -> "RingElem":
-        return cls({(0, 0): Fraction(1)})
+        return cls._canonical({(0, 0): Fraction(1)})
 
     @classmethod
     def from_float(cls, x: float) -> "RingElem":
@@ -112,13 +132,13 @@ class RingElem:
         other = RingElem.coerce(other)
         merged = dict(self.terms)
         for key, q in other.terms.items():
-            merged[key] = merged.get(key, Fraction(0)) + q
-        return RingElem({k: v for k, v in merged.items() if v != 0})
+            merged[key] = merged[key] + q if key in merged else q
+        return RingElem._canonical({k: v for k, v in merged.items() if v})
 
     __radd__ = __add__
 
     def __neg__(self) -> "RingElem":
-        return RingElem({k: -v for k, v in self.terms.items()})
+        return RingElem._canonical({k: -v for k, v in self.terms.items()})
 
     def __sub__(self, other) -> "RingElem":
         return self + (-RingElem.coerce(other))
@@ -132,8 +152,17 @@ class RingElem:
         for (e1, p1), q1 in self.terms.items():
             for (e2, p2), q2 in other.terms.items():
                 key = (e1 + e2, p1 + p2)
-                out[key] = out.get(key, Fraction(0)) + q1 * q2
-        return RingElem(out)
+                q = q1 * q2
+                out[key] = out[key] + q if key in out else q
+        canon: dict[tuple[int, int], Fraction] = {}
+        for (e, p), q in out.items():
+            if q:
+                if e == 2:
+                    # sqrt(2)^2 = 2 folds into the rational factor
+                    q *= 2
+                    e = 0
+                _merge(canon, (e, p), q)
+        return RingElem._canonical(canon)
 
     __rmul__ = __mul__
 
@@ -146,20 +175,30 @@ class RingElem:
         return RingElem({(-e, -p): 1 / q})
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, RingElem):
-            try:
-                other = RingElem.coerce(other)
-            except TypeError:
-                return NotImplemented
+        if isinstance(other, str):
+            return NotImplemented  # "3" is text, not the rational 3
+        try:
+            other = RingElem.coerce(other)
+        except TypeError:
+            return NotImplemented
+        except (ValueError, OverflowError):
+            return False  # NaN or an infinity equals no ring element
         return self.terms == other.terms
 
     def __hash__(self):
+        # a rational element equals its Fraction, and the int or float of
+        # the same value, so it must hash like them
+        if self.is_rational():
+            return hash(self.as_rational())
         return hash(frozenset(self.terms.items()))
 
     def to_float(self) -> float:
-        total = 0.0
-        for (e, p), q in self.terms.items():
-            total += float(q) * (_SQRT2 ** e) * (math.pi ** p)
+        total = self._float
+        if total is None:
+            total = 0.0
+            for (e, p), q in self.terms.items():
+                total += float(q) * (_SQRT2 ** e) * (math.pi ** p)
+            self._float = total
         return total
 
     # -- serialization -----------------------------------------------------
@@ -214,10 +253,14 @@ class HalfPowerPoly:
         canon: dict[int, RingElem] = {}
         if coeffs:
             for k, c in coeffs.items():
-                c = RingElem.coerce(c)
-                if not c.is_zero():
+                if not isinstance(c, RingElem):
+                    c = RingElem.coerce(c)
+                if c.terms:
                     if k < 0:
                         raise ValueError("negative half-power exponent")
+                    if k % 1:  # also true for NaN and the infinities
+                        raise ValueError(
+                            f"half-power exponent {k!r} is not an integer")
                     canon[int(k)] = c
         self.coeffs = canon
 
@@ -239,22 +282,24 @@ class HalfPowerPoly:
     def __add__(self, other: "HalfPowerPoly") -> "HalfPowerPoly":
         merged = dict(self.coeffs)
         for k, c in other.coeffs.items():
-            merged[k] = merged.get(k, RingElem.zero()) + c
+            merged[k] = merged[k] + c if k in merged else c
         return HalfPowerPoly(merged)
 
     def __sub__(self, other: "HalfPowerPoly") -> "HalfPowerPoly":
-        return self + other.scale(-1)
+        return self + HalfPowerPoly({k: -c for k, c in other.coeffs.items()})
 
     def __mul__(self, other: "HalfPowerPoly") -> "HalfPowerPoly":
         out: dict[int, RingElem] = {}
         for k1, c1 in self.coeffs.items():
             for k2, c2 in other.coeffs.items():
                 k = k1 + k2
-                out[k] = out.get(k, RingElem.zero()) + c1 * c2
+                c = c1 * c2
+                out[k] = out[k] + c if k in out else c
         return HalfPowerPoly(out)
 
     def scale(self, c) -> "HalfPowerPoly":
-        c = RingElem.coerce(c)
+        if not isinstance(c, RingElem):
+            c = RingElem.coerce(c)
         return HalfPowerPoly({k: v * c for k, v in self.coeffs.items()})
 
     def __eq__(self, other) -> bool:
@@ -266,8 +311,9 @@ class HalfPowerPoly:
         return hash(frozenset((k, v) for k, v in self.coeffs.items()))
 
     def eval(self, h: float) -> float:
-        if h < 0:
-            raise NegativeEnergy(f"h = {h} < 0")
+        if not h >= 0:  # written so that NaN fails it
+            raise NegativeEnergy(f"h = {h} < 0" if h < 0
+                                 else f"h = {h} is not a number")
         s = math.sqrt(h)
         return sum(c.to_float() * s ** k for k, c in self.coeffs.items())
 

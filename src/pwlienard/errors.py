@@ -10,7 +10,7 @@ class InvalidInput(PwLienardError, ValueError):
 
 
 class NegativeEnergy(InvalidInput):
-    """Half-power polynomial evaluated at h < 0."""
+    """Half-power polynomial evaluated at h < 0 or at a NaN h."""
 
 
 class WrongCase(PwLienardError):

@@ -1,12 +1,15 @@
 """Closed-form assembly of the expansion M(h) = M0(h) + lam*M1(h) + O(lam^2).
 
 All assembly is exact RingElem arithmetic; floats appear only when a caller
-evaluates the resulting half-power polynomials.
+evaluates the resulting half-power polynomials.  The per-index factors are
+pure functions of small integers returning immutable values, so each is
+computed once per process (``functools.cache``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from fractions import Fraction
 
 from ._kernel_py import fold
@@ -31,6 +34,7 @@ def _require_odd(sys: LienardSystem, project_odd: bool, g0: bool):
         raise OddnessViolated("g0 has a nonzero even-index coefficient")
 
 
+@cache
 def _wallis(i: int) -> Fraction:
     """W(i) = integral of cos^(2i+1) over [0, pi/2] = prod_{l=1..i} 2l/(2l+1)."""
     q = Fraction(1)
@@ -44,6 +48,7 @@ def wallis_odd(i: int) -> RingElem:
     return RingElem.rational(_wallis(i))
 
 
+@cache
 def _a_tilde_factor(j: int, sign: int) -> RingElem:
     """sign * (2*pi/(j+1)) * prod_{l=1..j} (2l-1)/l, the a_{2j} -> h^{j+1} factor."""
     q = Fraction(2 * sign, j + 1)
@@ -52,16 +57,19 @@ def _a_tilde_factor(j: int, sign: int) -> RingElem:
     return RingElem.term(q, p=1)
 
 
+@cache
 def _b_tilde_factor(j: int) -> RingElem:
     """(2^(j+5/2)/(2j+1)), the b_{2j} -> h^(j+1/2) factor (switch-on-y case)."""
     return RingElem({(2 * j + 5, 0): Fraction(1, 2 * j + 1)})
 
 
+@cache
 def _b_star_factor(i: int) -> RingElem:
     """-2^(i+1), the b0_{2i+1} -> b*_i factor of I3 (switch-on-y case)."""
     return RingElem.rational(-(2 ** (i + 1)))
 
 
+@cache
 def _c_star_factor(i: int) -> RingElem:
     """2^(i+3/2)/(2i+1), the c_{2i} -> c*_i factor of I3 (switch-on-y case)."""
     return RingElem({(2 * i + 3, 0): Fraction(1, 2 * i + 1)})
@@ -125,17 +133,20 @@ def case_x_i_poly(sys: LienardSystem, i: int) -> HalfPowerPoly:
     return _channel(a[0::2], lambda j: _a_tilde_factor(j, -1), 2)
 
 
+@cache
 def _c_weight_factor(j: int) -> RingElem:
     """2/(j+1), the weight of c_{2j+1} in the a*_l convolution."""
     return RingElem.rational(Fraction(2, j + 1))
 
 
+@cache
 def _time_weight_factor(l: int) -> RingElem:
     """2^(l+3/2) * W(l+1), the x^(2l+3)/sqrt(2h-x^2) moment: W(l+1) is both
     sum_k C(l+1,k)(-1)^k/(2k+1) and the integral of (1-u^2)^(l+1) on [0, 1]."""
     return RingElem({(2 * l + 3, 0): _wallis(l + 1)})
 
 
+@cache
 def _a_hat_factor(i: int) -> RingElem:
     """-(2^(i+5/2)/(2i+3)) * W(i), the a_{2i+1} -> h^(i+3/2) half-arc factor."""
     return RingElem({(2 * i + 5, 0): Fraction(-1, 2 * i + 3) * _wallis(i)})

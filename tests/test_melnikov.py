@@ -10,10 +10,12 @@ from pwlienard import (Case, HalfPowerPoly, LienardSystem, OddnessViolated,
                        PI, RingElem, SQRT2, WrongCase, ZeroLambda, expand,
                        fold_to_theorem_form, load_preset, theorem_form_system,
                        zero_bound)
-from pwlienard.melnikov import (_a_hat_factor, _c_weight_factor,
-                                _time_weight_factor, _x_odd_block, case_x_i2,
-                                case_x_i3, case_x_m0, case_y_m0, case_y_m1,
-                                closed_term, support, wallis_odd)
+from pwlienard.melnikov import (_a_hat_factor, _a_tilde_factor,
+                                _b_star_factor, _b_tilde_factor,
+                                _c_star_factor, _c_weight_factor,
+                                _time_weight_factor, _wallis, _x_odd_block,
+                                case_x_i2, case_x_i3, case_x_m0, case_y_m0,
+                                case_y_m1, closed_term, support, wallis_odd)
 
 from conftest import random_sweep_system
 
@@ -72,6 +74,32 @@ class TestExactValues:
             q = sum(Fraction(math.comb(l + 1, k) * (-1) ** k, 2 * k + 1)
                     for k in range(l + 2))
             assert _time_weight_factor(l) == RingElem({(2 * l + 3, 0): q})
+
+    def test_factor_tables(self):
+        """Each memoized factor against its docstring formula, written out
+        with plain Fraction loops as canonical terms: 2^(k+1/2) is
+        {(1, 0): 2^k}.  Called twice, so the second read is the cached one."""
+        for _ in range(2):
+            for i in range(41):
+                w = Fraction(1)
+                for l in range(1, i + 1):
+                    w *= Fraction(2 * l, 2 * l + 1)
+                assert _wallis(i) == w
+                odd = Fraction(2, i + 1)
+                for l in range(1, i + 1):
+                    odd *= Fraction(2 * l - 1, l)
+                for sign in (1, -1):
+                    assert _a_tilde_factor(i, sign).terms == {(0, 1): sign * odd}
+                assert _b_tilde_factor(i).terms == \
+                    {(1, 0): Fraction(2 ** (i + 2), 2 * i + 1)}
+                assert _b_star_factor(i).terms == {(0, 0): -2 ** (i + 1)}
+                assert _c_star_factor(i).terms == \
+                    {(1, 0): Fraction(2 ** (i + 1), 2 * i + 1)}
+                assert _c_weight_factor(i).terms == {(0, 0): Fraction(2, i + 1)}
+                assert _time_weight_factor(i).terms == \
+                    {(1, 0): 2 ** (i + 1) * w * Fraction(2 * i + 2, 2 * i + 3)}
+                assert _a_hat_factor(i).terms == \
+                    {(1, 0): -Fraction(2 ** (i + 2), 2 * i + 3) * w}
 
 
 def test_odd_block_on_floats_matches_closed_form(rng):
