@@ -19,7 +19,7 @@ from .oracle import oracle_m0, oracle_m1, quad_I
 from .roots import IsolatedRoot, RootReport, isolate_positive_roots
 from .simulator import (BACKEND, CycleReport, CycleScan, SimConfig,
                         advance_to_section, bifurcation_increment,
-                        displacement, find_cycles, vector_field)
+                        displacement, find_cycles)
 from .systems import PRESET_NAMES, Case, LienardSystem, load_preset
 
 __version__ = "0.1.0"
@@ -37,5 +37,5 @@ __all__ = [
     "bifurcation_increment", "design_case_x", "design_case_y",
     "displacement", "expand", "find_cycles", "fold_to_theorem_form", "isolate_positive_roots",
     "load_preset", "oracle_m0", "oracle_m1", "quad_I", "theorem_form_system",
-    "vector_field", "verify_design", "zero_bound",
+    "verify_design", "zero_bound",
 ]

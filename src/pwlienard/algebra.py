@@ -143,9 +143,6 @@ class RingElem:
     def __sub__(self, other) -> "RingElem":
         return self + (-RingElem.coerce(other))
 
-    def __rsub__(self, other) -> "RingElem":
-        return RingElem.coerce(other) + (-self)
-
     def __mul__(self, other) -> "RingElem":
         other = RingElem.coerce(other)
         out: dict[tuple[int, int], Fraction] = {}
@@ -264,14 +261,6 @@ class HalfPowerPoly:
                     canon[int(k)] = c
         self.coeffs = canon
 
-    @classmethod
-    def zero(cls) -> "HalfPowerPoly":
-        return cls()
-
-    @classmethod
-    def monomial(cls, k: int, c) -> "HalfPowerPoly":
-        return cls({k: RingElem.coerce(c)})
-
     def is_zero(self) -> bool:
         return not self.coeffs
 
@@ -285,23 +274,6 @@ class HalfPowerPoly:
             merged[k] = merged[k] + c if k in merged else c
         return HalfPowerPoly(merged)
 
-    def __sub__(self, other: "HalfPowerPoly") -> "HalfPowerPoly":
-        return self + HalfPowerPoly({k: -c for k, c in other.coeffs.items()})
-
-    def __mul__(self, other: "HalfPowerPoly") -> "HalfPowerPoly":
-        out: dict[int, RingElem] = {}
-        for k1, c1 in self.coeffs.items():
-            for k2, c2 in other.coeffs.items():
-                k = k1 + k2
-                c = c1 * c2
-                out[k] = out[k] + c if k in out else c
-        return HalfPowerPoly(out)
-
-    def scale(self, c) -> "HalfPowerPoly":
-        if not isinstance(c, RingElem):
-            c = RingElem.coerce(c)
-        return HalfPowerPoly({k: v * c for k, v in self.coeffs.items()})
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, HalfPowerPoly):
             return NotImplemented
@@ -311,9 +283,10 @@ class HalfPowerPoly:
         return hash(frozenset((k, v) for k, v in self.coeffs.items()))
 
     def eval(self, h: float) -> float:
-        if not h >= 0:  # written so that NaN fails it
-            raise NegativeEnergy(f"h = {h} < 0" if h < 0
-                                 else f"h = {h} is not a number")
+        if not 0 <= h < math.inf:  # written so that NaN fails it
+            raise NegativeEnergy(f"h = {h} < 0" if h < 0 else
+                                 f"h = {h} is infinite" if h > 0 else
+                                 f"h = {h} is not a number")
         s = math.sqrt(h)
         return sum(c.to_float() * s ** k for k, c in self.coeffs.items())
 

@@ -3,13 +3,15 @@ inverse design and end-to-end verification.
 
 Exit codes: 0 success, 2 input error (a ValueError, errors.InvalidInput
 included, a KeyError or an OSError), 3 numerical failure.
-Default comparison tolerance can be overridden with PWLIENARD_REL_TOL.
+Default comparison tolerance can be overridden with PWLIENARD_REL_TOL, a
+finite non-negative number.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import asdict
@@ -27,7 +29,11 @@ DEFAULT_REL_TOL = 1e-8
 
 
 def _rel_tol() -> float:
-    return float(os.environ.get("PWLIENARD_REL_TOL", DEFAULT_REL_TOL))
+    tol = float(os.environ.get("PWLIENARD_REL_TOL", DEFAULT_REL_TOL))
+    if not 0 <= tol < math.inf:  # written so that NaN fails it
+        raise ValueError(
+            f"PWLIENARD_REL_TOL must be finite and non-negative, got {tol}")
+    return tol
 
 
 def _load_system(args) -> LienardSystem:

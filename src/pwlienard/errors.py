@@ -10,7 +10,7 @@ class InvalidInput(PwLienardError, ValueError):
 
 
 class NegativeEnergy(InvalidInput):
-    """Half-power polynomial evaluated at h < 0 or at a NaN h."""
+    """Half-power polynomial evaluated at h < 0 or at a NaN or infinite h."""
 
 
 class WrongCase(PwLienardError):
@@ -58,7 +58,7 @@ class SimulationError(PwLienardError):
 
 
 class EscapeAnnulus(SimulationError):
-    """Trajectory left the configured annulus."""
+    """Trajectory left the annulus simulator.R_MIN < r < simulator.R_MAX."""
 
 
 class MaxStepsExceeded(SimulationError):

@@ -43,11 +43,6 @@ def _wallis(i: int) -> Fraction:
     return q
 
 
-def wallis_odd(i: int) -> RingElem:
-    """W(i) as a ring element."""
-    return RingElem.rational(_wallis(i))
-
-
 @cache
 def _a_tilde_factor(j: int, sign: int) -> RingElem:
     """sign * (2*pi/(j+1)) * prod_{l=1..j} (2l-1)/l, the a_{2j} -> h^{j+1} factor."""
@@ -202,19 +197,14 @@ def case_x_m1(sys: LienardSystem, project_odd: bool = False) -> HalfPowerPoly:
 
 @dataclass(frozen=True)
 class MelnikovExpansion:
-    case: Case
-    m: int
-    n: int
     m0: HalfPowerPoly
     m1: HalfPowerPoly
 
 
 def expand(sys: LienardSystem, project_odd: bool = False) -> MelnikovExpansion:
     if sys.case is Case.SWITCH_Y:
-        return MelnikovExpansion(sys.case, sys.m, sys.n,
-                                 case_y_m0(sys), case_y_m1(sys, project_odd))
-    return MelnikovExpansion(sys.case, sys.m, sys.n,
-                             case_x_m0(sys), case_x_m1(sys, project_odd))
+        return MelnikovExpansion(case_y_m0(sys), case_y_m1(sys, project_odd))
+    return MelnikovExpansion(case_x_m0(sys), case_x_m1(sys, project_odd))
 
 
 def closed_term(sys: LienardSystem, i: int, h: float) -> float:

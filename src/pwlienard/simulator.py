@@ -33,6 +33,9 @@ _kernel = _kernel_py
 BACKEND = _kernel.BACKEND_NAME
 
 MAX_STEPS = 2_000_000  # RK steps allowed for one return
+# every return starts and stays strictly inside R_MIN < r < R_MAX
+R_MIN = 1e-3
+R_MAX = 50.0
 
 
 @dataclass(frozen=True)
@@ -40,13 +43,9 @@ class SimConfig:
     lam: float = 0.0
     eps: float = 0.0
     rk_tol: float = 1e-10
-    r_min: float = 1e-3
-    r_max: float = 50.0
 
     def __post_init__(self):
         # written so that NaN fails every check
-        if not 0 <= self.r_min < self.r_max < math.inf:
-            raise ValueError("need 0 <= r_min < r_max < inf")
         check_params(self.lam, self.eps)
         if not 0 < self.rk_tol < math.inf:
             raise ValueError("rk_tol must be finite and positive")
@@ -54,12 +53,10 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class CycleReport:
-    section_coord: float
     h_star: float
     radius: float
     residual: float
     stability_slope: float
-    side_sequence: tuple
 
 
 @dataclass
@@ -70,32 +67,22 @@ class CycleScan:
     displacements: list = field(default_factory=list)
 
 
-def vector_field(sys: LienardSystem, state, side: float):
-    """Right-hand side with sgn replaced by the supplied side value."""
-    x, y = state
-    fc = sys.float_coeffs()
-    p, q = _kernel_py.fold(fc["a0"], fc["a1"], fc["b0"], fc["b1"], fc["c"],
-                           sys.lam, sys.eps)
-    return y, -x - y * polyval(p, x) - side * polyval(q, x)
-
-
 def _return(fc: dict, lam: float, eps: float, mode: int, start: float,
             config: SimConfig):
     """One kernel return on the float vectors ``fc`` at parameters lam and
     eps from the section point at ``start`` on the x-axis (mode 0) or the
     y-axis (mode 1); returns (coord, time, crossings) with coord the end
-    point's x resp. y.  ``config`` supplies the tolerance and annulus."""
-    if not config.r_min < start < config.r_max:
+    point's x resp. y.  ``config`` supplies the tolerance."""
+    if not R_MIN < start < R_MAX:
         raise EscapeAnnulus(f"start {start} outside the annulus")
     x0, y0 = (start, 0.0) if mode == 0 else (0.0, start)
     # the 0.0 fills the kernel's unused event_tol slot
     status, x, y, t, crossings = _kernel.integrate_return(
         mode, fc["a0"], fc["a1"], fc["b0"], fc["b1"], fc["c"],
         lam, eps, x0, y0, config.rk_tol, 0.0, MAX_STEPS,
-        config.r_min, config.r_max)
+        R_MIN, R_MAX)
     if status == 1:
-        raise EscapeAnnulus(
-            f"trajectory left [{config.r_min}, {config.r_max}] at t = {t:.4f}")
+        raise EscapeAnnulus(f"trajectory left [{R_MIN}, {R_MAX}] at t = {t:.4f}")
     if status == 2:
         raise MaxStepsExceeded(f"no return after {MAX_STEPS} steps")
     if status == 3:
@@ -278,16 +265,8 @@ def _cycle_report(sys, r_star, slope, config):
         d_star = math.nan
     radius = (r_star - d_star / slope if slope and not math.isnan(d_star)
               else r_star)
-    return CycleReport(
-        section_coord=radius,
-        h_star=0.5 * radius * radius,
-        radius=radius,
-        residual=abs(d_star),
-        stability_slope=slope,
-        # the switching sides after each crossing of a completed return
-        side_sequence=(1.0, -1.0) if sys.case is Case.SWITCH_Y
-        else (-1.0, 1.0),
-    )
+    return CycleReport(h_star=0.5 * radius * radius, radius=radius,
+                       residual=abs(d_star), stability_slope=slope)
 
 
 def bifurcation_increment(sys: LienardSystem, h: float, lam: float,

@@ -153,16 +153,10 @@ def _load_preset_file() -> dict:
     return json.loads(path.read_text())
 
 
-def load_preset(name: str, lam: float = 0.0, eps: float = 0.0) -> LienardSystem:
-    """Named coefficient sets used by the docs, tests and CLI."""
+def load_preset(name: str) -> LienardSystem:
+    """Named coefficient sets used by the docs, tests and CLI; ``with_params``
+    sets lambda and eps on one."""
     data = _load_preset_file()
     if name not in data:
         raise KeyError(f"unknown preset {name!r}; known: {sorted(data)}")
-    sys = LienardSystem.from_json(data[name])
-    return sys.with_params(lam, eps) if lam or eps else sys
-
-
-def preset_json_text(name: str) -> str:
-    """The stored JSON document of a preset, canonically serialized."""
-    data = _load_preset_file()
-    return canonical_dumps(data[name])
+    return LienardSystem.from_json(data[name])

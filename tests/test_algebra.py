@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pwlienard import (INV_PI, PI, SQRT2, HalfPowerPoly, InvalidInput,
-                       NegativeEnergy, RingElem)
+                       NegativeEnergy, RingElem, expand, load_preset)
 
 rationals = st.fractions(
     min_value=-50, max_value=50, max_denominator=16)
@@ -156,6 +156,13 @@ class TestRingElem:
         assert RingElem.one() != math.nan
         assert RingElem.one() != -math.inf
 
+    def test_cancellation_across_the_sqrt2_fold(self):
+        """A folded sqrt(2)^2 term that cancels a rational one leaves no
+        key behind, in the constructor and in a product."""
+        assert RingElem({(0, 0): 2, (2, 0): -1}).is_zero()
+        # (sqrt2 + 1)(sqrt2 - 2) = 2 - 2 sqrt2 + sqrt2 - 2
+        assert ((SQRT2 + 1) * (SQRT2 - 2)).terms == {(1, 0): Fraction(-1)}
+
     def test_invert_monomial(self):
         x = RingElem.term(Fraction(3, 4), e=1, p=1)
         assert x * x.invert_monomial() == RingElem.one()
@@ -189,15 +196,23 @@ class TestHalfPowerPoly:
             assert abs(direct - horner) <= 1e-12 * (1.0 + abs(direct))
 
     def test_negative_energy_rejected(self):
-        poly = HalfPowerPoly.monomial(1, RingElem.one())
+        poly = HalfPowerPoly({1: RingElem.one()})
         with pytest.raises(Exception):
             poly.eval(-1.0)
 
     def test_nan_energy_rejected(self):
-        poly = HalfPowerPoly.monomial(1, RingElem.one())
+        poly = HalfPowerPoly({1: RingElem.one()})
         with pytest.raises(NegativeEnergy, match="not a number"):
             poly.eval(math.nan)
         assert issubclass(NegativeEnergy, InvalidInput)
+
+    def test_infinite_energy_rejected(self):
+        """At h = inf one term is inf and opposite terms give nan; both
+        are refused, as a NaN h is."""
+        m1 = expand(load_preset("example1")).m1
+        for poly in (HalfPowerPoly({1: RingElem.one()}), m1):
+            with pytest.raises(NegativeEnergy, match="infinite"):
+                poly.eval(math.inf)
 
     def test_non_integral_key_rejected(self):
         for key in (2.5, Fraction(3, 2), math.nan, math.inf):
@@ -206,30 +221,17 @@ class TestHalfPowerPoly:
         with pytest.raises(ValueError, match="negative"):
             HalfPowerPoly({-2: RingElem.one()})
         assert HalfPowerPoly({2.0: RingElem.one()}) == \
-            HalfPowerPoly.monomial(2, RingElem.one())
+            HalfPowerPoly({2: RingElem.one()})
 
     def test_addition_cancels(self):
-        p = HalfPowerPoly.monomial(3, SQRT2)
-        q = HalfPowerPoly.monomial(3, -SQRT2)
+        p = HalfPowerPoly({3: SQRT2})
+        q = HalfPowerPoly({3: -SQRT2})
         assert (p + q).is_zero()
-
-    def test_multiplication_adds_exponents(self):
-        p = HalfPowerPoly.monomial(1, RingElem.rational(2))
-        q = HalfPowerPoly.monomial(4, RingElem.rational(3))
-        r = p * q
-        assert r == HalfPowerPoly.monomial(5, RingElem.rational(6))
-        assert abs(r.eval(4.0) - 6 * 4.0 ** 2.5) < 1e-12
 
     def test_json_round_trip(self):
         poly = HalfPowerPoly({0: PI, 3: SQRT2 * RingElem.rational(Fraction(-7, 3))})
         assert HalfPowerPoly.from_json(poly.to_json()) == poly
 
-    def test_scale(self):
-        poly = HalfPowerPoly({2: RingElem.rational(5)})
-        assert poly.scale(RingElem.rational(2)) == \
-            HalfPowerPoly({2: RingElem.rational(10)})
-        assert poly.scale(RingElem.zero()).is_zero()
-
     def test_degree_key(self):
-        assert HalfPowerPoly.zero().degree_key() is None
+        assert HalfPowerPoly().degree_key() is None
         assert HalfPowerPoly({1: RingElem.one(), 4: PI}).degree_key() == 4

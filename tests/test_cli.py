@@ -161,7 +161,7 @@ def test_partial_param_override_keeps_file_value(tmp_path, partial, full):
     """A --lam or --eps flag on its own keeps the other value of the file."""
     doc_path = tmp_path / "sys.json"
     doc_path.write_text(json.dumps(
-        load_preset("example1", lam=0.02, eps=4e-4).to_json()))
+        load_preset("example1").with_params(0.02, 4e-4).to_json()))
     texts = []
     for flags in (partial, full):
         out = tmp_path / "-".join(flags)
@@ -195,7 +195,7 @@ def test_verify_with_sim_uses_system_params(tmp_path):
     """--with-sim simulates at the lambda and eps of the loaded system: the
     file alone and the file with the same values as flags give the same
     finite-difference rows, predicted at the file's lambda."""
-    sys_ = load_preset("example1", lam=0.05, eps=1e-3)
+    sys_ = load_preset("example1").with_params(0.05, 1e-3)
     doc_path = tmp_path / "sys.json"
     doc_path.write_text(json.dumps(sys_.to_json()))
     rows = []
@@ -293,14 +293,30 @@ def test_roots_m0_needs_no_oddness(outdir, preset):
     ["simulate", "--preset", "example1", "--r-range", "3.4:1"],
     ["simulate", "--preset", "example1", "--lam", "nan"],
     ["oracle", "--preset", "example1", "--h-grid", "nan"],
+    ["melnikov", "--preset", "example1", "--h-grid", "inf"],
 ], ids=["zero-M0", "zero-M1", "negative-h", "infinite-target",
         "even-f0-melnikov", "even-f0-roots", "infeasible-shape-X",
-        "infeasible-shape-Y", "reversed-r-range", "nan-lam", "nan-h"])
+        "infeasible-shape-Y", "reversed-r-range", "nan-lam", "nan-h",
+        "infinite-h"])
 def test_input_errors_are_validation_errors(outdir, capsys, argv):
     """Errors in the input exit 2 with an error line, not as numerical
     failures."""
     assert main(["--out", str(outdir)] + argv) == EXIT_VALIDATION
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("command", ["oracle", "verify"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-1e-8"])
+def test_rel_tol_must_be_finite_and_non_negative(monkeypatch, capsys,
+                                                 command, value):
+    """A NaN or negative tolerance would fail every row and an infinite one
+    pass every row; each is an input error instead."""
+    monkeypatch.setenv("PWLIENARD_REL_TOL", value)
+    assert main([command, "--preset", "example1", "--h-grid", "1"]) \
+        == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: PWLIENARD_REL_TOL")
+    assert captured.out == ""
 
 
 INPUT_ERRORS = (errors.NegativeEnergy, errors.OddnessViolated,

@@ -15,7 +15,7 @@ from pwlienard.melnikov import (_a_hat_factor, _a_tilde_factor,
                                 _c_star_factor, _c_weight_factor,
                                 _time_weight_factor, _wallis, _x_odd_block,
                                 case_x_i2, case_x_i3, case_x_m0, case_y_m0,
-                                case_y_m1, closed_term, support, wallis_odd)
+                                case_y_m1, closed_term, support)
 
 from conftest import random_sweep_system
 
@@ -64,9 +64,9 @@ class TestExactValues:
         assert m0 == HalfPowerPoly({2: PI * rational(-2), 4: PI * rational(-3)})
 
     def test_wallis_values(self):
-        assert wallis_odd(0) == RingElem.one()
-        assert wallis_odd(1) == rational(Fraction(2, 3))
-        assert wallis_odd(2) == rational(Fraction(8, 15))
+        assert _wallis(0) == 1
+        assert _wallis(1) == Fraction(2, 3)
+        assert _wallis(2) == Fraction(8, 15)
 
     def test_time_weight_is_a_wallis_number(self):
         """The time weight against its binomial sum, written out here."""
@@ -214,7 +214,7 @@ class TestFolding:
             fold_to_theorem_form(load_preset("example1"))
 
     def test_fold_values(self):
-        sys_ = load_preset("example1", lam=0.02, eps=4e-4)
+        sys_ = load_preset("example1").with_params(0.02, 4e-4)
         form = fold_to_theorem_form(sys_)
         assert form.delta == pytest.approx(0.02)
         fc = sys_.float_coeffs()
@@ -226,7 +226,7 @@ class TestFolding:
                 fc["c"][j] + form.delta * (fc["b0"][j] + sys_.lam * fc["b1"][j]))
 
     def test_folded_system_realization(self):
-        sys_ = load_preset("example1", lam=0.02, eps=4e-4)
+        sys_ = load_preset("example1").with_params(0.02, 4e-4)
         form = fold_to_theorem_form(sys_)
         folded = theorem_form_system(form)
         assert folded.case is sys_.case

@@ -42,7 +42,7 @@ def test_root_on_bisection_point_kept():
 
 def test_zero_polynomial_rejected():
     with pytest.raises(ZeroPolynomial):
-        isolate_positive_roots(HalfPowerPoly.zero())
+        isolate_positive_roots(HalfPowerPoly())
 
 
 @pytest.mark.parametrize("top", [Fraction(10) ** -400, Fraction(10) ** 400],

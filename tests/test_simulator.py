@@ -8,8 +8,9 @@ from types import SimpleNamespace
 import pytest
 
 from pwlienard import (Case, EscapeAnnulus, LienardSystem, RingElem, SimConfig,
+                       MaxStepsExceeded, NonTransversalCrossing, PwLienardError,
                        advance_to_section, displacement, expand, find_cycles,
-                       load_preset, vector_field)
+                       load_preset)
 from pwlienard import fold_to_theorem_form, theorem_form_system
 from pwlienard.melnikov import case_x_i2, case_x_i3, case_x_i_poly
 from pwlienard import _kernel_py, simulator
@@ -521,6 +522,16 @@ class TestStepControl:
         assert 0.2 * steps[-1][1] < _kernel_py._H_FLOOR <= steps[-1][1]
 
 
+def fold_field(sys_, state, side):
+    """The system's right-hand side at ``state`` with sgn replaced by
+    ``side``, from the kernel's fold of its five vectors into p and q."""
+    x, y = state
+    fc = sys_.float_coeffs()
+    p, q = _kernel_py.fold(fc["a0"], fc["a1"], fc["b0"], fc["b1"], fc["c"],
+                           sys_.lam, sys_.eps)
+    return y, -x - y * polyval(p, x) - side * polyval(q, x)
+
+
 class TestVectorField:
     def test_swapped_coordinates_formula(self):
         """The switch-on-y system in Melnikov (swapped) coordinates,
@@ -546,7 +557,7 @@ class TestVectorField:
                                fc["c"], lam, eps)
         for x, y in ((0.7, -0.4), (-1.3, 0.9)):
             sgn = 1.0 if x > 0 else -1.0
-            du, dv = vector_field(negated, (y, -x), side=-sgn)
+            du, dv = fold_field(negated, (y, -x), -sgn)
             swapped = (y + x * polyval(p, y) + sgn * polyval(q, y), -x)
             assert (-dv, du) == pytest.approx(swapped, rel=1e-14)
 
@@ -564,7 +575,7 @@ class TestVectorField:
         sys_ = LienardSystem.build(Case.SWITCH_Y, 1, 1, a0=[0, 2], b0=[0, 3],
                                    c=[1, 0], lam=0.1, eps=0.01)
         x, y = 0.7, -0.4
-        dx, dy = vector_field(sys_, (x, y), side=-1.0)
+        dx, dy = fold_field(sys_, (x, y), -1.0)
         assert dx == pytest.approx(y)
         expected = -x - 0.1 * (-1.0) * 1.0 \
             - 0.01 * (y * 2 * x + (-1.0) * 3 * x)
@@ -574,7 +585,7 @@ class TestVectorField:
         sys_ = LienardSystem.build(Case.SWITCH_X, 1, 0, a0=[0, 1], c=[2],
                                    lam=0.2, eps=0.05)
         x, y = -0.3, 0.9
-        dx, dy = vector_field(sys_, (x, y), side=1.0)
+        dx, dy = fold_field(sys_, (x, y), 1.0)
         assert dx == pytest.approx(y)
         assert dy == pytest.approx(-x - 0.2 * 2 - 0.05 * (y * x), rel=1e-13)
 
@@ -603,16 +614,15 @@ class TestCycleDetection:
     @pytest.mark.parametrize("case", [Case.SWITCH_Y, Case.SWITCH_X])
     def test_side_sequence_of_the_cycle_return(self, case):
         """A completed return switches sides twice, in an order fixed by
-        the case; each located cycle reports the sides of its own return."""
+        the case; the return of each located cycle logs those sides."""
         sys_ = two_cycle_system(case=case)
         config = SimConfig(lam=0.02, eps=4e-4)
         scan = find_cycles(sys_, (1.0, 3.4), 60, config)
         assert len(scan.cycles) == 2
         for c in scan.cycles:
             _coord, _t, crossings = advance_to_section(sys_, c.radius, config)
-            assert c.side_sequence == tuple(cr[3] for cr in crossings)
-            assert c.side_sequence == ((1.0, -1.0) if case is Case.SWITCH_Y
-                                       else (-1.0, 1.0))
+            assert tuple(cr[3] for cr in crossings) == (
+                (1.0, -1.0) if case is Case.SWITCH_Y else (-1.0, 1.0))
 
     def test_cycle_location_stable_in_lambda(self):
         """The bifurcating cycle stays pinned to the M1 zero as the small
@@ -680,8 +690,6 @@ class TestSyntheticReturnMap:
         assert cycle.radius == pytest.approx(1.5, abs=1e-12)
         assert cycle.residual <= 1e-11
         assert cycle.h_star == pytest.approx(1.125, abs=1e-11)
-        # fixed by the case, not read from the return's crossings
-        assert cycle.side_sequence == (1.0, -1.0)
         assert cycle.stability_slope == pytest.approx(2.5, rel=1e-9)
         assert len(asked) == 3 + 1
 
@@ -747,11 +755,36 @@ class TestGuards:
             advance_to_section(sys_, 60.0, SimConfig())
 
     def test_escape_below_r_min(self):
-        # strong positive damping spirals below r_min within one return
+        # strong positive damping spirals below R_MIN within one return
         sys_ = LienardSystem.build(Case.SWITCH_Y, 0, 0, a0=[3])
         with pytest.raises(EscapeAnnulus):
-            advance_to_section(sys_, 0.6,
-                               SimConfig(eps=0.5, r_min=0.5, r_max=5.0))
+            advance_to_section(sys_, 0.6, SimConfig(eps=0.5))
+
+    def test_escape_above_r_max(self):
+        # strong negative damping spirals above R_MAX within one return
+        sys_ = LienardSystem.build(Case.SWITCH_Y, 0, 0, a0=[-3])
+        with pytest.raises(EscapeAnnulus):
+            advance_to_section(sys_, 10.0, SimConfig(eps=0.5))
+
+    @pytest.mark.parametrize("status,error", [
+        (2, MaxStepsExceeded), (3, NonTransversalCrossing),
+        (7, PwLienardError)])
+    def test_kernel_status_raises(self, monkeypatch, status, error):
+        """Each failing kernel status ends the return with its error; the
+        kernel gets the fixed annulus as its last two arguments."""
+        asked = []
+
+        def stub(*args):
+            asked.append(args)
+            return status, 1.0, 0.0, 0.5, []
+
+        monkeypatch.setattr(simulator, "_kernel", SimpleNamespace(
+            BACKEND_NAME=_kernel_py.BACKEND_NAME, integrate_return=stub))
+        with pytest.raises(error) as info:
+            advance_to_section(load_preset("example1"), 2.0, SimConfig())
+        if status == 7:
+            assert "unknown status 7" in str(info.value)
+        assert asked[0][-2:] == (simulator.R_MIN, simulator.R_MAX)
 
     @pytest.mark.parametrize("grid_n", [1, 0])
     def test_scan_needs_two_grid_points(self, grid_n):
@@ -787,11 +820,10 @@ class TestGuards:
             SimConfig(**kwargs)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
-    @pytest.mark.parametrize("name", ["lam", "eps", "rk_tol", "r_min",
-                                      "r_max"])
+    @pytest.mark.parametrize("name", ["lam", "eps", "rk_tol"])
     def test_config_rejects_non_finite(self, name, value):
         """NaN fails every comparison, so each check is written to fail
-        for it; inf is rejected too, r_max included."""
+        for it; inf is rejected too."""
         with pytest.raises(ValueError, match="finite|inf"):
             SimConfig(**{name: value})
 
@@ -824,7 +856,7 @@ def theorem_form_equivalent(sys_, folded, r_values, config, tol=1e-7):
 
 class TestFoldedEquivalence:
     def test_folded_system_returns_identically(self):
-        sys_ = load_preset("example1", lam=0.02, eps=4e-4)
+        sys_ = load_preset("example1").with_params(0.02, 4e-4)
         folded = theorem_form_system(fold_to_theorem_form(sys_))
         ok, worst = theorem_form_equivalent(
             sys_, folded, (1.5, 2.5), SimConfig(rk_tol=1e-11))

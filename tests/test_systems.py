@@ -7,7 +7,7 @@ import math
 import pytest
 
 from pwlienard import Case, LienardSystem, PRESET_NAMES, load_preset
-from pwlienard.systems import canonical_dumps, preset_json_text
+from pwlienard.systems import _load_preset_file, canonical_dumps
 
 
 def test_build_pads_short_vectors():
@@ -77,9 +77,9 @@ def test_json_round_trip_byte_identical():
 
 
 def test_presets_match_stored_documents():
+    stored = _load_preset_file()
     for name in PRESET_NAMES:
-        stored = preset_json_text(name)
-        assert load_preset(name).dumps() == canonical_dumps(json.loads(stored))
+        assert load_preset(name).dumps() == canonical_dumps(stored[name])
 
 
 def test_unknown_preset():
@@ -88,11 +88,11 @@ def test_unknown_preset():
 
 
 def test_load_preset_with_params():
-    sys_ = load_preset("example1", lam=0.04, eps=1e-3)
+    sys_ = load_preset("example1").with_params(0.04, 1e-3)
     assert sys_.lam == 0.04
     assert sys_.eps == 1e-3
     with pytest.raises(ValueError):
-        load_preset("example1", lam=-1.0)
+        load_preset("example1").with_params(-1.0, 0.0)
 
 
 def test_float_coeffs_shape():
