@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import NegativeEnergy
+from .errors import NegativeEnergy, PrecisionLoss
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -288,7 +288,23 @@ class HalfPowerPoly:
                                  f"h = {h} is infinite" if h > 0 else
                                  f"h = {h} is not a number")
         s = math.sqrt(h)
-        return sum(c.to_float() * s ** k for k, c in self.coeffs.items())
+        try:
+            total = sum(c.to_float() * s ** k for k, c in self.coeffs.items())
+        except OverflowError:
+            total = math.inf
+        if math.isfinite(total):
+            return total
+        what = "the sum"  # unless a term alone leaves the float range
+        for k in sorted(self.coeffs):
+            try:
+                term = self.coeffs[k].to_float() * s ** k
+            except OverflowError:
+                term = math.inf
+            if not math.isfinite(term):
+                what = f"the h^{k // 2} term" if k % 2 == 0 \
+                    else f"the h^({k}/2) term"
+                break
+        raise PrecisionLoss(f"h = {h}: {what} overflows a float")
 
     def to_s_poly(self):
         """Dense float coefficients of Q(s) with Q(sqrt(h)) = P(h), ascending in s."""

@@ -215,11 +215,15 @@ def cmd_verify(args) -> int:
                      err <= threshold))
 
     for h in _float_list(args.h_grid):
-        add(f"M0@h={h}", exp.m0.eval(h), oracle.oracle_m0(sys_, h), tol)
-        add(f"M1@h={h}", exp.m1.eval(h), oracle.oracle_m1(sys_, h), tol)
-        for i in range(sys_.case.n_integrals):
-            closed = melnikov.closed_term(sys_, i, h)
-            add(f"I{i}@h={h}", closed, oracle.quad_I(sys_, h, i), tol)
+        m0, m1 = exp.m0.eval(h), exp.m1.eval(h)
+        # each integral once: M0 is I_0 and M1 sums the rest, in the order
+        # of oracle_m0 and oracle_m1
+        quads = [oracle.quad_I(sys_, h, i)
+                 for i in range(sys_.case.n_integrals)]
+        add(f"M0@h={h}", m0, quads[0], tol)
+        add(f"M1@h={h}", m1, sum(quads[1:]), tol)
+        for i, quad in enumerate(quads):
+            add(f"I{i}@h={h}", melnikov.closed_term(sys_, i, h), quad, tol)
     if args.with_sim:
         # _load_system has applied --lam/--eps to the system
         lam = sys_.lam or 0.02

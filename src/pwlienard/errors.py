@@ -50,7 +50,9 @@ class ZeroPolynomial(InvalidInput):
 
 
 class PrecisionLoss(PwLienardError):
-    """Coefficient conversion to float lost all significant digits."""
+    """A float left its range: a coefficient converted to float lost all
+    significant digits, or a half-power polynomial overflowed at a large
+    finite h."""
 
 
 class SimulationError(PwLienardError):

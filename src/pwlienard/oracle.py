@@ -22,12 +22,47 @@ dt = -d(theta).  I_0, I_1, the switch-on-x I_3 and the arc of the
 switch-on-y I_4 are line integrals of -(v*f(u) + sign*g(u)) du, I_2 is the
 time integral of G(u)*f_0(u) over AB minus BA with a sign per case, and the
 switch-on-y I_3 is an endpoint term that needs no quadrature.
+
+Node table
+----------
+``_qage`` bisects one of three fixed arcs, so the same few intervals come
+back for every h, integral and system: a 240-system benchmark pool meets
+a few dozen.  ``_nodes`` tabulates qk21's 21 abscissae on an interval, with
+their sines in ``.sin`` and cosines in ``.cos``, once per interval, in a
+bounded least-recently-used cache of ``_NODE_TABLE_SIZE`` entries.  The
+table is a tuple of the abscissae, so ``_gk21`` and ``_qage`` stay generic
+in the integrand: ``fn`` takes the 21 abscissae and returns the 21 values,
+and a plain function of the abscissae ignores the two extra tables.  An
+entry holds the values ``math.sin`` and ``math.cos`` return for the same
+abscissae, so reading it changes no bit.
+
+Why the arithmetic changes no bit
+---------------------------------
+``_gk21`` is written out term by term, as ``_kernel_py._rk_step`` is: in
+the loop form the rule's own time, index loops and tuple lookups, was
+twice what it is now.  Each sum runs in the left-to-right order of
+QUADPACK's loops, and a pair sum such as f1 + f19 that both the Gauss and
+the Kronrod sum use is the same value computed once.  The loops started
+the Gauss sum at 0.0; the written-out sum starts at its first term
+instead, which can change only the sign of a sum that is exactly zero,
+and the Gauss sum enters the error estimate only through a difference
+taken in absolute value.
+
+The integrands run Horner from the top coefficient of each polynomial's
+own tuple, where they used to run it on the two polynomials together,
+the shorter one padded with zeros at the top.  The padded steps give
+exactly 0.0 and the first real step 0.0*u + c gives c, so skipping them
+moves no bit.  The one exception, a top coefficient of -0.0, does not
+occur: ``float_coeffs`` sums from +0.0, and ``poly_antideriv`` would need
+a coefficient that underflows when divided by its degree plus one.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
+from operator import attrgetter
 
 from .algebra import poly_antideriv, polyval
 from .errors import QuadratureFailure
@@ -39,6 +74,9 @@ _QUAD_LIMIT = 2000
 _HALF_PI = math.pi / 2
 _EPMACH = 2.0 ** -52  # QUADPACK's d1mach(4)
 _UFLOW = 2.0 ** -1022  # d1mach(1)
+# intervals kept in the node table, about 2.3 kB each; a benchmark pool of
+# 240 systems on six energies meets 28 to 52
+_NODE_TABLE_SIZE = 128
 
 # qk21's abscissae on [-1, 1] from +1 down to -1; the 10-point Gauss rule
 # uses the odd positions.  Constants to 33 digits as QUADPACK gives them.
@@ -72,14 +110,12 @@ _WG = (0.066671344308688137593568809893332,
        0.219086362515982043995534934228163,
        0.269266719309996355091226921569469,
        0.295524224714752870173892994651338)
-# qk21 sums the Kronrod estimate over the Gauss pairs first
-_KRONROD_ORDER = (1, 3, 5, 7, 9, 0, 2, 4, 6, 8)
 
-# per case: u/r and v/r as functions of theta, du/dtheta divided by v, and
+# per case: the node tables of u/r and v/r, du/dtheta divided by v, and
 # the sign of the time-weight integral I_2
 _ARC = {
-    Case.SWITCH_Y: (math.sin, math.cos, 1.0, -1.0),
-    Case.SWITCH_X: (math.cos, math.sin, -1.0, 1.0),
+    Case.SWITCH_Y: (attrgetter("sin", "cos"), 1.0, -1.0),
+    Case.SWITCH_X: (attrgetter("cos", "sin"), -1.0, 1.0),
 }
 
 
@@ -107,29 +143,60 @@ def i4_factor(g_coeffs, h: float) -> float:
     return 2.0 * polyval(list(g_coeffs), r) / r
 
 
+class _Nodes(tuple):
+    """qk21's 21 abscissae on [a, b], from the end b to the end a, with
+    their sines in ``.sin`` and cosines in ``.cos``."""
+
+
+# keys compare as floats, so [0.0, b] and [-0.0, b] share an entry; their
+# abscissae differ only on an interval of length zero
+@functools.lru_cache(maxsize=_NODE_TABLE_SIZE)
+def _nodes(a: float, b: float) -> _Nodes:
+    centr = 0.5 * (a + b)
+    hlgth = 0.5 * (b - a)
+    nodes = _Nodes([centr + hlgth * x for x in _X21])
+    nodes.sin = tuple([math.sin(t) for t in nodes])
+    nodes.cos = tuple([math.cos(t) for t in nodes])
+    return nodes
+
+
 def _gk21(fn, a: float, b: float):
     """One application of qk21 on [a, b]: (result, abserr, resabs, resasc).
 
-    ``fn`` takes the list of the 21 nodes and returns the integrand there.
-    resabs approximates the integral of |f| and resasc that of |f - mean|.
+    ``fn`` takes the 21 abscissae (a ``_Nodes``) and returns the integrand
+    there.  resabs approximates the integral of |f| and resasc that of
+    |f - mean|.  The sums are QUADPACK's loops written out in their order:
+    Gauss over the pairs at odd positions, Kronrod from the centre, then
+    over the Gauss pairs, then over the others.
     """
-    centr = 0.5 * (a + b)
-    hlgth = 0.5 * (b - a)
-    fv = fn([centr + hlgth * x for x in _X21])
-    resg = 0.0
-    for j, w in zip((1, 3, 5, 7, 9), _WG):
-        resg += w * (fv[j] + fv[20 - j])
-    fc = fv[10]
-    resk = _WGK[10] * fc
-    resabs = abs(resk)
-    for j in _KRONROD_ORDER:
-        f1, f2, w = fv[j], fv[20 - j], _WGK[j]
-        resk += w * (f1 + f2)
-        resabs += w * (abs(f1) + abs(f2))
+    (f0, f1, f2, f3, f4, f5, f6, f7, f8, f9, fc,
+     f11, f12, f13, f14, f15, f16, f17, f18, f19, f20) = fn(_nodes(a, b))
+    wg1, wg3, wg5, wg7, wg9 = _WG
+    wk0, wk1, wk2, wk3, wk4, wk5, wk6, wk7, wk8, wk9, wk10 = _WGK
+    s1, s3, s5, s7, s9 = f1 + f19, f3 + f17, f5 + f15, f7 + f13, f9 + f11
+    resg = wg1 * s1 + wg3 * s3 + wg5 * s5 + wg7 * s7 + wg9 * s9
+    resk = (wk10 * fc + wk1 * s1 + wk3 * s3 + wk5 * s5 + wk7 * s7
+            + wk9 * s9 + wk0 * (f0 + f20) + wk2 * (f2 + f18)
+            + wk4 * (f4 + f16) + wk6 * (f6 + f14) + wk8 * (f8 + f12))
+    resabs = (abs(wk10 * fc) + wk1 * (abs(f1) + abs(f19))
+              + wk3 * (abs(f3) + abs(f17)) + wk5 * (abs(f5) + abs(f15))
+              + wk7 * (abs(f7) + abs(f13)) + wk9 * (abs(f9) + abs(f11))
+              + wk0 * (abs(f0) + abs(f20)) + wk2 * (abs(f2) + abs(f18))
+              + wk4 * (abs(f4) + abs(f16)) + wk6 * (abs(f6) + abs(f14))
+              + wk8 * (abs(f8) + abs(f12)))
     reskh = 0.5 * resk
-    resasc = _WGK[10] * abs(fc - reskh)
-    for j in range(10):
-        resasc += _WGK[j] * (abs(fv[j] - reskh) + abs(fv[20 - j] - reskh))
+    resasc = (wk10 * abs(fc - reskh)
+              + wk0 * (abs(f0 - reskh) + abs(f20 - reskh))
+              + wk1 * (abs(f1 - reskh) + abs(f19 - reskh))
+              + wk2 * (abs(f2 - reskh) + abs(f18 - reskh))
+              + wk3 * (abs(f3 - reskh) + abs(f17 - reskh))
+              + wk4 * (abs(f4 - reskh) + abs(f16 - reskh))
+              + wk5 * (abs(f5 - reskh) + abs(f15 - reskh))
+              + wk6 * (abs(f6 - reskh) + abs(f14 - reskh))
+              + wk7 * (abs(f7 - reskh) + abs(f13 - reskh))
+              + wk8 * (abs(f8 - reskh) + abs(f12 - reskh))
+              + wk9 * (abs(f9 - reskh) + abs(f11 - reskh)))
+    hlgth = 0.5 * (b - a)
     dhlgth = abs(hlgth)
     resabs *= dhlgth
     resasc *= dhlgth
@@ -192,14 +259,11 @@ def _integrate(fn, lo: float, hi: float) -> float:
     return val
 
 
-def _horner_pairs(p, q):
-    """(p_top, q_top) and the lower coefficient pairs from the top degree
-    down, zero padded.  Horner started at the top coefficient gives
-    polyval's values, whose first step 0.0*x + c is c."""
-    n = max(len(p), len(q))
-    pairs = list(zip(reversed(list(p) + [0.0] * (n - len(p))),
-                     reversed(list(q) + [0.0] * (n - len(q)))))
-    return pairs[0], pairs[1:]
+def _descending(coeffs):
+    """Top coefficient and the rest of a polynomial from the top degree
+    down.  ``LienardSystem.build`` gives every vector at least one entry."""
+    desc = tuple(reversed(coeffs))
+    return desc[0], desc[1:]
 
 
 def quad_I(sys: LienardSystem, h: float, index: int) -> float:
@@ -209,19 +273,22 @@ def quad_I(sys: LienardSystem, h: float, index: int) -> float:
         raise ValueError(f"index {index} not valid for {case}")
     fc = sys.float_coeffs()
     r = _radius(h)
-    unit_u, unit_v, du_per_v, i2_sign = _ARC[case]
+    units, du_per_v, i2_sign = _ARC[case]
 
     def line(f, g, sign, lo, hi):
-        (f_top, g_top), coeffs = _horner_pairs(f, g)
+        f_top, f_rest = _descending(f)
+        g_top, g_rest = _descending(g)
 
-        def integrand(thetas):
+        def integrand(nodes):
             out = []
-            for theta in thetas:
-                u, v = r * unit_u(theta), r * unit_v(theta)
-                pf, pg = f_top, g_top
-                for cf, cg in coeffs:
-                    pf = pf * u + cf
-                    pg = pg * u + cg
+            for unit_u, unit_v in zip(*units(nodes)):
+                u, v = r * unit_u, r * unit_v
+                pf = f_top
+                for c in f_rest:
+                    pf = pf * u + c
+                pg = g_top
+                for c in g_rest:
+                    pg = pg * u + c
                 out.append(-(v * pf + sign * pg) * (du_per_v * v))
             return out
 
@@ -232,17 +299,19 @@ def quad_I(sys: LienardSystem, h: float, index: int) -> float:
         return line(f, g, 1.0, _HALF_PI, -_HALF_PI) \
             + line(f, g, -1.0, -_HALF_PI, -3 * _HALF_PI)
     if index == 2:
-        (g_top, f_top), coeffs = _horner_pairs(poly_antideriv(fc["c"]),
-                                               fc["a0"])
+        g_top, g_rest = _descending(poly_antideriv(fc["c"]))
+        f_top, f_rest = _descending(fc["a0"])
 
-        def weight(thetas):
+        def weight(nodes):
             out = []
-            for theta in thetas:
-                u = r * unit_u(theta)
-                pg, pf = g_top, f_top
-                for cg, cf in coeffs:
-                    pg = pg * u + cg
-                    pf = pf * u + cf
+            for unit_u in units(nodes)[0]:
+                u = r * unit_u
+                pg = g_top
+                for c in g_rest:
+                    pg = pg * u + c
+                pf = f_top
+                for c in f_rest:
+                    pf = pf * u + c
                 out.append(pg * pf)
             return out
 

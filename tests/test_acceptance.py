@@ -16,11 +16,10 @@ from fractions import Fraction
 
 import pytest
 
-from pwlienard import (Case, HalfPowerPoly, LienardSystem, PI, RingElem,
-                       SQRT2, SimConfig, ZeroPolynomial, design_case_x,
-                       design_case_y, expand, find_cycles,
-                       isolate_positive_roots, load_preset, oracle_m0,
-                       oracle_m1, quad_I, verify_design, zero_bound)
+from pwlienard import (Case, HalfPowerPoly, PI, RingElem, SQRT2, SimConfig,
+                       design_case_x, design_case_y, expand, find_cycles,
+                       isolate_positive_roots, load_preset, oracle_m1,
+                       quad_I, verify_design, zero_bound)
 from pwlienard.errors import SimulationError
 from pwlienard.melnikov import closed_term
 from pwlienard.roots import CERT_SIMPLE

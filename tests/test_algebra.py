@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pwlienard import (INV_PI, PI, SQRT2, HalfPowerPoly, InvalidInput,
-                       NegativeEnergy, RingElem, expand, load_preset)
+                       NegativeEnergy, PrecisionLoss, RingElem, expand,
+                       load_preset)
 
 rationals = st.fractions(
     min_value=-50, max_value=50, max_denominator=16)
@@ -213,6 +214,25 @@ class TestHalfPowerPoly:
         for poly in (HalfPowerPoly({1: RingElem.one()}), m1):
             with pytest.raises(NegativeEnergy, match="infinite"):
                 poly.eval(math.inf)
+
+    def test_overflow_named(self):
+        """A finite h at which the value leaves the float range raises
+        PrecisionLoss naming h and the lowest term that overflows, whether
+        its power raises OverflowError or its product is inf; where no
+        term overflows alone, it names the sum."""
+        m1 = expand(load_preset("example1")).m1  # 24 h^(1/2) ... + h^(5/2)
+        with pytest.raises(PrecisionLoss, match=r"^h = 1e\+300: the "
+                           r"h\^\(3/2\) term overflows a float$"):
+            m1.eval(1e300)
+        assert math.isfinite(m1.eval(1e120))
+        poly = HalfPowerPoly({0: RingElem.one(),
+                              4: RingElem.rational(Fraction(10) ** 300)})
+        with pytest.raises(PrecisionLoss, match=r"the h\^2 term"):
+            poly.eval(1e5)
+        big = RingElem.rational(Fraction(10) ** 308)
+        with pytest.raises(PrecisionLoss, match="h = 1.0: the sum overflows"):
+            HalfPowerPoly({0: big, 2: big}).eval(1.0)
+        assert HalfPowerPoly({0: big, 2: big}).eval(0.5) == 1.5e308
 
     def test_non_integral_key_rejected(self):
         for key in (2.5, Fraction(3, 2), math.nan, math.inf):

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, exit codes, config handling."""
 
+import hashlib
 import json
 import math
 import os
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from pwlienard import (Case, LienardSystem, RingElem, expand, load_preset,
-                       oracle)
+                       oracle, oracle_m0, oracle_m1)
 from pwlienard import cli, errors
 from pwlienard.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, main
 
@@ -189,6 +190,62 @@ def test_verify_pass(outdir):
     lines = (outdir / "verify.csv").read_text().strip().splitlines()
     assert lines[0] == "check,value,reference,rel_err,tol,status"
     assert all(line.endswith("pass") for line in lines[1:])
+
+
+@pytest.mark.parametrize("name", ["example1", "example2"])
+def test_verify_runs_each_integral_once(monkeypatch, outdir, name):
+    """One quad_I per integral and h; the M0 and M1 references are the
+    values oracle_m0 and oracle_m1 give, to the last digit printed."""
+    sys_ = load_preset(name)
+    asked = []
+    quad = oracle.quad_I
+
+    def counted(system, h, index):
+        asked.append((h, index))
+        return quad(system, h, index)
+
+    monkeypatch.setattr(oracle, "quad_I", counted)
+    assert main(["--out", str(outdir), "verify", "--preset", name,
+                 "--h-grid", "0.5,2"]) == EXIT_OK
+    n = sys_.case.n_integrals
+    assert asked == [(h, i) for h in (0.5, 2.0) for i in range(n)]
+    monkeypatch.undo()
+    refs = {line.split(",")[0]: line.split(",")[2] for line in
+            (outdir / "verify.csv").read_text().splitlines()[1:]}
+    for h in (0.5, 2.0):
+        assert refs[f"M0@h={h}"] == f"{oracle_m0(sys_, h):.17g}"
+        assert refs[f"M1@h={h}"] == f"{oracle_m1(sys_, h):.17g}"
+
+
+# sha256 of stdout at the default h grid, as printed when verify ran every
+# integral a second time inside oracle_m0 and oracle_m1
+PINNED_OUTPUT = {
+    ("oracle", "example1"):
+        "dbc7618f1a92f0abfe34ad45eeca3235d0b2cc8135e72998dce2db650bf51f39",
+    ("verify", "example1"):
+        "0b3e65ec97b346f77faaf33dfed6d30cd92a2a022614a4e5f20ef12108f23352",
+    ("oracle", "example2"):
+        "bd15617958984f42ec8ef091e94ac24af8d2565dc83079b6d8b084672968606c",
+    ("verify", "example2"):
+        "01ef4369c5a23c6ff767e3730d889fbf0e719e542d1a862eca64d2f179037f73",
+}
+
+
+@pytest.mark.parametrize("command, name", sorted(PINNED_OUTPUT))
+def test_oracle_and_verify_output_pinned(capsys, command, name):
+    assert main([command, "--preset", name]) == EXIT_OK
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == PINNED_OUTPUT[command, name]
+
+
+@pytest.mark.parametrize("command", ["melnikov", "oracle", "verify"])
+def test_overflowing_energy_is_named(capsys, command):
+    """A finite h too large for a float exits 3 with a message that names h
+    and the term that overflows."""
+    assert main([command, "--preset", "example1", "--h-grid", "1e300"]) \
+        == EXIT_NUMERICAL
+    assert capsys.readouterr().err == ("numerical failure: h = 1e+300: the "
+                                       "h^(3/2) term overflows a float\n")
 
 
 def test_verify_with_sim_uses_system_params(tmp_path):

@@ -1,7 +1,6 @@
 """Closed-form expansion assembly: exact values, shape invariants, folding."""
 
 import math
-import random
 from fractions import Fraction
 
 import pytest

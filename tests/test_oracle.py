@@ -94,6 +94,68 @@ def test_every_integral_through_quad_I(monkeypatch, name):
                      for i in range(1, sys_.case.n_integrals))
 
 
+# float.hex of quad_I(preset, h, index) for every index, as the loop form
+# of the qk21 sums with zero-padded Horner pairs computed them
+PINNED_QUAD_I = {
+    "example1": {
+        0.125: ("0x1.b159ffdc69591p-62", "0x1.d01b1d38b481ap+1",
+                "-0x1.0000000000000p-61", "0x1.6a09e667f3bcdp-8",
+                "-0x0.0p+0"),
+        0.5: ("-0x1.bac11decc5b8ap-59", "0x1.d84d6ced018d2p+0",
+              "-0x1.0000000000000p-55", "0x1.6a09e667f3bcdp-3", "-0x0.0p+0"),
+        2.0: ("0x1.6e94a126f0ac3p-54", "-0x1.c4175975202c5p+2",
+              "-0x1.0000000000000p-49", "0x1.6a09e667f3bcdp+2", "-0x0.0p+0"),
+    },
+    "example2": {
+        0.125: ("0x0.0p+0", "0x1.1580000000000p+5", "0x1.a6cb3b3c81c00p+3",
+                "-0x1.2e9f5b14f198ap+5"),
+        0.5: ("-0x1.0000000000000p-45", "0x1.8600000000000p+7",
+              "0x1.96605b2a1647ap+3", "-0x1.917b9f6bb12bcp+7"),
+        2.0: ("-0x1.0000000000000p-42", "0x1.a400000000000p+10",
+              "0x1.099966f4aa5b2p+13", "0x1.9d90bb8d16ea3p+10"),
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_QUAD_I))
+def test_quad_I_pinned_bit_for_bit(name):
+    """The node table, the written-out rule and Horner on each polynomial's
+    own coefficients give the same bits as the loops did, signed zeros and
+    round-off-sized values included."""
+    sys_ = load_preset(name)
+    for h, expected in PINNED_QUAD_I[name].items():
+        got = tuple(quad_I(sys_, h, i).hex()
+                    for i in range(sys_.case.n_integrals))
+        assert got == expected, (name, h)
+
+
+def test_node_table_holds_the_nodes():
+    """Each entry is the 21 abscissae with their exact sines and cosines."""
+    nodes = oracle._nodes(-3 * oracle._HALF_PI, -oracle._HALF_PI)
+    centr, hlgth = -math.pi, oracle._HALF_PI
+    assert nodes == tuple(centr + hlgth * x for x in oracle._X21)
+    assert nodes.sin == tuple(math.sin(t) for t in nodes)
+    assert nodes.cos == tuple(math.cos(t) for t in nodes)
+    assert oracle._nodes(-3 * oracle._HALF_PI, -oracle._HALF_PI) is nodes
+
+
+def test_verify_sweep_fits_the_node_table():
+    """Both presets and their odd projections, every integral, on the h
+    grids of the CLI and the benchmark: the intervals they meet fit the
+    table, so no entry is evicted and computed again."""
+    oracle._nodes.cache_clear()
+    for name in ("example1", "example2"):
+        full = load_preset(name)
+        for sys_ in (full, full.odd_projection()):
+            for h in (0.125, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0):
+                for i in range(sys_.case.n_integrals):
+                    quad_I(sys_, h, i)
+    info = oracle._nodes.cache_info()
+    assert info.maxsize == oracle._NODE_TABLE_SIZE
+    assert 0 < info.misses == info.currsize <= info.maxsize
+    assert info.hits > 10 * info.misses
+
+
 def test_endpoint_derivatives_match_finite_difference():
     g = [0.0, 0.25, 0.0, -0.5]  # antiderivative G(y) = y^2/8 - y^4/8
     h = 1.3
@@ -164,6 +226,56 @@ def rule_count(monkeypatch):
 
 def batch(fn):
     return lambda xs: [fn(x) for x in xs]
+
+
+def loop_gk21(fn, a, b):
+    """qk21 with QUADPACK's loops, the reference ``_gk21`` is written out
+    from."""
+    centr, hlgth = 0.5 * (a + b), 0.5 * (b - a)
+    fv = fn([centr + hlgth * x for x in oracle._X21])
+    wg, wgk = dict(zip((1, 3, 5, 7, 9), oracle._WG)), oracle._WGK
+    resg = 0.0
+    for j in (1, 3, 5, 7, 9):
+        resg += wg[j] * (fv[j] + fv[20 - j])
+    resk = wgk[10] * fv[10]
+    resabs = abs(resk)
+    for j in (1, 3, 5, 7, 9, 0, 2, 4, 6, 8):
+        resk += wgk[j] * (fv[j] + fv[20 - j])
+        resabs += wgk[j] * (abs(fv[j]) + abs(fv[20 - j]))
+    reskh = 0.5 * resk
+    resasc = wgk[10] * abs(fv[10] - reskh)
+    for j in range(10):
+        resasc += wgk[j] * (abs(fv[j] - reskh) + abs(fv[20 - j] - reskh))
+    resabs *= abs(hlgth)
+    resasc *= abs(hlgth)
+    abserr = abs((resk - resg) * hlgth)
+    if resasc != 0.0 and abserr != 0.0:
+        abserr = resasc * min(1.0, (200.0 * abserr / resasc) ** 1.5)
+    if resabs > oracle._UFLOW / (50.0 * oracle._EPMACH):
+        abserr = max(50.0 * oracle._EPMACH * resabs, abserr)
+    return resk * hlgth, abserr, resabs, resasc
+
+
+def test_written_out_rule_matches_the_loops():
+    """Same bits as the loop form on random intervals, for odd and even
+    polynomials, whose sums cancel, and for oscillating functions, where
+    the Gauss and Kronrod sums differ by more than round-off."""
+    rng = random.Random(1983)
+    for _ in range(600):
+        coeffs = [rng.uniform(-2, 2) for _ in range(rng.randint(1, 9))]
+        parity = rng.choice((None, 0, 1))
+        if parity is not None:
+            coeffs = [c if k % 2 == parity else 0.0
+                      for k, c in enumerate(coeffs)]
+        omega = rng.uniform(2.0, 12.0)
+        if rng.random() < 0.5:
+            fn = batch(lambda x: oracle.polyval(coeffs, x))
+        else:
+            fn = batch(lambda x: oracle.polyval(coeffs, math.sin(omega * x)))
+        half = rng.uniform(0.01, 3.0)
+        a, b = rng.choice(((-half, half), (rng.uniform(-3, 3), half)))
+        got, want = oracle._gk21(fn, a, b), loop_gk21(fn, a, b)
+        assert [v.hex() for v in got] == [v.hex() for v in want]
 
 
 @pytest.mark.parametrize("k", range(32))

@@ -1,7 +1,6 @@
 """Certified positive-root isolation of half-power polynomials."""
 
 import math
-import random
 from fractions import Fraction
 
 import pytest
