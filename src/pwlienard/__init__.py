@@ -12,9 +12,8 @@ from .errors import (EscapeAnnulus, InfeasibleShape, InvalidInput,
                      MaxStepsExceeded, NegativeEnergy, NoConvergence,
                      NonTransversalCrossing, OddnessViolated, PrecisionLoss,
                      PwLienardError, QuadratureFailure, SimulationError,
-                     TooManyTargets, WrongCase, ZeroLambda, ZeroPolynomial)
-from .melnikov import (MelnikovExpansion, TheoremForm, expand,
-                       fold_to_theorem_form, theorem_form_system, zero_bound)
+                     TooManyTargets, WrongCase, ZeroPolynomial)
+from .melnikov import MelnikovExpansion, expand, zero_bound
 from .oracle import oracle_m0, oracle_m1, quad_I
 from .roots import IsolatedRoot, RootReport, isolate_positive_roots
 from .simulator import (BACKEND, CycleReport, CycleScan, SimConfig,
@@ -32,10 +31,10 @@ __all__ = [
     "NonTransversalCrossing", "OddnessViolated", "PI", "PRESET_NAMES",
     "PrecisionLoss",
     "PwLienardError", "QuadratureFailure", "RingElem", "RootReport",
-    "SQRT2", "SimConfig", "SimulationError", "TheoremForm", "TooManyTargets",
-    "WrongCase", "ZeroLambda", "ZeroPolynomial", "advance_to_section",
+    "SQRT2", "SimConfig", "SimulationError", "TooManyTargets",
+    "WrongCase", "ZeroPolynomial", "advance_to_section",
     "bifurcation_increment", "design_case_x", "design_case_y",
-    "displacement", "expand", "find_cycles", "fold_to_theorem_form", "isolate_positive_roots",
-    "load_preset", "oracle_m0", "oracle_m1", "quad_I", "theorem_form_system",
+    "displacement", "expand", "find_cycles", "isolate_positive_roots",
+    "load_preset", "oracle_m0", "oracle_m1", "quad_I",
     "verify_design", "zero_bound",
 ]

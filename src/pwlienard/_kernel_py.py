@@ -8,8 +8,8 @@ The entry point takes the five coefficient vectors (f0, f1, g0, g1, g) with
 lam and eps, and ``fold`` combines them once per return into two
 polynomials, p = eps*(f0 + lam*f1) and q = lam*g + eps*(g0 + lam*g1).  The
 field is then x' = y, y' = -x - y*p(x) - sgn*q(x): with p = lam*fbar and
-q = lam*gbar this is the single-small-parameter form of
-``melnikov.fold_to_theorem_form``, which calls ``fold`` too.
+q = lam*gbar this is the single-small-parameter form -lam*[y*fbar +
+sgn*gbar] of the theorem, with delta = eps/lam folded into fbar and gbar.
 
 Field modes
 -----------

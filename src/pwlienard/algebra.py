@@ -96,11 +96,6 @@ class RingElem:
         return cls._canonical({(0, 0): Fraction(1)})
 
     @classmethod
-    def from_float(cls, x: float) -> "RingElem":
-        """Promote a float exactly (binary expansion) to a rational element."""
-        return cls.rational(Fraction(x))
-
-    @classmethod
     def coerce(cls, x) -> "RingElem":
         if isinstance(x, RingElem):
             return x

@@ -201,7 +201,7 @@ def design_case_x(targets, m: int, n: int) -> LienardSystem:
         if e % 2 == 0:
             i = e // 2 - 1
             a1[2 * i] = _a_tilde_factor(i, -1).invert_monomial() \
-                * RingElem.from_float(v)
+                * RingElem.rational(v)
 
     # the odd exponents are 2l+3 for l = 0, 1, ..., in order
     odd_targets = [v for e, v in coeff_by_exp.items() if e % 2]
@@ -211,7 +211,7 @@ def design_case_x(targets, m: int, n: int) -> LienardSystem:
         # no time-weighted block: a^_l alone, exact linear inversion
         for l, target in enumerate(odd_targets):
             a0[2 * l + 1] = _a_hat_factor(l).invert_monomial() \
-                * RingElem.from_float(target)
+                * RingElem.rational(target)
         return LienardSystem.build(Case.SWITCH_X, m, n, a0=a0, a1=a1, c=c)
 
     n_t = (n - 1) // 2
@@ -246,7 +246,7 @@ def design_case_x(targets, m: int, n: int) -> LienardSystem:
         raise NoConvergence(
             f"odd-block Newton failed after {NEWTON_MAX_ITER} iterations x 8 starts",
             best_residual=best_err)
-    exact = [RingElem.from_float(v) for v in solution]
+    exact = [RingElem.rational(v) for v in solution]
     a0[1::2] = exact[:hm_odd + 1]
     c[1::2] = [RingElem.one()] + exact[hm_odd + 1:]
     return LienardSystem.build(Case.SWITCH_X, m, n, a0=a0, a1=a1, c=c)

@@ -21,10 +21,6 @@ class OddnessViolated(InvalidInput):
     """A closed form that requires odd f0/g0 was given even-index coefficients."""
 
 
-class ZeroLambda(PwLienardError):
-    """Folding to theorem form requires lambda > 0."""
-
-
 class TooManyTargets(InvalidInput):
     """More target zeros requested than the theorem bound allows."""
 

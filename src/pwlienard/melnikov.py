@@ -12,9 +12,8 @@ from dataclasses import dataclass
 from functools import cache
 from fractions import Fraction
 
-from ._kernel_py import fold
 from .algebra import HalfPowerPoly, RingElem
-from .errors import OddnessViolated, WrongCase, ZeroLambda
+from .errors import OddnessViolated, WrongCase
 from .systems import Case, LienardSystem
 
 
@@ -112,13 +111,6 @@ def case_y_m0(sys: LienardSystem) -> HalfPowerPoly:
     return case_y_i_poly(sys, 0)
 
 
-def case_y_m1(sys: LienardSystem, project_odd: bool = False) -> HalfPowerPoly:
-    _require_case(sys, Case.SWITCH_Y)
-    _require_odd(sys, project_odd, g0=True)
-    # I2 and I4 vanish under the oddness hypothesis
-    return case_y_i_poly(sys, 1) + case_y_i3(sys)
-
-
 # -- switch-on-x (sgn(x)) case -------------------------------------------------
 
 
@@ -186,12 +178,6 @@ def case_x_m0(sys: LienardSystem) -> HalfPowerPoly:
     return case_x_i_poly(sys, 0)
 
 
-def case_x_m1(sys: LienardSystem, project_odd: bool = False) -> HalfPowerPoly:
-    _require_case(sys, Case.SWITCH_X)
-    _require_odd(sys, project_odd, g0=False)
-    return case_x_i_poly(sys, 1) + case_x_i2(sys) + case_x_i3(sys)
-
-
 # -- expansion container and bounds --------------------------------------------
 
 
@@ -201,25 +187,31 @@ class MelnikovExpansion:
     m1: HalfPowerPoly
 
 
-def expand(sys: LienardSystem, project_odd: bool = False) -> MelnikovExpansion:
+def closed_forms(sys: LienardSystem) -> tuple:
+    """Closed forms of the arc integrals I_0..I_{n-1}, indexed as
+    ``oracle.quad_I``: M0 is I_0 and M1 sums the rest.  The M1 terms read
+    no even-index f0 or g0 coefficient, so they are those of the odd
+    projection, under which the switch-on-y I2 and I4 vanish."""
     if sys.case is Case.SWITCH_Y:
-        return MelnikovExpansion(case_y_m0(sys), case_y_m1(sys, project_odd))
-    return MelnikovExpansion(case_x_m0(sys), case_x_m1(sys, project_odd))
+        zero = HalfPowerPoly()
+        return (case_y_i_poly(sys, 0), case_y_i_poly(sys, 1), zero,
+                case_y_i3(sys), zero)
+    return (case_x_i_poly(sys, 0), case_x_i_poly(sys, 1), case_x_i2(sys),
+            case_x_i3(sys))
+
+
+def expand(sys: LienardSystem, project_odd: bool = False) -> MelnikovExpansion:
+    _require_odd(sys, project_odd, g0=sys.case is Case.SWITCH_Y)
+    m0, m1, *rest = closed_forms(sys)
+    return MelnikovExpansion(m0, sum(rest, m1))  # I_1 + I_2 + ..., in order
 
 
 def closed_term(sys: LienardSystem, i: int, h: float) -> float:
     """Closed form of the single integral I_i at h, the counterpart of
-    ``oracle.quad_I(sys, h, i)``; the M1 terms (i >= 1) read no even-index
-    f0 or g0 coefficient, so they are those of the odd projection."""
+    ``oracle.quad_I(sys, h, i)``."""
     if not 0 <= i < sys.case.n_integrals:
         raise ValueError(f"index {i} not valid for {sys.case}")
-    on_y = sys.case is Case.SWITCH_Y
-    if i <= 1:
-        return (case_y_i_poly if on_y else case_x_i_poly)(sys, i).eval(h)
-    if on_y:
-        # I2 and I4 vanish under the oddness hypothesis
-        return case_y_i3(sys).eval(h) if i == 3 else 0.0
-    return (case_x_i2 if i == 2 else case_x_i3)(sys).eval(h)
+    return closed_forms(sys)[i].eval(h)
 
 
 def _check_shape(m: int, n: int, which: str):
@@ -265,45 +257,3 @@ def support(case: Case, m: int, n: int, which: str) -> frozenset:
         top = (m - 1) // 2 + max(0, (n - 1) // 2)
         out |= {2 * l + 3 for l in range(top + 1)}
     return frozenset(out)
-
-
-# -- folding to the single-small-parameter form --------------------------------
-
-
-@dataclass(frozen=True)
-class TheoremForm:
-    """Coefficients of fbar, gbar after folding out delta = eps/lambda."""
-
-    case: Case
-    fbar: tuple
-    gbar: tuple
-    delta: float
-    lam: float
-
-
-def fold_to_theorem_form(sys: LienardSystem) -> TheoremForm:
-    if sys.lam <= 0:
-        raise ZeroLambda("folding requires lambda > 0")
-    # the kernel's field polynomials are p = lam*fbar and q = lam*gbar
-    fc = sys.float_coeffs()
-    p, q = fold(fc["a0"], fc["a1"], fc["b0"], fc["b1"], fc["c"],
-                sys.lam, sys.eps)
-    return TheoremForm(sys.case, tuple(v / sys.lam for v in p),
-                       tuple(v / sys.lam for v in q), sys.eps / sys.lam,
-                       sys.lam)
-
-
-def theorem_form_system(form: TheoremForm) -> LienardSystem:
-    """The folded system as a LienardSystem: -lam*[y*fbar + sgn(.)*gbar].
-
-    Realized with g = gbar, eps = lam, f0 = fbar and all other blocks zero,
-    which reproduces the folded right-hand side exactly.
-    """
-    m = len(form.fbar) - 1
-    n = len(form.gbar) - 1
-    return LienardSystem.build(
-        form.case, m, n,
-        a0=[RingElem.from_float(v) for v in form.fbar],
-        c=[RingElem.from_float(v) for v in form.gbar],
-        lam=form.lam, eps=form.lam,
-    )

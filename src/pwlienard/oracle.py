@@ -253,7 +253,7 @@ def _qage(fn, a: float, b: float):
 
 def _integrate(fn, lo: float, hi: float) -> float:
     val, err = _qage(fn, lo, hi)
-    if err > max(QUAD_ABS_TARGET * 50, 1e-11 * abs(val)):
+    if not err <= max(QUAD_ABS_TARGET * 50, 1e-11 * abs(val)):  # NaN fails
         raise QuadratureFailure(
             f"error estimate {err:.3e} exceeds target for value {val:.6e}")
     return val
@@ -267,7 +267,9 @@ def _descending(coeffs):
 
 
 def quad_I(sys: LienardSystem, h: float, index: int) -> float:
-    """One arc/time integral by quadrature; index 0..sys.case.n_integrals-1."""
+    """One arc/time integral by quadrature; index 0..sys.case.n_integrals-1.
+    Raises QuadratureFailure where the value is not finite, as where the
+    integrand overflows a float at a large h."""
     case = sys.case
     if not 0 <= index < case.n_integrals:
         raise ValueError(f"index {index} not valid for {case}")
@@ -294,11 +296,12 @@ def quad_I(sys: LienardSystem, h: float, index: int) -> float:
 
         return _integrate(integrand, lo, hi)
 
+    on_y = case is Case.SWITCH_Y
     if index <= 1:
         f, g = (fc["a0"], fc["b0"]) if index == 0 else (fc["a1"], fc["b1"])
-        return line(f, g, 1.0, _HALF_PI, -_HALF_PI) \
+        value = line(f, g, 1.0, _HALF_PI, -_HALF_PI) \
             + line(f, g, -1.0, -_HALF_PI, -3 * _HALF_PI)
-    if index == 2:
+    elif index == 2:
         g_top, g_rest = _descending(poly_antideriv(fc["c"]))
         f_top, f_rest = _descending(fc["a0"])
 
@@ -318,14 +321,17 @@ def quad_I(sys: LienardSystem, h: float, index: int) -> float:
         # int_AB dt and int_BA dt with dt = -d(theta)
         ab = _integrate(weight, -_HALF_PI, _HALF_PI)
         ba = _integrate(weight, -3 * _HALF_PI, -_HALF_PI)
-        return i2_sign * ab - i2_sign * ba
-    on_y = case is Case.SWITCH_Y
-    if on_y and index == 3:
+        value = i2_sign * ab - i2_sign * ba
+    elif on_y and index == 3:
         da, db = endpoint_derivatives(fc["c"], h)
         # L(x f0 + g0) - L(x f0 - g0) = 2*[g0(a)*da - g0(b)*db]; x = 0 at A, B
-        return 2.0 * (polyval(fc["b0"], r) * da - polyval(fc["b0"], -r) * db)
-    arc = line(fc["a0"], fc["b0"], -1.0, _HALF_PI, -_HALF_PI)
-    return i4_factor(fc["c"], h) * arc if on_y else arc
+        value = 2.0 * (polyval(fc["b0"], r) * da - polyval(fc["b0"], -r) * db)
+    else:
+        arc = line(fc["a0"], fc["b0"], -1.0, _HALF_PI, -_HALF_PI)
+        value = i4_factor(fc["c"], h) * arc if on_y else arc
+    if not math.isfinite(value):
+        raise QuadratureFailure(f"I{index} at h = {h} is {value}")
+    return value
 
 
 def oracle_m0(sys: LienardSystem, h: float) -> float:

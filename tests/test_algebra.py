@@ -177,7 +177,7 @@ class TestRingElem:
 
     def test_from_float_is_exact(self):
         # 0.1 has an exact binary expansion; no rounding may happen
-        assert RingElem.from_float(0.1).as_rational() == Fraction(0.1)
+        assert RingElem.rational(0.1).as_rational() == Fraction(0.1)
 
 
 class TestHalfPowerPoly:

@@ -1,20 +1,24 @@
-"""Closed-form expansion assembly: exact values, shape invariants, folding."""
+"""Closed-form expansion assembly: exact values, the table of arc
+integrals that M0 and M1 sum, shape invariants and a pinned hash of the
+assembled expansions."""
 
+import hashlib
+import json
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
-from pwlienard import (Case, HalfPowerPoly, LienardSystem, OddnessViolated,
-                       PI, RingElem, SQRT2, WrongCase, ZeroLambda, expand,
-                       fold_to_theorem_form, load_preset, theorem_form_system,
-                       zero_bound)
+from pwlienard import (PRESET_NAMES, Case, HalfPowerPoly, LienardSystem,
+                       OddnessViolated, PI, RingElem, SQRT2, WrongCase,
+                       expand, load_preset, zero_bound)
 from pwlienard.melnikov import (_a_hat_factor, _a_tilde_factor,
                                 _b_star_factor, _b_tilde_factor,
                                 _c_star_factor, _c_weight_factor,
                                 _time_weight_factor, _wallis, _x_odd_block,
                                 case_x_i2, case_x_i3, case_x_m0, case_y_m0,
-                                case_y_m1, closed_term, support)
+                                closed_forms, closed_term, support)
 
 from conftest import random_sweep_system
 
@@ -132,7 +136,7 @@ class TestVanishing:
     def test_even_f0_rejected_without_projection(self):
         sys_ = LienardSystem.build(Case.SWITCH_Y, 2, 1, a0=[1, 0, 1])
         with pytest.raises(OddnessViolated):
-            case_y_m1(sys_)
+            expand(sys_)
         exp = expand(sys_, project_odd=True)
         assert exp.m1.is_zero()
 
@@ -207,30 +211,50 @@ class TestShapeInvariants:
         assert below == 56
 
 
-class TestFolding:
-    def test_requires_positive_lambda(self):
-        with pytest.raises(ZeroLambda):
-            fold_to_theorem_form(load_preset("example1"))
+class TestClosedForms:
+    def test_table_is_what_the_expansion_sums(self, rng):
+        """One closed form per quadrature index: M0 is I_0, M1 sums the
+        rest, and the switch-on-y I2 and I4 are zero."""
+        for case, m, n in SHAPES:
+            sys_ = random_sweep_system(rng, case, m=m, n=n)
+            forms = closed_forms(sys_)
+            assert len(forms) == case.n_integrals
+            exp = expand(sys_)
+            assert exp.m0 == forms[0]
+            assert exp.m1 == sum(forms[1:], HalfPowerPoly())
+            if case is Case.SWITCH_Y:
+                assert forms[2].is_zero() and forms[4].is_zero()
 
-    def test_fold_values(self):
-        sys_ = load_preset("example1").with_params(0.02, 4e-4)
-        form = fold_to_theorem_form(sys_)
-        assert form.delta == pytest.approx(0.02)
-        fc = sys_.float_coeffs()
-        for j in range(sys_.m + 1):
-            assert form.fbar[j] == pytest.approx(
-                form.delta * (fc["a0"][j] + sys_.lam * fc["a1"][j]))
-        for j in range(sys_.n + 1):
-            assert form.gbar[j] == pytest.approx(
-                fc["c"][j] + form.delta * (fc["b0"][j] + sys_.lam * fc["b1"][j]))
 
-    def test_folded_system_realization(self):
-        sys_ = load_preset("example1").with_params(0.02, 4e-4)
-        form = fold_to_theorem_form(sys_)
-        folded = theorem_form_system(form)
-        assert folded.case is sys_.case
-        assert folded.lam == folded.eps == sys_.lam
-        fc = folded.float_coeffs()
-        assert fc["a0"] == pytest.approx(list(form.fbar))
-        assert fc["c"] == pytest.approx(list(form.gbar))
-        assert all(v == 0.0 for v in fc["a1"] + fc["b0"] + fc["b1"])
+# sha256 of expansion_digest(), recorded with the assembly that sums
+# I_1 + I_2 + ... from left to right
+PINNED_EXPANSION_SHA256 = \
+    "9eec14738a63645646eac0b754ebbd988eabead159d0608c8aecb829c889d393"
+
+
+def expansion_digest():
+    """sha256 of M0 and M1 of ``expand(..., project_odd=True)`` over the
+    presets and two seeded draws with even-index f0 and g0 terms on each of
+    the 128 shapes: ``to_json``, which sorts the monomials, and the
+    ``float.hex`` of both at five energies, whose bits follow the order in
+    which the monomials were assembled."""
+    rng = random.Random(1501)
+    systems = [load_preset(name) for name in PRESET_NAMES]
+    for case, m, n in SHAPES:
+        systems += [random_sweep_system(rng, case, enforce_odd=False,
+                                        m=m, n=n) for _ in range(2)]
+    digest = hashlib.sha256()
+    for sys_ in systems:
+        exp = expand(sys_, project_odd=True)
+        values = [float(poly.eval(h)).hex() for poly in (exp.m0, exp.m1)
+                  for h in (0.125, 0.5, 1.5, 2.0, 3.0)]
+        digest.update(json.dumps(
+            [exp.m0.to_json(), exp.m1.to_json(), values]).encode())
+    return digest.hexdigest()
+
+
+def test_expansion_pinned():
+    """The coefficients of M0 and M1 and the bits of their values, as
+    recorded: a change in the order of the sums shows here, as
+    test_quad_I_pinned_bit_for_bit shows one in the oracle."""
+    assert expansion_digest() == PINNED_EXPANSION_SHA256

@@ -73,6 +73,28 @@ def test_energy_must_be_finite(name, h):
 
 
 @pytest.mark.parametrize("name", ["example1", "example2"])
+def test_overflowing_integrand_raises(name):
+    """At h = 1e300 every integrand leaves the float range, and each index
+    raises: those whose error estimate is NaN, those whose value alone is
+    not finite, and the switch-on-y endpoint term I3, which needs no
+    quadrature."""
+    sys_ = load_preset(name)
+    for i in range(sys_.case.n_integrals):
+        with pytest.raises(QuadratureFailure):
+            quad_I(sys_, 1e300, i)
+    for fn in (oracle_m0, oracle_m1):
+        with pytest.raises(QuadratureFailure):
+            fn(sys_, 1e300)
+
+
+def test_nan_error_estimate_fails():
+    """An integrand that is NaN on the interval gives a NaN error estimate,
+    which no target meets."""
+    with pytest.raises(QuadratureFailure, match="error estimate nan"):
+        oracle._integrate(lambda nodes: [math.nan] * len(nodes), 0.0, 1.0)
+
+
+@pytest.mark.parametrize("name", ["example1", "example2"])
 def test_every_integral_through_quad_I(monkeypatch, name):
     """perfbench/tracing.py counts integrals by swapping the module
     attribute ``oracle.quad_I``: M0 is one integral, M1 the remaining

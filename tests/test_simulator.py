@@ -11,7 +11,6 @@ from pwlienard import (Case, EscapeAnnulus, LienardSystem, RingElem, SimConfig,
                        MaxStepsExceeded, NonTransversalCrossing, PwLienardError,
                        advance_to_section, displacement, expand, find_cycles,
                        load_preset)
-from pwlienard import fold_to_theorem_form, theorem_form_system
 from pwlienard.melnikov import case_x_i2, case_x_i3, case_x_i_poly
 from pwlienard import _kernel_py, simulator
 from pwlienard.algebra import poly_antideriv, polyval
@@ -533,6 +532,24 @@ def fold_field(sys_, state, side):
 
 
 class TestVectorField:
+    def test_fold_values(self):
+        """p = eps*(f0 + lam*f1) and q = lam*g + eps*(g0 + lam*g1), term by
+        term: with delta = eps/lam these are lam*fbar and lam*gbar of the
+        single-small-parameter form."""
+        sys_ = load_preset("example1").with_params(0.02, 4e-4)
+        fc = sys_.float_coeffs()
+        lam, eps = sys_.lam, sys_.eps
+        p, q = _kernel_py.fold(fc["a0"], fc["a1"], fc["b0"], fc["b1"],
+                               fc["c"], lam, eps)
+        assert len(p) == sys_.m + 1 and len(q) == sys_.n + 1
+        for j in range(sys_.m + 1):
+            assert p[j] == pytest.approx(
+                eps * (fc["a0"][j] + lam * fc["a1"][j]), rel=1e-15)
+        for j in range(sys_.n + 1):
+            assert q[j] == pytest.approx(
+                lam * fc["c"][j] + eps * (fc["b0"][j] + lam * fc["b1"][j]),
+                rel=1e-15)
+
     def test_swapped_coordinates_formula(self):
         """The switch-on-y system in Melnikov (swapped) coordinates,
         x' = y + x*p(y) + sgn(x)*q(y), y' = -x, is with (u, v) = (y, -x)
@@ -842,25 +859,6 @@ class TestGuards:
         assert (status, x, y) == (0, 1e-10, 0.0)
         assert t == pytest.approx(2.0 * math.pi, abs=1e-12)
         assert len(crossings) == 2
-
-
-def theorem_form_equivalent(sys_, folded, r_values, config, tol=1e-7):
-    """Check that the multi-parameter and folded systems return identically."""
-    worst = 0.0
-    for r in r_values:
-        c1, _t1, _x1 = advance_to_section(sys_, r, config)
-        c2, _t2, _x2 = advance_to_section(folded, r, config)
-        worst = max(worst, abs(c1 - c2))
-    return worst <= tol, worst
-
-
-class TestFoldedEquivalence:
-    def test_folded_system_returns_identically(self):
-        sys_ = load_preset("example1").with_params(0.02, 4e-4)
-        folded = theorem_form_system(fold_to_theorem_form(sys_))
-        ok, worst = theorem_form_equivalent(
-            sys_, folded, (1.5, 2.5), SimConfig(rk_tol=1e-11))
-        assert ok, worst
 
 
 class TestBifurcationFunction:
