@@ -1,6 +1,7 @@
 """The trajectory kernel: adaptive RK45 in the polar angle, pure Python.
 
-``simulator`` runs every return through ``integrate_return``.
+``simulator`` runs every return through ``integrate_return``, whose
+tangent mode also gives the derivative of the return by its start radius.
 
 Folded field
 ------------
@@ -53,6 +54,19 @@ the arc's side.  ``_field`` runs both Horner loops inline.  Horner from the
 top is ``algebra.polyval``, and a product with +-1 is exact, so this form
 changes no bit of a return: only the sign of an exactly zero value of q can
 differ, and a step adds that zero to nonzero sums only.
+
+Tangent mode
+------------
+With ``tangent=True`` a return also carries v = dr/dr0 through the
+variational equation dv/dphi = F_r v, F_r = d(dr/dphi)/dr (Hairer, Norsett
+& Wanner, Solving ODEs I, I.14).  The arcs end at fixed angles, which do
+not move with r0, so v needs no jump term at the switch.
+``_field_tangent`` computes F_r from the same cos, sin and x as the field,
+with Horner-with-derivative chains of p and q, and ``_rk_step_tangent``
+takes the Dormand-Prince step of (r, t, v).  The error estimate stays on r
+alone, so the step sequence, the status, the end point, the time and the
+crossings are the plain return's bit for bit, and v is the derivative of
+the discrete return map along that step sequence.
 
 Status codes: 0 ok, 1 escaped annulus, 2 max steps, 3 non-transversal,
 where phi stops being a valid independent variable: the angular speed
@@ -154,6 +168,32 @@ def _field(p, q, r, phi, cos=math.cos, sin=math.sin):
     return s * a * dt, dt
 
 
+def _field_tangent(p, q, r, phi, cos=math.cos, sin=math.sin):
+    """``_field`` with the same arithmetic, plus F_r = d(dr/dphi)/dr: returns
+    (dr/dphi, dt/dphi, F_r).  p' and q' come from Horner-with-derivative
+    chains beside p's and q's, and x = r cos(phi) moves with r by cos(phi)."""
+    c = cos(phi)
+    s = sin(phi)
+    x = r * c
+    pa = pd = 0.0
+    for k in p:
+        pd = pd * x + pa
+        pa = pa * x + k
+    qa = qd = 0.0
+    for k in q:
+        qd = qd * x + qa
+        qa = qa * x + k
+    a = -r * s * pa + qa
+    w = r + c * a
+    if not (r > 0.0 and w > _TRANSVERSAL_GUARD * r):
+        raise _NonTransversal
+    dt = r / w
+    # d(s a r / w)/dr with w = r + c a reduces to s (ar r^2 + c a^2) / w^2
+    ar = c * qd - s * (pa + x * pd)
+    g = a / w
+    return s * a * dt, dt, s * (ar * dt * dt + c * g * g)
+
+
 def _rk_step(p, q, r, t, phi, h, k1r, k1t):
     """One Dormand-Prince step of length h in phi from stage 1 (k1r, k1t);
     returns (r5, t5, err, k7r, k7t), stage 7 being the field at
@@ -201,6 +241,61 @@ def _rk_step(p, q, r, t, phi, h, k1r, k1t):
     return r5, t5, abs(er), k7r, k7t
 
 
+def _rk_step_tangent(p, q, r, t, v, phi, h, k1r, k1t, k1f):
+    """``_rk_step`` on (r, t), the same sums in the same order, and beside
+    it the tangent v = dr/dr0 through dv/dphi = F_r v, each stage's F_r
+    from ``_field_tangent`` at that stage's r; k1f is stage 1's F_r.
+    Returns (r5, t5, err, k7r, k7t, v5, k7f), the error on r alone."""
+    k1v = k1f * v
+    h1 = h * _A21
+    k2r, k2t, f = _field_tangent(p, q, r + h1 * k1r, phi + _C2 * h)
+    k2v = f * (v + h1 * k1v)
+    h1 = h * _A31
+    h2 = h * _A32
+    k3r, k3t, f = _field_tangent(p, q, r + h1 * k1r + h2 * k2r,
+                                 phi + _C3 * h)
+    k3v = f * (v + h1 * k1v + h2 * k2v)
+    h1 = h * _A41
+    h2 = h * _A42
+    h3 = h * _A43
+    k4r, k4t, f = _field_tangent(p, q, r + h1 * k1r + h2 * k2r + h3 * k3r,
+                                 phi + _C4 * h)
+    k4v = f * (v + h1 * k1v + h2 * k2v + h3 * k3v)
+    h1 = h * _A51
+    h2 = h * _A52
+    h3 = h * _A53
+    h4 = h * _A54
+    k5r, k5t, f = _field_tangent(
+        p, q, r + h1 * k1r + h2 * k2r + h3 * k3r + h4 * k4r, phi + _C5 * h)
+    k5v = f * (v + h1 * k1v + h2 * k2v + h3 * k3v + h4 * k4v)
+    h1 = h * _A61
+    h2 = h * _A62
+    h3 = h * _A63
+    h4 = h * _A64
+    h5 = h * _A65
+    k6r, k6t, f = _field_tangent(
+        p, q, r + h1 * k1r + h2 * k2r + h3 * k3r + h4 * k4r + h5 * k5r,
+        phi + _C6 * h)
+    k6v = f * (v + h1 * k1v + h2 * k2v + h3 * k3v + h4 * k4v + h5 * k5v)
+    h1 = h * _A71
+    h3 = h * _A73
+    h4 = h * _A74
+    h5 = h * _A75
+    h6 = h * _A76
+    r5 = r + h1 * k1r + h3 * k3r + h4 * k4r + h5 * k5r + h6 * k6r
+    t5 = t + h1 * k1t + h3 * k3t + h4 * k4t + h5 * k5t + h6 * k6t
+    v5 = v + h1 * k1v + h3 * k3v + h4 * k4v + h5 * k5v + h6 * k6v
+    k7r, k7t, k7f = _field_tangent(p, q, r5, phi + h)
+    h1 = h * _E1
+    h3 = h * _E3
+    h4 = h * _E4
+    h5 = h * _E5
+    h6 = h * _E6
+    h7 = h * _E7
+    er = h1 * k1r + h3 * k3r + h4 * k4r + h5 * k5r + h6 * k6r + h7 * k7r
+    return r5, t5, abs(er), k7r, k7t, v5, k7f
+
+
 def _point(r, phi):
     """(x, y) of the polar point (r, phi)."""
     return r * math.cos(phi), -r * math.sin(phi)
@@ -208,26 +303,38 @@ def _point(r, phi):
 
 def integrate_return(mode, fa0, fa1, fb0, fb1, fc, lam, eps,
                      x0, y0, rk_tol, event_tol, max_steps,
-                     r_min, r_max):
+                     r_min, r_max, tangent=False):
     """Integrate from the section point (x0, y0) to its first full return;
     its radius is x0 in mode 0 and y0 in mode 1.
 
     Returns (status, x, y, t, crossings) with crossings the two
     (t, x, y, side_after) switching-line hits, the terminal section hit
-    included, each exactly on its line.  ``event_tol`` is unused: the arcs
-    end on their lines without event location.  The slot stays because
-    perfbench's ``kernel_rows`` calls this entry with all 15 arguments by
-    position.
+    included, each exactly on its line.  With ``tangent`` it returns
+    (status, x, y, t, crossings, v) with v the derivative of the end
+    radius by the start radius (see the module docstring); everything
+    else is the plain return's, bit for bit.  ``event_tol`` is unused: the
+    arcs end on their lines without event location.  The slot stays
+    because perfbench's ``kernel_rows`` calls this entry with all 15
+    arguments by position.
     """
     if mode not in (0, 1):
         raise ValueError(f"unknown field mode {mode}")
     p, q = fold(fa0, fa1, fb0, fb1, fc, lam, eps)
-    p = _descending(p)
+    out = _arcs(mode, _descending(p), q, float(x0 if mode == 0 else y0),
+                rk_tol, max_steps, r_min, r_max, tangent)
+    return out if tangent else out[:5]
+
+
+def _arcs(mode, p, q, r, rk_tol, max_steps, r_min, r_max, tangent):
+    """The two arcs of a return from radius r, p in ``_field``'s form;
+    returns (status, x, y, t, crossings, v), v staying 1.0 unless
+    ``tangent``."""
     if mode == 0:
-        r, phi, side = float(x0), 0.0, -1.0
+        phi, side = 0.0, -1.0
     else:
-        r, phi, side = float(y0), -0.5 * math.pi, 1.0
+        phi, side = -0.5 * math.pi, 1.0
     t = 0.0
+    v = 1.0
     crossings = []
     h = _H_START
     steps = 0
@@ -238,10 +345,13 @@ def integrate_return(mode, fa0, fa1, fb0, fb1, fc, lam, eps,
             qs = _descending(q, side)
             # stage 1 is at an accepted point: below the guard there, the
             # return ends
-            k1r, k1t = _field(p, qs, r, phi)
+            if tangent:
+                k1r, k1t, k1f = _field_tangent(p, qs, r, phi)
+            else:
+                k1r, k1t = _field(p, qs, r, phi)
             while phi < end:
                 if steps >= max_steps:
-                    return (2, *_point(r, phi), t, crossings)
+                    return (2, *_point(r, phi), t, crossings, v)
                 steps += 1
                 last = phi + h >= end
                 if last:
@@ -252,13 +362,17 @@ def integrate_return(mode, fa0, fa1, fb0, fb1, fc, lam, eps,
                 else:
                     hs = h
                 try:
-                    r5, t5, err, k7r, k7t = _rk_step(p, qs, r, t, phi, hs,
-                                                     k1r, k1t)
+                    if tangent:
+                        r5, t5, err, k7r, k7t, v5, k7f = _rk_step_tangent(
+                            p, qs, r, t, v, phi, hs, k1r, k1t, k1f)
+                    else:
+                        r5, t5, err, k7r, k7t = _rk_step(p, qs, r, t, phi,
+                                                         hs, k1r, k1t)
                 except _NonTransversal:
                     # a trial stage below the guard rejects the step only
                     h = 0.2 * hs
                     if h < _H_FLOOR:
-                        return (3, *_point(r, phi), t, crossings)
+                        return (3, *_point(r, phi), t, crossings, v)
                     rejected = True
                     continue
                 tol = rk_tol * (1.0 + abs(r))
@@ -269,8 +383,10 @@ def integrate_return(mode, fa0, fa1, fb0, fb1, fc, lam, eps,
                 r, t = r5, t5
                 phi = end if last else phi + hs
                 k1r, k1t = k7r, k7t
+                if tangent:
+                    v, k1f = v5, k7f
                 if r < r_min or r > r_max:
-                    return (1, *_point(r, phi), t, crossings)
+                    return (1, *_point(r, phi), t, crossings, v)
                 # a clipped step keeps h: the arc's end, not the error,
                 # set its length; right after a rejection h may not grow
                 if not last:
@@ -283,5 +399,5 @@ def integrate_return(mode, fa0, fa1, fb0, fb1, fc, lam, eps,
             x, y = (sign * r, 0.0) if mode == 0 else (0.0, sign * r)
             crossings.append((t, x, y, side))
     except _NonTransversal:
-        return (3, *_point(r, phi), t, crossings)
-    return 0, x, y, t, crossings
+        return (3, *_point(r, phi), t, crossings, v)
+    return 0, x, y, t, crossings, v

@@ -284,7 +284,9 @@ class HalfPowerPoly:
                                  f"h = {h} is not a number")
         s = math.sqrt(h)
         try:
-            total = sum(c.to_float() * s ** k for k, c in self.coeffs.items())
+            # from 0.0, so that the zero polynomial evaluates to a float
+            total = sum((c.to_float() * s ** k
+                         for k, c in self.coeffs.items()), 0.0)
         except OverflowError:
             total = math.inf
         if math.isfinite(total):

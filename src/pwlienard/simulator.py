@@ -8,9 +8,12 @@ of the switching line, with no event location.
 Cycles are the roots of a Chebyshev proxy of the displacement d(r): d is
 a low-degree polynomial plus integration noise, so a few Chebyshev-Lobatto
 nodes capture it (Trefethen, Approximation Theory and Approximation
-Practice, 2013; Boyd, Solving Transcendental Equations, 2014).  The roots
-come from ``roots``' Descartes isolator with no further return, and each
-costs one polish return.
+Practice, 2013; Boyd, Solving Transcendental Equations, 2014).  Each node
+is a tangent return, which gives d' = dr/dr0 - 1 beside d (the variational
+equation; Hairer, Norsett & Wanner, Solving ODEs I, I.14), so n + 1 nodes
+fix a Hermite proxy of degree 2n + 1.  The roots come from ``roots``'
+Descartes isolator with no further return, and each costs one plain
+polish return.
 """
 
 from __future__ import annotations
@@ -68,19 +71,23 @@ class CycleScan:
 
 
 def _return(fc: dict, lam: float, eps: float, mode: int, start: float,
-            config: SimConfig):
+            config: SimConfig, tangent: bool = False):
     """One kernel return on the float vectors ``fc`` at parameters lam and
     eps from the section point at ``start`` on the x-axis (mode 0) or the
     y-axis (mode 1); returns (coord, time, crossings) with coord the end
-    point's x resp. y.  ``config`` supplies the tolerance."""
+    point's x resp. y, and with ``tangent`` also d coord / d start.
+    ``config`` supplies the tolerance."""
     if not R_MIN < start < R_MAX:
         raise EscapeAnnulus(f"start {start} outside the annulus")
     x0, y0 = (start, 0.0) if mode == 0 else (0.0, start)
     # the 0.0 fills the kernel's unused event_tol slot
-    status, x, y, t, crossings = _kernel.integrate_return(
-        mode, fc["a0"], fc["a1"], fc["b0"], fc["b1"], fc["c"],
-        lam, eps, x0, y0, config.rk_tol, 0.0, MAX_STEPS,
-        R_MIN, R_MAX)
+    args = (mode, fc["a0"], fc["a1"], fc["b0"], fc["b1"], fc["c"],
+            lam, eps, x0, y0, config.rk_tol, 0.0, MAX_STEPS, R_MIN, R_MAX)
+    if tangent:
+        status, x, y, t, crossings, v = _kernel.integrate_return(
+            *args, tangent=True)
+    else:
+        status, x, y, t, crossings = _kernel.integrate_return(*args)
     if status == 1:
         raise EscapeAnnulus(f"trajectory left [{R_MIN}, {R_MAX}] at t = {t:.4f}")
     if status == 2:
@@ -90,11 +97,14 @@ def _return(fc: dict, lam: float, eps: float, mode: int, start: float,
             f"angular speed below guard at t = {t:.4f}")
     if status != 0:
         raise PwLienardError(f"kernel returned unknown status {status}")
-    return (x if mode == 0 else y), t, crossings
+    coord = x if mode == 0 else y
+    return (coord, t, crossings, v) if tangent else (coord, t, crossings)
 
 
-def advance_to_section(sys: LienardSystem, start: float, config: SimConfig):
-    """One full return from the section; returns (coord, time, crossings).
+def advance_to_section(sys: LienardSystem, start: float, config: SimConfig,
+                       tangent: bool = False):
+    """One full return from the section; returns (coord, time, crossings),
+    and with ``tangent`` (coord, time, crossings, d coord / d start).
 
     The section is {y = 0, x > 0} for switch-on-y systems and
     {x = 0, y > 0} for switch-on-x systems; ``start`` is the positive
@@ -105,7 +115,8 @@ def advance_to_section(sys: LienardSystem, start: float, config: SimConfig):
     mode = 0 if sys.case is Case.SWITCH_Y else 1
     lam, eps = ((config.lam, config.eps) if config.lam or config.eps
                 else (sys.lam, sys.eps))
-    return _return(sys.float_coeffs(), lam, eps, mode, start, config)
+    return _return(sys.float_coeffs(), lam, eps, mode, start, config,
+                   tangent)
 
 
 def displacement(sys: LienardSystem, r: float, config: SimConfig) -> float:
@@ -117,15 +128,17 @@ def find_cycles(sys: LienardSystem, r_range, grid_n: int,
                 config: SimConfig) -> CycleScan:
     """Cycles on ``r_range`` from a Chebyshev proxy of the displacement.
 
-    d is sampled at Chebyshev-Lobatto radii, 9 first; the node count
-    doubles, reusing every node, while one of the last three coefficients
-    lies above the noise floor ``10 * rk_tol * (1 + hi)`` and the new nodes
-    fit in ``grid_n``, the scan's return budget.  The roots of the proxy,
-    chopped at the floor, are its cycles; each costs one more return at the
-    root, the residual, and one Newton step with the proxy's slope.  A
-    failed return keeps NaN at its node, and the proxy is fitted again on
-    each run of finite nodes on either side of it, within what is left of
-    the budget.  A proxy with every coefficient at the floor is
+    d and d' are sampled at Chebyshev-Lobatto radii, one tangent return
+    each, 5 first, and n + 1 nodes fix the Hermite proxy of degree 2n + 1
+    through both (``_hermite_coeffs``).  The node count doubles, reusing
+    every node, while one of the proxy's last three coefficients lies
+    above the noise floor ``10 * rk_tol * (1 + hi)`` and the new nodes fit
+    in ``grid_n``, the scan's return budget.  The roots of the proxy,
+    chopped at the floor, are its cycles; each costs one more, plain,
+    return at the root, the residual, and one Newton step with the proxy's
+    slope.  A failed return keeps NaN at its node, and the proxy is fitted
+    again on each run of finite nodes on either side of it, within what is
+    left of the budget.  A proxy with every coefficient at the floor is
     non-isolated: a period annulus.
     """
     if grid_n < 2:
@@ -136,7 +149,7 @@ def find_cycles(sys: LienardSystem, r_range, grid_n: int,
     # the coefficient plateau of integration noise in d, about 1e-10 to
     # 6e-10 at rk_tol 1e-10 on r <= 3.4, lies below this floor
     floor = 10.0 * config.rk_tol * (1.0 + hi)
-    values = {}  # node radius -> displacement, NaN where the return failed
+    values = {}  # node radius -> (d, d'), NaN where the return failed
 
     def fits(a, b, n):  # the new nodes of level n within the budget
         new = sum(r not in values for r in _nodes(a, b, n))
@@ -145,7 +158,7 @@ def find_cycles(sys: LienardSystem, r_range, grid_n: int,
     pieces, proxies = [(lo, hi)], []
     while pieces:
         a, b = pieces.pop()
-        n = 8
+        n = 4
         while n > 1 and not fits(a, b, n):
             n //= 2
         while True:
@@ -153,10 +166,12 @@ def find_cycles(sys: LienardSystem, r_range, grid_n: int,
             for r in rs:
                 if r not in values:
                     try:
-                        values[r] = displacement(sys, r, config)
+                        coord, _t, _c, v = advance_to_section(
+                            sys, r, config, tangent=True)
+                        values[r] = coord - r, v - 1.0
                     except PwLienardError:
-                        values[r] = math.nan
-            ds = [values[r] for r in rs]
+                        values[r] = math.nan, math.nan
+            ds = [values[r][0] for r in rs]
             if any(math.isnan(d) for d in ds):
                 # each run of two or more finite nodes becomes a piece
                 runs = [[r for r, _d in run] for failed, run in
@@ -164,7 +179,9 @@ def find_cycles(sys: LienardSystem, r_range, grid_n: int,
                         if not failed]
                 pieces += [(run[-1], run[0]) for run in runs if len(run) > 1]
                 break
-            coeffs = _chebyshev_coeffs(ds)
+            # d' in x = (2r - a - b)/(b - a) on [-1, 1]
+            slopes = [0.5 * (b - a) * values[r][1] for r in rs]
+            coeffs = _hermite_coeffs(ds, slopes)
             if (max(abs(c) for c in coeffs[-3:]) <= floor
                     or not fits(a, b, 2 * n)):
                 proxies.append((a, b, _chop(coeffs, floor)))
@@ -172,7 +189,7 @@ def find_cycles(sys: LienardSystem, r_range, grid_n: int,
             n *= 2
     scan = CycleScan()
     scan.grid = sorted(values)
-    scan.displacements = [values[r] for r in scan.grid]
+    scan.displacements = [values[r][0] for r in scan.grid]
     scan.non_isolated = bool(proxies) and not any(c for _a, _b, c in proxies)
     for a, b, coeffs in proxies:
         for r_star, slope in _proxy_roots(coeffs, a, b, floor):
@@ -201,6 +218,36 @@ def _chebyshev_coeffs(ds):
     coeffs[0] *= 0.5
     coeffs[-1] *= 0.5
     return coeffs
+
+
+def _hermite_coeffs(ds, slopes):
+    """Coefficients of the degree-(2n+1) sum c_j T_j(x) with values ds and
+    slopes at the Lobatto points x_k = cos(pi k / n): p = L + omega M, with
+    L through the values and omega = (T_{n+1} - T_{n-1})/2, which vanishes
+    at every node.  So p' = L' + omega' M there, and M goes through
+    (slope_k - L'(x_k)) / omega'(x_k), where omega'(x_k) = (-1)^k n,
+    doubled at both ends.  By T_m T_j = (T_{m+j} + T_{|m-j|})/2, omega M is
+    M's coefficients shifted by n + 1 and by n - 1, each with its
+    reflection at 0."""
+    n = len(ds) - 1
+    low = _chebyshev_coeffs(ds)
+    # L' by the recurrence c'_{j-1} = c'_{j+1} + 2 j c_j
+    dlow = [0.0] * (n + 2)
+    for j in range(n, 0, -1):
+        dlow[j - 1] = dlow[j + 1] + 2.0 * j * low[j]
+    dlow = dlow[:n]
+    dlow[0] *= 0.5
+    ms = []
+    for k, slope in enumerate(slopes):
+        x = math.cos(math.pi * k / n)
+        w = (-1.0) ** k * n * (2.0 if k in (0, n) else 1.0)
+        ms.append((slope - _clenshaw(dlow, x)) / w)
+    out = low + [0.0] * (n + 1)
+    for j, m in enumerate(_chebyshev_coeffs(ms)):
+        for shift, sign in ((n + 1, 0.25), (n - 1, -0.25)):
+            out[shift + j] += sign * m
+            out[abs(shift - j)] += sign * m
+    return out
 
 
 def _chop(coeffs, floor):

@@ -252,6 +252,13 @@ class TestHalfPowerPoly:
         poly = HalfPowerPoly({0: PI, 3: SQRT2 * RingElem.rational(Fraction(-7, 3))})
         assert HalfPowerPoly.from_json(poly.to_json()) == poly
 
+    def test_zero_polynomial_evaluates_to_a_float(self):
+        """The sum starts at 0.0, so the zero polynomial is the float 0.0,
+        not the int 0 that an empty ``sum`` gives."""
+        value = HalfPowerPoly().eval(1.0)
+        assert type(value) is float and value == 0.0
+        assert math.copysign(1.0, value) == 1.0
+
     def test_degree_key(self):
         assert HalfPowerPoly().degree_key() is None
         assert HalfPowerPoly({1: RingElem.one(), 4: PI}).degree_key() == 4

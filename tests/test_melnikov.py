@@ -224,6 +224,9 @@ class TestClosedForms:
             assert exp.m1 == sum(forms[1:], HalfPowerPoly())
             if case is Case.SWITCH_Y:
                 assert forms[2].is_zero() and forms[4].is_zero()
+                for i in (2, 4):
+                    value = closed_term(sys_, i, 1.5)
+                    assert type(value) is float and value == 0.0
 
 
 # sha256 of expansion_digest(), recorded with the assembly that sums

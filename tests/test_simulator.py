@@ -136,22 +136,35 @@ def trial_stage_args(rk_tol):
 
 def counting_kernel(monkeypatch):
     """Swap ``simulator._kernel`` for a namespace that counts its returns,
-    as perfbench/tracing.py does, and make the kernel module's own entry
-    fail, so that a return that does not go through the attribute fails."""
-    calls = [0]
+    as perfbench/tracing.py does: it holds only BACKEND_NAME and a wrapper
+    that forwards every argument, keywords included.  The kernel module's
+    own entry fails, so that a return that does not go through the
+    attribute fails.  ``calls.tangent`` counts the tangent returns and
+    ``calls.crossings`` the crossings at ``result[4]``, where the tracer
+    reads them."""
+    calls = CallCount([0])
     integrate = _kernel_py.integrate_return
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls[0] += 1
-        return integrate(*args)
+        calls.tangent += kwargs.get("tangent", False)
+        result = integrate(*args, **kwargs)
+        calls.crossings += len(result[4])
+        return result
 
-    def bypassed(*args):
+    def bypassed(*args, **kwargs):
         raise AssertionError("a return bypassed simulator._kernel")
 
     monkeypatch.setattr(simulator, "_kernel", SimpleNamespace(
         BACKEND_NAME=_kernel_py.BACKEND_NAME, integrate_return=counted))
     monkeypatch.setattr(_kernel_py, "integrate_return", bypassed)
     return calls
+
+
+class CallCount(list):
+    """A one-element call count with two more counts."""
+    tangent = 0
+    crossings = 0
 
 
 def assert_status(args, status):
@@ -219,28 +232,32 @@ class TestKernelEntry:
     def test_every_return_through_the_module_attribute(self, monkeypatch,
                                                        case):
         """perfbench/tracing.py counts returns by swapping the module
-        attributes ``simulator._kernel`` and ``simulator.advance_to_section``:
-        a scan with its nodes and polish returns, and a displacement, make
+        attributes ``simulator._kernel`` and ``simulator.advance_to_section``
+        for wrappers that take ``*args, **kwargs``: a scan with its tangent
+        node returns and plain polish returns, and a displacement, make
         every return through both, and an increment makes exactly one
-        kernel call."""
+        plain kernel call."""
         sys_ = two_cycle_system(case=case)
         config = SimConfig(lam=0.02, eps=4e-4)
         calls = counting_kernel(monkeypatch)
         advances = [0]
         advance = simulator.advance_to_section
 
-        def counted_advance(*args):
+        def counted_advance(*args, **kwargs):
             advances[0] += 1
-            return advance(*args)
+            return advance(*args, **kwargs)
 
         monkeypatch.setattr(simulator, "advance_to_section", counted_advance)
         scan = find_cycles(sys_, (1.0, 3.4), 60, config)
         assert len(scan.cycles) == 2
         assert calls[0] == advances[0] == len(scan.grid) + 2
+        assert calls.tangent == len(scan.grid)
         displacement(sys_, 2.0, config)
         assert calls == advances
         bifurcation_increment(sys_, 2.5, 0.02, 4e-4)
         assert calls[0] == advances[0] + 1
+        assert calls.tangent == len(scan.grid)
+        assert calls.crossings == 2 * calls[0]
 
 
 CENTRE_DAMPING = 0.05
@@ -366,6 +383,154 @@ class TestWrittenOutStep:
             got = _kernel_py._rk_step(p, qs, r, t, phi, h, k1r, k1t)
             want = tableau_step(p, qs, r, t, phi, h, k1r, k1t)
             assert [v.hex() for v in got] == [v.hex() for v in want]
+
+
+def tableau_step_tangent(p, q, r, t, v, phi, h, k1r, k1t, k1f):
+    """The tangent step as loops over _A, the nodes and _E: each stage's v
+    summed in the tableau's order, the zero weights included, and its
+    derivative F_r v with F_r from the field at that stage's r."""
+    kr, kt, kv, fs = [k1r], [k1t], [k1f * v], [k1f]
+    for row, c in zip(_kernel_py._A[1:], _kernel_py._C + (1.0,)):
+        rs, ts, vs = r, t, v
+        for a, krj, ktj, kvj in zip(row, kr, kt, kv):
+            rs += (h * a) * krj
+            ts += (h * a) * ktj
+            vs += (h * a) * kvj
+        dr, dt, f = _kernel_py._field_tangent(p, q, rs, phi + c * h)
+        kr.append(dr)
+        kt.append(dt)
+        kv.append(f * vs)
+        fs.append(f)
+    er = 0.0
+    for e, krj in zip(_kernel_py._E, kr):
+        er += (h * e) * krj
+    return rs, ts, abs(er), kr[6], kt[6], vs, fs[6]
+
+
+def random_step_inputs(rng, args):
+    """The folded p of ``args`` in the kernel's form, and a random side's
+    q, point, angle in the return's range and step length."""
+    p, q = _kernel_py.fold(*args[1:8])
+    phi0 = -0.5 * math.pi if args[0] == 1 else 0.0
+    r, t = rng.uniform(0.5, 6.0), rng.uniform(0.0, 7.0)
+    phi = phi0 + rng.uniform(0.0, 2.0 * math.pi)
+    qs = _kernel_py._descending(q, rng.choice((-1.0, 1.0)))
+    return (_kernel_py._descending(p), qs, r, t, phi,
+            10.0 ** rng.uniform(-8.0, 0.0))
+
+
+class TestWrittenOutTangentStep:
+    @pytest.mark.parametrize("mode", [0, 1, 2])
+    def test_step_matches_tableau_loops_bitwise(self, rng, mode):
+        """_rk_step_tangent is written out like _rk_step; it ends at the
+        tableau loops' bits, v and stage 7's F_r included."""
+        args = five_vector_args(mode)
+        for _ in range(300):
+            p, qs, r, t, phi, h = random_step_inputs(rng, args)
+            v = rng.uniform(-2.0, 2.0)
+            k1r, k1t, k1f = _kernel_py._field_tangent(p, qs, r, phi)
+            got = _kernel_py._rk_step_tangent(p, qs, r, t, v, phi, h,
+                                              k1r, k1t, k1f)
+            want = tableau_step_tangent(p, qs, r, t, v, phi, h,
+                                        k1r, k1t, k1f)
+            assert [x.hex() for x in got] == [x.hex() for x in want]
+            plain = _kernel_py._rk_step(p, qs, r, t, phi, h, k1r, k1t)
+            assert [x.hex() for x in got[:5]] == [x.hex() for x in plain]
+
+    @pytest.mark.parametrize("mode", [0, 1, 2])
+    def test_field_tangent(self, rng, mode):
+        """The tangent field's (dr/dphi, dt/dphi) are _field's bits, and its
+        F_r matches a central difference of dr/dphi in r."""
+        args = five_vector_args(mode)
+        for _ in range(300):
+            p, qs, r, _t, phi, _h = random_step_inputs(rng, args)
+            dr, dt, fr = _kernel_py._field_tangent(p, qs, r, phi)
+            assert (dr.hex(), dt.hex()) == tuple(
+                x.hex() for x in _kernel_py._field(p, qs, r, phi))
+            delta = 1e-6 * r
+            diff = (_kernel_py._field(p, qs, r + delta, phi)[0]
+                    - _kernel_py._field(p, qs, r - delta, phi)[0])
+            assert fr == pytest.approx(diff / (2.0 * delta), abs=1e-7)
+
+
+def result_bits(result):
+    """A kernel result with every float as its hex string."""
+    if isinstance(result, float):
+        return result.hex()
+    if isinstance(result, (tuple, list)):
+        return [result_bits(x) for x in result]
+    return result
+
+
+def random_return_args(rng):
+    """A return on five nonzero random vectors in a random mode (2 is the
+    swapped coordinates), parameters and tolerance."""
+    vectors = [[rng.uniform(-1.5, 1.5) for _ in range(rng.randint(1, 4))]
+               for _ in range(5)]
+    mode = rng.choice((0, 1, 2))
+    r = rng.uniform(0.5, 3.0)
+    x0, y0 = (r, 0.0) if mode == 0 else (0.0, r)
+    return route_args(mode, vectors, rng.uniform(0.005, 0.1),
+                      rng.uniform(0.0, 0.01), x0, y0,
+                      10.0 ** rng.uniform(-12.0, -8.0), 2_000_000, 1e-3)
+
+
+def end_radius(args, r):
+    """The section coordinate of the plain return of ``args`` from r."""
+    mode = args[0]
+    args = list(args)
+    args[8 + mode] = r
+    status, x, y, _t, _c = _kernel_py.integrate_return(*args)
+    assert status == 0
+    return y if mode else x
+
+
+class TestTangentReturn:
+    """integrate_return(..., tangent=True) carries v = dr/dr0 beside the
+    plain return, whose results it keeps bit for bit."""
+
+    @pytest.mark.parametrize("mode,x0,y0,max_steps,r_min,status",
+                             STATUS_INPUTS)
+    def test_plain_results_on_status_inputs(self, mode, x0, y0, max_steps,
+                                            r_min, status):
+        args = example1_args(mode, x0, y0, max_steps, r_min)
+        plain = _kernel_py.integrate_return(*args)
+        tangent = _kernel_py.integrate_return(*args, tangent=True)
+        assert len(tangent) == 6 and tangent[0] == status
+        assert result_bits(tangent[:5]) == result_bits(plain)
+
+    def test_plain_results_on_random_returns(self, rng):
+        """50 returns on five nonzero vectors in all modes: status, end
+        point, time and crossings are the plain return's bits."""
+        finished = 0
+        for _ in range(50):
+            args = random_return_args(rng)
+            plain = _kernel_py.integrate_return(*args)
+            tangent = _kernel_py.integrate_return(*args, tangent=True)
+            assert result_bits(tangent[:5]) == result_bits(plain)
+            if plain[0] == 0:
+                finished += 1
+                assert math.isfinite(tangent[5])
+        assert finished >= 40
+
+    @pytest.mark.parametrize("args", [
+        example1_args(0, 2.0, 0.0, 2_000_000, 1e-3),
+        example1_args(1, 0.0, 1.5, 2_000_000, 1e-3),
+        example1_args(2, 0.0, 2.0, 2_000_000, 1e-3),
+        five_vector_args(0), five_vector_args(1), five_vector_args(2),
+        first_step_rejected_args()],
+        ids=["example1-0", "example1-1", "example1-2", "five-0", "five-1",
+             "five-2", "strong"])
+    def test_tangent_matches_central_difference(self, args):
+        """v agrees with (r(r0 + delta) - r(r0 - delta)) / (2 delta) of two
+        plain returns within rk_tol / delta, the noise of the difference.
+        The strong case (lam 0.3, eps 0.09) contracts to v = 0.26."""
+        mode, delta = args[0], 1e-4
+        r0 = args[8 + mode]
+        v = _kernel_py.integrate_return(*args, tangent=True)[5]
+        diff = (end_radius(args, r0 + delta)
+                - end_radius(args, r0 - delta)) / (2.0 * delta)
+        assert abs(v - diff) <= args[10] / delta
 
 
 def polyval_field(p, q, r, phi, side):
@@ -663,31 +828,34 @@ class TestCycleDetection:
             [float(t) for t in targets], abs=1e-3)
 
     def test_refinement_work(self, monkeypatch):
-        """9 proxy nodes meet the noise floor, well inside the budget of 60,
-        then one polish return per cycle: 11 returns."""
+        """5 tangent returns fix a degree-11 proxy that meets the noise
+        floor, well inside the budget of 60, then one plain polish return
+        per cycle: 7 returns."""
         calls = [0]
         integrate = simulator._kernel.integrate_return
 
-        def counted(*args):
+        def counted(*args, **kwargs):
             calls[0] += 1
-            return integrate(*args)
+            return integrate(*args, **kwargs)
 
         monkeypatch.setattr(simulator._kernel, "integrate_return", counted)
         scan = find_cycles(two_cycle_system(), (1.0, 3.4), 60,
                            SimConfig(lam=0.02, eps=4e-4))
         assert len(scan.cycles) == 2
-        assert len(scan.grid) == 9
-        assert calls[0] == 9 + 2
+        assert len(scan.grid) == 5
+        assert calls[0] == 5 + 2
 
 
-def synthetic_map(monkeypatch, d):
-    """Replace the return map by r -> r + d(r), one crossing per return;
-    returns the list of the start points it is asked for."""
+def synthetic_map(monkeypatch, d, slope):
+    """Replace the return map by r -> r + d(r), one crossing per return,
+    whose tangent return adds 1 + slope(r); returns the list of the start
+    points it is asked for."""
     asked = []
 
-    def advance(sys_, start, config):
+    def advance(sys_, start, config, tangent=False):
         asked.append(start)
-        return start + d(start), 2 * math.pi, [(math.pi, -start, 0.0, -1.0)]
+        out = start + d(start), 2 * math.pi, [(math.pi, -start, 0.0, -1.0)]
+        return (*out, 1.0 + slope(start)) if tangent else out
 
     monkeypatch.setattr(simulator, "advance_to_section", advance)
     return asked
@@ -698,7 +866,8 @@ class TestSyntheticReturnMap:
         """d(1.5) is exactly 0 on the nodes 2.0, 1.5, 1.0 of a budget of 3:
         the quadratic proxy through them has that node as its one root in
         range, reported once, after one polish return."""
-        asked = synthetic_map(monkeypatch, lambda r: (r - 1.5) * (1.0 + r))
+        asked = synthetic_map(monkeypatch, lambda r: (r - 1.5) * (1.0 + r),
+                              lambda r: 2.0 * r - 0.5)
         scan = find_cycles(two_cycle_system(), (1.0, 2.0), 3, SimConfig())
         assert scan.grid == [1.0, 1.5, 2.0]
         assert scan.displacements[1] == 0.0
@@ -712,30 +881,35 @@ class TestSyntheticReturnMap:
 
     def test_budget_caps_the_nodes(self, monkeypatch):
         """d(r) = r^8 - 1 on [0.5, 3]: the node set is the largest 2^j + 1
-        within the budget, and 17 nodes put the tail at the noise floor.
-        From 9 nodes on, the proxy is d itself, so its root is r = 1; then
-        one polish return."""
-        asked = synthetic_map(monkeypatch, lambda r: r ** 8 - 1.0)
-        for budget, nodes in [(2, 2), (8, 5), (16, 9), (17, 17), (400, 17)]:
+        within the budget, and 9 nodes, a degree-17 proxy, put the last
+        three coefficients at the noise floor.  From 5 nodes on, a degree-9
+        proxy, the proxy is d itself, so its root is r = 1; then one
+        polish return."""
+        asked = synthetic_map(monkeypatch, lambda r: r ** 8 - 1.0,
+                              lambda r: 8.0 * r ** 7)
+        for budget, nodes in [(2, 2), (4, 3), (8, 5), (16, 9), (17, 9),
+                              (400, 9)]:
             asked.clear()
             scan = find_cycles(two_cycle_system(), (0.5, 3.0), budget,
                                SimConfig())
             assert len(scan.grid) == nodes
             assert len(scan.cycles) == 1
             assert len(asked) == nodes + 1
-            if nodes >= 9:
+            if nodes >= 5:
                 cycle = scan.cycles[0]
                 assert cycle.radius == pytest.approx(1.0, abs=1e-12)
                 assert cycle.stability_slope == pytest.approx(8.0, rel=1e-9)
 
     def test_high_degree_proxy(self, monkeypatch):
-        """d(r) = sin(16 r) on [1, 3.4] needs 65 nodes.  Its proxy's
+        """d(r) = sin(16 r) on [1, 3.4] needs 33 nodes, a proxy of degree
+        65, where values alone needed 65 nodes.  Its proxy's
         monomials would lose up to T_j(3) ~ 5.8^j to rounding, which
         missed 2 of the 12 zeros k pi / 16, so the proxy is re-expanded on
         halves until the conversion error is below the noise floor."""
-        synthetic_map(monkeypatch, lambda r: math.sin(16.0 * r))
+        synthetic_map(monkeypatch, lambda r: math.sin(16.0 * r),
+                      lambda r: 16.0 * math.cos(16.0 * r))
         scan = find_cycles(two_cycle_system(), (1.0, 3.4), 400, SimConfig())
-        assert len(scan.grid) == 65
+        assert len(scan.grid) == 33
         zeros = [k * math.pi / 16 for k in range(6, 18)]
         assert [c.radius for c in scan.cycles] == pytest.approx(zeros,
                                                                 abs=1e-12)
@@ -743,26 +917,80 @@ class TestSyntheticReturnMap:
             [16.0 * math.cos(16.0 * r) for r in zeros], rel=1e-6)
 
     def test_failed_return_splits_the_range(self, monkeypatch):
-        """Above r = 2.5 every return fails.  The three nodes there keep NaN,
-        and the proxy is fitted again on [1, 2.383], the run of finite nodes
-        below them, from 7 new nodes.  d's zero at 2.6 lies across the
-        failure and is not reported; the one at 1.5 is."""
+        """Above r = 2.5 every return fails.  Of the 5 first nodes, the two
+        there keep NaN, and the proxy is fitted again on [1, 2], the run of
+        finite nodes below them, from 3 new nodes.  d's zero at 2.6 lies
+        across the failure and is not reported; the one at 1.5 is."""
         def d(r):
             if r > 2.5:
                 raise EscapeAnnulus("synthetic failure")
             return (r - 1.5) * (r - 2.6)
 
-        asked = synthetic_map(monkeypatch, d)
+        asked = synthetic_map(monkeypatch, d, lambda r: 2.0 * r - 4.1)
         scan = find_cycles(two_cycle_system(), (1.0, 3.0), 25, SimConfig())
         assert scan.grid == sorted(scan.grid)
         failed = [r for r, dr in zip(scan.grid, scan.displacements)
                   if math.isnan(dr)]
-        assert len(failed) == 3 and min(failed) > 2.5
-        assert len(scan.grid) == 9 + 7
+        assert len(failed) == 2 and min(failed) > 2.5
+        assert len(scan.grid) == 5 + 3
         assert [c.radius for c in scan.cycles] == pytest.approx([1.5],
                                                                 abs=1e-12)
         assert len(asked) == len(scan.grid) + 1
         assert not scan.non_isolated
+
+
+def chebyshev_values_and_slopes(coeffs, n):
+    """sum c_j T_j and its x-derivative at x_k = cos(theta_k),
+    theta_k = pi k / n, from T_j(x_k) = cos(j theta_k) and
+    T_j'(x_k) = j sin(j theta_k) / sin(theta_k), which is j^2 at x = 1 and
+    (-1)^(j+1) j^2 at x = -1."""
+    values, slopes = [], []
+    for k in range(n + 1):
+        theta = math.pi * k / n
+        values.append(sum(c * math.cos(j * theta)
+                          for j, c in enumerate(coeffs)))
+        if k in (0, n):
+            sign = 1.0 if k == 0 else -1.0
+            slopes.append(sum(c * sign ** (j + 1) * j * j
+                              for j, c in enumerate(coeffs)))
+        else:
+            slopes.append(sum(c * j * math.sin(j * theta)
+                              for j, c in enumerate(coeffs))
+                          / math.sin(theta))
+    return values, slopes
+
+
+class TestHermiteProxy:
+    @pytest.mark.parametrize("n", [1, 2, 4, 8])
+    def test_degree_2n_plus_1_from_n_plus_1_nodes(self, rng, n):
+        """Values and slopes at the n + 1 Lobatto points fix a polynomial
+        of degree 2n + 1: its Chebyshev coefficients come back to
+        rounding."""
+        for _ in range(20):
+            coeffs = [rng.uniform(-1.0, 1.0) for _ in range(2 * n + 2)]
+            got = simulator._hermite_coeffs(
+                *chebyshev_values_and_slopes(coeffs, n))
+            assert len(got) == 2 * n + 2
+            assert max(abs(g - c) for g, c in zip(got, coeffs)) <= 2e-14
+
+    def test_degree_nine_from_five_nodes(self, monkeypatch):
+        """d(r) = (r - 1.5)(r - 2.5) r^7 on [1, 3] within a budget of 8:
+        5 tangent returns, a degree-9 proxy that is d itself, so both
+        zeros and their slopes come out to rounding."""
+        def d(r):
+            return (r - 1.5) * (r - 2.5) * r ** 7
+
+        def slope(r):
+            return (2.0 * r - 4.0) * r ** 7 + 7.0 * d(r) / r
+
+        asked = synthetic_map(monkeypatch, d, slope)
+        scan = find_cycles(two_cycle_system(), (1.0, 3.0), 8, SimConfig())
+        assert len(scan.grid) == 5
+        assert [c.radius for c in scan.cycles] == pytest.approx(
+            [1.5, 2.5], abs=1e-12)
+        assert [c.stability_slope for c in scan.cycles] == pytest.approx(
+            [slope(1.5), slope(2.5)], rel=1e-9)
+        assert len(asked) == 5 + 2
 
 
 class TestGuards:
