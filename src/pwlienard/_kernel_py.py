@@ -46,7 +46,8 @@ h = pi/16 (``_H_START``).  The step that follows a rejection may not grow h
 (Hairer, Norsett & Wanner, Solving ODEs I, II.4).  Where the rest of an
 arc lies between h and 2h, the kernel steps half of it, so that an arc does
 not end on a sliver.  The step size carries across the switch, where only
-stage 1 is recomputed, since the side changes.
+stage 1 is recomputed, since the side changes.  Stage 1 is ``_field``'s;
+each step is the one ``_step`` generates (see Generated step).
 
 The field takes p and q in the form ``_descending`` makes once per return
 (p) and once per arc (q): tuples from the top degree down, q multiplied by
@@ -62,11 +63,11 @@ variational equation dv/dphi = F_r v, F_r = d(dr/dphi)/dr (Hairer, Norsett
 & Wanner, Solving ODEs I, I.14).  The arcs end at fixed angles, which do
 not move with r0, so v needs no jump term at the switch.
 ``_field_tangent`` computes F_r from the same cos, sin and x as the field,
-with Horner-with-derivative chains of p and q, and ``_rk_step_tangent``
-takes the Dormand-Prince step of (r, t, v).  The error estimate stays on r
-alone, so the step sequence, the status, the end point, the time and the
-crossings are the plain return's bit for bit, and v is the derivative of
-the discrete return map along that step sequence.
+with Horner-with-derivative chains of p and q, and the tangent step of
+``_step`` takes the Dormand-Prince step of (r, t, v).  The error estimate
+stays on r alone, so the step sequence, the status, the end point, the
+time and the crossings are the plain return's bit for bit, and v is the
+derivative of the discrete return map along that step sequence.
 
 Status codes: 0 ok, 1 escaped annulus, 2 max steps, 3 non-transversal,
 where phi stops being a valid independent variable: the angular speed
@@ -75,17 +76,30 @@ where phi stops being a valid independent variable: the angular speed
 below ``_H_FLOOR``.  A trial stage below the guard rejects only its step,
 which is retried at a fifth of its length.
 
-``_rk_step`` is written out stage by stage: the interpreter spends half a
-return walking tableau loops otherwise.  It sums each stage and the error
-estimate in the tableau's left-to-right order and skips the zero weights
-(a7,2 and e2), which changes no bit: a product with a zero weight is a
-signed zero, which can change only the sign of a sum that is exactly zero,
-and r5 and t5 are positive while the error estimate is taken in absolute
-value.
+Generated step
+--------------
+``_step(len(p), len(q), tangent)`` writes the step out from _A, _C and _E
+and compiles it once per shape; ``_arcs`` fetches it once per arc, and
+importing the module compiles none.  Each stage is ``_field``'s or
+``_field_tangent``'s arithmetic inline, with Horner unrolled over locals
+unpacked from p and q: a called field with Horner loops spends about half
+its time in interpreter dispatch.  The step keeps the bits of the tableau
+loops over ``_field``, which tests/test_simulator.py checks on every shape
+up to 8 x 8 and on whole returns (TestWrittenOutStep,
+TestWrittenOutTangentStep).  It sums each stage and the error estimate in
+the tableau's left-to-right order, with two departures that change at most
+the sign of an exactly zero term.  It skips the zero weights (a7,2 and
+e2), whose products are signed zeros.  And Horner starts from the top
+coefficient, where the loops compute 0.0*x + top, equal to it unless the
+top is a zero (the derivative's chain likewise); the values then differ
+only where every coefficient is a zero.  A zero term can change only the sign of a sum that is exactly
+zero, and r5 and t5 are positive while the error estimate is taken in
+absolute value.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from itertools import zip_longest
 
@@ -108,12 +122,6 @@ _B4 = (5179.0 / 57600, 0.0, 7571.0 / 16695, 393.0 / 640, -92097.0 / 339200,
        187.0 / 2100, 1.0 / 40)
 # error weights b5 - b4 (b5 is row 6 of _A with a zero for stage 7)
 _E = tuple(b5 - b4 for b5, b4 in zip(_A[6] + (0.0,), _B4))
-# the same weights by name, for the written-out step
-(_A21,), (_A31, _A32), (_A41, _A42, _A43), (_A51, _A52, _A53, _A54), \
-    (_A61, _A62, _A63, _A64, _A65), (_A71, _, _A73, _A74, _A75, _A76) \
-    = _A[1:]
-_C2, _C3, _C4, _C5, _C6 = _C
-_E1, _, _E3, _E4, _E5, _E6, _E7 = _E
 
 _TRANSVERSAL_GUARD = 1e-8
 # the first step of a return, and the step length below which a step that
@@ -194,106 +202,78 @@ def _field_tangent(p, q, r, phi, cos=math.cos, sin=math.sin):
     return s * a * dt, dt, s * (ar * dt * dt + c * g * g)
 
 
-def _rk_step(p, q, r, t, phi, h, k1r, k1t):
-    """One Dormand-Prince step of length h in phi from stage 1 (k1r, k1t);
-    returns (r5, t5, err, k7r, k7t), stage 7 being the field at
-    (r5, phi + h).  Each stage is r + (h*a_i1)*k1 + (h*a_i2)*k2 + ...
-    summed left to right, the zero weights left out."""
-    h1 = h * _A21
-    k2r, k2t = _field(p, q, r + h1 * k1r, phi + _C2 * h)
-    h1 = h * _A31
-    h2 = h * _A32
-    k3r, k3t = _field(p, q, r + h1 * k1r + h2 * k2r, phi + _C3 * h)
-    h1 = h * _A41
-    h2 = h * _A42
-    h3 = h * _A43
-    k4r, k4t = _field(p, q, r + h1 * k1r + h2 * k2r + h3 * k3r,
-                      phi + _C4 * h)
-    h1 = h * _A51
-    h2 = h * _A52
-    h3 = h * _A53
-    h4 = h * _A54
-    k5r, k5t = _field(p, q, r + h1 * k1r + h2 * k2r + h3 * k3r + h4 * k4r,
-                      phi + _C5 * h)
-    h1 = h * _A61
-    h2 = h * _A62
-    h3 = h * _A63
-    h4 = h * _A64
-    h5 = h * _A65
-    k6r, k6t = _field(
-        p, q, r + h1 * k1r + h2 * k2r + h3 * k3r + h4 * k4r + h5 * k5r,
-        phi + _C6 * h)
-    h1 = h * _A71
-    h3 = h * _A73
-    h4 = h * _A74
-    h5 = h * _A75
-    h6 = h * _A76
-    r5 = r + h1 * k1r + h3 * k3r + h4 * k4r + h5 * k5r + h6 * k6r
-    t5 = t + h1 * k1t + h3 * k3t + h4 * k4t + h5 * k5t + h6 * k6t
-    k7r, k7t = _field(p, q, r5, phi + h)
-    h1 = h * _E1
-    h3 = h * _E3
-    h4 = h * _E4
-    h5 = h * _E5
-    h6 = h * _E6
-    h7 = h * _E7
-    er = h1 * k1r + h3 * k3r + h4 * k4r + h5 * k5r + h6 * k6r + h7 * k7r
-    return r5, t5, abs(er), k7r, k7t
+@functools.lru_cache(maxsize=None)
+def _step(n_p, n_q, tangent):
+    """The Dormand-Prince step for p of n_p and q of n_q coefficients in
+    ``_field``'s form (see Generated step in the module docstring).
+    step(p, q, r, t, phi, h, k1r, k1t) returns (r5, t5, err, k7r, k7t),
+    stage 7 being the field at (r5, phi + h).  With ``tangent`` it also
+    steps v = dr/dr0 through dv/dphi = F_r v, each stage's F_r taken at
+    that stage's r: step(p, q, r, t, v, phi, h, k1r, k1t, k1f) returns
+    (r5, t5, err, k7r, k7t, v5, k7f), k1f being stage 1's F_r.  Stage i is
+    r + (h*a_i1)*k1 + (h*a_i2)*k2 + ... summed left to right.  A p or q of
+    another length fails the unpacking.  The cache holds one step per
+    shape in use."""
+    names = ("r", "t", "v") if tangent else ("r", "t")
+    src = ["def step(p, q, r, t, " + "v, " * tangent + "phi, h, k1r, k1t"
+           + ", k1f" * tangent + ", cos=cos, sin=sin):"]
+    src += ["(" + "".join(f"{y}{k}, " for k in range(n)) + f") = {y}"
+            for y, n in (("p", n_p), ("q", n_q))]
+    if tangent:
+        src.append("k1v = k1f * v")
+    for i, (row, node) in enumerate(zip(_A[1:], _C + (1.0,)), start=2):
+        weights = [j for j, a in enumerate(row, start=1) if a != 0.0]
+        src += [f"h{j} = h * {row[j - 1]!r}" for j in weights]
+        # stages 2 to 6 need their r (and v); stage 7, the step's end
+        # point, sums t as well
+        out = "5" if i == 7 else "s"
+        for y in names if i == 7 else [y for y in names if y != "t"]:
+            src.append(f"{y}{out} = {y}" + "".join(
+                f" + h{j} * k{j}{y}" for j in weights))
+        rs = f"r{out}"
+        src += [f"ph = phi + {node!r} * h" if i < 7 else "ph = phi + h",
+                "c = cos(ph)", "s = sin(ph)", f"x = {rs} * c"]
+        src += _horner("p", n_p, tangent) + _horner("q", n_q, tangent)
+        src += [f"a = -{rs} * s * pa + qa",
+                f"w = {rs} + c * a",
+                f"if not ({rs} > 0.0 and w > {_TRANSVERSAL_GUARD!r} * {rs}):",
+                "    raise _NonTransversal",
+                f"k{i}t = {rs} / w",
+                f"k{i}r = s * a * k{i}t"]
+        if tangent:
+            fr = "k7f" if i == 7 else "f"
+            src += ["g = a / w",
+                    f"{fr} = s * ((c * qd - s * (pa + x * pd)) * k{i}t * k{i}t"
+                    " + c * g * g)"]
+            if i < 7:
+                src.append(f"k{i}v = f * vs")
+    weights = [j for j, e in enumerate(_E, start=1) if e != 0.0]
+    src += [f"h{j} = h * {_E[j - 1]!r}" for j in weights]
+    src.append("er = " + " + ".join(f"h{j} * k{j}r" for j in weights))
+    src.append("return r5, t5, abs(er), k7r, k7t" + ", v5, k7f" * tangent)
+    scope = {"cos": math.cos, "sin": math.sin,
+             "_NonTransversal": _NonTransversal}
+    exec("\n    ".join(src), scope)
+    return scope["step"]
 
 
-def _rk_step_tangent(p, q, r, t, v, phi, h, k1r, k1t, k1f):
-    """``_rk_step`` on (r, t), the same sums in the same order, and beside
-    it the tangent v = dr/dr0 through dv/dphi = F_r v, each stage's F_r
-    from ``_field_tangent`` at that stage's r; k1f is stage 1's F_r.
-    Returns (r5, t5, err, k7r, k7t, v5, k7f), the error on r alone."""
-    k1v = k1f * v
-    h1 = h * _A21
-    k2r, k2t, f = _field_tangent(p, q, r + h1 * k1r, phi + _C2 * h)
-    k2v = f * (v + h1 * k1v)
-    h1 = h * _A31
-    h2 = h * _A32
-    k3r, k3t, f = _field_tangent(p, q, r + h1 * k1r + h2 * k2r,
-                                 phi + _C3 * h)
-    k3v = f * (v + h1 * k1v + h2 * k2v)
-    h1 = h * _A41
-    h2 = h * _A42
-    h3 = h * _A43
-    k4r, k4t, f = _field_tangent(p, q, r + h1 * k1r + h2 * k2r + h3 * k3r,
-                                 phi + _C4 * h)
-    k4v = f * (v + h1 * k1v + h2 * k2v + h3 * k3v)
-    h1 = h * _A51
-    h2 = h * _A52
-    h3 = h * _A53
-    h4 = h * _A54
-    k5r, k5t, f = _field_tangent(
-        p, q, r + h1 * k1r + h2 * k2r + h3 * k3r + h4 * k4r, phi + _C5 * h)
-    k5v = f * (v + h1 * k1v + h2 * k2v + h3 * k3v + h4 * k4v)
-    h1 = h * _A61
-    h2 = h * _A62
-    h3 = h * _A63
-    h4 = h * _A64
-    h5 = h * _A65
-    k6r, k6t, f = _field_tangent(
-        p, q, r + h1 * k1r + h2 * k2r + h3 * k3r + h4 * k4r + h5 * k5r,
-        phi + _C6 * h)
-    k6v = f * (v + h1 * k1v + h2 * k2v + h3 * k3v + h4 * k4v + h5 * k5v)
-    h1 = h * _A71
-    h3 = h * _A73
-    h4 = h * _A74
-    h5 = h * _A75
-    h6 = h * _A76
-    r5 = r + h1 * k1r + h3 * k3r + h4 * k4r + h5 * k5r + h6 * k6r
-    t5 = t + h1 * k1t + h3 * k3t + h4 * k4t + h5 * k5t + h6 * k6t
-    v5 = v + h1 * k1v + h3 * k3v + h4 * k4v + h5 * k5v + h6 * k6v
-    k7r, k7t, k7f = _field_tangent(p, q, r5, phi + h)
-    h1 = h * _E1
-    h3 = h * _E3
-    h4 = h * _E4
-    h5 = h * _E5
-    h6 = h * _E6
-    h7 = h * _E7
-    er = h1 * k1r + h3 * k3r + h4 * k4r + h5 * k5r + h6 * k6r + h7 * k7r
-    return r5, t5, abs(er), k7r, k7t, v5, k7f
+def _horner(y, n, tangent):
+    """Source lines that leave the value at x of the polynomial with the
+    coefficient locals y0..y{n-1} in {y}a, and with ``tangent`` its
+    derivative in {y}d.  They start where ``_field``'s loops stand after
+    their first pass, the value y0 and the derivative 0.0, and take the
+    derivative's next term, 0.0*x + y0, as y0."""
+    if n == 0:
+        return [f"{y}a = {y}d = 0.0" if tangent else f"{y}a = 0.0"]
+    if not tangent:
+        return [f"{y}a = " + "(" * (n - 1) + f"{y}0"
+                + "".join(f" * x + {y}{k})" for k in range(1, n))]
+    if n == 1:
+        return [f"{y}d = 0.0", f"{y}a = {y}0"]
+    src = [f"{y}d = {y}0", f"{y}a = {y}0 * x + {y}1"]
+    for k in range(2, n):
+        src += [f"{y}d = {y}d * x + {y}a", f"{y}a = {y}a * x + {y}{k}"]
+    return src
 
 
 def _point(r, phi):
@@ -343,6 +323,7 @@ def _arcs(mode, p, q, r, rk_tol, max_steps, r_min, r_max, tangent):
         for sign in (-1.0, 1.0):
             end = phi + math.pi
             qs = _descending(q, side)
+            step = _step(len(p), len(qs), tangent)
             # stage 1 is at an accepted point: below the guard there, the
             # return ends
             if tangent:
@@ -363,11 +344,11 @@ def _arcs(mode, p, q, r, rk_tol, max_steps, r_min, r_max, tangent):
                     hs = h
                 try:
                     if tangent:
-                        r5, t5, err, k7r, k7t, v5, k7f = _rk_step_tangent(
+                        r5, t5, err, k7r, k7t, v5, k7f = step(
                             p, qs, r, t, v, phi, hs, k1r, k1t, k1f)
                     else:
-                        r5, t5, err, k7r, k7t = _rk_step(p, qs, r, t, phi,
-                                                         hs, k1r, k1t)
+                        r5, t5, err, k7r, k7t = step(p, qs, r, t, phi, hs,
+                                                     k1r, k1t)
                 except _NonTransversal:
                     # a trial stage below the guard rejects the step only
                     h = 0.2 * hs

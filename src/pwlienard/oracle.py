@@ -38,9 +38,9 @@ abscissae, so reading it changes no bit.
 
 Why the arithmetic changes no bit
 ---------------------------------
-``_gk21`` is written out term by term, as ``_kernel_py._rk_step`` is: in
-the loop form the rule's own time, index loops and tuple lookups, was
-twice what it is now.  Each sum runs in the left-to-right order of
+``_gk21`` is written out term by term, as ``_kernel_py._step`` writes out
+the kernel's step: in the loop form the rule's own time, index loops and
+tuple lookups, was twice what it is now.  Each sum runs in the left-to-right order of
 QUADPACK's loops, and a pair sum such as f1 + f19 that both the Gauss and
 the Kronrod sum use is the same value computed once.  The loops started
 the Gauss sum at 0.0; the written-out sum starts at its first term

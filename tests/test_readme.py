@@ -18,3 +18,7 @@ def test_library_quickstart_runs():
     assert mids == pytest.approx([1.0, 4.0, 9.0, 16.0], abs=1e-9)
     h_stars = [c.h_star for c in scope["scan"].cycles]
     assert h_stars == pytest.approx([1.0, 4.0], abs=1e-3)
+    stated = re.search(
+        r"The scan takes (\d+) of its budget\s+of (\d+) returns", text)
+    assert int(stated.group(1)) == len(scope["scan"].grid)
+    assert f"find_cycles(designed, (1.0, 3.4), {stated.group(2)}," in block

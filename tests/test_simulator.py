@@ -1,8 +1,13 @@
 """Direct integration: return maps, cycle location, the kernel's entry
 point and the dynamical cross-checks of the closed-form expansion."""
 
+import itertools
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -259,6 +264,45 @@ class TestKernelEntry:
         assert calls.tangent == len(scan.grid)
         assert calls.crossings == 2 * calls[0]
 
+    @pytest.mark.parametrize("case", [Case.SWITCH_Y, Case.SWITCH_X])
+    def test_find_cycles_compiles_each_shape_once(self, case):
+        """Each arc fetches its step from ``_step``, which compiles one per
+        (len p, len q, tangent): a scan of tangent returns with plain polish
+        returns compiles two steps, not one per return, and a second scan
+        compiles none."""
+        sys_ = two_cycle_system(case=case)
+        config = SimConfig(lam=0.02, eps=4e-4)
+        fc = sys_.float_coeffs()
+        p, q = _kernel_py.fold(
+            *(fc[k] for k in ("a0", "a1", "b0", "b1", "c")), config.lam,
+            config.eps)
+        shapes = {(len(p), len(q), tangent) for tangent in (True, False)}
+        _kernel_py._step.cache_clear()
+        scan = find_cycles(sys_, (1.0, 3.4), 60, config)
+        info = _kernel_py._step.cache_info()
+        assert len(scan.cycles) == 2
+        assert info.misses == info.currsize == len(shapes) == 2
+        assert info.hits + info.misses == 2 * (len(scan.grid) + 2)
+        find_cycles(sys_, (1.0, 3.4), 60, config)
+        assert _kernel_py._step.cache_info().misses == len(shapes)
+
+    def test_import_compiles_no_step(self):
+        """``import pwlienard`` compiles no step, so none of the compile
+        time falls into an import; the first return compiles its shape.  A
+        fresh interpreter, since this one has compiled steps."""
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-c", "import pwlienard, pwlienard.cli; "
+             "from pwlienard import _kernel_py as k; "
+             "print(k._step.cache_info().misses); "
+             "k.integrate_return(0, [0.0], [0.0], [0.0], [0.0], [0.0], "
+             "0.0, 0.0, 1.0, 0.0, 1e-10, 0.0, 1000, 1e-3, 50.0); "
+             "print(k._step.cache_info().misses)"],
+            capture_output=True, text=True, env=env, check=True)
+        assert proc.stdout.split() == ["0", "1"]
+
 
 CENTRE_DAMPING = 0.05
 
@@ -303,7 +347,17 @@ class TestEventLocation:
         assert (t, x, y) == crossings[-1][:3]
 
 
+def hook_steps(monkeypatch, wrap):
+    """Patch ``_kernel_py._step`` so that every step it hands the kernel is
+    ``wrap(step)``: the kernel fetches its step there once per arc."""
+    make = _kernel_py._step
+    monkeypatch.setattr(_kernel_py, "_step", lambda *key: wrap(make(*key)))
+
+
 def count_field_evaluations(monkeypatch, args):
+    """The ``_field`` calls, stage 1 of each arc, plus six for each step
+    that returns: a step evaluates the field inline at its stages 2 to 7.
+    A step that meets the guard evaluates fewer and is not counted."""
     calls = [0]
     field = _kernel_py._field
 
@@ -311,7 +365,15 @@ def count_field_evaluations(monkeypatch, args):
         calls[0] += 1
         return field(*fargs)
 
+    def counted_step(step):
+        def stepped(*step_args):
+            out = step(*step_args)
+            calls[0] += 6
+            return out
+        return stepped
+
     monkeypatch.setattr(_kernel_py, "_field", counted)
+    hook_steps(monkeypatch, counted_step)
     status, *_ = _kernel_py.integrate_return(*args)
     assert status == 0
     return calls[0]
@@ -329,8 +391,9 @@ class TestKernelWork:
         and one at the switch.  Time-stepped with event location they took
         971 and 2477; in the angle form from a first step of 0.01, with no
         half-split and regrowth after a rejection, 362 and 1292.  An exact
-        count also fails a step that stops calling the module-level field.
-        The count depends on the arithmetic only, not on the machine."""
+        count also fails an arc that stops fetching its step from
+        ``_kernel_py._step``.  The count depends on the arithmetic only, not
+        on the machine."""
         assert count_field_evaluations(monkeypatch, example1_args(
             0, r, 0.0, 2_000_000, 1e-3, rk_tol=rk_tol)) == count
 
@@ -363,10 +426,35 @@ def tableau_step(p, q, r, t, phi, h, k1r, k1t):
     return rs, ts, abs(er), kr[6], kt[6]
 
 
+def step_bits(step, *args):
+    """The hex of each float ``step(*args)`` returns, None where a stage
+    meets the guard."""
+    try:
+        return [x.hex() for x in step(*args)]
+    except _kernel_py._NonTransversal:
+        return None
+
+
+def random_shape_inputs(rng, n_p, n_q):
+    """Random p and q of n_p and n_q coefficients in the kernel's form,
+    the one of degree k within 0.2 * 4^-k, and a random point, angle and
+    step length.  At r <= 3 each term stays below 0.2 (3/4)^k."""
+    p, q = ([rng.uniform(-0.2, 0.2) * 0.25 ** k for k in range(n)]
+            for n in (n_p, n_q))
+    return (_kernel_py._descending(p),
+            _kernel_py._descending(q, rng.choice((-1.0, 1.0))),
+            rng.uniform(0.5, 3.0), rng.uniform(0.0, 7.0),
+            rng.uniform(-0.5 * math.pi, 2.5 * math.pi),
+            10.0 ** rng.uniform(-8.0, 0.0))
+
+
+SHAPES = list(itertools.product(range(9), repeat=2))
+
+
 class TestWrittenOutStep:
     @pytest.mark.parametrize("mode", [0, 1, 2])
     def test_step_matches_tableau_loops_bitwise(self, rng, mode):
-        """_rk_step is written out stage by stage and skips the zero
+        """The step that ``_step`` writes out stage by stage skips the zero
         weights; it still ends at the tableau loops' bits, on the folded
         vectors in the kernel's coefficient form and the angles of each
         mode's return."""
@@ -380,9 +468,58 @@ class TestWrittenOutStep:
             qs = _kernel_py._descending(q, rng.choice((-1.0, 1.0)))
             h = 10.0 ** rng.uniform(-8.0, 0.0)
             k1r, k1t = _kernel_py._field(p, qs, r, phi)
-            got = _kernel_py._rk_step(p, qs, r, t, phi, h, k1r, k1t)
+            step = _kernel_py._step(len(p), len(qs), False)
+            got = step(p, qs, r, t, phi, h, k1r, k1t)
             want = tableau_step(p, qs, r, t, phi, h, k1r, k1t)
             assert [v.hex() for v in got] == [v.hex() for v in want]
+
+    @pytest.mark.parametrize("n_p,n_q", SHAPES)
+    def test_every_shape_matches_tableau_loops_bitwise(self, rng, n_p, n_q):
+        """Each (len p, len q) up to 8 x 8 compiles its own step, with
+        Horner unrolled to that length, an empty p or q included: 40 random
+        steps on random p and q of that shape end at the tableau loops'
+        bits, or meet the guard in both."""
+        finished = 0
+        for _ in range(40):
+            p, qs, r, t, phi, h = random_shape_inputs(rng, n_p, n_q)
+            try:
+                k1r, k1t = _kernel_py._field(p, qs, r, phi)
+            except _kernel_py._NonTransversal:
+                continue
+            got = step_bits(_kernel_py._step(n_p, n_q, False),
+                            p, qs, r, t, phi, h, k1r, k1t)
+            assert got == step_bits(tableau_step,
+                                    p, qs, r, t, phi, h, k1r, k1t)
+            finished += got is not None
+        assert finished >= 20
+
+    @pytest.mark.parametrize("tangent", [False, True])
+    def test_returns_match_tableau_loop_returns(self, monkeypatch, rng,
+                                                tangent):
+        """Whole returns keep their bits when the kernel steps by the
+        tableau loops, whose ``_field`` starts each Horner loop from 0.0:
+        the status inputs, 30 random returns, signed zeros, from the
+        designed-cycle increment's negated vectors (q = [-0.0]) and from
+        negated vectors with p = [-0.0] or p = q = [-0.0], and empty
+        vectors, which fold to an empty p and q."""
+        fc = two_cycle_system().float_coeffs()
+        cases = [example1_args(*inputs[:5]) for inputs in STATUS_INPUTS]
+        cases += [random_return_args(rng) for _ in range(30)]
+        cases += [
+            route_args(2, [fc[k] for k in ("a0", "a1", "b0", "b1", "c")],
+                       0.02, 4e-4, 0.0, 2.0, 1e-12, 2_000_000, 1e-3),
+            route_args(2, [[0.0], [0.0], [0.0], [0.0], [0.5]], 0.1, 0.0,
+                       0.0, 1.0, 1e-10, 2_000_000, 1e-3),
+            route_args(2, [[0.0]] * 5, 0.0, 0.0, 0.0, 1.0, 1e-10, 1000,
+                       1e-3),
+            route_args(0, [[]] * 5, 0.1, 0.1, 1.0, 0.0, 1e-10, 1000, 1e-3)]
+        got = [result_bits(_kernel_py.integrate_return(*args,
+                                                       tangent=tangent))
+               for args in cases]
+        monkeypatch.setattr(_kernel_py, "_step", lambda n_p, n_q, t: (
+            tableau_step_tangent if t else tableau_step))
+        assert got == [result_bits(_kernel_py.integrate_return(
+            *args, tangent=tangent)) for args in cases]
 
 
 def tableau_step_tangent(p, q, r, t, v, phi, h, k1r, k1t, k1f):
@@ -422,20 +559,45 @@ def random_step_inputs(rng, args):
 class TestWrittenOutTangentStep:
     @pytest.mark.parametrize("mode", [0, 1, 2])
     def test_step_matches_tableau_loops_bitwise(self, rng, mode):
-        """_rk_step_tangent is written out like _rk_step; it ends at the
-        tableau loops' bits, v and stage 7's F_r included."""
+        """The tangent step is written out like the plain one; it ends at
+        the tableau loops' bits, v and stage 7's F_r included."""
         args = five_vector_args(mode)
         for _ in range(300):
             p, qs, r, t, phi, h = random_step_inputs(rng, args)
             v = rng.uniform(-2.0, 2.0)
             k1r, k1t, k1f = _kernel_py._field_tangent(p, qs, r, phi)
-            got = _kernel_py._rk_step_tangent(p, qs, r, t, v, phi, h,
-                                              k1r, k1t, k1f)
+            got = _kernel_py._step(len(p), len(qs), True)(
+                p, qs, r, t, v, phi, h, k1r, k1t, k1f)
             want = tableau_step_tangent(p, qs, r, t, v, phi, h,
                                         k1r, k1t, k1f)
             assert [x.hex() for x in got] == [x.hex() for x in want]
-            plain = _kernel_py._rk_step(p, qs, r, t, phi, h, k1r, k1t)
+            plain = _kernel_py._step(len(p), len(qs), False)(
+                p, qs, r, t, phi, h, k1r, k1t)
             assert [x.hex() for x in got[:5]] == [x.hex() for x in plain]
+
+    @pytest.mark.parametrize("n_p,n_q", SHAPES)
+    def test_every_shape_matches_tableau_loops_bitwise(self, rng, n_p, n_q):
+        """Each shape's tangent step, with its Horner-with-derivative
+        chains unrolled, ends at the tableau loops' bits on 40 random
+        steps, or meets the guard in both; its (r, t) part is the plain
+        step's."""
+        finished = 0
+        for _ in range(40):
+            p, qs, r, t, phi, h = random_shape_inputs(rng, n_p, n_q)
+            v = rng.uniform(-2.0, 2.0)
+            try:
+                k1r, k1t, k1f = _kernel_py._field_tangent(p, qs, r, phi)
+            except _kernel_py._NonTransversal:
+                continue
+            got = step_bits(_kernel_py._step(n_p, n_q, True),
+                            p, qs, r, t, v, phi, h, k1r, k1t, k1f)
+            assert got == step_bits(tableau_step_tangent,
+                                    p, qs, r, t, v, phi, h, k1r, k1t, k1f)
+            plain = step_bits(_kernel_py._step(n_p, n_q, False),
+                              p, qs, r, t, phi, h, k1r, k1t)
+            assert got is None and plain is None or got[:5] == plain
+            finished += got is not None
+        assert finished >= 20
 
     @pytest.mark.parametrize("mode", [0, 1, 2])
     def test_field_tangent(self, rng, mode):
@@ -600,13 +762,14 @@ def record_steps(monkeypatch, args):
     it tries.  Returns the result, the steps and for each step whether it
     was accepted: a rejected step is retried from the same phi."""
     steps = []
-    rk_step = _kernel_py._rk_step
 
-    def recorded(*step_args):
-        steps.append((step_args[4], step_args[5]))
-        return rk_step(*step_args)
+    def recorded(step):
+        def stepped(*step_args):
+            steps.append((step_args[4], step_args[5]))
+            return step(*step_args)
+        return stepped
 
-    monkeypatch.setattr(_kernel_py, "_rk_step", recorded)
+    hook_steps(monkeypatch, recorded)
     result = _kernel_py.integrate_return(*args)
     accepted = [steps[i + 1][0] != phi if i + 1 < len(steps)
                 else result[0] == 0 for i, (phi, _h) in enumerate(steps)]
@@ -653,16 +816,17 @@ class TestStepControl:
         not the return: the return ends with status 0, not 3 at the switch,
         and agrees with a 1e-13 return."""
         raised = [0]
-        field = _kernel_py._field
 
-        def guarded(*fargs):
-            try:
-                return field(*fargs)
-            except _kernel_py._NonTransversal:
-                raised[0] += 1
-                raise
+        def guarded(step):
+            def stepped(*step_args):
+                try:
+                    return step(*step_args)
+                except _kernel_py._NonTransversal:
+                    raised[0] += 1
+                    raise
+            return stepped
 
-        monkeypatch.setattr(_kernel_py, "_field", guarded)
+        hook_steps(monkeypatch, guarded)
         status, x, y, t, crossings = _kernel_py.integrate_return(
             *trial_stage_args(1e-10))
         assert raised[0] >= 1
