@@ -38,36 +38,36 @@ construction.
 
 Stepping
 --------
-Dormand-Prince 5(4) with FSAL on the pair (r, t): stage 7 of an accepted
-step is the field at its end point and becomes stage 1 of the next step; a
-rejected step reuses stage 1.  The stage nodes c2..c7 enter phi.  The error
-estimate is on r alone, against rk_tol*(1 + |r|).  Each return starts at
-h = pi/16 (``_H_START``).  The step that follows a rejection may not grow h
-(Hairer, Norsett & Wanner, Solving ODEs I, II.4).  Where the rest of an
-arc lies between h and 2h, the kernel steps half of it, so that an arc does
-not end on a sliver.  The step size carries across the switch, where only
-stage 1 is recomputed, since the side changes.  Stage 1 is ``_field``'s;
-each step is the one ``_step`` generates (see Generated step).
+Dormand-Prince 5(4) with FSAL on the state y = (r, t): stage 7 of an
+accepted step is the field at its end point and becomes stage 1 of the
+next step; a rejected step reuses stage 1.  The stage nodes c2..c7 enter
+phi.  The error estimate is on r alone, against rk_tol*(1 + |r|).  Each
+return starts at h = pi/16 (``_H_START``).  The step that follows a
+rejection may not grow h (Hairer, Norsett & Wanner, Solving ODEs I, II.4).
+Where the rest of an arc lies between h and 2h, the kernel steps half of
+it, so that an arc does not end on a sliver.  The step size carries across
+the switch, where only stage 1 is recomputed, since the side changes.
+Stage 1 and each step come from the pair that ``_step`` generates (see
+Generated step).
 
 The field takes p and q in the form ``_descending`` makes once per return
 (p) and once per arc (q): tuples from the top degree down, q multiplied by
-the arc's side.  ``_field`` runs both Horner loops inline.  Horner from the
-top is ``algebra.polyval``, and a product with +-1 is exact, so this form
-changes no bit of a return: only the sign of an exactly zero value of q can
-differ, and a step adds that zero to nonzero sums only.
+the arc's side.  Horner from the top is ``algebra.polyval``, and a product
+with +-1 is exact, so this form changes no bit of a return: only the sign
+of an exactly zero value of q can differ, and a step adds that zero to
+nonzero sums only.
 
 Tangent mode
 ------------
-With ``tangent=True`` a return also carries v = dr/dr0 through the
-variational equation dv/dphi = F_r v, F_r = d(dr/dphi)/dr (Hairer, Norsett
-& Wanner, Solving ODEs I, I.14).  The arcs end at fixed angles, which do
-not move with r0, so v needs no jump term at the switch.
-``_field_tangent`` computes F_r from the same cos, sin and x as the field,
-with Horner-with-derivative chains of p and q, and the tangent step of
-``_step`` takes the Dormand-Prince step of (r, t, v).  The error estimate
-stays on r alone, so the step sequence, the status, the end point, the
-time and the crossings are the plain return's bit for bit, and v is the
-derivative of the discrete return map along that step sequence.
+With ``tangent=True`` the state is y = (r, t, v), v = dr/dr0 carried
+through the variational equation dv/dphi = F_r v, F_r = d(dr/dphi)/dr
+(Hairer, Norsett & Wanner, Solving ODEs I, I.14).  The arcs end at fixed
+angles, which do not move with r0, so v needs no jump term at the switch.
+Each stage computes F_r from the same cos, sin and x as the field, with
+Horner-with-derivative chains of p and q.  The error estimate stays on r
+alone, so the step sequence, the status, the end point, the time and the
+crossings are the plain return's bit for bit, and v is the derivative of
+the discrete return map along that step sequence.
 
 Status codes: 0 ok, 1 escaped annulus, 2 max steps, 3 non-transversal,
 where phi stops being a valid independent variable: the angular speed
@@ -78,23 +78,24 @@ which is retried at a fifth of its length.
 
 Generated step
 --------------
-``_step(len(p), len(q), tangent)`` writes the step out from _A, _C and _E
-and compiles it once per shape; ``_arcs`` fetches it once per arc, and
-importing the module compiles none.  Each stage is ``_field``'s or
-``_field_tangent``'s arithmetic inline, with Horner unrolled over locals
-unpacked from p and q: a called field with Horner loops spends about half
-its time in interpreter dispatch.  The step keeps the bits of the tableau
-loops over ``_field``, which tests/test_simulator.py checks on every shape
-up to 8 x 8 and on whole returns (TestWrittenOutStep,
+``_step(len(p), len(q), tangent)`` writes out, from one stage template
+(``_stage``), stage 1 as ``start`` and the Dormand-Prince step over _A, _C
+and _E as ``step``, and compiles the pair in one ``exec`` once per shape;
+``_arcs`` fetches it once per arc, and importing the module compiles none.
+Horner is unrolled over locals unpacked from p and q: a called field with
+Horner loops spends about half its time in interpreter dispatch.  The pair
+keeps the bits of a polyval field and of the tableau loops over it, which
+tests/test_simulator.py checks on every shape up to 8 x 8 and on whole
+returns (TestFieldCoefficientForm, TestWrittenOutStep,
 TestWrittenOutTangentStep).  It sums each stage and the error estimate in
 the tableau's left-to-right order, with two departures that change at most
 the sign of an exactly zero term.  It skips the zero weights (a7,2 and
 e2), whose products are signed zeros.  And Horner starts from the top
 coefficient, where the loops compute 0.0*x + top, equal to it unless the
 top is a zero (the derivative's chain likewise); the values then differ
-only where every coefficient is a zero.  A zero term can change only the sign of a sum that is exactly
-zero, and r5 and t5 are positive while the error estimate is taken in
-absolute value.
+only where every coefficient is a zero.  A zero term can change only the
+sign of a sum that is exactly zero, and r5 and t5 are positive while the
+error estimate is taken in absolute value.
 """
 
 from __future__ import annotations
@@ -145,124 +146,89 @@ def fold(fa0, fa1, fb0, fb1, fc, lam, eps):
 
 
 def _descending(coeffs, scale=1.0):
-    """The coefficient form ``_field`` takes: a tuple from the top degree
-    down, each coefficient times ``scale`` (+-1, so exactly).  Built from a
-    list: tuple() of a generator starts with 10 slots and shrinks, which
-    drifts CPython's per-size tuple free lists and grew the resident memory
-    of a cycles run by about 0.5 MB."""
+    """The coefficient form of ``_step``'s field: a tuple from the top
+    degree down, each coefficient times ``scale`` (+-1, so exactly).  Built
+    from a list: tuple() of a generator starts with 10 slots and shrinks,
+    which drifts CPython's per-size tuple free lists and grew the resident
+    memory of a cycles run by about 0.5 MB."""
     return tuple([scale * c for c in reversed(coeffs)])
-
-
-def _field(p, q, r, phi, cos=math.cos, sin=math.sin):
-    """(dr/dphi, dt/dphi) at polar point (r, phi); p and q are coefficient
-    tuples from the top degree down, q already multiplied by the arc's side
-    (see ``integrate_return``).  Raises _NonTransversal where the angular
-    speed is below the guard.  cos and sin are bound as defaults, so that
-    they are local names."""
-    c = cos(phi)
-    s = sin(phi)
-    x = r * c
-    pa = 0.0
-    for k in p:
-        pa = pa * x + k
-    qa = 0.0
-    for k in q:
-        qa = qa * x + k
-    a = -r * s * pa + qa
-    w = r + c * a
-    if not (r > 0.0 and w > _TRANSVERSAL_GUARD * r):
-        raise _NonTransversal
-    dt = r / w
-    return s * a * dt, dt
-
-
-def _field_tangent(p, q, r, phi, cos=math.cos, sin=math.sin):
-    """``_field`` with the same arithmetic, plus F_r = d(dr/dphi)/dr: returns
-    (dr/dphi, dt/dphi, F_r).  p' and q' come from Horner-with-derivative
-    chains beside p's and q's, and x = r cos(phi) moves with r by cos(phi)."""
-    c = cos(phi)
-    s = sin(phi)
-    x = r * c
-    pa = pd = 0.0
-    for k in p:
-        pd = pd * x + pa
-        pa = pa * x + k
-    qa = qd = 0.0
-    for k in q:
-        qd = qd * x + qa
-        qa = qa * x + k
-    a = -r * s * pa + qa
-    w = r + c * a
-    if not (r > 0.0 and w > _TRANSVERSAL_GUARD * r):
-        raise _NonTransversal
-    dt = r / w
-    # d(s a r / w)/dr with w = r + c a reduces to s (ar r^2 + c a^2) / w^2
-    ar = c * qd - s * (pa + x * pd)
-    g = a / w
-    return s * a * dt, dt, s * (ar * dt * dt + c * g * g)
 
 
 @functools.lru_cache(maxsize=None)
 def _step(n_p, n_q, tangent):
-    """The Dormand-Prince step for p of n_p and q of n_q coefficients in
-    ``_field``'s form (see Generated step in the module docstring).
-    step(p, q, r, t, phi, h, k1r, k1t) returns (r5, t5, err, k7r, k7t),
-    stage 7 being the field at (r5, phi + h).  With ``tangent`` it also
-    steps v = dr/dr0 through dv/dphi = F_r v, each stage's F_r taken at
-    that stage's r: step(p, q, r, t, v, phi, h, k1r, k1t, k1f) returns
-    (r5, t5, err, k7r, k7t, v5, k7f), k1f being stage 1's F_r.  Stage i is
-    r + (h*a_i1)*k1 + (h*a_i2)*k2 + ... summed left to right.  A p or q of
-    another length fails the unpacking.  The cache holds one step per
-    shape in use."""
-    names = ("r", "t", "v") if tangent else ("r", "t")
-    src = ["def step(p, q, r, t, " + "v, " * tangent + "phi, h, k1r, k1t"
-           + ", k1f" * tangent + ", cos=cos, sin=sin):"]
-    src += ["(" + "".join(f"{y}{k}, " for k in range(n)) + f") = {y}"
-            for y, n in (("p", n_p), ("q", n_q))]
+    """The stage-1 field and the Dormand-Prince step for p of n_p and q of
+    n_q coefficients in ``_descending``'s form (see Generated step in the
+    module docstring); returns (start, step).  start(p, q, r, phi) is the
+    field at the polar point (r, phi), (dr/dphi, dt/dphi), and with
+    ``tangent`` F_r = d(dr/dphi)/dr as well.  step(p, q, phi, h, y, k1)
+    steps the state y = (r, t), with ``tangent`` (r, t, v) with v = dr/dr0
+    through dv/dphi = F_r v, from k1, start's tuple at (r, phi); it returns
+    (err, y5, k7), k7 being start's tuple at (r5, phi + h).  Stage i is
+    y + (h*a_i1)*k1 + (h*a_i2)*k2 + ... summed left to right.  A p or q of
+    another length fails the unpacking.  The cache holds one pair per shape
+    in use."""
+    # the state's components, and a stage's: F_r in place of F_r v
+    state = ("r", "t", "v") if tangent else ("r", "t")
+    stage = ("r", "t", "f") if tangent else ("r", "t")
+    unpack = ["(" + "".join(f"{y}{k}, " for k in range(n)) + f") = {y}"
+              for y, n in (("p", n_p), ("q", n_q))]
+    start = ["def start(p, q, r, phi, cos=cos, sin=sin):", *unpack,
+             *_stage(1, "r", "phi", n_p, n_q, tangent),
+             "return " + ", ".join(f"k1{k}" for k in stage)]
+    step = ["def step(p, q, phi, h, y, k1, cos=cos, sin=sin):", *unpack,
+            ", ".join(state) + " = y",
+            ", ".join(f"k1{k}" for k in stage) + " = k1"]
     if tangent:
-        src.append("k1v = k1f * v")
+        step.append("k1v = k1f * v")
     for i, (row, node) in enumerate(zip(_A[1:], _C + (1.0,)), start=2):
         weights = [j for j, a in enumerate(row, start=1) if a != 0.0]
-        src += [f"h{j} = h * {row[j - 1]!r}" for j in weights]
+        step += [f"h{j} = h * {row[j - 1]!r}" for j in weights]
         # stages 2 to 6 need their r (and v); stage 7, the step's end
         # point, sums t as well
         out = "5" if i == 7 else "s"
-        for y in names if i == 7 else [y for y in names if y != "t"]:
-            src.append(f"{y}{out} = {y}" + "".join(
+        for y in state if i == 7 else [y for y in state if y != "t"]:
+            step.append(f"{y}{out} = {y}" + "".join(
                 f" + h{j} * k{j}{y}" for j in weights))
-        rs = f"r{out}"
-        src += [f"ph = phi + {node!r} * h" if i < 7 else "ph = phi + h",
-                "c = cos(ph)", "s = sin(ph)", f"x = {rs} * c"]
-        src += _horner("p", n_p, tangent) + _horner("q", n_q, tangent)
-        src += [f"a = -{rs} * s * pa + qa",
-                f"w = {rs} + c * a",
-                f"if not ({rs} > 0.0 and w > {_TRANSVERSAL_GUARD!r} * {rs}):",
-                "    raise _NonTransversal",
-                f"k{i}t = {rs} / w",
-                f"k{i}r = s * a * k{i}t"]
-        if tangent:
-            fr = "k7f" if i == 7 else "f"
-            src += ["g = a / w",
-                    f"{fr} = s * ((c * qd - s * (pa + x * pd)) * k{i}t * k{i}t"
-                    " + c * g * g)"]
-            if i < 7:
-                src.append(f"k{i}v = f * vs")
+        step.append(f"ph = phi + {node!r} * h" if i < 7 else "ph = phi + h")
+        step += _stage(i, f"r{out}", "ph", n_p, n_q, tangent)
+        if tangent and i < 7:
+            step.append(f"k{i}v = k{i}f * vs")
     weights = [j for j, e in enumerate(_E, start=1) if e != 0.0]
-    src += [f"h{j} = h * {_E[j - 1]!r}" for j in weights]
-    src.append("er = " + " + ".join(f"h{j} * k{j}r" for j in weights))
-    src.append("return r5, t5, abs(er), k7r, k7t" + ", v5, k7f" * tangent)
+    step += [f"h{j} = h * {_E[j - 1]!r}" for j in weights]
+    step.append("er = " + " + ".join(f"h{j} * k{j}r" for j in weights))
+    step.append("return abs(er), (" + ", ".join(f"{y}5" for y in state)
+                + "), (" + ", ".join(f"k7{k}" for k in stage) + ")")
     scope = {"cos": math.cos, "sin": math.sin,
              "_NonTransversal": _NonTransversal}
-    exec("\n    ".join(src), scope)
-    return scope["step"]
+    exec("\n".join("\n    ".join(src) for src in (start, step)), scope)
+    return scope["start"], scope["step"]
+
+
+def _stage(i, rs, ph, n_p, n_q, tangent):
+    """Source lines of the field at radius {rs} and angle {ph}: k{i}r =
+    dr/dphi and k{i}t = dt/dphi, with ``tangent`` also k{i}f = F_r.  They
+    raise _NonTransversal where the angular speed is below the guard."""
+    src = [f"c = cos({ph})", f"s = sin({ph})", f"x = {rs} * c"]
+    src += _horner("p", n_p, tangent) + _horner("q", n_q, tangent)
+    src += [f"a = -{rs} * s * pa + qa",
+            f"w = {rs} + c * a",
+            f"if not ({rs} > 0.0 and w > {_TRANSVERSAL_GUARD!r} * {rs}):",
+            "    raise _NonTransversal",
+            f"k{i}t = {rs} / w",
+            f"k{i}r = s * a * k{i}t"]
+    if tangent:
+        # d(s a r / w)/dr with w = r + c a is s (a_r r^2 + c a^2) / w^2,
+        # where a_r = da/dr = c q' - s (p + x p'), x moving with r by c
+        src += ["g = a / w",
+                f"k{i}f = s * ((c * qd - s * (pa + x * pd)) * k{i}t * k{i}t"
+                " + c * g * g)"]
+    return src
 
 
 def _horner(y, n, tangent):
     """Source lines that leave the value at x of the polynomial with the
     coefficient locals y0..y{n-1} in {y}a, and with ``tangent`` its
-    derivative in {y}d.  They start where ``_field``'s loops stand after
-    their first pass, the value y0 and the derivative 0.0, and take the
-    derivative's next term, 0.0*x + y0, as y0."""
+    derivative in {y}d by the Horner-with-derivative chain."""
     if n == 0:
         return [f"{y}a = {y}d = 0.0" if tangent else f"{y}a = 0.0"]
     if not tangent:
@@ -274,11 +240,6 @@ def _horner(y, n, tangent):
     for k in range(2, n):
         src += [f"{y}d = {y}d * x + {y}a", f"{y}a = {y}a * x + {y}{k}"]
     return src
-
-
-def _point(r, phi):
-    """(x, y) of the polar point (r, phi)."""
-    return r * math.cos(phi), -r * math.sin(phi)
 
 
 def integrate_return(mode, fa0, fa1, fb0, fb1, fc, lam, eps,
@@ -300,21 +261,25 @@ def integrate_return(mode, fa0, fa1, fb0, fb1, fc, lam, eps,
     if mode not in (0, 1):
         raise ValueError(f"unknown field mode {mode}")
     p, q = fold(fa0, fa1, fb0, fb1, fc, lam, eps)
-    out = _arcs(mode, _descending(p), q, float(x0 if mode == 0 else y0),
-                rk_tol, max_steps, r_min, r_max, tangent)
-    return out if tangent else out[:5]
+    status, phi, y, crossings = _arcs(
+        mode, _descending(p), q, float(x0 if mode == 0 else y0), rk_tol,
+        max_steps, r_min, r_max, tangent)
+    r, t = y[:2]
+    # a return ends on its line, every other status at the point (r, phi)
+    point = (crossings[-1][1:3] if status == 0
+             else (r * math.cos(phi), -r * math.sin(phi)))
+    return (status, *point, t, crossings, *y[2:])
 
 
 def _arcs(mode, p, q, r, rk_tol, max_steps, r_min, r_max, tangent):
-    """The two arcs of a return from radius r, p in ``_field``'s form;
-    returns (status, x, y, t, crossings, v), v staying 1.0 unless
-    ``tangent``."""
+    """The two arcs of a return from radius r, p in ``_descending``'s form;
+    returns (status, phi, y, crossings) with y the last accepted state,
+    (r, t) or with ``tangent`` (r, t, v)."""
     if mode == 0:
         phi, side = 0.0, -1.0
     else:
         phi, side = -0.5 * math.pi, 1.0
-    t = 0.0
-    v = 1.0
+    y = (r, 0.0, 1.0) if tangent else (r, 0.0)
     crossings = []
     h = _H_START
     steps = 0
@@ -323,16 +288,13 @@ def _arcs(mode, p, q, r, rk_tol, max_steps, r_min, r_max, tangent):
         for sign in (-1.0, 1.0):
             end = phi + math.pi
             qs = _descending(q, side)
-            step = _step(len(p), len(qs), tangent)
+            start, step = _step(len(p), len(qs), tangent)
             # stage 1 is at an accepted point: below the guard there, the
             # return ends
-            if tangent:
-                k1r, k1t, k1f = _field_tangent(p, qs, r, phi)
-            else:
-                k1r, k1t = _field(p, qs, r, phi)
+            k1 = start(p, qs, r, phi)
             while phi < end:
                 if steps >= max_steps:
-                    return (2, *_point(r, phi), t, crossings, v)
+                    return 2, phi, y, crossings
                 steps += 1
                 last = phi + h >= end
                 if last:
@@ -343,17 +305,12 @@ def _arcs(mode, p, q, r, rk_tol, max_steps, r_min, r_max, tangent):
                 else:
                     hs = h
                 try:
-                    if tangent:
-                        r5, t5, err, k7r, k7t, v5, k7f = step(
-                            p, qs, r, t, v, phi, hs, k1r, k1t, k1f)
-                    else:
-                        r5, t5, err, k7r, k7t = step(p, qs, r, t, phi, hs,
-                                                     k1r, k1t)
+                    err, y5, k7 = step(p, qs, phi, hs, y, k1)
                 except _NonTransversal:
                     # a trial stage below the guard rejects the step only
                     h = 0.2 * hs
                     if h < _H_FLOOR:
-                        return (3, *_point(r, phi), t, crossings, v)
+                        return 3, phi, y, crossings
                     rejected = True
                     continue
                 tol = rk_tol * (1.0 + abs(r))
@@ -361,13 +318,11 @@ def _arcs(mode, p, q, r, rk_tol, max_steps, r_min, r_max, tangent):
                     h = hs * max(0.2, 0.9 * (tol / err) ** 0.2)
                     rejected = True
                     continue
-                r, t = r5, t5
+                y, k1 = y5, k7
+                r = y[0]
                 phi = end if last else phi + hs
-                k1r, k1t = k7r, k7t
-                if tangent:
-                    v, k1f = v5, k7f
                 if r < r_min or r > r_max:
-                    return (1, *_point(r, phi), t, crossings, v)
+                    return 1, phi, y, crossings
                 # a clipped step keeps h: the arc's end, not the error,
                 # set its length; right after a rejection h may not grow
                 if not last:
@@ -377,8 +332,8 @@ def _arcs(mode, p, q, r, rk_tol, max_steps, r_min, r_max, tangent):
                 rejected = False
             # land exactly on the line; the next arc has the other side
             side = -side
-            x, y = (sign * r, 0.0) if mode == 0 else (0.0, sign * r)
-            crossings.append((t, x, y, side))
+            crossings.append((y[1], *((sign * r, 0.0) if mode == 0
+                                      else (0.0, sign * r)), side))
     except _NonTransversal:
-        return (3, *_point(r, phi), t, crossings, v)
-    return 0, x, y, t, crossings, v
+        return 3, phi, y, crossings
+    return 0, phi, y, crossings

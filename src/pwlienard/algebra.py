@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import NegativeEnergy, PrecisionLoss
+from .errors import InvalidInput, NegativeEnergy, PrecisionLoss
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -204,8 +204,13 @@ class RingElem:
 
     @classmethod
     def from_json(cls, data) -> "RingElem":
-        if isinstance(data, (int, float, str)):
+        """A number, a rational string or ``to_json``'s list of terms; any
+        other value raises InvalidInput."""
+        if isinstance(data, (int, float, str)) and not isinstance(data, bool):
             return cls.rational(_as_fraction(data))
+        if not (isinstance(data, list)
+                and all(isinstance(entry, dict) for entry in data)):
+            raise InvalidInput(f"not a coefficient: {data!r}")
         terms: dict[tuple[int, int], Fraction] = {}
         for entry in data:
             key = (int(entry.get("e", 0)), int(entry.get("p", 0)))

@@ -83,11 +83,8 @@ def _return(fc: dict, lam: float, eps: float, mode: int, start: float,
     # the 0.0 fills the kernel's unused event_tol slot
     args = (mode, fc["a0"], fc["a1"], fc["b0"], fc["b1"], fc["c"],
             lam, eps, x0, y0, config.rk_tol, 0.0, MAX_STEPS, R_MIN, R_MAX)
-    if tangent:
-        status, x, y, t, crossings, v = _kernel.integrate_return(
-            *args, tangent=True)
-    else:
-        status, x, y, t, crossings = _kernel.integrate_return(*args)
+    status, x, y, t, crossings, *v = _kernel.integrate_return(
+        *args, tangent=tangent)
     if status == 1:
         raise EscapeAnnulus(f"trajectory left [{R_MIN}, {R_MAX}] at t = {t:.4f}")
     if status == 2:
@@ -97,8 +94,7 @@ def _return(fc: dict, lam: float, eps: float, mode: int, start: float,
             f"angular speed below guard at t = {t:.4f}")
     if status != 0:
         raise PwLienardError(f"kernel returned unknown status {status}")
-    coord = x if mode == 0 else y
-    return (coord, t, crossings, v) if tangent else (coord, t, crossings)
+    return (x if mode == 0 else y, t, crossings, *v)
 
 
 def advance_to_section(sys: LienardSystem, start: float, config: SimConfig,
@@ -144,8 +140,8 @@ def find_cycles(sys: LienardSystem, r_range, grid_n: int,
     if grid_n < 2:
         raise ValueError(f"grid_n must be at least 2, got {grid_n}")
     lo, hi = r_range
-    if not lo < hi:
-        raise ValueError(f"r_range needs lo < hi, got ({lo}, {hi})")
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise ValueError(f"r_range needs finite lo < hi, got ({lo}, {hi})")
     # the coefficient plateau of integration noise in d, about 1e-10 to
     # 6e-10 at rk_tol 1e-10 on r <= 3.4, lies below this floor
     floor = 10.0 * config.rk_tol * (1.0 + hi)

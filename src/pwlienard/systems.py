@@ -5,10 +5,12 @@ from __future__ import annotations
 import enum
 import json
 import math
+import numbers
 from dataclasses import dataclass, replace
 from importlib import resources
 
 from .algebra import RingElem
+from .errors import InvalidInput
 
 
 class Case(enum.Enum):
@@ -29,9 +31,12 @@ _VECTORS = ("a0", "a1", "b0", "b1", "c")
 
 
 def check_params(lam, eps):
-    """Reject a lambda or eps that is negative, infinite or NaN."""
-    if not (0 <= lam < math.inf and 0 <= eps < math.inf):
-        raise ValueError("lambda and eps must be finite and non-negative")
+    """Reject a lambda or eps that is not a number, or is negative,
+    infinite or NaN."""
+    if not all(isinstance(v, numbers.Real) and not isinstance(v, bool)
+               and 0 <= v < math.inf for v in (lam, eps)):
+        raise InvalidInput(
+            "lambda and eps must be finite and non-negative numbers")
 
 
 def _coerce_vec(values, length: int) -> list[RingElem]:
@@ -67,8 +72,8 @@ class LienardSystem:
               lam=0.0, eps=0.0) -> "LienardSystem":
         if isinstance(case, str):
             case = Case(case)
-        if m < 0 or n < 0:
-            raise ValueError("degrees must be non-negative")
+        if not all(type(d) is int and d >= 0 for d in (m, n)):
+            raise InvalidInput("degrees must be non-negative integers")
         check_params(lam, eps)
         return cls(
             case=case, m=m, n=n,
@@ -123,10 +128,18 @@ class LienardSystem:
 
     @classmethod
     def from_json(cls, data: dict) -> "LienardSystem":
+        """The system of a ``to_json`` document; a document of another
+        shape raises InvalidInput."""
+        if not isinstance(data, dict):
+            raise InvalidInput("a system document must be a JSON object")
+        vectors = {k: data.get(k, []) for k in _VECTORS}
+        for k, vec in vectors.items():
+            if not isinstance(vec, list):
+                raise InvalidInput(f"coefficient vector {k} must be a list")
         return cls.build(
             data["case"], data["m"], data["n"],
-            **{k: [RingElem.from_json(v) for v in data.get(k, [])]
-               for k in _VECTORS},
+            **{k: [RingElem.from_json(v) for v in vec]
+               for k, vec in vectors.items()},
             lam=data.get("lambda", 0.0), eps=data.get("eps", 0.0),
         )
 

@@ -340,6 +340,9 @@ def test_roots_m0_needs_no_oddness(outdir, preset):
     assert doc["certified_count"] <= doc["theorem_bound"]
 
 
+EXAMPLE1 = load_preset("example1").to_json()
+
+
 @pytest.mark.parametrize("argv", [
     ["roots", "--preset", "example1", "--which", "M0"],
     ["roots", "--preset", "remark-pw-cubic", "--which", "M1", "--project-odd"],
@@ -353,13 +356,34 @@ def test_roots_m0_needs_no_oddness(outdir, preset):
     ["simulate", "--preset", "example1", "--lam", "nan"],
     ["oracle", "--preset", "example1", "--h-grid", "nan"],
     ["melnikov", "--preset", "example1", "--h-grid", "inf"],
+    ["simulate", "--preset", "example1", "--r-range", "1:inf"],
+    ["melnikov", "--system", dict(EXAMPLE1, m=3.5)],
+    ["melnikov", "--system", dict(EXAMPLE1, m="3")],
+    ["melnikov", "--system", dict(EXAMPLE1, m=1e9)],
+    ["melnikov", "--system", dict(EXAMPLE1, m=True)],
+    ["melnikov", "--system", dict(EXAMPLE1, a1=[None])],
+    ["melnikov", "--system", dict(EXAMPLE1, a1=5)],
+    ["melnikov", "--system", dict(EXAMPLE1, **{"lambda": "x"})],
+    ["melnikov", "--system", dict(EXAMPLE1, a1=[{"q": "1"}])],
+    ["melnikov", "--system", dict(EXAMPLE1, a1=[[1]])],
+    ["melnikov", "--system", dict(EXAMPLE1, a1=[False])],
+    ["melnikov", "--system", [EXAMPLE1]],
 ], ids=["zero-M0", "zero-M1", "negative-h", "infinite-target",
         "even-f0-melnikov", "even-f0-roots", "infeasible-shape-X",
         "infeasible-shape-Y", "reversed-r-range", "nan-lam", "nan-h",
-        "infinite-h"])
-def test_input_errors_are_validation_errors(outdir, capsys, argv):
+        "infinite-h", "unbounded-r-range", "fractional-m", "string-m",
+        "float-m", "boolean-m", "null-coefficient", "number-vector",
+        "string-lambda", "bare-term", "number-term", "boolean-coefficient",
+        "array-document"])
+def test_input_errors_are_validation_errors(tmp_path, outdir, capsys, argv):
     """Errors in the input exit 2 with an error line, not as numerical
-    failures."""
+    failures.  A JSON value in ``argv`` is a ``--system`` document: it is
+    written to a file, whose path takes its place."""
+    doc = tmp_path / "system.json"
+    for arg in argv:
+        if not isinstance(arg, str):
+            doc.write_text(json.dumps(arg))
+    argv = [arg if isinstance(arg, str) else str(doc) for arg in argv]
     assert main(["--out", str(outdir)] + argv) == EXIT_VALIDATION
     assert capsys.readouterr().err.startswith("error:")
 

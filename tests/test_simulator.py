@@ -347,23 +347,31 @@ class TestEventLocation:
         assert (t, x, y) == crossings[-1][:3]
 
 
-def hook_steps(monkeypatch, wrap):
-    """Patch ``_kernel_py._step`` so that every step it hands the kernel is
-    ``wrap(step)``: the kernel fetches its step there once per arc."""
+def hook_steps(monkeypatch, wrap, wrap_start=lambda start: start):
+    """Patch ``_kernel_py._step`` so that every (start, step) pair it hands
+    the kernel is ``(wrap_start(start), wrap(step))``: the kernel fetches
+    its pair there once per arc."""
     make = _kernel_py._step
-    monkeypatch.setattr(_kernel_py, "_step", lambda *key: wrap(make(*key)))
+
+    def hooked(*key):
+        start, step = make(*key)
+        return wrap_start(start), wrap(step)
+
+    monkeypatch.setattr(_kernel_py, "_step", hooked)
 
 
 def count_field_evaluations(monkeypatch, args):
-    """The ``_field`` calls, stage 1 of each arc, plus six for each step
-    that returns: a step evaluates the field inline at its stages 2 to 7.
-    A step that meets the guard evaluates fewer and is not counted."""
+    """The calls of the generated ``start``, stage 1 of each arc, plus six
+    for each step that returns: a step evaluates the field inline at its
+    stages 2 to 7.  A step that meets the guard evaluates fewer and is not
+    counted."""
     calls = [0]
-    field = _kernel_py._field
 
-    def counted(*fargs):
-        calls[0] += 1
-        return field(*fargs)
+    def counted_start(start):
+        def started(*start_args):
+            calls[0] += 1
+            return start(*start_args)
+        return started
 
     def counted_step(step):
         def stepped(*step_args):
@@ -372,8 +380,7 @@ def count_field_evaluations(monkeypatch, args):
             return out
         return stepped
 
-    monkeypatch.setattr(_kernel_py, "_field", counted)
-    hook_steps(monkeypatch, counted_step)
+    hook_steps(monkeypatch, counted_step, counted_start)
     status, *_ = _kernel_py.integrate_return(*args)
     assert status == 0
     return calls[0]
@@ -408,31 +415,40 @@ class TestKernelWork:
                                        designed_cycle_args()) == 128
 
 
-def tableau_step(p, q, r, t, phi, h, k1r, k1t):
+def tableau_step(p, q, phi, h, y, k1):
     """The Dormand-Prince step as loops over _A, the nodes and _E, every
-    weight summed in the tableau's order, the zero weights included."""
+    weight summed in the tableau's order, the zero weights included, and
+    each stage from ``reference_start``."""
+    (r, t), (k1r, k1t) = y, k1
     kr, kt = [k1r], [k1t]
     for row, c in zip(_kernel_py._A[1:], _kernel_py._C + (1.0,)):
         rs, ts = r, t
         for a, krj, ktj in zip(row, kr, kt):
             rs += (h * a) * krj
             ts += (h * a) * ktj
-        dr, dt = _kernel_py._field(p, q, rs, phi + c * h)
+        dr, dt = reference_start(p, q, rs, phi + c * h)
         kr.append(dr)
         kt.append(dt)
     er = 0.0
     for e, krj in zip(_kernel_py._E, kr):
         er += (h * e) * krj
-    return rs, ts, abs(er), kr[6], kt[6]
+    return abs(er), (rs, ts), (kr[6], kt[6])
 
 
 def step_bits(step, *args):
-    """The hex of each float ``step(*args)`` returns, None where a stage
-    meets the guard."""
+    """``result_bits`` of ``step(*args)``, None where a stage meets the
+    guard."""
     try:
-        return [x.hex() for x in step(*args)]
+        return result_bits(step(*args))
     except _kernel_py._NonTransversal:
         return None
+
+
+def plain_part(result):
+    """[err, (r5, t5), (k7r, k7t)] of a tangent step's result or of its
+    ``result_bits``."""
+    err, y5, k7 = result
+    return [err, y5[:2], k7[:2]]
 
 
 def random_shape_inputs(rng, n_p, n_q):
@@ -467,11 +483,11 @@ class TestWrittenOutStep:
             phi = phi0 + rng.uniform(0.0, 2.0 * math.pi)
             qs = _kernel_py._descending(q, rng.choice((-1.0, 1.0)))
             h = 10.0 ** rng.uniform(-8.0, 0.0)
-            k1r, k1t = _kernel_py._field(p, qs, r, phi)
-            step = _kernel_py._step(len(p), len(qs), False)
-            got = step(p, qs, r, t, phi, h, k1r, k1t)
-            want = tableau_step(p, qs, r, t, phi, h, k1r, k1t)
-            assert [v.hex() for v in got] == [v.hex() for v in want]
+            k1 = reference_start(p, qs, r, phi)
+            step = _kernel_py._step(len(p), len(qs), False)[1]
+            got = step(p, qs, phi, h, (r, t), k1)
+            want = tableau_step(p, qs, phi, h, (r, t), k1)
+            assert result_bits(got) == result_bits(want)
 
     @pytest.mark.parametrize("n_p,n_q", SHAPES)
     def test_every_shape_matches_tableau_loops_bitwise(self, rng, n_p, n_q):
@@ -483,21 +499,21 @@ class TestWrittenOutStep:
         for _ in range(40):
             p, qs, r, t, phi, h = random_shape_inputs(rng, n_p, n_q)
             try:
-                k1r, k1t = _kernel_py._field(p, qs, r, phi)
+                k1 = reference_start(p, qs, r, phi)
             except _kernel_py._NonTransversal:
                 continue
-            got = step_bits(_kernel_py._step(n_p, n_q, False),
-                            p, qs, r, t, phi, h, k1r, k1t)
-            assert got == step_bits(tableau_step,
-                                    p, qs, r, t, phi, h, k1r, k1t)
+            got = step_bits(_kernel_py._step(n_p, n_q, False)[1],
+                            p, qs, phi, h, (r, t), k1)
+            assert got == step_bits(tableau_step, p, qs, phi, h, (r, t), k1)
             finished += got is not None
         assert finished >= 20
 
     @pytest.mark.parametrize("tangent", [False, True])
     def test_returns_match_tableau_loop_returns(self, monkeypatch, rng,
                                                 tangent):
-        """Whole returns keep their bits when the kernel steps by the
-        tableau loops, whose ``_field`` starts each Horner loop from 0.0:
+        """Whole returns keep their bits when the kernel starts each arc
+        from ``reference_start`` and steps by the tableau loops, whose
+        fields start each Horner loop from 0.0:
         the status inputs, 30 random returns, signed zeros, from the
         designed-cycle increment's negated vectors (q = [-0.0]) and from
         negated vectors with p = [-0.0] or p = q = [-0.0], and empty
@@ -517,15 +533,18 @@ class TestWrittenOutStep:
                                                        tangent=tangent))
                for args in cases]
         monkeypatch.setattr(_kernel_py, "_step", lambda n_p, n_q, t: (
-            tableau_step_tangent if t else tableau_step))
+            (reference_start_tangent, tableau_step_tangent) if t
+            else (reference_start, tableau_step)))
         assert got == [result_bits(_kernel_py.integrate_return(
             *args, tangent=tangent)) for args in cases]
 
 
-def tableau_step_tangent(p, q, r, t, v, phi, h, k1r, k1t, k1f):
+def tableau_step_tangent(p, q, phi, h, y, k1):
     """The tangent step as loops over _A, the nodes and _E: each stage's v
     summed in the tableau's order, the zero weights included, and its
-    derivative F_r v with F_r from the field at that stage's r."""
+    derivative F_r v with F_r from ``reference_start_tangent`` at that
+    stage's r."""
+    (r, t, v), (k1r, k1t, k1f) = y, k1
     kr, kt, kv, fs = [k1r], [k1t], [k1f * v], [k1f]
     for row, c in zip(_kernel_py._A[1:], _kernel_py._C + (1.0,)):
         rs, ts, vs = r, t, v
@@ -533,7 +552,7 @@ def tableau_step_tangent(p, q, r, t, v, phi, h, k1r, k1t, k1f):
             rs += (h * a) * krj
             ts += (h * a) * ktj
             vs += (h * a) * kvj
-        dr, dt, f = _kernel_py._field_tangent(p, q, rs, phi + c * h)
+        dr, dt, f = reference_start_tangent(p, q, rs, phi + c * h)
         kr.append(dr)
         kt.append(dt)
         kv.append(f * vs)
@@ -541,7 +560,7 @@ def tableau_step_tangent(p, q, r, t, v, phi, h, k1r, k1t, k1f):
     er = 0.0
     for e, krj in zip(_kernel_py._E, kr):
         er += (h * e) * krj
-    return rs, ts, abs(er), kr[6], kt[6], vs, fs[6]
+    return abs(er), (rs, ts, vs), (kr[6], kt[6], fs[6])
 
 
 def random_step_inputs(rng, args):
@@ -565,15 +584,14 @@ class TestWrittenOutTangentStep:
         for _ in range(300):
             p, qs, r, t, phi, h = random_step_inputs(rng, args)
             v = rng.uniform(-2.0, 2.0)
-            k1r, k1t, k1f = _kernel_py._field_tangent(p, qs, r, phi)
-            got = _kernel_py._step(len(p), len(qs), True)(
-                p, qs, r, t, v, phi, h, k1r, k1t, k1f)
-            want = tableau_step_tangent(p, qs, r, t, v, phi, h,
-                                        k1r, k1t, k1f)
-            assert [x.hex() for x in got] == [x.hex() for x in want]
-            plain = _kernel_py._step(len(p), len(qs), False)(
-                p, qs, r, t, phi, h, k1r, k1t)
-            assert [x.hex() for x in got[:5]] == [x.hex() for x in plain]
+            k1 = reference_start_tangent(p, qs, r, phi)
+            got = _kernel_py._step(len(p), len(qs), True)[1](
+                p, qs, phi, h, (r, t, v), k1)
+            want = tableau_step_tangent(p, qs, phi, h, (r, t, v), k1)
+            assert result_bits(got) == result_bits(want)
+            plain = _kernel_py._step(len(p), len(qs), False)[1](
+                p, qs, phi, h, (r, t), k1[:2])
+            assert result_bits(plain_part(got)) == result_bits(plain)
 
     @pytest.mark.parametrize("n_p,n_q", SHAPES)
     def test_every_shape_matches_tableau_loops_bitwise(self, rng, n_p, n_q):
@@ -586,32 +604,34 @@ class TestWrittenOutTangentStep:
             p, qs, r, t, phi, h = random_shape_inputs(rng, n_p, n_q)
             v = rng.uniform(-2.0, 2.0)
             try:
-                k1r, k1t, k1f = _kernel_py._field_tangent(p, qs, r, phi)
+                k1 = reference_start_tangent(p, qs, r, phi)
             except _kernel_py._NonTransversal:
                 continue
-            got = step_bits(_kernel_py._step(n_p, n_q, True),
-                            p, qs, r, t, v, phi, h, k1r, k1t, k1f)
+            got = step_bits(_kernel_py._step(n_p, n_q, True)[1],
+                            p, qs, phi, h, (r, t, v), k1)
             assert got == step_bits(tableau_step_tangent,
-                                    p, qs, r, t, v, phi, h, k1r, k1t, k1f)
-            plain = step_bits(_kernel_py._step(n_p, n_q, False),
-                              p, qs, r, t, phi, h, k1r, k1t)
-            assert got is None and plain is None or got[:5] == plain
+                                    p, qs, phi, h, (r, t, v), k1)
+            plain = step_bits(_kernel_py._step(n_p, n_q, False)[1],
+                              p, qs, phi, h, (r, t), k1[:2])
+            assert got is None and plain is None or plain_part(got) == plain
             finished += got is not None
         assert finished >= 20
 
     @pytest.mark.parametrize("mode", [0, 1, 2])
     def test_field_tangent(self, rng, mode):
-        """The tangent field's (dr/dphi, dt/dphi) are _field's bits, and its
-        F_r matches a central difference of dr/dphi in r."""
+        """The tangent start's (dr/dphi, dt/dphi) are the plain start's
+        bits, and its F_r matches a central difference of dr/dphi in r."""
         args = five_vector_args(mode)
         for _ in range(300):
             p, qs, r, _t, phi, _h = random_step_inputs(rng, args)
-            dr, dt, fr = _kernel_py._field_tangent(p, qs, r, phi)
+            start = _kernel_py._step(len(p), len(qs), False)[0]
+            dr, dt, fr = _kernel_py._step(len(p), len(qs), True)[0](
+                p, qs, r, phi)
             assert (dr.hex(), dt.hex()) == tuple(
-                x.hex() for x in _kernel_py._field(p, qs, r, phi))
+                x.hex() for x in start(p, qs, r, phi))
             delta = 1e-6 * r
-            diff = (_kernel_py._field(p, qs, r + delta, phi)[0]
-                    - _kernel_py._field(p, qs, r - delta, phi)[0])
+            diff = (start(p, qs, r + delta, phi)[0]
+                    - start(p, qs, r - delta, phi)[0])
             assert fr == pytest.approx(diff / (2.0 * delta), abs=1e-7)
 
 
@@ -710,6 +730,52 @@ def polyval_field(p, q, r, phi, side):
     return s * a * dt, dt
 
 
+def polyval_with_derivative(coeffs, x):
+    """``polyval(coeffs, x)`` and the derivative's value there, from the
+    Horner-with-derivative chain beside polyval's loop."""
+    value = deriv = 0.0
+    for c in reversed(coeffs):
+        deriv = deriv * x + value
+        value = value * x + c
+    return value, deriv
+
+
+def polyval_field_tangent(p, q, r, phi, side):
+    """``polyval_field`` with F_r = d(dr/dphi)/dr as well: (dr/dphi,
+    dt/dphi, F_r), or None below the guard.  d(s a r / w)/dr with
+    w = r + c a reduces to s (a_r r^2 + c a^2) / w^2, and x = r cos(phi)
+    moves with r by cos(phi)."""
+    c = math.cos(phi)
+    s = math.sin(phi)
+    x = r * c
+    pa, pd = polyval_with_derivative(p, x)
+    qa, qd = polyval_with_derivative(q, x)
+    a = -r * s * pa + side * qa
+    w = r + c * a
+    if not (r > 0.0 and w > _kernel_py._TRANSVERSAL_GUARD * r):
+        return None
+    dt = r / w
+    g = a / w
+    return s * a * dt, dt, s * (
+        (c * (side * qd) - s * (pa + x * pd)) * dt * dt + c * g * g)
+
+
+def kernel_form(field):
+    """``field`` as the kernel's ``start``: p and q from the top degree
+    down, q already times the side, and _NonTransversal below the guard."""
+    def start(p, q, r, phi):
+        out = field(p[::-1], q[::-1], r, phi, 1.0)
+        if out is None:
+            raise _kernel_py._NonTransversal
+        return out
+    return start
+
+
+# the reference stage 1 of the tableau loops and of TestFieldCoefficientForm
+reference_start = kernel_form(polyval_field)
+reference_start_tangent = kernel_form(polyval_field_tangent)
+
+
 def has_negative_zero(coeffs):
     return any(c == 0.0 and math.copysign(1.0, c) < 0.0 for c in coeffs)
 
@@ -719,11 +785,11 @@ class TestFieldCoefficientForm:
     @pytest.mark.parametrize("lam,eps", [(0.02, 4e-4), (0.3, 0.09),
                                          (0.0, 0.5)])
     def test_field_matches_polyval_bitwise(self, rng, sign, lam, eps):
-        """_field on the descending tuples, q times the side, equals the
-        polyval formula bit for bit: Horner from the top is polyval, and a
-        product with +-1 is exact.  The negated vectors are what
-        bifurcation_increment passes; with lam = 0 their zeros fold to
-        -0.0 coefficients."""
+        """The generated start on the descending tuples, q times the side,
+        plain and tangent, equals the polyval formula bit for bit: Horner
+        from the top is polyval, and a product with +-1 is exact.  The
+        negated vectors are what bifurcation_increment passes; with lam = 0
+        their zeros fold to -0.0 coefficients."""
         vectors = [[sign * c for c in v] for v in FIVE_VECTORS]
         p, q = _kernel_py.fold(*vectors, lam, eps)
         if sign < 0.0 and lam == 0.0:
@@ -740,6 +806,23 @@ class TestFieldCoefficientForm:
         assert has_negative_zero(p) and has_negative_zero(q)
         self.check(rng, p, q)
 
+    @pytest.mark.parametrize("n_p,n_q", SHAPES)
+    def test_every_shape_start_matches_reference_fields(self, rng, n_p,
+                                                        n_q):
+        """Each shape's generated start, plain and tangent, has the bits
+        of polyval_field and of its tangent twin on 40 random points, or
+        meets the guard in both."""
+        for tangent, field in ((False, reference_start),
+                               (True, reference_start_tangent)):
+            start = _kernel_py._step(n_p, n_q, tangent)[0]
+            finished = 0
+            for _ in range(40):
+                p, qs, r, _t, phi, _h = random_shape_inputs(rng, n_p, n_q)
+                got = step_bits(start, p, qs, r, phi)
+                assert got == step_bits(field, p, qs, r, phi)
+                finished += got is not None
+            assert finished >= 20
+
     @staticmethod
     def check(rng, p, q):
         top_p = _kernel_py._descending(p)
@@ -748,13 +831,12 @@ class TestFieldCoefficientForm:
             phi = rng.uniform(-0.5 * math.pi, 2.5 * math.pi)
             side = rng.choice((-1.0, 1.0))
             want = polyval_field(p, q, r, phi, side)
-            try:
-                got = _kernel_py._field(top_p, _kernel_py._descending(q, side),
-                                        r, phi)
-            except _kernel_py._NonTransversal:
-                got = None
-            assert got is None and want is None \
-                or [v.hex() for v in got] == [v.hex() for v in want]
+            qs = _kernel_py._descending(q, side)
+            for tangent in (False, True):
+                start = _kernel_py._step(len(top_p), len(qs), tangent)[0]
+                got = step_bits(start, top_p, qs, r, phi)
+                assert got is None and want is None \
+                    or got[:2] == result_bits(want)
 
 
 def record_steps(monkeypatch, args):
@@ -765,7 +847,7 @@ def record_steps(monkeypatch, args):
 
     def recorded(step):
         def stepped(*step_args):
-            steps.append((step_args[4], step_args[5]))
+            steps.append((step_args[2], step_args[3]))
             return step(*step_args)
         return stepped
 
@@ -1183,7 +1265,7 @@ class TestGuards:
         kernel gets the fixed annulus as its last two arguments."""
         asked = []
 
-        def stub(*args):
+        def stub(*args, tangent=False):
             asked.append(args)
             return status, 1.0, 0.0, 0.5, []
 
@@ -1201,10 +1283,12 @@ class TestGuards:
             find_cycles(load_preset("example1"), (1.0, 2.0), grid_n,
                         SimConfig())
 
-    @pytest.mark.parametrize("r_range", [(3.4, 1.0), (2.0, 2.0)])
+    @pytest.mark.parametrize("r_range", [(3.4, 1.0), (2.0, 2.0),
+                                         (1.0, math.inf)])
     def test_scan_needs_rising_range(self, r_range):
-        """A reversed or empty range has no Chebyshev nodes to map onto
-        [-1, 1]."""
+        """A reversed, empty or unbounded range has no Chebyshev nodes to
+        map onto [-1, 1]: on (1, inf) the midpoint and half-width are both
+        inf, and the nodes would be inf and NaN radii."""
         with pytest.raises(ValueError, match="lo < hi"):
             find_cycles(two_cycle_system(), r_range, 60,
                         SimConfig(lam=0.02, eps=4e-4))

@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from pwlienard import Case, LienardSystem, PRESET_NAMES, load_preset
+from pwlienard import Case, LienardSystem, PRESET_NAMES, errors, load_preset
 from pwlienard.systems import _load_preset_file, canonical_dumps
 
 
@@ -39,6 +39,17 @@ def test_params_must_be_finite(name, value):
     params = {"lam": 0.02, "eps": 4e-4, name: value}
     with pytest.raises(ValueError, match="finite"):
         load_preset("example1").with_params(params["lam"], params["eps"])
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"m": 3.5}, {"m": "3"}, {"m": True}, {"n": -1}, {"lam": "x"},
+    {"eps": True}])
+def test_build_rejects_values_of_the_wrong_type(kwargs):
+    """A degree is a non-negative int, not a bool; lambda and eps are
+    numbers.  Each other value is an input error."""
+    args = {"case": Case.SWITCH_Y, "m": 1, "n": 1, **kwargs}
+    with pytest.raises(errors.InvalidInput):
+        LienardSystem.build(**args)
 
 
 def test_case_from_string():
