@@ -20,14 +20,19 @@ _SQRT2 = math.sqrt(2.0)
 def _as_fraction(q) -> Fraction:
     if isinstance(q, Fraction):
         return q
-    if isinstance(q, int):
-        return Fraction(q)
-    if isinstance(q, float):
-        # exact binary expansion, no rounding
-        return Fraction(q)
-    if isinstance(q, str):
-        return Fraction(q)
+    if isinstance(q, (int, float, str)):
+        return Fraction(q)  # a float's exact binary expansion, no rounding
     raise TypeError(f"cannot interpret {q!r} as a rational")
+
+
+def _json_rational(value) -> Fraction:
+    """A JSON number or rational string as a Fraction, else InvalidInput."""
+    try:
+        if not isinstance(value, bool):
+            return _as_fraction(value)
+    except (TypeError, ValueError, ArithmeticError):
+        pass
+    raise InvalidInput(f"not a rational: {value!r}")
 
 
 def _merge(canon: dict, key, q: Fraction):
@@ -204,18 +209,19 @@ class RingElem:
 
     @classmethod
     def from_json(cls, data) -> "RingElem":
-        """A number, a rational string or ``to_json``'s list of terms; any
-        other value raises InvalidInput."""
-        if isinstance(data, (int, float, str)) and not isinstance(data, bool):
-            return cls.rational(_as_fraction(data))
-        if not (isinstance(data, list)
-                and all(isinstance(entry, dict) for entry in data)):
-            raise InvalidInput(f"not a coefficient: {data!r}")
-        terms: dict[tuple[int, int], Fraction] = {}
+        """A rational or ``to_json``'s list of terms, objects with a rational
+        "q" and optional int "e" and "p"; anything else raises InvalidInput."""
+        if not isinstance(data, list):
+            return cls.rational(_json_rational(data))
+        out = cls.zero()
         for entry in data:
-            key = (int(entry.get("e", 0)), int(entry.get("p", 0)))
-            terms[key] = terms.get(key, Fraction(0)) + Fraction(entry["q"])
-        return cls(terms)
+            if not (isinstance(entry, dict)
+                    and {"q"} <= entry.keys() <= {"q", "e", "p"}
+                    and all(type(entry.get(k, 0)) is int for k in "ep")):
+                raise InvalidInput(f"not a term: {entry!r}")
+            out += cls.term(_json_rational(entry["q"]), entry.get("e", 0),
+                            entry.get("p", 0))
+        return out
 
     def __repr__(self):
         if not self.terms:

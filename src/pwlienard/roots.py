@@ -3,15 +3,18 @@
 Roots are isolated in the substituted variable s = sqrt(h): the half-power
 polynomial becomes an ordinary polynomial Q(s).  The lowest s-power is
 factored out (so h = 0 is never reported), the search runs on (0, B] with B
-a Cauchy bound, subdivision is guided by Descartes' rule of signs, and each
-isolated interval is refined by bisection and certified by its sign change.
-Even-multiplicity candidates (no sign change) are flagged, not certified.
+a Cauchy bound, Descartes' rule reads the signs of Q's Bernstein
+coefficients, de Casteljau splits them (Eigenwillig, Sharma & Yap, ISSAC
+2006), and each isolated interval is bisected and certified by the sign
+change of Q itself.  Even-multiplicity candidates are flagged, not certified.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache, partial
+from itertools import accumulate
 
 from .algebra import HalfPowerPoly, polyval
 from .errors import PrecisionLoss, ZeroPolynomial
@@ -27,36 +30,49 @@ CERT_SIMPLE = "SimpleSignChange"
 CERT_SUSPECT_EVEN = "SuspectedEvenMultiplicity"
 
 
-def _deriv(coeffs):
-    return [k * c for k, c in enumerate(coeffs)][1:]
-
-
 def sign_variations(coeffs) -> int:
     signs = [c for c in coeffs if c != 0.0]
     return sum(1 for a, b in zip(signs, signs[1:]) if a * b < 0)
 
 
-def _descartes_count_01(coeffs) -> int:
-    """Sign variations of (1+x)^n P(1/(1+x)): root-count bound of P on (0, 1)."""
-    rev = list(reversed(coeffs))
-    return sign_variations(_scale_to_unit(rev, 1.0, 2.0))  # rev(x + 1)
-
-
-def _scale_to_unit(coeffs, lo: float, hi: float):
-    """Coefficients of P(lo + (hi - lo) * x), mapping (0,1) onto (lo, hi)."""
-    n = len(coeffs)
-    out = list(coeffs)
-    if lo != 0.0:
-        # Taylor shift by lo via repeated synthetic division
-        for i in range(n - 1):
-            for j in range(n - 2, i - 1, -1):
-                out[j] += lo * out[j + 1]
-    width = hi - lo
-    w = 1.0
-    for k in range(n):
-        out[k] *= w
+def _bernstein(coeffs, width: float):
+    """Bernstein coefficients on [0, width] of sum a_k s^k (Pascal's rule)."""
+    n = len(coeffs) - 1
+    out, w = [], 1.0
+    for k, a in enumerate(coeffs):
+        out.append(a * w / math.comb(n, k))
         w *= width
+    for i in range(n):
+        out[i + 1:] = [a + b for a, b in zip(out[i + 1:], out[i:])]
     return out
+
+
+@lru_cache(maxsize=None)
+def _chebyshev_weights(n: int):
+    """Column k: the k-th Bernstein coefficient of T_0..T_n(2u - 1) on [0, 1],
+    from exact rows C(n, k) w_jk, polynomials P_j in z = u / (1 - u) with
+    P_{j+1} = 2 (z - 1) P_j / (1 + z) - P_{j-1} and P_{-1} = P_1."""
+    rows = [[math.comb(n, k) for k in range(n + 1)]]
+    for j in range(n):
+        quot = list(accumulate(rows[-1][:-1], lambda q, p: p - q))
+        step = [a - b for a, b in zip([0] + quot, quot + [0])]
+        rows.append([2 * a - b for a, b in zip(step, rows[-2])] if j else step)
+    return tuple(tuple(row[k] / math.comb(n, k) for row in rows)
+                 for k in range(n + 1))
+
+
+def chebyshev_bernstein(coeffs):
+    """Bernstein coefficients on u in [0, 1] of sum c_j T_j(2u - 1)."""
+    return [sum(c * w for c, w in zip(coeffs, col))
+            for col in _chebyshev_weights(len(coeffs) - 1)]
+
+
+def _split(b, t: float):
+    """de Casteljau at t: the Bernstein coefficients of both pieces."""
+    rows, s = [b], 1.0 - t
+    while len(rows[-1]) > 1:
+        rows.append([s * x + t * y for x, y in zip(rows[-1], rows[-1][1:])])
+    return [r[0] for r in rows], [r[-1] for r in reversed(rows)]
 
 
 @dataclass(frozen=True)
@@ -80,15 +96,15 @@ class RootReport:
         return len(self.h_roots)
 
 
-def _bisect_root(coeffs, lo: float, hi: float):
-    """Bisect (lo, hi), on which P changes sign as ``_isolate`` records it."""
-    flo = polyval(coeffs, lo)
+def _bisect_root(f, lo: float, hi: float):
+    """(lo, hi, mid) of the sign change of f on (lo, hi), bisected."""
+    flo = f(lo)
     # tight target: both the s-interval and the induced h-interval stay <= 1e-12
     while (hi - lo) * max(1.0, hi + lo) > REFINE_WIDTH:
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break  # float resolution reached
-        fm = polyval(coeffs, mid)
+        fm = f(mid)
         if fm == 0.0:
             lo = hi = mid
             break
@@ -96,47 +112,42 @@ def _bisect_root(coeffs, lo: float, hi: float):
             hi = mid
         else:
             lo, flo = mid, fm
-    return lo, hi
+    return lo, hi, 0.5 * (lo + hi)
 
 
-def _isolate(coeffs, lo: float, hi: float, out: list, depth: int = 0):
-    """Recursive Descartes-guided subdivision of (lo, hi)."""
-    mapped = _scale_to_unit(coeffs, lo, hi)
-    count = _descartes_count_01(mapped)
+def _isolate(f, b, lo, hi, flo, fhi, out: list, depth: int = 0):
+    """Descartes-guided subdivision of (lo, hi), where f has the values flo
+    and fhi and the Bernstein coefficients b."""
+    b[0], b[-1] = flo, fhi  # so the count's parity is the sign change's
+    count = sign_variations(b)
     if count == 0:
         return
-    flo = polyval(coeffs, lo)
-    fhi = polyval(coeffs, hi)
-    if count == 1 and flo * fhi < 0:
-        out.append((lo, hi))
-        return
-    if depth > 60 or hi - lo < 1e-9 * max(1.0, hi):
-        # unresolved cluster: record as a sign-change interval if one exists,
-        # otherwise leave it for the even-multiplicity scan
+    # an isolated root, or past the depth or width limit an unresolved
+    # cluster: recorded if it changes sign, else left for the even scan
+    if (count == 1 and flo * fhi < 0 or depth > 60
+            or hi - lo < 1e-9 * max(1.0, hi)):
         if flo * fhi < 0:
             out.append((lo, hi))
         return
-    mid = 0.5 * (lo + hi)
-    if polyval(coeffs, mid) == 0.0:
+    t, mid = 0.5, 0.5 * (lo + hi)
+    fmid = f(mid)
+    if fmid == 0.0:
         # a root on the split point would be an endpoint of both halves,
         # where neither Descartes nor a sign change can see it
-        mid = lo + _OFF_CENTRE * (hi - lo)
-    _isolate(coeffs, lo, mid, out, depth + 1)
-    _isolate(coeffs, mid, hi, out, depth + 1)
+        t, mid = _OFF_CENTRE, lo + _OFF_CENTRE * (hi - lo)
+        fmid = f(mid)
+    left, right = _split(b, t)
+    _isolate(f, left, lo, mid, flo, fmid, out, depth + 1)
+    _isolate(f, right, mid, hi, fmid, fhi, out, depth + 1)
 
 
-def _refined_roots(coeffs, bound: float):
-    """(lo, hi, mid) s-intervals of P's sign changes on (0, bound], bisected.
-
-    ``_isolate`` records (lo, hi) only where P(lo) * P(hi) < 0, so P(lo) is
-    nonzero even at lo = 0, and mid > 0."""
+def refined_roots(f, b, lo: float, hi: float):
+    """(lo, hi, mid) of f's sign changes on (lo, hi], bisected, from f's
+    Bernstein coefficients b there.  Only intervals whose ends differ in
+    sign are kept, so a zero at lo itself is never one, and mid > lo."""
     intervals: list = []
-    _isolate(coeffs, 0.0, bound, intervals)
-    out = []
-    for lo, hi in intervals:
-        lo, hi = _bisect_root(coeffs, lo, hi)
-        out.append((lo, hi, 0.5 * (lo + hi)))
-    return out
+    _isolate(f, list(b), lo, hi, f(lo), f(hi), intervals)
+    return [_bisect_root(f, lo, hi) for lo, hi in intervals]
 
 
 def _strip_low_power(coeffs):
@@ -166,9 +177,11 @@ def isolate_positive_roots(poly: HalfPowerPoly, case: Case | None = None,
     if not (math.isfinite(scale) and math.isfinite(bound)):
         raise PrecisionLoss("coefficient conversion lost all significant digits")
     report = RootReport(descartes_bound=sign_variations(coeffs))
-    deriv = _deriv(coeffs)
+    deriv = [k * c for k, c in enumerate(coeffs)][1:]
     s_roots = []
-    for lo, hi, mid in _refined_roots(coeffs, bound):
+    # partials, not lambdas: bisection makes most of the isolator's calls
+    for lo, hi, mid in refined_roots(partial(polyval, coeffs),
+                                     _bernstein(coeffs, bound), 0.0, bound):
         cert = CERT_SIMPLE if polyval(deriv, mid) != 0.0 else CERT_SUSPECT_EVEN
         s_roots.append(IsolatedRoot(lo, hi, mid, cert))
     # flag possible even-multiplicity roots: minima of |P| at zeros of P'
@@ -186,7 +199,8 @@ def isolate_positive_roots(poly: HalfPowerPoly, case: Case | None = None,
 def _suspect_even_roots(coeffs, deriv, bound, certified, scale):
     """Even-multiplicity candidates as h-intervals; the search runs in s."""
     out = []
-    for lo, hi, mid in _refined_roots(deriv, bound):
+    for lo, hi, mid in refined_roots(partial(polyval, deriv),
+                                     _bernstein(deriv, bound), 0.0, bound):
         if any(r.lo - 1e-9 <= mid <= r.hi + 1e-9 for r in certified):
             continue
         if abs(polyval(coeffs, mid)) <= 1e-8 * scale * max(1.0, mid) ** len(coeffs):

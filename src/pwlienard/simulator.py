@@ -11,9 +11,9 @@ nodes capture it (Trefethen, Approximation Theory and Approximation
 Practice, 2013; Boyd, Solving Transcendental Equations, 2014).  Each node
 is a tangent return, which gives d' = dr/dr0 - 1 beside d (the variational
 equation; Hairer, Norsett & Wanner, Solving ODEs I, I.14), so n + 1 nodes
-fix a Hermite proxy of degree 2n + 1.  The roots come from ``roots``'
-Descartes isolator with no further return, and each costs one plain
-polish return.
+fix a Hermite proxy of degree 2n + 1.  Its Bernstein coefficients guide
+``roots``' isolator, the one that serves M0 and M1, to its roots with no
+further return, and each root costs one plain polish return.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from . import _kernel_py
 from .algebra import poly_antideriv, polyval
 from .errors import (EscapeAnnulus, MaxStepsExceeded, NonTransversalCrossing,
                      PwLienardError)
-from .roots import _deriv, _refined_roots, _scale_to_unit
+from .roots import chebyshev_bernstein, refined_roots
 from .systems import Case, LienardSystem, check_params
 
 # every return calls _kernel.integrate_return through this module attribute
@@ -180,7 +180,9 @@ def find_cycles(sys: LienardSystem, r_range, grid_n: int,
             coeffs = _hermite_coeffs(ds, slopes)
             if (max(abs(c) for c in coeffs[-3:]) <= floor
                     or not fits(a, b, 2 * n)):
-                proxies.append((a, b, _chop(coeffs, floor)))
+                while coeffs and abs(coeffs[-1]) <= floor:
+                    coeffs = coeffs[:-1]
+                proxies.append((a, b, coeffs))
                 break
             n *= 2
     scan = CycleScan()
@@ -188,7 +190,7 @@ def find_cycles(sys: LienardSystem, r_range, grid_n: int,
     scan.displacements = [values[r][0] for r in scan.grid]
     scan.non_isolated = bool(proxies) and not any(c for _a, _b, c in proxies)
     for a, b, coeffs in proxies:
-        for r_star, slope in _proxy_roots(coeffs, a, b, floor):
+        for r_star, slope in _proxy_roots(coeffs, a, b):
             scan.cycles.append(_cycle_report(sys, r_star, slope, config))
     scan.cycles.sort(key=lambda c: c.radius)
     return scan
@@ -227,12 +229,7 @@ def _hermite_coeffs(ds, slopes):
     reflection at 0."""
     n = len(ds) - 1
     low = _chebyshev_coeffs(ds)
-    # L' by the recurrence c'_{j-1} = c'_{j+1} + 2 j c_j
-    dlow = [0.0] * (n + 2)
-    for j in range(n, 0, -1):
-        dlow[j - 1] = dlow[j + 1] + 2.0 * j * low[j]
-    dlow = dlow[:n]
-    dlow[0] *= 0.5
+    dlow = _chebyshev_deriv(low)
     ms = []
     for k, slope in enumerate(slopes):
         x = math.cos(math.pi * k / n)
@@ -246,11 +243,15 @@ def _hermite_coeffs(ds, slopes):
     return out
 
 
-def _chop(coeffs, floor):
-    """The coefficients up to the last one above the floor."""
-    while coeffs and abs(coeffs[-1]) <= floor:
-        coeffs = coeffs[:-1]
-    return coeffs
+def _chebyshev_deriv(coeffs):
+    """Chebyshev coefficients of (sum c_j T_j)', by the recurrence
+    c'_{j-1} = c'_{j+1} + 2 j c_j."""
+    n = len(coeffs) - 1
+    out = [0.0] * (n + 2)
+    for j in range(n, 0, -1):
+        out[j - 1] = out[j + 1] + 2.0 * j * coeffs[j]
+    out[0] *= 0.5
+    return out[:n]
 
 
 def _clenshaw(coeffs, x):
@@ -261,42 +262,19 @@ def _clenshaw(coeffs, x):
     return x * b1 - b2 + coeffs[0]
 
 
-def _proxy_roots(coeffs, a, b, floor):
+def _proxy_roots(coeffs, a, b):
     """(r, slope) at each sign change of sum c_j T_j on [a, b].
 
-    The roots come from ``roots._refined_roots`` on monomials in u, where
-    r = a + (b - a) u maps [0, 1] onto [a, b].  Converting T_j to them
-    amplifies rounding by up to T_j(3), so while that error could pass the
-    floor, the proxy is re-expanded on each half of [a, b], where its
-    coefficients fall faster."""
-    if len(coeffs) > 2 and math.ulp(1.0) * (
-            _clenshaw([abs(c) for c in coeffs], 3.0) - abs(coeffs[0])) > floor:
-        out, mid, n = [], 0.5 * (a + b), len(coeffs) - 1
-        for a2, b2 in ((a, mid), (mid, b)):
-            local = [_clenshaw(coeffs, (2.0 * r - a - b) / (b - a))
-                     for r in _nodes(a2, b2, n)]
-            out += _proxy_roots(_chop(_chebyshev_coeffs(local), floor),
-                                a2, b2, floor)
-        return out
-    mono = _scale_to_unit(_monomial_coeffs(coeffs), -1.0, 1.0)
-    slope = _deriv(mono)
-    return [(a + (b - a) * u, polyval(slope, u) / (b - a))
-            for _lo, _hi, u in _refined_roots(mono, 1.0)]
-
-
-def _monomial_coeffs(coeffs):
-    """sum c_j T_j(x) as ascending coefficients in x, from
-    T_{j+1} = 2 x T_j - T_{j-1} with T_{-1} = T_1 = x."""
-    out = [0.0] * len(coeffs)
-    prev, cur = [0.0, 1.0], [1.0]
-    for c in coeffs:
-        for i, v in enumerate(cur):
-            out[i] += c * v
-        nxt = [0.0] + [2.0 * v for v in cur]
-        for i, v in enumerate(prev):
-            nxt[i] -= v
-        prev, cur = cur, nxt
-    return out
+    ``roots.refined_roots`` finds them in u, r = a + (b - a) u and x = 2u - 1,
+    guided by the proxy's Bernstein coefficients, a well conditioned change
+    of basis (Rababah, Comput. Methods Appl. Math. 3, 2003)."""
+    if not coeffs:
+        return []  # d lies within the floor throughout: no sign change
+    deriv = _chebyshev_deriv(coeffs)
+    return [(a + (b - a) * u, 2.0 * _clenshaw(deriv, 2.0 * u - 1.0) / (b - a))
+            for _lo, _hi, u in refined_roots(
+                lambda u: _clenshaw(coeffs, 2.0 * u - 1.0),
+                chebyshev_bernstein(coeffs), 0.0, 1.0)]
 
 
 def _cycle_report(sys, r_star, slope, config):

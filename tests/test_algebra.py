@@ -121,6 +121,21 @@ class TestRingElem:
     def test_json_round_trip(self, a):
         assert RingElem.from_json(a.to_json()) == a
 
+    @pytest.mark.parametrize("data", [
+        [{"q": True}], [{"q": "1", "e": 1.5}], [{"q": "1", "e": "1"}],
+        [{"q": "1", "p": True}], [{"e": 1}], [{"q": "1", "x": 0}],
+        [{"q": "x"}], [{"q": "1/0"}], [{"q": float("inf")}],
+        float("nan"),
+    ], ids=["bool-q", "fractional-e", "string-e", "bool-p", "missing-q",
+            "unknown-key", "malformed-q", "zero-denominator", "infinite-q",
+            "nan"])
+    def test_from_json_rejects_malformed_terms(self, data):
+        """A malformed term or rational is an input error (CLI exit 2), not
+        read as a nearby value (True as 1, e = 1.5 as 1) nor raised as an
+        arithmetic error (CLI exit 3)."""
+        with pytest.raises(InvalidInput):
+            RingElem.from_json(data)
+
     @given(raw_terms, raw_terms)
     @settings(max_examples=200, deadline=None)
     def test_operators_match_reference(self, ta, tb):

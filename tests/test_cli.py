@@ -368,13 +368,20 @@ EXAMPLE1 = load_preset("example1").to_json()
     ["melnikov", "--system", dict(EXAMPLE1, a1=[[1]])],
     ["melnikov", "--system", dict(EXAMPLE1, a1=[False])],
     ["melnikov", "--system", [EXAMPLE1]],
+    ["melnikov", "--system",
+     dict(EXAMPLE1, a1=[[{"q": "1", "e": 1.5}]] + EXAMPLE1["a1"][1:])],
+    ["melnikov", "--system",
+     dict(EXAMPLE1, a1=[[{"e": 1}]] + EXAMPLE1["a1"][1:])],
+    ["melnikov", "--system",
+     dict(EXAMPLE1, a1=[float("inf")] + EXAMPLE1["a1"][1:])],
 ], ids=["zero-M0", "zero-M1", "negative-h", "infinite-target",
         "even-f0-melnikov", "even-f0-roots", "infeasible-shape-X",
         "infeasible-shape-Y", "reversed-r-range", "nan-lam", "nan-h",
         "infinite-h", "unbounded-r-range", "fractional-m", "string-m",
         "float-m", "boolean-m", "null-coefficient", "number-vector",
         "string-lambda", "bare-term", "number-term", "boolean-coefficient",
-        "array-document"])
+        "array-document", "fractional-e", "term-without-q",
+        "infinite-coefficient"])
 def test_input_errors_are_validation_errors(tmp_path, outdir, capsys, argv):
     """Errors in the input exit 2 with an error line, not as numerical
     failures.  A JSON value in ``argv`` is a ``--system`` document: it is

@@ -2,12 +2,14 @@
 
 import math
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
-from pwlienard import (Case, HalfPowerPoly, PrecisionLoss, RingElem,
-                       ZeroPolynomial, design_case_y, expand,
-                       isolate_positive_roots, load_preset)
+from pwlienard import (PRESET_NAMES, Case, HalfPowerPoly, OddnessViolated,
+                       PrecisionLoss, RingElem, ZeroPolynomial, design_case_y,
+                       expand, isolate_positive_roots, load_preset, roots)
+from pwlienard.algebra import polyval
 from pwlienard.roots import CERT_SIMPLE, CERT_SUSPECT_EVEN
 
 
@@ -36,6 +38,21 @@ def test_root_on_bisection_point_kept():
     assert report.certified_count() == 2
     mids = [r.mid for r in report.h_roots]
     assert mids == pytest.approx([0.25, 2.25], abs=1e-9)
+    assert all(r.certificate == CERT_SIMPLE for r in report.h_roots)
+
+
+def test_root_on_split_point_with_rounded_value_kept():
+    """Q(s) = -(pi/3)(s^2 - 1)(s^2 - 2) has B = 4, so s = 1 is the end of
+    the pieces (0, 1] and [1, 2], and Q(1) evaluates to a rounding residue,
+    not 0.  Each piece's end Bernstein coefficients are Q's own values
+    there, so the piece whose ends change sign counts an odd number of
+    roots and keeps h = 1."""
+    poly = HalfPowerPoly({0: RingElem.term(Fraction(-2, 3), p=1),
+                          2: RingElem.term(1, p=1),
+                          4: RingElem.term(Fraction(-1, 3), p=1)})
+    report = isolate_positive_roots(poly)
+    assert [r.mid for r in report.h_roots] == pytest.approx([1.0, 2.0],
+                                                            abs=1e-9)
     assert all(r.certificate == CERT_SIMPLE for r in report.h_roots)
 
 
@@ -135,8 +152,9 @@ def test_bound_check_reports_slack():
 
 
 @pytest.mark.xfail(strict=True, reason=(
-    "ROADMAP item 4: float Descartes counts and bisection drop the triple "
-    "root at s = 3/2 and place the one at s = 1 on lo == hi = 1.000008"))
+    "ROADMAP item 4: float Descartes counts in the Bernstein basis and "
+    "float bisection place both triple roots on point intervals that miss "
+    "them: s = 3/2 on h = 2.2500029 and s = 1 on h = 1.000008"))
 @pytest.mark.parametrize("s_root", [Fraction(3, 2), Fraction(1)],
                          ids=["dropped", "mislocated"])
 def test_triple_root_in_a_certified_interval(s_root):
@@ -148,3 +166,103 @@ def test_triple_root_in_a_certified_interval(s_root):
     h = float(a ** 2)
     assert any(r.lo <= h <= r.hi and r.certificate == CERT_SIMPLE
                for r in report.h_roots)
+
+
+# (lo, hi, mid) as float.hex and the certificate of each isolated root of
+# every nonzero M0 and M1 of the presets; none has a suspected root.  The
+# odd projection leaves example1 and example2 as they are, and the remark
+# presets expand only with it.
+PRESET_ROOTS = {
+    "example1": {"M1": [
+        ("0x1.ffffffffff300p-1", "0x1.0000000000640p+0",
+         "0x1.fffffffffffc0p-1", CERT_SIMPLE),
+        ("0x1.fffffffffffc0p+1", "0x1.0000000000310p+2",
+         "0x1.0000000000178p+2", CERT_SIMPLE),
+        ("0x1.1ffffffffffdcp+3", "0x1.200000000010ep+3",
+         "0x1.2000000000075p+3", CERT_SIMPLE),
+        ("0x1.fffffffffffc0p+3", "0x1.00000000000acp+4",
+         "0x1.0000000000046p+4", CERT_SIMPLE)]},
+    "example2": {"M1": [
+        ("0x1.473af68960799p-2", "0x1.473af689640b1p-2",
+         "0x1.473af68962425p-2", CERT_SIMPLE),
+        ("0x1.cabb05a3f1f5cp-2", "0x1.cabb05a3f62f6p-2",
+         "0x1.cabb05a3f4129p-2", CERT_SIMPLE)]},
+    "remark-eqMM": {"M0": []},
+    "remark-pw-cubic": {"M0": []},
+    "remark-smooth-cubic": {"M0": [], "M1": []},
+}
+
+
+@pytest.mark.parametrize("project_odd", [False, True])
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_isolator_bits_on_the_presets(name, project_odd):
+    """Every interval of the presets to the bit, so that a change to the
+    isolator shows each interval it moves."""
+    if not project_odd and name.startswith("remark"):
+        with pytest.raises(OddnessViolated):
+            expand(load_preset(name))
+        return
+    exp = expand(load_preset(name), project_odd=project_odd)
+    got = {}
+    for which, poly in (("M0", exp.m0), ("M1", exp.m1)):
+        if not poly.is_zero():
+            report = isolate_positive_roots(poly)
+            assert not report.suspected
+            got[which] = [(r.lo.hex(), r.hi.hex(), r.mid.hex(), r.certificate)
+                          for r in report.h_roots]
+    assert got == PRESET_ROOTS[name]
+
+
+def test_off_centre_split_carries_its_pieces():
+    """Q = (s - 7/4)(s - 15/8)(s - 2) on (0, 4]: Q(2) is exactly 0, so the
+    first split moves to 4 (sqrt 2 - 1) = 1.66, and the right piece must
+    carry the Bernstein coefficients of [1.66, 4], which count all three
+    roots, not those of [2, 4]."""
+    coeffs = [-6.5625, 10.53125, -5.625, 1.0]
+    found = roots.refined_roots(partial(polyval, coeffs),
+                                roots._bernstein(coeffs, 4.0), 0.0, 4.0)
+    assert [mid for _lo, _hi, mid in found] == pytest.approx(
+        [1.75, 1.875, 2.0], abs=1e-12)
+
+
+def rounding_bound(terms, n):
+    """A bound on the float error of n + 1 roundings of sums of ``terms``."""
+    return 4 * (n + 1) * 2.0 ** -52 * sum(abs(t) for t in terms)
+
+
+@pytest.mark.parametrize("width", [1.0, 2.75], ids=["unit", "dyadic"])
+def test_bernstein_coefficients_of_monomials(rng, width):
+    """b_i = sum_k C(i, k) a_k width^k / C(n, k) on [0, width], to rounding
+    of the exact coefficients of random integer polynomials."""
+    for _ in range(60):
+        n = rng.randrange(0, 14)
+        coeffs = [float(rng.randrange(-9, 10)) for _ in range(n + 1)]
+        got = roots._bernstein(coeffs, width)
+        for i, b in enumerate(got):
+            terms = [Fraction(math.comb(i, k), math.comb(n, k))
+                     * Fraction(a) * Fraction(width) ** k
+                     for k, a in enumerate(coeffs[:i + 1])]
+            assert abs(Fraction(b) - sum(terms)) <= rounding_bound(terms, n)
+
+
+@pytest.mark.parametrize("t", [0.5, roots._OFF_CENTRE],
+                         ids=["half", "off-centre"])
+def test_de_casteljau_split(rng, t):
+    """The split pieces hold the exact de Casteljau coefficients to
+    rounding, and their shared end coefficient is P(t)."""
+    tq = Fraction(t)
+    for _ in range(60):
+        n = rng.randrange(0, 14)
+        b = [float(rng.randrange(-9, 10)) for _ in range(n + 1)]
+        left, right = roots._split(b, t)
+        rows = [[Fraction(x) for x in b]]
+        while len(rows[-1]) > 1:
+            rows.append([(1 - tq) * x + tq * y
+                         for x, y in zip(rows[-1], rows[-1][1:])])
+        want = [r[0] for r in rows] + [r[-1] for r in reversed(rows)][1:]
+        assert left[-1] == right[0]
+        p_t = sum(Fraction(x) * math.comb(n, k) * tq ** k * (1 - tq) ** (n - k)
+                  for k, x in enumerate(b))
+        assert want[n] == p_t
+        for g, w in zip(left + right[1:], want):
+            assert abs(Fraction(g) - w) <= rounding_bound(b, n)

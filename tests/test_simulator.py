@@ -17,7 +17,7 @@ from pwlienard import (Case, EscapeAnnulus, LienardSystem, RingElem, SimConfig,
                        advance_to_section, displacement, expand, find_cycles,
                        load_preset)
 from pwlienard.melnikov import case_x_i2, case_x_i3, case_x_i_poly
-from pwlienard import _kernel_py, simulator
+from pwlienard import _kernel_py, roots, simulator
 from pwlienard.algebra import poly_antideriv, polyval
 from pwlienard.simulator import BACKEND, bifurcation_increment
 
@@ -1148,10 +1148,9 @@ class TestSyntheticReturnMap:
 
     def test_high_degree_proxy(self, monkeypatch):
         """d(r) = sin(16 r) on [1, 3.4] needs 33 nodes, a proxy of degree
-        65, where values alone needed 65 nodes.  Its proxy's
-        monomials would lose up to T_j(3) ~ 5.8^j to rounding, which
-        missed 2 of the 12 zeros k pi / 16, so the proxy is re-expanded on
-        halves until the conversion error is below the noise floor."""
+        65, where values alone needed 65 nodes.  Monomials of that proxy
+        would lose up to T_j(3) ~ 5.8^j to rounding, enough to miss 2 of
+        the 12 zeros k pi / 16; its Bernstein coefficients find all 12."""
         synthetic_map(monkeypatch, lambda r: math.sin(16.0 * r),
                       lambda r: 16.0 * math.cos(16.0 * r))
         scan = find_cycles(two_cycle_system(), (1.0, 3.4), 400, SimConfig())
@@ -1207,6 +1206,27 @@ def chebyshev_values_and_slopes(coeffs, n):
 
 
 class TestHermiteProxy:
+    @pytest.mark.parametrize("n", [0, 1, 2, 5, 8, 17])
+    def test_chebyshev_bernstein_weights_are_exact(self, n):
+        """Column k of the weights at degree n holds the k-th Bernstein
+        coefficient of T_j(2u - 1), j <= n, correctly rounded: T_0..T_8 at
+        their own and higher degrees, and T_0..T_17 at degree 17.  The
+        exact value comes from T_j's monomials in u, by T_{j+1} =
+        2 (2u - 1) T_j - T_{j-1}, and b_k = sum_i C(k, i) a_i / C(n, i)."""
+        cols = roots._chebyshev_weights(n)
+        prev, cur = [Fraction(-1), Fraction(2)], [Fraction(1)]
+        for j in range(n + 1):
+            for k in range(n + 1):
+                exact = sum(Fraction(math.comb(k, i), math.comb(n, i)) * a
+                            for i, a in enumerate(cur[:k + 1]))
+                assert cols[k][j] == float(exact)
+            nxt = [-2 * a for a in cur] + [0]
+            for i, a in enumerate(cur):
+                nxt[i + 1] += 4 * a
+            for i, a in enumerate(prev):
+                nxt[i] -= a
+            prev, cur = cur, nxt
+
     @pytest.mark.parametrize("n", [1, 2, 4, 8])
     def test_degree_2n_plus_1_from_n_plus_1_nodes(self, rng, n):
         """Values and slopes at the n + 1 Lobatto points fix a polynomial
