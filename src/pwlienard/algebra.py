@@ -15,6 +15,10 @@ from fractions import Fraction
 from .errors import InvalidInput, NegativeEnergy, PrecisionLoss
 
 _SQRT2 = math.sqrt(2.0)
+# the largest |e| of a term 2^(e/2) read from JSON: 2^(e/2) stays within the
+# float range, and the rational that e folds into stays small.  ``to_json``
+# writes e in {0, 1}.
+MAX_JSON_SQRT2_POWER = 2046
 
 
 def _as_fraction(q) -> Fraction:
@@ -210,14 +214,16 @@ class RingElem:
     @classmethod
     def from_json(cls, data) -> "RingElem":
         """A rational or ``to_json``'s list of terms, objects with a rational
-        "q" and optional int "e" and "p"; anything else raises InvalidInput."""
+        "q" and optional int "e" and "p", |e| <= MAX_JSON_SQRT2_POWER;
+        anything else raises InvalidInput."""
         if not isinstance(data, list):
             return cls.rational(_json_rational(data))
         out = cls.zero()
         for entry in data:
             if not (isinstance(entry, dict)
                     and {"q"} <= entry.keys() <= {"q", "e", "p"}
-                    and all(type(entry.get(k, 0)) is int for k in "ep")):
+                    and all(type(entry.get(k, 0)) is int for k in "ep")
+                    and abs(entry.get("e", 0)) <= MAX_JSON_SQRT2_POWER):
                 raise InvalidInput(f"not a term: {entry!r}")
             out += cls.term(_json_rational(entry["q"]), entry.get("e", 0),
                             entry.get("p", 0))
@@ -326,10 +332,6 @@ class HalfPowerPoly:
 
     def to_json(self) -> dict:
         return {str(k): self.coeffs[k].to_json() for k in sorted(self.coeffs)}
-
-    @classmethod
-    def from_json(cls, data) -> "HalfPowerPoly":
-        return cls({int(k): RingElem.from_json(v) for k, v in data.items()})
 
     def __repr__(self):
         if not self.coeffs:

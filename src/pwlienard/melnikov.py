@@ -9,12 +9,12 @@ computed once per process (``functools.cache``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
 from fractions import Fraction
 
 from .algebra import HalfPowerPoly, RingElem
 from .errors import OddnessViolated, WrongCase
-from .systems import Case, LienardSystem
+from .systems import Case, LienardSystem, check_degrees
 
 
 def _require_case(sys: LienardSystem, case: Case):
@@ -215,8 +215,7 @@ def closed_term(sys: LienardSystem, i: int, h: float) -> float:
 
 
 def _check_shape(m: int, n: int, which: str):
-    if m < 0 or n < 0:
-        raise ValueError("degrees must be non-negative")
+    check_degrees(m, n)
     if which not in ("M0", "M1"):
         raise ValueError("which must be 'M0' or 'M1'")
 
@@ -235,25 +234,22 @@ def zero_bound(case: Case, m: int, n: int, which: str) -> int:
     return 2 * (m // 2) + 1
 
 
+# typed, so a bool or float degree equal to a cached int is checked, not served
+@lru_cache(maxsize=None, typed=True)
 def support(case: Case, m: int, n: int, which: str) -> frozenset:
     """Doubled exponents k of the monomials h^(k/2) that the closed form of
-    M0 or M1 can carry for the given shape.
+    M0 or M1 can carry for the given shape: those of I_0, or of I_1, I_2,
+    ... one by one, for the system with every coefficient 1.  Within a form
+    every channel's factors keep one sign (a~, b~, b*/c*, a*, a^), so none
+    of its monomials cancels; in the sum M1 the b~ and b*/c* terms can.
 
     A polynomial in s = sqrt(h) with this many monomials has at most
     ``len(support(...)) - 1`` positive zeros (Descartes' rule of signs);
     ``zero_bound`` is the paper's number and can exceed it.
     """
     _check_shape(m, n, which)
-    # a~ channel: a_{2j} -> h^(j+1), j <= [m/2] (a0 in M0, a1 in M1)
-    out = {2 * j + 2 for j in range(m // 2 + 1)}
-    if case is Case.SWITCH_Y:
-        # b~ channel: b_{2j} -> h^(j+1/2), j <= [n/2]; in M1 the b*/c*
-        # convolution of b0_{2i+1} and c_{2j} adds l = i + j <= n - 1
-        top = n // 2 if which == "M0" else max(n // 2, n - 1)
-        return frozenset(out | {2 * l + 1 for l in range(top + 1)})
-    if which == "M1" and m >= 1:
-        # odd block h^(l+3/2): a^_l for a0_{2l+1}, l <= [(m-1)/2], and
-        # a*_l = sum_{i+j=l} a0_{2i+1} c_{2j+1}, l <= [(m-1)/2] + [(n-1)/2]
-        top = (m - 1) // 2 + max(0, (n - 1) // 2)
-        out |= {2 * l + 3 for l in range(top + 1)}
-    return frozenset(out)
+    forms = closed_forms(LienardSystem.build(
+        case, m, n, a0=[1] * (m + 1), a1=[1] * (m + 1),
+        b0=[1] * (n + 1), b1=[1] * (n + 1), c=[1] * (n + 1)))
+    return frozenset().union(
+        *(form.coeffs for form in (forms[:1] if which == "M0" else forms[1:])))

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import groupby
 
 from . import _kernel_py
@@ -262,6 +263,11 @@ def _clenshaw(coeffs, x):
     return x * b1 - b2 + coeffs[0]
 
 
+def _clenshaw_unit(coeffs, u):
+    """``_clenshaw`` at x = 2u - 1, the map of u in [0, 1] onto [-1, 1]."""
+    return _clenshaw(coeffs, 2.0 * u - 1.0)
+
+
 def _proxy_roots(coeffs, a, b):
     """(r, slope) at each sign change of sum c_j T_j on [a, b].
 
@@ -271,10 +277,10 @@ def _proxy_roots(coeffs, a, b):
     if not coeffs:
         return []  # d lies within the floor throughout: no sign change
     deriv = _chebyshev_deriv(coeffs)
-    return [(a + (b - a) * u, 2.0 * _clenshaw(deriv, 2.0 * u - 1.0) / (b - a))
+    return [(a + (b - a) * u, 2.0 * _clenshaw_unit(deriv, u) / (b - a))
             for _lo, _hi, u in refined_roots(
-                lambda u: _clenshaw(coeffs, 2.0 * u - 1.0),
-                chebyshev_bernstein(coeffs), 0.0, 1.0)]
+                partial(_clenshaw_unit, coeffs), chebyshev_bernstein(coeffs),
+                0.0, 1.0)]
 
 
 def _cycle_report(sys, r_star, slope, config):

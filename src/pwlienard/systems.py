@@ -39,6 +39,18 @@ def check_params(lam, eps):
             "lambda and eps must be finite and non-negative numbers")
 
 
+# the largest degree m or n: expanding a dense system of this degree takes
+# about a second, and the time grows as the square of the degree
+MAX_DEGREE = 500
+
+
+def check_degrees(m, n):
+    """Reject a degree that is not an int from 0 to MAX_DEGREE; a bool is
+    not a degree."""
+    if not all(type(d) is int and 0 <= d <= MAX_DEGREE for d in (m, n)):
+        raise InvalidInput(f"degrees must be integers from 0 to {MAX_DEGREE}")
+
+
 def _coerce_vec(values, length: int) -> list[RingElem]:
     out = [RingElem.coerce(v) for v in values]
     if len(out) > length:
@@ -72,8 +84,7 @@ class LienardSystem:
               lam=0.0, eps=0.0) -> "LienardSystem":
         if isinstance(case, str):
             case = Case(case)
-        if not all(type(d) is int and d >= 0 for d in (m, n)):
-            raise InvalidInput("degrees must be non-negative integers")
+        check_degrees(m, n)
         check_params(lam, eps)
         return cls(
             case=case, m=m, n=n,

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from pwlienard import (INV_PI, PI, SQRT2, HalfPowerPoly, InvalidInput,
                        NegativeEnergy, PrecisionLoss, RingElem, expand,
                        load_preset)
+from pwlienard.algebra import MAX_JSON_SQRT2_POWER
 
 rationals = st.fractions(
     min_value=-50, max_value=50, max_denominator=16)
@@ -125,16 +126,23 @@ class TestRingElem:
         [{"q": True}], [{"q": "1", "e": 1.5}], [{"q": "1", "e": "1"}],
         [{"q": "1", "p": True}], [{"e": 1}], [{"q": "1", "x": 0}],
         [{"q": "x"}], [{"q": "1/0"}], [{"q": float("inf")}],
-        float("nan"),
+        float("nan"), [{"q": "1", "e": MAX_JSON_SQRT2_POWER + 1}],
+        [{"q": "1", "e": -10**11}],
     ], ids=["bool-q", "fractional-e", "string-e", "bool-p", "missing-q",
             "unknown-key", "malformed-q", "zero-denominator", "infinite-q",
-            "nan"])
+            "nan", "e-above-bound", "huge-negative-e"])
     def test_from_json_rejects_malformed_terms(self, data):
         """A malformed term or rational is an input error (CLI exit 2), not
         read as a nearby value (True as 1, e = 1.5 as 1) nor raised as an
-        arithmetic error (CLI exit 3)."""
+        arithmetic error (CLI exit 3); so is an e whose power of 2 would
+        take memory in proportion to it."""
         with pytest.raises(InvalidInput):
             RingElem.from_json(data)
+
+    def test_from_json_reads_e_up_to_the_bound(self):
+        for e in (MAX_JSON_SQRT2_POWER, -MAX_JSON_SQRT2_POWER):
+            term = RingElem.from_json([{"q": "1", "e": e}])
+            assert term == RingElem.rational(Fraction(2) ** (e // 2))
 
     @given(raw_terms, raw_terms)
     @settings(max_examples=200, deadline=None)
@@ -264,8 +272,15 @@ class TestHalfPowerPoly:
         assert (p + q).is_zero()
 
     def test_json_round_trip(self):
+        """The document CLI ``melnikov`` and ``design`` write: doubled
+        exponents as string keys, each coefficient as ``RingElem.to_json``
+        terms, which read back to the coefficients."""
         poly = HalfPowerPoly({0: PI, 3: SQRT2 * RingElem.rational(Fraction(-7, 3))})
-        assert HalfPowerPoly.from_json(poly.to_json()) == poly
+        doc = {"0": [{"q": "1/1", "e": 0, "p": 1}],
+               "3": [{"q": "-7/3", "e": 1, "p": 0}]}
+        assert poly.to_json() == doc
+        assert HalfPowerPoly({int(k): RingElem.from_json(v)
+                              for k, v in doc.items()}) == poly
 
     def test_zero_polynomial_evaluates_to_a_float(self):
         """The sum starts at 0.0, so the zero polynomial is the float 0.0,

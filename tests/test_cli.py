@@ -374,6 +374,10 @@ EXAMPLE1 = load_preset("example1").to_json()
      dict(EXAMPLE1, a1=[[{"e": 1}]] + EXAMPLE1["a1"][1:])],
     ["melnikov", "--system",
      dict(EXAMPLE1, a1=[float("inf")] + EXAMPLE1["a1"][1:])],
+    ["melnikov", "--system", dict(EXAMPLE1, m=10**9)],
+    ["design", "--case", "Y", "--m", str(10**9), "--n", "0"],
+    ["melnikov", "--system",
+     dict(EXAMPLE1, a1=[[{"q": "1", "e": 10**11}]] + EXAMPLE1["a1"][1:])],
 ], ids=["zero-M0", "zero-M1", "negative-h", "infinite-target",
         "even-f0-melnikov", "even-f0-roots", "infeasible-shape-X",
         "infeasible-shape-Y", "reversed-r-range", "nan-lam", "nan-h",
@@ -381,7 +385,8 @@ EXAMPLE1 = load_preset("example1").to_json()
         "float-m", "boolean-m", "null-coefficient", "number-vector",
         "string-lambda", "bare-term", "number-term", "boolean-coefficient",
         "array-document", "fractional-e", "term-without-q",
-        "infinite-coefficient"])
+        "infinite-coefficient", "degree-above-bound",
+        "design-degree-above-bound", "e-above-bound"])
 def test_input_errors_are_validation_errors(tmp_path, outdir, capsys, argv):
     """Errors in the input exit 2 with an error line, not as numerical
     failures.  A JSON value in ``argv`` is a ``--system`` document: it is

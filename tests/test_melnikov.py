@@ -10,15 +10,16 @@ from fractions import Fraction
 
 import pytest
 
-from pwlienard import (PRESET_NAMES, Case, HalfPowerPoly, LienardSystem,
-                       OddnessViolated, PI, RingElem, SQRT2, WrongCase,
-                       expand, load_preset, zero_bound)
+from pwlienard import (PRESET_NAMES, Case, HalfPowerPoly, InvalidInput,
+                       LienardSystem, OddnessViolated, PI, RingElem, SQRT2,
+                       WrongCase, expand, load_preset, zero_bound)
 from pwlienard.melnikov import (_a_hat_factor, _a_tilde_factor,
                                 _b_star_factor, _b_tilde_factor,
                                 _c_star_factor, _c_weight_factor,
                                 _time_weight_factor, _wallis, _x_odd_block,
                                 case_x_i2, case_x_i3, case_x_m0, case_y_m0,
                                 closed_forms, closed_term, support)
+from pwlienard.systems import MAX_DEGREE
 
 from conftest import random_sweep_system
 
@@ -183,9 +184,18 @@ class TestShapeInvariants:
         assert zero_bound(Case.SWITCH_Y, 0, 0, "M1") == 1
 
     def test_zero_bound_validation(self):
+        """Both tables apply the degree rule of ``LienardSystem.build``: a
+        degree is an int from 0 to MAX_DEGREE, so neither 3.5 nor True,
+        even where an int of the same value is cached."""
+        support(Case.SWITCH_X, 1, 0, "M1")
+        assert zero_bound(Case.SWITCH_X, MAX_DEGREE, 0, "M0") \
+            == MAX_DEGREE // 2
         for table in (zero_bound, support):
-            with pytest.raises(ValueError):
-                table(Case.SWITCH_Y, -1, 0, "M1")
+            for m in (-1, 3.5, True, 1.0, MAX_DEGREE + 1):
+                with pytest.raises(InvalidInput):
+                    table(Case.SWITCH_X, m, 0, "M1")
+            with pytest.raises(InvalidInput):
+                table(Case.SWITCH_Y, 0, 10**9, "M1")
             with pytest.raises(ValueError):
                 table(Case.SWITCH_Y, 1, 1, "M2")
 

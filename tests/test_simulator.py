@@ -222,10 +222,22 @@ class TestKernelParity:
         assert len(result[4]) == 2
 
 
+def fresh_import_output(code):
+    """The words ``code`` prints in a fresh interpreter after ``import
+    pwlienard, pwlienard.cli``, with the package from this checkout."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import pwlienard, pwlienard.cli; " + code],
+        capture_output=True, text=True, env=env, check=True)
+    return proc.stdout.split()
+
+
 class TestKernelEntry:
     def test_degree_70_returns(self):
-        """The coefficient vectors have no length limit: f1 of degree 70,
-        71 coefficients, returns.  From r = 0.9 the top term stays small,
+        """The kernel takes vectors of any length the degree bound allows:
+        f1 of degree 70, 71 coefficients, returns.  From r = 0.9 the top term stays small,
         so the orbit comes back close to its start."""
         sys_ = LienardSystem.build(Case.SWITCH_X, 70, 0, a1=[0] * 70 + [1])
         coord, _t, crossings = advance_to_section(
@@ -290,18 +302,21 @@ class TestKernelEntry:
         """``import pwlienard`` compiles no step, so none of the compile
         time falls into an import; the first return compiles its shape.  A
         fresh interpreter, since this one has compiled steps."""
-        src = Path(__file__).resolve().parent.parent / "src"
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [str(src), os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run(
-            [sys.executable, "-c", "import pwlienard, pwlienard.cli; "
-             "from pwlienard import _kernel_py as k; "
-             "print(k._step.cache_info().misses); "
-             "k.integrate_return(0, [0.0], [0.0], [0.0], [0.0], [0.0], "
-             "0.0, 0.0, 1.0, 0.0, 1e-10, 0.0, 1000, 1e-3, 50.0); "
-             "print(k._step.cache_info().misses)"],
-            capture_output=True, text=True, env=env, check=True)
-        assert proc.stdout.split() == ["0", "1"]
+        assert fresh_import_output(
+            "from pwlienard import _kernel_py as k; "
+            "print(k._step.cache_info().misses); "
+            "k.integrate_return(0, [0.0], [0.0], [0.0], [0.0], [0.0], "
+            "0.0, 0.0, 1.0, 0.0, 1e-10, 0.0, 1000, 1e-3, 50.0); "
+            "print(k._step.cache_info().misses)") == ["0", "1"]
+
+    def test_import_fills_no_support_table(self):
+        """``import pwlienard`` computes no ``melnikov.support`` entry, as
+        it compiles no step; the first call fills one."""
+        assert fresh_import_output(
+            "from pwlienard.melnikov import support; "
+            "print(support.cache_info().currsize); "
+            "support(pwlienard.Case.SWITCH_Y, 7, 7, 'M1'); "
+            "print(support.cache_info().currsize)") == ["0", "1"]
 
 
 CENTRE_DAMPING = 0.05

@@ -7,7 +7,7 @@ import math
 import pytest
 
 from pwlienard import Case, LienardSystem, PRESET_NAMES, errors, load_preset
-from pwlienard.systems import _load_preset_file, canonical_dumps
+from pwlienard.systems import MAX_DEGREE, _load_preset_file, canonical_dumps
 
 
 def test_build_pads_short_vectors():
@@ -43,10 +43,11 @@ def test_params_must_be_finite(name, value):
 
 @pytest.mark.parametrize("kwargs", [
     {"m": 3.5}, {"m": "3"}, {"m": True}, {"n": -1}, {"lam": "x"},
-    {"eps": True}])
+    {"eps": True}, {"m": MAX_DEGREE + 1}, {"n": 10**9}])
 def test_build_rejects_values_of_the_wrong_type(kwargs):
-    """A degree is a non-negative int, not a bool; lambda and eps are
-    numbers.  Each other value is an input error."""
+    """A degree is an int from 0 to MAX_DEGREE, not a bool; lambda and eps
+    are numbers.  Each other value is an input error, raised before any
+    coefficient vector is made."""
     args = {"case": Case.SWITCH_Y, "m": 1, "n": 1, **kwargs}
     with pytest.raises(errors.InvalidInput):
         LienardSystem.build(**args)
