@@ -82,8 +82,9 @@ Generated step
 (``_stage``), stage 1 as ``start`` and the Dormand-Prince step over _A, _C
 and _E as ``step``, and compiles the pair in one ``exec`` once per shape;
 ``_arcs`` fetches it once per arc, and importing the module compiles none.
-Horner is unrolled over locals unpacked from p and q: a called field with
-Horner loops spends about half its time in interpreter dispatch.  The pair
+Horner is written out over locals unpacked from p and q
+(``algebra.horner_source``): a called field with Horner loops spends
+about half its time in interpreter dispatch.  The pair
 keeps the bits of a polyval field and of the tableau loops over it, which
 tests/test_simulator.py checks on every shape up to 8 x 8 and on whole
 returns (TestFieldCoefficientForm, TestWrittenOutStep,
@@ -103,6 +104,8 @@ from __future__ import annotations
 import functools
 import math
 from itertools import zip_longest
+
+from .algebra import horner_source
 
 BACKEND_NAME = "python"
 
@@ -229,11 +232,10 @@ def _horner(y, n, tangent):
     """Source lines that leave the value at x of the polynomial with the
     coefficient locals y0..y{n-1} in {y}a, and with ``tangent`` its
     derivative in {y}d by the Horner-with-derivative chain."""
-    if n == 0:
-        return [f"{y}a = {y}d = 0.0" if tangent else f"{y}a = 0.0"]
     if not tangent:
-        return [f"{y}a = " + "(" * (n - 1) + f"{y}0"
-                + "".join(f" * x + {y}{k})" for k in range(1, n))]
+        return horner_source(f"{y}a", [f"{y}{k}" for k in range(n)], "x")
+    if n == 0:
+        return [f"{y}a = {y}d = 0.0"]
     if n == 1:
         return [f"{y}d = 0.0", f"{y}a = {y}0"]
     src = [f"{y}d = {y}0", f"{y}a = {y}0 * x + {y}1"]

@@ -19,6 +19,14 @@ _SQRT2 = math.sqrt(2.0)
 # float range, and the rational that e folds into stays small.  ``to_json``
 # writes e in {0, 1}.
 MAX_JSON_SQRT2_POWER = 2046
+# the largest |p| of a term pi^p read from JSON: math.pi ** p overflows a
+# float from p = 621 on, so a larger p has no float value
+MAX_JSON_PI_POWER = 620
+# Horner steps that ``horner_source`` nests in one expression: CPython's
+# parser stops at 200 nested parentheses, and a statement per step ran the
+# kernel's plain step 2-5 % and the oracle's integrands 3-8 % slower
+# (microbenchmark, 2-vCPU x86_64, Python 3.11)
+_HORNER_NEST = 100
 
 
 def _as_fraction(q) -> Fraction:
@@ -214,8 +222,8 @@ class RingElem:
     @classmethod
     def from_json(cls, data) -> "RingElem":
         """A rational or ``to_json``'s list of terms, objects with a rational
-        "q" and optional int "e" and "p", |e| <= MAX_JSON_SQRT2_POWER;
-        anything else raises InvalidInput."""
+        "q" and optional int "e" and "p", |e| <= MAX_JSON_SQRT2_POWER and
+        |p| <= MAX_JSON_PI_POWER; anything else raises InvalidInput."""
         if not isinstance(data, list):
             return cls.rational(_json_rational(data))
         out = cls.zero()
@@ -223,7 +231,8 @@ class RingElem:
             if not (isinstance(entry, dict)
                     and {"q"} <= entry.keys() <= {"q", "e", "p"}
                     and all(type(entry.get(k, 0)) is int for k in "ep")
-                    and abs(entry.get("e", 0)) <= MAX_JSON_SQRT2_POWER):
+                    and abs(entry.get("e", 0)) <= MAX_JSON_SQRT2_POWER
+                    and abs(entry.get("p", 0)) <= MAX_JSON_PI_POWER):
                 raise InvalidInput(f"not a term: {entry!r}")
             out += cls.term(_json_rational(entry["q"]), entry.get("e", 0),
                             entry.get("p", 0))
@@ -349,6 +358,27 @@ def polyval(coeffs, x: float) -> float:
     for c in reversed(coeffs):
         acc = acc * x + c
     return acc
+
+
+def horner_source(out: str, names, x: str) -> list:
+    """Source lines that leave in ``out`` the value at ``x`` of the
+    polynomial whose coefficients are the locals ``names``, top degree
+    first: ``polyval``'s chain written out, one nested expression per
+    _HORNER_NEST steps, so no length meets the parser's limit of 200
+    nested parentheses.  The chain starts at the top coefficient, where
+    ``polyval`` computes 0.0*x + top: the same value at a finite x unless
+    the top is -0.0.  ``_kernel_py`` and ``oracle`` generate their Horner
+    code with it."""
+    if not names:
+        return [f"{out} = 0.0"]
+    src, acc = [], names[0]
+    for i in range(1, len(names), _HORNER_NEST):
+        steps = names[i:i + _HORNER_NEST]
+        src.append(f"{out} = " + "(" * (len(steps) - 1) + acc
+                   + "".join(f" * {x} + {c})" for c in steps[:-1])
+                   + f" * {x} + {steps[-1]}")
+        acc = out
+    return src or [f"{out} = {acc}"]
 
 
 def poly_antideriv(coeffs):

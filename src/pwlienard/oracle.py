@@ -48,13 +48,30 @@ instead, which can change only the sign of a sum that is exactly zero,
 and the Gauss sum enters the error estimate only through a difference
 taken in absolute value.
 
-The integrands run Horner from the top coefficient of each polynomial's
-own tuple, where they used to run it on the two polynomials together,
-the shorter one padded with zeros at the top.  The padded steps give
-exactly 0.0 and the first real step 0.0*u + c gives c, so skipping them
-moves no bit.  The one exception, a top coefficient of -0.0, does not
-occur: ``float_coeffs`` sums from +0.0, and ``poly_antideriv`` would need
-a coefficient that underflows when divided by its degree plus one.
+Generated integrands
+--------------------
+``_line(len f, len g)`` writes out the integrand -(v*f(u) + sign*g(u)) *
+du/dtheta of I_0, I_1, the switch-on-x I_3 and the switch-on-y I_4 arc,
+and ``_weight(len G, len f0)`` the time weight G(u)*f0(u) of I_2, each
+compiled once per pair of coefficient counts and kept in a bounded
+least-recently-used cache of ``_INTEGRAND_TABLE_SIZE`` entries; importing
+the module compiles none.  The key is the shape alone: the case's unit
+tables, r, the sign and du/dtheta/v come in as arguments, so both cases
+and both arcs share one function.  Horner is written out over locals
+unpacked from each polynomial's tuple (``algebra.horner_source``), as
+``_kernel_py._step`` writes the kernel's field: with Horner loops the integrands took about twice the rule's own
+time in a profile of the verify benchmark's pool.
+
+The written-out chain is the loop's arithmetic step for step, and each
+value is the same product -(v*pf + sign*pg) * (du_per_v*v) or pg*pf, so
+no bit moves.  Horner starts from the top coefficient of each
+polynomial's own tuple, where it used to run on the two polynomials
+together, the shorter one padded with zeros at the top.  The padded
+steps give exactly 0.0 and the first real step 0.0*u + c gives c, so
+skipping them moves no bit.  The one exception, a top coefficient of
+-0.0, does not occur: ``float_coeffs`` sums from +0.0, and
+``poly_antideriv`` would need a coefficient that underflows when divided
+by its degree plus one.
 """
 
 from __future__ import annotations
@@ -64,7 +81,7 @@ import heapq
 import math
 from operator import attrgetter
 
-from .algebra import poly_antideriv, polyval
+from .algebra import horner_source, poly_antideriv, polyval
 from .errors import QuadratureFailure
 from .systems import Case, LienardSystem
 
@@ -77,6 +94,9 @@ _UFLOW = 2.0 ** -1022  # d1mach(1)
 # intervals kept in the node table, about 2.3 kB each; a benchmark pool of
 # 240 systems on six energies meets 28 to 52
 _NODE_TABLE_SIZE = 128
+# integrands kept per generator, one per polynomial shape; a verify sweep
+# over every (m, n) <= 7 meets 64 of each
+_INTEGRAND_TABLE_SIZE = 128
 
 # qk21's abscissae on [-1, 1] from +1 down to -1; the 10-point Gauss rule
 # uses the odd positions.  Constants to 33 digits as QUADPACK gives them.
@@ -209,28 +229,37 @@ def _gk21(fn, a: float, b: float):
 
 
 def _qage(fn, a: float, b: float):
-    """qage with the qk21 rule on [a, b]: (value, error estimate).
+    """qage with the qk21 rule on [a, b]: (value, error estimate, integral
+    of |f|, stop reason).
 
     Bisects the interval with the largest error estimate until the summed
-    estimate meets max(QUAD_ABS_TARGET, 1e-12*|value|), the interval count
-    reaches _QUAD_LIMIT, round-off stalls the estimate, or the interval to
-    split is too small to halve.
+    estimate meets max(QUAD_ABS_TARGET, 1e-12*|value|) ("target met"), the
+    interval count reaches _QUAD_LIMIT ("interval limit"), round-off
+    stalls the estimate ("round-off counters", QUADPACK's iroff1 and
+    iroff2), or the interval to split is too small to halve ("interval
+    too small").  A first application whose estimate is 50*eps times the
+    integral of |f| and above the target stops at once ("error estimate
+    at the round-off floor"), as QUADPACK does: bisection cannot lower
+    that floor.  The integral of |f| is the sum of qk21's resabs over the
+    final intervals.
     """
     result, abserr, defabs, resasc = _gk21(fn, a, b)
     errbnd = max(QUAD_ABS_TARGET, _QUAD_REL_TARGET * abs(result))
-    if (abserr <= 50.0 * _EPMACH * defabs and abserr > errbnd) \
-            or (abserr <= errbnd and abserr != resasc) or abserr == 0.0:
-        return result, abserr
-    # (-error, left, right, value) per interval: the heap top is the worst
-    intervals = [(-abserr, a, b, result)]
+    if abserr <= 50.0 * _EPMACH * defabs and abserr > errbnd:
+        return result, abserr, defabs, "error estimate at the round-off floor"
+    if (abserr <= errbnd and abserr != resasc) or abserr == 0.0:
+        return result, abserr, defabs, "target met"
+    # (-error, left, right, value, integral of |f|) per interval: the heap
+    # top is the worst
+    intervals = [(-abserr, a, b, result, defabs)]
     area, errsum = result, abserr
     iroff1 = iroff2 = 0
     for last in range(2, _QUAD_LIMIT + 1):
-        neg_errmax, a1, b2, area0 = heapq.heappop(intervals)
+        neg_errmax, a1, b2, area0, _ = heapq.heappop(intervals)
         errmax = -neg_errmax
         b1 = a2 = 0.5 * (a1 + b2)
-        area1, error1, _, defab1 = _gk21(fn, a1, b1)
-        area2, error2, _, defab2 = _gk21(fn, a2, b2)
+        area1, error1, resabs1, defab1 = _gk21(fn, a1, b1)
+        area2, error2, resabs2, defab2 = _gk21(fn, a2, b2)
         area12 = area1 + area2
         erro12 = error1 + error2
         errsum = errsum + erro12 - errmax
@@ -241,29 +270,81 @@ def _qage(fn, a: float, b: float):
                 iroff1 += 1
             if last > 10 and erro12 > errmax:
                 iroff2 += 1
-        heapq.heappush(intervals, (-error1, a1, b1, area1))
-        heapq.heappush(intervals, (-error2, a2, b2, area2))
+        heapq.heappush(intervals, (-error1, a1, b1, area1, resabs1))
+        heapq.heappush(intervals, (-error2, a2, b2, area2, resabs2))
         if errsum <= max(QUAD_ABS_TARGET, _QUAD_REL_TARGET * abs(area)):
+            stop = "target met"
             break
-        if iroff1 >= 6 or iroff2 >= 20 or max(abs(a1), abs(b2)) <= (
+        if iroff1 >= 6 or iroff2 >= 20:
+            stop = "round-off counters"
+            break
+        if max(abs(a1), abs(b2)) <= (
                 1.0 + 100.0 * _EPMACH) * (abs(a2) + 1000.0 * _UFLOW):
+            stop = "interval too small"
             break
-    return sum(iv[3] for iv in intervals), errsum
+    else:
+        stop = "interval limit"
+    return (sum(iv[3] for iv in intervals), errsum,
+            sum(iv[4] for iv in intervals), stop)
 
 
 def _integrate(fn, lo: float, hi: float) -> float:
-    val, err = _qage(fn, lo, hi)
+    val, err, absint, stop = _qage(fn, lo, hi)
     if not err <= max(QUAD_ABS_TARGET * 50, 1e-11 * abs(val)):  # NaN fails
         raise QuadratureFailure(
-            f"error estimate {err:.3e} exceeds target for value {val:.6e}")
+            f"error estimate {err:.3e} exceeds target for value {val:.6e}; "
+            f"stop: {stop}, integral of |f| {absint:.3e}")
     return val
 
 
-def _descending(coeffs):
-    """Top coefficient and the rest of a polynomial from the top degree
-    down.  ``LienardSystem.build`` gives every vector at least one entry."""
-    desc = tuple(reversed(coeffs))
-    return desc[0], desc[1:]
+def _compile(name, src):
+    """The function ``name`` that the source lines ``src``, its def line
+    and body, define."""
+    scope = {}
+    exec("\n    ".join(src), scope)
+    return scope[name]
+
+
+def _unpack(y, n):
+    """The names y0..y{n-1} and the line that unpacks the tuple {y} into
+    them."""
+    names = [f"{y}{k}" for k in range(n)]
+    return names, "(" + "".join(f"{c}, " for c in names) + f") = {y}"
+
+
+@functools.lru_cache(maxsize=_INTEGRAND_TABLE_SIZE)
+def _line(n_f, n_g):
+    """The integrand -(v*f(u) + sign*g(u)) * du/dtheta for f of n_f and g
+    of n_g coefficients, each a tuple from the top degree down (see
+    Generated integrands in the module docstring).  line(f, g, units, r,
+    sign, du_per_v, nodes) returns its values at the 21 abscissae of
+    ``nodes``, with u/r and v/r read from ``units(nodes)``."""
+    f_names, f_unpack = _unpack("f", n_f)
+    g_names, g_unpack = _unpack("g", n_g)
+    body = ["u = r * unit_u", "v = r * unit_v",
+            *horner_source("pf", f_names, "u"),
+            *horner_source("pg", g_names, "u"),
+            "out.append(-(v * pf + sign * pg) * (du_per_v * v))"]
+    return _compile("line", [
+        "def line(f, g, units, r, sign, du_per_v, nodes):", f_unpack,
+        g_unpack, "out = []", "for unit_u, unit_v in zip(*units(nodes)):",
+        *("    " + stmt for stmt in body), "return out"])
+
+
+@functools.lru_cache(maxsize=_INTEGRAND_TABLE_SIZE)
+def _weight(n_g, n_f):
+    """The time weight G(u)*f0(u) of I_2 for G of n_g and f0 of n_f
+    coefficients, each a tuple from the top degree down.  weight(g, f,
+    units, r, nodes) returns its values at the 21 abscissae of ``nodes``,
+    with u/r read from ``units(nodes)``."""
+    g_names, g_unpack = _unpack("g", n_g)
+    f_names, f_unpack = _unpack("f", n_f)
+    body = ["u = r * unit_u", *horner_source("pg", g_names, "u"),
+            *horner_source("pf", f_names, "u"), "out.append(pg * pf)"]
+    return _compile("weight", [
+        "def weight(g, f, units, r, nodes):", g_unpack, f_unpack,
+        "out = []", "for unit_u in units(nodes)[0]:",
+        *("    " + stmt for stmt in body), "return out"])
 
 
 def quad_I(sys: LienardSystem, h: float, index: int) -> float:
@@ -278,22 +359,8 @@ def quad_I(sys: LienardSystem, h: float, index: int) -> float:
     units, du_per_v, i2_sign = _ARC[case]
 
     def line(f, g, sign, lo, hi):
-        f_top, f_rest = _descending(f)
-        g_top, g_rest = _descending(g)
-
-        def integrand(nodes):
-            out = []
-            for unit_u, unit_v in zip(*units(nodes)):
-                u, v = r * unit_u, r * unit_v
-                pf = f_top
-                for c in f_rest:
-                    pf = pf * u + c
-                pg = g_top
-                for c in g_rest:
-                    pg = pg * u + c
-                out.append(-(v * pf + sign * pg) * (du_per_v * v))
-            return out
-
+        integrand = functools.partial(_line(len(f), len(g)), f[::-1],
+                                      g[::-1], units, r, sign, du_per_v)
         return _integrate(integrand, lo, hi)
 
     on_y = case is Case.SWITCH_Y
@@ -302,22 +369,9 @@ def quad_I(sys: LienardSystem, h: float, index: int) -> float:
         value = line(f, g, 1.0, _HALF_PI, -_HALF_PI) \
             + line(f, g, -1.0, -_HALF_PI, -3 * _HALF_PI)
     elif index == 2:
-        g_top, g_rest = _descending(poly_antideriv(fc["c"]))
-        f_top, f_rest = _descending(fc["a0"])
-
-        def weight(nodes):
-            out = []
-            for unit_u in units(nodes)[0]:
-                u = r * unit_u
-                pg = g_top
-                for c in g_rest:
-                    pg = pg * u + c
-                pf = f_top
-                for c in f_rest:
-                    pf = pf * u + c
-                out.append(pg * pf)
-            return out
-
+        big_g, f0 = poly_antideriv(fc["c"]), fc["a0"]
+        weight = functools.partial(_weight(len(big_g), len(f0)),
+                                   big_g[::-1], f0[::-1], units, r)
         # int_AB dt and int_BA dt with dt = -d(theta)
         ab = _integrate(weight, -_HALF_PI, _HALF_PI)
         ba = _integrate(weight, -3 * _HALF_PI, -_HALF_PI)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from pwlienard import (INV_PI, PI, SQRT2, HalfPowerPoly, InvalidInput,
                        NegativeEnergy, PrecisionLoss, RingElem, expand,
                        load_preset)
-from pwlienard.algebra import MAX_JSON_SQRT2_POWER
+from pwlienard.algebra import MAX_JSON_PI_POWER, MAX_JSON_SQRT2_POWER
 
 rationals = st.fractions(
     min_value=-50, max_value=50, max_denominator=16)
@@ -127,15 +127,18 @@ class TestRingElem:
         [{"q": "1", "p": True}], [{"e": 1}], [{"q": "1", "x": 0}],
         [{"q": "x"}], [{"q": "1/0"}], [{"q": float("inf")}],
         float("nan"), [{"q": "1", "e": MAX_JSON_SQRT2_POWER + 1}],
-        [{"q": "1", "e": -10**11}],
+        [{"q": "1", "e": -10**11}], [{"q": "1", "p": MAX_JSON_PI_POWER + 1}],
+        [{"q": "1", "p": -10**6}],
     ], ids=["bool-q", "fractional-e", "string-e", "bool-p", "missing-q",
             "unknown-key", "malformed-q", "zero-denominator", "infinite-q",
-            "nan", "e-above-bound", "huge-negative-e"])
+            "nan", "e-above-bound", "huge-negative-e", "p-above-bound",
+            "huge-negative-p"])
     def test_from_json_rejects_malformed_terms(self, data):
         """A malformed term or rational is an input error (CLI exit 2), not
         read as a nearby value (True as 1, e = 1.5 as 1) nor raised as an
         arithmetic error (CLI exit 3); so is an e whose power of 2 would
-        take memory in proportion to it."""
+        take memory in proportion to it, and a p whose power of pi has no
+        float value."""
         with pytest.raises(InvalidInput):
             RingElem.from_json(data)
 
@@ -143,6 +146,12 @@ class TestRingElem:
         for e in (MAX_JSON_SQRT2_POWER, -MAX_JSON_SQRT2_POWER):
             term = RingElem.from_json([{"q": "1", "e": e}])
             assert term == RingElem.rational(Fraction(2) ** (e // 2))
+
+    def test_from_json_reads_p_up_to_the_bound(self):
+        for p in (MAX_JSON_PI_POWER, -MAX_JSON_PI_POWER):
+            term = RingElem.from_json([{"q": "1", "p": p}])
+            assert term == RingElem.term(1, p=p)
+            assert 0.0 < term.to_float() < math.inf
 
     @given(raw_terms, raw_terms)
     @settings(max_examples=200, deadline=None)

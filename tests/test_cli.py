@@ -378,6 +378,8 @@ EXAMPLE1 = load_preset("example1").to_json()
     ["design", "--case", "Y", "--m", str(10**9), "--n", "0"],
     ["melnikov", "--system",
      dict(EXAMPLE1, a1=[[{"q": "1", "e": 10**11}]] + EXAMPLE1["a1"][1:])],
+    ["melnikov", "--system",
+     dict(EXAMPLE1, a1=[[{"q": "1", "p": 10**6}]] + EXAMPLE1["a1"][1:])],
 ], ids=["zero-M0", "zero-M1", "negative-h", "infinite-target",
         "even-f0-melnikov", "even-f0-roots", "infeasible-shape-X",
         "infeasible-shape-Y", "reversed-r-range", "nan-lam", "nan-h",
@@ -386,7 +388,7 @@ EXAMPLE1 = load_preset("example1").to_json()
         "string-lambda", "bare-term", "number-term", "boolean-coefficient",
         "array-document", "fractional-e", "term-without-q",
         "infinite-coefficient", "degree-above-bound",
-        "design-degree-above-bound", "e-above-bound"])
+        "design-degree-above-bound", "e-above-bound", "p-above-bound"])
 def test_input_errors_are_validation_errors(tmp_path, outdir, capsys, argv):
     """Errors in the input exit 2 with an error line, not as numerical
     failures.  A JSON value in ``argv`` is a ``--system`` document: it is
@@ -459,3 +461,19 @@ def test_precision_flag(outdir):
     lines = (outdir / "oracle.csv").read_text().strip().splitlines()
     closed = lines[1].split(",")[2]
     assert len(closed.replace("-", "").replace(".", "").split("e")[0]) <= 4
+
+
+def test_simulate_runs_past_the_parser_nesting_limit(tmp_path, outdir):
+    """A switch-on-y system with f1 of degree 300 simulates: the kernel
+    nests at most 100 Horner steps in one expression, where one
+    expression nested 299 deep met CPython's limit of 200 parentheses and
+    exited 1 with a traceback."""
+    m = 300
+    doc = tmp_path / "system.json"
+    doc.write_text(json.dumps({
+        "case": "Y", "m": m, "n": 0, "a0": [0] * (m + 1),
+        "a1": [1] + [0] * (m - 1) + [1e-10], "b0": [0], "b1": [0],
+        "c": [0]}))
+    assert main(["--out", str(outdir), "simulate", "--system", str(doc),
+                 "--lam", "0.02", "--eps", "0.0004", "--r-range", "1:2",
+                 "--grid", "5"]) in (EXIT_OK, EXIT_NUMERICAL)

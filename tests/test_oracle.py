@@ -1,5 +1,6 @@
 """Quadrature oracle against the exact closed forms."""
 
+import itertools
 import math
 import random
 
@@ -9,6 +10,7 @@ from pwlienard import (Case, LienardSystem, QuadratureFailure, load_preset,
                        oracle, oracle_m0, oracle_m1, quad_I)
 from pwlienard.melnikov import closed_term, expand
 from pwlienard.oracle import endpoint_derivatives, i4_factor
+from pwlienard.systems import MAX_DEGREE
 
 from conftest import random_sweep_system
 
@@ -178,6 +180,116 @@ def test_verify_sweep_fits_the_node_table():
     assert info.hits > 10 * info.misses
 
 
+def loop_horner(desc, u):
+    """Horner loops from the top of the tuple ``desc`` (top degree first),
+    the form the generated integrands write out."""
+    acc = desc[0]
+    for c in desc[1:]:
+        acc = acc * u + c
+    return acc
+
+
+def loop_line(f, g, units, r, sign, du_per_v, nodes):
+    return [-(v * loop_horner(f, u) + sign * loop_horner(g, u))
+            * (du_per_v * v)
+            for u, v in ((r * su, r * sv) for su, sv in zip(*units(nodes)))]
+
+
+def loop_weight(g, f, units, r, nodes):
+    return [loop_horner(g, u) * loop_horner(f, u)
+            for u in (r * su for su in units(nodes)[0])]
+
+
+def bits(values):
+    return [v.hex() for v in values]
+
+
+def random_desc(rng, n, scale=1.0):
+    """n coefficients, top degree first, about a quarter of them +-0.0;
+    with ``scale`` < 1 the one of degree k stays within scale^k."""
+    return tuple(rng.choice((0.0, -0.0)) if rng.random() < 0.25
+                 else rng.uniform(-2.0, 2.0) * scale ** (n - 1 - j)
+                 for j in range(n))
+
+
+INTEGRAND_NODES = [oracle._nodes(a, b) for a, b in (
+    (oracle._HALF_PI, -oracle._HALF_PI),
+    (-oracle._HALF_PI, -3 * oracle._HALF_PI), (0.3, -1.1))]
+
+
+@pytest.mark.parametrize("case", [Case.SWITCH_Y, Case.SWITCH_X])
+def test_generated_integrands_match_the_loops(case):
+    """Each (len f, len g) and (len G, len f0) from 1 to 9 compiles its own
+    integrand, and it has the bits of Horner loops from each tuple's top,
+    for both signs of the line integrand: on random coefficients with
+    signed zeros among them, a -0.0 top included, and on all-zero
+    polynomials."""
+    rng = random.Random(1983)
+    units, du_per_v, _ = oracle._ARC[case]
+    for n_1 in range(1, 10):
+        for n_2 in range(1, 10):
+            line, weight = oracle._line(n_1, n_2), oracle._weight(n_1, n_2)
+            pairs = [(random_desc(rng, n_1), random_desc(rng, n_2))
+                     for _ in range(3)]
+            pairs += [((-0.0,) + random_desc(rng, n_1)[1:],
+                       random_desc(rng, n_2)),
+                      ((0.0,) * n_1, (-0.0,) * n_2),
+                      (random_desc(rng, n_1), (0.0,) * n_2)]
+            for (c1, c2), nodes in itertools.product(pairs, INTEGRAND_NODES):
+                r = rng.uniform(0.1, 3.0)
+                for sign in (1.0, -1.0):
+                    args = (c1, c2, units, r, sign, du_per_v, nodes)
+                    assert bits(line(*args)) == bits(loop_line(*args))
+                args = (c1, c2, units, r, nodes)
+                assert bits(weight(*args)) == bits(loop_weight(*args))
+
+
+def test_integrands_compile_at_the_degree_bound():
+    """Horner is nested at most 100 steps deep, so no length meets the
+    parser's nesting limit: at m = n = MAX_DEGREE the line integrand
+    takes MAX_DEGREE + 1 coefficients per polynomial and the weight
+    G = int g of MAX_DEGREE + 2, and both keep the loops' bits."""
+    rng = random.Random(500)
+    f, g = (random_desc(rng, MAX_DEGREE + 1, 0.25) for _ in range(2))
+    big_g = random_desc(rng, MAX_DEGREE + 2, 0.25)
+    line = oracle._line(MAX_DEGREE + 1, MAX_DEGREE + 1)
+    weight = oracle._weight(MAX_DEGREE + 2, MAX_DEGREE + 1)
+    for case in (Case.SWITCH_Y, Case.SWITCH_X):
+        units, du_per_v, _ = oracle._ARC[case]
+        for nodes in INTEGRAND_NODES:
+            args = (f, g, units, 1.5, -1.0, du_per_v, nodes)
+            assert bits(line(*args)) == bits(loop_line(*args))
+            args = (big_g, f, units, 1.5, nodes)
+            assert bits(weight(*args)) == bits(loop_weight(*args))
+
+
+def test_verify_sweep_compiles_each_shape_once():
+    """A sweep over every (m, n) <= 7 in both cases, each system and its
+    odd projection, every integral at two energies: each generator
+    compiles one integrand per shape, (m + 1, n + 1) for the line and
+    (n + 2, m + 1) for the weight, and serves every other call from its
+    table, which holds them all.  Per system and energy the line integrand
+    is fetched five times (two arcs each for I_0 and I_1, one for the
+    switch-on-x I_3 or the switch-on-y I_4) and the weight once."""
+    rng = random.Random(7)
+    oracle._line.cache_clear()
+    oracle._weight.cache_clear()
+    evaluations = 0
+    for case in (Case.SWITCH_Y, Case.SWITCH_X):
+        for m, n in itertools.product(range(8), repeat=2):
+            full = random_sweep_system(rng, case, m=m, n=n)
+            for sys_ in (full, full.odd_projection()):
+                for h in (0.5, 1.0):
+                    for i in range(sys_.case.n_integrals):
+                        quad_I(sys_, h, i)
+                    evaluations += 1
+    for table, fetches in ((oracle._line, 5), (oracle._weight, 1)):
+        info = table.cache_info()
+        assert info.maxsize == oracle._INTEGRAND_TABLE_SIZE
+        assert info.misses == info.currsize == 64
+        assert info.hits + info.misses == fetches * evaluations
+
+
 def test_endpoint_derivatives_match_finite_difference():
     g = [0.0, 0.25, 0.0, -0.5]  # antiderivative G(y) = y^2/8 - y^4/8
     h = 1.3
@@ -309,16 +421,17 @@ def test_one_application_exact_to_degree_31(k):
 
 def test_reversed_limits_negate():
     fn = batch(lambda x: math.exp(x) * math.cos(7 * x) / (1 + x * x))
-    forward, err_f = oracle._qage(fn, -0.3, 2.9)
-    backward, err_b = oracle._qage(fn, 2.9, -0.3)
+    forward, err_f, _, _ = oracle._qage(fn, -0.3, 2.9)
+    backward, err_b, _, _ = oracle._qage(fn, 2.9, -0.3)
     assert backward == pytest.approx(-forward, rel=1e-15)
     assert err_b == pytest.approx(err_f, rel=1e-15)
 
 
 def test_runge_function_subdivides(rule_count):
-    value, err = oracle._qage(batch(lambda x: 1.0 / (1.0 + 400.0 * x * x)),
-                              -1.0, 1.0)
+    value, err, _, stop = oracle._qage(
+        batch(lambda x: 1.0 / (1.0 + 400.0 * x * x)), -1.0, 1.0)
     assert rule_count[0] > 1
+    assert stop == "target met"
     assert value == pytest.approx(math.atan(20.0) / 10.0, rel=0, abs=1e-12)
     assert err <= oracle.QUAD_ABS_TARGET
 
@@ -346,7 +459,7 @@ def test_parity_with_quadpack(rule_count, capsys):
             epsrel=oracle._QUAD_REL_TARGET, limit=oracle._QUAD_LIMIT,
             full_output=1)[:3]
         rule_count[0] = 0
-        value, _ = oracle._qage(batch(fn), lo, hi)
+        value, _, _, _ = oracle._qage(batch(fn), lo, hi)
         assert abs(value - ref) <= 1e-12 * (1.0 + abs(ref))
         # each bisection adds one interval and two rule applications
         same_count += info["last"] == (rule_count[0] + 1) // 2
@@ -358,15 +471,26 @@ def test_parity_with_quadpack(rule_count, capsys):
 
 def test_roundoff_stop_ends_loop(rule_count):
     """The 50*eps*resabs floor stops the rule long before the interval limit;
-    the error estimate is then too large and the oracle says so.  The
-    integrand of I_2 on AB is odd: the first application gives 0 with its
-    error at the floor, 7.83e-9, and stops there, as QUADPACK does."""
-    sys_ = LienardSystem.build(Case.SWITCH_Y, 7, 3,
-                               a0=[0, -1, 0, -8, 0, 6, 0, 4],
-                               c=[0, -3, 0, -8], b0=[0, -4, 0, 0])
-    with pytest.raises(QuadratureFailure):
-        quad_I(sys_, 4.0, 2)
-    assert rule_count[0] == 1
+    the error estimate is then too large and the oracle says so, naming
+    the stop.  The integrand of I_2 on AB is odd: the first application
+    gives 0 with its error at the floor, 7.83e-9 and 7.98e-9, and stops
+    there, as QUADPACK does.  The second system is the odd projection of
+    one the verify benchmark draws (item 88 of seed 1)."""
+    for sys_ in (
+            LienardSystem.build(Case.SWITCH_Y, 7, 3,
+                                a0=[0, -1, 0, -8, 0, 6, 0, 4],
+                                c=[0, -3, 0, -8], b0=[0, -4, 0, 0]),
+            LienardSystem.build(Case.SWITCH_Y, 7, 3,
+                                a0=[0, "-1/4", 0, 0, 0, 0, 0, "7/2"],
+                                a1=[11, 9, "-4/3", "2/3", 2, "3/2", 0, "-3/4"],
+                                b0=[0, "-2/3", 0, -1], b1=[0, -5, -3, "1/2"],
+                                c=[0, 0, 0, -12])):
+        rule_count[0] = 0
+        with pytest.raises(QuadratureFailure, match=(
+                r"0\.000000e\+00; stop: error estimate at the round-off "
+                r"floor, integral of \|f\| 7\.\d{3}e\+05")):
+            quad_I(sys_, 4.0, 2)
+        assert rule_count[0] == 1
 
 
 def test_roundoff_counters_stop_subdivision(rule_count):
@@ -374,9 +498,27 @@ def test_roundoff_counters_stop_subdivision(rule_count):
     error floor 50*eps*resabs stays near 1.4e-8 however fine the intervals
     get.  One application does not resolve the ten periods, so it is the
     iroff counters that end the bisection, not the interval limit."""
-    value, err = oracle._qage(
+    value, err, _, stop = oracle._qage(
         batch(lambda x: 1e6 * math.sin(30.0 * x + 0.001)), -1.0, 1.0)
     assert 3 <= rule_count[0] <= 100
+    assert stop == "round-off counters"
     assert err > oracle.QUAD_ABS_TARGET
     exact = 2e6 * math.sin(30.0) * math.sin(0.001) / 30.0
     assert value == pytest.approx(exact, rel=0, abs=1e-8)
+
+
+@pytest.mark.parametrize("fn,stop", [
+    (lambda x: 1.0 / math.sqrt(abs(x - 0.3)), "interval too small"),
+    (lambda x: (1500.37 * x + 0.123) % 1.0, "interval limit"),
+], ids=["singular", "sawtooth"])
+def test_stop_reason_names_the_stop(rule_count, fn, stop):
+    """An integrable singularity off the bisection points is bisected until
+    its interval cannot be halved; a sawtooth with 3000 jumps needs more
+    intervals than the limit allows.  Either way the error estimate stays
+    above the target, and ``_qage`` says which stop ended it."""
+    value, err, absint, got = oracle._qage(batch(fn), -1.0, 1.0)
+    assert got == stop
+    assert err > oracle.QUAD_ABS_TARGET
+    assert absint >= abs(value)
+    if stop == "interval limit":
+        assert rule_count[0] == 2 * oracle._QUAD_LIMIT - 1

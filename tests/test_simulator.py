@@ -20,6 +20,7 @@ from pwlienard.melnikov import case_x_i2, case_x_i3, case_x_i_poly
 from pwlienard import _kernel_py, roots, simulator
 from pwlienard.algebra import poly_antideriv, polyval
 from pwlienard.simulator import BACKEND, bifurcation_increment
+from pwlienard.systems import MAX_DEGREE
 
 INV_PI = RingElem.term(1, p=-1)
 
@@ -308,6 +309,20 @@ class TestKernelEntry:
             "k.integrate_return(0, [0.0], [0.0], [0.0], [0.0], [0.0], "
             "0.0, 0.0, 1.0, 0.0, 1e-10, 0.0, 1000, 1e-3, 50.0); "
             "print(k._step.cache_info().misses)") == ["0", "1"]
+
+    def test_import_compiles_no_integrand(self):
+        """Nor does it compile an oracle integrand: the first ``quad_I``
+        of I_0 compiles its line integrand, and that of I_2 its weight."""
+        assert fresh_import_output(
+            "from pwlienard import oracle; "
+            "sys_ = pwlienard.load_preset('example2'); "
+            "tables = (oracle._line, oracle._weight); "
+            "print(*(t.cache_info().currsize for t in tables)); "
+            "oracle.quad_I(sys_, 1.0, 0); "
+            "print(*(t.cache_info().currsize for t in tables)); "
+            "oracle.quad_I(sys_, 1.0, 2); "
+            "print(*(t.cache_info().currsize for t in tables))"
+        ) == ["0", "0", "1", "0", "1", "1"]
 
     def test_import_fills_no_support_table(self):
         """``import pwlienard`` computes no ``melnikov.support`` entry, as
@@ -837,6 +852,31 @@ class TestFieldCoefficientForm:
                 assert got == step_bits(field, p, qs, r, phi)
                 finished += got is not None
             assert finished >= 20
+
+    @pytest.mark.parametrize("tangent", [False, True])
+    def test_step_compiles_at_the_degree_bound(self, rng, tangent):
+        """Horner is nested at most 100 steps deep, so the pair for p and
+        q of MAX_DEGREE + 1 coefficients compiles, where a chain
+        nested one parenthesis per coefficient met the parser's limit of
+        200 levels.  Its start and step keep the bits of the polyval field
+        and of the tableau loops over it."""
+        n = MAX_DEGREE + 1
+        start, step = _kernel_py._step(n, n, tangent)
+        field, loops = ((reference_start_tangent, tableau_step_tangent)
+                        if tangent else (reference_start, tableau_step))
+        y0 = (1.0,) if tangent else ()
+        finished = 0
+        for _ in range(10):
+            p, qs, r, t, phi, h = random_shape_inputs(rng, n, n)
+            got = step_bits(start, p, qs, r, phi)
+            assert got == step_bits(field, p, qs, r, phi)
+            if got is not None:
+                k1 = field(p, qs, r, phi)
+                y = (r, t) + y0
+                assert step_bits(step, p, qs, phi, h, y, k1) == \
+                    step_bits(loops, p, qs, phi, h, y, k1)
+                finished += 1
+        assert finished >= 5
 
     @staticmethod
     def check(rng, p, q):
