@@ -223,20 +223,29 @@ class RingElem:
     def from_json(cls, data) -> "RingElem":
         """A rational or ``to_json``'s list of terms, objects with a rational
         "q" and optional int "e" and "p", |e| <= MAX_JSON_SQRT2_POWER and
-        |p| <= MAX_JSON_PI_POWER; anything else raises InvalidInput."""
+        |p| <= MAX_JSON_PI_POWER, whose ``to_float`` is finite; anything else
+        raises InvalidInput.  ``to_float`` sums float(q) 2^(e/2) pi^p term by
+        term, so a term whose q alone overflows a float is rejected even
+        where its value would not."""
         if not isinstance(data, list):
-            return cls.rational(_json_rational(data))
-        out = cls.zero()
-        for entry in data:
-            if not (isinstance(entry, dict)
-                    and {"q"} <= entry.keys() <= {"q", "e", "p"}
-                    and all(type(entry.get(k, 0)) is int for k in "ep")
-                    and abs(entry.get("e", 0)) <= MAX_JSON_SQRT2_POWER
-                    and abs(entry.get("p", 0)) <= MAX_JSON_PI_POWER):
-                raise InvalidInput(f"not a term: {entry!r}")
-            out += cls.term(_json_rational(entry["q"]), entry.get("e", 0),
-                            entry.get("p", 0))
-        return out
+            out = cls.rational(_json_rational(data))
+        else:
+            out = cls.zero()
+            for entry in data:
+                if not (isinstance(entry, dict)
+                        and {"q"} <= entry.keys() <= {"q", "e", "p"}
+                        and all(type(entry.get(k, 0)) is int for k in "ep")
+                        and abs(entry.get("e", 0)) <= MAX_JSON_SQRT2_POWER
+                        and abs(entry.get("p", 0)) <= MAX_JSON_PI_POWER):
+                    raise InvalidInput(f"not a term: {entry!r}")
+                out += cls.term(_json_rational(entry["q"]), entry.get("e", 0),
+                                entry.get("p", 0))
+        try:
+            if math.isfinite(out.to_float()):
+                return out
+        except OverflowError:  # float() of a rational beyond the float range
+            pass
+        raise InvalidInput("a coefficient has no float evaluation")
 
     def __repr__(self):
         if not self.terms:

@@ -5,8 +5,10 @@ polynomial becomes an ordinary polynomial Q(s).  The lowest s-power is
 factored out (so h = 0 is never reported), the search runs on (0, B] with B
 a Cauchy bound, Descartes' rule reads the signs of Q's Bernstein
 coefficients, de Casteljau splits them (Eigenwillig, Sharma & Yap, ISSAC
-2006), and each isolated interval is bisected and certified by the sign
-change of Q itself.  Even-multiplicity candidates are flagged, not certified.
+2006), and each isolated interval is refined by ITP, a projected regula
+falsi that never takes more than two steps beyond bisection's count, and
+certified by the sign change of Q itself.  Even-multiplicity candidates are
+flagged, not certified.
 """
 
 from __future__ import annotations
@@ -25,6 +27,8 @@ REFINE_WIDTH = 1e-12
 # fallback split ratio when the midpoint is an exact zero; being irrational,
 # it keeps the new split off the dyadic points where exact zeros occur
 _OFF_CENTRE = math.sqrt(2.0) - 1.0
+# ITP's n0: the steps a refinement may take beyond bisection's count
+_ITP_SLACK = 2
 
 CERT_SIMPLE = "SimpleSignChange"
 CERT_SUSPECT_EVEN = "SuspectedEvenMultiplicity"
@@ -96,22 +100,54 @@ class RootReport:
         return len(self.h_roots)
 
 
-def _bisect_root(f, lo: float, hi: float):
-    """(lo, hi, mid) of the sign change of f on (lo, hi), bisected."""
-    flo = f(lo)
-    # tight target: both the s-interval and the induced h-interval stay <= 1e-12
-    while (hi - lo) * max(1.0, hi + lo) > REFINE_WIDTH:
+def _refine_root(f, lo: float, hi: float, flo: float, fhi: float):
+    """(lo, hi, mid) of the sign change of f on (lo, hi), where f has the
+    values flo and fhi, refined by ITP (Oliveira & Takahashi, ACM TOMS 47,
+    2021).
+
+    Each step moves the regula falsi point toward the midpoint by
+    max(w^2 / w0, target / 3), the floor letting the far end move too, and
+    projects it into a radius about the midpoint that halves every step.
+    The new width is at most that radius, which starts at w0 2^(n0 - 1), so
+    no root takes more than n0 steps beyond bisection's count."""
+    w0 = hi - lo
+    radius = w0 * 2.0 ** (_ITP_SLACK - 1)
+    # target / 3 where the target is least, at hi
+    floor = REFINE_WIDTH / (3.0 * max(1.0, 2.0 * hi))
+    # tight target: both the s-interval and the induced h-interval stay
+    # <= 1e-12; branches, not max() or copysign(), on this hot path
+    while (w := hi - lo) * (hi + lo if hi + lo > 1.0 else 1.0) > REFINE_WIDTH:
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break  # float resolution reached
-        fm = f(mid)
-        if fm == 0.0:
-            lo = hi = mid
-            break
-        if flo * fm < 0:
-            hi = mid
+        x = lo + w * flo / (flo - fhi)
+        shift = w * w / w0
+        if shift < floor:
+            shift = floor
+        reach = radius - 0.5 * w
+        radius *= 0.5
+        if x < mid:
+            x += shift
+            if x >= mid:
+                x = mid
+            elif x < mid - reach:
+                x = mid - reach
         else:
-            lo, flo = mid, fm
+            x -= shift
+            if x <= mid:
+                x = mid
+            elif x > mid + reach:
+                x = mid + reach
+        if not lo < x < hi:
+            x = mid
+        fx = f(x)
+        if fx == 0.0:
+            lo = hi = x
+            break
+        if (fx < 0.0) == (flo < 0.0):
+            lo, flo = x, fx
+        else:
+            hi, fhi = x, fx
     return lo, hi, 0.5 * (lo + hi)
 
 
@@ -127,7 +163,7 @@ def _isolate(f, b, lo, hi, flo, fhi, out: list, depth: int = 0):
     if (count == 1 and flo * fhi < 0 or depth > 60
             or hi - lo < 1e-9 * max(1.0, hi)):
         if flo * fhi < 0:
-            out.append((lo, hi))
+            out.append((lo, hi, flo, fhi))
         return
     t, mid = 0.5, 0.5 * (lo + hi)
     fmid = f(mid)
@@ -142,12 +178,15 @@ def _isolate(f, b, lo, hi, flo, fhi, out: list, depth: int = 0):
 
 
 def refined_roots(f, b, lo: float, hi: float):
-    """(lo, hi, mid) of f's sign changes on (lo, hi], bisected, from f's
-    Bernstein coefficients b there.  Only intervals whose ends differ in
-    sign are kept, so a zero at lo itself is never one, and mid > lo."""
+    """(lo, hi, mid) of f's sign changes on (lo, hi], isolated from f's
+    Bernstein coefficients b there and refined by ``_refine_root``.  Only
+    intervals whose ends differ in sign are kept, so a zero at lo itself is
+    never one, and mid > lo.  Each (lo, hi) has ends of strictly opposite
+    sign, or is a point at an exact zero, and lies in its isolating
+    interval."""
     intervals: list = []
     _isolate(f, list(b), lo, hi, f(lo), f(hi), intervals)
-    return [_bisect_root(f, lo, hi) for lo, hi in intervals]
+    return [_refine_root(f, *interval) for interval in intervals]
 
 
 def _strip_low_power(coeffs):
@@ -179,7 +218,7 @@ def isolate_positive_roots(poly: HalfPowerPoly, case: Case | None = None,
     report = RootReport(descartes_bound=sign_variations(coeffs))
     deriv = [k * c for k, c in enumerate(coeffs)][1:]
     s_roots = []
-    # partials, not lambdas: bisection makes most of the isolator's calls
+    # partials, not lambdas: refinement makes most of the isolator's calls
     for lo, hi, mid in refined_roots(partial(polyval, coeffs),
                                      _bernstein(coeffs, bound), 0.0, bound):
         cert = CERT_SIMPLE if polyval(deriv, mid) != 0.0 else CERT_SUSPECT_EVEN

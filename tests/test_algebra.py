@@ -128,17 +128,22 @@ class TestRingElem:
         [{"q": "x"}], [{"q": "1/0"}], [{"q": float("inf")}],
         float("nan"), [{"q": "1", "e": MAX_JSON_SQRT2_POWER + 1}],
         [{"q": "1", "e": -10**11}], [{"q": "1", "p": MAX_JSON_PI_POWER + 1}],
-        [{"q": "1", "p": -10**6}],
+        [{"q": "1", "p": -10**6}], [{"q": "100/1", "p": MAX_JSON_PI_POWER}],
+        [{"q": "1e308"}, {"q": "1e308"}], "1e400", 10 ** 400,
+        [{"q": "1e400", "p": -MAX_JSON_PI_POWER}],
     ], ids=["bool-q", "fractional-e", "string-e", "bool-p", "missing-q",
             "unknown-key", "malformed-q", "zero-denominator", "infinite-q",
             "nan", "e-above-bound", "huge-negative-e", "p-above-bound",
-            "huge-negative-p"])
+            "huge-negative-p", "term-overflows", "sum-overflows",
+            "rational-overflows", "integer-overflows", "q-overflows"])
     def test_from_json_rejects_malformed_terms(self, data):
         """A malformed term or rational is an input error (CLI exit 2), not
         read as a nearby value (True as 1, e = 1.5 as 1) nor raised as an
         arithmetic error (CLI exit 3); so is an e whose power of 2 would
-        take memory in proportion to it, and a p whose power of pi has no
-        float value."""
+        take memory in proportion to it, a p whose power of pi has no float
+        value, and a term or sum that has none.  The float evaluation goes
+        term by term, so a q beyond the float range is rejected even where
+        pi^p would bring its term back into range."""
         with pytest.raises(InvalidInput):
             RingElem.from_json(data)
 

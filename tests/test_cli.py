@@ -380,6 +380,12 @@ EXAMPLE1 = load_preset("example1").to_json()
      dict(EXAMPLE1, a1=[[{"q": "1", "e": 10**11}]] + EXAMPLE1["a1"][1:])],
     ["melnikov", "--system",
      dict(EXAMPLE1, a1=[[{"q": "1", "p": 10**6}]] + EXAMPLE1["a1"][1:])],
+    ["melnikov", "--system",
+     dict(EXAMPLE1, a1=[[{"q": "100/1", "p": 620}]] + EXAMPLE1["a1"][1:])],
+    ["melnikov", "--system",
+     dict(EXAMPLE1, a1=["1e400"] + EXAMPLE1["a1"][1:])],
+    ["melnikov", "--system",
+     dict(EXAMPLE1, a1=[10 ** 400] + EXAMPLE1["a1"][1:])],
 ], ids=["zero-M0", "zero-M1", "negative-h", "infinite-target",
         "even-f0-melnikov", "even-f0-roots", "infeasible-shape-X",
         "infeasible-shape-Y", "reversed-r-range", "nan-lam", "nan-h",
@@ -388,7 +394,9 @@ EXAMPLE1 = load_preset("example1").to_json()
         "string-lambda", "bare-term", "number-term", "boolean-coefficient",
         "array-document", "fractional-e", "term-without-q",
         "infinite-coefficient", "degree-above-bound",
-        "design-degree-above-bound", "e-above-bound", "p-above-bound"])
+        "design-degree-above-bound", "e-above-bound", "p-above-bound",
+        "term-overflows-a-float", "rational-overflows-a-float",
+        "integer-overflows-a-float"])
 def test_input_errors_are_validation_errors(tmp_path, outdir, capsys, argv):
     """Errors in the input exit 2 with an error line, not as numerical
     failures.  A JSON value in ``argv`` is a ``--system`` document: it is

@@ -8,9 +8,10 @@ import pytest
 
 from pwlienard import (PRESET_NAMES, Case, HalfPowerPoly, OddnessViolated,
                        PrecisionLoss, RingElem, ZeroPolynomial, design_case_y,
-                       expand, isolate_positive_roots, load_preset, roots)
+                       expand, isolate_positive_roots, load_preset, roots,
+                       simulator)
 from pwlienard.algebra import polyval
-from pwlienard.roots import CERT_SIMPLE, CERT_SUSPECT_EVEN
+from pwlienard.roots import CERT_SIMPLE, CERT_SUSPECT_EVEN, REFINE_WIDTH
 
 
 def int_poly(mapping):
@@ -24,7 +25,8 @@ def test_example1_root_certification():
     assert report.theorem_bound == 4
     mids = [r.mid for r in report.h_roots]
     assert mids == pytest.approx([1.0, 4.0, 9.0, 16.0], abs=1e-9)
-    for r in report.h_roots:
+    for r, h in zip(report.h_roots, (1.0, 4.0, 9.0, 16.0)):
+        assert r.lo <= h <= r.hi
         assert r.certificate == CERT_SIMPLE
         assert r.hi - r.lo <= 1e-12
     assert not report.suspected
@@ -174,19 +176,19 @@ def test_triple_root_in_a_certified_interval(s_root):
 # presets expand only with it.
 PRESET_ROOTS = {
     "example1": {"M1": [
-        ("0x1.ffffffffff300p-1", "0x1.0000000000640p+0",
-         "0x1.fffffffffffc0p-1", CERT_SIMPLE),
-        ("0x1.fffffffffffc0p+1", "0x1.0000000000310p+2",
-         "0x1.0000000000178p+2", CERT_SIMPLE),
-        ("0x1.1ffffffffffdcp+3", "0x1.200000000010ep+3",
-         "0x1.2000000000075p+3", CERT_SIMPLE),
-        ("0x1.fffffffffffc0p+3", "0x1.00000000000acp+4",
-         "0x1.0000000000046p+4", CERT_SIMPLE)]},
+        ("0x1.ffffffffff8a8p-1", "0x1.00000000003acp+0",
+         "0x1.0000000000000p+0", CERT_SIMPLE),
+        ("0x1.ffffffffffd74p+1", "0x1.000000000014cp+2",
+         "0x1.0000000000004p+2", CERT_SIMPLE),
+        ("0x1.1ffffffffff3dp+3", "0x1.20000000000bap+3",
+         "0x1.1fffffffffffcp+3", CERT_SIMPLE),
+        ("0x1.fffffffffff70p+3", "0x1.0000000000040p+4",
+         "0x1.ffffffffffff8p+3", CERT_SIMPLE)]},
     "example2": {"M1": [
-        ("0x1.473af68960799p-2", "0x1.473af689640b1p-2",
-         "0x1.473af68962425p-2", CERT_SIMPLE),
-        ("0x1.cabb05a3f1f5cp-2", "0x1.cabb05a3f62f6p-2",
-         "0x1.cabb05a3f4129p-2", CERT_SIMPLE)]},
+        ("0x1.473af68962949p-2", "0x1.473af6896560fp-2",
+         "0x1.473af68963fabp-2", CERT_SIMPLE),
+        ("0x1.cabb05a3f2c7cp-2", "0x1.cabb05a3f5444p-2",
+         "0x1.cabb05a3f4060p-2", CERT_SIMPLE)]},
     "remark-eqMM": {"M0": []},
     "remark-pw-cubic": {"M0": []},
     "remark-smooth-cubic": {"M0": [], "M1": []},
@@ -266,3 +268,117 @@ def test_de_casteljau_split(rng, t):
         assert want[n] == p_t
         for g, w in zip(left + right[1:], want):
             assert abs(Fraction(g) - w) <= rounding_bound(b, n)
+
+
+def isolating_intervals(f, b, lo, hi):
+    """The (lo, hi, f(lo), f(hi)) that ``refined_roots`` refines."""
+    out = []
+    roots._isolate(f, list(b), lo, hi, f(lo), f(hi), out)
+    return out
+
+
+def random_refinements(rng, count):
+    """(f, Bernstein coefficients, lo, hi) of seeded random polynomials on
+    (0, B], B their Cauchy bound, and of Chebyshev proxies on [0, 1]: a
+    third with integer coefficients, a third with planted roots, a third
+    proxies."""
+    for i in range(count):
+        if i % 3 == 2:
+            coeffs = [rng.gauss(0.0, 1.0) for _ in range(rng.randrange(2, 18))]
+            yield (partial(simulator._clenshaw_unit, coeffs),
+                   roots.chebyshev_bernstein(coeffs), 0.0, 1.0)
+            continue
+        if i % 3 == 0:
+            coeffs = [float(rng.randrange(-9, 10))
+                      for _ in range(rng.randrange(1, 13))] + [1.0]
+        else:
+            coeffs = [1.0]
+            for _ in range(rng.randrange(1, 8)):
+                r = rng.randrange(1, 400) / 64
+                coeffs = [a - r * b for a, b in zip([0.0] + coeffs,
+                                                    coeffs + [0.0])]
+        bound = 1.0 + max(abs(c) for c in coeffs[:-1])
+        yield (partial(polyval, coeffs), roots._bernstein(coeffs, bound),
+               0.0, bound)
+
+
+def test_refinement_contract(rng):
+    """Each refined root is a strict sign change or a point interval at an
+    exact zero, meets the width rule, and lies inside its isolating
+    interval, with mid above the interval's lower end."""
+    checked = 0
+    for f, b, lo, hi in random_refinements(rng, 300):
+        intervals = isolating_intervals(f, b, lo, hi)
+        found = roots.refined_roots(f, b, lo, hi)
+        assert len(found) == len(intervals)
+        for (lo0, hi0, _flo, _fhi), (a, c, mid) in zip(intervals, found):
+            assert lo0 <= a <= mid <= c <= hi0 and lo0 < mid
+            assert (c - a) * max(1.0, c + a) <= REFINE_WIDTH
+            if a == c:
+                assert f(a) == 0.0
+            else:
+                fa, fc = f(a), f(c)
+                assert fa != 0.0 and fc != 0.0 and (fa < 0.0) != (fc < 0.0)
+            checked += 1
+    assert checked > 300
+
+
+def counted(f):
+    """f and a list whose length is the number of calls made to it."""
+    calls = []
+
+    def g(x):
+        calls.append(x)
+        return f(x)
+    return g, calls
+
+
+def bisection_steps(f, lo, hi):
+    """The evaluations bisection makes inside (lo, hi) to the width rule."""
+    flo, steps = f(lo), 0
+    while (hi - lo) * max(1.0, hi + lo) > REFINE_WIDTH:
+        mid = 0.5 * (lo + hi)
+        fm = f(mid)
+        steps += 1
+        if fm == 0.0:
+            break
+        if (fm < 0.0) == (flo < 0.0):
+            lo, flo = mid, fm
+        else:
+            hi = mid
+    return steps
+
+
+def test_refinement_evaluations_per_root(rng):
+    """Given f at the isolating interval's ends, the refinement takes at
+    most 14 evaluations per root on average on the seeded pool, where
+    bisection takes about 40."""
+    evaluations = found = 0
+    for f, b, lo, hi in random_refinements(rng, 300):
+        for interval in isolating_intervals(f, b, lo, hi):
+            g, calls = counted(f)
+            roots._refine_root(g, *interval)
+            evaluations += len(calls)
+            found += 1
+    assert found > 300
+    assert evaluations / found <= 14
+
+
+WORST_CASE_SHAPES = {
+    "cube": lambda s, c: (s - c) ** 3,
+    "fifteenth-power": lambda s, c: (s - c) ** 15,
+    "step": lambda s, c: -1.0 if s < c else 1.0,
+}
+
+
+@pytest.mark.parametrize("shape", WORST_CASE_SHAPES)
+@pytest.mark.parametrize("c", [1 / 3, 0.7, math.e])
+@pytest.mark.parametrize("lo, hi", [(0.0, 4.0), (0.25, 3.0)])
+def test_refinement_worst_case_is_bisection_plus_two(shape, c, lo, hi):
+    """Where falsi points crawl, the projection keeps the refinement within
+    two evaluations of bisection's count."""
+    f = partial(WORST_CASE_SHAPES[shape], c=c)
+    g, calls = counted(f)
+    a, b, _mid = roots._refine_root(g, lo, hi, f(lo), f(hi))
+    assert a <= c <= b and (b - a) * max(1.0, b + a) <= REFINE_WIDTH
+    assert len(calls) <= bisection_steps(f, lo, hi) + 2
