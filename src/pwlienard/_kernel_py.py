@@ -38,17 +38,17 @@ construction.
 
 Stepping
 --------
-Dormand-Prince 5(4) with FSAL on the state y = (r, t): stage 7 of an
-accepted step is the field at its end point and becomes stage 1 of the
-next step; a rejected step reuses stage 1.  The stage nodes c2..c7 enter
-phi.  The error estimate is on r alone, against rk_tol*(1 + |r|).  Each
-return starts at h = pi/16 (``_H_START``).  The step that follows a
-rejection may not grow h (Hairer, Norsett & Wanner, Solving ODEs I, II.4).
-Where the rest of an arc lies between h and 2h, the kernel steps half of
-it, so that an arc does not end on a sliver.  The step size carries across
-the switch, where only stage 1 is recomputed, since the side changes.
-Stage 1 and each step come from the pair that ``_step`` generates (see
-Generated step).
+Dormand-Prince 5(4) with FSAL on the state (r, t): stage 7 of an accepted
+step is the field at its end point and becomes stage 1 of the next step;
+a rejected step reuses stage 1.  The stage nodes c2..c7 enter phi.  The
+error estimate is on r alone, against rk_tol*(1 + |r|).  Each return
+starts at h = pi/16 (``_H_START``).  The step that follows a rejection may
+not grow h (Hairer, Norsett & Wanner, Solving ODEs I, II.4).  Where the
+rest of an arc lies between h and 2h, the kernel steps half of it, so that
+an arc does not end on a sliver.  The step size carries across the switch,
+where only stage 1 is recomputed, since the side changes.  Each arc runs
+in one function that ``_arc`` generates (see Generated arc); ``_arcs``
+keeps the loop over the two arcs, the crossings and the status codes.
 
 The field takes p and q in the form ``_descending`` makes once per return
 (p) and once per arc (q): tuples from the top degree down, q multiplied by
@@ -76,27 +76,34 @@ where phi stops being a valid independent variable: the angular speed
 below ``_H_FLOOR``.  A trial stage below the guard rejects only its step,
 which is retried at a fifth of its length.
 
-Generated step
---------------
-``_step(len(p), len(q), tangent)`` writes out, from one stage template
-(``_stage``), stage 1 as ``start`` and the Dormand-Prince step over _A, _C
-and _E as ``step``, and compiles the pair in one ``exec`` once per shape;
-``_arcs`` fetches it once per arc, and importing the module compiles none.
-Horner is written out over locals unpacked from p and q
-(``algebra.horner_source``): a called field with Horner loops spends
-about half its time in interpreter dispatch.  The pair
-keeps the bits of a polyval field and of the tableau loops over it, which
-tests/test_simulator.py checks on every shape up to 8 x 8 and on whole
-returns (TestFieldCoefficientForm, TestWrittenOutStep,
-TestWrittenOutTangentStep).  It sums each stage and the error estimate in
-the tableau's left-to-right order, with two departures that change at most
-the sign of an exactly zero term.  It skips the zero weights (a7,2 and
-e2), whose products are signed zeros.  And Horner starts from the top
-coefficient, where the loops compute 0.0*x + top, equal to it unless the
-top is a zero (the derivative's chain likewise); the values then differ
-only where every coefficient is a zero.  A zero term can change only the
-sign of a sum that is exactly zero, and r5 and t5 are positive while the
-error estimate is taken in absolute value.
+Generated arc
+-------------
+``_arc(len(p), len(q), tangent)`` writes out one function that integrates
+a whole arc (Jorba & Zou, Exp. Math. 14 (2005), generate the integrator of
+an ODE, not only its right-hand side): stage 1 at the arc's start, then
+the step-control loop with the Dormand-Prince step over _A, _C and _E
+inline over locals.  The field is one stage template (``_stage``); p and q
+are unpacked into locals once per arc, and Horner is written out over them
+(``algebra.horner_source``): a called field with Horner loops spends about
+half its time in interpreter dispatch.  No step calls a function but cos
+and sin, or builds or unpacks a tuple.  Stage 7 sits at stage 6's angle
+(c6 = 1), so it reuses that stage's cos and sin: five trig pairs a step.
+``_arc`` compiles once per shape, ``_arcs`` fetches it once per arc, and
+importing the module compiles none.
+
+The arc keeps the bits of a polyval field and of the tableau loops over
+it, stepped by the same controller, which tests/test_simulator.py checks
+on every shape up to 8 x 8, attempt by attempt, and on whole returns
+(TestFieldCoefficientForm, TestWrittenOutStep, TestWrittenOutTangentStep).
+It sums each stage and the error estimate in the tableau's left-to-right
+order, with two departures that change at most the sign of an exactly
+zero term.  It skips the zero weights (a7,2 and e2), whose products are
+signed zeros.  And Horner starts from the top coefficient, where the loops
+compute 0.0*x + top, equal to it unless the top is a zero (the
+derivative's chain likewise); the values then differ only where every
+coefficient is a zero.  A zero term can change only the sign of a sum
+that is exactly zero, and r5 and t5 are positive while the error estimate
+is taken in absolute value.
 """
 
 from __future__ import annotations
@@ -149,7 +156,7 @@ def fold(fa0, fa1, fb0, fb1, fc, lam, eps):
 
 
 def _descending(coeffs, scale=1.0):
-    """The coefficient form of ``_step``'s field: a tuple from the top
+    """The coefficient form of ``_arc``'s field: a tuple from the top
     degree down, each coefficient times ``scale`` (+-1, so exactly).  Built
     from a list: tuple() of a generator starts with 10 slots and shrinks,
     which drifts CPython's per-size tuple free lists and grew the resident
@@ -158,62 +165,127 @@ def _descending(coeffs, scale=1.0):
 
 
 @functools.lru_cache(maxsize=None)
-def _step(n_p, n_q, tangent):
-    """The stage-1 field and the Dormand-Prince step for p of n_p and q of
-    n_q coefficients in ``_descending``'s form (see Generated step in the
-    module docstring); returns (start, step).  start(p, q, r, phi) is the
-    field at the polar point (r, phi), (dr/dphi, dt/dphi), and with
-    ``tangent`` F_r = d(dr/dphi)/dr as well.  step(p, q, phi, h, y, k1)
-    steps the state y = (r, t), with ``tangent`` (r, t, v) with v = dr/dr0
-    through dv/dphi = F_r v, from k1, start's tuple at (r, phi); it returns
-    (err, y5, k7), k7 being start's tuple at (r5, phi + h).  Stage i is
-    y + (h*a_i1)*k1 + (h*a_i2)*k2 + ... summed left to right.  A p or q of
-    another length fails the unpacking.  The cache holds one pair per shape
-    in use."""
-    # the state's components, and a stage's: F_r in place of F_r v
+def _arc(n_p, n_q, tangent):
+    """The integrator of one arc for p of n_p and q of n_q coefficients in
+    ``_descending``'s form (see Generated arc in the module docstring).
+    arc(p, q, phi, end, h, steps, max_steps, rk_tol, r_min, r_max, r, t)
+    steps the state (r, t), with ``tangent`` (r, t, v) with v = dr/dr0
+    through dv/dphi = F_r v, from phi to end; h is the next step length
+    and steps the step attempts the return has made.  It returns (status,
+    phi, h, steps, r, t), with ``tangent`` (..., r, t, v): status 0 at the
+    arc's end, else 1, 2 or 3 as the return's, with the last accepted
+    state.  Stage 1, at phi, below the guard raises _NonTransversal.  A p
+    or q of another length fails the unpacking.  The cache holds one arc
+    per shape in use."""
     state = ("r", "t", "v") if tangent else ("r", "t")
     stage = ("r", "t", "f") if tangent else ("r", "t")
-    unpack = ["(" + "".join(f"{y}{k}, " for k in range(n)) + f") = {y}"
-              for y, n in (("p", n_p), ("q", n_q))]
-    start = ["def start(p, q, r, phi, cos=cos, sin=sin):", *unpack,
-             *_stage(1, "r", "phi", n_p, n_q, tangent),
-             "return " + ", ".join(f"k1{k}" for k in stage)]
-    step = ["def step(p, q, phi, h, y, k1, cos=cos, sin=sin):", *unpack,
-            ", ".join(state) + " = y",
-            ", ".join(f"k1{k}" for k in stage) + " = k1"]
-    if tangent:
-        step.append("k1v = k1f * v")
+    done = "return {}, phi, h, steps, " + ", ".join(state)
+    # at the arc's start and at each accepted point: the error bound, and
+    # stage 1's F_r v.  r > 0 there, or stage 1 would not have passed the
+    # guard, so 1 + r is 1 + |r|
+    at_point = ["tol = rk_tol * (1.0 + r)"] + (["k1v = k1f * v"] if tangent
+                                               else [])
+    body = ["if steps >= max_steps:",
+            "    " + done.format(2),
+            "steps += 1",
+            "last = phi + h >= end",
+            "if last:",
+            "    hs = end - phi",
+            "elif phi + 2.0 * h > end:",
+            "    # two halves, not a step and a sliver",
+            "    hs = 0.5 * (end - phi)",
+            "else:",
+            "    hs = h",
+            "try:",
+            *("    " + line for line in _attempt(n_p, n_q, tangent)),
+            "except _NonTransversal:",
+            "    # a trial stage below the guard rejects the step only",
+            "    h = 0.2 * hs",
+            f"    if h < {_H_FLOOR!r}:",
+            "        " + done.format(3),
+            "    rejected = True",
+            "    continue"]
+    weights = [j for j, e in enumerate(_E, start=1) if e != 0.0]
+    body += [f"h{j} = hs * {_E[j - 1]!r}" for j in weights]
+    # abs, min and max written out: a step calls nothing but cos and sin
+    body += ["er = " + " + ".join(f"h{j} * k{j}r" for j in weights),
+             "err = er if er >= 0.0 else -er",
+             "if err > tol:",
+             "    fac = 0.9 * (tol / err) ** 0.2",
+             "    h = hs * (fac if fac > 0.2 else 0.2)",
+             "    rejected = True",
+             "    continue",
+             *(f"{y} = {y}5" for y in state),
+             *(f"k1{k} = k7{k}" for k in stage),
+             "phi = end if last else phi + hs",
+             "if r < r_min or r > r_max:",
+             "    " + done.format(1),
+             # a clipped step keeps h: the arc's end, not the error, set
+             # its length; right after a rejection h may not grow
+             "if not last:",
+             "    fac = 0.9 * (tol / err) ** 0.2 if err > 0.0 else 5.0",
+             "    if fac > 5.0:",
+             "        fac = 5.0",
+             "    if rejected and fac > 1.0:",
+             "        fac = 1.0",
+             "    h = hs * fac",
+             "rejected = False",
+             *at_point]
+    src = [f"def arc(p, q, phi, end, h, steps, max_steps, rk_tol, r_min, "
+           f"r_max, {', '.join(state)}, cos=cos, sin=sin):",
+           *(f"({''.join(f'{y}{k}, ' for k in range(n))}) = {y}"
+             for y, n in (("p", n_p), ("q", n_q))),
+           *_stage(1, "r", "phi", n_p, n_q, tangent),
+           *at_point,
+           "rejected = False",
+           "while phi < end:",
+           *("    " + line for line in body),
+           done.format(0)]
+    scope = {"cos": math.cos, "sin": math.sin,
+             "_NonTransversal": _NonTransversal}
+    exec("\n    ".join(src), scope)
+    return scope["arc"]
+
+
+def _attempt(n_p, n_q, tangent):
+    """Source lines of one Dormand-Prince step of length hs from phi and
+    the state r, t (and v), stage 1 in k1r, k1t (and k1f, k1v): the end
+    point in r5, t5 (and v5) and stage 7 in k7r, k7t (and k7f).  Stage i
+    is y + (h*a_i1)*k1 + (h*a_i2)*k2 + ... summed left to right."""
+    state = ("r", "t", "v") if tangent else ("r", "t")
+    src = []
     for i, (row, node) in enumerate(zip(_A[1:], _C + (1.0,)), start=2):
         weights = [j for j, a in enumerate(row, start=1) if a != 0.0]
-        step += [f"h{j} = h * {row[j - 1]!r}" for j in weights]
+        src += [f"h{j} = hs * {row[j - 1]!r}" for j in weights]
         # stages 2 to 6 need their r (and v); stage 7, the step's end
         # point, sums t as well
         out = "5" if i == 7 else "s"
         for y in state if i == 7 else [y for y in state if y != "t"]:
-            step.append(f"{y}{out} = {y}" + "".join(
+            src.append(f"{y}{out} = {y}" + "".join(
                 f" + h{j} * k{j}{y}" for j in weights))
-        step.append(f"ph = phi + {node!r} * h" if i < 7 else "ph = phi + h")
-        step += _stage(i, f"r{out}", "ph", n_p, n_q, tangent)
+        # c6 = c7 = 1: stage 6 sits at phi + hs, which phi + 1.0*hs is
+        # exactly, and stage 7 reuses its cos and sin
+        if i < 7:
+            src.append("ph = phi + hs" if node == 1.0
+                       else f"ph = phi + {node!r} * hs")
+        src += _stage(i, f"r{out}", "ph" if i < 7 else None, n_p, n_q,
+                      tangent)
         if tangent and i < 7:
-            step.append(f"k{i}v = k{i}f * vs")
-    weights = [j for j, e in enumerate(_E, start=1) if e != 0.0]
-    step += [f"h{j} = h * {_E[j - 1]!r}" for j in weights]
-    step.append("er = " + " + ".join(f"h{j} * k{j}r" for j in weights))
-    step.append("return abs(er), (" + ", ".join(f"{y}5" for y in state)
-                + "), (" + ", ".join(f"k7{k}" for k in stage) + ")")
-    scope = {"cos": math.cos, "sin": math.sin,
-             "_NonTransversal": _NonTransversal}
-    exec("\n".join("\n    ".join(src) for src in (start, step)), scope)
-    return scope["start"], scope["step"]
+            src.append(f"k{i}v = k{i}f * vs")
+    return src
 
 
 def _stage(i, rs, ph, n_p, n_q, tangent):
     """Source lines of the field at radius {rs} and angle {ph}: k{i}r =
     dr/dphi and k{i}t = dt/dphi, with ``tangent`` also k{i}f = F_r.  They
-    raise _NonTransversal where the angular speed is below the guard."""
-    src = [f"c = cos({ph})", f"s = sin({ph})", f"x = {rs} * c"]
+    raise _NonTransversal where the angular speed is below the guard.
+    With ph None they reuse the cos and sin in c and s.  a = qa - r s pa
+    is -r s pa + qa bit for bit, signed zeros included: negation is exact
+    and x - y is x + (-y)."""
+    src = [] if ph is None else [f"c = cos({ph})", f"s = sin({ph})"]
+    src.append(f"x = {rs} * c")
     src += _horner("p", n_p, tangent) + _horner("q", n_q, tangent)
-    src += [f"a = -{rs} * s * pa + qa",
+    src += [f"a = qa - {rs} * s * pa",
             f"w = {rs} + c * a",
             f"if not ({rs} > 0.0 and w > {_TRANSVERSAL_GUARD!r} * {rs}):",
             "    raise _NonTransversal",
@@ -255,10 +327,12 @@ def integrate_return(mode, fa0, fa1, fb0, fb1, fc, lam, eps,
     included, each exactly on its line.  With ``tangent`` it returns
     (status, x, y, t, crossings, v) with v the derivative of the end
     radius by the start radius (see the module docstring); everything
-    else is the plain return's, bit for bit.  ``event_tol`` is unused: the
-    arcs end on their lines without event location.  The slot stays
-    because perfbench's ``kernel_rows`` calls this entry with all 15
-    arguments by position.
+    else is the plain return's, bit for bit.  Each of the two arcs runs in
+    the function ``_arc`` generates for the shape of p and q, with the
+    step size and the step count carried across the switch.
+    ``event_tol`` is unused: the arcs end on their lines without event
+    location.  The slot stays because perfbench's ``kernel_rows`` calls
+    this entry with all 15 arguments by position.
     """
     if mode not in (0, 1):
         raise ValueError(f"unknown field mode {mode}")
@@ -275,8 +349,8 @@ def integrate_return(mode, fa0, fa1, fb0, fb1, fc, lam, eps,
 
 def _arcs(mode, p, q, r, rk_tol, max_steps, r_min, r_max, tangent):
     """The two arcs of a return from radius r, p in ``_descending``'s form;
-    returns (status, phi, y, crossings) with y the last accepted state,
-    (r, t) or with ``tangent`` (r, t, v)."""
+    returns (status, phi, y, crossings) with y the last accepted state:
+    r, t and with ``tangent`` v."""
     if mode == 0:
         phi, side = 0.0, -1.0
     else:
@@ -285,57 +359,21 @@ def _arcs(mode, p, q, r, rk_tol, max_steps, r_min, r_max, tangent):
     crossings = []
     h = _H_START
     steps = 0
-    rejected = False
-    try:
-        for sign in (-1.0, 1.0):
-            end = phi + math.pi
-            qs = _descending(q, side)
-            start, step = _step(len(p), len(qs), tangent)
+    for sign in (-1.0, 1.0):
+        qs = _descending(q, side)
+        try:
+            status, phi, h, steps, *y = _arc(len(p), len(qs), tangent)(
+                p, qs, phi, phi + math.pi, h, steps, max_steps, rk_tol,
+                r_min, r_max, *y)
+        except _NonTransversal:
             # stage 1 is at an accepted point: below the guard there, the
             # return ends
-            k1 = start(p, qs, r, phi)
-            while phi < end:
-                if steps >= max_steps:
-                    return 2, phi, y, crossings
-                steps += 1
-                last = phi + h >= end
-                if last:
-                    hs = end - phi
-                elif phi + 2.0 * h > end:
-                    # two halves, not a step and a sliver
-                    hs = 0.5 * (end - phi)
-                else:
-                    hs = h
-                try:
-                    err, y5, k7 = step(p, qs, phi, hs, y, k1)
-                except _NonTransversal:
-                    # a trial stage below the guard rejects the step only
-                    h = 0.2 * hs
-                    if h < _H_FLOOR:
-                        return 3, phi, y, crossings
-                    rejected = True
-                    continue
-                tol = rk_tol * (1.0 + abs(r))
-                if err > tol:
-                    h = hs * max(0.2, 0.9 * (tol / err) ** 0.2)
-                    rejected = True
-                    continue
-                y, k1 = y5, k7
-                r = y[0]
-                phi = end if last else phi + hs
-                if r < r_min or r > r_max:
-                    return 1, phi, y, crossings
-                # a clipped step keeps h: the arc's end, not the error,
-                # set its length; right after a rejection h may not grow
-                if not last:
-                    fac = (min(5.0, 0.9 * (tol / err) ** 0.2)
-                           if err > 0.0 else 5.0)
-                    h = hs * (min(1.0, fac) if rejected else fac)
-                rejected = False
-            # land exactly on the line; the next arc has the other side
-            side = -side
-            crossings.append((y[1], *((sign * r, 0.0) if mode == 0
-                                      else (0.0, sign * r)), side))
-    except _NonTransversal:
-        return 3, phi, y, crossings
+            return 3, phi, y, crossings
+        if status:
+            return status, phi, y, crossings
+        # landed exactly on the line; the next arc has the other side
+        side = -side
+        r = sign * y[0]
+        crossings.append((y[1], *((r, 0.0) if mode == 0 else (0.0, r)),
+                          side))
     return 0, phi, y, crossings

@@ -144,6 +144,10 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    r = args.dump_traj
+    if r is not None and not simulator.R_MIN < r < simulator.R_MAX:
+        raise ValueError(f"--dump-traj {r!r} outside the annulus "
+                         f"({simulator.R_MIN}, {simulator.R_MAX})")
     sys_ = _load_system(args)
     # the system carries lambda and eps
     config = simulator.SimConfig(rk_tol=args.rk_tol)

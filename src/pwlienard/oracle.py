@@ -38,7 +38,7 @@ abscissae, so reading it changes no bit.
 
 Why the arithmetic changes no bit
 ---------------------------------
-``_gk21`` is written out term by term, as ``_kernel_py._step`` writes out
+``_gk21`` is written out term by term, as ``_kernel_py._arc`` writes out
 the kernel's step: in the loop form the rule's own time, index loops and
 tuple lookups, was twice what it is now.  Each sum runs in the left-to-right order of
 QUADPACK's loops, and a pair sum such as f1 + f19 that both the Gauss and
@@ -59,7 +59,7 @@ the module compiles none.  The key is the shape alone: the case's unit
 tables, r, the sign and du/dtheta/v come in as arguments, so both cases
 and both arcs share one function.  Horner is written out over locals
 unpacked from each polynomial's tuple (``algebra.horner_source``), as
-``_kernel_py._step`` writes the kernel's field: with Horner loops the integrands took about twice the rule's own
+``_kernel_py._arc`` writes the kernel's field: with Horner loops the integrands took about twice the rule's own
 time in a profile of the verify benchmark's pool.
 
 The written-out chain is the loop's arithmetic step for step, and each

@@ -12,7 +12,7 @@ import pytest
 
 from pwlienard import (Case, LienardSystem, RingElem, expand, load_preset,
                        oracle, oracle_m0, oracle_m1)
-from pwlienard import cli, errors
+from pwlienard import cli, errors, simulator
 from pwlienard.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, main
 
 
@@ -357,6 +357,10 @@ EXAMPLE1 = load_preset("example1").to_json()
     ["oracle", "--preset", "example1", "--h-grid", "nan"],
     ["melnikov", "--preset", "example1", "--h-grid", "inf"],
     ["simulate", "--preset", "example1", "--r-range", "1:inf"],
+    ["simulate", "--preset", "example1", "--dump-traj", "0"],
+    ["simulate", "--preset", "example1", "--dump-traj", "100"],
+    ["simulate", "--preset", "example1", "--dump-traj", "nan"],
+    ["simulate", "--preset", "example1", "--dump-traj", "inf"],
     ["melnikov", "--system", dict(EXAMPLE1, m=3.5)],
     ["melnikov", "--system", dict(EXAMPLE1, m="3")],
     ["melnikov", "--system", dict(EXAMPLE1, m=1e9)],
@@ -389,7 +393,9 @@ EXAMPLE1 = load_preset("example1").to_json()
 ], ids=["zero-M0", "zero-M1", "negative-h", "infinite-target",
         "even-f0-melnikov", "even-f0-roots", "infeasible-shape-X",
         "infeasible-shape-Y", "reversed-r-range", "nan-lam", "nan-h",
-        "infinite-h", "unbounded-r-range", "fractional-m", "string-m",
+        "infinite-h", "unbounded-r-range", "dump-traj-zero",
+        "dump-traj-above-annulus", "dump-traj-nan", "dump-traj-infinite",
+        "fractional-m", "string-m",
         "float-m", "boolean-m", "null-coefficient", "number-vector",
         "string-lambda", "bare-term", "number-term", "boolean-coefficient",
         "array-document", "fractional-e", "term-without-q",
@@ -408,6 +414,22 @@ def test_input_errors_are_validation_errors(tmp_path, outdir, capsys, argv):
     argv = [arg if isinstance(arg, str) else str(doc) for arg in argv]
     assert main(["--out", str(outdir)] + argv) == EXIT_VALIDATION
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("r", ["0", "100", "nan", "inf"])
+def test_dump_traj_outside_the_annulus_runs_no_scan(monkeypatch, capsys, r):
+    """A --dump-traj start outside the annulus exits 2 before the scan:
+    no cycles.json on stdout, where it used to print the whole scan and
+    then exit 3 at the dump."""
+    def scan(*args, **kwargs):
+        raise AssertionError("the scan ran")
+
+    monkeypatch.setattr(simulator, "find_cycles", scan)
+    assert main(["simulate", "--preset", "example1", "--dump-traj", r]) \
+        == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: --dump-traj")
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("command", ["oracle", "verify"])

@@ -279,10 +279,10 @@ class TestKernelEntry:
 
     @pytest.mark.parametrize("case", [Case.SWITCH_Y, Case.SWITCH_X])
     def test_find_cycles_compiles_each_shape_once(self, case):
-        """Each arc fetches its step from ``_step``, which compiles one per
-        (len p, len q, tangent): a scan of tangent returns with plain polish
-        returns compiles two steps, not one per return, and a second scan
-        compiles none."""
+        """Each arc fetches its integrator from ``_arc``, which compiles one
+        per (len p, len q, tangent): a scan of tangent returns with plain
+        polish returns compiles two arcs, not one per return, and a second
+        scan compiles none."""
         sys_ = two_cycle_system(case=case)
         config = SimConfig(lam=0.02, eps=4e-4)
         fc = sys_.float_coeffs()
@@ -290,25 +290,25 @@ class TestKernelEntry:
             *(fc[k] for k in ("a0", "a1", "b0", "b1", "c")), config.lam,
             config.eps)
         shapes = {(len(p), len(q), tangent) for tangent in (True, False)}
-        _kernel_py._step.cache_clear()
+        _kernel_py._arc.cache_clear()
         scan = find_cycles(sys_, (1.0, 3.4), 60, config)
-        info = _kernel_py._step.cache_info()
+        info = _kernel_py._arc.cache_info()
         assert len(scan.cycles) == 2
         assert info.misses == info.currsize == len(shapes) == 2
         assert info.hits + info.misses == 2 * (len(scan.grid) + 2)
         find_cycles(sys_, (1.0, 3.4), 60, config)
-        assert _kernel_py._step.cache_info().misses == len(shapes)
+        assert _kernel_py._arc.cache_info().misses == len(shapes)
 
     def test_import_compiles_no_step(self):
-        """``import pwlienard`` compiles no step, so none of the compile
+        """``import pwlienard`` compiles no arc, so none of the compile
         time falls into an import; the first return compiles its shape.  A
-        fresh interpreter, since this one has compiled steps."""
+        fresh interpreter, since this one has compiled arcs."""
         assert fresh_import_output(
             "from pwlienard import _kernel_py as k; "
-            "print(k._step.cache_info().misses); "
+            "print(k._arc.cache_info().misses); "
             "k.integrate_return(0, [0.0], [0.0], [0.0], [0.0], [0.0], "
             "0.0, 0.0, 1.0, 0.0, 1e-10, 0.0, 1000, 1e-3, 50.0); "
-            "print(k._step.cache_info().misses)") == ["0", "1"]
+            "print(k._arc.cache_info().misses)") == ["0", "1"]
 
     def test_import_compiles_no_integrand(self):
         """Nor does it compile an oracle integrand: the first ``quad_I``
@@ -377,43 +377,60 @@ class TestEventLocation:
         assert (t, x, y) == crossings[-1][:3]
 
 
-def hook_steps(monkeypatch, wrap, wrap_start=lambda start: start):
-    """Patch ``_kernel_py._step`` so that every (start, step) pair it hands
-    the kernel is ``(wrap_start(start), wrap(step))``: the kernel fetches
-    its pair there once per arc."""
-    make = _kernel_py._step
+def fresh_arcs(monkeypatch, line=None):
+    """Have the kernel run arcs that the generator builds afresh for this
+    test, not the cached ones, with ``line`` appended to every stage of
+    the template, after its guard, where given.  Returns the scope the
+    fresh arcs share, for the names that ``line`` calls: fill it before
+    the first return.  A trig function patched while an arc is built is
+    the one it calls."""
+    scope, built = {}, {}
+    make = _kernel_py._arc.__wrapped__
+    if line is not None:
+        stage = _kernel_py._stage
+        monkeypatch.setattr(_kernel_py, "_stage",
+                            lambda *key: stage(*key) + [line])
 
-    def hooked(*key):
-        start, step = make(*key)
-        return wrap_start(start), wrap(step)
+    def fresh(*key):
+        if key not in built:
+            built[key] = make(*key)
+            built[key].__globals__.update(scope)
+        return built[key]
 
-    monkeypatch.setattr(_kernel_py, "_step", hooked)
+    monkeypatch.setattr(_kernel_py, "_arc", fresh)
+    return scope
 
 
 def count_field_evaluations(monkeypatch, args):
-    """The calls of the generated ``start``, stage 1 of each arc, plus six
-    for each step that returns: a step evaluates the field inline at its
-    stages 2 to 7.  A step that meets the guard evaluates fewer and is not
-    counted."""
+    """The field evaluations of the return ``args``: the stages that pass
+    the guard, counted by a call appended to each stage.  Stage 1 of each
+    arc, plus six for each step that returns."""
     calls = [0]
 
-    def counted_start(start):
-        def started(*start_args):
-            calls[0] += 1
-            return start(*start_args)
-        return started
+    def evaluated():
+        calls[0] += 1
 
-    def counted_step(step):
-        def stepped(*step_args):
-            out = step(*step_args)
-            calls[0] += 6
-            return out
-        return stepped
-
-    hook_steps(monkeypatch, counted_step, counted_start)
-    status, *_ = _kernel_py.integrate_return(*args)
+    with monkeypatch.context() as patch:
+        fresh_arcs(patch, "evaluated()")["evaluated"] = evaluated
+        status, *_ = _kernel_py.integrate_return(*args)
     assert status == 0
     return calls[0]
+
+
+def count_trig_calls(monkeypatch, args):
+    """The cos and sin calls of the return ``args``, on arcs built while
+    both count their calls."""
+    calls = {"cos": 0, "sin": 0}
+    with monkeypatch.context() as patch:
+        for name in calls:
+            def counted(x, name=name, trig=getattr(math, name)):
+                calls[name] += 1
+                return trig(x)
+            patch.setattr(math, name, counted)
+        fresh_arcs(patch)
+        status, *_ = _kernel_py.integrate_return(*args)
+    assert status == 0
+    return calls["cos"], calls["sin"]
 
 
 class TestKernelWork:
@@ -428,9 +445,9 @@ class TestKernelWork:
         and one at the switch.  Time-stepped with event location they took
         971 and 2477; in the angle form from a first step of 0.01, with no
         half-split and regrowth after a rejection, 362 and 1292.  An exact
-        count also fails an arc that stops fetching its step from
-        ``_kernel_py._step``.  The count depends on the arithmetic only, not
-        on the machine."""
+        count also fails an arc that stops building its stages from
+        ``_kernel_py._stage``.  The count depends on the arithmetic only,
+        not on the machine."""
         assert count_field_evaluations(monkeypatch, example1_args(
             0, r, 0.0, 2_000_000, 1e-3, rk_tol=rk_tol)) == count
 
@@ -444,11 +461,22 @@ class TestKernelWork:
         assert count_field_evaluations(monkeypatch,
                                        designed_cycle_args()) == 128
 
+    def test_trig_calls_per_return(self, monkeypatch):
+        """The example1 return from r = 2 at rk_tol 1e-10 calls cos 292
+        times, and sin as often: once per arc for stage 1 and five times
+        per step, since stage 7 sits at stage 6's angle and reuses its cos
+        and sin.  A cos per evaluation made 350, its field evaluations."""
+        args = example1_args(0, 2.0, 0.0, 2_000_000, 1e-3)
+        assert count_trig_calls(monkeypatch, args) == (292, 292)
+        assert count_field_evaluations(monkeypatch, args) == 350
 
-def tableau_step(p, q, phi, h, y, k1):
+
+def tableau_step(p, q, phi, h, y, k1, field=None):
     """The Dormand-Prince step as loops over _A, the nodes and _E, every
     weight summed in the tableau's order, the zero weights included, and
-    each stage from ``reference_start``."""
+    each stage from ``field``, by default ``reference_start``.  Returns
+    (err, y5, k7)."""
+    field = field or reference_start
     (r, t), (k1r, k1t) = y, k1
     kr, kt = [k1r], [k1t]
     for row, c in zip(_kernel_py._A[1:], _kernel_py._C + (1.0,)):
@@ -456,7 +484,7 @@ def tableau_step(p, q, phi, h, y, k1):
         for a, krj, ktj in zip(row, kr, kt):
             rs += (h * a) * krj
             ts += (h * a) * ktj
-        dr, dt = reference_start(p, q, rs, phi + c * h)
+        dr, dt = field(p, q, rs, phi + c * h)
         kr.append(dr)
         kt.append(dt)
     er = 0.0
@@ -465,33 +493,102 @@ def tableau_step(p, q, phi, h, y, k1):
     return abs(er), (rs, ts), (kr[6], kt[6])
 
 
-def step_bits(step, *args):
-    """``result_bits`` of ``step(*args)``, None where a stage meets the
-    guard."""
+def reference_arc(tangent, field=None):
+    """The reference controller: the arc's step control as a loop over
+    the state tuple y, with stage 1 from ``field`` (by default
+    ``reference_start`` or its tangent twin) and each step from the
+    tableau loops over it.  It takes and returns what the arcs of
+    ``_kernel_py._arc`` do."""
+    field = field or (reference_start_tangent if tangent
+                      else reference_start)
+    tableau = tableau_step_tangent if tangent else tableau_step
+
+    def arc(p, q, phi, end, h, steps, max_steps, rk_tol, r_min, r_max, *y):
+        r = y[0]
+        k1 = field(p, q, r, phi)
+        rejected = False
+        while phi < end:
+            if steps >= max_steps:
+                return (2, phi, h, steps, *y)
+            steps += 1
+            last = phi + h >= end
+            if last:
+                hs = end - phi
+            elif phi + 2.0 * h > end:
+                hs = 0.5 * (end - phi)
+            else:
+                hs = h
+            try:
+                err, y5, k7 = tableau(p, q, phi, hs, y, k1, field)
+            except _kernel_py._NonTransversal:
+                h = 0.2 * hs
+                if h < _kernel_py._H_FLOOR:
+                    return (3, phi, h, steps, *y)
+                rejected = True
+                continue
+            tol = rk_tol * (1.0 + abs(r))
+            if err > tol:
+                h = hs * max(0.2, 0.9 * (tol / err) ** 0.2)
+                rejected = True
+                continue
+            y, k1 = y5, k7
+            r = y[0]
+            phi = end if last else phi + hs
+            if r < r_min or r > r_max:
+                return (1, phi, h, steps, *y)
+            if not last:
+                fac = (min(5.0, 0.9 * (tol / err) ** 0.2)
+                       if err > 0.0 else 5.0)
+                h = hs * (min(1.0, fac) if rejected else fac)
+            rejected = False
+        return (0, phi, h, steps, *y)
+    return arc
+
+
+def attempt_bits(arc, p, q, phi, h, y, rk_tol, attempts=2):
+    """The ``result_bits`` of ``attempts`` step attempts of ``arc`` from
+    (phi, y) with step length h, or None where stage 1 meets the guard.
+    max_steps is the attempts, and the end lies beyond every step they can
+    take (a step grows h at most 5-fold), so no step is clipped or halved.
+    The second attempt starts from the first one's stage 7 or retries its
+    step; through the step length it sets, each attempt's result also
+    depends on its error estimate."""
     try:
-        return result_bits(step(*args))
+        return result_bits(arc(p, q, phi, phi + 40.0 * h, h, 0, attempts,
+                               rk_tol, 0.0, math.inf, *y))
     except _kernel_py._NonTransversal:
         return None
 
 
-def plain_part(result):
-    """[err, (r5, t5), (k7r, k7t)] of a tangent step's result or of its
-    ``result_bits``."""
-    err, y5, k7 = result
-    return [err, y5[:2], k7[:2]]
-
-
-def random_shape_inputs(rng, n_p, n_q):
+def random_shape_inputs(rng, n_p, n_q, scale=0.2):
     """Random p and q of n_p and n_q coefficients in the kernel's form,
-    the one of degree k within 0.2 * 4^-k, and a random point, angle and
-    step length.  At r <= 3 each term stays below 0.2 (3/4)^k."""
-    p, q = ([rng.uniform(-0.2, 0.2) * 0.25 ** k for k in range(n)]
+    the one of degree k within scale * 4^-k, and a random point, angle,
+    step length and tolerance.  At r <= 3 and scale 0.2 each term stays
+    below 0.2 (3/4)^k."""
+    p, q = ([rng.uniform(-scale, scale) * 0.25 ** k for k in range(n)]
             for n in (n_p, n_q))
     return (_kernel_py._descending(p),
             _kernel_py._descending(q, rng.choice((-1.0, 1.0))),
             rng.uniform(0.5, 3.0), rng.uniform(0.0, 7.0),
             rng.uniform(-0.5 * math.pi, 2.5 * math.pi),
-            10.0 ** rng.uniform(-8.0, 0.0))
+            10.0 ** rng.uniform(-8.0, 0.0), 10.0 ** rng.uniform(-14.0, -2.0))
+
+
+def assert_attempts_match(rng, n_p, n_q, tangent, count=40, scale=0.2):
+    """``count`` random attempts on random p and q of shape (n_p, n_q)
+    end at the reference controller's bits, or meet the guard at stage 1
+    in both; returns how many passed stage 1."""
+    arc = _kernel_py._arc(n_p, n_q, tangent)
+    finished = 0
+    for _ in range(count):
+        p, qs, r, t, phi, h, rk_tol = random_shape_inputs(rng, n_p, n_q,
+                                                          scale)
+        y = (r, t, rng.uniform(-2.0, 2.0)) if tangent else (r, t)
+        got = attempt_bits(arc, p, qs, phi, h, y, rk_tol)
+        assert got == attempt_bits(reference_arc(tangent), p, qs, phi, h, y,
+                                   rk_tol)
+        finished += got is not None
+    return finished
 
 
 SHAPES = list(itertools.product(range(9), repeat=2))
@@ -500,50 +597,31 @@ SHAPES = list(itertools.product(range(9), repeat=2))
 class TestWrittenOutStep:
     @pytest.mark.parametrize("mode", [0, 1, 2])
     def test_step_matches_tableau_loops_bitwise(self, rng, mode):
-        """The step that ``_step`` writes out stage by stage skips the zero
-        weights; it still ends at the tableau loops' bits, on the folded
-        vectors in the kernel's coefficient form and the angles of each
-        mode's return."""
+        """The step that ``_arc`` writes out stage by stage skips the zero
+        weights; two attempts through the arc still end at the reference
+        controller's bits, on the folded vectors in the kernel's
+        coefficient form and the angles of each mode's return."""
         args = five_vector_args(mode)
-        p, q = _kernel_py.fold(*args[1:8])
-        p = _kernel_py._descending(p)
-        phi0 = -0.5 * math.pi if args[0] == 1 else 0.0
         for _ in range(300):
-            r, t = rng.uniform(0.5, 6.0), rng.uniform(0.0, 7.0)
-            phi = phi0 + rng.uniform(0.0, 2.0 * math.pi)
-            qs = _kernel_py._descending(q, rng.choice((-1.0, 1.0)))
-            h = 10.0 ** rng.uniform(-8.0, 0.0)
-            k1 = reference_start(p, qs, r, phi)
-            step = _kernel_py._step(len(p), len(qs), False)[1]
-            got = step(p, qs, phi, h, (r, t), k1)
-            want = tableau_step(p, qs, phi, h, (r, t), k1)
-            assert result_bits(got) == result_bits(want)
+            p, qs, r, t, phi, h, rk_tol = random_step_inputs(rng, args)
+            arc = _kernel_py._arc(len(p), len(qs), False)
+            assert attempt_bits(arc, p, qs, phi, h, (r, t), rk_tol) == \
+                attempt_bits(reference_arc(False), p, qs, phi, h, (r, t),
+                             rk_tol)
 
     @pytest.mark.parametrize("n_p,n_q", SHAPES)
     def test_every_shape_matches_tableau_loops_bitwise(self, rng, n_p, n_q):
-        """Each (len p, len q) up to 8 x 8 compiles its own step, with
+        """Each (len p, len q) up to 8 x 8 compiles its own arc, with
         Horner unrolled to that length, an empty p or q included: 40 random
-        steps on random p and q of that shape end at the tableau loops'
-        bits, or meet the guard in both."""
-        finished = 0
-        for _ in range(40):
-            p, qs, r, t, phi, h = random_shape_inputs(rng, n_p, n_q)
-            try:
-                k1 = reference_start(p, qs, r, phi)
-            except _kernel_py._NonTransversal:
-                continue
-            got = step_bits(_kernel_py._step(n_p, n_q, False)[1],
-                            p, qs, phi, h, (r, t), k1)
-            assert got == step_bits(tableau_step, p, qs, phi, h, (r, t), k1)
-            finished += got is not None
-        assert finished >= 20
+        pairs of attempts on random p and q of that shape end at the
+        reference controller's bits."""
+        assert assert_attempts_match(rng, n_p, n_q, False) >= 20
 
     @pytest.mark.parametrize("tangent", [False, True])
     def test_returns_match_tableau_loop_returns(self, monkeypatch, rng,
                                                 tangent):
-        """Whole returns keep their bits when the kernel starts each arc
-        from ``reference_start`` and steps by the tableau loops, whose
-        fields start each Horner loop from 0.0:
+        """Whole returns keep their bits when each arc runs on the
+        reference controller, whose fields start each Horner loop from 0.0:
         the status inputs, 30 random returns, signed zeros, from the
         designed-cycle increment's negated vectors (q = [-0.0]) and from
         negated vectors with p = [-0.0] or p = q = [-0.0], and empty
@@ -562,18 +640,19 @@ class TestWrittenOutStep:
         got = [result_bits(_kernel_py.integrate_return(*args,
                                                        tangent=tangent))
                for args in cases]
-        monkeypatch.setattr(_kernel_py, "_step", lambda n_p, n_q, t: (
-            (reference_start_tangent, tableau_step_tangent) if t
-            else (reference_start, tableau_step)))
+        assert {status for status, *_ in got} == {0, 1, 2, 3}
+        monkeypatch.setattr(_kernel_py, "_arc",
+                            lambda n_p, n_q, t: reference_arc(t))
         assert got == [result_bits(_kernel_py.integrate_return(
             *args, tangent=tangent)) for args in cases]
 
 
-def tableau_step_tangent(p, q, phi, h, y, k1):
+def tableau_step_tangent(p, q, phi, h, y, k1, field=None):
     """The tangent step as loops over _A, the nodes and _E: each stage's v
     summed in the tableau's order, the zero weights included, and its
-    derivative F_r v with F_r from ``reference_start_tangent`` at that
-    stage's r."""
+    derivative F_r v with F_r from ``field``, by default
+    ``reference_start_tangent``, at that stage's r."""
+    field = field or reference_start_tangent
     (r, t, v), (k1r, k1t, k1f) = y, k1
     kr, kt, kv, fs = [k1r], [k1t], [k1f * v], [k1f]
     for row, c in zip(_kernel_py._A[1:], _kernel_py._C + (1.0,)):
@@ -582,7 +661,7 @@ def tableau_step_tangent(p, q, phi, h, y, k1):
             rs += (h * a) * krj
             ts += (h * a) * ktj
             vs += (h * a) * kvj
-        dr, dt, f = reference_start_tangent(p, q, rs, phi + c * h)
+        dr, dt, f = field(p, q, rs, phi + c * h)
         kr.append(dr)
         kt.append(dt)
         kv.append(f * vs)
@@ -595,74 +674,67 @@ def tableau_step_tangent(p, q, phi, h, y, k1):
 
 def random_step_inputs(rng, args):
     """The folded p of ``args`` in the kernel's form, and a random side's
-    q, point, angle in the return's range and step length."""
+    q, point, angle in the return's range, step length and tolerance."""
     p, q = _kernel_py.fold(*args[1:8])
     phi0 = -0.5 * math.pi if args[0] == 1 else 0.0
     r, t = rng.uniform(0.5, 6.0), rng.uniform(0.0, 7.0)
     phi = phi0 + rng.uniform(0.0, 2.0 * math.pi)
     qs = _kernel_py._descending(q, rng.choice((-1.0, 1.0)))
     return (_kernel_py._descending(p), qs, r, t, phi,
-            10.0 ** rng.uniform(-8.0, 0.0))
+            10.0 ** rng.uniform(-8.0, 0.0), 10.0 ** rng.uniform(-14.0, -2.0))
 
 
 class TestWrittenOutTangentStep:
     @pytest.mark.parametrize("mode", [0, 1, 2])
     def test_step_matches_tableau_loops_bitwise(self, rng, mode):
-        """The tangent step is written out like the plain one; it ends at
-        the tableau loops' bits, v and stage 7's F_r included."""
+        """The tangent step is written out like the plain one; two
+        attempts through the tangent arc end at the reference controller's
+        bits, v included, and everything but v is the plain arc's."""
         args = five_vector_args(mode)
         for _ in range(300):
-            p, qs, r, t, phi, h = random_step_inputs(rng, args)
+            p, qs, r, t, phi, h, rk_tol = random_step_inputs(rng, args)
             v = rng.uniform(-2.0, 2.0)
-            k1 = reference_start_tangent(p, qs, r, phi)
-            got = _kernel_py._step(len(p), len(qs), True)[1](
-                p, qs, phi, h, (r, t, v), k1)
-            want = tableau_step_tangent(p, qs, phi, h, (r, t, v), k1)
-            assert result_bits(got) == result_bits(want)
-            plain = _kernel_py._step(len(p), len(qs), False)[1](
-                p, qs, phi, h, (r, t), k1[:2])
-            assert result_bits(plain_part(got)) == result_bits(plain)
+            plain, tangent = (_kernel_py._arc(len(p), len(qs), k)
+                              for k in (False, True))
+            got = attempt_bits(tangent, p, qs, phi, h, (r, t, v), rk_tol)
+            assert got == attempt_bits(reference_arc(True), p, qs, phi, h,
+                                       (r, t, v), rk_tol)
+            assert got[:-1] == attempt_bits(plain, p, qs, phi, h, (r, t),
+                                            rk_tol)
 
     @pytest.mark.parametrize("n_p,n_q", SHAPES)
     def test_every_shape_matches_tableau_loops_bitwise(self, rng, n_p, n_q):
-        """Each shape's tangent step, with its Horner-with-derivative
-        chains unrolled, ends at the tableau loops' bits on 40 random
-        steps, or meets the guard in both; its (r, t) part is the plain
-        step's."""
-        finished = 0
-        for _ in range(40):
-            p, qs, r, t, phi, h = random_shape_inputs(rng, n_p, n_q)
-            v = rng.uniform(-2.0, 2.0)
-            try:
-                k1 = reference_start_tangent(p, qs, r, phi)
-            except _kernel_py._NonTransversal:
-                continue
-            got = step_bits(_kernel_py._step(n_p, n_q, True)[1],
-                            p, qs, phi, h, (r, t, v), k1)
-            assert got == step_bits(tableau_step_tangent,
-                                    p, qs, phi, h, (r, t, v), k1)
-            plain = step_bits(_kernel_py._step(n_p, n_q, False)[1],
-                              p, qs, phi, h, (r, t), k1[:2])
-            assert got is None and plain is None or plain_part(got) == plain
-            finished += got is not None
-        assert finished >= 20
+        """Each shape's tangent arc, with its Horner-with-derivative
+        chains unrolled, ends 40 random pairs of attempts at the reference
+        controller's bits."""
+        assert assert_attempts_match(rng, n_p, n_q, True) >= 20
 
     @pytest.mark.parametrize("mode", [0, 1, 2])
     def test_field_tangent(self, rng, mode):
-        """The tangent start's (dr/dphi, dt/dphi) are the plain start's
-        bits, and its F_r matches a central difference of dr/dphi in r."""
+        """One step of the tangent arc from v = 1 leaves the plain step's
+        bits and, in v, the derivative of its end radius by its start
+        radius: a central difference of two plain steps, whose end radius
+        depends on r through every stage's field, F_r included."""
         args = five_vector_args(mode)
+        finished = 0
         for _ in range(300):
-            p, qs, r, _t, phi, _h = random_step_inputs(rng, args)
-            start = _kernel_py._step(len(p), len(qs), False)[0]
-            dr, dt, fr = _kernel_py._step(len(p), len(qs), True)[0](
-                p, qs, r, phi)
-            assert (dr.hex(), dt.hex()) == tuple(
-                x.hex() for x in start(p, qs, r, phi))
+            p, qs, r, t, phi, _h, _tol = random_step_inputs(rng, args)
+            h = 10.0 ** rng.uniform(-1.5, 0.0)
             delta = 1e-6 * r
-            diff = (start(p, qs, r + delta, phi)[0]
-                    - start(p, qs, r - delta, phi)[0])
-            assert fr == pytest.approx(diff / (2.0 * delta), abs=1e-7)
+            plain, tangent = (_kernel_py._arc(len(p), len(qs), k)
+                              for k in (False, True))
+            ends = [attempt_bits(plain, p, qs, phi, h, (r0, t), 1.0, 1)
+                    for r0 in (r - delta, r, r + delta)]
+            got = attempt_bits(tangent, p, qs, phi, h, (r, t, 1.0), 1.0, 1)
+            if got is None or got[1] == phi.hex():
+                # stage 1 or a trial stage met the guard
+                continue
+            assert got[:-1] == ends[1]
+            low, high = (float.fromhex(end[4]) for end in ends[::2])
+            diff = (high - low) / (2.0 * delta)
+            assert float.fromhex(got[-1]) == pytest.approx(diff, abs=1e-7)
+            finished += 1
+        assert finished >= 200
 
 
 def result_bits(result):
@@ -791,8 +863,9 @@ def polyval_field_tangent(p, q, r, phi, side):
 
 
 def kernel_form(field):
-    """``field`` as the kernel's ``start``: p and q from the top degree
-    down, q already times the side, and _NonTransversal below the guard."""
+    """``field`` as a stage-1 field of the reference controller: p and q
+    in the kernel's form, from the top degree down with q already times
+    the side, and _NonTransversal below the guard."""
     def start(p, q, r, phi):
         out = field(p[::-1], q[::-1], r, phi, 1.0)
         if out is None:
@@ -801,7 +874,7 @@ def kernel_form(field):
     return start
 
 
-# the reference stage 1 of the tableau loops and of TestFieldCoefficientForm
+# the fields of the reference controller and of its tableau loops
 reference_start = kernel_form(polyval_field)
 reference_start_tangent = kernel_form(polyval_field_tangent)
 
@@ -815,8 +888,9 @@ class TestFieldCoefficientForm:
     @pytest.mark.parametrize("lam,eps", [(0.02, 4e-4), (0.3, 0.09),
                                          (0.0, 0.5)])
     def test_field_matches_polyval_bitwise(self, rng, sign, lam, eps):
-        """The generated start on the descending tuples, q times the side,
-        plain and tangent, equals the polyval formula bit for bit: Horner
+        """The arcs on the descending tuples, q times the side, plain and
+        tangent, end their attempts at the bits of the reference controller
+        on the polyval formula with the side applied to q's value: Horner
         from the top is polyval, and a product with +-1 is exact.  The
         negated vectors are what bifurcation_increment passes; with lam = 0
         their zeros fold to -0.0 coefficients."""
@@ -839,98 +913,94 @@ class TestFieldCoefficientForm:
     @pytest.mark.parametrize("n_p,n_q", SHAPES)
     def test_every_shape_start_matches_reference_fields(self, rng, n_p,
                                                         n_q):
-        """Each shape's generated start, plain and tangent, has the bits
-        of polyval_field and of its tangent twin on 40 random points, or
-        meets the guard in both."""
-        for tangent, field in ((False, reference_start),
-                               (True, reference_start_tangent)):
-            start = _kernel_py._step(n_p, n_q, tangent)[0]
-            finished = 0
-            for _ in range(40):
-                p, qs, r, _t, phi, _h = random_shape_inputs(rng, n_p, n_q)
-                got = step_bits(start, p, qs, r, phi)
-                assert got == step_bits(field, p, qs, r, phi)
-                finished += got is not None
-            assert finished >= 20
+        """Each shape's arc, plain and tangent, meets the guard at stage 1
+        where the reference fields do and otherwise ends its attempts at
+        the reference controller's bits, on 40 random p and q large enough
+        that stage 1 often meets the guard."""
+        for tangent in (False, True):
+            finished = assert_attempts_match(rng, n_p, n_q, tangent,
+                                             scale=10.0)
+            assert finished >= 8
+            # with p = q = 0 the field is the rotation, which never meets
+            # the guard
+            assert finished <= (40 if n_p == n_q == 0 else 36)
 
     @pytest.mark.parametrize("tangent", [False, True])
     def test_step_compiles_at_the_degree_bound(self, rng, tangent):
-        """Horner is nested at most 100 steps deep, so the pair for p and
-        q of MAX_DEGREE + 1 coefficients compiles, where a chain
-        nested one parenthesis per coefficient met the parser's limit of
-        200 levels.  Its start and step keep the bits of the polyval field
-        and of the tableau loops over it."""
+        """Horner is nested at most 100 steps deep, so the arc for p and
+        q of MAX_DEGREE + 1 coefficients compiles, where a chain nested one
+        parenthesis per coefficient met the parser's limit of 200 levels.
+        Its attempts keep the reference controller's bits."""
         n = MAX_DEGREE + 1
-        start, step = _kernel_py._step(n, n, tangent)
-        field, loops = ((reference_start_tangent, tableau_step_tangent)
-                        if tangent else (reference_start, tableau_step))
-        y0 = (1.0,) if tangent else ()
-        finished = 0
-        for _ in range(10):
-            p, qs, r, t, phi, h = random_shape_inputs(rng, n, n)
-            got = step_bits(start, p, qs, r, phi)
-            assert got == step_bits(field, p, qs, r, phi)
-            if got is not None:
-                k1 = field(p, qs, r, phi)
-                y = (r, t) + y0
-                assert step_bits(step, p, qs, phi, h, y, k1) == \
-                    step_bits(loops, p, qs, phi, h, y, k1)
-                finished += 1
-        assert finished >= 5
+        assert assert_attempts_match(rng, n, n, tangent, count=10) >= 5
 
     @staticmethod
     def check(rng, p, q):
         top_p = _kernel_py._descending(p)
-        for _ in range(400):
-            r = rng.uniform(0.2, 6.0)
+        for _ in range(200):
+            r, t = rng.uniform(0.2, 6.0), rng.uniform(0.0, 7.0)
             phi = rng.uniform(-0.5 * math.pi, 2.5 * math.pi)
+            h, rk_tol = 10.0 ** rng.uniform(-8.0, 0.0), 1e-10
             side = rng.choice((-1.0, 1.0))
-            want = polyval_field(p, q, r, phi, side)
             qs = _kernel_py._descending(q, side)
-            for tangent in (False, True):
-                start = _kernel_py._step(len(top_p), len(qs), tangent)[0]
-                got = step_bits(start, top_p, qs, r, phi)
-                assert got is None and want is None \
-                    or got[:2] == result_bits(want)
+            for tangent, field in ((False, polyval_field),
+                                   (True, polyval_field_tangent)):
+                sided = kernel_form(lambda _p, _q, r, phi, _s, field=field:
+                                    field(p, q, r, phi, side))
+                y = (r, t, 1.0) if tangent else (r, t)
+                got = attempt_bits(_kernel_py._arc(len(top_p), len(qs),
+                                                   tangent),
+                                   top_p, qs, phi, h, y, rk_tol)
+                assert got == attempt_bits(reference_arc(tangent, sided),
+                                           top_p, qs, phi, h, y, rk_tol)
 
 
 def record_steps(monkeypatch, args):
-    """Run the kernel on ``args``, recording the (phi, h) of every step
-    it tries.  Returns the result, the steps and for each step whether it
-    was accepted: a rejected step is retried from the same phi."""
-    steps = []
+    """Run the kernel on ``args`` and replay each of its arcs one step
+    attempt at a time: rerun from the arc's start with max_steps one above
+    the attempts before it, an arc stops right after the next attempt.
+    Returns the result and, for each attempt, the phi and the step length
+    h before it and the phi after it: a rejected attempt leaves phi where
+    it was.  Near an arc's end the step taken is shorter than h."""
+    attempts = []
 
-    def recorded(step):
-        def stepped(*step_args):
-            steps.append((step_args[2], step_args[3]))
-            return step(*step_args)
-        return stepped
+    def replayed(arc):
+        def run(p, q, phi, end, h, steps, max_steps, *rest):
+            result = arc(p, q, phi, end, h, steps, max_steps, *rest)
+            before, after = (phi, h), None
+            for n in range(steps + 1, result[3] + 1):
+                after = arc(p, q, phi, end, h, steps, n, *rest)
+                attempts.append((*before, after[1]))
+                before = after[1:3]
+            assert after is None or result_bits(after) == result_bits(result)
+            return result
+        return run
 
-    hook_steps(monkeypatch, recorded)
-    result = _kernel_py.integrate_return(*args)
-    accepted = [steps[i + 1][0] != phi if i + 1 < len(steps)
-                else result[0] == 0 for i, (phi, _h) in enumerate(steps)]
-    return result, steps, accepted
+    # the kernel fetches one arc function per arc
+    make = _kernel_py._arc
+    monkeypatch.setattr(_kernel_py, "_arc", lambda *key: replayed(make(*key)))
+    return _kernel_py.integrate_return(*args), attempts
 
 
 class TestStepControl:
     def test_first_step_is_pi_over_16(self, monkeypatch):
-        _result, steps, _accepted = record_steps(
+        _result, attempts = record_steps(
             monkeypatch, example1_args(0, 2.0, 0.0, 2_000_000, 1e-3))
-        assert steps[0] == (0.0, math.pi / 16)
+        assert attempts[0][:2] == (0.0, math.pi / 16)
 
     def test_no_growth_right_after_rejection(self, monkeypatch):
         """At lam = 0.3 the first pi/16 step is rejected; after every
         rejection, the step that follows the next accepted one is no longer
         than it."""
-        (status, *_), steps, accepted = record_steps(
-            monkeypatch, first_step_rejected_args())
+        (status, *_), attempts = record_steps(monkeypatch,
+                                              first_step_rejected_args())
         assert status == 0
+        accepted = [after != phi for phi, _h, after in attempts]
         assert not accepted[0]
         checked = 0
-        for i in range(len(steps) - 2):
+        for i in range(len(attempts) - 2):
             if not accepted[i] and accepted[i + 1]:
-                assert steps[i + 2][1] <= steps[i + 1][1]
+                assert attempts[i + 2][1] <= attempts[i + 1][1]
                 checked += 1
         assert checked >= 5
 
@@ -938,15 +1008,16 @@ class TestStepControl:
         """The designed-cycle return ends both arcs on two accepted steps of
         equal length, the rest of the arc halved, with no sliver after a
         full step."""
-        (status, *_), steps, accepted = record_steps(
-            monkeypatch, designed_cycle_args())
+        (status, *_), attempts = record_steps(monkeypatch,
+                                              designed_cycle_args())
         assert status == 0
-        done = [step for step, ok in zip(steps, accepted) if ok]
+        done = [attempt for attempt in attempts if attempt[2] != attempt[0]]
         for end in (math.pi, 2.0 * math.pi):
-            k = max(i for i, (phi, _h) in enumerate(done) if phi < end)
-            (_phi, h1), (phi2, h2) = done[k - 1], done[k]
-            assert phi2 + h2 == end
-            assert h2 == pytest.approx(h1, rel=1e-12)
+            k = next(i for i, (_phi, _h, after) in enumerate(done)
+                     if after == end)
+            (phi1, h1, phi2), (_phi2, _h2, after) = done[k - 1], done[k]
+            assert h1 > phi2 - phi1
+            assert phi2 - phi1 == pytest.approx(after - phi2, rel=1e-12)
 
     def test_trial_stage_below_guard_rejects_the_step(self, monkeypatch):
         """A trial stage below the guard after the switch rejects its step,
@@ -954,16 +1025,11 @@ class TestStepControl:
         and agrees with a 1e-13 return."""
         raised = [0]
 
-        def guarded(step):
-            def stepped(*step_args):
-                try:
-                    return step(*step_args)
-                except _kernel_py._NonTransversal:
-                    raised[0] += 1
-                    raise
-            return stepped
+        def counted(self, *args):
+            raised[0] += 1
+            Exception.__init__(self, *args)
 
-        hook_steps(monkeypatch, guarded)
+        monkeypatch.setattr(_kernel_py._NonTransversal, "__init__", counted)
         status, x, y, t, crossings = _kernel_py.integrate_return(
             *trial_stage_args(1e-10))
         assert raised[0] >= 1
@@ -979,12 +1045,12 @@ class TestStepControl:
         stages past it keep meeting the guard until h falls below the floor;
         the return ends with status 3 at the last accepted point, short of
         that angle."""
-        (status, x, y, _t, crossings), steps, _accepted = record_steps(
+        (status, x, y, _t, crossings), attempts = record_steps(
             monkeypatch, OVERDAMPED_ARGS)
         assert (status, crossings) == (3, [])
         phi = math.atan2(-y, x)
         assert 0.0 < math.atan(0.5) - phi <= 1e-8
-        assert 0.2 * steps[-1][1] < _kernel_py._H_FLOOR <= steps[-1][1]
+        assert 0.2 * attempts[-1][1] < _kernel_py._H_FLOOR <= attempts[-1][1]
 
 
 def fold_field(sys_, state, side):
