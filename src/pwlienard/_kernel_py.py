@@ -50,12 +50,9 @@ where only stage 1 is recomputed, since the side changes.  Each arc runs
 in one function that ``_arc`` generates (see Generated arc); ``_arcs``
 keeps the loop over the two arcs, the crossings and the status codes.
 
-The field takes p and q in the form ``_descending`` makes once per return
-(p) and once per arc (q): tuples from the top degree down, q multiplied by
-the arc's side.  Horner from the top is ``algebra.polyval``, and a product
-with +-1 is exact, so this form changes no bit of a return: only the sign
-of an exactly zero value of q can differ, and a step adds that zero to
-nonzero sums only.
+The field takes fold's p, and q times the arc's side once per arc.  A
+product with +-1 is exact, so q's value is side * q(x) but for the sign
+of an exact zero, which a step adds to nonzero sums only.
 
 Tangent mode
 ------------
@@ -83,10 +80,11 @@ a whole arc (Jorba & Zou, Exp. Math. 14 (2005), generate the integrator of
 an ODE, not only its right-hand side): stage 1 at the arc's start, then
 the step-control loop with the Dormand-Prince step over _A, _C and _E
 inline over locals.  The field is one stage template (``_stage``); p and q
-are unpacked into locals once per arc, and Horner is written out over them
-(``algebra.horner_source``): a called field with Horner loops spends about
-half its time in interpreter dispatch.  No step calls a function but cos
-and sin, or builds or unpacks a tuple.  Stage 7 sits at stage 6's angle
+are unpacked into locals once per arc and Horner is written out over them,
+with the derivative in tangent mode, by ``algebra``'s writers: a called
+field with Horner loops spends about half its time in interpreter
+dispatch.  No step calls a function but cos and sin, or builds or unpacks
+a sequence.  Stage 7 sits at stage 6's angle
 (c6 = 1), so it reuses that stage's cos and sin: five trig pairs a step.
 ``_arc`` compiles once per shape, ``_arcs`` fetches it once per arc, and
 importing the module compiles none.
@@ -98,12 +96,11 @@ on every shape up to 8 x 8, attempt by attempt, and on whole returns
 It sums each stage and the error estimate in the tableau's left-to-right
 order, with two departures that change at most the sign of an exactly
 zero term.  It skips the zero weights (a7,2 and e2), whose products are
-signed zeros.  And Horner starts from the top coefficient, where the loops
-compute 0.0*x + top, equal to it unless the top is a zero (the
-derivative's chain likewise); the values then differ only where every
-coefficient is a zero.  A zero term can change only the sign of a sum
-that is exactly zero, and r5 and t5 are positive while the error estimate
-is taken in absolute value.
+signed zeros.  And Horner starts from the top coefficient, which differs
+from ``polyval`` only in the sign of a zero value (see
+``algebra.horner_source``).  A zero term can change only the sign of a
+sum that is exactly zero, and r5 and t5 are positive while the error
+estimate is taken in absolute value.
 """
 
 from __future__ import annotations
@@ -112,7 +109,8 @@ import functools
 import math
 from itertools import zip_longest
 
-from .algebra import horner_source
+from .algebra import (compile_source, horner_deriv_source, horner_source,
+                      unpack_source)
 
 BACKEND_NAME = "python"
 
@@ -155,28 +153,21 @@ def fold(fa0, fa1, fb0, fb1, fc, lam, eps):
     return p, q
 
 
-def _descending(coeffs, scale=1.0):
-    """The coefficient form of ``_arc``'s field: a tuple from the top
-    degree down, each coefficient times ``scale`` (+-1, so exactly).  Built
-    from a list: tuple() of a generator starts with 10 slots and shrinks,
-    which drifts CPython's per-size tuple free lists and grew the resident
-    memory of a cycles run by about 0.5 MB."""
-    return tuple([scale * c for c in reversed(coeffs)])
-
-
 @functools.lru_cache(maxsize=None)
 def _arc(n_p, n_q, tangent):
-    """The integrator of one arc for p of n_p and q of n_q coefficients in
-    ``_descending``'s form (see Generated arc in the module docstring).
-    arc(p, q, phi, end, h, steps, max_steps, rk_tol, r_min, r_max, r, t)
-    steps the state (r, t), with ``tangent`` (r, t, v) with v = dr/dr0
-    through dv/dphi = F_r v, from phi to end; h is the next step length
-    and steps the step attempts the return has made.  It returns (status,
-    phi, h, steps, r, t), with ``tangent`` (..., r, t, v): status 0 at the
-    arc's end, else 1, 2 or 3 as the return's, with the last accepted
-    state.  Stage 1, at phi, below the guard raises _NonTransversal.  A p
-    or q of another length fails the unpacking.  The cache holds one arc
-    per shape in use."""
+    """The integrator of one arc for p of n_p and q of n_q ascending
+    coefficients, q times the arc's side (see Generated arc in the module
+    docstring).  arc(p, q, phi, end, h, steps, max_steps, rk_tol, r_min,
+    r_max, r, t) steps the state (r, t), with ``tangent`` (r, t, v) with
+    v = dr/dr0 through dv/dphi = F_r v, from phi to end; h is the next
+    step length and steps the step attempts the return has made.  It
+    returns (status, phi, h, steps, r, t), with ``tangent`` (..., r, t,
+    v): status 0 at the arc's end, else 1, 2 or 3 as the return's, with
+    the last accepted state.  Stage 1, at phi, below the guard raises
+    _NonTransversal.  A p or q of another length fails the unpacking.
+    The cache holds one arc per shape in use."""
+    p, unpack_p = unpack_source("p", n_p)
+    q, unpack_q = unpack_source("q", n_q)
     state = ("r", "t", "v") if tangent else ("r", "t")
     stage = ("r", "t", "f") if tangent else ("r", "t")
     done = "return {}, phi, h, steps, " + ", ".join(state)
@@ -197,7 +188,7 @@ def _arc(n_p, n_q, tangent):
             "else:",
             "    hs = h",
             "try:",
-            *("    " + line for line in _attempt(n_p, n_q, tangent)),
+            *("    " + line for line in _attempt(p, q, tangent)),
             "except _NonTransversal:",
             "    # a trial stage below the guard rejects the step only",
             "    h = 0.2 * hs",
@@ -233,25 +224,23 @@ def _arc(n_p, n_q, tangent):
              *at_point]
     src = [f"def arc(p, q, phi, end, h, steps, max_steps, rk_tol, r_min, "
            f"r_max, {', '.join(state)}, cos=cos, sin=sin):",
-           *(f"({''.join(f'{y}{k}, ' for k in range(n))}) = {y}"
-             for y, n in (("p", n_p), ("q", n_q))),
-           *_stage(1, "r", "phi", n_p, n_q, tangent),
+           unpack_p, unpack_q,
+           *_stage(1, "r", "phi", p, q, tangent),
            *at_point,
            "rejected = False",
            "while phi < end:",
            *("    " + line for line in body),
            done.format(0)]
-    scope = {"cos": math.cos, "sin": math.sin,
-             "_NonTransversal": _NonTransversal}
-    exec("\n    ".join(src), scope)
-    return scope["arc"]
+    return compile_source("arc", src, {"cos": math.cos, "sin": math.sin,
+                                       "_NonTransversal": _NonTransversal})
 
 
-def _attempt(n_p, n_q, tangent):
+def _attempt(p, q, tangent):
     """Source lines of one Dormand-Prince step of length hs from phi and
-    the state r, t (and v), stage 1 in k1r, k1t (and k1f, k1v): the end
-    point in r5, t5 (and v5) and stage 7 in k7r, k7t (and k7f).  Stage i
-    is y + (h*a_i1)*k1 + (h*a_i2)*k2 + ... summed left to right."""
+    the state r, t (and v), stage 1 in k1r, k1t (and k1f, k1v), on the
+    field's locals ``p`` and ``q``: the end point in r5, t5 (and v5) and
+    stage 7 in k7r, k7t (and k7f).  Stage i is y + (h*a_i1)*k1 +
+    (h*a_i2)*k2 + ... summed left to right."""
     state = ("r", "t", "v") if tangent else ("r", "t")
     src = []
     for i, (row, node) in enumerate(zip(_A[1:], _C + (1.0,)), start=2):
@@ -268,23 +257,24 @@ def _attempt(n_p, n_q, tangent):
         if i < 7:
             src.append("ph = phi + hs" if node == 1.0
                        else f"ph = phi + {node!r} * hs")
-        src += _stage(i, f"r{out}", "ph" if i < 7 else None, n_p, n_q,
-                      tangent)
+        src += _stage(i, f"r{out}", "ph" if i < 7 else None, p, q, tangent)
         if tangent and i < 7:
             src.append(f"k{i}v = k{i}f * vs")
     return src
 
 
-def _stage(i, rs, ph, n_p, n_q, tangent):
-    """Source lines of the field at radius {rs} and angle {ph}: k{i}r =
-    dr/dphi and k{i}t = dt/dphi, with ``tangent`` also k{i}f = F_r.  They
-    raise _NonTransversal where the angular speed is below the guard.
-    With ph None they reuse the cos and sin in c and s.  a = qa - r s pa
-    is -r s pa + qa bit for bit, signed zeros included: negation is exact
-    and x - y is x + (-y)."""
+def _stage(i, rs, ph, p, q, tangent):
+    """Source lines of the field on the locals ``p`` and ``q`` at radius
+    {rs} and angle {ph}: k{i}r = dr/dphi and k{i}t = dt/dphi, with
+    ``tangent`` also k{i}f = F_r.  They raise _NonTransversal where the
+    angular speed is below the guard.  With ph None they reuse the cos and
+    sin in c and s.  a = qa - r s pa is -r s pa + qa bit for bit, signed
+    zeros included: negation is exact and x - y is x + (-y)."""
     src = [] if ph is None else [f"c = cos({ph})", f"s = sin({ph})"]
     src.append(f"x = {rs} * c")
-    src += _horner("p", n_p, tangent) + _horner("q", n_q, tangent)
+    for y, names in (("p", p), ("q", q)):
+        src += (horner_deriv_source(f"{y}a", f"{y}d", names, "x") if tangent
+                else horner_source(f"{y}a", names, "x"))
     src += [f"a = qa - {rs} * s * pa",
             f"w = {rs} + c * a",
             f"if not ({rs} > 0.0 and w > {_TRANSVERSAL_GUARD!r} * {rs}):",
@@ -297,22 +287,6 @@ def _stage(i, rs, ph, n_p, n_q, tangent):
         src += ["g = a / w",
                 f"k{i}f = s * ((c * qd - s * (pa + x * pd)) * k{i}t * k{i}t"
                 " + c * g * g)"]
-    return src
-
-
-def _horner(y, n, tangent):
-    """Source lines that leave the value at x of the polynomial with the
-    coefficient locals y0..y{n-1} in {y}a, and with ``tangent`` its
-    derivative in {y}d by the Horner-with-derivative chain."""
-    if not tangent:
-        return horner_source(f"{y}a", [f"{y}{k}" for k in range(n)], "x")
-    if n == 0:
-        return [f"{y}a = {y}d = 0.0"]
-    if n == 1:
-        return [f"{y}d = 0.0", f"{y}a = {y}0"]
-    src = [f"{y}d = {y}0", f"{y}a = {y}0 * x + {y}1"]
-    for k in range(2, n):
-        src += [f"{y}d = {y}d * x + {y}a", f"{y}a = {y}a * x + {y}{k}"]
     return src
 
 
@@ -338,7 +312,7 @@ def integrate_return(mode, fa0, fa1, fb0, fb1, fc, lam, eps,
         raise ValueError(f"unknown field mode {mode}")
     p, q = fold(fa0, fa1, fb0, fb1, fc, lam, eps)
     status, phi, y, crossings = _arcs(
-        mode, _descending(p), q, float(x0 if mode == 0 else y0), rk_tol,
+        mode, p, q, float(x0 if mode == 0 else y0), rk_tol,
         max_steps, r_min, r_max, tangent)
     r, t = y[:2]
     # a return ends on its line, every other status at the point (r, phi)
@@ -348,9 +322,9 @@ def integrate_return(mode, fa0, fa1, fb0, fb1, fc, lam, eps,
 
 
 def _arcs(mode, p, q, r, rk_tol, max_steps, r_min, r_max, tangent):
-    """The two arcs of a return from radius r, p in ``_descending``'s form;
-    returns (status, phi, y, crossings) with y the last accepted state:
-    r, t and with ``tangent`` v."""
+    """The two arcs of a return from radius r on fold's p and q; returns
+    (status, phi, y, crossings) with y the last accepted state: r, t and
+    with ``tangent`` v."""
     if mode == 0:
         phi, side = 0.0, -1.0
     else:
@@ -360,7 +334,7 @@ def _arcs(mode, p, q, r, rk_tol, max_steps, r_min, r_max, tangent):
     h = _H_START
     steps = 0
     for sign in (-1.0, 1.0):
-        qs = _descending(q, side)
+        qs = [side * c for c in q]
         try:
             status, phi, h, steps, *y = _arc(len(p), len(qs), tangent)(
                 p, qs, phi, phi + math.pi, h, steps, max_steps, rk_tol,

@@ -369,20 +369,38 @@ def polyval(coeffs, x: float) -> float:
     return acc
 
 
+def poly_antideriv(coeffs):
+    """Coefficients of the antiderivative with zero constant term."""
+    return [0.0] + [c / (k + 1) for k, c in enumerate(coeffs)]
+
+
+# -- generated code ------------------------------------------------------------
+# the one writer of the code ``_kernel_py`` and ``oracle`` compile per shape
+
+
+def unpack_source(y: str, n: int):
+    """The locals y0..y{n-1} and the source line that unpacks the
+    sequence {y} of n coefficients, ascending, into them."""
+    names = [f"{y}{k}" for k in range(n)]
+    return names, "(" + "".join(f"{c}, " for c in names) + f") = {y}"
+
+
 def horner_source(out: str, names, x: str) -> list:
     """Source lines that leave in ``out`` the value at ``x`` of the
-    polynomial whose coefficients are the locals ``names``, top degree
-    first: ``polyval``'s chain written out, one nested expression per
+    polynomial whose coefficients are the locals ``names``, ascending:
+    ``polyval``'s chain written out, one nested expression per
     _HORNER_NEST steps, so no length meets the parser's limit of 200
     nested parentheses.  The chain starts at the top coefficient, where
-    ``polyval`` computes 0.0*x + top: the same value at a finite x unless
-    the top is -0.0.  ``_kernel_py`` and ``oracle`` generate their Horner
-    code with it."""
+    ``polyval`` computes 0.0*x + top: at a finite x the same, unless the
+    top is -0.0, which 0.0*x + top may turn into +0.0, a zero that the
+    first nonzero coefficient below absorbs.  So the chain has
+    ``polyval``'s bits but for the sign of an all-zero polynomial."""
     if not names:
         return [f"{out} = 0.0"]
-    src, acc = [], names[0]
-    for i in range(1, len(names), _HORNER_NEST):
-        steps = names[i:i + _HORNER_NEST]
+    desc = names[::-1]
+    src, acc = [], desc[0]
+    for i in range(1, len(desc), _HORNER_NEST):
+        steps = desc[i:i + _HORNER_NEST]
         src.append(f"{out} = " + "(" * (len(steps) - 1) + acc
                    + "".join(f" * {x} + {c})" for c in steps[:-1])
                    + f" * {x} + {steps[-1]}")
@@ -390,6 +408,25 @@ def horner_source(out: str, names, x: str) -> list:
     return src or [f"{out} = {acc}"]
 
 
-def poly_antideriv(coeffs):
-    """Coefficients of the antiderivative with zero constant term."""
-    return [0.0] + [c / (k + 1) for k, c in enumerate(coeffs)]
+def horner_deriv_source(out: str, deriv: str, names, x: str) -> list:
+    """Source lines that leave in ``out`` and ``deriv`` the value at ``x``
+    of the polynomial with the ascending coefficient locals ``names`` and
+    of its derivative: the Horner-with-derivative chain, one statement a
+    step, from the top coefficient as in ``horner_source``."""
+    if not names:
+        return [f"{out} = {deriv} = 0.0"]
+    if len(names) == 1:
+        return [f"{deriv} = 0.0", f"{out} = {names[0]}"]
+    top, *rest = names[::-1]
+    src = [f"{deriv} = {top}", f"{out} = {top} * {x} + {rest[0]}"]
+    for c in rest[1:]:
+        src += [f"{deriv} = {deriv} * {x} + {out}",
+                f"{out} = {out} * {x} + {c}"]
+    return src
+
+
+def compile_source(name: str, src, scope: dict):
+    """The function ``name`` that the source lines ``src``, its def line
+    and then its body, define in the globals ``scope``."""
+    exec("\n    ".join(src), scope)
+    return scope[name]

@@ -55,6 +55,21 @@ def _float_list(text: str):
     return [float(v) for v in text.split(",") if v.strip()]
 
 
+def _r_range(text: str):
+    """``--r-range lo:hi`` as the pair (lo, hi)."""
+    try:
+        lo, hi = (float(v) for v in text.split(":"))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected lo:hi, two numbers, got {text!r}") from None
+    return lo, hi
+
+
+def _rel_err(value: float, reference: float) -> float:
+    """The error of ``value`` relative to 1 + |reference|."""
+    return abs(value - reference) / (1.0 + abs(reference))
+
+
 def _out_path(args, name: str):
     if not args.out:
         return None
@@ -133,7 +148,7 @@ def cmd_oracle(args) -> int:
             ("M1", m1, oracle.oracle_m1(sys_, h)),
         ]
         for name, closed, quad in pairs:
-            err = abs(closed - quad) / (1.0 + abs(quad))
+            err = _rel_err(closed, quad)
             rows.append([_fmt(args, h), name, _fmt(args, closed),
                          _fmt(args, quad), f"{err:.3e}",
                          "pass" if err <= tol else "FAIL"])
@@ -151,8 +166,7 @@ def cmd_simulate(args) -> int:
     sys_ = _load_system(args)
     # the system carries lambda and eps
     config = simulator.SimConfig(rk_tol=args.rk_tol)
-    lo, hi = (float(v) for v in args.r_range.split(":"))
-    scan = simulator.find_cycles(sys_, (lo, hi), args.grid, config)
+    scan = simulator.find_cycles(sys_, args.r_range, args.grid, config)
     doc = {
         "backend": simulator.BACKEND,
         "non_isolated": scan.non_isolated,
@@ -217,7 +231,7 @@ def cmd_verify(args) -> int:
     rows = []
 
     def add(check, value, reference, threshold):
-        err = abs(value - reference) / (1.0 + abs(reference))
+        err = _rel_err(value, reference)
         rows.append((check, value, reference, err, threshold,
                      err <= threshold))
 
@@ -291,7 +305,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("simulate", help="displacement scan and cycle search")
     common(sp)
-    sp.add_argument("--r-range", default="1:6.5")
+    sp.add_argument("--r-range", type=_r_range, default=(1.0, 6.5),
+                    metavar="lo:hi")
     sp.add_argument("--grid", type=int, default=400)
     sp.add_argument("--rk-tol", type=float, default=1e-10)
     sp.add_argument("--dump-traj", type=float, default=None,
@@ -350,7 +365,7 @@ def _config_value(action, val):
         return val
     try:
         value = (action.type or str)(str(val))
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, argparse.ArgumentTypeError):
         raise ValueError(f"config key {action.dest}: invalid value {val!r}") from None
     if action.choices is not None and value not in action.choices:
         raise ValueError(f"config key {action.dest}: invalid choice {value!r}")

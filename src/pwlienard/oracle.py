@@ -36,17 +36,13 @@ and a plain function of the abscissae ignores the two extra tables.  An
 entry holds the values ``math.sin`` and ``math.cos`` return for the same
 abscissae, so reading it changes no bit.
 
-Why the arithmetic changes no bit
----------------------------------
+The rule's arithmetic
+---------------------
 ``_gk21`` is written out term by term, as ``_kernel_py._arc`` writes out
-the kernel's step: in the loop form the rule's own time, index loops and
-tuple lookups, was twice what it is now.  Each sum runs in the left-to-right order of
-QUADPACK's loops, and a pair sum such as f1 + f19 that both the Gauss and
-the Kronrod sum use is the same value computed once.  The loops started
-the Gauss sum at 0.0; the written-out sum starts at its first term
-instead, which can change only the sign of a sum that is exactly zero,
-and the Gauss sum enters the error estimate only through a difference
-taken in absolute value.
+the kernel's step.  Each sum runs in the left-to-right order of
+QUADPACK's loops, from its first term, and a pair sum such as f1 + f19
+that both the Gauss and the Kronrod sum use is the same value computed
+once.
 
 Generated integrands
 --------------------
@@ -55,23 +51,14 @@ du/dtheta of I_0, I_1, the switch-on-x I_3 and the switch-on-y I_4 arc,
 and ``_weight(len G, len f0)`` the time weight G(u)*f0(u) of I_2, each
 compiled once per pair of coefficient counts and kept in a bounded
 least-recently-used cache of ``_INTEGRAND_TABLE_SIZE`` entries; importing
-the module compiles none.  The key is the shape alone: the case's unit
-tables, r, the sign and du/dtheta/v come in as arguments, so both cases
-and both arcs share one function.  Horner is written out over locals
-unpacked from each polynomial's tuple (``algebra.horner_source``), as
-``_kernel_py._arc`` writes the kernel's field: with Horner loops the integrands took about twice the rule's own
-time in a profile of the verify benchmark's pool.
-
-The written-out chain is the loop's arithmetic step for step, and each
-value is the same product -(v*pf + sign*pg) * (du_per_v*v) or pg*pf, so
-no bit moves.  Horner starts from the top coefficient of each
-polynomial's own tuple, where it used to run on the two polynomials
-together, the shorter one padded with zeros at the top.  The padded
-steps give exactly 0.0 and the first real step 0.0*u + c gives c, so
-skipping them moves no bit.  The one exception, a top coefficient of
--0.0, does not occur: ``float_coeffs`` sums from +0.0, and
-``poly_antideriv`` would need a coefficient that underflows when divided
-by its degree plus one.
+the module compiles none.  The key is the shape alone: the coefficients,
+the case's unit tables, r, the sign and du/dtheta/v come in as
+arguments, so both cases and both arcs share one function.  Each
+polynomial comes in ascending, as ``float_coeffs`` and ``poly_antideriv``
+give it, and ``algebra``'s writers unpack it into locals and write out
+Horner over them, with ``polyval``'s bits (see ``horner_source``).  With
+Horner loops the integrands took about twice the rule's own time in a
+profile of the verify benchmark's pool.
 """
 
 from __future__ import annotations
@@ -81,7 +68,8 @@ import heapq
 import math
 from operator import attrgetter
 
-from .algebra import horner_source, poly_antideriv, polyval
+from .algebra import (compile_source, horner_source, poly_antideriv,
+                      polyval, unpack_source)
 from .errors import QuadratureFailure
 from .systems import Case, LienardSystem
 
@@ -297,54 +285,39 @@ def _integrate(fn, lo: float, hi: float) -> float:
     return val
 
 
-def _compile(name, src):
-    """The function ``name`` that the source lines ``src``, its def line
-    and body, define."""
-    scope = {}
-    exec("\n    ".join(src), scope)
-    return scope[name]
-
-
-def _unpack(y, n):
-    """The names y0..y{n-1} and the line that unpacks the tuple {y} into
-    them."""
-    names = [f"{y}{k}" for k in range(n)]
-    return names, "(" + "".join(f"{c}, " for c in names) + f") = {y}"
-
-
 @functools.lru_cache(maxsize=_INTEGRAND_TABLE_SIZE)
 def _line(n_f, n_g):
     """The integrand -(v*f(u) + sign*g(u)) * du/dtheta for f of n_f and g
-    of n_g coefficients, each a tuple from the top degree down (see
-    Generated integrands in the module docstring).  line(f, g, units, r,
-    sign, du_per_v, nodes) returns its values at the 21 abscissae of
-    ``nodes``, with u/r and v/r read from ``units(nodes)``."""
-    f_names, f_unpack = _unpack("f", n_f)
-    g_names, g_unpack = _unpack("g", n_g)
+    of n_g ascending coefficients (see Generated integrands in the module
+    docstring).  line(f, g, units, r, sign, du_per_v, nodes) returns its
+    values at the 21 abscissae of ``nodes``, with u/r and v/r read from
+    ``units(nodes)``."""
+    f_names, unpack_f = unpack_source("f", n_f)
+    g_names, unpack_g = unpack_source("g", n_g)
     body = ["u = r * unit_u", "v = r * unit_v",
             *horner_source("pf", f_names, "u"),
             *horner_source("pg", g_names, "u"),
             "out.append(-(v * pf + sign * pg) * (du_per_v * v))"]
-    return _compile("line", [
-        "def line(f, g, units, r, sign, du_per_v, nodes):", f_unpack,
-        g_unpack, "out = []", "for unit_u, unit_v in zip(*units(nodes)):",
-        *("    " + stmt for stmt in body), "return out"])
+    return compile_source("line", [
+        "def line(f, g, units, r, sign, du_per_v, nodes):", unpack_f,
+        unpack_g, "out = []", "for unit_u, unit_v in zip(*units(nodes)):",
+        *("    " + stmt for stmt in body), "return out"], {})
 
 
 @functools.lru_cache(maxsize=_INTEGRAND_TABLE_SIZE)
 def _weight(n_g, n_f):
     """The time weight G(u)*f0(u) of I_2 for G of n_g and f0 of n_f
-    coefficients, each a tuple from the top degree down.  weight(g, f,
-    units, r, nodes) returns its values at the 21 abscissae of ``nodes``,
-    with u/r read from ``units(nodes)``."""
-    g_names, g_unpack = _unpack("g", n_g)
-    f_names, f_unpack = _unpack("f", n_f)
+    ascending coefficients.  weight(g, f, units, r, nodes) returns its
+    values at the 21 abscissae of ``nodes``, with u/r read from
+    ``units(nodes)``."""
+    g_names, unpack_g = unpack_source("g", n_g)
+    f_names, unpack_f = unpack_source("f", n_f)
     body = ["u = r * unit_u", *horner_source("pg", g_names, "u"),
             *horner_source("pf", f_names, "u"), "out.append(pg * pf)"]
-    return _compile("weight", [
-        "def weight(g, f, units, r, nodes):", g_unpack, f_unpack,
+    return compile_source("weight", [
+        "def weight(g, f, units, r, nodes):", unpack_g, unpack_f,
         "out = []", "for unit_u in units(nodes)[0]:",
-        *("    " + stmt for stmt in body), "return out"])
+        *("    " + stmt for stmt in body), "return out"], {})
 
 
 def quad_I(sys: LienardSystem, h: float, index: int) -> float:
@@ -359,8 +332,8 @@ def quad_I(sys: LienardSystem, h: float, index: int) -> float:
     units, du_per_v, i2_sign = _ARC[case]
 
     def line(f, g, sign, lo, hi):
-        integrand = functools.partial(_line(len(f), len(g)), f[::-1],
-                                      g[::-1], units, r, sign, du_per_v)
+        integrand = functools.partial(_line(len(f), len(g)), f, g, units,
+                                      r, sign, du_per_v)
         return _integrate(integrand, lo, hi)
 
     on_y = case is Case.SWITCH_Y
@@ -370,8 +343,8 @@ def quad_I(sys: LienardSystem, h: float, index: int) -> float:
             + line(f, g, -1.0, -_HALF_PI, -3 * _HALF_PI)
     elif index == 2:
         big_g, f0 = poly_antideriv(fc["c"]), fc["a0"]
-        weight = functools.partial(_weight(len(big_g), len(f0)),
-                                   big_g[::-1], f0[::-1], units, r)
+        weight = functools.partial(_weight(len(big_g), len(f0)), big_g, f0,
+                                   units, r)
         # int_AB dt and int_BA dt with dt = -d(theta)
         ab = _integrate(weight, -_HALF_PI, _HALF_PI)
         ba = _integrate(weight, -3 * _HALF_PI, -_HALF_PI)

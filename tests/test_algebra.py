@@ -1,6 +1,7 @@
 """Ring arithmetic and half-power polynomial behavior."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,10 @@ from hypothesis import strategies as st
 from pwlienard import (INV_PI, PI, SQRT2, HalfPowerPoly, InvalidInput,
                        NegativeEnergy, PrecisionLoss, RingElem, expand,
                        load_preset)
-from pwlienard.algebra import MAX_JSON_PI_POWER, MAX_JSON_SQRT2_POWER
+from pwlienard.algebra import (MAX_JSON_PI_POWER, MAX_JSON_SQRT2_POWER,
+                               compile_source, horner_deriv_source,
+                               horner_source, polyval, unpack_source)
+from pwlienard.systems import MAX_DEGREE
 
 rationals = st.fractions(
     min_value=-50, max_value=50, max_denominator=16)
@@ -306,3 +310,117 @@ class TestHalfPowerPoly:
     def test_degree_key(self):
         assert HalfPowerPoly().degree_key() is None
         assert HalfPowerPoly({1: RingElem.one(), 4: PI}).degree_key() == 4
+
+
+# -- generated code ------------------------------------------------------------
+
+
+def written_horner(n, deriv):
+    """The function f(c, x) that algebra's writers generate for n ascending
+    coefficients c: unpacked into locals, then Horner written out, with
+    ``deriv`` the Horner-with-derivative chain returning (value, deriv)."""
+    names, unpack = unpack_source("c", n)
+    if deriv:
+        chain = horner_deriv_source("val", "der", names, "x")
+    else:
+        chain = horner_source("val", names, "x")
+    return compile_source("f", ["def f(c, x):", unpack, *chain,
+                                "return (val, der)" if deriv else
+                                "return val"], {})
+
+
+def loop_with_derivative(coeffs, x):
+    """polyval's loop, from 0.0, with the derivative's chain beside it."""
+    value = deriv = 0.0
+    for c in reversed(coeffs):
+        deriv = deriv * x + value
+        value = value * x + c
+    return value, deriv
+
+
+def chain_with_derivative(coeffs, x):
+    """The Horner-with-derivative chain as a loop: it starts at the top
+    coefficient, and the derivative at the top on the second step."""
+    if len(coeffs) < 2:
+        return (coeffs[0] if coeffs else 0.0), 0.0
+    value, deriv = coeffs[-1] * x + coeffs[-2], coeffs[-1]
+    for c in reversed(coeffs[:-2]):
+        deriv = deriv * x + value
+        value = value * x + c
+    return value, deriv
+
+
+def same_but_zero_sign(a, b):
+    """Equal bits, or both zeros of either sign."""
+    return a.hex() == b.hex() or a == b == 0.0
+
+
+def coefficient_lists(rng, n):
+    """Ascending lists of n coefficients: random ones with about a quarter
+    +-0.0, all-zero ones of each sign, and ones whose top is -0.0 above
+    random coefficients or above zeros and a constant."""
+    def coeff():
+        if rng.random() < 0.25:
+            return rng.choice((0.0, -0.0))
+        return rng.uniform(-2.0, 2.0)
+    lists = [[coeff() for _ in range(n)] for _ in range(4)]
+    if n:
+        lists += [[coeff() for _ in range(n - 1)] + [-0.0],
+                  [0.0] * n, [-0.0] * n]
+    if n >= 2:
+        lists.append([rng.uniform(1.0, 2.0)] + [0.0] * (n - 2) + [-0.0])
+    return lists
+
+
+# x = +-0.0 meet the top's signed zero both ways; |x| <= 1.25 keeps
+# x^(MAX_DEGREE + 1) finite
+HORNER_XS = (0.0, -0.0, 0.5, -0.75, 1.25, -1.25)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 100, 101, 102, MAX_DEGREE + 2])
+def test_horner_source_is_polyval(n):
+    """The written-out chain over ascending locals has polyval's bits,
+    except for the sign of the value of an all-zero polynomial; nested 100
+    steps an expression, it compiles at every length."""
+    rng = random.Random(1000 + n)
+    f = written_horner(n, False)
+    for coeffs, x in ((c, x) for c in coefficient_lists(rng, n)
+                      for x in HORNER_XS):
+        got, want = f(coeffs, x), polyval(coeffs, x)
+        if any(coeffs):
+            assert got.hex() == want.hex()
+        else:
+            assert got == want == 0.0
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 100, 101, 102, MAX_DEGREE + 2])
+def test_horner_deriv_source_is_the_loop(n):
+    """The Horner-with-derivative chain over ascending locals has the bits
+    of its loop, the value's those of horner_source's chain, and the
+    value and derivative of the loop beside polyval's: bit for bit where
+    the top coefficient is nonzero, and else up to the sign of a zero."""
+    rng = random.Random(2000 + n)
+    f, plain = written_horner(n, True), written_horner(n, False)
+    for coeffs, x in ((c, x) for c in coefficient_lists(rng, n)
+                      for x in HORNER_XS):
+        (value, deriv), want = f(coeffs, x), loop_with_derivative(coeffs, x)
+        assert [value.hex(), deriv.hex()] == \
+            [v.hex() for v in chain_with_derivative(coeffs, x)]
+        assert value.hex() == plain(coeffs, x).hex()
+        if coeffs and coeffs[-1] != 0.0:
+            assert [value.hex(), deriv.hex()] == [w.hex() for w in want]
+        else:
+            assert same_but_zero_sign(value, want[0])
+            assert same_but_zero_sign(deriv, want[1])
+
+
+def test_unpack_source_reads_ascending():
+    """unpack_source's locals are the coefficients in their order, and a
+    sequence of another length fails the unpacking."""
+    names, line = unpack_source("c", 3)
+    f = compile_source("f", ["def f(c):", line,
+                             f"return [{', '.join(names)}]"], {})
+    assert f((1.0, 2.0, 3.0)) == [1.0, 2.0, 3.0]
+    assert f([1.0, 2.0, 3.0]) == [1.0, 2.0, 3.0]
+    with pytest.raises(ValueError):
+        f((1.0, 2.0))

@@ -106,6 +106,25 @@ def test_oracle_nan_row_fails(outdir, monkeypatch):
     assert [r.split(",")[-1] for r in rows] == ["pass", "FAIL"] * 2
 
 
+@pytest.mark.parametrize("command,columns", [("oracle", (2, 3, 4)),
+                                             ("verify", (1, 2, 3))],
+                         ids=["oracle", "verify"])
+def test_rel_err_is_relative_to_the_reference(tmp_path, monkeypatch,
+                                              command, columns):
+    """Both commands print |value - reference| / (1 + |reference|) in
+    their rel_err column, here with every quadrature set to 3.0, far from
+    the closed forms, so that the denominator shows."""
+    monkeypatch.setattr(oracle, "quad_I", lambda sys_, h, index: 3.0)
+    assert main(["--out", str(tmp_path), command, "--preset", "example2",
+                 "--h-grid", "1,2"]) == EXIT_NUMERICAL
+    lines = (tmp_path / f"{command}.csv").read_text().splitlines()[1:]
+    assert len(lines) >= 4
+    for row in (line.split(",") for line in lines):
+        value, reference = (float(row[i]) for i in columns[:2])
+        assert row[columns[2]] == \
+            f"{abs(value - reference) / (1.0 + abs(reference)):.3e}"
+
+
 def test_rel_tol_env_override(tmp_path, outdir, monkeypatch):
     sys_ = LienardSystem.build(Case.SWITCH_Y, 0, 1, b0=[1], c=[0, 1])
     doc_path = tmp_path / "bad.json"
@@ -173,6 +192,23 @@ def test_partial_param_override_keeps_file_value(tmp_path, partial, full):
         assert rc == EXIT_OK
         texts.append((out / "displacement.csv").read_text())
     assert texts[0] == texts[1]
+
+
+def test_config_r_range_parsed_like_the_flag(tmp_path):
+    """A config file's r_range sets the scan as --r-range does."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"r_range": "1.5:2.5"}))
+    texts = []
+    for head, flags in ((["--config", str(cfg)], []),
+                        ([], ["--r-range", "1.5:2.5"])):
+        out = tmp_path / ("config" if head else "flag")
+        rc = main(head + ["--out", str(out), "simulate", "--preset",
+                          "example1", "--lam", "0.02", "--eps", "4e-4",
+                          "--grid", "2"] + flags)
+        assert rc == EXIT_OK
+        texts.append((out / "displacement.csv").read_text())
+    assert texts[0] == texts[1]
+    assert texts[0].splitlines()[1].startswith("1.5,")
 
 
 def test_simulate_trajectory_dump(outdir):
@@ -314,7 +350,10 @@ def test_config_not_an_object(tmp_path, capsys, text):
      None),
     ({"h_grid": None}, ["melnikov", "--preset", "example1"], EXIT_OK,
      [0.5, 1.0, 2.0, 3.0]),
-], ids=["grid-type", "h_grid-text", "which-choices", "null-keeps-default"])
+    ({"r_range": "1:2:3"}, ["simulate", "--preset", "example1"],
+     EXIT_VALIDATION, None),
+], ids=["grid-type", "h_grid-text", "which-choices", "null-keeps-default",
+        "r_range-form"])
 def test_config_values_parsed_like_flags(tmp_path, outdir, capsys, config,
                                          argv, expected, grid):
     """Config values get the flag's type and choices, as on the command line."""
@@ -341,6 +380,13 @@ def test_roots_m0_needs_no_oddness(outdir, preset):
 
 
 EXAMPLE1 = load_preset("example1").to_json()
+# flag text that the flag's argparse type rejects: argparse exits 2 itself,
+# after the usage, with an error line that names the flag
+MALFORMED_FLAG_TEXT = [
+    ["simulate", "--preset", "example1", "--r-range", "1:2:3"],
+    ["simulate", "--preset", "example1", "--r-range", "1"],
+    ["simulate", "--preset", "example1", "--r-range", "a:b"],
+]
 
 
 @pytest.mark.parametrize("argv", [
@@ -361,6 +407,7 @@ EXAMPLE1 = load_preset("example1").to_json()
     ["simulate", "--preset", "example1", "--dump-traj", "100"],
     ["simulate", "--preset", "example1", "--dump-traj", "nan"],
     ["simulate", "--preset", "example1", "--dump-traj", "inf"],
+    *MALFORMED_FLAG_TEXT,
     ["melnikov", "--system", dict(EXAMPLE1, m=3.5)],
     ["melnikov", "--system", dict(EXAMPLE1, m="3")],
     ["melnikov", "--system", dict(EXAMPLE1, m=1e9)],
@@ -395,6 +442,7 @@ EXAMPLE1 = load_preset("example1").to_json()
         "infeasible-shape-Y", "reversed-r-range", "nan-lam", "nan-h",
         "infinite-h", "unbounded-r-range", "dump-traj-zero",
         "dump-traj-above-annulus", "dump-traj-nan", "dump-traj-infinite",
+        "r-range-three-values", "r-range-one-value", "r-range-not-numbers",
         "fractional-m", "string-m",
         "float-m", "boolean-m", "null-coefficient", "number-vector",
         "string-lambda", "bare-term", "number-term", "boolean-coefficient",
@@ -406,7 +454,17 @@ EXAMPLE1 = load_preset("example1").to_json()
 def test_input_errors_are_validation_errors(tmp_path, outdir, capsys, argv):
     """Errors in the input exit 2 with an error line, not as numerical
     failures.  A JSON value in ``argv`` is a ``--system`` document: it is
-    written to a file, whose path takes its place."""
+    written to a file, whose path takes its place.  The text of
+    MALFORMED_FLAG_TEXT, the last word of its ``argv``, is rejected by
+    argparse, whose error line names the flag before it."""
+    if argv in MALFORMED_FLAG_TEXT:
+        with pytest.raises(SystemExit) as exc:
+            main(["--out", str(outdir)] + argv)
+        assert exc.value.code == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("usage:")
+        assert f"error: argument {argv[-2]}: expected lo:hi" in err
+        return
     doc = tmp_path / "system.json"
     for arg in argv:
         if not isinstance(arg, str):

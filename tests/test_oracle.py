@@ -180,11 +180,11 @@ def test_verify_sweep_fits_the_node_table():
     assert info.hits > 10 * info.misses
 
 
-def loop_horner(desc, u):
-    """Horner loops from the top of the tuple ``desc`` (top degree first),
-    the form the generated integrands write out."""
-    acc = desc[0]
-    for c in desc[1:]:
+def loop_horner(coeffs, u):
+    """Horner loops from the top of the ascending tuple ``coeffs``, the
+    chain the generated integrands write out."""
+    acc = coeffs[-1]
+    for c in reversed(coeffs[:-1]):
         acc = acc * u + c
     return acc
 
@@ -204,12 +204,11 @@ def bits(values):
     return [v.hex() for v in values]
 
 
-def random_desc(rng, n, scale=1.0):
-    """n coefficients, top degree first, about a quarter of them +-0.0;
-    with ``scale`` < 1 the one of degree k stays within scale^k."""
+def random_coeffs(rng, n, scale=1.0):
+    """n ascending coefficients, about a quarter of them +-0.0; with
+    ``scale`` < 1 the one of degree k stays within scale^k."""
     return tuple(rng.choice((0.0, -0.0)) if rng.random() < 0.25
-                 else rng.uniform(-2.0, 2.0) * scale ** (n - 1 - j)
-                 for j in range(n))
+                 else rng.uniform(-2.0, 2.0) * scale ** k for k in range(n))
 
 
 INTEGRAND_NODES = [oracle._nodes(a, b) for a, b in (
@@ -229,12 +228,12 @@ def test_generated_integrands_match_the_loops(case):
     for n_1 in range(1, 10):
         for n_2 in range(1, 10):
             line, weight = oracle._line(n_1, n_2), oracle._weight(n_1, n_2)
-            pairs = [(random_desc(rng, n_1), random_desc(rng, n_2))
+            pairs = [(random_coeffs(rng, n_1), random_coeffs(rng, n_2))
                      for _ in range(3)]
-            pairs += [((-0.0,) + random_desc(rng, n_1)[1:],
-                       random_desc(rng, n_2)),
+            pairs += [(random_coeffs(rng, n_1)[:-1] + (-0.0,),
+                       random_coeffs(rng, n_2)),
                       ((0.0,) * n_1, (-0.0,) * n_2),
-                      (random_desc(rng, n_1), (0.0,) * n_2)]
+                      (random_coeffs(rng, n_1), (0.0,) * n_2)]
             for (c1, c2), nodes in itertools.product(pairs, INTEGRAND_NODES):
                 r = rng.uniform(0.1, 3.0)
                 for sign in (1.0, -1.0):
@@ -250,8 +249,8 @@ def test_integrands_compile_at_the_degree_bound():
     takes MAX_DEGREE + 1 coefficients per polynomial and the weight
     G = int g of MAX_DEGREE + 2, and both keep the loops' bits."""
     rng = random.Random(500)
-    f, g = (random_desc(rng, MAX_DEGREE + 1, 0.25) for _ in range(2))
-    big_g = random_desc(rng, MAX_DEGREE + 2, 0.25)
+    f, g = (random_coeffs(rng, MAX_DEGREE + 1, 0.25) for _ in range(2))
+    big_g = random_coeffs(rng, MAX_DEGREE + 2, 0.25)
     line = oracle._line(MAX_DEGREE + 1, MAX_DEGREE + 1)
     weight = oracle._weight(MAX_DEGREE + 2, MAX_DEGREE + 1)
     for case in (Case.SWITCH_Y, Case.SWITCH_X):

@@ -561,14 +561,14 @@ def attempt_bits(arc, p, q, phi, h, y, rk_tol, attempts=2):
 
 
 def random_shape_inputs(rng, n_p, n_q, scale=0.2):
-    """Random p and q of n_p and n_q coefficients in the kernel's form,
-    the one of degree k within scale * 4^-k, and a random point, angle,
-    step length and tolerance.  At r <= 3 and scale 0.2 each term stays
-    below 0.2 (3/4)^k."""
+    """Random ascending p and q of n_p and n_q coefficients, the one of
+    degree k within scale * 4^-k, q times a random side as the kernel
+    passes it, and a random point, angle, step length and tolerance.  At
+    r <= 3 and scale 0.2 each term stays below 0.2 (3/4)^k."""
     p, q = ([rng.uniform(-scale, scale) * 0.25 ** k for k in range(n)]
             for n in (n_p, n_q))
-    return (_kernel_py._descending(p),
-            _kernel_py._descending(q, rng.choice((-1.0, 1.0))),
+    side = rng.choice((-1.0, 1.0))
+    return (p, [side * c for c in q],
             rng.uniform(0.5, 3.0), rng.uniform(0.0, 7.0),
             rng.uniform(-0.5 * math.pi, 2.5 * math.pi),
             10.0 ** rng.uniform(-8.0, 0.0), 10.0 ** rng.uniform(-14.0, -2.0))
@@ -673,14 +673,15 @@ def tableau_step_tangent(p, q, phi, h, y, k1, field=None):
 
 
 def random_step_inputs(rng, args):
-    """The folded p of ``args`` in the kernel's form, and a random side's
-    q, point, angle in the return's range, step length and tolerance."""
+    """The folded p of ``args``, its q times a random side as the kernel
+    passes them, and a random point, angle in the return's range, step
+    length and tolerance."""
     p, q = _kernel_py.fold(*args[1:8])
     phi0 = -0.5 * math.pi if args[0] == 1 else 0.0
     r, t = rng.uniform(0.5, 6.0), rng.uniform(0.0, 7.0)
     phi = phi0 + rng.uniform(0.0, 2.0 * math.pi)
-    qs = _kernel_py._descending(q, rng.choice((-1.0, 1.0)))
-    return (_kernel_py._descending(p), qs, r, t, phi,
+    side = rng.choice((-1.0, 1.0))
+    return (p, [side * c for c in q], r, t, phi,
             10.0 ** rng.uniform(-8.0, 0.0), 10.0 ** rng.uniform(-14.0, -2.0))
 
 
@@ -864,10 +865,10 @@ def polyval_field_tangent(p, q, r, phi, side):
 
 def kernel_form(field):
     """``field`` as a stage-1 field of the reference controller: p and q
-    in the kernel's form, from the top degree down with q already times
-    the side, and _NonTransversal below the guard."""
+    as the kernel takes them, q already times the side, and
+    _NonTransversal below the guard."""
     def start(p, q, r, phi):
-        out = field(p[::-1], q[::-1], r, phi, 1.0)
+        out = field(p, q, r, phi, 1.0)
         if out is None:
             raise _kernel_py._NonTransversal
         return out
@@ -888,7 +889,7 @@ class TestFieldCoefficientForm:
     @pytest.mark.parametrize("lam,eps", [(0.02, 4e-4), (0.3, 0.09),
                                          (0.0, 0.5)])
     def test_field_matches_polyval_bitwise(self, rng, sign, lam, eps):
-        """The arcs on the descending tuples, q times the side, plain and
+        """The arcs on fold's p and on q times the side, plain and
         tangent, end their attempts at the bits of the reference controller
         on the polyval formula with the side applied to q's value: Horner
         from the top is polyval, and a product with +-1 is exact.  The
@@ -936,23 +937,21 @@ class TestFieldCoefficientForm:
 
     @staticmethod
     def check(rng, p, q):
-        top_p = _kernel_py._descending(p)
         for _ in range(200):
             r, t = rng.uniform(0.2, 6.0), rng.uniform(0.0, 7.0)
             phi = rng.uniform(-0.5 * math.pi, 2.5 * math.pi)
             h, rk_tol = 10.0 ** rng.uniform(-8.0, 0.0), 1e-10
             side = rng.choice((-1.0, 1.0))
-            qs = _kernel_py._descending(q, side)
+            qs = [side * c for c in q]
             for tangent, field in ((False, polyval_field),
                                    (True, polyval_field_tangent)):
                 sided = kernel_form(lambda _p, _q, r, phi, _s, field=field:
                                     field(p, q, r, phi, side))
                 y = (r, t, 1.0) if tangent else (r, t)
-                got = attempt_bits(_kernel_py._arc(len(top_p), len(qs),
-                                                   tangent),
-                                   top_p, qs, phi, h, y, rk_tol)
+                got = attempt_bits(_kernel_py._arc(len(p), len(qs), tangent),
+                                   p, qs, phi, h, y, rk_tol)
                 assert got == attempt_bits(reference_arc(tangent, sided),
-                                           top_p, qs, phi, h, y, rk_tol)
+                                           p, qs, phi, h, y, rk_tol)
 
 
 def record_steps(monkeypatch, args):
