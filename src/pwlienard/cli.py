@@ -328,17 +328,30 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _all_actions(parser):
-    actions = {a.dest: a for a in parser._actions}
+def _parsers(parser):
+    yield parser
     for sp_action in parser._subparsers._group_actions:
-        for sp in sp_action.choices.values():
-            actions.update({a.dest: a for a in sp._actions})
-    return actions
+        yield from sp_action.choices.values()
 
 
-def _apply_config(parser, argv):
-    """Config file supplies values for flags left at their parser default;
-    a null value leaves the default."""
+def _all_actions(parser):
+    return {a.dest: a for p in _parsers(parser) for a in p._actions}
+
+
+def _given(argv) -> set:
+    """The dests that argv sets itself: a parse with every default
+    suppressed, so that a flag given its default's value still counts."""
+    parser = build_parser()
+    for p in _parsers(parser):
+        for action in p._actions:
+            action.default = argparse.SUPPRESS
+    return set(vars(parser.parse_args(argv)))
+
+
+def _apply_config(argv):
+    """Config file supplies values for flags that argv leaves out; a null
+    value leaves the default."""
+    parser = build_parser()
     args = parser.parse_args(argv)
     if args.config:
         with open(args.config) as fh:
@@ -349,9 +362,9 @@ def _apply_config(parser, argv):
         bad = set(defaults) - set(actions)
         if bad:
             raise ValueError(f"unknown config keys: {sorted(bad)}")
+        given = _given(argv)
         for key, val in defaults.items():
-            if val is not None and hasattr(args, key) \
-                    and getattr(args, key) == actions[key].default:
+            if val is not None and hasattr(args, key) and key not in given:
                 setattr(args, key, _config_value(actions[key], val))
     return args
 
@@ -373,9 +386,8 @@ def _config_value(action, val):
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = _apply_config(parser, sys.argv[1:] if argv is None else argv)
+        args = _apply_config(sys.argv[1:] if argv is None else argv)
     # json.JSONDecodeError is a ValueError
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -8,7 +8,10 @@ coefficients, de Casteljau splits them (Eigenwillig, Sharma & Yap, ISSAC
 2006), and each isolated interval is refined by ITP, a projected regula
 falsi that never takes more than two steps beyond bisection's count, and
 certified by the sign change of Q itself.  Even-multiplicity candidates are
-flagged, not certified.
+flagged, not certified.  They are sought among the extrema of Q only where
+Descartes' rule leaves room for an even root: where the certified roots are
+not exactly as many as the sign variations, or where two of them lie close
+enough to be one even root that rounding split.
 """
 
 from __future__ import annotations
@@ -29,6 +32,12 @@ REFINE_WIDTH = 1e-12
 _OFF_CENTRE = math.sqrt(2.0) - 1.0
 # ITP's n0: the steps a refinement may take beyond bisection's count
 _ITP_SLACK = 2
+
+# adjacent certified roots closer than this, relative to s, may be one even
+# root whose rounding noise changes sign twice: in a seeded sweep of 2 841
+# planted double roots of degree up to 11, rounding split them at most 1e-3
+# apart, while distinct targets i/4 up to 6 lie 2e-2 or more apart
+_CLOSE_PAIR = 3e-3
 
 CERT_SIMPLE = "SimpleSignChange"
 CERT_SUSPECT_EVEN = "SuspectedEvenMultiplicity"
@@ -223,16 +232,30 @@ def isolate_positive_roots(poly: HalfPowerPoly, case: Case | None = None,
                                      _bernstein(coeffs, bound), 0.0, bound):
         cert = CERT_SIMPLE if polyval(deriv, mid) != 0.0 else CERT_SUSPECT_EVEN
         s_roots.append(IsolatedRoot(lo, hi, mid, cert))
-    # flag possible even-multiplicity roots: minima of |P| at zeros of P'
-    if len(deriv) > 1:
+    s_roots.sort(key=lambda r: r.mid)
+    # flag possible even-multiplicity roots: minima of |P| at zeros of P',
+    # sought only where Descartes leaves room for one
+    if _room_for_even_root(report.descartes_bound, s_roots):
         report.suspected = _suspect_even_roots(coeffs, deriv, bound,
                                               s_roots, scale)
-    s_roots.sort(key=lambda r: r.mid)
     report.h_roots = [IsolatedRoot(r.lo ** 2, r.hi ** 2, r.mid ** 2,
                                    r.certificate) for r in s_roots]
     if case is not None and m is not None and n is not None:
         report.theorem_bound = zero_bound(case, m, n, which)
     return report
+
+
+def _room_for_even_root(descartes_bound: int, certified) -> bool:
+    """Whether Q may have an even-multiplicity root beside ``certified``
+    (sorted by mid).  The sign variations exceed the roots counted with
+    multiplicity by an even number, so where the certified sign changes are
+    simple roots and as many as the variations, none is left to be even.
+    Any other count leaves room, or shows that rounding noise made some
+    sign changes; so do two changes close enough to be one even root that
+    rounding split."""
+    return (descartes_bound != len(certified)
+            or any(b.mid - a.mid < _CLOSE_PAIR * max(1.0, b.mid)
+                   for a, b in zip(certified, certified[1:])))
 
 
 def _suspect_even_roots(coeffs, deriv, bound, certified, scale):

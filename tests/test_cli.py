@@ -316,13 +316,16 @@ def test_config_file_defaults(tmp_path, outdir):
 
 
 def test_config_flag_beats_config_file(tmp_path, outdir):
+    """A flag on the command line wins, also where its value is the
+    parser default."""
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"h_grid": "1,4", "preset": "example1"}))
-    rc = main(["--config", str(cfg), "--out", str(outdir), "melnikov",
-               "--h-grid", "9"])
-    assert rc == EXIT_OK
-    doc = read_json(outdir / "melnikov.json")
-    assert [row["h"] for row in doc["grid"]] == [9.0]
+    for text, grid in (("9", [9.0]), ("0.5,1,2,3", [0.5, 1.0, 2.0, 3.0])):
+        rc = main(["--config", str(cfg), "--out", str(outdir), "melnikov",
+                   "--h-grid", text])
+        assert rc == EXIT_OK
+        doc = read_json(outdir / "melnikov.json")
+        assert [row["h"] for row in doc["grid"]] == grid
 
 
 def test_config_unknown_key(tmp_path):

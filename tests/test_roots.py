@@ -6,10 +6,11 @@ from functools import partial
 
 import pytest
 
-from pwlienard import (PRESET_NAMES, Case, HalfPowerPoly, OddnessViolated,
-                       PrecisionLoss, RingElem, ZeroPolynomial, design_case_y,
-                       expand, isolate_positive_roots, load_preset, roots,
-                       simulator)
+from pwlienard import (PRESET_NAMES, Case, HalfPowerPoly, InfeasibleShape,
+                       NoConvergence, OddnessViolated, PrecisionLoss,
+                       RingElem, TooManyTargets, ZeroPolynomial, design_case_x,
+                       design_case_y, expand, isolate_positive_roots,
+                       load_preset, melnikov, roots, simulator)
 from pwlienard.algebra import polyval
 from pwlienard.roots import CERT_SIMPLE, CERT_SUSPECT_EVEN, REFINE_WIDTH
 
@@ -89,6 +90,89 @@ def test_even_multiplicity_flagged_not_certified():
     assert math.sqrt(report.h_roots[0].mid) == pytest.approx(2.0, abs=1e-9)
     assert any(abs(r.mid - 1.0) < 1e-4 for r in report.suspected)
     assert all(r.certificate == CERT_SUSPECT_EVEN for r in report.suspected)
+
+
+def counted_scans(monkeypatch):
+    """A list that records each call to the Q' scan."""
+    calls = []
+    scan = roots._suspect_even_roots
+
+    def counting(*args):
+        calls.append(args)
+        return scan(*args)
+    monkeypatch.setattr(roots, "_suspect_even_roots", counting)
+    return calls
+
+
+@pytest.mark.parametrize("targets, m, n", [
+    ([1.25, 1.75, 2.75, 4.25, 4.75, 5.25, 5.75], 6, 5),
+    ([3.25, 3.75, 4.25, 4.75, 5.25], 7, 7),
+], ids=["seven", "five"])
+def test_no_even_scan_without_descartes_room(monkeypatch, targets, m, n):
+    """Each designed M1 has as many sign variations as targets, and each
+    target is a certified root, so Descartes' rule leaves no root to be
+    even: the Q' scan is not run, and its three extrema, where |Q| is 6e-5
+    in the first, are no suspects."""
+    calls = counted_scans(monkeypatch)
+    report = isolate_positive_roots(expand(design_case_y(targets, m, n)).m1)
+    assert report.descartes_bound == report.certified_count() == len(targets)
+    assert not report.suspected and not calls
+
+
+def test_split_double_root_keeps_its_suspect(monkeypatch):
+    """Q = (s^2 - 2)^2: rounding splits the double root at sqrt 2 into two
+    certified sign changes, as many as the sign variations.  Being close,
+    they still send Q' to the scan, which flags h = 2."""
+    calls = counted_scans(monkeypatch)
+    report = isolate_positive_roots(int_poly({0: 4, 2: -4, 4: 1}))
+    assert report.descartes_bound == report.certified_count() == 2
+    assert len(calls) == 1
+    assert any(abs(r.mid - 2.0) < 1e-9 for r in report.suspected)
+
+
+def test_odd_remainder_keeps_its_suspect(monkeypatch):
+    """Q = (s - 13/5)^2: its float coefficients change sign once near the
+    double root, so one root is certified against two sign variations.  An
+    odd remainder breaks Descartes' parity, a sign of rounding noise, and
+    the scan flags h = 6.76."""
+    calls = counted_scans(monkeypatch)
+    report = isolate_positive_roots(
+        int_poly({0: Fraction(169, 25), 1: Fraction(-26, 5), 2: 1}))
+    assert report.descartes_bound - report.certified_count() == 1
+    assert len(calls) == 1
+    assert any(abs(r.mid - 6.76) < 1e-9 for r in report.suspected)
+
+
+DESIGN_SHAPES = {
+    Case.SWITCH_Y: ((3, 3), (4, 3), (5, 5), (6, 5), (7, 7)),
+    Case.SWITCH_X: ((3, 1), (4, 2), (5, 1), (5, 2), (6, 1), (7, 1)),
+}
+
+
+def test_no_suspect_where_descartes_leaves_no_room(rng):
+    """A seeded audit of designed M1s: both designers, every target count
+    up to the bound, distinct targets i/4.  Where the certified roots are
+    as many as the sign variations and no two of them are close, no root
+    can be even, so none is suspected."""
+    audited = 0
+    for _ in range(4):
+        for case, shapes in DESIGN_SHAPES.items():
+            designer = design_case_y if case is Case.SWITCH_Y else design_case_x
+            for m, n in shapes:
+                for k in range(1, melnikov.zero_bound(case, m, n, "M1") + 1):
+                    targets = sorted(i / 4 for i in rng.sample(range(1, 25, 2), k))
+                    try:
+                        sys_ = designer(targets, m, n)
+                    except (InfeasibleShape, NoConvergence, TooManyTargets):
+                        continue
+                    report = isolate_positive_roots(expand(sys_).m1)
+                    s = [math.sqrt(r.mid) for r in report.h_roots]
+                    if (report.descartes_bound == len(s)
+                            and all(b - a >= roots._CLOSE_PAIR * max(1.0, b)
+                                    for a, b in zip(s, s[1:]))):
+                        assert not report.suspected, (case, m, n, targets)
+                        audited += 1
+    assert audited > 100
 
 
 def test_descartes_bound_respected(rng):
