@@ -29,17 +29,23 @@ DEFAULT_REL_TOL = 1e-8
 
 
 def _rel_tol() -> float:
-    tol = float(os.environ.get("PWLIENARD_REL_TOL", DEFAULT_REL_TOL))
+    text = os.environ.get("PWLIENARD_REL_TOL", str(DEFAULT_REL_TOL))
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = math.nan
     if not 0 <= tol < math.inf:  # written so that NaN fails it
         raise ValueError(
-            f"PWLIENARD_REL_TOL must be finite and non-negative, got {tol}")
+            f"PWLIENARD_REL_TOL must be finite and non-negative, got {text!r}")
     return tol
 
 
 def _load_system(args) -> LienardSystem:
-    if getattr(args, "preset", None):
+    if args.preset and args.system:
+        raise ValueError("give one of --preset/--system, not both")
+    if args.preset:
         sys_ = load_preset(args.preset)
-    elif getattr(args, "system", None):
+    elif args.system:
         with open(args.system) as fh:
             sys_ = LienardSystem.from_json(json.load(fh))
     else:
@@ -70,20 +76,18 @@ def _rel_err(value: float, reference: float) -> float:
     return abs(value - reference) / (1.0 + abs(reference))
 
 
-def _out_path(args, name: str):
-    if not args.out:
-        return None
-    os.makedirs(args.out, exist_ok=True)
-    return os.path.join(args.out, name)
-
-
 def _emit(args, name: str, text: str):
-    path = _out_path(args, name)
-    if path:
-        with open(path, "w") as fh:
+    if args.out:
+        os.makedirs(args.out, exist_ok=True)
+        with open(os.path.join(args.out, name), "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _csv(header: str, rows) -> str:
+    """CSV text: the header line, then one line per row of strings."""
+    return header + "\n" + "\n".join(",".join(row) for row in rows) + "\n"
 
 
 def _fmt(args, v: float) -> str:
@@ -152,9 +156,8 @@ def cmd_oracle(args) -> int:
             rows.append([_fmt(args, h), name, _fmt(args, closed),
                          _fmt(args, quad), f"{err:.3e}",
                          "pass" if err <= tol else "FAIL"])
-    text = "h,term,closed,oracle,rel_err,status\n" + "\n".join(
-        ",".join(r) for r in rows) + "\n"
-    _emit(args, "oracle.csv", text)
+    _emit(args, "oracle.csv",
+          _csv("h,term,closed,oracle,rel_err,status", rows))
     return EXIT_NUMERICAL if any(r[-1] == "FAIL" for r in rows) else EXIT_OK
 
 
@@ -173,17 +176,13 @@ def cmd_simulate(args) -> int:
         "cycles": [asdict(c) for c in scan.cycles],
     }
     _emit(args, "cycles.json", json.dumps(doc, indent=2) + "\n")
-    disp = "r,displacement\n" + "\n".join(
-        f"{r!r},{d!r}" for r, d in zip(scan.grid, scan.displacements)) + "\n"
-    path = _out_path(args, "displacement.csv")
-    if path:
-        with open(path, "w") as fh:
-            fh.write(disp)
+    if args.out:  # written to a file only, never to stdout
+        _emit(args, "displacement.csv", _csv("r,displacement", (
+            (repr(r), repr(d)) for r, d in zip(scan.grid, scan.displacements))))
     if args.dump_traj is not None:
         rows = trajectory_rows(sys_, args.dump_traj, config)
-        text = "t,x,y,side\n" + "\n".join(
-            ",".join(repr(v) for v in row) for row in rows) + "\n"
-        _emit(args, "trajectory.csv", text)
+        _emit(args, "trajectory.csv", _csv(
+            "t,x,y,side", ([repr(v) for v in row] for row in rows)))
     return EXIT_OK
 
 
@@ -255,11 +254,10 @@ def cmd_verify(args) -> int:
             pred = exp.m0.eval(h) + lam * exp.m1.eval(h)
             # first-order estimate: allow O(eps) + O(lam^2) slack
             add(f"F@h={h}", est, pred, max(tol, 50 * (eps + lam * lam)))
-    text = "check,value,reference,rel_err,tol,status\n" + "\n".join(
-        f"{c},{_fmt(args, v)},{_fmt(args, r)},{e:.3e},{t:.1e},"
-        f"{'pass' if ok else 'FAIL'}"
-        for c, v, r, e, t, ok in rows) + "\n"
-    _emit(args, "verify.csv", text)
+    _emit(args, "verify.csv", _csv(
+        "check,value,reference,rel_err,tol,status",
+        ((c, _fmt(args, v), _fmt(args, r), f"{e:.3e}", f"{t:.1e}",
+          "pass" if ok else "FAIL") for c, v, r, e, t, ok in rows)))
     bad = [r for r in rows if not r[5]]
     if bad:
         print(f"first failing row: {bad[0][0]}", file=sys.stderr)
@@ -328,45 +326,33 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _parsers(parser):
-    yield parser
-    for sp_action in parser._subparsers._group_actions:
-        yield from sp_action.choices.values()
-
-
-def _all_actions(parser):
-    return {a.dest: a for p in _parsers(parser) for a in p._actions}
-
-
-def _given(argv) -> set:
-    """The dests that argv sets itself: a parse with every default
-    suppressed, so that a flag given its default's value still counts."""
-    parser = build_parser()
-    for p in _parsers(parser):
-        for action in p._actions:
-            action.default = argparse.SUPPRESS
-    return set(vars(parser.parse_args(argv)))
-
-
 def _apply_config(argv):
-    """Config file supplies values for flags that argv leaves out; a null
-    value leaves the default."""
+    """Parse argv with a --config file's values as the defaults of the flags
+    they name, so that a flag on the command line beats the file by
+    argparse's own rule.  A null value leaves the parser default, and a key
+    of another subcommand is not read.  --preset and --system are one
+    input: either one on the command line replaces both of the file's."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.config:
-        with open(args.config) as fh:
-            defaults = json.load(fh)
-        if not isinstance(defaults, dict):
-            raise ValueError("config file must hold a JSON object")
-        actions = _all_actions(parser)
-        bad = set(defaults) - set(actions)
-        if bad:
-            raise ValueError(f"unknown config keys: {sorted(bad)}")
-        given = _given(argv)
-        for key, val in defaults.items():
-            if val is not None and hasattr(args, key) and key not in given:
-                setattr(args, key, _config_value(actions[key], val))
-    return args
+    if not args.config:
+        return args
+    with open(args.config) as fh:
+        config = json.load(fh)
+    if not isinstance(config, dict):
+        raise ValueError("config file must hold a JSON object")
+    commands = parser._subparsers._group_actions[0].choices
+    bad = set(config) - {a.dest for p in (parser, *commands.values())
+                         for a in p._actions}
+    if bad:
+        raise ValueError(f"unknown config keys: {sorted(bad)}")
+    if any(getattr(args, key, None) is not None
+           for key in ("preset", "system")):
+        config.pop("preset", None)
+        config.pop("system", None)
+    for action in parser._actions + commands[args.command]._actions:
+        if action.option_strings and config.get(action.dest) is not None:
+            action.default = _config_value(action, config[action.dest])
+    return parser.parse_args(argv)
 
 
 def _config_value(action, val):
@@ -388,13 +374,9 @@ def _config_value(action, val):
 def main(argv=None) -> int:
     try:
         args = _apply_config(sys.argv[1:] if argv is None else argv)
-    # json.JSONDecodeError is a ValueError
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    try:
         return args.func(args)
-    # errors.InvalidInput is a ValueError: every input error exits 2
+    # errors.InvalidInput and json.JSONDecodeError are ValueErrors: every
+    # input error exits 2
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

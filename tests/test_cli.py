@@ -328,6 +328,52 @@ def test_config_flag_beats_config_file(tmp_path, outdir):
         assert [row["h"] for row in doc["grid"]] == grid
 
 
+@pytest.fixture
+def example2_doc(tmp_path):
+    path = tmp_path / "example2.json"
+    path.write_text(load_preset("example2").dumps())
+    return str(path)
+
+
+@pytest.mark.parametrize("key, typed, case", [
+    ("preset", "system", "X"), ("system", "preset", "Y"), ("system", None, "X"),
+], ids=["typed-system", "typed-preset", "config-system"])
+def test_config_preset_and_system_are_one_input(tmp_path, outdir,
+                                                example2_doc, key, typed,
+                                                case):
+    """--preset or --system on the command line replaces both config keys:
+    the system comes from the flag typed.  example1 is switch-on-y and
+    example2 switch-on-x."""
+    values = {"preset": "example1", "system": example2_doc}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: values[key]}))
+    flags = [] if typed is None else [f"--{typed}", values[typed]]
+    rc = main(["--config", str(cfg), "--out", str(outdir), "melnikov"]
+              + flags)
+    assert rc == EXIT_OK
+    assert read_json(outdir / "melnikov.json")["case"] == case
+
+
+@pytest.mark.parametrize("config", [False, True], ids=["typed", "config"])
+def test_preset_and_system_together_exit_2(tmp_path, capsys, example2_doc,
+                                           config):
+    """--preset and --system both set, typed or in the config file, are an
+    input error that names both flags."""
+    both = {"preset": "example1", "system": example2_doc}
+    if config:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(both))
+        argv = ["--config", str(cfg), "melnikov"]
+    else:
+        argv = ["melnikov", "--preset", both["preset"], "--system",
+                both["system"]]
+    assert main(argv) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.err == \
+        "error: give one of --preset/--system, not both\n"
+    assert captured.out == ""
+
+
 def test_config_unknown_key(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"no_such_flag": 1}))
@@ -355,8 +401,13 @@ def test_config_not_an_object(tmp_path, capsys, text):
      [0.5, 1.0, 2.0, 3.0]),
     ({"r_range": "1:2:3"}, ["simulate", "--preset", "example1"],
      EXIT_VALIDATION, None),
+    # a key of another subcommand is not read, nor is the subcommand's name
+    ({"which": "M2"}, ["melnikov", "--preset", "example1"], EXIT_OK,
+     [0.5, 1.0, 2.0, 3.0]),
+    ({"command": "roots"}, ["melnikov", "--preset", "example1"], EXIT_OK,
+     [0.5, 1.0, 2.0, 3.0]),
 ], ids=["grid-type", "h_grid-text", "which-choices", "null-keeps-default",
-        "r_range-form"])
+        "r_range-form", "other-subcommand", "command"])
 def test_config_values_parsed_like_flags(tmp_path, outdir, capsys, config,
                                          argv, expected, grid):
     """Config values get the flag's type and choices, as on the command line."""
@@ -494,11 +545,12 @@ def test_dump_traj_outside_the_annulus_runs_no_scan(monkeypatch, capsys, r):
 
 
 @pytest.mark.parametrize("command", ["oracle", "verify"])
-@pytest.mark.parametrize("value", ["nan", "inf", "-1e-8"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-1e-8", "abc"])
 def test_rel_tol_must_be_finite_and_non_negative(monkeypatch, capsys,
                                                  command, value):
     """A NaN or negative tolerance would fail every row and an infinite one
-    pass every row; each is an input error instead."""
+    pass every row; each, and a value that is not a number, is an input
+    error instead."""
     monkeypatch.setenv("PWLIENARD_REL_TOL", value)
     assert main([command, "--preset", "example1", "--h-grid", "1"]) \
         == EXIT_VALIDATION

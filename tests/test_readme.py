@@ -1,9 +1,13 @@
-"""The README's library quickstart runs as written."""
+"""The README's library quickstart runs as written, and its command lines
+parse."""
 
 import re
+import shlex
 from pathlib import Path
 
 import pytest
+
+from pwlienard import cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -22,3 +26,15 @@ def test_library_quickstart_runs():
         r"The scan takes (\d+) of its budget\s+of (\d+) returns", text)
     assert int(stated.group(1)) == len(scope["scan"].grid)
     assert f"find_cycles(designed, (1.0, 3.4), {stated.group(2)}," in block
+
+
+def test_command_lines_parse():
+    """Each ``pwlienard`` line of the "Command line" block is accepted by the
+    CLI's parser; nothing runs."""
+    block = re.search(r"^## Command line\n.*?^```sh\n(.*?)^```",
+                      README.read_text(), re.S | re.M).group(1)
+    lines = [shlex.split(line) for line in block.splitlines()
+             if line.startswith("pwlienard ")]
+    assert len(lines) == 6
+    for argv in lines:
+        cli.build_parser().parse_args(argv[1:])

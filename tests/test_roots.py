@@ -143,6 +143,19 @@ def test_odd_remainder_keeps_its_suspect(monkeypatch):
     assert any(abs(r.mid - 6.76) < 1e-9 for r in report.suspected)
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 23: the float signs of Q next to a double root are "
+    "rounding noise, and the isolator certifies their changes: one simple "
+    "root at h = 6.76 for (s - 13/5)^2, two around h = 2 for (s^2 - 2)^2"))
+def test_double_root_is_not_a_certified_sign_change():
+    """Q does not change sign at a double root, so no isolated root of
+    (s - 13/5)^2 or (s^2 - 2)^2 is a certified simple sign change."""
+    for mapping in ({0: Fraction(169, 25), 1: Fraction(-26, 5), 2: 1},
+                    {0: 4, 2: -4, 4: 1}):
+        report = isolate_positive_roots(int_poly(mapping))
+        assert all(r.certificate != CERT_SIMPLE for r in report.h_roots)
+
+
 DESIGN_SHAPES = {
     Case.SWITCH_Y: ((3, 3), (4, 3), (5, 5), (6, 5), (7, 7)),
     Case.SWITCH_X: ((3, 1), (4, 2), (5, 1), (5, 2), (6, 1), (7, 1)),
