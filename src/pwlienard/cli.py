@@ -71,6 +71,18 @@ def _r_range(text: str):
     return lo, hi
 
 
+def _precision(text: str) -> int:
+    """``--precision`` digits, an integer from 0."""
+    try:
+        digits = int(text)
+    except ValueError:
+        digits = -1
+    if digits < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer from 0, got {text!r}")
+    return digits
+
+
 def _rel_err(value: float, reference: float) -> float:
     """The error of ``value`` relative to 1 + |reference|."""
     return abs(value - reference) / (1.0 + abs(reference))
@@ -271,10 +283,11 @@ def cmd_verify(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="pwlienard",
-        description="Melnikov expansions for piecewise Lienard systems")
-    p.add_argument("--config", help="JSON file with default argument values")
+        description="Melnikov expansions for piecewise Lienard systems",
+        epilog="@FILE stands for FILE's lines, one argument per line",
+        fromfile_prefix_chars="@")
     p.add_argument("--out", help="output directory (default: stdout)")
-    p.add_argument("--precision", type=int, default=17,
+    p.add_argument("--precision", type=_precision, default=17,
                    help="significant digits in numeric output")
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -326,54 +339,9 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _apply_config(argv):
-    """Parse argv with a --config file's values as the defaults of the flags
-    they name, so that a flag on the command line beats the file by
-    argparse's own rule.  A null value leaves the parser default, and a key
-    of another subcommand is not read.  --preset and --system are one
-    input: either one on the command line replaces both of the file's."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if not args.config:
-        return args
-    with open(args.config) as fh:
-        config = json.load(fh)
-    if not isinstance(config, dict):
-        raise ValueError("config file must hold a JSON object")
-    commands = parser._subparsers._group_actions[0].choices
-    bad = set(config) - {a.dest for p in (parser, *commands.values())
-                         for a in p._actions}
-    if bad:
-        raise ValueError(f"unknown config keys: {sorted(bad)}")
-    if any(getattr(args, key, None) is not None
-           for key in ("preset", "system")):
-        config.pop("preset", None)
-        config.pop("system", None)
-    for action in parser._actions + commands[args.command]._actions:
-        if action.option_strings and config.get(action.dest) is not None:
-            action.default = _config_value(action, config[action.dest])
-    return parser.parse_args(argv)
-
-
-def _config_value(action, val):
-    """A config value converted and checked as argparse treats the same text
-    after the flag; a flag that takes no text needs a JSON boolean."""
-    if action.nargs == 0:
-        if not isinstance(val, bool):
-            raise ValueError(f"config key {action.dest}: expected true or false")
-        return val
-    try:
-        value = (action.type or str)(str(val))
-    except (TypeError, ValueError, argparse.ArgumentTypeError):
-        raise ValueError(f"config key {action.dest}: invalid value {val!r}") from None
-    if action.choices is not None and value not in action.choices:
-        raise ValueError(f"config key {action.dest}: invalid choice {value!r}")
-    return value
-
-
 def main(argv=None) -> int:
     try:
-        args = _apply_config(sys.argv[1:] if argv is None else argv)
+        args = build_parser().parse_args(argv)
         return args.func(args)
     # errors.InvalidInput and json.JSONDecodeError are ValueErrors: every
     # input error exits 2

@@ -1,4 +1,4 @@
-"""Command-line interface: subcommands, exit codes, config handling."""
+"""Command-line interface: subcommands, exit codes, argument files."""
 
 import hashlib
 import json
@@ -24,6 +24,14 @@ def read_json(path):
 @pytest.fixture
 def outdir(tmp_path):
     return tmp_path / "out"
+
+
+def args_file(tmp_path, *lines):
+    """An argument file holding ``lines``, one argument each, as the
+    ``@FILE`` word that stands for them."""
+    path = tmp_path / "flags.args"
+    path.write_text("".join(line + "\n" for line in lines))
+    return f"@{path}"
 
 
 def test_import_loads_neither_numpy_nor_scipy():
@@ -195,16 +203,13 @@ def test_partial_param_override_keeps_file_value(tmp_path, partial, full):
 
 
 def test_config_r_range_parsed_like_the_flag(tmp_path):
-    """A config file's r_range sets the scan as --r-range does."""
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"r_range": "1.5:2.5"}))
+    """An argument file's --r-range sets the scan as the typed flag does."""
     texts = []
-    for head, flags in ((["--config", str(cfg)], []),
-                        ([], ["--r-range", "1.5:2.5"])):
-        out = tmp_path / ("config" if head else "flag")
-        rc = main(head + ["--out", str(out), "simulate", "--preset",
-                          "example1", "--lam", "0.02", "--eps", "4e-4",
-                          "--grid", "2"] + flags)
+    for flags in ([args_file(tmp_path, "--r-range=1.5:2.5")],
+                  ["--r-range", "1.5:2.5"]):
+        out = tmp_path / ("file" if flags[0].startswith("@") else "typed")
+        rc = main(["--out", str(out), "simulate", "--preset", "example1",
+                   "--lam", "0.02", "--eps", "4e-4", "--grid", "2"] + flags)
         assert rc == EXIT_OK
         texts.append((out / "displacement.csv").read_text())
     assert texts[0] == texts[1]
@@ -220,6 +225,18 @@ def test_simulate_trajectory_dump(outdir):
     assert rows[0] == "t,x,y,side"
     assert len(rows) >= 3
 
+
+
+def test_simulate_trajectory_dump_switch_on_x(outdir):
+    """A switch-on-x return starts on the y-axis: its first row is
+    (t, x, y) = (0, 0, R), on the side opposite its first crossing."""
+    rc = main(["--out", str(outdir), "simulate", "--preset", "example2",
+               "--lam", "0.02", "--eps", "4e-4", "--r-range", "1:3",
+               "--grid", "12", "--dump-traj", "1.5"])
+    assert rc == EXIT_OK
+    rows = (outdir / "trajectory.csv").read_text().splitlines()
+    assert rows[:2] == ["t,x,y,side", "0.0,0.0,1.5,1.0"]
+    assert len(rows) >= 3
 
 def test_verify_pass(outdir):
     rc = main(["--out", str(outdir), "verify", "--preset", "example1",
@@ -307,25 +324,52 @@ def test_verify_with_sim_uses_system_params(tmp_path):
 
 
 def test_config_file_defaults(tmp_path, outdir):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"h_grid": "1,4", "preset": "example1"}))
-    rc = main(["--config", str(cfg), "--out", str(outdir), "melnikov"])
+    """The flags of an argument file are read as if typed where it stands."""
+    rc = main(["--out", str(outdir), "melnikov",
+               args_file(tmp_path, "--h-grid=1,4", "--preset=example1")])
     assert rc == EXIT_OK
     doc = read_json(outdir / "melnikov.json")
     assert [row["h"] for row in doc["grid"]] == [1.0, 4.0]
 
 
+def test_required_flags_from_a_file(tmp_path, outdir):
+    """design's required flags may come from an argument file: it writes the
+    design.json of the same flags typed.  The file holds both spellings of
+    a flag with its value."""
+    texts = []
+    for flags in ([args_file(tmp_path, "--case=X", "--m", "3", "--n=3",
+                             "--targets=1,2")],
+                  ["--case", "X", "--m", "3", "--n", "3", "--targets", "1,2"]):
+        out = outdir / ("file" if flags[0].startswith("@") else "typed")
+        assert main(["--out", str(out), "design"] + flags) == EXIT_OK
+        texts.append((out / "design.json").read_text())
+    assert texts[0] == texts[1]
+
+
 def test_config_flag_beats_config_file(tmp_path, outdir):
-    """A flag on the command line wins, also where its value is the
-    parser default."""
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"h_grid": "1,4", "preset": "example1"}))
+    """A flag typed after the argument file wins, also where its value is
+    the parser default."""
+    flags = args_file(tmp_path, "--h-grid=1,4")
     for text, grid in (("9", [9.0]), ("0.5,1,2,3", [0.5, 1.0, 2.0, 3.0])):
-        rc = main(["--config", str(cfg), "--out", str(outdir), "melnikov",
-                   "--h-grid", text])
+        rc = main(["--out", str(outdir), "melnikov", "--preset", "example1",
+                   flags, "--h-grid", text])
         assert rc == EXIT_OK
         doc = read_json(outdir / "melnikov.json")
         assert [row["h"] for row in doc["grid"]] == grid
+
+
+def test_root_flags_from_a_file_before_the_subcommand(tmp_path, outdir):
+    """A file before the subcommand holds the root flags: its --precision
+    sets oracle's digits as the typed flag does."""
+    texts = []
+    for head in ([args_file(tmp_path, "--precision=3")], ["--precision", "3"]):
+        out = outdir / ("file" if head[0].startswith("@") else "typed")
+        rc = main(["--out", str(out)] + head
+                  + ["oracle", "--preset", "example2", "--h-grid", "2"])
+        assert rc == EXIT_OK
+        texts.append((out / "oracle.csv").read_text())
+    assert texts[0] == texts[1]
+    assert texts[0].splitlines()[2].split(",")[2] == "1.18e+04"
 
 
 @pytest.fixture
@@ -336,37 +380,38 @@ def example2_doc(tmp_path):
 
 
 @pytest.mark.parametrize("key, typed, case", [
-    ("preset", "system", "X"), ("system", "preset", "Y"), ("system", None, "X"),
+    ("preset", "system", None), ("system", "preset", None),
+    ("system", None, "X"),
 ], ids=["typed-system", "typed-preset", "config-system"])
-def test_config_preset_and_system_are_one_input(tmp_path, outdir,
+def test_config_preset_and_system_are_one_input(tmp_path, outdir, capsys,
                                                 example2_doc, key, typed,
                                                 case):
-    """--preset or --system on the command line replaces both config keys:
-    the system comes from the flag typed.  example1 is switch-on-y and
-    example2 switch-on-x."""
+    """--preset and --system are one input wherever they come from: a file's
+    --system is used, and one of them in the file with the other typed
+    exits 2.  example1 is switch-on-y and example2 switch-on-x."""
     values = {"preset": "example1", "system": example2_doc}
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({key: values[key]}))
     flags = [] if typed is None else [f"--{typed}", values[typed]]
-    rc = main(["--config", str(cfg), "--out", str(outdir), "melnikov"]
-              + flags)
-    assert rc == EXIT_OK
-    assert read_json(outdir / "melnikov.json")["case"] == case
+    rc = main(["--out", str(outdir), "melnikov",
+               args_file(tmp_path, f"--{key}={values[key]}")] + flags)
+    if case is None:
+        assert rc == EXIT_VALIDATION
+        assert capsys.readouterr().err == \
+            "error: give one of --preset/--system, not both\n"
+    else:
+        assert rc == EXIT_OK
+        assert read_json(outdir / "melnikov.json")["case"] == case
 
 
 @pytest.mark.parametrize("config", [False, True], ids=["typed", "config"])
 def test_preset_and_system_together_exit_2(tmp_path, capsys, example2_doc,
                                            config):
-    """--preset and --system both set, typed or in the config file, are an
+    """--preset and --system both set, typed or in an argument file, are an
     input error that names both flags."""
-    both = {"preset": "example1", "system": example2_doc}
+    both = ["--preset", "example1", "--system", example2_doc]
     if config:
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(both))
-        argv = ["--config", str(cfg), "melnikov"]
+        argv = ["melnikov", args_file(tmp_path, *both)]
     else:
-        argv = ["melnikov", "--preset", both["preset"], "--system",
-                both["system"]]
+        argv = ["melnikov"] + both
     assert main(argv) == EXIT_VALIDATION
     captured = capsys.readouterr()
     assert captured.err == \
@@ -374,52 +419,112 @@ def test_preset_and_system_together_exit_2(tmp_path, capsys, example2_doc,
     assert captured.out == ""
 
 
-def test_config_unknown_key(tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"no_such_flag": 1}))
-    rc = main(["--config", str(cfg), "melnikov", "--preset", "example1"])
-    assert rc == EXIT_VALIDATION
+def exits_2(argv, capsys):
+    """argparse's own exit: status 2, the usage, then the error line,
+    which is returned."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("usage:")
+    return err.splitlines()[-1]
 
 
-@pytest.mark.parametrize("text", ['["precision"]', "3"],
-                         ids=["list", "number"])
+def test_config_unknown_key(tmp_path, capsys):
+    """A flag that the subcommand does not have exits 2, from a file too."""
+    err = exits_2(["melnikov", "--preset", "example1",
+                   args_file(tmp_path, "--no-such-flag=1")], capsys)
+    assert err.endswith("unrecognized arguments: --no-such-flag=1")
+
+
+@pytest.mark.parametrize("text", ['["precision"]', "3", '{"h_grid": "1,4"}'],
+                         ids=["list", "number", "object"])
 def test_config_not_an_object(tmp_path, capsys, text):
+    """An argument file is not read as JSON: a JSON document is one stray
+    argument, and argparse exits 2."""
     cfg = tmp_path / "cfg.json"
     cfg.write_text(text)
-    rc = main(["--config", str(cfg), "melnikov", "--preset", "example1"])
-    assert rc == EXIT_VALIDATION
-    assert capsys.readouterr().err.startswith("error:")
+    err = exits_2(["melnikov", "--preset", "example1", f"@{cfg}"], capsys)
+    assert err.endswith(f"unrecognized arguments: {text}")
 
 
-@pytest.mark.parametrize("config, argv, expected, grid", [
-    ({"grid": "abc"}, ["simulate", "--preset", "example1"], EXIT_VALIDATION,
-     None),
-    ({"h_grid": 5}, ["melnikov", "--preset", "example1"], EXIT_OK, [5.0]),
-    ({"which": "M7"}, ["roots", "--preset", "example1"], EXIT_VALIDATION,
-     None),
-    ({"h_grid": None}, ["melnikov", "--preset", "example1"], EXIT_OK,
-     [0.5, 1.0, 2.0, 3.0]),
-    ({"r_range": "1:2:3"}, ["simulate", "--preset", "example1"],
-     EXIT_VALIDATION, None),
-    # a key of another subcommand is not read, nor is the subcommand's name
-    ({"which": "M2"}, ["melnikov", "--preset", "example1"], EXIT_OK,
-     [0.5, 1.0, 2.0, 3.0]),
-    ({"command": "roots"}, ["melnikov", "--preset", "example1"], EXIT_OK,
-     [0.5, 1.0, 2.0, 3.0]),
-], ids=["grid-type", "h_grid-text", "which-choices", "null-keeps-default",
+def test_config_flag_is_gone(capsys):
+    """--config is not a flag: its file path is taken for the subcommand."""
+    err = exits_2(["--config", "x.json", "melnikov"], capsys)
+    assert "argument command: invalid choice: 'x.json'" in err
+
+
+def test_at_argument_names_a_file(tmp_path, outdir, capsys, example2_doc,
+                                  monkeypatch):
+    """A word that begins with @ names an argument file, and exits 2 where
+    that file is missing; a path that begins with @ is written ./@name."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "@sys.json").write_text(Path(example2_doc).read_text())
+    err = exits_2(["melnikov", "--system", "@sys.json"], capsys)
+    assert "No such file or directory: 'sys.json'" in err
+    assert exits_2(["melnikov", "@missing.args"], capsys) \
+        .endswith("No such file or directory: 'missing.args'")
+    rc = main(["--out", str(outdir), "melnikov", "--system", "./@sys.json"])
+    assert rc == EXIT_OK
+    assert read_json(outdir / "melnikov.json")["case"] == "X"
+
+
+@pytest.mark.parametrize("lines, argv, expected", [
+    (["--grid=abc"], ["simulate", "--preset", "example1", "@"],
+     "argument --grid: invalid int value: 'abc'"),
+    (["--h-grid=5"], ["melnikov", "--preset", "example1", "@"], [5.0]),
+    (["--which=M7"], ["roots", "--preset", "example1", "@"],
+     "argument --which: invalid choice: 'M7'"),
+    ([], ["melnikov", "--preset", "example1", "@"], [0.5, 1.0, 2.0, 3.0]),
+    (["--r-range=1:2:3"], ["simulate", "--preset", "example1", "@"],
+     "argument --r-range: expected lo:hi"),
+    # a flag of another subcommand is parsed where the file stands
+    (["--which=M2"], ["melnikov", "--preset", "example1", "@"],
+     "unrecognized arguments: --which=M2"),
+    # the file may hold the subcommand itself
+    (["melnikov", "--preset=example1"], ["@"], [0.5, 1.0, 2.0, 3.0]),
+], ids=["grid-type", "h_grid-text", "which-choices", "empty-file",
         "r_range-form", "other-subcommand", "command"])
-def test_config_values_parsed_like_flags(tmp_path, outdir, capsys, config,
-                                         argv, expected, grid):
-    """Config values get the flag's type and choices, as on the command line."""
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(config))
-    rc = main(["--config", str(cfg), "--out", str(outdir)] + argv)
-    assert rc == expected
-    if expected == EXIT_VALIDATION:
-        assert capsys.readouterr().err.startswith("error:")
-    else:
-        doc = read_json(outdir / "melnikov.json")
-        assert [row["h"] for row in doc["grid"]] == grid
+def test_config_values_parsed_like_flags(tmp_path, outdir, capsys, lines,
+                                         argv, expected):
+    """A file's words take the place of the @FILE word in argv.  A value
+    that argparse rejects exits 2 with the error line of the same text
+    typed, which names the flag; ``expected`` is a part of that line, or
+    the melnikov grid."""
+    from_file = [args_file(tmp_path, *lines) if arg == "@" else arg
+                 for arg in argv]
+    if isinstance(expected, str):
+        typed = [word for arg in argv
+                 for word in (lines if arg == "@" else [arg])]
+        assert expected in exits_2(from_file, capsys)
+        assert expected in exits_2(typed, capsys)
+        return
+    assert main(["--out", str(outdir)] + from_file) == EXIT_OK
+    doc = read_json(outdir / "melnikov.json")
+    assert [row["h"] for row in doc["grid"]] == expected
+
+
+@pytest.mark.parametrize("command, in_file", [
+    ("oracle", False), ("melnikov", False), ("oracle", True),
+], ids=["oracle", "melnikov", "file"])
+def test_negative_precision_is_named(tmp_path, capsys, command, in_file):
+    """--precision is an integer from 0 for every subcommand; a negative
+    value exits 2 with an error line that names the flag and the value."""
+    flags = ["--precision", "-1"]
+    if in_file:
+        flags = [args_file(tmp_path, *flags)]
+    err = exits_2(flags + [command, "--preset", "example1", "--h-grid",
+                           "0.5"], capsys)
+    assert err.endswith(
+        "error: argument --precision: expected an integer from 0, got '-1'")
+
+
+def test_zero_precision_is_valid(outdir):
+    """0 digits stays valid; the g format prints one."""
+    assert main(["--out", str(outdir), "--precision", "0", "oracle",
+                 "--preset", "example1", "--h-grid", "0.5"]) == EXIT_OK
+    rows = (outdir / "oracle.csv").read_text().splitlines()
+    assert rows[1].startswith("0.5,M0,")
 
 
 @pytest.mark.parametrize("preset", ["remark-smooth-cubic", "remark-eqMM"])

@@ -9,6 +9,7 @@ from pwlienard import (Case, InfeasibleShape, NoConvergence, SimConfig,
                        TooManyTargets, design_case_x, design_case_y, expand,
                        find_cycles, isolate_positive_roots, load_preset,
                        verify_design)
+from pwlienard import design
 from pwlienard.design import _odd_jacobian
 from pwlienard.melnikov import (_a_hat_factor, _c_weight_factor,
                                 _time_weight_factor, _x_odd_block)
@@ -115,6 +116,15 @@ class TestCaseX:
         # two float targets with one square root cannot be two simple zeros
         with pytest.raises(NoConvergence):
             design_case_x([2.0, math.nextafter(2.0, 3.0)], 3, 3)
+
+    def test_newton_budget_exhausted(self, monkeypatch):
+        """With one Newton iteration per start, the odd block gives up after
+        its 8 starts and reports the best residual it reached."""
+        monkeypatch.setattr(design, "NEWTON_MAX_ITER", 1)
+        with pytest.raises(NoConvergence,
+                           match="after 1 iterations x 8 starts") as exc:
+            design_case_x([1.0, 3.0], 3, 3)
+        assert exc.value.best_residual == pytest.approx(0.297, abs=1e-3)
 
     def test_exact_when_no_time_weight_block(self):
         # n = 0 keeps the odd block linear, so residuals are at rounding level

@@ -141,6 +141,14 @@ class TestVanishing:
         exp = expand(sys_, project_odd=True)
         assert exp.m1.is_zero()
 
+    def test_even_g0_rejected_without_projection(self):
+        """A switch-on-y M1 needs g0 odd as well: with f0 odd, an even g0
+        is named."""
+        sys_ = LienardSystem.build(Case.SWITCH_Y, 1, 1, a0=[0, 1], b0=[1, 0])
+        assert sys_.f0_is_odd()
+        with pytest.raises(OddnessViolated, match="g0"):
+            expand(sys_)
+
     def test_wrong_case_rejected(self):
         with pytest.raises(WrongCase):
             case_y_m0(load_preset("example2"))

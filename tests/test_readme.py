@@ -28,13 +28,23 @@ def test_library_quickstart_runs():
     assert f"find_cycles(designed, (1.0, 3.4), {stated.group(2)}," in block
 
 
-def test_command_lines_parse():
+def test_command_lines_parse(tmp_path, monkeypatch):
     """Each ``pwlienard`` line of the "Command line" block is accepted by the
-    CLI's parser; nothing runs."""
-    block = re.search(r"^## Command line\n.*?^```sh\n(.*?)^```",
-                      README.read_text(), re.S | re.M).group(1)
+    CLI's parser, with the argument file shown after it written to the
+    working directory; nothing runs.  That file's line parses as the typed
+    ``design`` line does."""
+    section = re.search(r"^## Command line\n(.*?)^## ", README.read_text(),
+                        re.S | re.M).group(1)
+    block, args_name, args_text = re.search(
+        r"^```sh\n(.*?)^```.*?`(\S+\.args)` holds.*?^```text\n(.*?)^```",
+        section, re.S | re.M).groups()
+    (tmp_path / args_name).write_text(args_text)
+    monkeypatch.chdir(tmp_path)
     lines = [shlex.split(line) for line in block.splitlines()
              if line.startswith("pwlienard ")]
-    assert len(lines) == 6
+    assert len(lines) == 7
+    parsed = {}
     for argv in lines:
-        cli.build_parser().parse_args(argv[1:])
+        parsed[" ".join(argv)] = vars(cli.build_parser().parse_args(argv[1:]))
+    from_file = parsed.pop(f"pwlienard design @{args_name}")
+    assert from_file in parsed.values()

@@ -74,6 +74,14 @@ def test_top_coefficient_out_of_float_range(top):
         isolate_positive_roots(int_poly({0: -1, 2: top}))
 
 
+def test_infinite_cauchy_bound():
+    """10^10 + 10^-300 h: both coefficients are floats, but the ratio that
+    bounds the roots overflows, a loss of precision too."""
+    with pytest.raises(PrecisionLoss, match="lost all significant digits"):
+        isolate_positive_roots(int_poly({0: 10 ** 10,
+                                         2: Fraction(1, 10 ** 300)}))
+
+
 def test_origin_root_not_reported():
     # h^(1/2) * (h - 1): the factored s power must not yield a root at 0
     poly = int_poly({1: -1, 3: 1})

@@ -14,8 +14,8 @@ import pytest
 
 from pwlienard import (Case, EscapeAnnulus, LienardSystem, RingElem, SimConfig,
                        MaxStepsExceeded, NonTransversalCrossing, PwLienardError,
-                       advance_to_section, displacement, expand, find_cycles,
-                       load_preset)
+                       advance_to_section, design_case_y, displacement, expand,
+                       find_cycles, load_preset)
 from pwlienard.melnikov import case_x_i2, case_x_i3, case_x_i_poly
 from pwlienard import _kernel_py, roots, simulator
 from pwlienard.algebra import poly_antideriv, polyval
@@ -1181,6 +1181,24 @@ class TestCycleDetection:
             assert len(scan.cycles) == 1
             assert abs(scan.cycles[0].h_star - 1.0) <= 1e-4
 
+
+    def test_failed_polish_return_keeps_the_proxy_root(self, monkeypatch):
+        """A polish return that raises leaves each cycle at its proxy root,
+        with a NaN residual and no Newton step.  The design is the README
+        quickstart's, whose polished h* are about 1.000003 and 3.999984."""
+        def escape(*args, **kwargs):
+            raise EscapeAnnulus("the polish return left the annulus")
+
+        designed = design_case_y([1.0, 4.0], 3, 3)
+        monkeypatch.setattr(simulator, "displacement", escape)
+        scan = find_cycles(designed, (1.0, 3.4), 60,
+                           SimConfig(lam=0.02, eps=4e-4))
+        assert [c.h_star for c in scan.cycles] == pytest.approx(
+            [0.99999534, 4.0000027], abs=5e-8)
+        for c in scan.cycles:
+            assert math.isnan(c.residual)
+            assert c.h_star == 0.5 * c.radius * c.radius
+            assert not math.isnan(c.stability_slope)
 
     @pytest.mark.parametrize("targets", [("2.0", "2.1"), ("1.0", "1.1")])
     @pytest.mark.parametrize("case", [Case.SWITCH_Y, Case.SWITCH_X])
