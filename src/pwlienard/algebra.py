@@ -354,7 +354,7 @@ class HalfPowerPoly:
     def __repr__(self):
         if not self.coeffs:
             return "HalfPowerPoly(0)"
-        parts = [f"({self.coeffs[k]!r})*h^{k}/2" for k in sorted(self.coeffs)]
+        parts = [f"({c!r})*h^({k}/2)" for k, c in sorted(self.coeffs.items())]
         return "HalfPowerPoly(" + " + ".join(parts) + ")"
 
 

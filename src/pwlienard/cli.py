@@ -57,8 +57,18 @@ def _load_system(args) -> LienardSystem:
     return sys_
 
 
-def _float_list(text: str):
-    return [float(v) for v in text.split(",") if v.strip()]
+def _numbers(least: int):
+    """The argparse type of comma-separated numbers, at least ``least``."""
+    def parse(text: str) -> list:
+        try:
+            values = [float(v) for v in text.split(",") if v.strip()]
+        except ValueError:
+            values = None
+        if values is None or len(values) < least:
+            raise argparse.ArgumentTypeError(
+                f"expected comma-separated numbers, got {text!r}")
+        return values
+    return parse
 
 
 def _r_range(text: str):
@@ -71,16 +81,18 @@ def _r_range(text: str):
     return lo, hi
 
 
-def _precision(text: str) -> int:
-    """``--precision`` digits, an integer from 0."""
-    try:
-        digits = int(text)
-    except ValueError:
-        digits = -1
-    if digits < 0:
-        raise argparse.ArgumentTypeError(
-            f"expected an integer from 0, got {text!r}")
-    return digits
+def _int_from(lo: int):
+    """The argparse type of an integer from ``lo``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = lo - 1
+        if value < lo:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer from {lo}, got {text!r}")
+        return value
+    return parse
 
 
 def _rel_err(value: float, reference: float) -> float:
@@ -112,7 +124,6 @@ def _fmt(args, v: float) -> str:
 def cmd_melnikov(args) -> int:
     sys_ = _load_system(args)
     exp = melnikov.expand(sys_, project_odd=args.project_odd)
-    grid = _float_list(args.h_grid)
     report = {
         "case": sys_.case.value,
         "m": sys_.m,
@@ -124,7 +135,8 @@ def cmd_melnikov(args) -> int:
             "M1": melnikov.zero_bound(sys_.case, sys_.m, sys_.n, "M1"),
         },
         "grid": [
-            {"h": h, "M0": exp.m0.eval(h), "M1": exp.m1.eval(h)} for h in grid
+            {"h": h, "M0": exp.m0.eval(h), "M1": exp.m1.eval(h)}
+            for h in args.h_grid
         ],
     }
     _emit(args, "melnikov.json", json.dumps(report, indent=2) + "\n")
@@ -156,7 +168,7 @@ def cmd_oracle(args) -> int:
     exp = melnikov.expand(sys_, project_odd=True)
     tol = _rel_tol()
     rows = []
-    for h in _float_list(args.h_grid):
+    for h in args.h_grid:
         # closed forms first: at an h too large they name the term
         m0, m1 = exp.m0.eval(h), exp.m1.eval(h)
         pairs = [
@@ -209,25 +221,23 @@ def trajectory_rows(sys_, r, config):
 
 
 def cmd_design(args) -> int:
-    targets = _float_list(args.targets) if args.targets else []
     case = Case(args.case)
     if case is Case.SWITCH_Y:
-        sys_ = design_case_y(targets, args.m, args.n)
+        sys_ = design_case_y(args.targets, args.m, args.n)
     else:
-        sys_ = design_case_x(targets, args.m, args.n)
-    ok, residuals, m1 = verify_design(sys_, targets)
+        sys_ = design_case_x(args.targets, args.m, args.n)
+    ok, residuals, m1 = verify_design(sys_, args.targets)
     report = roots.isolate_positive_roots(m1, case, args.m, args.n) \
         if not m1.is_zero() else None
     doc = {
         "system": sys_.to_json(),
         "M1": m1.to_json(),
-        "targets": targets,
+        "targets": args.targets,
         "residuals": residuals,
         "verified": ok,
         "roots": None if report is None else {
             "certified_count": report.certified_count(),
-            "h_roots": [{"lo": r.lo, "hi": r.hi, "mid": r.mid}
-                        for r in report.h_roots],
+            "h_roots": [asdict(r) for r in report.h_roots],
         },
     }
     _emit(args, "design.json", json.dumps(doc, indent=2) + "\n")
@@ -246,7 +256,7 @@ def cmd_verify(args) -> int:
         rows.append((check, value, reference, err, threshold,
                      err <= threshold))
 
-    for h in _float_list(args.h_grid):
+    for h in args.h_grid:
         m0, m1 = exp.m0.eval(h), exp.m1.eval(h)
         # each integral once: M0 is I_0 and M1 sums the rest, in the order
         # of oracle_m0 and oracle_m1
@@ -287,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
         epilog="@FILE stands for FILE's lines, one argument per line",
         fromfile_prefix_chars="@")
     p.add_argument("--out", help="output directory (default: stdout)")
-    p.add_argument("--precision", type=_precision, default=17,
+    p.add_argument("--precision", type=_int_from(0), default=17,
                    help="significant digits in numeric output")
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -299,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("melnikov", help="closed-form expansion report")
     common(sp)
-    sp.add_argument("--h-grid", default="0.5,1,2,3")
+    sp.add_argument("--h-grid", type=_numbers(1), default="0.5,1,2,3")
     sp.add_argument("--project-odd", action="store_true")
     sp.set_defaults(func=cmd_melnikov)
 
@@ -311,14 +321,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("oracle", help="closed form vs quadrature")
     common(sp)
-    sp.add_argument("--h-grid", default="0.5,1,2,3")
+    sp.add_argument("--h-grid", type=_numbers(1), default="0.5,1,2,3")
     sp.set_defaults(func=cmd_oracle)
 
     sp = sub.add_parser("simulate", help="displacement scan and cycle search")
     common(sp)
     sp.add_argument("--r-range", type=_r_range, default=(1.0, 6.5),
                     metavar="lo:hi")
-    sp.add_argument("--grid", type=int, default=400)
+    sp.add_argument("--grid", type=_int_from(2), default=400)
     sp.add_argument("--rk-tol", type=float, default=1e-10)
     sp.add_argument("--dump-traj", type=float, default=None,
                     metavar="R", help="dump the crossing log from r=R")
@@ -328,12 +338,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--case", choices=["Y", "X"], required=True)
     sp.add_argument("--m", type=int, required=True)
     sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--targets", default="")
+    sp.add_argument("--targets", type=_numbers(0), default="")
     sp.set_defaults(func=cmd_design)
 
     sp = sub.add_parser("verify", help="closed form vs oracle vs simulator")
     common(sp)
-    sp.add_argument("--h-grid", default="0.5,1,2,3")
+    sp.add_argument("--h-grid", type=_numbers(1), default="0.5,1,2,3")
     sp.add_argument("--with-sim", action="store_true")
     sp.set_defaults(func=cmd_verify)
     return p

@@ -1,8 +1,9 @@
 """Inverse design: place the positive zeros of M1 at requested energies.
 
-Every exact coefficient is the inverse of a :mod:`pwlienard.melnikov`
-factor times a target coefficient, and which monomials a shape can carry is
-read from ``melnikov.support``; the designer re-derives no closed form.
+Every exact coefficient is set by ``_place``, which inverts the channel of
+``melnikov.LINEAR_CHANNELS`` that carries its monomial, and which monomials
+a shape can carry is read from ``melnikov.support``; the designer re-derives
+no closed form.
 
 Switch-on-y systems are designed exactly and triangularly.  Only a target
 monomial beyond the ``b1`` channel needs ``c``, through the convolution
@@ -27,10 +28,9 @@ from fractions import Fraction
 
 from .algebra import RingElem
 from .errors import InfeasibleShape, NoConvergence, TooManyTargets
-from .melnikov import (_a_hat_factor, _a_tilde_factor, _b_star_factor,
-                       _b_tilde_factor, _c_star_factor, _c_weight_factor,
-                       _time_weight_factor, _x_odd_block, expand, support,
-                       zero_bound)
+from .melnikov import (LINEAR_CHANNELS, _a_hat_factor, _b_star_factor,
+                       _c_star_factor, _c_weight_factor, _time_weight_factor,
+                       _x_odd_block, expand, support, zero_bound)
 from .systems import Case, LienardSystem
 
 NEWTON_TOL = 1e-9
@@ -63,38 +63,40 @@ def _product_s_poly(s_roots, lowest_power: int):
     return {k + lowest_power: q for k, q in enumerate(coeffs) if q != 0}
 
 
+def _place(vectors, channels, k, q):
+    """Set the coefficient that the first of ``channels`` carrying s^k maps
+    to q h^(k/2), in ``vectors`` by name; return that channel."""
+    for channel in channels:
+        name, first, factor, shift = channel
+        j, odd = divmod(k - shift, 2)
+        if not odd and 0 <= j and first + 2 * j < len(vectors[name]):
+            vectors[name][first + 2 * j] = factor(j).invert_monomial() \
+                * RingElem.rational(q)
+            return channel
+    raise InfeasibleShape(f"no channel carries the monomial s^{k}")
+
+
 def design_case_y(targets, m: int, n: int) -> LienardSystem:
     """Exact system whose M1 vanishes (simply) at each target energy."""
     targets = _check_targets(targets, Case.SWITCH_Y, m, n)
-    half_n = n // 2
-    a1 = [RingElem.zero()] * (m + 1)
-    b0 = [RingElem.zero()] * (n + 1)
-    b1 = [RingElem.zero()] * (n + 1)
-    c = [RingElem.zero()] * (n + 1)
-    if not targets:
-        return LienardSystem.build(Case.SWITCH_Y, m, n, a1=a1, b0=b0, b1=b1, c=c)
-    q_poly = _product_s_poly([math.sqrt(t) for t in targets], 1)
-    outside = sorted(set(q_poly) - support(Case.SWITCH_Y, m, n, "M1"))
-    if outside:
-        raise InfeasibleShape(
-            f"monomial s^{outside[0]} is outside the M1 support of the"
-            f" (m, n) = ({m}, {n}) shape")
-    for k, q in q_poly.items():
-        coeff = RingElem.rational(q)
-        if k % 2 == 0:
-            i = k // 2 - 1  # h^(i+1) channel via a^(1)_{2i}
-            a1[2 * i] = _a_tilde_factor(i, +1).invert_monomial() * coeff
-        else:
-            l = (k - 1) // 2  # h^(l+1/2) channel
-            if l <= half_n:
-                b1[2 * l] = _b_tilde_factor(l).invert_monomial() * coeff
-            else:
-                # convolution channel: b~_l = b*_{l - [n/2]} * c*_{[n/2]},
-                # with c_{2*[n/2]} picked so that c*_{[n/2]} = 1 exactly
-                c[2 * half_n] = _c_star_factor(half_n).invert_monomial()
-                i = l - half_n
-                b0[2 * i + 1] = _b_star_factor(i).invert_monomial() * coeff
-    return LienardSystem.build(Case.SWITCH_Y, m, n, a1=a1, b0=b0, b1=b1, c=c)
+    vectors = {name: [RingElem.zero()] * (1 + (m if name == "a1" else n))
+               for name in ("a1", "b0", "b1", "c")}
+    if targets:
+        q_poly = _product_s_poly([math.sqrt(t) for t in targets], 1)
+        outside = sorted(set(q_poly) - support(Case.SWITCH_Y, m, n, "M1"))
+        if outside:
+            raise InfeasibleShape(
+                f"monomial s^{outside[0]} is outside the M1 support of the"
+                f" (m, n) = ({m}, {n}) shape")
+        # with c_{2*top} picked so that c*_top = 1 exactly and the rest of
+        # c zero, the b*.c* channel of I3 is the b0 channel b*_i h^(i+top+1/2)
+        top = n // 2
+        via_c = ("b0", 1, _b_star_factor, 2 * top + 1)
+        channels = LINEAR_CHANNELS[Case.SWITCH_Y][1] + (via_c,)
+        for k, q in q_poly.items():
+            if _place(vectors, channels, k, q) is via_c:
+                vectors["c"][2 * top] = _c_star_factor(top).invert_monomial()
+    return LienardSystem.build(Case.SWITCH_Y, m, n, **vectors)
 
 
 # -- switch-on-x ---------------------------------------------------------------
@@ -196,23 +198,18 @@ def design_case_x(targets, m: int, n: int) -> LienardSystem:
                   for s in s_roots]
         if all(abs(math.fsum(d)) > 1e-12 * sum(map(abs, d)) for d in slopes):
             break
-    # even exponents: exact linear inversion through a^(1)
+    # exact linear inversion: the even exponents through I1, and for n = 0,
+    # which has no time-weighted block, the odd ones through I3's a^ alone
+    _, i1, _, i3 = LINEAR_CHANNELS[Case.SWITCH_X]
     for e, v in coeff_by_exp.items():
-        if e % 2 == 0:
-            i = e // 2 - 1
-            a1[2 * i] = _a_tilde_factor(i, -1).invert_monomial() \
-                * RingElem.rational(v)
+        if e % 2 == 0 or n == 0:
+            _place({"a0": a0, "a1": a1}, i1 + i3, e, v)
+    if n == 0:
+        return LienardSystem.build(Case.SWITCH_X, m, n, a0=a0, a1=a1, c=c)
 
     # the odd exponents are 2l+3 for l = 0, 1, ..., in order
     odd_targets = [v for e, v in coeff_by_exp.items() if e % 2]
     scale = max(abs(v) for v in coeff_by_exp.values())
-
-    if n == 0:
-        # no time-weighted block: a^_l alone, exact linear inversion
-        for l, target in enumerate(odd_targets):
-            a0[2 * l + 1] = _a_hat_factor(l).invert_monomial() \
-                * RingElem.rational(target)
-        return LienardSystem.build(Case.SWITCH_X, m, n, a0=a0, a1=a1, c=c)
 
     n_t = (n - 1) // 2
     c_weight = [_c_weight_factor(j).to_float() for j in range(n_t + 1)]

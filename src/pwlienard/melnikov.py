@@ -69,12 +69,6 @@ def _c_star_factor(i: int) -> RingElem:
     return RingElem({(2 * i + 3, 0): Fraction(1, 2 * i + 1)})
 
 
-def _channel(coeffs, factor, shift: int) -> HalfPowerPoly:
-    """sum_j factor(j) * coeffs[j] * h^(j + shift/2) over a coefficient slice."""
-    return HalfPowerPoly({2 * j + shift: factor(j) * x
-                          for j, x in enumerate(coeffs) if x})
-
-
 def _cauchy(u, v) -> dict:
     """(sum_i u_i x^i) * (sum_j v_j x^j) as {power: coefficient}, for RingElem
     or float entries; entries that test false are zero and skipped."""
@@ -85,39 +79,6 @@ def _cauchy(u, v) -> dict:
                 if y:
                     out[i + j] = out[i + j] + x * y if i + j in out else x * y
     return out
-
-
-# -- switch-on-y (sgn(y)) case -------------------------------------------------
-
-
-def case_y_i_poly(sys: LienardSystem, i: int) -> HalfPowerPoly:
-    """Closed form of the arc integral I_i (i = 0 or 1), switch-on-y case:
-    sum_j a~_j h^(j+1) + b~_j h^(j+1/2) over the even-index coefficients."""
-    a = sys.a0 if i == 0 else sys.a1
-    b = sys.b0 if i == 0 else sys.b1
-    return _channel(a[0::2], lambda j: _a_tilde_factor(j, +1), 2) \
-        + _channel(b[0::2], _b_tilde_factor, 1)
-
-
-def case_y_i3(sys: LienardSystem) -> HalfPowerPoly:
-    """Endpoint (L-operator) contribution: the b*/c* convolution in h^(l+1/2)."""
-    b_star = [_b_star_factor(i) * x for i, x in enumerate(sys.b0[1::2])]
-    c_star = [_c_star_factor(i) * x for i, x in enumerate(sys.c[0::2])]
-    return HalfPowerPoly({2 * l + 1: v for l, v in _cauchy(b_star, c_star).items()})
-
-
-def case_y_m0(sys: LienardSystem) -> HalfPowerPoly:
-    _require_case(sys, Case.SWITCH_Y)
-    return case_y_i_poly(sys, 0)
-
-
-# -- switch-on-x (sgn(x)) case -------------------------------------------------
-
-
-def case_x_i_poly(sys: LienardSystem, i: int) -> HalfPowerPoly:
-    """Closed form of I_i (i = 0 or 1), switch-on-x case; g_i does not enter."""
-    a = sys.a0 if i == 0 else sys.a1
-    return _channel(a[0::2], lambda j: _a_tilde_factor(j, -1), 2)
 
 
 @cache
@@ -155,27 +116,45 @@ def _x_odd_block(a_odd, c_odd, c_weight, time_w, a_hat) -> dict:
     return block
 
 
-def case_x_i2(sys: LienardSystem) -> HalfPowerPoly:
-    """Time-weighted contribution sum_l a*_l h^(l+3/2); zero when n = 0."""
-    a_odd, c_odd = sys.a0[1::2], sys.c[1::2]
-    block = _x_odd_block(
-        a_odd, c_odd, [_c_weight_factor(j) for j in range(len(c_odd))],
-        [_time_weight_factor(l) for l in range(len(a_odd) + len(c_odd) - 1)],
-        ())
-    return HalfPowerPoly({2 * l + 3: v for l, v in block.items()})
+# -- the table of channels -----------------------------------------------------
+
+# The channels of each arc integral that are linear in one coefficient
+# vector, per case and indexed as ``closed_forms``.  An entry
+# (vector, first, factor, shift) puts vector[first + 2j] into I_i as
+# factor(j) * h^(j + shift/2).  The channels of one integral carry disjoint
+# exponents.  The one bilinear channel of each case, b*.c* in the switch-on-y
+# I3 and a* in the switch-on-x I2, is all of an integral with no linear
+# channel; ``closed_forms`` writes it.
+LINEAR_CHANNELS = {
+    Case.SWITCH_Y: (
+        (("a0", 0, lambda j: _a_tilde_factor(j, +1), 2),
+         ("b0", 0, _b_tilde_factor, 1)),
+        (("a1", 0, lambda j: _a_tilde_factor(j, +1), 2),
+         ("b1", 0, _b_tilde_factor, 1)),
+        (), (), ()),
+    Case.SWITCH_X: (
+        (("a0", 0, lambda j: _a_tilde_factor(j, -1), 2),),
+        (("a1", 0, lambda j: _a_tilde_factor(j, -1), 2),),
+        (),
+        (("a0", 1, _a_hat_factor, 3),)),
+}
 
 
-def case_x_i3(sys: LienardSystem) -> HalfPowerPoly:
-    """Half-arc contribution sum_i a^_i h^(i+3/2)."""
-    a_odd = sys.a0[1::2]
-    block = _x_odd_block(a_odd, (), (), (),
-                         [_a_hat_factor(i) for i in range(len(a_odd))])
-    return HalfPowerPoly({2 * l + 3: v for l, v in block.items()})
+def _linear_part(sys: LienardSystem, channels) -> dict:
+    """{doubled exponent: coefficient} of the linear ``channels`` at sys."""
+    return {2 * j + shift: factor(j) * x
+            for name, first, factor, shift in channels
+            for j, x in enumerate(getattr(sys, name)[first::2]) if x}
+
+
+def case_y_m0(sys: LienardSystem) -> HalfPowerPoly:
+    _require_case(sys, Case.SWITCH_Y)
+    return HalfPowerPoly(_linear_part(sys, LINEAR_CHANNELS[sys.case][0]))
 
 
 def case_x_m0(sys: LienardSystem) -> HalfPowerPoly:
     _require_case(sys, Case.SWITCH_X)
-    return case_x_i_poly(sys, 0)
+    return HalfPowerPoly(_linear_part(sys, LINEAR_CHANNELS[sys.case][0]))
 
 
 # -- expansion container and bounds --------------------------------------------
@@ -192,12 +171,23 @@ def closed_forms(sys: LienardSystem) -> tuple:
     ``oracle.quad_I``: M0 is I_0 and M1 sums the rest.  The M1 terms read
     no even-index f0 or g0 coefficient, so they are those of the odd
     projection, under which the switch-on-y I2 and I4 vanish."""
+    forms = [_linear_part(sys, ch) for ch in LINEAR_CHANNELS[sys.case]]
     if sys.case is Case.SWITCH_Y:
-        zero = HalfPowerPoly()
-        return (case_y_i_poly(sys, 0), case_y_i_poly(sys, 1), zero,
-                case_y_i3(sys), zero)
-    return (case_x_i_poly(sys, 0), case_x_i_poly(sys, 1), case_x_i2(sys),
-            case_x_i3(sys))
+        # I3's endpoint (L-operator) term: the b*/c* convolution, in h^(l+1/2)
+        i, shift = 3, 1
+        bilinear = _cauchy(
+            [_b_star_factor(j) * x for j, x in enumerate(sys.b0[1::2])],
+            [_c_star_factor(j) * x for j, x in enumerate(sys.c[0::2])])
+    else:
+        # I2's time-weighted term a*_l, in h^(l+3/2); zero when n = 0
+        i, shift = 2, 3
+        a_odd, c_odd = sys.a0[1::2], sys.c[1::2]
+        bilinear = _x_odd_block(
+            a_odd, c_odd, [_c_weight_factor(j) for j in range(len(c_odd))],
+            [_time_weight_factor(l) for l in range(len(a_odd) + len(c_odd) - 1)],
+            ())
+    forms[i] = {2 * l + shift: v for l, v in bilinear.items()}
+    return tuple(HalfPowerPoly(form) for form in forms)
 
 
 def expand(sys: LienardSystem, project_odd: bool = False) -> MelnikovExpansion:

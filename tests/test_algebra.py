@@ -307,6 +307,14 @@ class TestHalfPowerPoly:
         assert type(value) is float and value == 0.0
         assert math.copysign(1.0, value) == 1.0
 
+    def test_repr_writes_each_exponent_whole(self):
+        """h^(2/2) is h, not h^2 halved; zero prints as 0 at both levels."""
+        assert repr(HalfPowerPoly()) == "HalfPowerPoly(0)"
+        assert repr(RingElem.zero()) == "RingElem(0)"
+        poly = HalfPowerPoly({2: RingElem.rational(-50), 1: SQRT2 * INV_PI})
+        assert repr(poly) == ("HalfPowerPoly((RingElem(1*sqrt2*pi^-1))*h^(1/2)"
+                              " + (RingElem(-50))*h^(2/2))")
+
     def test_degree_key(self):
         assert HalfPowerPoly().degree_key() is None
         assert HalfPowerPoly({1: RingElem.one(), 4: PI}).degree_key() == 4

@@ -150,6 +150,9 @@ def test_design_round_trip(outdir):
     doc = read_json(outdir / "design.json")
     assert doc["verified"]
     assert doc["roots"]["certified_count"] == 4
+    # each root carries its certificate, as in roots.json
+    assert [r["certificate"] for r in doc["roots"]["h_roots"]] == \
+        ["SimpleSignChange"] * 4
     # the emitted system document must load back
     sys_ = LienardSystem.from_json(doc["system"])
     assert sys_.case is Case.SWITCH_Y
@@ -471,7 +474,7 @@ def test_at_argument_names_a_file(tmp_path, outdir, capsys, example2_doc,
 
 @pytest.mark.parametrize("lines, argv, expected", [
     (["--grid=abc"], ["simulate", "--preset", "example1", "@"],
-     "argument --grid: invalid int value: 'abc'"),
+     "argument --grid: expected an integer from 2, got 'abc'"),
     (["--h-grid=5"], ["melnikov", "--preset", "example1", "@"], [5.0]),
     (["--which=M7"], ["roots", "--preset", "example1", "@"],
      "argument --which: invalid choice: 'M7'"),
@@ -517,6 +520,41 @@ def test_negative_precision_is_named(tmp_path, capsys, command, in_file):
                            "0.5"], capsys)
     assert err.endswith(
         "error: argument --precision: expected an integer from 0, got '-1'")
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["simulate", "--preset", "example1", "--grid", "1"],
+     "argument --grid: expected an integer from 2, got '1'"),
+    (["simulate", "--preset", "example1", "--grid", "abc"],
+     "argument --grid: expected an integer from 2, got 'abc'"),
+    (["--precision", "abc", "oracle", "--preset", "example1"],
+     "argument --precision: expected an integer from 0, got 'abc'"),
+    (["verify", "--preset", "example1", "--h-grid", ","],
+     "argument --h-grid: expected comma-separated numbers, got ','"),
+    (["oracle", "--preset", "example1", "--h-grid", ""],
+     "argument --h-grid: expected comma-separated numbers, got ''"),
+    (["melnikov", "--preset", "example1", "--h-grid", "abc"],
+     "argument --h-grid: expected comma-separated numbers, got 'abc'"),
+    (["design", "--case", "Y", "--m", "3", "--n", "3", "--targets", "1,abc"],
+     "argument --targets: expected comma-separated numbers, got '1,abc'"),
+], ids=["grid-below-2", "grid-not-an-integer", "precision-not-an-integer",
+        "verify-empty-h-grid", "oracle-empty-h-grid", "h-grid-not-numbers",
+        "targets-not-numbers"])
+def test_flag_text_is_named(capsys, argv, expected):
+    """A --grid below 2, a --precision that is not an integer, an --h-grid
+    with no number and a word that is not a number in --h-grid or
+    --targets exit 2 with an error line that names the flag; an empty grid
+    compared nothing."""
+    assert exits_2(argv, capsys).endswith(f"error: {expected}")
+
+
+@pytest.mark.parametrize("text", ["", ","])
+def test_design_targets_may_be_empty(outdir, text):
+    """design --targets with no number still means no targets: M1 is zero."""
+    assert main(["--out", str(outdir), "design", "--case", "Y", "--m", "3",
+                 "--n", "3", "--targets", text]) == EXIT_OK
+    doc = read_json(outdir / "design.json")
+    assert doc["targets"] == [] and doc["roots"] is None
 
 
 def test_zero_precision_is_valid(outdir):

@@ -2,17 +2,21 @@
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
-from pwlienard import (Case, InfeasibleShape, NoConvergence, SimConfig,
-                       TooManyTargets, design_case_x, design_case_y, expand,
-                       find_cycles, isolate_positive_roots, load_preset,
+from pwlienard import (Case, HalfPowerPoly, InfeasibleShape, LienardSystem,
+                       NoConvergence, RingElem, SimConfig, TooManyTargets,
+                       design_case_x, design_case_y, expand, find_cycles,
+                       isolate_positive_roots, load_preset, oracle_m1,
                        verify_design)
 from pwlienard import design
-from pwlienard.design import _odd_jacobian
-from pwlienard.melnikov import (_a_hat_factor, _c_weight_factor,
-                                _time_weight_factor, _x_odd_block)
+from pwlienard.design import _odd_jacobian, _place
+from pwlienard.melnikov import (LINEAR_CHANNELS, _a_hat_factor,
+                                _b_star_factor, _c_star_factor,
+                                _c_weight_factor, _time_weight_factor,
+                                _x_odd_block)
 from pwlienard.roots import CERT_SIMPLE
 
 
@@ -193,3 +197,46 @@ def test_verify_design_flags_misses():
     bad, residuals, _m1 = verify_design(sys_, [2.0])
     assert not bad
     assert residuals[0] > 0.1
+
+
+def _m1_channels(case: Case, n: int):
+    """The channels through which the designers set M1: the linear ones of
+    I_1, I_2, ..., and for switch-on-y the b0 channel that b*.c* becomes
+    once c*_[n/2] = 1."""
+    channels = sum(LINEAR_CHANNELS[case][1:], ())
+    if case is Case.SWITCH_Y:
+        channels += (("b0", 1, _b_star_factor, 2 * (n // 2) + 1),)
+    return channels
+
+
+@pytest.mark.parametrize("case", list(Case))
+def test_each_channel_places_one_monomial(case):
+    """_place of q at every exponent that a channel carries, into zero
+    vectors, gives an M1 of exactly q h^(k/2), and the quadrature oracle,
+    which reads no closed form, agrees at h = 0.7."""
+    q, h = Fraction(-3, 7), 0.7
+    for m in range(8):
+        for n in range(8):
+            for channel in _m1_channels(case, n):
+                name, first, _factor, shift = channel
+                size = 1 + (m if name.startswith("a") else n)
+                for j in range((size - first + 1) // 2):
+                    k = 2 * j + shift
+                    vectors = {"a0": [0] * (m + 1), "a1": [0] * (m + 1),
+                               "b0": [0] * (n + 1), "b1": [0] * (n + 1),
+                               "c": [0] * (n + 1)}
+                    assert _place(vectors, (channel,), k, q) is channel
+                    if name == "b0":
+                        vectors["c"][2 * (n // 2)] = \
+                            _c_star_factor(n // 2).invert_monomial()
+                    sys_ = LienardSystem.build(case, m, n, **vectors)
+                    assert expand(sys_).m1 == HalfPowerPoly(
+                        {k: RingElem.rational(q)}), (m, n, channel, k)
+                    assert oracle_m1(sys_, h) == pytest.approx(
+                        float(q) * h ** (k / 2), rel=1e-9), (m, n, channel, k)
+
+
+def test_place_rejects_a_monomial_no_channel_carries():
+    vectors = {"a1": [0] * 4, "b1": [0] * 4}
+    with pytest.raises(InfeasibleShape, match="s\\^7"):
+        _place(vectors, LINEAR_CHANNELS[Case.SWITCH_Y][1], 7, 1)

@@ -17,8 +17,8 @@ from pwlienard.melnikov import (_a_hat_factor, _a_tilde_factor,
                                 _b_star_factor, _b_tilde_factor,
                                 _c_star_factor, _c_weight_factor,
                                 _time_weight_factor, _wallis, _x_odd_block,
-                                case_x_i2, case_x_i3, case_x_m0, case_y_m0,
-                                closed_forms, closed_term, support)
+                                case_x_m0, case_y_m0, closed_forms,
+                                closed_term, support)
 from pwlienard.systems import MAX_DEGREE
 
 from conftest import random_sweep_system
@@ -119,7 +119,8 @@ def test_odd_block_on_floats_matches_closed_form(rng):
             [_c_weight_factor(j).to_float() for j in range(len(c_odd))],
             [_time_weight_factor(l).to_float() for l in range(top)],
             [_a_hat_factor(l).to_float() for l in range(len(a_odd))])
-        exact = case_x_i2(sys_) + case_x_i3(sys_)
+        forms = closed_forms(sys_)
+        exact = forms[2] + forms[3]
         assert {2 * l + 3 for l in block} >= set(exact.coeffs)
         for l, value in block.items():
             ref = exact.coeffs.get(2 * l + 3, RingElem.zero()).to_float()

@@ -12,12 +12,15 @@ from pwlienard import cli
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
-def test_library_quickstart_runs():
+def test_library_quickstart_runs(capsys):
     text = README.read_text()
     block = re.search(r"^## Library quickstart\n.*?^```python\n(.*?)^```",
                       text, re.S | re.M).group(1)
     scope: dict = {}
     exec(compile(block, "README.md", "exec"), scope)
+    # the comment line under print(exp.m1) is what it prints
+    printed = re.search(r"^print\(exp\.m1\).*\n# (.*)\n", block, re.M)
+    assert capsys.readouterr().out.splitlines()[0] == printed.group(1)
     mids = [r.mid for r in scope["report"].h_roots]
     assert mids == pytest.approx([1.0, 4.0, 9.0, 16.0], abs=1e-9)
     h_stars = [c.h_star for c in scope["scan"].cycles]

@@ -16,7 +16,7 @@ from pwlienard import (Case, EscapeAnnulus, LienardSystem, RingElem, SimConfig,
                        MaxStepsExceeded, NonTransversalCrossing, PwLienardError,
                        advance_to_section, design_case_y, displacement, expand,
                        find_cycles, load_preset)
-from pwlienard.melnikov import case_x_i2, case_x_i3, case_x_i_poly
+from pwlienard.melnikov import closed_forms
 from pwlienard import _kernel_py, roots, simulator
 from pwlienard.algebra import poly_antideriv, polyval
 from pwlienard.simulator import BACKEND, bifurcation_increment
@@ -1560,7 +1560,7 @@ class TestClosedFormFlaws:
         h = 1.5
         lam = 0.004
         exp = expand(sys_)
-        i3 = case_x_i3(sys_).eval(h)
+        i3 = closed_forms(sys_)[3].eval(h)
         pred_contracted = exp.m0.eval(h) + lam * exp.m1.eval(h)
         offset = (self._richardson(sys_, h, lam) - pred_contracted) / lam
         assert offset == pytest.approx(-i3, rel=1e-3)
@@ -1574,13 +1574,13 @@ class TestClosedFormFlaws:
         h = 1.5
         exp = expand(sys_, project_odd=True)
         pred_contracted = exp.m0.eval(h) + lam * exp.m1.eval(h)
-        i3 = case_x_i3(sys_).eval(h)
+        i3 = closed_forms(sys_)[3].eval(h)
         richardson = self._richardson(sys_, h, lam)
         offset = (richardson - pred_contracted) / lam
         # the half-arc block dominates the discrepancy ...
         assert 0.9 <= offset / -i3 <= 1.15
         # ... and removing it leaves a residual below 5% of the block
         pred_reduced = exp.m0.eval(h) + lam * (
-            case_x_i_poly(sys_.odd_projection(), 1).eval(h)
-            + case_x_i2(sys_).eval(h))
+            closed_forms(sys_.odd_projection())[1].eval(h)
+            + closed_forms(sys_)[2].eval(h))
         assert abs(richardson - pred_reduced) <= 0.05 * lam * abs(i3)
