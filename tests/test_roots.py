@@ -1,6 +1,8 @@
 """Certified positive-root isolation of half-power polynomials."""
 
+import hashlib
 import math
+import random
 from fractions import Fraction
 from functools import partial
 
@@ -10,7 +12,8 @@ from pwlienard import (PRESET_NAMES, Case, HalfPowerPoly, InfeasibleShape,
                        NoConvergence, OddnessViolated, PrecisionLoss,
                        RingElem, TooManyTargets, ZeroPolynomial, design_case_x,
                        design_case_y, expand, isolate_positive_roots,
-                       load_preset, melnikov, roots, simulator)
+                       load_preset, melnikov, roots, simulator,
+                       verify_design)
 from pwlienard.algebra import polyval
 from pwlienard.roots import CERT_SIMPLE, CERT_SUSPECT_EVEN, REFINE_WIDTH
 
@@ -333,6 +336,56 @@ def test_isolator_bits_on_the_presets(name, project_odd):
             got[which] = [(r.lo.hex(), r.hi.hex(), r.mid.hex(), r.certificate)
                           for r in report.h_roots]
     assert got == PRESET_ROOTS[name]
+
+
+# Shapes of the designer pin: the switch-on-y shapes need odd n (an even n
+# overruns b0 on the top targets); (4, 0) takes the switch-on-x a^ channel.
+DESIGN_PIN_SHAPES = {
+    Case.SWITCH_Y: ((3, 3), (4, 3), (5, 5), (7, 7)),
+    Case.SWITCH_X: ((3, 1), (4, 0), (4, 2), (5, 1), (5, 2), (6, 1), (7, 1)),
+}
+DESIGN_PIN_DIGEST = (
+    "e307033f7db5bfac69cc4f80db366565d8c6e79667fe8cab9bb8464a87f06507")
+
+
+def _design_pin_kmax(case, m, n):
+    """Most targets the designer places on (m, n): for switch-on-y while
+    s^1 .. s^(K+1) stay on a1, b1 and b0, for switch-on-x one fewer than
+    the monomials and at most 4."""
+    bound = melnikov.zero_bound(case, m, n, "M1")
+    if case is Case.SWITCH_Y:
+        return max(k for k in range(bound + 1)
+                   if (k + 1) // 2 - 1 <= m // 2 and k // 2 <= 2 * (n // 2))
+    monomials = m // 2 + 1 + (m - 1) // 2 + max(n - 1, 0) // 2 + 1
+    return min(monomials - 1, bound, 4)
+
+
+def test_designer_bits_on_a_seeded_pool():
+    """Both designers on a seeded pool, every target count up to the
+    shape's most, to the bit: the systems' JSON and, on M1, the
+    ``verify_design`` residuals and every certified bracket.  The pool
+    holds a system that places a target through ``c`` (b*.c*)."""
+    rng = random.Random(36)
+    slots = [i for i in range(1, 25, 2) if math.isqrt(i) ** 2 != i]
+    digest = hashlib.sha256()
+    via_c = 0
+    for case, shapes in DESIGN_PIN_SHAPES.items():
+        designer = design_case_y if case is Case.SWITCH_Y else design_case_x
+        for m, n in shapes:
+            for k in range(1, _design_pin_kmax(case, m, n) + 1):
+                targets = [i / 4 for i in sorted(rng.sample(slots, k))]
+                sys_ = designer(targets, m, n)
+                ok, residuals, m1 = verify_design(sys_, targets)
+                report = isolate_positive_roots(m1, case, m, n)
+                assert ok and report.certified_count() >= k
+                via_c += case is Case.SWITCH_Y and any(sys_.c)
+                digest.update(sys_.dumps().encode())
+                digest.update(" ".join(r.hex() for r in residuals).encode())
+                digest.update(" ".join(
+                    f"{r.lo.hex()} {r.hi.hex()} {r.mid.hex()} {r.certificate}"
+                    for r in report.h_roots).encode())
+    assert via_c
+    assert digest.hexdigest() == DESIGN_PIN_DIGEST
 
 
 def test_off_centre_split_carries_its_pieces():
