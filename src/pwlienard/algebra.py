@@ -64,7 +64,8 @@ class RingElem:
     ``e in {0, 1}``.  Instances are immutable, so callers must not mutate
     ``terms``: all operators return new elements in canonical form, built
     without a second canonicalising pass, and the float value is computed
-    once and kept.
+    once and kept.  A product of two single-term elements, the common case
+    of a factor times a rational, builds its one term directly.
     """
 
     __slots__ = ("terms", "_float")
@@ -157,6 +158,13 @@ class RingElem:
 
     def __mul__(self, other) -> "RingElem":
         other = RingElem.coerce(other)
+        if len(self.terms) == 1 == len(other.terms):
+            ((e, p), q), = self.terms.items()
+            ((e2, p2), q2), = other.terms.items()
+            e, q = e + e2, q * q2  # nonzero, as both factors are
+            if e == 2:  # sqrt(2)^2 = 2 folds into the rational factor
+                e, q = 0, q * 2
+            return RingElem._canonical({(e, p + p2): q})
         out: dict[tuple[int, int], Fraction] = {}
         for (e1, p1), q1 in self.terms.items():
             for (e2, p2), q2 in other.terms.items():

@@ -3,7 +3,8 @@
 Every exact coefficient is set by ``_place``, which inverts the channel of
 ``melnikov.LINEAR_CHANNELS`` that carries its monomial, and which monomials
 a shape can carry is read from ``melnikov.support``; the designer re-derives
-no closed form.
+no closed form.  The inverse of each channel factor is computed once per
+process and index (``_inverse``), as the factors themselves are.
 
 Switch-on-y systems are designed exactly and triangularly.  Only a target
 monomial beyond the ``b1`` channel needs ``c``, through the convolution
@@ -25,6 +26,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from functools import cache
 
 from .algebra import RingElem
 from .errors import InfeasibleShape, NoConvergence, TooManyTargets
@@ -51,26 +53,33 @@ def _check_targets(targets, case: Case, m: int, n: int):
 
 
 def _product_s_poly(s_roots, lowest_power: int):
-    """Exact coefficients of s^lowest * prod (s - s_i), via Fraction arithmetic."""
-    coeffs = [Fraction(1)]
+    """Exact coefficients of s^lowest * prod (s - s_i), in integers over the
+    common denominator den of the floats s_i = num/d: a factor takes c_k/den
+    to (d c_{k-1} - num c_k)/(den d), and each Fraction is reduced once."""
+    coeffs, den = [1], 1
     for s in s_roots:
-        sf = Fraction(s)  # exact binary expansion of the float sqrt
-        new = [Fraction(0)] * (len(coeffs) + 1)
-        for k, c in enumerate(coeffs):
-            new[k + 1] += c
-            new[k] -= sf * c
-        coeffs = new
-    return {k + lowest_power: q for k, q in enumerate(coeffs) if q != 0}
+        num, d = s.as_integer_ratio()
+        coeffs = [d * lo - num * c for lo, c in zip([0] + coeffs, coeffs + [0])]
+        den *= d
+    return {k + lowest_power: Fraction(c, den)
+            for k, c in enumerate(coeffs) if c}
+
+
+@cache
+def _inverse(factor, j: int) -> RingElem:
+    """1/factor(j): one entry per channel factor, a fixed function, and j."""
+    return factor(j).invert_monomial()
 
 
 def _place(vectors, channels, k, q):
     """Set the coefficient that the first of ``channels`` carrying s^k maps
-    to q h^(k/2), in ``vectors`` by name; return that channel."""
+    to q h^(k/2), in ``vectors`` by name, from the cached inverse of its
+    factor; return that channel."""
     for channel in channels:
         name, first, factor, shift = channel
         j, odd = divmod(k - shift, 2)
         if not odd and 0 <= j and first + 2 * j < len(vectors[name]):
-            vectors[name][first + 2 * j] = factor(j).invert_monomial() \
+            vectors[name][first + 2 * j] = _inverse(factor, j) \
                 * RingElem.rational(q)
             return channel
     raise InfeasibleShape(f"no channel carries the monomial s^{k}")
@@ -95,7 +104,7 @@ def design_case_y(targets, m: int, n: int) -> LienardSystem:
         channels = LINEAR_CHANNELS[Case.SWITCH_Y][1] + (via_c,)
         for k, q in q_poly.items():
             if _place(vectors, channels, k, q) is via_c:
-                vectors["c"][2 * top] = _c_star_factor(top).invert_monomial()
+                vectors["c"][2 * top] = _inverse(_c_star_factor, top)
     return LienardSystem.build(Case.SWITCH_Y, m, n, **vectors)
 
 

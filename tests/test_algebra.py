@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pwlienard import (INV_PI, PI, SQRT2, HalfPowerPoly, InvalidInput,
@@ -179,6 +179,23 @@ class TestRingElem:
             first = got.to_float()
             assert got.to_float().hex() == first.hex()
             assert RingElem(ref).to_float().hex() == first.hex()
+
+    @given(rationals.filter(bool), st.integers(0, 1), st.integers(-3, 3),
+           rationals.filter(bool), st.integers(0, 1), st.integers(-3, 3))
+    @example(Fraction(-3, 4), 1, -2, Fraction(5, 3), 1, 2)
+    @example(Fraction(7, 2), 0, 0, Fraction(-1, 9), 1, -1)
+    @settings(max_examples=200, deadline=None)
+    def test_single_term_product_is_canonical(self, q1, e1, p1, q2, e2, p2):
+        """Two one-term factors take ``__mul__``'s direct path: it builds
+        the element that the constructor canonicalises, 2^(2/2) folded
+        into the rational, with the float value of the reference."""
+        a, b = RingElem.term(q1, e1, p1), RingElem.term(q2, e2, p2)
+        ref = RingElem({(e1 + e2, p1 + p2): q1 * q2})
+        got = a * b
+        assert_canonical_as(got, ref.terms)
+        assert_canonical_as(got, ref_mul(a.terms, b.terms))
+        assert got.to_float().hex() == ref.to_float().hex()
+        assert_canonical_as(a * q2, RingElem({(e1, p1): q1 * q2}).terms)
 
     @given(ring_elems(), ring_elems())
     @settings(max_examples=80, deadline=None)

@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pwlienard import (Case, HalfPowerPoly, InfeasibleShape, LienardSystem,
                        NoConvergence, RingElem, SimConfig, TooManyTargets,
@@ -12,7 +14,7 @@ from pwlienard import (Case, HalfPowerPoly, InfeasibleShape, LienardSystem,
                        isolate_positive_roots, load_preset, oracle_m1,
                        verify_design)
 from pwlienard import design
-from pwlienard.design import _odd_jacobian, _place
+from pwlienard.design import _odd_jacobian, _place, _product_s_poly
 from pwlienard.melnikov import (LINEAR_CHANNELS, _a_hat_factor,
                                 _b_star_factor, _c_star_factor,
                                 _c_weight_factor, _time_weight_factor,
@@ -240,3 +242,62 @@ def test_place_rejects_a_monomial_no_channel_carries():
     vectors = {"a1": [0] * 4, "b1": [0] * 4}
     with pytest.raises(InfeasibleShape, match="s\\^7"):
         _place(vectors, LINEAR_CHANNELS[Case.SWITCH_Y][1], 7, 1)
+
+
+def test_second_design_inverts_no_factor(monkeypatch):
+    """The inverse channel factors are kept: once both designers have
+    placed on a shape, the same call again inverts nothing, the
+    placement through c included."""
+    calls = []
+    invert = RingElem.invert_monomial
+
+    def counting(self):
+        calls.append(self)
+        return invert(self)
+
+    monkeypatch.setattr(RingElem, "invert_monomial", counting)
+    design._inverse.cache_clear()
+    for designer, targets, m, n in (
+            (design_case_y, [1, 4, 9, 16], 3, 3),
+            (design_case_x, [0.5, 1.0, 2.0, 4.0], 3, 3),
+            (design_case_x, [0.5, 2.0], 4, 0)):
+        first = designer(targets, m, n)
+        assert calls
+        calls.clear()
+        assert designer(targets, m, n) == first
+        assert not calls, (designer.__name__, m, n)
+
+
+def _fraction_product(s_roots, lowest_power):
+    """The plain Fraction product that ``_product_s_poly`` must equal."""
+    coeffs = [Fraction(1)]
+    for s in s_roots:
+        sf = Fraction(s)
+        new = [Fraction(0)] * (len(coeffs) + 1)
+        for k, c in enumerate(coeffs):
+            new[k + 1] += c
+            new[k] -= sf * c
+        coeffs = new
+    return {k + lowest_power: q for k, q in enumerate(coeffs) if q != 0}
+
+
+@st.composite
+def float_roots(draw):
+    """Positive floats, subnormals and values near 1e300 among them, with
+    some repeated."""
+    root = st.one_of(
+        st.floats(min_value=0.0, max_value=1e300, exclude_min=True),
+        st.sampled_from([5e-324, 2.5e-320, 2.2250738585072014e-308,
+                         1e300, 1.7976931348623157e300, 0.5, 1.0, 3.0]))
+    roots = draw(st.lists(root, max_size=6))
+    return roots + roots[:draw(st.integers(0, 2))]
+
+
+@given(float_roots(), st.integers(0, 3))
+@example([5e-324, 1e300, 1e300], 1)
+@settings(max_examples=150, deadline=None)
+def test_product_s_poly_matches_fraction_product(s_roots, lowest_power):
+    got = _product_s_poly(s_roots, lowest_power)
+    ref = _fraction_product(s_roots, lowest_power)
+    assert list(got.items()) == list(ref.items())
+    assert all(type(q) is Fraction for q in got.values())
