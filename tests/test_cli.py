@@ -10,8 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from pwlienard import (Case, LienardSystem, RingElem, expand, load_preset,
-                       oracle, oracle_m0, oracle_m1)
+from pwlienard import (Case, LienardSystem, RingElem, design_case_y, expand,
+                       load_preset, oracle, oracle_m0, oracle_m1)
 from pwlienard import cli, errors, simulator
 from pwlienard.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, main
 
@@ -106,7 +106,9 @@ def test_oracle_detects_oddness_mismatch(tmp_path, outdir):
 
 def test_oracle_nan_row_fails(outdir, monkeypatch):
     """A NaN error is no pass: its row says FAIL and the exit code is 3."""
-    monkeypatch.setattr(oracle, "oracle_m1", lambda sys_, h: math.nan)
+    quad = oracle.quad_I
+    monkeypatch.setattr(oracle, "quad_I", lambda sys_, h, index:
+                        quad(sys_, h, index) if index == 0 else math.nan)
     rc = main(["--out", str(outdir), "oracle", "--preset", "example1",
                "--h-grid", "0.5,2"])
     assert rc == EXIT_NUMERICAL
@@ -294,6 +296,49 @@ def test_oracle_and_verify_output_pinned(capsys, command, name):
     assert main([command, "--preset", name]) == EXIT_OK
     out = capsys.readouterr().out.encode()
     assert hashlib.sha256(out).hexdigest() == PINNED_OUTPUT[command, name]
+
+
+# each subcommand's exit code, stdout, stderr and sorted (name, bytes) of
+# the files it writes under --out, hashed with and without --out; SYSTEM
+# is design_case_y([1.0, 4.0], 3, 3), whose cycles lie at h = 1 and 4
+PINNED_RUNS = {
+    "melnikov --preset example1": (
+        "0a134c8140170d7c978901406d45228923d1104d5c812c624ef7222e8a87103b",
+        "3f5a56a6bf4665ce14b643296d8655fd189339fdd7c120d7d3e4c2a5c066cd1f"),
+    "roots --preset example1": (
+        "b01bb26733e052c883ae30055b38da1af7e0985e7ab31f0cf075155846a5cd0d",
+        "80f31f5d2131afec5bea21b3c4e790fd4fcfef1fbf7520b412b6c4cc0a45f616"),
+    "design --case X --m 3 --n 3 --targets 0.5,1,2,4": (
+        "5933002561de5be76c54bf4705981f71074601860a3565cb5aa54648b8049cba",
+        "8f8d3678c76ef506827baf20e9d3ea8e5fe829fe8c78f359331e78ebd4f8a0dc"),
+    "--precision 6 oracle --preset example2": (
+        "29a2526089464f100df1501f500b3ddf0c0e098970cb1f6e2b117b8687841330",
+        "9feee2abf9fe7c363ba1aa135cc68df4908b4f3faf1fe25fc6642f5ee2151317"),
+    # exits 3 with "first failing row: F@h=0.5" on stderr
+    "verify --preset example1 --h-grid 0.5 --with-sim": (
+        "bf5ccd20ef693c20bb2a0a9a833150c6313cbc8e091e84137be09d730424354a",
+        "a4f67c55c7785cfd249eee477e43213e0f04d915d9f1b0e3cf9810dd67bd7c75"),
+    # displacement.csv is written with --out only
+    "simulate --system SYSTEM --lam 0.02 --eps 4e-4 --r-range 1:3.4 "
+    "--grid 60 --dump-traj 2": (
+        "aedb176858cc109cf92c29d0c3f70be33c41bf742e15d0f7dd1f4a931ce8d6ab",
+        "2f49118d8b356c282ca1d045a43b4b9754532648aadbe9de426756a382938af6"),
+}
+
+
+@pytest.mark.parametrize("with_out", [False, True], ids=["stdout", "out"])
+@pytest.mark.parametrize("command", list(PINNED_RUNS), ids=[
+    "melnikov", "roots", "design", "oracle", "verify", "simulate"])
+def test_subcommand_bytes_pinned(tmp_path, capsys, command, with_out):
+    system = tmp_path / "system.json"
+    system.write_text(design_case_y([1.0, 4.0], 3, 3).dumps())
+    outdir = tmp_path / "out"
+    argv = command.replace("SYSTEM", str(system)).split()
+    rc = main((["--out", str(outdir)] if with_out else []) + argv)
+    captured = capsys.readouterr()
+    files = sorted((p.name, p.read_bytes()) for p in outdir.glob("*"))
+    run = repr((rc, captured.out, captured.err, files)).encode()
+    assert hashlib.sha256(run).hexdigest() == PINNED_RUNS[command][with_out]
 
 
 @pytest.mark.parametrize("command", ["melnikov", "oracle", "verify"])
