@@ -1,8 +1,11 @@
 """Command-line harness: expansions, roots, oracle checks, simulation,
 inverse design and end-to-end verification.
 
-Exit codes: 0 success, 2 input error (a ValueError, errors.InvalidInput
-included, a KeyError or an OSError), 3 numerical failure.
+Each subcommand returns its outputs, file name to a JSON document or a CSV
+(header, rows) pair, and whether every check passed.  ``main`` alone
+writes them, through ``_write``, and sets the exit code: 0 success, 2
+input error (a ValueError, errors.InvalidInput included, a KeyError or an
+OSError), 3 numerical failure or a failed check.  An error writes nothing.
 Default comparison tolerance can be overridden with PWLIENARD_REL_TOL, a
 finite non-negative number.
 """
@@ -95,33 +98,39 @@ def _int_from(lo: int):
     return parse
 
 
-def _rel_err(value: float, reference: float) -> float:
-    """The error of ``value`` relative to 1 + |reference|."""
-    return abs(value - reference) / (1.0 + abs(reference))
-
-
-def _emit(args, name: str, text: str):
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        with open(os.path.join(args.out, name), "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _csv(header: str, rows) -> str:
-    """CSV text: the header line, then one line per row of strings."""
-    return header + "\n" + "\n".join(",".join(row) for row in rows) + "\n"
-
-
 def _fmt(args, v: float) -> str:
     return f"{v:.{args.precision}g}"
+
+
+def _fields(args, value: float, reference: float, tol: float) -> list:
+    """The value, the reference, the error relative to 1 + |reference| and
+    pass or FAIL, as CSV fields; a NaN error fails."""
+    err = abs(value - reference) / (1.0 + abs(reference))
+    return [_fmt(args, value), _fmt(args, reference), f"{err:.3e}",
+            "pass" if err <= tol else "FAIL"]
+
+
+def _write(args, outputs: dict):
+    """Each output in order, a JSON document or a CSV (header, rows) pair
+    with rows of strings, to its file under --out, else to stdout."""
+    for name, doc in outputs.items():
+        if isinstance(doc, tuple):
+            header, rows = doc
+            text = header + "\n" + "\n".join(map(",".join, rows)) + "\n"
+        else:
+            text = json.dumps(doc, indent=2) + "\n"
+        if args.out:
+            os.makedirs(args.out, exist_ok=True)
+            with open(os.path.join(args.out, name), "w") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
 
 
 # -- subcommands ---------------------------------------------------------------
 
 
-def cmd_melnikov(args) -> int:
+def cmd_melnikov(args):
     sys_ = _load_system(args)
     exp = melnikov.expand(sys_, project_odd=args.project_odd)
     report = {
@@ -139,11 +148,10 @@ def cmd_melnikov(args) -> int:
             for h in args.h_grid
         ],
     }
-    _emit(args, "melnikov.json", json.dumps(report, indent=2) + "\n")
-    return EXIT_OK
+    return {"melnikov.json": report}, True
 
 
-def cmd_roots(args) -> int:
+def cmd_roots(args):
     sys_ = _load_system(args)
     # M0 has no oddness hypothesis, so reporting it waives the M1 check
     exp = melnikov.expand(sys_,
@@ -159,33 +167,40 @@ def cmd_roots(args) -> int:
         "h_roots": [asdict(r) for r in report.h_roots],
         "suspected": [asdict(r) for r in report.suspected],
     }
-    _emit(args, "roots.json", json.dumps(doc, indent=2) + "\n")
-    return EXIT_OK
+    return {"roots.json": doc}, True
 
 
-def cmd_oracle(args) -> int:
+def _compare(args, every_form: bool):
+    """The system, its expansion, the tolerance and, at each h of
+    --h-grid, a (term, h, closed form, quadrature) row for M0 and M1, and
+    with ``every_form`` one for each integral I_i too."""
     sys_ = _load_system(args)
-    exp = melnikov.expand(sys_, project_odd=True)
     tol = _rel_tol()
+    exp = melnikov.expand(sys_, project_odd=True)
+    forms = melnikov.closed_forms(sys_) if every_form else ()
     rows = []
     for h in args.h_grid:
         # closed forms first: at an h too large they name the term
         m0, m1 = exp.m0.eval(h), exp.m1.eval(h)
-        pairs = [
-            ("M0", m0, oracle.oracle_m0(sys_, h)),
-            ("M1", m1, oracle.oracle_m1(sys_, h)),
-        ]
-        for name, closed, quad in pairs:
-            err = _rel_err(closed, quad)
-            rows.append([_fmt(args, h), name, _fmt(args, closed),
-                         _fmt(args, quad), f"{err:.3e}",
-                         "pass" if err <= tol else "FAIL"])
-    _emit(args, "oracle.csv",
-          _csv("h,term,closed,oracle,rel_err,status", rows))
-    return EXIT_NUMERICAL if any(r[-1] == "FAIL" for r in rows) else EXIT_OK
+        # each integral once: M0 is I_0 and M1 sums the rest, in the order
+        # of oracle_m0 and oracle_m1
+        quads = [oracle.quad_I(sys_, h, i)
+                 for i in range(sys_.case.n_integrals)]
+        rows += [("M0", h, m0, quads[0]), ("M1", h, m1, sum(quads[1:]))]
+        rows += [(f"I{i}", h, form.eval(h), quad)
+                 for i, (form, quad) in enumerate(zip(forms, quads))]
+    return sys_, exp, tol, rows
 
 
-def cmd_simulate(args) -> int:
+def cmd_oracle(args):
+    _sys, _exp, tol, compared = _compare(args, every_form=False)
+    rows = [[_fmt(args, h), term, *_fields(args, closed, quad, tol)]
+            for term, h, closed, quad in compared]
+    return ({"oracle.csv": ("h,term,closed,oracle,rel_err,status", rows)},
+            all(row[-1] == "pass" for row in rows))
+
+
+def cmd_simulate(args):
     r = args.dump_traj
     if r is not None and not simulator.R_MIN < r < simulator.R_MAX:
         raise ValueError(f"--dump-traj {r!r} outside the annulus "
@@ -194,38 +209,30 @@ def cmd_simulate(args) -> int:
     # the system carries lambda and eps
     config = simulator.SimConfig(rk_tol=args.rk_tol)
     scan = simulator.find_cycles(sys_, args.r_range, args.grid, config)
-    doc = {
-        "backend": simulator.BACKEND,
-        "non_isolated": scan.non_isolated,
-        "cycles": [asdict(c) for c in scan.cycles],
-    }
-    _emit(args, "cycles.json", json.dumps(doc, indent=2) + "\n")
+    outputs = {"cycles.json": {"backend": simulator.BACKEND,
+                               "non_isolated": scan.non_isolated,
+                               "cycles": [asdict(c) for c in scan.cycles]}}
     if args.out:  # written to a file only, never to stdout
-        _emit(args, "displacement.csv", _csv("r,displacement", (
-            (repr(r), repr(d)) for r, d in zip(scan.grid, scan.displacements))))
-    if args.dump_traj is not None:
-        rows = trajectory_rows(sys_, args.dump_traj, config)
-        _emit(args, "trajectory.csv", _csv(
-            "t,x,y,side", ([repr(v) for v in row] for row in rows)))
-    return EXIT_OK
+        outputs["displacement.csv"] = ("r,displacement", [
+            (repr(x), repr(d)) for x, d in zip(scan.grid, scan.displacements)])
+    if r is not None:
+        outputs["trajectory.csv"] = ("t,x,y,side", [
+            [repr(v) for v in row] for row in trajectory_rows(sys_, r, config)])
+    return outputs, True
 
 
 def trajectory_rows(sys_, r, config):
     """Crossing log for one full return started at section coordinate r."""
     _coord, _t, crossings = simulator.advance_to_section(sys_, r, config)
     start_side = crossings[0][3] if crossings else 0.0
-    rows = [(0.0, r, 0.0, -start_side) if sys_.case is Case.SWITCH_Y
-            else (0.0, 0.0, r, -start_side)]
-    rows.extend(crossings)
-    return rows
+    return [(0.0, r, 0.0, -start_side) if sys_.case is Case.SWITCH_Y
+            else (0.0, 0.0, r, -start_side), *crossings]
 
 
-def cmd_design(args) -> int:
+def cmd_design(args):
     case = Case(args.case)
-    if case is Case.SWITCH_Y:
-        sys_ = design_case_y(args.targets, args.m, args.n)
-    else:
-        sys_ = design_case_x(args.targets, args.m, args.n)
+    design = design_case_y if case is Case.SWITCH_Y else design_case_x
+    sys_ = design(args.targets, args.m, args.n)
     ok, residuals, m1 = verify_design(sys_, args.targets)
     report = roots.isolate_positive_roots(m1, case, args.m, args.n) \
         if not m1.is_zero() else None
@@ -240,51 +247,32 @@ def cmd_design(args) -> int:
             "h_roots": [asdict(r) for r in report.h_roots],
         },
     }
-    _emit(args, "design.json", json.dumps(doc, indent=2) + "\n")
-    return EXIT_OK if ok else EXIT_NUMERICAL
+    return {"design.json": doc}, ok
 
 
-def cmd_verify(args) -> int:
-    sys_ = _load_system(args)
-    tol = _rel_tol()
-    exp = melnikov.expand(sys_, project_odd=True)
-    forms = melnikov.closed_forms(sys_)
-    rows = []
-
-    def add(check, value, reference, threshold):
-        err = _rel_err(value, reference)
-        rows.append((check, value, reference, err, threshold,
-                     err <= threshold))
-
-    for h in args.h_grid:
-        m0, m1 = exp.m0.eval(h), exp.m1.eval(h)
-        # each integral once: M0 is I_0 and M1 sums the rest, in the order
-        # of oracle_m0 and oracle_m1
-        quads = [oracle.quad_I(sys_, h, i)
-                 for i in range(sys_.case.n_integrals)]
-        add(f"M0@h={h}", m0, quads[0], tol)
-        add(f"M1@h={h}", m1, sum(quads[1:]), tol)
-        for i, (form, quad) in enumerate(zip(forms, quads)):
-            add(f"I{i}@h={h}", form.eval(h), quad, tol)
+def cmd_verify(args):
+    sys_, exp, tol, compared = _compare(args, every_form=True)
+    checks = [(f"{term}@h={h}", closed, quad, tol)
+              for term, h, closed, quad in compared]
     if args.with_sim:
         # _load_system has applied --lam/--eps to the system
-        lam = sys_.lam or 0.02
-        eps = sys_.eps or 1e-4
+        lam, eps = sys_.lam or 0.02, sys_.eps or 1e-4
         for h in (0.5, 2.0):
             # one-return finite difference of M0 + lam*M1 + O(lam^2)
             est = simulator.bifurcation_increment(sys_, h, lam, eps) / eps
             pred = exp.m0.eval(h) + lam * exp.m1.eval(h)
             # first-order estimate: allow O(eps) + O(lam^2) slack
-            add(f"F@h={h}", est, pred, max(tol, 50 * (eps + lam * lam)))
-    _emit(args, "verify.csv", _csv(
-        "check,value,reference,rel_err,tol,status",
-        ((c, _fmt(args, v), _fmt(args, r), f"{e:.3e}", f"{t:.1e}",
-          "pass" if ok else "FAIL") for c, v, r, e, t, ok in rows)))
-    bad = [r for r in rows if not r[5]]
+            checks.append((f"F@h={h}", est, pred,
+                           max(tol, 50 * (eps + lam * lam))))
+    rows = []
+    for check, value, reference, threshold in checks:
+        *fields, status = _fields(args, value, reference, threshold)
+        rows.append([check, *fields, f"{threshold:.1e}", status])
+    bad = [row[0] for row in rows if row[-1] == "FAIL"]
     if bad:
-        print(f"first failing row: {bad[0][0]}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    return EXIT_OK
+        print(f"first failing row: {bad[0]}", file=sys.stderr)
+    return ({"verify.csv": ("check,value,reference,rel_err,tol,status",
+                            rows)}, not bad)
 
 
 # -- parser --------------------------------------------------------------------
@@ -352,7 +340,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        outputs, ok = args.func(args)
+        _write(args, outputs)
+        return EXIT_OK if ok else EXIT_NUMERICAL
     # errors.InvalidInput and json.JSONDecodeError are ValueErrors: every
     # input error exits 2
     except (ValueError, KeyError, OSError) as exc:

@@ -44,13 +44,13 @@ R_MAX = 50.0
 
 @dataclass(frozen=True)
 class SimConfig:
-    lam: float = 0.0
-    eps: float = 0.0
+    lam: float | None = None  # None: the system's
+    eps: float | None = None
     rk_tol: float = 1e-10
 
     def __post_init__(self):
         # written so that NaN fails every check
-        check_params(self.lam, self.eps)
+        check_params(*(0.0 if v is None else v for v in (self.lam, self.eps)))
         if not 0 < self.rk_tol < math.inf:
             raise ValueError("rk_tol must be finite and positive")
 
@@ -106,12 +106,12 @@ def advance_to_section(sys: LienardSystem, start: float, config: SimConfig,
     The section is {y = 0, x > 0} for switch-on-y systems and
     {x = 0, y > 0} for switch-on-x systems; ``start`` is the positive
     section coordinate (x resp. y).  Every return of a scan goes through
-    this module attribute.  The config's lam and eps apply unless both are
-    0, when the system's do.
+    this module attribute.  The config's lam and eps apply, 0 included;
+    where one is None, the system's does.
     """
     mode = 0 if sys.case is Case.SWITCH_Y else 1
-    lam, eps = ((config.lam, config.eps) if config.lam or config.eps
-                else (sys.lam, sys.eps))
+    lam = sys.lam if config.lam is None else config.lam
+    eps = sys.eps if config.eps is None else config.eps
     return _return(sys.float_coeffs(), lam, eps, mode, start, config,
                    tangent)
 
@@ -121,7 +121,7 @@ def displacement(sys: LienardSystem, r: float, config: SimConfig) -> float:
     return advance_to_section(sys, r, config)[0] - r
 
 
-def find_cycles(sys: LienardSystem, r_range, grid_n: int,
+def find_cycles(sys: LienardSystem, r_range, budget: int,
                 config: SimConfig) -> CycleScan:
     """Cycles on ``r_range`` from a Chebyshev proxy of the displacement.
 
@@ -130,7 +130,7 @@ def find_cycles(sys: LienardSystem, r_range, grid_n: int,
     through both (``_hermite_coeffs``).  The node count doubles, reusing
     every node, while one of the proxy's last three coefficients lies
     above the noise floor ``10 * rk_tol * (1 + hi)`` and the new nodes fit
-    in ``grid_n``, the scan's return budget.  The roots of the proxy,
+    in ``budget``, the most node returns the scan takes.  The proxy's roots,
     chopped at the floor, are its cycles; each costs one more, plain,
     return at the root, the residual, and one Newton step with the proxy's
     slope.  A failed return keeps NaN at its node, and the proxy is fitted
@@ -138,8 +138,8 @@ def find_cycles(sys: LienardSystem, r_range, grid_n: int,
     left of the budget.  A proxy with every coefficient at the floor is
     non-isolated: a period annulus.
     """
-    if grid_n < 2:
-        raise ValueError(f"grid_n must be at least 2, got {grid_n}")
+    if budget < 2:
+        raise ValueError(f"budget must be at least 2 returns, got {budget}")
     lo, hi = r_range
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise ValueError(f"r_range needs finite lo < hi, got ({lo}, {hi})")
@@ -150,7 +150,7 @@ def find_cycles(sys: LienardSystem, r_range, grid_n: int,
 
     def fits(a, b, n):  # the new nodes of level n within the budget
         new = sum(r not in values for r in _nodes(a, b, n))
-        return new <= grid_n - len(values)
+        return new <= budget - len(values)
 
     pieces, proxies = [(lo, hi)], []
     while pieces:

@@ -232,6 +232,17 @@ def test_simulate_trajectory_dump(outdir):
 
 
 
+def test_failed_dump_writes_nothing(outdir, capsys):
+    """A --dump-traj return that fails exits 3 and leaves --out empty: the
+    scan's cycles.json and displacement.csv are not written before it."""
+    assert main(["--out", str(outdir), "simulate", "--preset", "example1",
+                 "--lam", "0.5", "--eps", "0.5", "--r-range", "1:3",
+                 "--grid", "20", "--dump-traj", "45"]) == EXIT_NUMERICAL
+    assert capsys.readouterr().err == ("numerical failure: angular speed "
+                                       "below guard at t = 37.3048\n")
+    assert list(outdir.glob("*")) == []
+
+
 def test_simulate_trajectory_dump_switch_on_x(outdir):
     """A switch-on-x return starts on the y-axis: its first row is
     (t, x, y) = (0, 0, R), on the side opposite its first crossing."""

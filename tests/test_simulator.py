@@ -1435,10 +1435,10 @@ class TestGuards:
             assert "unknown status 7" in str(info.value)
         assert asked[0][-2:] == (simulator.R_MIN, simulator.R_MAX)
 
-    @pytest.mark.parametrize("grid_n", [1, 0])
-    def test_scan_needs_two_grid_points(self, grid_n):
+    @pytest.mark.parametrize("budget", [1, 0])
+    def test_scan_needs_two_grid_points(self, budget):
         with pytest.raises(ValueError):
-            find_cycles(load_preset("example1"), (1.0, 2.0), grid_n,
+            find_cycles(load_preset("example1"), (1.0, 2.0), budget,
                         SimConfig())
 
     @pytest.mark.parametrize("r_range", [(3.4, 1.0), (2.0, 2.0),
@@ -1477,6 +1477,21 @@ class TestGuards:
         for it; inf is rejected too."""
         with pytest.raises(ValueError, match="finite|inf"):
             SimConfig(**{name: value})
+
+    def test_config_zero_params_are_used(self):
+        """An explicit lam or eps of 0 is used, where two zeros used to
+        mean the system's values (a return at lam = 0.02, d = -0.055).  At
+        lam = eps = 0 the flow is the linear centre and every start
+        returns to itself.  A field left None takes the system's value."""
+        sys_ = load_preset("example1").with_params(0.02, 4e-4)
+
+        def d(config):
+            return advance_to_section(sys_, 2.0, config)[0] - 2.0
+
+        assert abs(d(SimConfig(lam=0.0, eps=0.0))) <= 1e-12
+        assert d(SimConfig()) == d(SimConfig(lam=0.02, eps=4e-4))
+        assert d(SimConfig(eps=0.0)) == d(SimConfig(lam=0.02, eps=0.0))
+        assert d(SimConfig(lam=0.0)) == d(SimConfig(lam=0.0, eps=4e-4))
 
     def test_non_transversal_start(self):
         """A sliding start: q = 2 (lam = 1, g = 2) at (1, 0) on the side
