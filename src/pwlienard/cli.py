@@ -102,11 +102,11 @@ def _fmt(args, v: float) -> str:
     return f"{v:.{args.precision}g}"
 
 
-def _fields(args, value: float, reference: float, tol: float) -> list:
-    """The value, the reference, the error relative to 1 + |reference| and
-    pass or FAIL, as CSV fields; a NaN error fails."""
+def _fields(args, value: float, reference: float, tol: float, *shown):
+    """The value, the reference, the error relative to 1 + |reference|,
+    ``shown`` and pass or FAIL, as CSV fields; a NaN error fails."""
     err = abs(value - reference) / (1.0 + abs(reference))
-    return [_fmt(args, value), _fmt(args, reference), f"{err:.3e}",
+    return [_fmt(args, value), _fmt(args, reference), f"{err:.3e}", *shown,
             "pass" if err <= tol else "FAIL"]
 
 
@@ -225,8 +225,10 @@ def trajectory_rows(sys_, r, config):
     """Crossing log for one full return started at section coordinate r."""
     _coord, _t, crossings = simulator.advance_to_section(sys_, r, config)
     start_side = crossings[0][3] if crossings else 0.0
-    return [(0.0, r, 0.0, -start_side) if sys_.case is Case.SWITCH_Y
-            else (0.0, 0.0, r, -start_side), *crossings]
+    rows = [(0.0, r, 0.0, -start_side) if sys_.case is Case.SWITCH_Y
+            else (0.0, 0.0, r, -start_side)]
+    rows.extend(crossings)
+    return rows
 
 
 def cmd_design(args):
@@ -264,10 +266,8 @@ def cmd_verify(args):
             # first-order estimate: allow O(eps) + O(lam^2) slack
             checks.append((f"F@h={h}", est, pred,
                            max(tol, 50 * (eps + lam * lam))))
-    rows = []
-    for check, value, reference, threshold in checks:
-        *fields, status = _fields(args, value, reference, threshold)
-        rows.append([check, *fields, f"{threshold:.1e}", status])
+    rows = [[check, *_fields(args, value, reference, t, f"{t:.1e}")]
+            for check, value, reference, t in checks]
     bad = [row[0] for row in rows if row[-1] == "FAIL"]
     if bad:
         print(f"first failing row: {bad[0]}", file=sys.stderr)
