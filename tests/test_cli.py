@@ -352,6 +352,28 @@ def test_subcommand_bytes_pinned(tmp_path, capsys, command, with_out):
     assert hashlib.sha256(run).hexdigest() == PINNED_RUNS[command][with_out]
 
 
+# sha256 of the scan's displacement nodes and of the dumped return of the
+# pinned simulate run, as CSV text: header, repr fields, "\n" line ends
+SIMULATE_DATA = {
+    "displacement.csv":
+        "47f92b6b312ffc1e739434455798d9b5e18ab20d94e8cf02ae17c66dd0979a25",
+    "trajectory.csv":
+        "8285102b6b723969f5792edbb655139cb2e938fcc8cd18c4a05efe0833fa3a35",
+}
+
+
+def test_simulate_data_pinned(tmp_path):
+    system = tmp_path / "system.json"
+    system.write_text(design_case_y([1.0, 4.0], 3, 3).dumps())
+    outdir = tmp_path / "out"
+    command = [c for c in PINNED_RUNS if c.startswith("simulate")][0]
+    argv = command.replace("SYSTEM", str(system)).split()
+    assert main(["--out", str(outdir)] + argv) == EXIT_OK
+    for name, digest in SIMULATE_DATA.items():
+        text = (outdir / name).read_text()
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, name
+
+
 @pytest.mark.parametrize("command", ["melnikov", "oracle", "verify"])
 def test_overflowing_energy_is_named(capsys, command):
     """A finite h too large for a float exits 3 with a message that names h
