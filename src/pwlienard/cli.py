@@ -1,9 +1,9 @@
 """Command-line harness: expansions, roots, oracle checks, simulation,
 inverse design and end-to-end verification.
 
-Each subcommand returns its outputs, file name to a JSON document or a CSV
-(header, rows) pair, and whether every check passed.  ``main`` alone
-writes them, through ``_write``, and sets the exit code: 0 success, 2
+Each subcommand returns its one output, a file name and a JSON document or
+a CSV (header, rows) pair, and whether every check passed.  ``main`` alone
+writes it, through ``_write``, and sets the exit code: 0 success, 2
 input error (a ValueError, errors.InvalidInput included, a KeyError or an
 OSError), 3 numerical failure or a failed check.  An error writes nothing.
 Default comparison tolerance can be overridden with PWLIENARD_REL_TOL, a
@@ -110,21 +110,20 @@ def _fields(args, value: float, reference: float, tol: float, *shown):
             "pass" if err <= tol else "FAIL"]
 
 
-def _write(args, outputs: dict):
-    """Each output in order, a JSON document or a CSV (header, rows) pair
-    with rows of strings, to its file under --out, else to stdout."""
-    for name, doc in outputs.items():
-        if isinstance(doc, tuple):
-            header, rows = doc
-            text = header + "\n" + "\n".join(map(",".join, rows)) + "\n"
-        else:
-            text = json.dumps(doc, indent=2) + "\n"
-        if args.out:
-            os.makedirs(args.out, exist_ok=True)
-            with open(os.path.join(args.out, name), "w") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+def _write(args, name: str, doc):
+    """``doc``, a JSON document or a CSV (header, rows) pair with rows of
+    strings, to the file ``name`` under --out, else to stdout."""
+    if isinstance(doc, tuple):
+        header, rows = doc
+        text = header + "\n" + "\n".join(map(",".join, rows)) + "\n"
+    else:
+        text = json.dumps(doc, indent=2) + "\n"
+    if args.out:
+        os.makedirs(args.out, exist_ok=True)
+        with open(os.path.join(args.out, name), "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -148,7 +147,7 @@ def cmd_melnikov(args):
             for h in args.h_grid
         ],
     }
-    return {"melnikov.json": report}, True
+    return "melnikov.json", report, True
 
 
 def cmd_roots(args):
@@ -167,7 +166,7 @@ def cmd_roots(args):
         "h_roots": [asdict(r) for r in report.h_roots],
         "suspected": [asdict(r) for r in report.suspected],
     }
-    return {"roots.json": doc}, True
+    return "roots.json", doc, True
 
 
 def _compare(args, every_form: bool):
@@ -196,7 +195,7 @@ def cmd_oracle(args):
     _sys, _exp, tol, compared = _compare(args, every_form=False)
     rows = [[_fmt(args, h), term, *_fields(args, closed, quad, tol)]
             for term, h, closed, quad in compared]
-    return ({"oracle.csv": ("h,term,closed,oracle,rel_err,status", rows)},
+    return ("oracle.csv", ("h,term,closed,oracle,rel_err,status", rows),
             all(row[-1] == "pass" for row in rows))
 
 
@@ -209,16 +208,12 @@ def cmd_simulate(args):
     # the system carries lambda and eps
     config = simulator.SimConfig(rk_tol=args.rk_tol)
     scan = simulator.find_cycles(sys_, args.r_range, args.grid, config)
-    outputs = {"cycles.json": {"backend": simulator.BACKEND,
-                               "non_isolated": scan.non_isolated,
-                               "cycles": [asdict(c) for c in scan.cycles]}}
-    if args.out:  # written to a file only, never to stdout
-        outputs["displacement.csv"] = ("r,displacement", [
-            (repr(x), repr(d)) for x, d in zip(scan.grid, scan.displacements)])
+    # the scan's cycles, non_isolated flag, proxy nodes and their d
+    doc = {"backend": simulator.BACKEND, **asdict(scan)}
     if r is not None:
-        outputs["trajectory.csv"] = ("t,x,y,side", [
-            [repr(v) for v in row] for row in trajectory_rows(sys_, r, config)])
-    return outputs, True
+        doc["trajectory"] = [dict(zip(("t", "x", "y", "side"), row))
+                             for row in trajectory_rows(sys_, r, config)]
+    return "cycles.json", doc, True
 
 
 def trajectory_rows(sys_, r, config):
@@ -249,7 +244,7 @@ def cmd_design(args):
             "h_roots": [asdict(r) for r in report.h_roots],
         },
     }
-    return {"design.json": doc}, ok
+    return "design.json", doc, ok
 
 
 def cmd_verify(args):
@@ -257,8 +252,10 @@ def cmd_verify(args):
     checks = [(f"{term}@h={h}", closed, quad, tol)
               for term, h, closed, quad in compared]
     if args.with_sim:
-        # _load_system has applied --lam/--eps to the system
-        lam, eps = sys_.lam or 0.02, sys_.eps or 1e-4
+        # at the system's lambda and eps, after --lam/--eps, as simulate
+        lam, eps = sys_.lam, sys_.eps
+        if eps == 0:
+            raise ValueError("--with-sim divides by eps: give a nonzero --eps")
         for h in (0.5, 2.0):
             # one-return finite difference of M0 + lam*M1 + O(lam^2)
             est = simulator.bifurcation_increment(sys_, h, lam, eps) / eps
@@ -271,8 +268,8 @@ def cmd_verify(args):
     bad = [row[0] for row in rows if row[-1] == "FAIL"]
     if bad:
         print(f"first failing row: {bad[0]}", file=sys.stderr)
-    return ({"verify.csv": ("check,value,reference,rel_err,tol,status",
-                            rows)}, not bad)
+    return ("verify.csv", ("check,value,reference,rel_err,tol,status", rows),
+            not bad)
 
 
 # -- parser --------------------------------------------------------------------
@@ -340,8 +337,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        outputs, ok = args.func(args)
-        _write(args, outputs)
+        name, doc, ok = args.func(args)
+        _write(args, name, doc)
         return EXIT_OK if ok else EXIT_NUMERICAL
     # errors.InvalidInput and json.JSONDecodeError are ValueErrors: every
     # input error exits 2

@@ -182,10 +182,8 @@ def test_simulate_finds_cycles(tmp_path, outdir):
     assert doc["backend"] == "python"
     assert len(doc["cycles"]) == 1
     assert doc["cycles"][0]["h_star"] == pytest.approx(1.0, abs=1e-3)
-    disp = (outdir / "displacement.csv").read_text().strip().splitlines()
-    assert disp[0] == "r,displacement"
     # the proxy nodes: 5 fit the budget of 15 and reach the noise floor
-    assert len(disp) == 1 + 5
+    assert len(doc["grid"]) == len(doc["displacements"]) == 5
 
 
 @pytest.mark.parametrize("partial, full", [
@@ -197,28 +195,30 @@ def test_partial_param_override_keeps_file_value(tmp_path, partial, full):
     doc_path = tmp_path / "sys.json"
     doc_path.write_text(json.dumps(
         load_preset("example1").with_params(0.02, 4e-4).to_json()))
-    texts = []
+    scans = []
     for flags in (partial, full):
         out = tmp_path / "-".join(flags)
         rc = main(["--out", str(out), "simulate", "--system", str(doc_path),
                    "--r-range", "1.5:2.5", "--grid", "2"] + flags)
         assert rc == EXIT_OK
-        texts.append((out / "displacement.csv").read_text())
-    assert texts[0] == texts[1]
+        doc = read_json(out / "cycles.json")
+        scans.append((doc["grid"], doc["displacements"]))
+    assert scans[0] == scans[1]
 
 
 def test_config_r_range_parsed_like_the_flag(tmp_path):
     """An argument file's --r-range sets the scan as the typed flag does."""
-    texts = []
+    scans = []
     for flags in ([args_file(tmp_path, "--r-range=1.5:2.5")],
                   ["--r-range", "1.5:2.5"]):
         out = tmp_path / ("file" if flags[0].startswith("@") else "typed")
         rc = main(["--out", str(out), "simulate", "--preset", "example1",
                    "--lam", "0.02", "--eps", "4e-4", "--grid", "2"] + flags)
         assert rc == EXIT_OK
-        texts.append((out / "displacement.csv").read_text())
-    assert texts[0] == texts[1]
-    assert texts[0].splitlines()[1].startswith("1.5,")
+        doc = read_json(out / "cycles.json")
+        scans.append((doc["grid"], doc["displacements"]))
+    assert scans[0] == scans[1]
+    assert scans[0][0][0] == 1.5
 
 
 def test_simulate_trajectory_dump(outdir):
@@ -226,15 +226,15 @@ def test_simulate_trajectory_dump(outdir):
                "--r-range", "1.5:2.5", "--grid", "3",
                "--dump-traj", "2.0"])
     assert rc == EXIT_OK
-    rows = (outdir / "trajectory.csv").read_text().strip().splitlines()
-    assert rows[0] == "t,x,y,side"
-    assert len(rows) >= 3
+    rows = read_json(outdir / "cycles.json")["trajectory"]
+    assert all(list(row) == ["t", "x", "y", "side"] for row in rows)
+    assert len(rows) >= 2
 
 
 
 def test_failed_dump_writes_nothing(outdir, capsys):
     """A --dump-traj return that fails exits 3 and leaves --out empty: the
-    scan's cycles.json and displacement.csv are not written before it."""
+    scan's cycles.json is not written before it."""
     assert main(["--out", str(outdir), "simulate", "--preset", "example1",
                  "--lam", "0.5", "--eps", "0.5", "--r-range", "1:3",
                  "--grid", "20", "--dump-traj", "45"]) == EXIT_NUMERICAL
@@ -250,9 +250,10 @@ def test_simulate_trajectory_dump_switch_on_x(outdir):
                "--lam", "0.02", "--eps", "4e-4", "--r-range", "1:3",
                "--grid", "12", "--dump-traj", "1.5"])
     assert rc == EXIT_OK
-    rows = (outdir / "trajectory.csv").read_text().splitlines()
-    assert rows[:2] == ["t,x,y,side", "0.0,0.0,1.5,1.0"]
-    assert len(rows) >= 3
+    rows = read_json(outdir / "cycles.json")["trajectory"]
+    assert list(rows[0]) == ["t", "x", "y", "side"]
+    assert ",".join(map(repr, rows[0].values())) == "0.0,0.0,1.5,1.0"
+    assert len(rows) >= 2
 
 def test_verify_pass(outdir):
     rc = main(["--out", str(outdir), "verify", "--preset", "example1",
@@ -326,14 +327,15 @@ PINNED_RUNS = {
         "29a2526089464f100df1501f500b3ddf0c0e098970cb1f6e2b117b8687841330",
         "9feee2abf9fe7c363ba1aa135cc68df4908b4f3faf1fe25fc6642f5ee2151317"),
     # exits 3 with "first failing row: F@h=0.5" on stderr
-    "verify --preset example1 --h-grid 0.5 --with-sim": (
+    "verify --preset example1 --h-grid 0.5 --with-sim --lam 0.02 "
+    "--eps 1e-4": (
         "bf5ccd20ef693c20bb2a0a9a833150c6313cbc8e091e84137be09d730424354a",
         "a4f67c55c7785cfd249eee477e43213e0f04d915d9f1b0e3cf9810dd67bd7c75"),
-    # displacement.csv is written with --out only
+    # one cycles.json, the scan's nodes and the dumped return included
     "simulate --system SYSTEM --lam 0.02 --eps 4e-4 --r-range 1:3.4 "
     "--grid 60 --dump-traj 2": (
-        "aedb176858cc109cf92c29d0c3f70be33c41bf742e15d0f7dd1f4a931ce8d6ab",
-        "2f49118d8b356c282ca1d045a43b4b9754532648aadbe9de426756a382938af6"),
+        "b087ad1ea380030c1302101789baa68f67233540d792fab824cf7494fdd79c96",
+        "9d3572e85e5a7c15e024265681a6f59f88659eb341b3a7f71aa68565c176de17"),
 }
 
 
@@ -353,7 +355,8 @@ def test_subcommand_bytes_pinned(tmp_path, capsys, command, with_out):
 
 
 # sha256 of the scan's displacement nodes and of the dumped return of the
-# pinned simulate run, as CSV text: header, repr fields, "\n" line ends
+# pinned simulate run, as the CSV text that displacement.csv and
+# trajectory.csv held: header, repr fields, "\n" line ends
 SIMULATE_DATA = {
     "displacement.csv":
         "47f92b6b312ffc1e739434455798d9b5e18ab20d94e8cf02ae17c66dd0979a25",
@@ -369,8 +372,17 @@ def test_simulate_data_pinned(tmp_path):
     command = [c for c in PINNED_RUNS if c.startswith("simulate")][0]
     argv = command.replace("SYSTEM", str(system)).split()
     assert main(["--out", str(outdir)] + argv) == EXIT_OK
+    doc = read_json(outdir / "cycles.json")
+    tables = {
+        "displacement.csv": ("r,displacement",
+                             zip(doc["grid"], doc["displacements"])),
+        "trajectory.csv": ("t,x,y,side",
+                           (row.values() for row in doc["trajectory"])),
+    }
     for name, digest in SIMULATE_DATA.items():
-        text = (outdir / name).read_text()
+        header, rows = tables[name]
+        text = header + "\n" + "\n".join(
+            ",".join(map(repr, row)) for row in rows) + "\n"
         assert hashlib.sha256(text.encode()).hexdigest() == digest, name
 
 
@@ -402,6 +414,36 @@ def test_verify_with_sim_uses_system_params(tmp_path):
     assert rows[0] == rows[1]
     m1 = expand(sys_).m1.eval(0.5)
     assert float(rows[0][0].split(",")[2]) == pytest.approx(0.05 * m1)
+
+
+def test_verify_with_sim_at_lam_zero(capsys):
+    """--lam 0 simulates and predicts at lambda = 0: the F row's reference
+    is M0 alone, where it used to be M0 + 0.02 M1."""
+    main(["verify", "--preset", "example2", "--h-grid", "0.5", "--with-sim",
+          "--lam", "0", "--eps", "1e-4"])
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()]
+    m0 = expand(load_preset("example2")).m0.eval(0.5)
+    assert [row[2] for row in rows if row[0] == "F@h=0.5"] == [f"{m0:.17g}"]
+
+
+def test_verify_with_sim_needs_eps(capsys):
+    """The increment divides by eps, so an eps of 0, here the preset's,
+    is an input error that names --eps, not a simulation at 1e-4."""
+    assert main(["verify", "--preset", "example1", "--h-grid", "0.5",
+                 "--with-sim"]) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "--eps" in captured.err
+    assert captured.out == ""
+
+
+def test_simulate_stdout_is_one_document(capsys):
+    """Without --out, a --dump-traj run prints one JSON document that holds
+    the dumped return, where a CSV used to follow the JSON."""
+    assert main(["simulate", "--preset", "example1", "--r-range", "1.5:2.5",
+                 "--grid", "3", "--dump-traj", "2.0"]) == EXIT_OK
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["trajectory"][0] == {"t": 0.0, "x": 2.0, "y": 0.0,
+                                    "side": -1.0}
 
 
 def test_config_file_defaults(tmp_path, outdir):
