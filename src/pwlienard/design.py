@@ -92,11 +92,6 @@ def design_case_y(targets, m: int, n: int) -> LienardSystem:
                for name in ("a1", "b0", "b1", "c")}
     if targets:
         q_poly = _product_s_poly([math.sqrt(t) for t in targets], 1)
-        outside = sorted(set(q_poly) - support(Case.SWITCH_Y, m, n, "M1"))
-        if outside:
-            raise InfeasibleShape(
-                f"monomial s^{outside[0]} is outside the M1 support of the"
-                f" (m, n) = ({m}, {n}) shape")
         # with c_{2*top} picked so that c*_top = 1 exactly and the rest of
         # c zero, the b*.c* channel of I3 is the b0 channel b*_i h^(i+top+1/2)
         top = n // 2

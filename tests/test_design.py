@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,7 @@ from pwlienard.design import _odd_jacobian, _place, _product_s_poly
 from pwlienard.melnikov import (LINEAR_CHANNELS, _a_hat_factor,
                                 _b_star_factor, _c_star_factor,
                                 _c_weight_factor, _time_weight_factor,
-                                _x_odd_block)
+                                _x_odd_block, support, zero_bound)
 from pwlienard.roots import CERT_SIMPLE
 
 
@@ -301,3 +302,27 @@ def test_product_s_poly_matches_fraction_product(s_roots, lowest_power):
     ref = _fraction_product(s_roots, lowest_power)
     assert list(got.items()) == list(ref.items())
     assert all(type(q) is Fraction for q in got.values())
+
+
+def test_infeasible_shape_names_the_lowest_missing_monomial():
+    """design_case_y needs no support check of its own: _place tries the
+    target monomials in ascending order, so the one it cannot place, and
+    names, is the lowest outside the shape's M1 support."""
+    rng = random.Random(38)
+    named = 0
+    for m in range(8):
+        for n in range(8):
+            carried = support(Case.SWITCH_Y, m, n, "M1")
+            for count in range(1, zero_bound(Case.SWITCH_Y, m, n, "M1") + 1):
+                targets = [rng.uniform(0.1, 10.0) for _ in range(count)]
+                outside = set(_product_s_poly(
+                    [math.sqrt(t) for t in sorted(targets)], 1)) - carried
+                if not outside:
+                    design_case_y(targets, m, n)
+                    continue
+                with pytest.raises(InfeasibleShape) as exc:
+                    design_case_y(targets, m, n)
+                assert re.search(r"s\^(\d+)", str(exc.value)).group(1) \
+                    == str(min(outside))
+                named += 1
+    assert named
