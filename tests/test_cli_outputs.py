@@ -1,10 +1,14 @@
-"""Only ``cli._write`` writes a CLI output, and only ``main`` calls it.
+"""Each CLI run writes one document, only ``cli._write`` writes it, and
+only ``main`` calls ``_write``.
 
-Each subcommand returns its outputs to ``main``, which hands them to
-``_write``, so what every JSON or CSV output should carry is added in one
-place.  A function of ``cli.py`` other than ``_write`` that opens a file
-for writing, writes to stdout or serialises JSON would be a second output
-path.  ``_load_system``'s read-only ``open`` is no output.
+Each ``cmd_*`` subcommand returns one (name, doc, ok) tuple: a file name,
+one JSON document or CSV (header, rows) pair, and whether every check
+passed.  ``main`` hands the document to ``_write``, which takes that one
+document and loops over nothing, so stdout holds one parseable document
+and what every output should carry is added in one place.  A function of
+``cli.py`` other than ``_write`` that opens a file for writing, writes to
+stdout or serialises JSON would be a second output path.
+``_load_system``'s read-only ``open`` is no output.
 """
 
 import ast
@@ -60,6 +64,39 @@ def readers(tree, name):
             and isinstance(node.ctx, ast.Load)}
 
 
+def own_returns(func):
+    """The return statements of ``func``, not of the functions it nests."""
+    todo = list(func.body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, ast.Return):
+            yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda)):
+            todo.extend(ast.iter_child_nodes(node))
+
+
+def returns_one_output(func) -> bool:
+    """Whether ``func`` returns, and every return is a three-element
+    tuple."""
+    found = list(own_returns(func))
+    return bool(found) and all(isinstance(node.value, ast.Tuple)
+                               and len(node.value.elts) == 3
+                               for node in found)
+
+
+def writes_one_document(func) -> bool:
+    """Whether ``func`` takes (args, name, doc) and has no loop."""
+    loops = (ast.For, ast.AsyncFor, ast.While, ast.comprehension)
+    return len(func.args.args) == 3 and not any(
+        isinstance(node, loops) for node in ast.walk(func))
+
+
+def functions(tree):
+    return {node.name: node for node in tree.body
+            if isinstance(node, ast.FunctionDef)}
+
+
 def cli_tree():
     return ast.parse(CLI.read_text(), filename=str(CLI))
 
@@ -91,3 +128,39 @@ def test_check_sees_each_writer():
     assert writers(tree) == {"opens", "appends", "dumps", "echoes",
                              "prints", "nests"}
     assert readers(tree, "_write") == {"passes"}
+
+
+def test_each_command_returns_one_output():
+    commands = {name: func for name, func in functions(cli_tree()).items()
+                if name.startswith("cmd_")}
+    assert len(commands) == 6
+    assert [name for name, func in commands.items()
+            if not returns_one_output(func)] == []
+
+
+def test_write_takes_one_document():
+    assert writes_one_document(functions(cli_tree())["_write"])
+
+
+def test_check_sees_each_shape():
+    """The one-output checks flag what they should and pass what they
+    should."""
+    found = functions(ast.parse(
+        "def one(args): return 'a.json', {}, True\n"
+        "def nests(args):\n"
+        "    def inner(): return 1\n"
+        "    return 'b.json', ('h', []), False\n"
+        "def many(args):\n"
+        "    if args: return 'c.json', {}, True\n"
+        "    return {'c.json': {}, 'c.csv': ('h', [])}, True\n"
+        "def silent(args): pass\n"
+        "def _write(args, name, doc): print(name, doc)\n"
+        "def loops(args, outputs):\n"
+        "    for name, doc in outputs.items(): print(name, doc)\n"
+        "def hides(args, name, doc): return [print(d) for d in doc]\n"
+        "def waits(args, name, doc):\n"
+        "    while doc: doc = None\n"))
+    assert {name for name, func in found.items()
+            if returns_one_output(func)} == {"one", "nests"}
+    assert {name for name, func in found.items()
+            if writes_one_document(func)} == {"_write"}

@@ -10,6 +10,7 @@ import pytest
 from pwlienard import cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+ROADMAP = README.with_name("ROADMAP.md")
 
 
 def test_library_quickstart_runs(capsys):
@@ -51,3 +52,35 @@ def test_command_lines_parse(tmp_path, monkeypatch):
         parsed[" ".join(argv)] = vars(cli.build_parser().parse_args(argv[1:]))
     from_file = parsed.pop(f"pwlienard design @{args_name}")
     assert from_file in parsed.values()
+
+
+def test_command_lines_run(tmp_path, monkeypatch, capsys):
+    """Each ``pwlienard`` line of the "Command line" block that reads no
+    file runs, in an empty directory, to the exit code the README states:
+    the ``verify`` line's, which ROADMAP's baseline states too, and 0 for
+    every other line."""
+    section = re.search(r"^## Command line\n(.*?)^## ", README.read_text(),
+                        re.S | re.M).group(1)
+    block = re.search(r"^```sh\n(.*?)^```", section, re.S | re.M).group(1)
+    verify_code, other_code = map(int, re.search(
+        r"the `verify` line exits `(\d)`.*?Every other line\s+that reads no"
+        r"\s+file exits `(\d)`", section, re.S).groups())
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("PWLIENARD_REL_TOL", raising=False)
+    ran = []
+    for line in block.splitlines():
+        argv = shlex.split(line)[1:]
+        if not line.startswith("pwlienard ") or "--system" in argv \
+                or any(arg.startswith("@") for arg in argv):
+            continue
+        expected = verify_code if "verify" in argv else other_code
+        assert cli.main(argv) == expected, line
+        ran.append(" ".join(argv))
+    capsys.readouterr()
+    assert len(ran) == 5
+    assert (tmp_path / "results" / "oracle.csv").exists()
+    verify_line = next(line for line in ran if line.startswith("verify "))
+    stated = re.search(re.escape(f"`{verify_line}`")
+                       + r"(.*?)still\s+exit (\d)", ROADMAP.read_text(), re.S)
+    assert "\n\n" not in stated.group(1)
+    assert int(stated.group(2)) == verify_code
