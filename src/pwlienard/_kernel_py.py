@@ -47,8 +47,9 @@ not grow h (Hairer, Norsett & Wanner, Solving ODEs I, II.4).  Where the
 rest of an arc lies between h and 2h, the kernel steps half of it, so that
 an arc does not end on a sliver.  The step size carries across the switch,
 where only stage 1 is recomputed, since the side changes.  Each arc runs
-in one function that ``_arc`` generates (see Generated arc); ``_arcs``
-keeps the loop over the two arcs, the crossings and the status codes.
+in one function that ``_arc`` generates (see Generated arc);
+``integrate_return`` keeps the loop over the two arcs, the crossings and
+the status codes.
 
 The field takes fold's p, and q times the arc's side once per arc.  A
 product with +-1 is exact, so q's value is side * q(x) but for the sign
@@ -84,10 +85,10 @@ are unpacked into locals once per arc and Horner is written out over them,
 with the derivative in tangent mode, by ``algebra``'s writers: a called
 field with Horner loops spends about half its time in interpreter
 dispatch.  No step calls a function but cos and sin, or builds or unpacks
-a sequence.  Stage 7 sits at stage 6's angle
-(c6 = 1), so it reuses that stage's cos and sin: five trig pairs a step.
-``_arc`` compiles once per shape, ``_arcs`` fetches it once per arc, and
-importing the module compiles none.
+a sequence.  Stage 7 sits at stage 6's angle (c6 = 1), so it reuses that
+stage's cos and sin: five trig pairs a step.  ``_arc`` compiles once per
+shape, ``integrate_return`` fetches it once per arc, and importing the
+module compiles none.
 
 The arc keeps the bits of a polyval field and of the tableau loops over
 it, stepped by the same controller, which tests/test_simulator.py checks
@@ -311,24 +312,12 @@ def integrate_return(mode, fa0, fa1, fb0, fb1, fc, lam, eps,
     if mode not in (0, 1):
         raise ValueError(f"unknown field mode {mode}")
     p, q = fold(fa0, fa1, fb0, fb1, fc, lam, eps)
-    status, phi, y, crossings = _arcs(
-        mode, p, q, float(x0 if mode == 0 else y0), rk_tol,
-        max_steps, r_min, r_max, tangent)
-    r, t = y[:2]
-    # a return ends on its line, every other status at the point (r, phi)
-    point = (crossings[-1][1:3] if status == 0
-             else (r * math.cos(phi), -r * math.sin(phi)))
-    return (status, *point, t, crossings, *y[2:])
-
-
-def _arcs(mode, p, q, r, rk_tol, max_steps, r_min, r_max, tangent):
-    """The two arcs of a return from radius r on fold's p and q; returns
-    (status, phi, y, crossings) with y the last accepted state: r, t and
-    with ``tangent`` v."""
     if mode == 0:
         phi, side = 0.0, -1.0
     else:
         phi, side = -0.5 * math.pi, 1.0
+    # y is the last accepted state: r, t and with ``tangent`` v
+    r = float(x0 if mode == 0 else y0)
     y = (r, 0.0, 1.0) if tangent else (r, 0.0)
     crossings = []
     h = _H_START
@@ -342,12 +331,16 @@ def _arcs(mode, p, q, r, rk_tol, max_steps, r_min, r_max, tangent):
         except _NonTransversal:
             # stage 1 is at an accepted point: below the guard there, the
             # return ends
-            return 3, phi, y, crossings
+            status = 3
         if status:
-            return status, phi, y, crossings
+            break
         # landed exactly on the line; the next arc has the other side
         side = -side
         r = sign * y[0]
         crossings.append((y[1], *((r, 0.0) if mode == 0 else (0.0, r)),
                           side))
-    return 0, phi, y, crossings
+    r, t = y[:2]
+    # a return ends on its line, every other status at the point (r, phi)
+    point = (crossings[-1][1:3] if status == 0
+             else (r * math.cos(phi), -r * math.sin(phi)))
+    return (status, *point, t, crossings, *y[2:])

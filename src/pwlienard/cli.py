@@ -206,10 +206,16 @@ def cmd_simulate(args):
                          f"({simulator.R_MIN}, {simulator.R_MAX})")
     sys_ = _load_system(args)
     # the system carries lambda and eps
-    config = simulator.SimConfig(rk_tol=args.rk_tol)
+    config = simulator.SimConfig()
     scan = simulator.find_cycles(sys_, args.r_range, args.grid, config)
-    # the scan's cycles, non_isolated flag, proxy nodes and their d
+    # the scan's cycles, non_isolated flag, proxy nodes and their d; a
+    # failed return's NaN reads null, since strict JSON has no NaN
     doc = {"backend": simulator.BACKEND, **asdict(scan)}
+    doc["displacements"] = [None if math.isnan(d) else d
+                            for d in scan.displacements]
+    for cycle in doc["cycles"]:
+        if math.isnan(cycle["residual"]):
+            cycle["residual"] = None
     if r is not None:
         doc["trajectory"] = [dict(zip(("t", "x", "y", "side"), row))
                              for row in trajectory_rows(sys_, r, config)]
@@ -314,7 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--r-range", type=_r_range, default=(1.0, 6.5),
                     metavar="lo:hi")
     sp.add_argument("--grid", type=_int_from(2), default=400)
-    sp.add_argument("--rk-tol", type=float, default=1e-10)
     sp.add_argument("--dump-traj", type=float, default=None,
                     metavar="R", help="dump the crossing log from r=R")
     sp.set_defaults(func=cmd_simulate)

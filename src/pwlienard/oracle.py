@@ -46,19 +46,19 @@ once.
 
 Generated integrands
 --------------------
-``_line(len f, len g)`` writes out the integrand -(v*f(u) + sign*g(u)) *
-du/dtheta of I_0, I_1, the switch-on-x I_3 and the switch-on-y I_4 arc,
-and ``_weight(len G, len f0)`` the time weight G(u)*f0(u) of I_2, each
-compiled once per pair of coefficient counts and kept in a bounded
-least-recently-used cache of ``_INTEGRAND_TABLE_SIZE`` entries; importing
-the module compiles none.  The key is the shape alone: the coefficients,
-the case's unit tables, r, the sign and du/dtheta/v come in as
-arguments, so both cases and both arcs share one function.  Each
-polynomial comes in ascending, as ``float_coeffs`` and ``poly_antideriv``
-give it, and ``algebra``'s writers unpack it into locals and write out
-Horner over them, with ``polyval``'s bits (see ``horner_source``).  With
-Horner loops the integrands took about twice the rule's own time in a
-profile of the verify benchmark's pool.
+``_integrand(value, len f, len g)`` writes out the integrand ``value``:
+``_LINE``, -(v*f(u) + sign*g(u)) * du/dtheta, of I_0, I_1, the
+switch-on-x I_3 and the switch-on-y I_4 arc, or ``_WEIGHT``, I_2's time
+weight G(u)*f0(u) with G as g and f0 as f, whose loop reads no v.  Each
+is compiled once per key and kept in one bounded least-recently-used
+cache of ``_INTEGRAND_TABLE_SIZE`` entries; importing the module compiles
+none.  The coefficients, the case's unit tables, r, the sign and
+du/dtheta/v are arguments, so both cases and both arcs share one
+function.  Each polynomial comes in ascending, as ``float_coeffs`` and
+``poly_antideriv`` give it, and ``algebra``'s writers unpack it into
+locals and write out Horner over them, with ``polyval``'s bits (see
+``horner_source``).  With Horner loops the integrands took about twice
+the rule's own time in a profile of the verify benchmark's pool.
 """
 
 from __future__ import annotations
@@ -82,9 +82,9 @@ _UFLOW = 2.0 ** -1022  # d1mach(1)
 # intervals kept in the node table, about 2.3 kB each; a benchmark pool of
 # 240 systems on six energies meets 28 to 52
 _NODE_TABLE_SIZE = 128
-# integrands kept per generator, one per polynomial shape; a verify sweep
-# over every (m, n) <= 7 meets 64 of each
-_INTEGRAND_TABLE_SIZE = 128
+# integrands kept, one per expression and polynomial shape; a verify sweep
+# over every (m, n) <= 7 meets 64 of each expression
+_INTEGRAND_TABLE_SIZE = 256
 
 # qk21's abscissae on [-1, 1] from +1 down to -1; the 10-point Gauss rule
 # uses the odd positions.  Constants to 33 digits as QUADPACK gives them.
@@ -285,39 +285,29 @@ def _integrate(fn, lo: float, hi: float) -> float:
     return val
 
 
-@functools.lru_cache(maxsize=_INTEGRAND_TABLE_SIZE)
-def _line(n_f, n_g):
-    """The integrand -(v*f(u) + sign*g(u)) * du/dtheta for f of n_f and g
-    of n_g ascending coefficients (see Generated integrands in the module
-    docstring).  line(f, g, units, r, sign, du_per_v, nodes) returns its
-    values at the 21 abscissae of ``nodes``, with u/r and v/r read from
-    ``units(nodes)``."""
-    f_names, unpack_f = unpack_source("f", n_f)
-    g_names, unpack_g = unpack_source("g", n_g)
-    body = ["u = r * unit_u", "v = r * unit_v",
-            *horner_source("pf", f_names, "u"),
-            *horner_source("pg", g_names, "u"),
-            "out.append(-(v * pf + sign * pg) * (du_per_v * v))"]
-    return compile_source("line", [
-        "def line(f, g, units, r, sign, du_per_v, nodes):", unpack_f,
-        unpack_g, "out = []", "for unit_u, unit_v in zip(*units(nodes)):",
-        *("    " + stmt for stmt in body), "return out"], {})
+# _integrand's two values, over its locals unit_u, unit_v, u = r*unit_u,
+# pf = f(u) and pg = g(u); the line integrand names v = r*unit_v inline
+_LINE = "-((v := r * unit_v) * pf + sign * pg) * (du_per_v * v)"
+_WEIGHT = "pg * pf"
 
 
 @functools.lru_cache(maxsize=_INTEGRAND_TABLE_SIZE)
-def _weight(n_g, n_f):
-    """The time weight G(u)*f0(u) of I_2 for G of n_g and f0 of n_f
-    ascending coefficients.  weight(g, f, units, r, nodes) returns its
-    values at the 21 abscissae of ``nodes``, with u/r read from
-    ``units(nodes)``."""
-    g_names, unpack_g = unpack_source("g", n_g)
+def _integrand(value, n_f, n_g):
+    """The integrand ``value``, ``_LINE`` or ``_WEIGHT``, for f of n_f and
+    g of n_g ascending coefficients (see Generated integrands in the
+    module docstring).  integrand(f, g, units, r, sign, du_per_v, nodes)
+    returns its values at the 21 abscissae of ``nodes``, with u/r and,
+    where ``value`` reads unit_v, v/r read from ``units(nodes)``."""
     f_names, unpack_f = unpack_source("f", n_f)
-    body = ["u = r * unit_u", *horner_source("pg", g_names, "u"),
-            *horner_source("pf", f_names, "u"), "out.append(pg * pf)"]
-    return compile_source("weight", [
-        "def weight(g, f, units, r, nodes):", unpack_g, unpack_f,
-        "out = []", "for unit_u in units(nodes)[0]:",
-        *("    " + stmt for stmt in body), "return out"], {})
+    g_names, unpack_g = unpack_source("g", n_g)
+    body = ["u = r * unit_u", *horner_source("pf", f_names, "u"),
+            *horner_source("pg", g_names, "u"), f"out.append({value})"]
+    loop = ("for unit_u, unit_v in zip(*units(nodes)):" if "unit_v" in value
+            else "for unit_u in units(nodes)[0]:")
+    return compile_source("integrand", [
+        "def integrand(f, g, units, r, sign, du_per_v, nodes):", unpack_f,
+        unpack_g, "out = []", loop, *("    " + stmt for stmt in body),
+        "return out"], {})
 
 
 def quad_I(sys: LienardSystem, h: float, index: int) -> float:
@@ -331,30 +321,28 @@ def quad_I(sys: LienardSystem, h: float, index: int) -> float:
     r = _radius(h)
     units, du_per_v, i2_sign = _ARC[case]
 
-    def line(f, g, sign, lo, hi):
-        integrand = functools.partial(_line(len(f), len(g)), f, g, units,
-                                      r, sign, du_per_v)
+    def integral(value, f, g, sign, lo, hi):
+        integrand = functools.partial(_integrand(value, len(f), len(g)), f,
+                                      g, units, r, sign, du_per_v)
         return _integrate(integrand, lo, hi)
 
     on_y = case is Case.SWITCH_Y
     if index <= 1:
         f, g = (fc["a0"], fc["b0"]) if index == 0 else (fc["a1"], fc["b1"])
-        value = line(f, g, 1.0, _HALF_PI, -_HALF_PI) \
-            + line(f, g, -1.0, -_HALF_PI, -3 * _HALF_PI)
+        value = integral(_LINE, f, g, 1.0, _HALF_PI, -_HALF_PI) \
+            + integral(_LINE, f, g, -1.0, -_HALF_PI, -3 * _HALF_PI)
     elif index == 2:
-        big_g, f0 = poly_antideriv(fc["c"]), fc["a0"]
-        weight = functools.partial(_weight(len(big_g), len(f0)), big_g, f0,
-                                   units, r)
+        f0, big_g = fc["a0"], poly_antideriv(fc["c"])
         # int_AB dt and int_BA dt with dt = -d(theta)
-        ab = _integrate(weight, -_HALF_PI, _HALF_PI)
-        ba = _integrate(weight, -3 * _HALF_PI, -_HALF_PI)
+        ab = integral(_WEIGHT, f0, big_g, 1.0, -_HALF_PI, _HALF_PI)
+        ba = integral(_WEIGHT, f0, big_g, 1.0, -3 * _HALF_PI, -_HALF_PI)
         value = i2_sign * ab - i2_sign * ba
     elif on_y and index == 3:
         da, db = endpoint_derivatives(fc["c"], h)
         # L(x f0 + g0) - L(x f0 - g0) = 2*[g0(a)*da - g0(b)*db]; x = 0 at A, B
         value = 2.0 * (polyval(fc["b0"], r) * da - polyval(fc["b0"], -r) * db)
     else:
-        arc = line(fc["a0"], fc["b0"], -1.0, _HALF_PI, -_HALF_PI)
+        arc = integral(_LINE, fc["a0"], fc["b0"], -1.0, _HALF_PI, -_HALF_PI)
         value = i4_factor(fc["c"], h) * arc if on_y else arc
     if not math.isfinite(value):
         raise QuadratureFailure(f"I{index} at h = {h} is {value}")

@@ -446,6 +446,51 @@ def test_simulate_stdout_is_one_document(capsys):
                                     "side": -1.0}
 
 
+def strict_json(text):
+    """``text`` parsed as strict JSON: NaN and the infinities raise."""
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_failed_returns_read_null(capsys):
+    """At lam = eps = 0.5 every node's return fails; cycles.json writes
+    null at each, where a bare NaN would fail a strict JSON parser."""
+    assert main(["simulate", "--preset", "example1", "--lam", "0.5",
+                 "--eps", "0.5", "--r-range", "1:3", "--grid", "20"]) \
+        == EXIT_OK
+    doc = strict_json(capsys.readouterr().out)
+    assert doc["displacements"] == [None] * 5
+    assert doc["cycles"] == []
+
+
+def test_failed_polish_residual_reads_null(tmp_path, capsys, monkeypatch):
+    """A polish return that fails leaves its cycle's residual null, the
+    other keys numbers (the README quickstart's design)."""
+    def escape(*args, **kwargs):
+        raise errors.EscapeAnnulus("the polish return left the annulus")
+
+    doc_path = tmp_path / "sys.json"
+    doc_path.write_text(json.dumps(design_case_y([1.0, 4.0], 3, 3).to_json()))
+    monkeypatch.setattr(simulator, "displacement", escape)
+    assert main(["simulate", "--system", str(doc_path), "--lam", "0.02",
+                 "--eps", "4e-4", "--r-range", "1:3.4", "--grid", "60"]) \
+        == EXIT_OK
+    cycles = strict_json(capsys.readouterr().out)["cycles"]
+    assert len(cycles) == 2
+    for cycle in cycles:
+        assert cycle["residual"] is None
+        assert all(isinstance(cycle[key], float)
+                   for key in ("h_star", "radius", "stability_slope"))
+
+
+def test_rk_tol_flag_is_gone(capsys):
+    """simulate has no --rk-tol: it runs at SimConfig's tolerance."""
+    err = exits_2(["simulate", "--preset", "example1", "--grid", "3",
+                   "--rk-tol", "1e-12"], capsys)
+    assert err.endswith("unrecognized arguments: --rk-tol 1e-12")
+
+
 def test_config_file_defaults(tmp_path, outdir):
     """The flags of an argument file are read as if typed where it stands."""
     rc = main(["--out", str(outdir), "melnikov",

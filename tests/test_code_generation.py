@@ -5,7 +5,10 @@ polynomial shape, and ``algebra`` owns the writers of that code and its
 one compile step, so the order in which generated code reads
 coefficients is known in one module.  A call of the builtins ``exec``,
 ``eval`` or ``compile``, by name or through ``builtins``, anywhere else
-in the package would be a second compile step.
+in the package would be a second compile step.  And a module that
+generates code has one writer: exactly one of its functions calls
+``compile_source``, so a counting or tracing variant of the generated
+code has one place to go.
 """
 
 import ast
@@ -15,6 +18,8 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "pwlienard"
 _COMPILERS = {"exec", "eval", "compile"}
+# the one function of each generating module that calls compile_source
+WRITERS = {"_kernel_py.py": "_arc", "oracle.py": "_integrand"}
 
 
 def compiler_calls(tree):
@@ -57,3 +62,56 @@ def test_check_sees_a_compile_call(tmp_path):
         "re.compile('a')\n"
         "def f(exec): return exec\n")
     assert calls_in(module) == [("exec", 3), ("compile", 4), ("eval", 5)]
+
+
+def compile_source_callers(tree):
+    """The innermost function around each call of ``compile_source``, by
+    name or as an attribute, or "<module>" outside every function."""
+    callers = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.id if isinstance(func, ast.Name) \
+                    else getattr(func, "attr", None)
+                if name == "compile_source":
+                    callers.append(owner)
+            visit(child, owner)
+
+    visit(tree, "<module>")
+    return callers
+
+
+def callers_in(path: Path):
+    return compile_source_callers(ast.parse(path.read_text(),
+                                            filename=str(path)))
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_one_writer_per_generating_module(path):
+    expected = {WRITERS[path.name]} if path.name in WRITERS else set()
+    assert set(callers_in(path)) == expected
+
+
+def test_check_sees_each_writer(tmp_path):
+    """The writer check names every function that calls compile_source,
+    nested and module-level calls included, and nothing else."""
+    module = tmp_path / "sample.py"
+    module.write_text(
+        "from . import algebra\n"
+        "from .algebra import compile_source\n"
+        "def line(n):\n"
+        "    return compile_source('line', [], {})\n"
+        "def weight(n):\n"
+        "    def inner():\n"
+        "        return algebra.compile_source('w', [], {})\n"
+        "    return inner()\n"
+        "def reader(n):\n"
+        "    return compile_source\n"
+        "table = compile_source('t', [], {})\n")
+    assert callers_in(module) == ["line", "inner", "<module>"]

@@ -1,5 +1,6 @@
 """Quadrature oracle against the exact closed forms."""
 
+import collections
 import itertools
 import math
 import random
@@ -227,7 +228,8 @@ def test_generated_integrands_match_the_loops(case):
     units, du_per_v, _ = oracle._ARC[case]
     for n_1 in range(1, 10):
         for n_2 in range(1, 10):
-            line, weight = oracle._line(n_1, n_2), oracle._weight(n_1, n_2)
+            line = oracle._integrand(oracle._LINE, n_1, n_2)
+            weight = oracle._integrand(oracle._WEIGHT, n_2, n_1)
             pairs = [(random_coeffs(rng, n_1), random_coeffs(rng, n_2))
                      for _ in range(3)]
             pairs += [(random_coeffs(rng, n_1)[:-1] + (-0.0,),
@@ -239,8 +241,8 @@ def test_generated_integrands_match_the_loops(case):
                 for sign in (1.0, -1.0):
                     args = (c1, c2, units, r, sign, du_per_v, nodes)
                     assert bits(line(*args)) == bits(loop_line(*args))
-                args = (c1, c2, units, r, nodes)
-                assert bits(weight(*args)) == bits(loop_weight(*args))
+                assert bits(weight(c2, c1, units, r, 1.0, du_per_v, nodes)) \
+                    == bits(loop_weight(c1, c2, units, r, nodes))
 
 
 def test_integrands_compile_at_the_degree_bound():
@@ -251,28 +253,38 @@ def test_integrands_compile_at_the_degree_bound():
     rng = random.Random(500)
     f, g = (random_coeffs(rng, MAX_DEGREE + 1, 0.25) for _ in range(2))
     big_g = random_coeffs(rng, MAX_DEGREE + 2, 0.25)
-    line = oracle._line(MAX_DEGREE + 1, MAX_DEGREE + 1)
-    weight = oracle._weight(MAX_DEGREE + 2, MAX_DEGREE + 1)
+    line = oracle._integrand(oracle._LINE, MAX_DEGREE + 1, MAX_DEGREE + 1)
+    weight = oracle._integrand(oracle._WEIGHT, MAX_DEGREE + 1,
+                               MAX_DEGREE + 2)
     for case in (Case.SWITCH_Y, Case.SWITCH_X):
         units, du_per_v, _ = oracle._ARC[case]
         for nodes in INTEGRAND_NODES:
             args = (f, g, units, 1.5, -1.0, du_per_v, nodes)
             assert bits(line(*args)) == bits(loop_line(*args))
-            args = (big_g, f, units, 1.5, nodes)
-            assert bits(weight(*args)) == bits(loop_weight(*args))
+            assert bits(weight(f, big_g, units, 1.5, 1.0, du_per_v, nodes)) \
+                == bits(loop_weight(big_g, f, units, 1.5, nodes))
 
 
-def test_verify_sweep_compiles_each_shape_once():
+def test_verify_sweep_compiles_each_shape_once(monkeypatch):
     """A sweep over every (m, n) <= 7 in both cases, each system and its
-    odd projection, every integral at two energies: each generator
-    compiles one integrand per shape, (m + 1, n + 1) for the line and
-    (n + 2, m + 1) for the weight, and serves every other call from its
-    table, which holds them all.  Per system and energy the line integrand
-    is fetched five times (two arcs each for I_0 and I_1, one for the
-    switch-on-x I_3 or the switch-on-y I_4) and the weight once."""
+    odd projection, every integral at two energies: the generator
+    compiles one integrand per expression and shape, (m + 1, n + 1) for
+    the line and (m + 1, n + 2) for the weight, 64 of each, and serves
+    every other call from its one table, which holds them all.  Each
+    quadrature fetches its integrand: per system and energy the line
+    integrand five times (two arcs each for I_0 and I_1, one for the
+    switch-on-x I_3 or the switch-on-y I_4) and the weight twice, once
+    for each arc of I_2."""
     rng = random.Random(7)
-    oracle._line.cache_clear()
-    oracle._weight.cache_clear()
+    integrand = oracle._integrand
+    integrand.cache_clear()
+    fetched = collections.Counter()  # (expression, n_f, n_g) -> fetches
+
+    def counted(*key):
+        fetched[key] += 1
+        return integrand(*key)
+
+    monkeypatch.setattr(oracle, "_integrand", counted)
     evaluations = 0
     for case in (Case.SWITCH_Y, Case.SWITCH_X):
         for m, n in itertools.product(range(8), repeat=2):
@@ -282,11 +294,14 @@ def test_verify_sweep_compiles_each_shape_once():
                     for i in range(sys_.case.n_integrals):
                         quad_I(sys_, h, i)
                     evaluations += 1
-    for table, fetches in ((oracle._line, 5), (oracle._weight, 1)):
-        info = table.cache_info()
-        assert info.maxsize == oracle._INTEGRAND_TABLE_SIZE
-        assert info.misses == info.currsize == 64
-        assert info.hits + info.misses == fetches * evaluations
+    info = integrand.cache_info()
+    assert info.maxsize == oracle._INTEGRAND_TABLE_SIZE
+    assert info.misses == info.currsize == 2 * 64
+    assert info.hits + info.misses == 7 * evaluations
+    for value, fetches in ((oracle._LINE, 5), (oracle._WEIGHT, 2)):
+        counts = [n for key, n in fetched.items() if key[0] == value]
+        assert len(counts) == 64
+        assert sum(counts) == fetches * evaluations
 
 
 def test_endpoint_derivatives_match_finite_difference():

@@ -105,6 +105,11 @@ def five_vector_args(mode, rk_tol=1e-10):
 # orbit through r = 1e-10 (status 0); see TestGuards
 SLIDING_ARGS = (0, [0.0], [0.0], [0.0], [0.0], [2.0], 1.0, 0.0,
                 1.0, 0.0, 1e-10, 0.0, 1000, 1e-12, 50.0)
+# stage 1 after the switch below the guard: with q = -2x (lam = 1,
+# g = -2x) the first arc reaches phi = pi, where the side +1 arc's angular
+# speed (r + cos(phi) A)/r is (1 - 2)/1 = -1; see TestGuards
+SWITCH_SLIDING_ARGS = (0, [0.0], [0.0], [0.0], [0.0], [0.0, -2.0], 1.0,
+                       0.0, 1.0, 0.0, 1e-10, 0.0, 1000, 1e-12, 50.0)
 TINY_CENTRE_ARGS = (0, [0.0], [0.0], [0.0], [0.0], [0.0], 0.0, 0.0,
                     1e-10, 0.0, 1e-10, 0.0, 1000, 1e-12, 50.0)
 
@@ -312,17 +317,17 @@ class TestKernelEntry:
 
     def test_import_compiles_no_integrand(self):
         """Nor does it compile an oracle integrand: the first ``quad_I``
-        of I_0 compiles its line integrand, and that of I_2 its weight."""
+        of I_0 compiles its line integrand, and that of I_2 its weight,
+        both into the one table."""
         assert fresh_import_output(
             "from pwlienard import oracle; "
             "sys_ = pwlienard.load_preset('example2'); "
-            "tables = (oracle._line, oracle._weight); "
-            "print(*(t.cache_info().currsize for t in tables)); "
+            "table = oracle._integrand; "
+            "print(table.cache_info().currsize); "
             "oracle.quad_I(sys_, 1.0, 0); "
-            "print(*(t.cache_info().currsize for t in tables)); "
+            "print(table.cache_info().currsize); "
             "oracle.quad_I(sys_, 1.0, 2); "
-            "print(*(t.cache_info().currsize for t in tables))"
-        ) == ["0", "0", "1", "0", "1", "1"]
+            "print(table.cache_info().currsize)") == ["0", "1", "2"]
 
     def test_import_fills_no_support_table(self):
         """``import pwlienard`` computes no ``melnikov.support`` entry, as
@@ -1499,6 +1504,20 @@ class TestGuards:
         (1 - 2)/1 = -1; the flow points back at the line from both sides."""
         status, x, y, t, crossings = _kernel_py.integrate_return(*SLIDING_ARGS)
         assert (status, x, y, t, crossings) == (3, 1.0, -0.0, 0.0, [])
+
+    def test_non_transversal_at_the_switch(self):
+        """Stage 1 of the second arc, at the switch, below the guard: the
+        return ends with status 3 at the switch point, with the first
+        crossing logged, and the tangent return keeps those bits."""
+        pinned = (3, -1.0000000003302756, -1.2246467995518241e-16,
+                  1.8137993641747354,
+                  [(1.8137993641747354, -1.0000000003302756, 0.0, 1.0)])
+        plain = _kernel_py.integrate_return(*SWITCH_SLIDING_ARGS)
+        tangent = _kernel_py.integrate_return(*SWITCH_SLIDING_ARGS,
+                                              tangent=True)
+        assert result_bits(plain) == result_bits(pinned)
+        assert result_bits(tangent) == result_bits(
+            (*pinned, 1.0000000003302758))
 
     def test_tiny_centre_orbit_returns(self):
         """r = 1e-10 in the zero field is a periodic orbit of the linear
